@@ -21,6 +21,12 @@ cargo test -q -p samurai --test telemetry
 # bit-exact dense path (pinned here so it can never silently drop
 # out of the gate).
 cargo test -q -p samurai --test solver_equivalence
+# Performance-ledger package tests (the ledger is its own workspace
+# with its own lock file, so `--workspace` above never reaches it): a
+# smoke pass over all four workloads and digest equality with tracing
+# on and off, so a solver change that alters a workload's results
+# fails here and not only in a benchmark run.
+cargo test -q --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 # Project invariants (determinism / hot-loop purity incl. call-graph
 # reachability / draw order / layering / hygiene / unsafe audit): any

@@ -1,16 +1,18 @@
 //! Criterion benches for the SPICE substrate: the 6T write transient
 //! under both integrators (the trapezoidal-vs-backward-Euler ablation
-//! of DESIGN.md §7) and the full two-pass methodology.
+//! of DESIGN.md §7), one Newton iteration on each LU backend, and the
+//! full two-pass methodology.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use samurai_spice::{
-    run_transient, CompiledCircuit, Integrator, NewtonWorkspace, Source, TransientConfig,
+    run_transient, Circuit, CompiledCircuit, DcConfig, Integrator, NewtonWorkspace, Source,
+    TransientConfig, TransientStepper,
 };
 use samurai_sram::{
-    build_write_waveforms, run_methodology, MethodologyConfig, SramCell, SramCellParams,
-    WriteTiming,
+    build_write_waveforms, run_methodology, ColumnConfig, MethodologyConfig, SramCell,
+    SramCellParams, SramColumn, WriteTiming,
 };
 use samurai_waveform::BitPattern;
 
@@ -82,6 +84,46 @@ fn bench_compiled_vs_seed(c: &mut Criterion) {
     group.finish();
 }
 
+/// One Newton iteration on each LU backend: assembly, factor and
+/// solve, and the convergence-check assembly. A backward-Euler step
+/// of a circuit resting at its DC operating point converges in exactly
+/// one iteration (asserted below), so each timed call is one. The
+/// 64-row column (275 unknowns) takes the sparse LU, the 6T cell the
+/// dense one.
+fn bench_newton_iteration(c: &mut Criterion) {
+    const H: f64 = 1e-12;
+    let column = SramColumn::build(&ColumnConfig {
+        rows: 64,
+        ..ColumnConfig::default()
+    })
+    .expect("the column builds");
+    let column_dc = DcConfig {
+        initial_guess: Some(column.initial_guess(true)),
+        ..DcConfig::default()
+    };
+    let cell = SramCell::new(SramCellParams::default());
+    let cases: [(&str, &Circuit, DcConfig); 2] = [
+        ("column64_sparse", &column.circuit, column_dc),
+        ("cell_dense", &cell.circuit, DcConfig::default()),
+    ];
+    let mut group = c.benchmark_group("spice/newton_iteration");
+    for (name, circuit, dc) in cases {
+        let mut stepper =
+            TransientStepper::new(circuit, 0.0, &dc).expect("the operating point converges");
+        let before = stepper.stats().newton_iterations;
+        stepper.step(H).expect("a resting step converges");
+        assert_eq!(
+            stepper.stats().newton_iterations - before,
+            1,
+            "{name}: a resting step must be one Newton iteration"
+        );
+        group.bench_function(name, |b| {
+            b.iter(|| stepper.step(H).expect("a resting step converges"))
+        });
+    }
+    group.finish();
+}
+
 fn bench_methodology(c: &mut Criterion) {
     let pattern = BitPattern::parse("1010").expect("static pattern");
     let config = MethodologyConfig {
@@ -96,6 +138,7 @@ fn bench_methodology(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_write_transient, bench_compiled_vs_seed, bench_methodology
+    targets = bench_write_transient, bench_compiled_vs_seed, bench_newton_iteration,
+        bench_methodology
 }
 criterion_main!(benches);

@@ -13,7 +13,10 @@
 //!   [`Stamp`] trait,
 //! * the Jacobian fill pattern (the set of matrix entries any stamp
 //!   can ever write) is precomputed, so re-assembly clears only the
-//!   touched entries.
+//!   touched entries,
+//! * every Jacobian entry a stamp writes is resolved to its *slot* —
+//!   its position in the chosen backend's value array — so assembly
+//!   adds into the array directly, with no coordinate lookup.
 //!
 //! All per-solve storage lives in a [`NewtonWorkspace`] that is reused
 //! across Newton iterations, timesteps and whole transient runs; after
@@ -187,16 +190,17 @@ impl SolverSystem {
 
     // lint: hot-loop
     //
-    // `add`, `clear_fill` and `factor_solve` are the per-iteration
-    // matrix operations of the Newton loop; both arms are
-    // allocation-free on reuse.
+    // `values_mut`, `clear_fill` and `factor_solve` are the
+    // per-iteration matrix operations of the Newton loop; both arms
+    // are allocation-free on reuse.
 
-    /// Adds `v` to assembled entry `(r, c)` — the MNA stamp.
+    /// The assembled matrix's value array, addressed by the stamp
+    /// slots the circuit was compiled with.
     #[inline]
-    pub(crate) fn add(&mut self, r: usize, c: usize, v: f64) {
+    fn values_mut(&mut self) -> &mut [f64] {
         match self {
-            Self::Dense { jac, .. } => jac.add(r, c, v),
-            Self::Sparse { jac, .. } => jac.add(r, c, v),
+            Self::Dense { jac, .. } => jac.values_mut(),
+            Self::Sparse { jac, .. } => jac.values_mut(),
         }
     }
 
@@ -281,6 +285,10 @@ pub struct NewtonWorkspace {
     pub(crate) x_try: Vec<f64>,
     /// Per-capacitor companion-model history.
     pub(crate) cap_states: Vec<CapState>,
+    /// Every source waveform of the compiled circuit evaluated at `t`,
+    /// refreshed once per Newton solve (the stamps apply
+    /// `source_scale`).
+    pub(crate) source_values: Vec<f64>,
     /// Stamp context: evaluation time.
     pub(crate) t: f64,
     /// Stamp context: capacitor integration mode.
@@ -311,6 +319,7 @@ impl NewtonWorkspace {
             x: vec![0.0; n],
             x_try: Vec::with_capacity(n),
             cap_states: vec![CapState::default(); compiled.cap_state_count],
+            source_values: vec![0.0; compiled.sources.len()],
             t: 0.0,
             mode: IntegMode::Dc,
             source_scale: 1.0,
@@ -385,22 +394,36 @@ fn add_res(res: &mut [f64], n: Option<usize>, value: f64) {
     }
 }
 
-/// Adds `value` to the Jacobian entry (∂r[row] / ∂x[col]).
+/// A Jacobian entry's position in the backend's value array. Slots are
+/// 32-bit to keep the stamps compact: a MOSFET carries 18 of them.
+type Slot = u32;
+
+/// The slot of a Jacobian entry that touches ground: nothing is
+/// stamped there.
+const NO_SLOT: Slot = Slot::MAX;
+
+/// Adds `value` to the Jacobian entry at `slot` (no-op for
+/// [`NO_SLOT`]).
+// lint: hot-fn
 #[inline]
-fn add_jac(sys: &mut SolverSystem, row: Option<usize>, col: Option<usize>, value: f64) {
-    if let (Some(r), Some(c)) = (row, col) {
-        sys.add(r, c, value);
+fn add_jac(jac: &mut [f64], slot: Slot, value: f64) {
+    if slot != NO_SLOT {
+        jac[slot as usize] += value;
     }
 }
 
 /// A two-terminal conductance + current stamp: current `i = g·(va−vb) +
-/// i0` flows from `a` to `b`.
+/// i0` flows from `a` to `b`. `slots` are those of `(a, a)`, `(a, b)`,
+/// `(b, a)` and `(b, b)`.
+// lint: hot-fn
+#[allow(clippy::too_many_arguments)]
 fn stamp_branch(
-    sys: &mut SolverSystem,
+    jac: &mut [f64],
     res: &mut [f64],
     x: &[f64],
     a: Option<usize>,
     b: Option<usize>,
+    slots: &[Slot; 4],
     g: f64,
     i0: f64,
 ) {
@@ -408,10 +431,10 @@ fn stamp_branch(
     let i = g * v + i0;
     add_res(res, a, i);
     add_res(res, b, -i);
-    add_jac(sys, a, a, g);
-    add_jac(sys, a, b, -g);
-    add_jac(sys, b, a, -g);
-    add_jac(sys, b, b, g);
+    add_jac(jac, slots[0], g);
+    add_jac(jac, slots[1], -g);
+    add_jac(jac, slots[2], -g);
+    add_jac(jac, slots[3], g);
 }
 
 /// Records the fill positions a two-terminal branch stamp can write.
@@ -423,13 +446,69 @@ fn fill_branch(fill: &mut Vec<(usize, usize)>, a: Option<usize>, b: Option<usize
     }
 }
 
+/// Resolves Jacobian coordinates to slots in the value array of the
+/// backend a circuit is being compiled for: the CSC position for
+/// sparse, `r·n + c` for dense. Used once, by
+/// [`CompiledCircuit::compile_with_solver`].
+struct SlotMap<'a> {
+    fill: &'a [(usize, usize)],
+    pattern: &'a SparsityPattern,
+    solver: SolverKind,
+    /// The element being resolved, for the out-of-pattern report.
+    element: usize,
+    kind: &'static str,
+}
+
+impl SlotMap<'_> {
+    /// The slot of `(row, col)`; [`NO_SLOT`] if either is ground.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the element and the entry, if `(row, col)` is
+    /// outside the fill pattern: the stamp and its `register_fill`
+    /// disagree, and the entry would otherwise be lost or misplaced.
+    fn slot(&self, row: Option<usize>, col: Option<usize>) -> Slot {
+        let (Some(r), Some(c)) = (row, col) else {
+            return NO_SLOT;
+        };
+        let slot = match self.solver {
+            SolverKind::Dense => self
+                .fill
+                .binary_search(&(r, c))
+                .ok()
+                .map(|_| r * self.pattern.n() + c),
+            SolverKind::Sparse => self.pattern.position(r, c),
+        };
+        assert!(
+            slot.is_some(),
+            "element {} ({}) stamps Jacobian entry ({r}, {c}) outside the fill pattern",
+            self.element,
+            self.kind
+        );
+        let slot = slot.and_then(|k| Slot::try_from(k).ok()).unwrap_or(NO_SLOT);
+        assert!(slot != NO_SLOT, "Jacobian value array exceeds 32-bit slots");
+        slot
+    }
+
+    /// The slots of a two-terminal branch stamp (see [`stamp_branch`]).
+    fn branch(&self, a: Option<usize>, b: Option<usize>) -> [Slot; 4] {
+        [
+            self.slot(a, a),
+            self.slot(a, b),
+            self.slot(b, a),
+            self.slot(b, b),
+        ]
+    }
+}
+
 /// An index-resolved device: how one element contributes to the
 /// compiled system.
 ///
 /// Implementations receive the candidate solution `x` and the
 /// workspace, whose context fields (`t`, integration mode, homotopy
-/// scales, capacitor histories) parameterise the evaluation; they
-/// accumulate into the workspace residual and Jacobian.
+/// scales, capacitor histories, source values) parameterise the
+/// evaluation; they accumulate into the workspace residual and into
+/// the Jacobian slots resolved at compile time.
 pub trait Stamp {
     /// Accumulates this device's residual and Jacobian contributions
     /// at the candidate solution `x`.
@@ -443,10 +522,6 @@ pub trait Stamp {
     /// Refreshes this device's integration state from an accepted
     /// solution (capacitor companion histories); default: stateless.
     fn update_state(&self, _x: &[f64], _ws: &mut NewtonWorkspace) {}
-
-    /// Appends the time points a transient run must land on exactly
-    /// (PWL source corners); default: none.
-    fn append_breakpoints(&self, _out: &mut Vec<f64>) {}
 }
 
 #[derive(Debug, Clone)]
@@ -454,11 +529,23 @@ pub(crate) struct ResistorStamp {
     pub a: Option<usize>,
     pub b: Option<usize>,
     pub g: f64,
+    /// Jacobian slots of the branch (see [`stamp_branch`]).
+    pub slots: [Slot; 4],
 }
 
 impl Stamp for ResistorStamp {
     fn stamp(&self, x: &[f64], ws: &mut NewtonWorkspace) {
-        stamp_branch(&mut ws.sys, &mut ws.res, x, self.a, self.b, self.g, 0.0);
+        let jac = ws.sys.values_mut();
+        stamp_branch(
+            jac,
+            &mut ws.res,
+            x,
+            self.a,
+            self.b,
+            &self.slots,
+            self.g,
+            0.0,
+        );
     }
 
     fn register_fill(&self, fill: &mut Vec<(usize, usize)>) {
@@ -473,6 +560,8 @@ pub(crate) struct CapacitorStamp {
     pub c: f64,
     /// Index into the workspace capacitor-history table.
     pub state: usize,
+    /// Jacobian slots of the companion branch.
+    pub slots: [Slot; 4],
 }
 
 impl Stamp for CapacitorStamp {
@@ -480,7 +569,8 @@ impl Stamp for CapacitorStamp {
         let (g, i0) = ws.mode.companion(self.c, ws.cap_states[self.state]);
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
         if g != 0.0 || i0 != 0.0 {
-            stamp_branch(&mut ws.sys, &mut ws.res, x, self.a, self.b, g, i0);
+            let jac = ws.sys.values_mut();
+            stamp_branch(jac, &mut ws.res, x, self.a, self.b, &self.slots, g, i0);
         }
     }
 
@@ -504,26 +594,27 @@ pub(crate) struct VsourceStamp {
     pub minus: Option<usize>,
     /// The branch-current unknown / branch-equation row.
     pub row: usize,
-    pub source: Source,
+    /// Index of the waveform in [`CompiledCircuit::sources`].
+    pub src: usize,
+    /// Jacobian slots of `(plus, row)`, `(minus, row)`, `(row, plus)`
+    /// and `(row, minus)`.
+    pub slots: [Slot; 4],
 }
 
 impl Stamp for VsourceStamp {
     fn stamp(&self, x: &[f64], ws: &mut NewtonWorkspace) {
+        let jac = ws.sys.values_mut();
         let i_branch = x[self.row];
         // Branch current leaves the + node through the source.
         add_res(&mut ws.res, self.plus, i_branch);
         add_res(&mut ws.res, self.minus, -i_branch);
-        add_jac(&mut ws.sys, self.plus, Some(self.row), 1.0);
-        add_jac(&mut ws.sys, self.minus, Some(self.row), -1.0);
+        add_jac(jac, self.slots[0], 1.0);
+        add_jac(jac, self.slots[1], -1.0);
         // Branch equation.
         ws.res[self.row] =
-            v_at(x, self.plus) - v_at(x, self.minus) - ws.source_scale * self.source.eval(ws.t);
-        if let Some(i) = self.plus {
-            ws.sys.add(self.row, i, 1.0);
-        }
-        if let Some(i) = self.minus {
-            ws.sys.add(self.row, i, -1.0);
-        }
+            v_at(x, self.plus) - v_at(x, self.minus) - ws.source_scale * ws.source_values[self.src];
+        add_jac(jac, self.slots[2], 1.0);
+        add_jac(jac, self.slots[3], -1.0);
     }
 
     fn register_fill(&self, fill: &mut Vec<(usize, usize)>) {
@@ -532,23 +623,20 @@ impl Stamp for VsourceStamp {
             fill.push((self.row, i));
         }
     }
-
-    fn append_breakpoints(&self, out: &mut Vec<f64>) {
-        out.extend(self.source.breakpoints());
-    }
 }
 
 #[derive(Debug, Clone)]
 pub(crate) struct IsourceStamp {
     pub from: Option<usize>,
     pub to: Option<usize>,
-    pub source: Source,
+    /// Index of the waveform in [`CompiledCircuit::sources`].
+    pub src: usize,
 }
 
 impl Stamp for IsourceStamp {
     fn stamp(&self, x: &[f64], ws: &mut NewtonWorkspace) {
         let _ = x;
-        let i = ws.source_scale * self.source.eval(ws.t);
+        let i = ws.source_scale * ws.source_values[self.src];
         add_res(&mut ws.res, self.from, i);
         add_res(&mut ws.res, self.to, -i);
     }
@@ -556,10 +644,18 @@ impl Stamp for IsourceStamp {
     fn register_fill(&self, _fill: &mut Vec<(usize, usize)>) {
         // Current sources contribute to the residual only.
     }
+}
 
-    fn append_breakpoints(&self, out: &mut Vec<f64>) {
-        out.extend(self.source.breakpoints());
-    }
+/// The Jacobian slots of one MOSFET stamp.
+#[derive(Debug, Clone)]
+pub(crate) struct MosfetSlots {
+    /// `(d, d)`, `(d, g)`, `(d, s)`, `(s, d)`, `(s, g)`, `(s, s)`: the
+    /// channel current's derivatives.
+    channel: [Slot; 6],
+    /// Companion branches of Cgs, Cgd and Cdb.
+    gs: [Slot; 4],
+    gd: [Slot; 4],
+    db: [Slot; 4],
 }
 
 #[derive(Debug, Clone)]
@@ -570,6 +666,7 @@ pub(crate) struct MosfetStamp {
     pub params: MosfetParams,
     /// Workspace history slots for the Cgs, Cgd, Cdb charge model.
     pub caps: [usize; 3],
+    pub slots: MosfetSlots,
 }
 
 impl Stamp for MosfetStamp {
@@ -577,35 +674,38 @@ impl Stamp for MosfetStamp {
         let (id, dd, dg, ds) = self
             .params
             .eval(v_at(x, self.d), v_at(x, self.g), v_at(x, self.s));
-        add_res(&mut ws.res, self.d, id);
-        add_res(&mut ws.res, self.s, -id);
-        add_jac(&mut ws.sys, self.d, self.d, dd);
-        add_jac(&mut ws.sys, self.d, self.g, dg);
-        add_jac(&mut ws.sys, self.d, self.s, ds);
-        add_jac(&mut ws.sys, self.s, self.d, -dd);
-        add_jac(&mut ws.sys, self.s, self.g, -dg);
-        add_jac(&mut ws.sys, self.s, self.s, -ds);
+        let jac = ws.sys.values_mut();
+        let res = &mut ws.res;
+        add_res(res, self.d, id);
+        add_res(res, self.s, -id);
+        let ch = &self.slots.channel;
+        add_jac(jac, ch[0], dd);
+        add_jac(jac, ch[1], dg);
+        add_jac(jac, ch[2], ds);
+        add_jac(jac, ch[3], -dd);
+        add_jac(jac, ch[4], -dg);
+        add_jac(jac, ch[5], -ds);
         // Charge model: Cgs, Cgd, Cdb.
         let (g_gs, i_gs) = ws
             .mode
             .companion(self.params.cgs, ws.cap_states[self.caps[0]]);
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
         if g_gs != 0.0 || i_gs != 0.0 {
-            stamp_branch(&mut ws.sys, &mut ws.res, x, self.g, self.s, g_gs, i_gs);
+            stamp_branch(jac, res, x, self.g, self.s, &self.slots.gs, g_gs, i_gs);
         }
         let (g_gd, i_gd) = ws
             .mode
             .companion(self.params.cgd, ws.cap_states[self.caps[1]]);
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
         if g_gd != 0.0 || i_gd != 0.0 {
-            stamp_branch(&mut ws.sys, &mut ws.res, x, self.g, self.d, g_gd, i_gd);
+            stamp_branch(jac, res, x, self.g, self.d, &self.slots.gd, g_gd, i_gd);
         }
         let (g_db, i_db) = ws
             .mode
             .companion(self.params.cdb, ws.cap_states[self.caps[2]]);
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
         if g_db != 0.0 || i_db != 0.0 {
-            stamp_branch(&mut ws.sys, &mut ws.res, x, self.d, None, g_db, i_db);
+            stamp_branch(jac, res, x, self.d, None, &self.slots.db, g_db, i_db);
         }
     }
 
@@ -649,13 +749,21 @@ pub(crate) enum DeviceStamp {
 }
 
 impl DeviceStamp {
-    /// Lowers one netlist element into its index-resolved stamp.
-    fn lower(element: &Element, n_nodes: usize) -> Self {
+    /// Lowers one netlist element into its index-resolved stamp, with
+    /// unresolved Jacobian slots ([`DeviceStamp::resolve_slots`] fills
+    /// them once the fill pattern is known). A source's waveform is
+    /// moved to `sources`; the stamp keeps its index.
+    fn lower(element: &Element, n_nodes: usize, sources: &mut Vec<Source>) -> Self {
+        let mut add_source = |source: &Source| {
+            sources.push(source.clone());
+            sources.len() - 1
+        };
         match element {
             Element::Resistor { a, b, conductance } => Self::Resistor(ResistorStamp {
                 a: a.unknown_index(),
                 b: b.unknown_index(),
                 g: *conductance,
+                slots: [NO_SLOT; 4],
             }),
             Element::Capacitor {
                 a,
@@ -667,6 +775,7 @@ impl DeviceStamp {
                 b: b.unknown_index(),
                 c: *capacitance,
                 state: *state,
+                slots: [NO_SLOT; 4],
             }),
             Element::Vsource {
                 plus,
@@ -677,12 +786,13 @@ impl DeviceStamp {
                 plus: plus.unknown_index(),
                 minus: minus.unknown_index(),
                 row: n_nodes + branch,
-                source: source.clone(),
+                src: add_source(source),
+                slots: [NO_SLOT; 4],
             }),
             Element::Isource { from, to, source } => Self::Isource(IsourceStamp {
                 from: from.unknown_index(),
                 to: to.unknown_index(),
-                source: source.clone(),
+                src: add_source(source),
             }),
             Element::Mosfet {
                 d,
@@ -696,15 +806,68 @@ impl DeviceStamp {
                 s: s.unknown_index(),
                 params: *params,
                 caps: *cap_states,
+                slots: MosfetSlots {
+                    channel: [NO_SLOT; 6],
+                    gs: [NO_SLOT; 4],
+                    gd: [NO_SLOT; 4],
+                    db: [NO_SLOT; 4],
+                },
             }),
         }
     }
 
-    /// The rewritable source waveform, for source-bearing devices.
-    fn source_mut(&mut self) -> Option<&mut Source> {
+    /// Short name of the device kind, for diagnostics.
+    fn kind(&self) -> &'static str {
         match self {
-            Self::Vsource(v) => Some(&mut v.source),
-            Self::Isource(i) => Some(&mut i.source),
+            Self::Resistor(_) => "resistor",
+            Self::Capacitor(_) => "capacitor",
+            Self::Vsource(_) => "voltage source",
+            Self::Isource(_) => "current source",
+            Self::Mosfet(_) => "mosfet",
+        }
+    }
+
+    /// Resolves every Jacobian entry this stamp writes to its slot,
+    /// in the order [`Stamp::stamp`] writes them.
+    fn resolve_slots(&mut self, map: &SlotMap<'_>) {
+        match self {
+            Self::Resistor(r) => r.slots = map.branch(r.a, r.b),
+            Self::Capacitor(c) => c.slots = map.branch(c.a, c.b),
+            Self::Vsource(v) => {
+                let row = Some(v.row);
+                v.slots = [
+                    map.slot(v.plus, row),
+                    map.slot(v.minus, row),
+                    map.slot(row, v.plus),
+                    map.slot(row, v.minus),
+                ];
+            }
+            Self::Isource(_) => {}
+            Self::Mosfet(m) => {
+                let (d, g, s) = (m.d, m.g, m.s);
+                m.slots = MosfetSlots {
+                    channel: [
+                        map.slot(d, d),
+                        map.slot(d, g),
+                        map.slot(d, s),
+                        map.slot(s, d),
+                        map.slot(s, g),
+                        map.slot(s, s),
+                    ],
+                    gs: map.branch(g, s),
+                    gd: map.branch(g, d),
+                    db: map.branch(d, None),
+                };
+            }
+        }
+    }
+
+    /// Index of the waveform in [`CompiledCircuit::sources`], for
+    /// source-bearing devices.
+    fn source_index(&self) -> Option<usize> {
+        match self {
+            Self::Vsource(v) => Some(v.src),
+            Self::Isource(i) => Some(i.src),
             _ => None,
         }
     }
@@ -740,21 +903,12 @@ impl Stamp for DeviceStamp {
             Self::Mosfet(d) => d.update_state(x, ws),
         }
     }
-
-    fn append_breakpoints(&self, out: &mut Vec<f64>) {
-        match self {
-            Self::Resistor(d) => d.append_breakpoints(out),
-            Self::Capacitor(d) => d.append_breakpoints(out),
-            Self::Vsource(d) => d.append_breakpoints(out),
-            Self::Isource(d) => d.append_breakpoints(out),
-            Self::Mosfet(d) => d.append_breakpoints(out),
-        }
-    }
 }
 
 /// A [`Circuit`] lowered for repeated solving: node names resolved to
 /// dense indices, elements lowered to [`Stamp`]s, Jacobian fill
-/// pattern precomputed.
+/// pattern precomputed and every stamped entry resolved to its slot
+/// in the chosen backend's value array.
 ///
 /// Stamps keep the element order (and therefore the floating-point
 /// accumulation order) of the source circuit, so compiled results are
@@ -769,6 +923,13 @@ pub struct CompiledCircuit {
     pub(crate) cap_state_count: usize,
     pub(crate) gmin: f64,
     pub(crate) stamps: Vec<DeviceStamp>,
+    /// Source waveforms, in element order; source stamps hold indices
+    /// into this table, and each Newton solve evaluates it once into
+    /// [`NewtonWorkspace::source_values`].
+    pub(crate) sources: Vec<Source>,
+    /// Jacobian slot of each node's diagonal, where the gmin leak is
+    /// stamped.
+    pub(crate) gmin_slots: Vec<Slot>,
     /// Sorted, deduplicated Jacobian entries any stamp (or the gmin
     /// leak) can write.
     pub(crate) fill: Vec<(usize, usize)>,
@@ -798,13 +959,20 @@ impl CompiledCircuit {
     /// [`compile`](Self::compile) with an explicit linear-solver
     /// choice (forcing the sparse backend at small sizes is what the
     /// dense↔sparse equivalence suite does).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the element and the `(row, col)` entry, if a
+    /// stamp writes a Jacobian entry its fill registration omits (a
+    /// bug in that device's stamp).
     pub fn compile_with_solver(ckt: &Circuit, choice: SolverChoice) -> Self {
         let n_nodes = ckt.node_count();
         let n_unknowns = ckt.unknown_count();
-        let stamps: Vec<DeviceStamp> = ckt
+        let mut sources = Vec::new();
+        let mut stamps: Vec<DeviceStamp> = ckt
             .elements
             .iter()
-            .map(|e| DeviceStamp::lower(e, n_nodes))
+            .map(|e| DeviceStamp::lower(e, n_nodes, &mut sources))
             .collect();
         let mut fill: Vec<(usize, usize)> = (0..n_nodes).map(|i| (i, i)).collect();
         for stamp in &stamps {
@@ -828,12 +996,27 @@ impl CompiledCircuit {
             SolverKind::Sparse => pattern.min_degree_ordering(),
             SolverKind::Dense => Vec::new(),
         };
+        let mut map = SlotMap {
+            fill: &fill,
+            pattern: &pattern,
+            solver,
+            element: 0,
+            kind: "gmin leak",
+        };
+        let gmin_slots = (0..n_nodes).map(|i| map.slot(Some(i), Some(i))).collect();
+        for (k, stamp) in stamps.iter_mut().enumerate() {
+            map.element = k;
+            map.kind = stamp.kind();
+            stamp.resolve_slots(&map);
+        }
         Self {
             n_nodes,
             n_unknowns,
             cap_state_count: ckt.cap_state_count,
             gmin: ckt.gmin,
             stamps,
+            sources,
+            gmin_slots,
             fill,
             pattern,
             order,
@@ -884,9 +1067,9 @@ impl CompiledCircuit {
     /// Returns [`SpiceError::InvalidElement`] if `id` does not name a
     /// voltage or current source.
     pub fn set_source(&mut self, id: ElementId, new_source: Source) -> Result<(), SpiceError> {
-        match self.stamps.get_mut(id.0).and_then(DeviceStamp::source_mut) {
-            Some(slot) => {
-                *slot = new_source;
+        match self.stamps.get(id.0).and_then(DeviceStamp::source_index) {
+            Some(k) => {
+                self.sources[k] = new_source;
                 Ok(())
             }
             None => Err(SpiceError::InvalidElement {
@@ -899,8 +1082,8 @@ impl CompiledCircuit {
     /// (reflects any [`set_source`](Self::set_source) rewrites).
     pub fn breakpoints(&self) -> Vec<f64> {
         let mut times = Vec::new();
-        for stamp in &self.stamps {
-            stamp.append_breakpoints(&mut times);
+        for source in &self.sources {
+            times.extend(source.breakpoints());
         }
         times.sort_by(f64::total_cmp);
         times.dedup();
@@ -928,8 +1111,18 @@ impl CompiledCircuit {
     // allocation-free: everything they touch is preallocated in the
     // `NewtonWorkspace`.
 
+    /// Evaluates every source waveform at the workspace time `ws.t`
+    /// into `ws.source_values` — once per Newton solve, since `t` is
+    /// fixed for the whole solve.
+    pub(crate) fn load_sources(&self, ws: &mut NewtonWorkspace) {
+        for (value, source) in ws.source_values.iter_mut().zip(&self.sources) {
+            *value = source.eval(ws.t);
+        }
+    }
+
     /// Assembles the residual and Jacobian at solution `x`, under the
-    /// workspace's stamp context (`t`, mode, homotopy scales).
+    /// workspace's stamp context (mode, homotopy scales, and the source
+    /// values [`load_sources`](Self::load_sources) left for `t`).
     pub(crate) fn assemble(&self, x: &[f64], ws: &mut NewtonWorkspace) {
         ws.sys.clear_fill(&self.fill);
         ws.res.iter_mut().for_each(|r| *r = 0.0);
@@ -937,9 +1130,10 @@ impl CompiledCircuit {
         // gmin to ground from every node.
         let g_leak = self.gmin + ws.gmin_extra;
         if g_leak > 0.0 {
-            for (i, &v) in x.iter().enumerate().take(self.n_nodes) {
-                ws.res[i] += g_leak * v;
-                ws.sys.add(i, i, g_leak);
+            let jac = ws.sys.values_mut();
+            for ((r, &v), &slot) in ws.res.iter_mut().zip(x).zip(&self.gmin_slots) {
+                *r += g_leak * v;
+                jac[slot as usize] += g_leak;
             }
         }
 
@@ -973,6 +1167,7 @@ impl CompiledCircuit {
             injected,
             Some(FaultKind::NonConvergence | FaultKind::TimestepFloor)
         );
+        self.load_sources(ws);
 
         let mut last_max_dv = f64::NAN;
         for iter in 0..config.max_iterations {
@@ -1123,7 +1318,6 @@ impl CompiledCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::netlist::Source;
 
     fn solve_dc(ckt: &Circuit) -> Vec<f64> {
         let compiled = CompiledCircuit::compile(ckt);
@@ -1195,42 +1389,236 @@ mod tests {
         assert!(vd > 0.3 && vd < 1.0, "diode node {vd}");
     }
 
-    #[test]
-    fn fill_pattern_is_sorted_deduplicated_and_covers_assembly() {
+    /// The by-coordinate assembly the compiled slots replaced: every
+    /// stamp adds into `(row, col)` of a dense matrix, in the same
+    /// order, reading its source straight from the waveform.
+    fn assemble_by_coordinates(
+        c: &CompiledCircuit,
+        x: &[f64],
+        ws: &NewtonWorkspace,
+    ) -> (DenseMatrix, Vec<f64>) {
+        let n = c.n_unknowns;
+        let mut jac = DenseMatrix::zeros(n, n);
+        let mut res = vec![0.0; n];
+        fn add(jac: &mut DenseMatrix, r: Option<usize>, col: Option<usize>, v: f64) {
+            if let (Some(r), Some(col)) = (r, col) {
+                jac.add(r, col, v);
+            }
+        }
+        let branch = |jac: &mut DenseMatrix,
+                      res: &mut [f64],
+                      a: Option<usize>,
+                      b: Option<usize>,
+                      g: f64,
+                      i0: f64| {
+            let i = g * (v_at(x, a) - v_at(x, b)) + i0;
+            add_res(res, a, i);
+            add_res(res, b, -i);
+            add(jac, a, a, g);
+            add(jac, a, b, -g);
+            add(jac, b, a, -g);
+            add(jac, b, b, g);
+        };
+        let g_leak = c.gmin + ws.gmin_extra;
+        if g_leak > 0.0 {
+            for (i, &v) in x.iter().enumerate().take(c.n_nodes) {
+                res[i] += g_leak * v;
+                jac.add(i, i, g_leak);
+            }
+        }
+        for stamp in &c.stamps {
+            match stamp {
+                DeviceStamp::Resistor(r) => branch(&mut jac, &mut res, r.a, r.b, r.g, 0.0),
+                DeviceStamp::Capacitor(cap) => {
+                    let (g, i0) = ws.mode.companion(cap.c, ws.cap_states[cap.state]);
+                    if g != 0.0 || i0 != 0.0 {
+                        branch(&mut jac, &mut res, cap.a, cap.b, g, i0);
+                    }
+                }
+                DeviceStamp::Vsource(v) => {
+                    let i_branch = x[v.row];
+                    add_res(&mut res, v.plus, i_branch);
+                    add_res(&mut res, v.minus, -i_branch);
+                    add(&mut jac, v.plus, Some(v.row), 1.0);
+                    add(&mut jac, v.minus, Some(v.row), -1.0);
+                    res[v.row] = v_at(x, v.plus)
+                        - v_at(x, v.minus)
+                        - ws.source_scale * c.sources[v.src].eval(ws.t);
+                    add(&mut jac, Some(v.row), v.plus, 1.0);
+                    add(&mut jac, Some(v.row), v.minus, -1.0);
+                }
+                DeviceStamp::Isource(src) => {
+                    let i = ws.source_scale * c.sources[src.src].eval(ws.t);
+                    add_res(&mut res, src.from, i);
+                    add_res(&mut res, src.to, -i);
+                }
+                DeviceStamp::Mosfet(m) => {
+                    let (id, dd, dg, ds) = m.params.eval(v_at(x, m.d), v_at(x, m.g), v_at(x, m.s));
+                    add_res(&mut res, m.d, id);
+                    add_res(&mut res, m.s, -id);
+                    for (col, v) in [(m.d, dd), (m.g, dg), (m.s, ds)] {
+                        add(&mut jac, m.d, col, v);
+                    }
+                    for (col, v) in [(m.d, dd), (m.g, dg), (m.s, ds)] {
+                        add(&mut jac, m.s, col, -v);
+                    }
+                    let caps = [
+                        (m.g, m.s, m.params.cgs),
+                        (m.g, m.d, m.params.cgd),
+                        (m.d, None, m.params.cdb),
+                    ];
+                    for ((a, b, cap), state) in caps.into_iter().zip(m.caps) {
+                        let (g, i0) = ws.mode.companion(cap, ws.cap_states[state]);
+                        if g != 0.0 || i0 != 0.0 {
+                            branch(&mut jac, &mut res, a, b, g, i0);
+                        }
+                    }
+                }
+            }
+        }
+        (jac, res)
+    }
+
+    /// A circuit touching every stamp shape: a PWL supply, a PWL
+    /// current source, a capacitor, a diode-connected transistor (its
+    /// gate and drain slots alias) and one with a grounded source.
+    fn every_stamp_circuit() -> Circuit {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
         let b = ckt.node("b");
-        ckt.vsource(a, Circuit::GROUND, Source::Dc(1.0));
+        let c = ckt.node("c");
+        let ramp = samurai_waveform::Pwl::new(vec![(0.0, 0.2), (1e-9, 1.1)]).unwrap();
+        ckt.vsource(a, Circuit::GROUND, Source::Pwl(ramp.clone()));
         ckt.resistor(a, b, 1e3);
         ckt.capacitor(b, Circuit::GROUND, 1e-12);
         ckt.mosfet(b, a, Circuit::GROUND, crate::MosfetParams::nmos_90nm(1.0));
-        let compiled = CompiledCircuit::compile(&ckt);
-        assert!(
-            compiled.fill.windows(2).all(|w| w[0] < w[1]),
-            "fill must be strictly sorted (deduplicated)"
-        );
+        ckt.isource(Circuit::GROUND, c, Source::Pwl(ramp.scaled(1e-6)));
+        ckt.mosfet(c, c, b, crate::MosfetParams::pmos_90nm(1.5));
+        ckt.resistor(c, Circuit::GROUND, 5e3);
+        ckt
+    }
 
-        // Assemble under the transient mode (widest stamp footprint)
-        // and check no nonzero escaped the registered pattern.
-        let mut ws = NewtonWorkspace::new(&compiled);
-        ws.mode = IntegMode::Trapezoidal { h: 1e-12 };
-        for s in ws.cap_states.iter_mut() {
-            *s = CapState {
-                v_prev: 0.3,
-                i_prev: 1e-6,
-            };
-        }
-        let x = vec![0.7; compiled.unknown_count()];
-        compiled.assemble(&x, &mut ws);
-        for r in 0..compiled.unknown_count() {
-            for c in 0..compiled.unknown_count() {
-                if ws.sys.get(r, c) != 0.0 {
-                    assert!(
-                        compiled.fill.binary_search(&(r, c)).is_ok(),
-                        "({r}, {c}) written outside the fill pattern"
-                    );
+    #[test]
+    fn fill_pattern_is_sorted_deduplicated_and_covers_assembly() {
+        let ckt = every_stamp_circuit();
+        let modes = [
+            IntegMode::Dc,
+            IntegMode::BackwardEuler { h: 1e-12 },
+            IntegMode::Trapezoidal { h: 1e-12 },
+        ];
+        for choice in [SolverChoice::Dense, SolverChoice::Sparse] {
+            let compiled = CompiledCircuit::compile_with_solver(&ckt, choice);
+            assert!(
+                compiled.fill.windows(2).all(|w| w[0] < w[1]),
+                "fill must be strictly sorted (deduplicated)"
+            );
+            let n = compiled.unknown_count();
+            let mut ws = NewtonWorkspace::new(&compiled);
+            for s in ws.cap_states.iter_mut() {
+                *s = CapState {
+                    v_prev: 0.3,
+                    i_prev: 1e-6,
+                };
+            }
+            ws.t = 0.4e-9;
+            ws.source_scale = 0.7;
+            ws.gmin_extra = 1e-9;
+            let x: Vec<f64> = (0..n).map(|i| 0.7 - 0.05 * i as f64).collect();
+            for mode in modes {
+                ws.mode = mode;
+                compiled.load_sources(&mut ws);
+                compiled.assemble(&x, &mut ws);
+                let (jac, res) = assemble_by_coordinates(&compiled, &x, &ws);
+                let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&ws.res), bits(&res), "{choice:?} {mode:?} residual");
+                for r in 0..n {
+                    for c in 0..n {
+                        assert_eq!(
+                            ws.sys.get(r, c).to_bits(),
+                            jac.get(r, c).to_bits(),
+                            "{choice:?} {mode:?} entry ({r}, {c})"
+                        );
+                        if jac.get(r, c) != 0.0 {
+                            assert!(
+                                compiled.fill.binary_search(&(r, c)).is_ok(),
+                                "({r}, {c}) written outside the fill pattern"
+                            );
+                        }
+                    }
                 }
             }
+        }
+    }
+
+    /// Resolves `(1, 2)` against a fill pattern that lacks it.
+    fn resolve_outside_the_pattern(solver: SolverKind) {
+        let fill = [(0, 0), (1, 1), (2, 2)];
+        let pattern = SparsityPattern::new(3, &fill);
+        let map = SlotMap {
+            fill: &fill,
+            pattern: &pattern,
+            solver,
+            element: 3,
+            kind: "mosfet",
+        };
+        assert_eq!(map.slot(Some(1), None), NO_SLOT, "ground has no slot");
+        map.slot(Some(1), Some(2));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "element 3 (mosfet) stamps Jacobian entry (1, 2) outside the fill pattern"
+    )]
+    fn dense_slot_resolution_rejects_entries_outside_the_fill_pattern() {
+        resolve_outside_the_pattern(SolverKind::Dense);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "element 3 (mosfet) stamps Jacobian entry (1, 2) outside the fill pattern"
+    )]
+    fn sparse_slot_resolution_rejects_entries_outside_the_fill_pattern() {
+        resolve_outside_the_pattern(SolverKind::Sparse);
+    }
+
+    /// Bit patterns of every node waveform, the time grid and the final
+    /// solution of a transient run.
+    fn run_bits(compiled: &CompiledCircuit, ws: &mut NewtonWorkspace, ckt: &Circuit) -> Vec<u64> {
+        let result = compiled
+            .run_transient(ws, 0.0, 2e-9, &crate::TransientConfig::default())
+            .unwrap();
+        let mut bits: Vec<u64> = result.times().iter().map(|t| t.to_bits()).collect();
+        for node in ["a", "b", "c"] {
+            let wave = result.voltage(ckt, node).unwrap();
+            bits.extend(wave.points().iter().map(|&(_, v)| v.to_bits()));
+        }
+        bits.extend(ws.solution().iter().map(|v| v.to_bits()));
+        bits
+    }
+
+    #[test]
+    fn set_source_between_runs_matches_a_fresh_compile() {
+        let ckt = every_stamp_circuit();
+        let supply = ElementId(0);
+        let rewritten = Source::Pwl(
+            samurai_waveform::Pwl::new(vec![(0.0, 1.1), (0.5e-9, 1.1), (1.5e-9, 0.1)]).unwrap(),
+        );
+        for choice in [SolverChoice::Dense, SolverChoice::Sparse] {
+            let mut compiled = CompiledCircuit::compile_with_solver(&ckt, choice);
+            let mut ws = NewtonWorkspace::new(&compiled);
+            run_bits(&compiled, &mut ws, &ckt);
+            compiled.set_source(supply, rewritten.clone()).unwrap();
+            let again = run_bits(&compiled, &mut ws, &ckt);
+
+            let mut fresh_ckt = ckt.clone();
+            fresh_ckt.set_source(supply, rewritten.clone()).unwrap();
+            let fresh = CompiledCircuit::compile_with_solver(&fresh_ckt, choice);
+            let mut fresh_ws = NewtonWorkspace::new(&fresh);
+            assert_eq!(
+                again,
+                run_bits(&fresh, &mut fresh_ws, &fresh_ckt),
+                "{choice:?}"
+            );
         }
     }
 

@@ -78,6 +78,6 @@ pub use netlist::{Circuit, ElementId, NodeId, Source};
 pub use parser::{parse_netlist, ParsedNetlist};
 pub use patch::{MosfetAdjust, ParamPatch, PatchUndo};
 pub use samurai_telemetry::SolverStats;
-pub use sparse::{CscMatrix, SparseLu, SparsityPattern};
+pub use sparse::{CscMatrix, LuFactors, SparseLu, SparsityPattern};
 pub use stepper::TransientStepper;
 pub use transient::{run_transient, Integrator, RescueConfig, TransientConfig, TransientResult};

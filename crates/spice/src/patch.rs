@@ -189,7 +189,7 @@ impl ParamPatch {
 pub struct PatchUndo {
     /// `(stamp index, pre-patch parameters)` of every touched MOSFET.
     mosfets: Vec<(usize, MosfetParams)>,
-    /// `(stamp index, pre-patch DC value)` of every scaled supply.
+    /// `(source index, pre-patch DC value)` of every scaled supply.
     sources: Vec<(usize, f64)>,
 }
 
@@ -248,10 +248,10 @@ impl CompiledCircuit {
         }
         // lint: allow(HYG004): exact-unit sentinel keeps nominal supplies bit-identical
         if patch.vdd_scale != 1.0 {
-            for (k, stamp) in self.stamps.iter_mut().enumerate() {
+            for stamp in &self.stamps {
                 if let DeviceStamp::Vsource(vs) = stamp {
-                    if let Source::Dc(v) = &mut vs.source {
-                        undo.sources.push((k, *v));
+                    if let Source::Dc(v) = &mut self.sources[vs.src] {
+                        undo.sources.push((vs.src, *v));
                         *v *= patch.vdd_scale;
                     }
                 }
@@ -274,8 +274,8 @@ impl CompiledCircuit {
     /// revert is a no-op.
     pub fn revert_patch(&mut self, undo: &mut PatchUndo) {
         while let Some((k, v)) = undo.sources.pop() {
-            if let Some(DeviceStamp::Vsource(vs)) = self.stamps.get_mut(k) {
-                vs.source = Source::Dc(v);
+            if let Some(source) = self.sources.get_mut(k) {
+                *source = Source::Dc(v);
             }
         }
         while let Some((k, params)) = undo.mosfets.pop() {
@@ -412,8 +412,8 @@ mod tests {
         let scaled = CompiledCircuit::compile(&ckt_scaled);
         let t = 0.0;
         let read = |c: &CompiledCircuit, id: ElementId| match &c.stamps[id.0] {
-            DeviceStamp::Vsource(s) => s.source.eval(t),
-            DeviceStamp::Isource(s) => s.source.eval(t),
+            DeviceStamp::Vsource(s) => c.sources[s.src].eval(t),
+            DeviceStamp::Isource(s) => c.sources[s.src].eval(t),
             _ => unreachable!(),
         };
         assert_eq!(read(&compiled, v), 1.1 * 0.8);

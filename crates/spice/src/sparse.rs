@@ -9,16 +9,22 @@
 //!   circuit-compile time from the same fill list the dense path
 //!   clears. It lives on the [`CompiledCircuit`](crate::CompiledCircuit)
 //!   next to the dense fill pattern and is immutable thereafter.
-//! * [`CscMatrix`] — compressed-sparse-column values over a fixed
-//!   pattern; stamping is a binary search within one column
-//!   (columns are short: MNA rows couple a node to its few
-//!   neighbours), clearing is one `memset` of the value array.
+//! * [`CscMatrix`] — compressed-sparse-column values over a fixed,
+//!   shared pattern. The compiled circuit stamps straight into the
+//!   value array at positions resolved once at compile time;
+//!   [`CscMatrix::add`] (a binary search within one column) is the
+//!   by-coordinate form for tests and one-off assembly. Clearing is
+//!   one `memset` of the value array.
 //! * [`SparseLu`] — a Gilbert–Peierls left-looking LU with partial
 //!   pivoting (the CSparse `cs_lu` algorithm): each column solves
 //!   `x = L \ A(:,k)` by a depth-first reach over the graph of the
 //!   partially built `L`, then picks the largest-magnitude
 //!   not-yet-pivotal row as pivot. Pivoting is mandatory here —
 //!   voltage-source branch rows have structurally zero diagonals.
+//!   The reach of a column depends only on the pattern and the
+//!   earlier pivots, so refactoring the same pattern replays the
+//!   recorded reach lists for as long as the pivots agree (see
+//!   [`SparseLu::factor`]).
 //!
 //! All factor storage is owned by the [`SparseLu`] workspace and
 //! reused across factorizations. Because the Newton loop factors the
@@ -26,6 +32,8 @@
 //! first factorization and the transient hot loop stays
 //! allocation-free, matching the compile-once contract of the dense
 //! engine.
+
+use std::sync::Arc;
 
 /// Sentinel for "no pivot assigned yet" in the row permutation.
 const NONE: usize = usize::MAX;
@@ -98,6 +106,13 @@ impl SparsityPattern {
         self.row_idx.len()
     }
 
+    /// Position of entry `(r, c)` in the value array of every
+    /// [`CscMatrix`] over this pattern, or `None` outside it.
+    pub(crate) fn position(&self, r: usize, c: usize) -> Option<usize> {
+        let (&lo, &hi) = (self.col_ptr.get(c)?, self.col_ptr.get(c + 1)?);
+        self.row_idx[lo..hi].binary_search(&r).ok().map(|k| lo + k)
+    }
+
     /// A fill-reducing column elimination order: greedy minimum degree
     /// on the symmetrized pattern, ties broken to the smallest index
     /// so the order (and therefore every downstream factorization) is
@@ -156,13 +171,13 @@ impl SparsityPattern {
 
 /// A compressed-sparse-column matrix over a fixed [`SparsityPattern`].
 ///
-/// The index arrays are copied from the pattern at construction and
-/// never change; only the value array is written during assembly.
+/// The pattern is shared (clones of a matrix share it) and never
+/// changes; only the value array is written during assembly. Sharing
+/// is also what lets a [`SparseLu`] recognise the exact pattern it
+/// recorded in O(1).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
-    n: usize,
-    col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
+    pattern: Arc<SparsityPattern>,
     values: Vec<f64>,
 }
 
@@ -170,16 +185,14 @@ impl CscMatrix {
     /// A zero matrix over `pattern`.
     pub fn zeros(pattern: &SparsityPattern) -> Self {
         Self {
-            n: pattern.n,
-            col_ptr: pattern.col_ptr.clone(),
-            row_idx: pattern.row_idx.clone(),
-            values: vec![0.0; pattern.row_idx.len()],
+            pattern: Arc::new(pattern.clone()),
+            values: vec![0.0; pattern.nnz()],
         }
     }
 
     /// Matrix dimension.
     pub fn n(&self) -> usize {
-        self.n
+        self.pattern.n
     }
 
     /// Number of structural nonzeros.
@@ -187,26 +200,29 @@ impl CscMatrix {
         self.values.len()
     }
 
+    /// Adds `v` to entry `(r, c)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `(r, c)` is outside the pattern: a dropped entry would
+    /// silently solve a different system.
+    pub fn add(&mut self, r: usize, c: usize, v: f64) {
+        let slot = self.pattern.position(r, c);
+        assert!(slot.is_some(), "({r}, {c}) is outside the sparsity pattern");
+        if let Some(k) = slot {
+            self.values[k] += v;
+        }
+    }
+
     // lint: hot-loop
     //
-    // `add` and `clear` run inside the Newton assembly loop — once per
-    // stamped Jacobian entry per iteration. Columns hold only a node's
-    // direct neighbours, so the binary search is over a handful of
-    // rows.
+    // `values_mut` and `clear` run inside the Newton assembly loop.
 
-    /// Adds `v` to entry `(r, c)` — the MNA stamping operation.
-    ///
-    /// Entries outside the pattern are ignored (the compiled fill
-    /// pattern covers every stamp by construction; a miss is a compile
-    /// bug caught by the debug assertion).
+    /// The value array, addressed by [`SparsityPattern::position`] —
+    /// the stamp slots a compiled circuit resolves once.
     #[inline]
-    pub fn add(&mut self, r: usize, c: usize, v: f64) {
-        let lo = self.col_ptr[c];
-        let hi = self.col_ptr[c + 1];
-        match self.row_idx[lo..hi].binary_search(&r) {
-            Ok(k) => self.values[lo + k] += v,
-            Err(_) => debug_assert!(false, "({r}, {c}) is outside the sparsity pattern"),
-        }
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
     }
 
     /// Resets every value to zero, keeping the structure.
@@ -218,19 +234,14 @@ impl CscMatrix {
 
     /// Reads entry `(r, c)` (zero outside the pattern).
     pub fn get(&self, r: usize, c: usize) -> f64 {
-        let lo = self.col_ptr[c];
-        let hi = self.col_ptr[c + 1];
-        match self.row_idx[lo..hi].binary_search(&r) {
-            Ok(k) => self.values[lo + k],
-            Err(_) => 0.0,
-        }
+        self.pattern.position(r, c).map_or(0.0, |k| self.values[k])
     }
 
     /// Zeroes every stored entry of row `r` (an O(nnz) scan — cold
     /// path, used only by deterministic fault injection to make a
     /// factorization genuinely singular).
     pub fn zero_row(&mut self, r: usize) {
-        for (ri, v) in self.row_idx.iter().zip(self.values.iter_mut()) {
+        for (ri, v) in self.pattern.row_idx.iter().zip(self.values.iter_mut()) {
             if *ri == r {
                 *v = 0.0;
             }
@@ -243,11 +254,12 @@ impl CscMatrix {
     ///
     /// Panics if `x.len() != n`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.n);
-        let mut y = vec![0.0; self.n];
+        let pattern = &*self.pattern;
+        assert_eq!(x.len(), pattern.n);
+        let mut y = vec![0.0; pattern.n];
         for (c, &xc) in x.iter().enumerate() {
-            for p in self.col_ptr[c]..self.col_ptr[c + 1] {
-                y[self.row_idx[p]] += self.values[p] * xc;
+            for p in pattern.col_ptr[c]..pattern.col_ptr[c + 1] {
+                y[pattern.row_idx[p]] += self.values[p] * xc;
             }
         }
         y
@@ -262,6 +274,12 @@ impl CscMatrix {
 /// pattern performs no heap allocation after the first call (the L/U
 /// arrays are cleared and refilled to identical lengths, so their
 /// capacity never grows again).
+///
+/// Each factorization also records, per factor position, the reach
+/// list the DFS produced and the pivot the rule chose. The next
+/// factorization of the *same* [`CscMatrix`] pattern replays those
+/// reach lists instead of searching, up to and including the first
+/// position whose pivot differs (see [`factor`](Self::factor)).
 #[derive(Debug, Clone)]
 pub struct SparseLu {
     n: usize,
@@ -288,6 +306,37 @@ pub struct SparseLu {
     /// factored at position `kk`. Identity unless the workspace was
     /// built with [`with_column_order`](Self::with_column_order).
     q: Vec<usize>,
+    /// The pattern the records below belong to; `None` before the
+    /// first factorization and after a failed one.
+    recorded: Option<Arc<SparsityPattern>>,
+    /// Recorded reach lists, in topological order: position `kk`'s is
+    /// `reach[reach_ptr[kk]..reach_ptr[kk + 1]]`.
+    reach: Vec<usize>,
+    reach_ptr: Vec<usize>,
+    /// Recorded pivot row of each factor position.
+    piv: Vec<usize>,
+}
+
+/// A read-only view of the factors [`SparseLu::factor`] computed:
+/// `P·A·Q = L·U` in compressed-sparse-column form, in factor-position
+/// numbering. Meaningful only after a successful factorization.
+#[derive(Debug, Clone, Copy)]
+pub struct LuFactors<'a> {
+    /// Column pointers of the unit-lower factor `L`.
+    pub l_colptr: &'a [usize],
+    /// Row indices of `L` (the unit diagonal first in each column).
+    pub l_rowidx: &'a [usize],
+    /// Values of `L`.
+    pub l_values: &'a [f64],
+    /// Column pointers of the upper factor `U`.
+    pub u_colptr: &'a [usize],
+    /// Row indices of `U` (the pivot last in each column).
+    pub u_rowidx: &'a [usize],
+    /// Values of `U`.
+    pub u_values: &'a [f64],
+    /// Row permutation: `pinv[row]` is the factor position `row`
+    /// pivots.
+    pub pinv: &'a [usize],
 }
 
 impl SparseLu {
@@ -312,6 +361,10 @@ impl SparseLu {
             flag: vec![0; n],
             pinv: vec![NONE; n],
             q: (0..n).collect(),
+            recorded: None,
+            reach: Vec::new(),
+            reach_ptr: vec![0; n + 1],
+            piv: vec![NONE; n],
         }
     }
 
@@ -340,6 +393,20 @@ impl SparseLu {
     /// System dimension.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// The factors the last [`factor`](Self::factor) computed (partial
+    /// after a failed one).
+    pub fn factors(&self) -> LuFactors<'_> {
+        LuFactors {
+            l_colptr: &self.l_colptr,
+            l_rowidx: &self.l_rowidx,
+            l_values: &self.l_values,
+            u_colptr: &self.u_colptr,
+            u_rowidx: &self.u_rowidx,
+            u_values: &self.u_values,
+            pinv: &self.pinv,
+        }
     }
 
     // lint: hot-loop
@@ -406,6 +473,18 @@ impl SparseLu {
     /// column order (`P·A·Q = L·U`); [`solve`](Self::solve) undoes
     /// both permutations.
     ///
+    /// **Pivot replay.** The reach of position `kk` is a function of
+    /// the pattern and the pivots of positions `0..kk` alone. When `a`
+    /// shares the pattern of the last successful factorization (the
+    /// same [`CscMatrix`] or a clone of it), each position reuses its
+    /// recorded reach list for as long as every earlier pivot matched
+    /// the recording; the pivot itself is still chosen by the full
+    /// rule above and compared with the recorded one. From the first
+    /// position where they differ, the rest of the factorization runs
+    /// the DFS and records afresh. Every arithmetic operation is
+    /// therefore the one a fresh workspace performs, in the same
+    /// order: replay changes the cost, never a bit.
+    ///
     /// # Errors
     ///
     /// Returns the failing column index (= the MNA unknown index) if
@@ -416,7 +495,7 @@ impl SparseLu {
     ///
     /// Panics if `a` is not `n × n`.
     pub fn factor(&mut self, a: &CscMatrix) -> Result<(), usize> {
-        assert_eq!(a.n, self.n, "dimension mismatch");
+        assert_eq!(a.n(), self.n, "dimension mismatch");
         let n = self.n;
         self.l_rowidx.clear();
         self.l_values.clear();
@@ -425,21 +504,40 @@ impl SparseLu {
         self.pinv.iter_mut().for_each(|p| *p = NONE);
         self.flag.iter_mut().for_each(|f| *f = 0);
         self.x.iter_mut().for_each(|v| *v = 0.0);
+        let pattern = &*a.pattern;
+        let mut replay = matches!(&self.recorded, Some(p) if Arc::ptr_eq(p, &a.pattern));
+        if !replay {
+            self.recorded = None;
+            self.reach.clear();
+        }
 
         for kk in 0..n {
             let k = self.q[kk];
             self.l_colptr[kk] = self.l_values.len();
             self.u_colptr[kk] = self.u_values.len();
 
-            // Symbolic: reach of A(:,k) over L, in topological order.
-            let mark = kk + 1;
-            let mut top = n;
-            for p in a.col_ptr[k]..a.col_ptr[k + 1] {
-                let i = a.row_idx[p];
-                if self.flag[i] != mark {
-                    top = self.dfs(i, mark, top);
+            // Symbolic: reach of A(:,k) over L, in topological order —
+            // replayed from the record, or searched and recorded.
+            let top = if replay {
+                let recorded = &self.reach[self.reach_ptr[kk]..self.reach_ptr[kk + 1]];
+                let top = n - recorded.len();
+                self.xi[top..].copy_from_slice(recorded);
+                top
+            } else {
+                let mark = kk + 1;
+                let mut top = n;
+                for p in pattern.col_ptr[k]..pattern.col_ptr[k + 1] {
+                    let i = pattern.row_idx[p];
+                    if self.flag[i] != mark {
+                        top = self.dfs(i, mark, top);
+                    }
                 }
-            }
+                self.reach_ptr[kk] = self.reach.len();
+                // lint: allow(HOT003): bounded by the column's L and U fill; capacity persists across factorizations
+                self.reach.extend_from_slice(&self.xi[top..]);
+                self.reach_ptr[kk + 1] = self.reach.len();
+                top
+            };
 
             // Numeric: clear the pattern, scatter A(:,k), then apply
             // the pending L columns in topological order.
@@ -447,8 +545,8 @@ impl SparseLu {
                 let i = self.xi[p];
                 self.x[i] = 0.0;
             }
-            for p in a.col_ptr[k]..a.col_ptr[k + 1] {
-                self.x[a.row_idx[p]] = a.values[p];
+            for p in pattern.col_ptr[k]..pattern.col_ptr[k + 1] {
+                self.x[pattern.row_idx[p]] = a.values[p];
             }
             for p in top..n {
                 let j = self.xi[p];
@@ -487,12 +585,21 @@ impl SparseLu {
             }
             if ipiv == NONE || best < PIVOT_FLOOR {
                 // Reset the pattern before reporting: a later factor
-                // call must start from a clean accumulator.
+                // call must start from a clean accumulator, and must
+                // search, since the record is incomplete.
                 for p in top..n {
                     self.x[self.xi[p]] = 0.0;
                 }
+                self.recorded = None;
                 return Err(k);
             }
+            if replay && ipiv != self.piv[kk] {
+                // The pivot moved: this position's reach was still
+                // right, every later one may not be.
+                replay = false;
+                self.reach.truncate(self.reach_ptr[kk + 1]);
+            }
+            self.piv[kk] = ipiv;
             let pivot = self.x[ipiv];
             // lint: allow(HOT003): one pivot entry per column; capacity persists across factorizations
             self.u_rowidx.push(kk);
@@ -517,6 +624,9 @@ impl SparseLu {
         // is a straight unit-lower / upper sweep.
         for idx in self.l_rowidx.iter_mut() {
             *idx = self.pinv[*idx];
+        }
+        if self.recorded.is_none() {
+            self.recorded = Some(Arc::clone(&a.pattern));
         }
         Ok(())
     }
@@ -770,6 +880,91 @@ mod tests {
         lu.factor(&a).unwrap();
         a.zero_row(0);
         assert!(lu.factor(&a).is_err());
+    }
+
+    /// Every bit a factorization leaves behind: L, U and the row
+    /// permutation.
+    fn factor_bits(lu: &SparseLu) -> Vec<u64> {
+        let f = lu.factors();
+        let idx = [f.l_colptr, f.l_rowidx, f.u_colptr, f.u_rowidx, f.pinv];
+        let vals = [f.l_values, f.u_values];
+        idx.iter()
+            .flat_map(|v| v.iter().map(|&i| i as u64))
+            .chain(vals.iter().flat_map(|v| v.iter().map(|x| x.to_bits())))
+            .collect()
+    }
+
+    /// Asserts `lu` holds exactly the factors a fresh workspace
+    /// computes for `a`.
+    fn assert_matches_fresh(lu: &SparseLu, a: &CscMatrix) {
+        let mut fresh = SparseLu::new(a.n());
+        fresh.factor(a).expect("fresh factorization");
+        assert_eq!(factor_bits(lu), factor_bits(&fresh));
+    }
+
+    fn filled(pattern: &SparsityPattern, values: &[((usize, usize), f64)]) -> CscMatrix {
+        let mut a = CscMatrix::zeros(pattern);
+        for &((r, c), v) in values {
+            a.add(r, c, v);
+        }
+        a
+    }
+
+    #[test]
+    fn replay_is_keyed_to_the_recorded_pattern() {
+        let entries = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)];
+        let values: Vec<_> = entries
+            .iter()
+            .map(|&(r, c)| ((r, c), if r == c { 4.0 } else { -1.0 - r as f64 }))
+            .collect();
+        let p = SparsityPattern::new(3, &entries);
+        let a = filled(&p, &values);
+        let mut lu = SparseLu::new(3);
+        lu.factor(&a).unwrap();
+        let recorded = lu.recorded.clone().expect("a success records");
+        assert!(Arc::ptr_eq(&recorded, &a.pattern));
+
+        // A clone shares the pattern, so it replays against the record.
+        lu.factor(&a.clone()).unwrap();
+        assert!(Arc::ptr_eq(lu.recorded.as_ref().unwrap(), &recorded));
+        assert_matches_fresh(&lu, &a);
+
+        // An equal pattern built separately is not the recorded one:
+        // the factorization searches and records it afresh.
+        let b = filled(&SparsityPattern::new(3, &entries), &values);
+        lu.factor(&b).unwrap();
+        assert!(Arc::ptr_eq(lu.recorded.as_ref().unwrap(), &b.pattern));
+        assert_matches_fresh(&lu, &b);
+
+        // So is a different pattern of the same size.
+        let dense = dense_pattern(3);
+        let c = filled(
+            &dense,
+            &[((0, 2), 5.0), ((1, 1), 2.0), ((2, 0), 3.0), ((2, 2), 1.0)],
+        );
+        lu.factor(&c).unwrap();
+        assert!(Arc::ptr_eq(lu.recorded.as_ref().unwrap(), &c.pattern));
+        assert_matches_fresh(&lu, &c);
+    }
+
+    #[test]
+    fn a_singular_failure_drops_the_record() {
+        let p = dense_pattern(3);
+        let mut a = CscMatrix::zeros(&p);
+        for i in 0..3 {
+            a.add(i, i, 2.0);
+        }
+        a.add(0, 1, 1.0);
+        a.add(2, 1, 1.0);
+        let mut lu = SparseLu::new(3);
+        lu.factor(&a).unwrap();
+        a.zero_row(0);
+        assert!(lu.factor(&a).is_err());
+        assert!(lu.recorded.is_none(), "a partial record is never replayed");
+        a.add(0, 0, 3.0);
+        a.add(0, 2, 1.0);
+        lu.factor(&a).unwrap();
+        assert_matches_fresh(&lu, &a);
     }
 
     #[test]

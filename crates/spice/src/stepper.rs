@@ -200,6 +200,42 @@ mod tests {
     }
 
     #[test]
+    fn set_source_mid_run_matches_a_freshly_compiled_circuit() {
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let d = ckt.node("d");
+        ckt.vsource(vdd, Circuit::GROUND, Source::Dc(1.1));
+        ckt.resistor(vdd, d, 1e4);
+        ckt.capacitor(d, Circuit::GROUND, 1e-13);
+        ckt.mosfet(d, d, Circuit::GROUND, crate::MosfetParams::nmos_90nm(2.0));
+        let inj = ckt.isource(Circuit::GROUND, d, Source::Dc(0.0));
+        let dc = DcConfig::default();
+        let h = 2e-12;
+
+        let mut live = TransientStepper::new(&ckt, 0.0, &dc).unwrap();
+        for _ in 0..10 {
+            live.step(h).unwrap();
+        }
+        let ramp = Pwl::new(vec![(0.0, 0.0), (40e-12, 20e-6)]).unwrap();
+        live.set_source(inj, Source::Pwl(ramp.clone())).unwrap();
+
+        // The reference compiles the rewritten circuit from scratch
+        // and starts from the live stepper's state.
+        let mut rewritten = ckt.clone();
+        rewritten.set_source(inj, Source::Pwl(ramp)).unwrap();
+        let mut fresh = TransientStepper::new(&rewritten, 0.0, &dc).unwrap();
+        fresh.t = live.t;
+        fresh.ws.x.copy_from_slice(&live.ws.x);
+        fresh.ws.cap_states.copy_from_slice(&live.ws.cap_states);
+        let bits = |s: &TransientStepper| s.ws.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for _ in 0..10 {
+            live.step(h).unwrap();
+            fresh.step(h).unwrap();
+            assert_eq!(bits(&live), bits(&fresh), "at t = {}", live.time());
+        }
+    }
+
+    #[test]
     fn set_source_rejects_non_sources() {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");

@@ -315,3 +315,166 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Pivot replay: a reused SparseLu is bit-identical to a fresh one.
+// ---------------------------------------------------------------------
+
+use samurai_spice::LuFactors;
+
+/// An MNA-shaped pattern: `m` nodes on a ladder with a few random
+/// cross couplings, plus `nb` voltage-source branches tied to distinct
+/// nodes, whose rows have structurally zero diagonals.
+fn mna_pattern(m: usize, nb: usize, state: &mut u64) -> Vec<(usize, usize)> {
+    let mut entries = Vec::new();
+    for i in 0..m {
+        entries.push((i, i));
+        if i + 1 < m {
+            entries.push((i, i + 1));
+            entries.push((i + 1, i));
+        }
+    }
+    for _ in 0..m / 3 {
+        let a = (splitmix(state) % m as u64) as usize;
+        let b = (splitmix(state) % m as u64) as usize;
+        if a != b {
+            entries.push((a, b));
+            entries.push((b, a));
+        }
+    }
+    for k in 0..nb {
+        let node = k * (m / nb);
+        entries.push((node, m + k));
+        entries.push((m + k, node));
+    }
+    entries.sort_unstable();
+    entries.dedup();
+    entries
+}
+
+/// Values for `entries`, aligned with them: the node block is a
+/// strictly diagonally dominant M-matrix (negative couplings), branch
+/// incidences are ±1, so every matrix of the family is regular.
+fn mna_values(entries: &[(usize, usize)], m: usize, state: &mut u64) -> Vec<f64> {
+    let mut values = vec![0.0; entries.len()];
+    let mut row_sum = vec![0.0f64; m];
+    for (v, &(r, c)) in values.iter_mut().zip(entries) {
+        if r < m && c < m && r != c {
+            *v = -(0.1 + unit(state).abs());
+            row_sum[r] += v.abs();
+        } else if r != c {
+            *v = if r < c { 1.0 } else { -1.0 };
+        }
+    }
+    for (v, &(r, c)) in values.iter_mut().zip(entries) {
+        if r == c {
+            *v = row_sum[r] + 0.5 + 0.5 * (unit(state) + 1.0);
+        }
+    }
+    values
+}
+
+/// Every bit a factorization leaves behind: L, U and the row
+/// permutation.
+fn factor_bits(f: LuFactors<'_>) -> Vec<u64> {
+    let idx = [f.l_colptr, f.l_rowidx, f.u_colptr, f.u_rowidx, f.pinv];
+    let vals = [f.l_values, f.u_values];
+    idx.iter()
+        .flat_map(|v| v.iter().map(|&i| i as u64))
+        .chain(vals.iter().flat_map(|v| v.iter().map(|x| x.to_bits())))
+        .collect()
+}
+
+/// The pivot row of each factor position (the inverse of `pinv`).
+fn pivot_rows(lu: &SparseLu) -> Vec<usize> {
+    let pinv = lu.factors().pinv;
+    let mut rows = vec![0; pinv.len()];
+    for (row, &kk) in pinv.iter().enumerate() {
+        rows[kk] = row;
+    }
+    rows
+}
+
+/// Loads `values` into the reused matrix, factors and solves it with
+/// the reused workspace and with a fresh one, and requires identical
+/// factors and solutions, bit for bit. Returns the pivot rows.
+fn factor_reused_and_fresh(
+    csc: &mut CscMatrix,
+    entries: &[(usize, usize)],
+    values: &[f64],
+    b: &[f64],
+    reused: &mut SparseLu,
+) -> Result<Vec<usize>, TestCaseError> {
+    csc.clear();
+    for (&(r, c), &v) in entries.iter().zip(values) {
+        csc.add(r, c, v);
+    }
+    let mut fresh = SparseLu::new(csc.n());
+    reused.factor(csc).expect("regular system factors");
+    fresh.factor(csc).expect("regular system factors");
+    prop_assert_eq!(factor_bits(reused.factors()), factor_bits(fresh.factors()));
+    let (mut x_reused, mut x_fresh) = (b.to_vec(), b.to_vec());
+    reused.solve(&mut x_reused);
+    fresh.solve(&mut x_fresh);
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(&x_reused), bits(&x_fresh));
+    Ok(pivot_rows(reused))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// One `SparseLu` reused over a sequence of matrices on one MNA
+    /// pattern — the Newton loop's use — matches a fresh workspace bit
+    /// for bit, while the values move the pivot away from the recorded
+    /// one at the first, a middle and the last flippable factor
+    /// position, and back again. (The last position's pivot is
+    /// forced: one row remains, so the latest flip sits before it.)
+    #[test]
+    fn pivot_replay_matches_a_fresh_factorization(
+        m in 6usize..24,
+        nb in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed;
+        let n = m + nb;
+        let entries = mna_pattern(m, nb, &mut state);
+        let pattern = SparsityPattern::new(n, &entries);
+        let mut csc = CscMatrix::zeros(&pattern);
+        let mut reused = SparseLu::new(n);
+        let b: Vec<f64> = (0..n).map(|_| unit(&mut state)).collect();
+
+        let mut flipped_at = Vec::new();
+        for target in ["first", "middle", "last"] {
+            let base = mna_values(&entries, m, &mut state);
+            let base_rows = factor_reused_and_fresh(&mut csc, &entries, &base, &b, &mut reused)?;
+            let pinv = reused.factors().pinv.to_vec();
+            // Flippable positions: column kk holds a row the base
+            // factorization pivots later, which a dominant value at
+            // (row, kk) claims at kk instead.
+            let candidates: Vec<(usize, usize)> = (0..n)
+                .filter_map(|kk| {
+                    entries
+                        .iter()
+                        .find(|&&(r, c)| c == kk && pinv[r] > kk)
+                        .map(|&(r, _)| (kk, r))
+                })
+                .collect();
+            prop_assert!(candidates.len() >= 3, "the ladder leaves flippable positions");
+            let (kk, row) = match target {
+                "first" => candidates[0],
+                "last" => candidates[candidates.len() - 1],
+                _ => candidates[candidates.len() / 2],
+            };
+            let mut flip = base.clone();
+            let at = entries.binary_search(&(row, kk)).expect("structural entry");
+            flip[at] = 1e6;
+            let flip_rows = factor_reused_and_fresh(&mut csc, &entries, &flip, &b, &mut reused)?;
+            let first_diff = base_rows.iter().zip(&flip_rows).position(|(a, b)| a != b);
+            prop_assert_eq!(first_diff, Some(kk), "{} flip", target);
+            flipped_at.push(kk);
+        }
+        prop_assert_eq!(flipped_at[0], 0);
+        prop_assert!(flipped_at[0] < flipped_at[1] && flipped_at[1] < flipped_at[2]);
+    }
+}
