@@ -5,7 +5,8 @@
 //! Run with `cargo run --release -p samurai-bench --bin fig2_margins`.
 
 use samurai_bench::{banner, parallelism_from_args, write_tagged_csv, BenchSession};
-use samurai_core::ensemble::{run_ensemble_observed, IndexedResults};
+use samurai_core::ensemble::{run_ensemble_resilient_observed, ExecutionPolicy, IndexedResults};
+use samurai_core::CoreError;
 use samurai_sram::margin::{MarginModel, MarginRow};
 use samurai_trap::Technology;
 
@@ -26,15 +27,18 @@ fn main() {
         nodes.len(),
         parallelism.workers()
     );
-    let rows: Vec<MarginRow> = run_ensemble_observed::<IndexedResults<MarginRow>, _, (), _>(
-        nodes.len(),
-        parallelism,
-        session.recorder_mut(),
-        IndexedResults::new,
-        |i, _probe| Ok(model.row(&nodes[i], i)),
-    )
-    .expect("margin model evaluation is total")
-    .into_vec();
+    let rows: Vec<MarginRow> =
+        run_ensemble_resilient_observed::<IndexedResults<MarginRow>, _, CoreError, _>(
+            nodes.len(),
+            parallelism,
+            &ExecutionPolicy::default(),
+            session.recorder_mut(),
+            IndexedResults::new,
+            |i, _rung, _probe| Ok(model.row(&nodes[i], i)),
+        )
+        .expect("margin model evaluation is total")
+        .acc
+        .into_vec();
 
     banner("Fig 2: stacked minimum-V_dd contributions per node");
     println!(

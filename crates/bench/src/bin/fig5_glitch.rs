@@ -9,7 +9,8 @@
 //! Run with `cargo run --release -p samurai-bench --bin fig5_glitch`.
 
 use samurai_bench::{banner, parallelism_from_args, write_tagged_csv, BenchSession};
-use samurai_core::ensemble::{run_ensemble_observed, IndexedResults};
+use samurai_core::ensemble::{run_ensemble_resilient_observed, ExecutionPolicy, IndexedResults};
+use samurai_core::CoreError;
 use samurai_spice::{run_transient, Source, TransientConfig};
 use samurai_sram::{
     analyze_writes, build_write_waveforms, CycleOutcome, SramCell, SramCellParams, Transistor,
@@ -77,53 +78,56 @@ fn main() {
     // Each scenario is an independent write transient; run them as a
     // deterministic ensemble (bit-identical at any worker count).
     type ScenarioRun = (CycleOutcome, Option<f64>, Vec<(String, Vec<f64>)>);
-    let runs: Vec<ScenarioRun> = run_ensemble_observed::<IndexedResults<ScenarioRun>, _, (), _>(
-        scenarios.len(),
-        parallelism,
-        session.recorder_mut(),
-        IndexedResults::new,
-        |idx, _probe| {
-            let scenario = &scenarios[idx];
-            let mut cell = SramCell::new(SramCellParams::default());
-            let waves = build_write_waveforms(&pattern, &timing).expect("valid timing");
-            cell.set_wl(Source::Pwl(waves.wl));
-            cell.set_bl(Source::Pwl(waves.bl));
-            cell.set_blb(Source::Pwl(waves.blb));
+    let runs: Vec<ScenarioRun> =
+        run_ensemble_resilient_observed::<IndexedResults<ScenarioRun>, _, CoreError, _>(
+            scenarios.len(),
+            parallelism,
+            &ExecutionPolicy::default(),
+            session.recorder_mut(),
+            IndexedResults::new,
+            |idx, _rung, _probe| {
+                let scenario = &scenarios[idx];
+                let mut cell = SramCell::new(SramCellParams::default());
+                let waves = build_write_waveforms(&pattern, &timing).expect("valid timing");
+                cell.set_wl(Source::Pwl(waves.wl));
+                cell.set_bl(Source::Pwl(waves.bl));
+                cell.set_blb(Source::Pwl(waves.blb));
 
-            if let Some((on_frac, off_frac)) = scenario.window {
-                let t_on = (attack_cycle as f64 + on_frac) * timing.period;
-                let t_off = (attack_cycle as f64 + off_frac) * timing.period;
-                let glitch = Pwl::pulse(0.0, glitch_amps, t_on, t_off, 10e-12, 10e-12)
-                    .expect("glitch window is inside the cycle");
-                cell.set_rtn_source(Transistor::M1, Source::Pwl(glitch));
-            }
+                if let Some((on_frac, off_frac)) = scenario.window {
+                    let t_on = (attack_cycle as f64 + on_frac) * timing.period;
+                    let t_off = (attack_cycle as f64 + off_frac) * timing.period;
+                    let glitch = Pwl::pulse(0.0, glitch_amps, t_on, t_off, 10e-12, 10e-12)
+                        .expect("glitch window is inside the cycle");
+                    cell.set_rtn_source(Transistor::M1, Source::Pwl(glitch));
+                }
 
-            let tf = timing.duration(pattern.len());
-            let result = run_transient(&cell.circuit, 0.0, tf, &TransientConfig::default())
-                .expect("write transient converges");
-            let q = result.voltage(&cell.circuit, "q").expect("node q exists");
-            let qb = result.voltage(&cell.circuit, "qb").expect("node qb exists");
-            let analysis = analyze_writes(&q, &pattern, &timing);
+                let tf = timing.duration(pattern.len());
+                let result = run_transient(&cell.circuit, 0.0, tf, &TransientConfig::default())
+                    .expect("write transient converges");
+                let q = result.voltage(&cell.circuit, "q").expect("node q exists");
+                let qb = result.voltage(&cell.circuit, "qb").expect("node qb exists");
+                let analysis = analyze_writes(&q, &pattern, &timing);
 
-            // Record the waveforms on a uniform grid for plotting.
-            let samples = 600;
-            let mut scenario_rows = Vec::with_capacity(samples);
-            for i in 0..samples {
-                let t = tf * i as f64 / samples as f64;
-                scenario_rows.push((
-                    scenario.name.to_string(),
-                    vec![t * 1e9, q.eval(t), qb.eval(t)],
-                ));
-            }
-            Ok((
-                analysis.outcomes[attack_cycle],
-                analysis.settle_time[attack_cycle],
-                scenario_rows,
-            ))
-        },
-    )
-    .expect("scenario transients are total")
-    .into_vec();
+                // Record the waveforms on a uniform grid for plotting.
+                let samples = 600;
+                let mut scenario_rows = Vec::with_capacity(samples);
+                for i in 0..samples {
+                    let t = tf * i as f64 / samples as f64;
+                    scenario_rows.push((
+                        scenario.name.to_string(),
+                        vec![t * 1e9, q.eval(t), qb.eval(t)],
+                    ));
+                }
+                Ok((
+                    analysis.outcomes[attack_cycle],
+                    analysis.settle_time[attack_cycle],
+                    scenario_rows,
+                ))
+            },
+        )
+        .expect("scenario transients are total")
+        .acc
+        .into_vec();
 
     for (scenario, (outcome, settle, scenario_rows)) in scenarios.iter().zip(runs) {
         rows.extend(scenario_rows);

@@ -532,7 +532,7 @@ impl BenchSession {
 
 /// Validates a `BENCH_<name>.json` document: every required key
 /// present, every number finite. Returns the error list (empty =
-/// valid). Used by `ci.sh` via the `validate_metrics` binary.
+/// valid). Used by `ci.sh` via `validate metrics`.
 pub fn validate_bench_summary(doc: &JsonValue) -> Vec<String> {
     fn check_num(errors: &mut Vec<String>, v: Option<&JsonValue>, path: &str) {
         if v.and_then(JsonValue::as_f64).is_none() {
@@ -589,8 +589,8 @@ pub fn validate_bench_summary(doc: &JsonValue) -> Vec<String> {
 /// Validates a `samurai-checkpoint-v1` snapshot document: schema tag,
 /// content hash recomputed over the canonical payload serialisation,
 /// and the payload fields the resume path depends on. Returns the
-/// error list (empty = valid). Used by `ci.sh` via the
-/// `validate_checkpoint` binary.
+/// error list (empty = valid). Used by `ci.sh` via
+/// `validate checkpoint`.
 pub fn validate_checkpoint_snapshot(doc: &JsonValue) -> Vec<String> {
     fn check_u64(errors: &mut Vec<String>, v: Option<&JsonValue>, path: &str) {
         if v.and_then(JsonValue::as_u64).is_none() {
@@ -685,7 +685,7 @@ pub fn validate_checkpoint_snapshot(doc: &JsonValue) -> Vec<String> {
 /// Validates a `samurai-lint --graph` dump: schema tag, node records
 /// with dense sequential ids and boolean reachability flags, edges and
 /// roots whose targets stay in range. Returns the error list (empty =
-/// valid). Used by `ci.sh` via the `validate_graph` binary.
+/// valid). Used by `ci.sh` via `validate graph`.
 #[allow(clippy::too_many_lines)]
 pub fn validate_call_graph(doc: &JsonValue) -> Vec<String> {
     fn as_index(v: Option<&JsonValue>) -> Option<u64> {

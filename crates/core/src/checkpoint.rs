@@ -4,10 +4,13 @@
 //! Long Monte-Carlo campaigns (the §V array sweeps run for hours) die
 //! for boring reasons — preemption, OOM killers, power loss — and a
 //! deterministic engine makes *exact* recovery possible: because the
-//! shard structure and merge tree of [`crate::ensemble::run_ensemble`]
-//! depend only on the job count, a run can be sliced at any shard
-//! boundary, its running state serialised, and continued later with
-//! **bit-identical** results. This module implements that slicing:
+//! shard structure and merge tree of an ensemble depend only on the
+//! job count, a run can be sliced at any shard boundary, its running
+//! state serialised, and continued later with **bit-identical**
+//! results. The segment loop itself is the one private driver under
+//! both ensemble runners (see [`crate::ensemble`]); this module holds
+//! the controls it polls, the snapshot format it writes, and the
+//! checkpointed runner:
 //!
 //! * [`CheckpointConfig`] — where and how often to snapshot. Snapshots
 //!   are written atomically (temp-file sibling + rename), so a crash
@@ -21,10 +24,13 @@
 //!   `std::time` stays confined to `samurai-telemetry`, lint rule
 //!   `DET001`). An exhausted budget stops the run cleanly at a shard
 //!   boundary and tags the partial outcome
-//!   [`Completion::Truncated`]; the completed prefix is bit-identical
-//!   to the same prefix of an unbudgeted run.
-//! * [`run_ensemble_checkpointed`] — the resilient observed entry
-//!   point with both of the above plus the crash drill: a
+//!   [`Completion::Truncated`](crate::Completion::Truncated); the
+//!   completed prefix is bit-identical to the same prefix of an
+//!   unbudgeted run.
+//! * [`run_ensemble_checkpointed`] — the runner for accumulators and
+//!   errors that implement [`Snapshot`] and [`CheckpointCodec`]: it
+//!   resumes from and writes snapshots, on top of the budgets and the
+//!   crash drill every run honours. A
 //!   [`FaultPlan::kill_at_job`](crate::FaultPlan::kill_at_job)
 //!   trigger terminates the process (exit code [`KILL_EXIT`]) right
 //!   before the segment containing that job, which is how the test
@@ -54,16 +60,14 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process;
 
 use samurai_telemetry::json::{self, JsonValue};
 use samurai_telemetry::{Deadline, JobProbe, JobRecord, MetricsSink, Recorder};
 use samurai_waveform::WaveformError;
 
 use crate::ensemble::{
-    absorb_outcome, check_quarantine_budget, resilient_job_runner, resilient_seed_of,
-    run_engine_segment, shard_size, Completion, EnsembleAccumulator, EnsembleOutcome,
-    ExecutionPolicy, FailurePolicy, FailureReport, JobFailure, JobPanic, Parallelism, RescuedJob,
+    drive, shard_size, EnsembleAccumulator, EnsembleOutcome, ExecutionPolicy, FailurePolicy,
+    JobFailure, JobPanic, Parallelism, Progress, RescuedJob,
 };
 use crate::error::CoreError;
 use crate::faults::{FaultKind, FaultSite, InjectedFault};
@@ -189,10 +193,9 @@ impl std::fmt::Debug for RunControls<'_> {
 }
 
 impl RunControls<'_> {
-    /// True when nothing here (nor a kill drill) requires slicing the
-    /// run into segments — the runner then executes one segment, which
-    /// is exactly the legacy engine invocation.
-    fn is_passive(&self) -> bool {
+    /// True when nothing here requires slicing the run into segments:
+    /// without a kill drill the driver then runs one segment.
+    pub(crate) fn is_passive(&self) -> bool {
         self.checkpoint.path.is_none()
             && !self.checkpoint.resume
             && self.budget.is_unlimited()
@@ -217,10 +220,11 @@ pub trait Snapshot: Sized {
 
 /// Lossless JSON serialisation for quarantined-job errors.
 ///
-/// Checkpoint snapshots must carry the full [`FailureReport`],
-/// including each quarantined job's error, bit-exactly: the resumed
-/// run re-renders those errors into the journal via `Debug`, and byte
-/// identity with an uninterrupted run demands an exact round-trip.
+/// Checkpoint snapshots must carry the full
+/// [`FailureReport`](crate::FailureReport), including each quarantined
+/// job's error, bit-exactly: the resumed run re-renders those errors
+/// into the journal via `Debug`, and byte identity with an
+/// uninterrupted run demands an exact round-trip.
 pub trait CheckpointCodec: Sized {
     /// The error as a canonical JSON tree (numbers as `u64`, floats as
     /// bit patterns).
@@ -624,22 +628,27 @@ fn failure_policy_json(policy: FailurePolicy) -> JsonValue {
 fn snapshot_payload<A: Snapshot, E: CheckpointCodec>(
     jobs: usize,
     policy: &ExecutionPolicy,
-    shards_done: usize,
-    acc: &A,
-    rescued: &[RescuedJob],
-    quarantined: &[JobFailure<E>],
-    records: &[JobRecord],
+    progress: &Progress<A, E>,
 ) -> JsonValue {
     JsonValue::obj(vec![
         ("jobs", JsonValue::U64(jobs as u64)),
         ("seed", JsonValue::U64(policy.seed)),
         ("failure", failure_policy_json(policy.failure)),
-        ("shards_done", JsonValue::U64(shards_done as u64)),
-        ("acc", acc.to_snapshot()),
+        ("shards_done", JsonValue::U64(progress.shards_done as u64)),
+        // Written after a segment, so the accumulator is always set;
+        // the loader ignores `acc` when `shards_done` is 0.
+        (
+            "acc",
+            progress
+                .acc
+                .as_ref()
+                .map_or(JsonValue::Null, Snapshot::to_snapshot),
+        ),
         (
             "rescued",
             JsonValue::Arr(
-                rescued
+                progress
+                    .rescued
                     .iter()
                     .map(|r| {
                         JsonValue::Arr(vec![
@@ -653,7 +662,8 @@ fn snapshot_payload<A: Snapshot, E: CheckpointCodec>(
         (
             "quarantined",
             JsonValue::Arr(
-                quarantined
+                progress
+                    .quarantined
                     .iter()
                     .map(|q| {
                         JsonValue::obj(vec![
@@ -668,7 +678,13 @@ fn snapshot_payload<A: Snapshot, E: CheckpointCodec>(
         ),
         (
             "records",
-            JsonValue::Arr(records.iter().map(JobRecord::to_checkpoint_json).collect()),
+            JsonValue::Arr(
+                progress
+                    .records
+                    .iter()
+                    .map(JobRecord::to_checkpoint_json)
+                    .collect(),
+            ),
         ),
     ])
 }
@@ -684,22 +700,13 @@ fn checkpoint_document(payload: JsonValue) -> String {
     .to_json()
 }
 
-/// The state a valid snapshot restores.
-struct ResumeState<A, E> {
-    shards_done: usize,
-    acc: Option<A>,
-    rescued: Vec<RescuedJob>,
-    quarantined: Vec<JobFailure<E>>,
-    records: Vec<JobRecord>,
-}
-
 /// Validates and decodes a snapshot. The `Err` is the one-word cold
 /// start reason journaled as `checkpoint.cold_start.<reason>`.
 fn load_checkpoint<A: Snapshot, E: CheckpointCodec>(
     path: &Path,
     jobs: usize,
     policy: &ExecutionPolicy,
-) -> Result<ResumeState<A, E>, &'static str> {
+) -> Result<Progress<A, E>, &'static str> {
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err("missing"),
@@ -787,7 +794,7 @@ fn load_checkpoint<A: Snapshot, E: CheckpointCodec>(
         .collect::<Option<Vec<_>>>()
         .ok_or("decode")?;
 
-    Ok(ResumeState {
+    Ok(Progress {
         shards_done,
         acc,
         rescued,
@@ -804,10 +811,12 @@ fn load_checkpoint<A: Snapshot, E: CheckpointCodec>(
 /// between them, and (under a
 /// [`FaultPlan::kill_at_job`](crate::FaultPlan::kill_at_job) drill)
 /// killing the process before the segment containing the marked job.
+/// Both runners are shells over the same private driver; this one
+/// adds the snapshot load before it and the snapshot writes inside it.
 ///
 /// Determinism guarantees, all pinned by the test suite:
 ///
-/// * With passive [`RunControls`] this is exactly the resilient
+/// * With passive [`RunControls`] this executes exactly the resilient
 ///   observed runner — same accumulator bits, same journal bytes.
 /// * A run killed at any job and resumed from its snapshot produces an
 ///   accumulator, outcome and journal identical to an uninterrupted
@@ -816,8 +825,9 @@ fn load_checkpoint<A: Snapshot, E: CheckpointCodec>(
 ///   fingerprint mismatch) degrades to a cold start: the only trace is
 ///   a leading `checkpoint.cold_start.<reason>` journal note. A failed
 ///   snapshot *write* likewise only notes `checkpoint.write_failed`.
-/// * An exhausted budget returns [`Completion::Truncated`] with the
-///   completed prefix bit-identical to an unbudgeted run's prefix.
+/// * An exhausted budget returns [`crate::Completion::Truncated`] with
+///   the completed prefix bit-identical to an unbudgeted run's prefix;
+///   the report then covers that prefix alone.
 ///
 /// # Errors
 ///
@@ -838,148 +848,35 @@ where
     E: Send + std::fmt::Debug + From<InjectedFault> + From<JobPanic> + CheckpointCodec,
     S: MetricsSink,
 {
-    let width = shard_size(jobs);
-    let shards = jobs.div_ceil(width);
-    let quarantine = matches!(policy.failure, FailurePolicy::Quarantine { .. });
-    // A Newton-effort ceiling needs per-job solver counters even when
-    // nothing else observes the run.
-    let observing = recorder.live() || controls.budget.max_newton_iterations.is_some();
-
-    let mut shard_lo = 0usize;
-    let mut acc: Option<A> = None;
-    let mut rescued: Vec<RescuedJob> = Vec::new();
-    let mut quarantined: Vec<JobFailure<E>> = Vec::new();
-    let mut records: Vec<JobRecord> = Vec::new();
-
+    let mut progress = Progress::cold();
     if controls.checkpoint.resume {
         if let Some(path) = &controls.checkpoint.path {
             match load_checkpoint::<A, E>(path, jobs, policy) {
-                Ok(state) => {
-                    shard_lo = state.shards_done;
-                    acc = state.acc;
-                    rescued = state.rescued;
-                    quarantined = state.quarantined;
-                    records = state.records;
-                }
+                Ok(state) => progress = state,
                 Err(reason) => recorder.note(&format!("checkpoint.cold_start.{reason}"), 1),
             }
         }
     }
-    let mut newton_spent: u64 = records.iter().map(|r| r.solver.newton_iterations).sum();
-
-    // The job budget rounds *down* to whole shards: a ceiling, never
-    // exceeded. Segments are cadence-sized; a passive run is a single
-    // segment (the legacy engine call, bit for bit).
-    let allowed_shards = match controls.budget.max_jobs {
-        Some(max_jobs) => shards.min(max_jobs / width),
-        None => shards,
-    };
-    let segment_shards = if controls.is_passive() && policy.faults.kill_job().is_none() {
-        shards.max(1)
-    } else {
-        controls.checkpoint.every_jobs.div_ceil(width).max(1)
-    };
-
-    let mut truncated = false;
-    while shard_lo < shards {
-        if shard_lo >= allowed_shards {
-            truncated = true;
-            break;
-        }
-        if controls.deadline.is_some_and(Deadline::expired) {
-            truncated = true;
-            break;
-        }
-        if let Some(max_newton) = controls.budget.max_newton_iterations {
-            if newton_spent >= max_newton {
-                truncated = true;
-                break;
-            }
-        }
-        let shard_hi = shard_lo
-            .saturating_add(segment_shards)
-            .min(shards)
-            .min(allowed_shards);
-
-        if let Some(kill) = policy.faults.kill_job() {
-            let segment_jobs = (shard_lo * width)..(shard_hi * width).min(jobs);
-            if segment_jobs.contains(&kill) {
-                // The crash drill: die exactly where a real crash
-                // would, with everything before this segment already
-                // snapshotted.
-                process::exit(KILL_EXIT);
-            }
-        }
-
-        let (segment_acc, segment_report, segment_records) = run_engine_segment(
-            jobs,
-            shard_lo,
-            shard_hi,
-            acc.take(),
-            parallelism,
-            quarantine,
-            observing,
-            &make_acc,
-            resilient_job_runner(policy, &job),
-            resilient_seed_of(policy),
-        )?;
-        acc = Some(segment_acc);
-        rescued.extend(segment_report.rescued);
-        quarantined.extend(segment_report.quarantined);
-        newton_spent += segment_records
-            .iter()
-            .map(|r| r.solver.newton_iterations)
-            .sum::<u64>();
-        records.extend(segment_records);
-        shard_lo = shard_hi;
-
-        if let Some(path) = &controls.checkpoint.path {
-            let payload = snapshot_payload(
-                jobs,
-                policy,
-                shard_lo,
-                acc.as_ref()
-                    .expect("a completed segment leaves an accumulator"), // lint: allow(HYG002): the segment above always sets `acc`
-                &rescued,
-                &quarantined,
-                &records,
-            );
-            if write_checkpoint_atomic(path, &checkpoint_document(payload)).is_err() {
-                // Degrade, don't abort: the run is still correct, it
-                // just lost crash protection for this stretch.
-                recorder.note("checkpoint.write_failed", 1);
-            }
-        }
-    }
-
-    let mut report = FailureReport {
+    drive(
         jobs,
-        rescued,
-        quarantined,
-    };
-    check_quarantine_budget(policy, &mut report)?;
-    absorb_outcome(recorder, &report, &records);
-
-    let completion = if truncated {
-        let completed = (shard_lo * width).min(jobs);
-        Completion::Truncated {
-            completed,
-            remaining: jobs - completed,
-        }
-    } else {
-        Completion::Complete
-    };
-    Ok(EnsembleOutcome {
-        acc: acc.unwrap_or_else(make_acc),
-        report,
-        completion,
-    })
+        parallelism,
+        policy,
+        controls,
+        recorder,
+        progress,
+        make_acc,
+        job,
+        |path, progress| {
+            let payload = snapshot_payload(jobs, policy, progress);
+            write_checkpoint_atomic(path, &checkpoint_document(payload))
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ensemble::{run_ensemble_resilient_observed, MeanTrace};
+    use crate::ensemble::{run_ensemble_resilient_observed, Completion, MeanTrace};
     use crate::rng::SeedStream;
     use rand::Rng;
     use samurai_telemetry::Recorder;
@@ -1329,22 +1226,56 @@ mod tests {
     }
 
     #[test]
+    fn a_truncated_report_counts_only_the_completed_prefix() {
+        let policy = ExecutionPolicy {
+            failure: FailurePolicy::Quarantine {
+                rungs: 0,
+                max_failures: 5,
+            },
+            faults: crate::FaultPlan::none().fail_job(7, FaultKind::NonConvergence),
+            seed: 3,
+        };
+        let out: EnsembleOutcome<MeanTrace, TestError> = run_ensemble_checkpointed(
+            300,
+            Parallelism::Fixed(2),
+            &policy,
+            &RunControls {
+                budget: RunBudget::unlimited().jobs(150),
+                ..RunControls::default()
+            },
+            &mut Recorder::noop(),
+            || MeanTrace::zeros(1),
+            |j, _rung, _probe| Ok(vec![j as f64]),
+        )
+        .expect("within quarantine budget");
+        assert_eq!(
+            out.completion,
+            Completion::Truncated {
+                completed: 150,
+                remaining: 150
+            }
+        );
+        assert_eq!(out.acc.count(), 149);
+        assert_eq!(out.report.jobs, 150);
+        assert_eq!(out.report.effective_jobs(), 149);
+    }
+
+    #[test]
     fn snapshot_documents_validate_and_round_trip() {
         let acc = MeanTrace::from_parts(vec![1.5, -0.0, f64::NAN], 3);
-        let payload = snapshot_payload::<MeanTrace, TestError>(
-            7,
-            &policy(),
-            2,
-            &acc,
-            &[RescuedJob { job: 1, rung: 2 }],
-            &[JobFailure {
+        let progress = Progress {
+            shards_done: 2,
+            acc: Some(acc),
+            rescued: vec![RescuedJob { job: 1, rung: 2 }],
+            quarantined: vec![JobFailure {
                 job: 3,
                 seed: 42,
                 rungs_attempted: 2,
                 error: TestError::Job(3),
             }],
-            &[],
-        );
+            records: Vec::new(),
+        };
+        let payload = snapshot_payload(7, &policy(), &progress);
         let text = checkpoint_document(payload);
         let doc = json::parse(&text).expect("valid json");
         let payload = doc.get("payload").expect("payload");

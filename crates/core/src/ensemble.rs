@@ -30,46 +30,71 @@
 //!    completion order or worker count.
 //!
 //! Together these give the guarantee the determinism test suite pins:
-//! `run_ensemble` returns bit-identical results at `Parallelism` 1, 2
+//! an ensemble returns bit-identical results at `Parallelism` 1, 2
 //! and 8 (and any other worker count).
 //!
-//! On failure the engine reports the error of the lowest-indexed shard
-//! that failed among those that ran; workers stop claiming new shards
-//! once an error is recorded, so *which* error surfaces can vary with
-//! scheduling when several shards fail — the success/failure verdict
-//! and every successful result remain deterministic.
+//! # One runner path
+//!
+//! Two public runners share one private driver, split by what the
+//! accumulator and error types can do:
+//!
+//! * [`run_ensemble_resilient_observed`] runs any accumulator and any
+//!   error type that can absorb an [`InjectedFault`] and a [`JobPanic`].
+//! * [`crate::checkpoint::run_ensemble_checkpointed`] additionally
+//!   snapshots, resumes and budgets the run; its accumulator and error
+//!   types implement [`crate::checkpoint::Snapshot`] and
+//!   [`crate::checkpoint::CheckpointCodec`].
+//!
+//! The driver holds the segment loop, the quarantine-budget check and
+//! journal absorption, so a resilient run and a checkpointed run with
+//! passive controls execute the same code. Every job closure receives
+//! `(job, rung, probe)`: the job index, the rescue rung (0 for the
+//! nominal attempt) and a [`JobProbe`] for telemetry counters. A job
+//! that ignores the last two is an ordinary Monte-Carlo sample.
 //!
 //! # Failure policies
 //!
-//! [`run_ensemble`] is strictly fail-fast. [`run_ensemble_resilient`]
-//! layers a [`FailurePolicy`] on the same engine: `Retry` re-runs a
-//! failed job through a deterministic rescue ladder (the job closure
-//! receives the rung index and is expected to use a progressively
-//! more conservative solver config), and `Quarantine` additionally
-//! drops jobs that fail on every rung, returning the partial
-//! accumulator plus a structured [`FailureReport`]. Under
-//! `Quarantine` no early abort happens — every shard runs — so the
+//! An [`ExecutionPolicy`] carries a [`FailurePolicy`]. `FailFast` (the
+//! default) aborts on the error of the lowest-indexed failing shard
+//! among those that ran; workers stop claiming new shards once an
+//! error is recorded, so *which* error surfaces can vary with
+//! scheduling when several shards fail, while the success/failure
+//! verdict and every successful result remain deterministic. `Retry`
+//! re-runs a failed job through a deterministic rescue ladder (the job
+//! closure receives the rung index and is expected to use a
+//! progressively more conservative solver config). `Quarantine`
+//! additionally drops jobs that fail on every rung and returns the
+//! partial accumulator plus a structured [`FailureReport`]. Under
+//! `Quarantine` no early abort happens, as every shard runs, so the
 //! quarantined-job set is itself bit-identical at any worker count.
+//! Every attempt runs under `catch_unwind`: a panicking job becomes
+//! `E::from(JobPanic)` and takes the same path as an ordinary error.
 //! Deterministic fault injection ([`crate::FaultPlan`], carried by
 //! [`ExecutionPolicy`]) makes all of these paths testable on demand.
 //!
 //! # Example
 //!
 //! ```
-//! use samurai_core::ensemble::{run_ensemble, MeanTrace, Parallelism};
-//! use samurai_core::SeedStream;
+//! use samurai_core::ensemble::{
+//!     run_ensemble_resilient_observed, ExecutionPolicy, MeanTrace, Parallelism,
+//! };
+//! use samurai_core::telemetry::Recorder;
+//! use samurai_core::{CoreError, SeedStream};
 //! use rand::Rng;
 //!
 //! // Estimate E[U] for U ~ Uniform[0, 1) over 1000 seeded draws.
 //! let seeds = SeedStream::new(7);
 //! let run = |p: Parallelism| {
-//!     run_ensemble::<MeanTrace, _, ()>(
+//!     run_ensemble_resilient_observed(
 //!         1000,
 //!         p,
+//!         &ExecutionPolicy::default(),
+//!         &mut Recorder::noop(),
 //!         || MeanTrace::zeros(1),
-//!         |job| Ok(vec![seeds.rng(job as u64).gen::<f64>()]),
+//!         |job, _rung, _probe| Ok::<_, CoreError>(vec![seeds.rng(job as u64).gen::<f64>()]),
 //!     )
 //!     .unwrap()
+//!     .acc
 //!     .mean()[0]
 //! };
 //! let sequential = run(Parallelism::Fixed(1));
@@ -79,13 +104,16 @@
 //! ```
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use std::process;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 
 use samurai_telemetry::{
-    JobProbe, JobRecord, Journal, JournalEvent, MetricsSink, Recorder, Stopwatch,
+    Deadline, JobProbe, JobRecord, Journal, JournalEvent, MetricsSink, Recorder, Stopwatch,
 };
 
+use crate::checkpoint::{RunControls, KILL_EXIT};
 use crate::faults::{FaultPlan, InjectedFault};
 use crate::rng::SeedStream;
 
@@ -195,7 +223,7 @@ impl FailurePolicy {
     }
 }
 
-/// Everything [`run_ensemble_resilient`] needs beyond the jobs
+/// Everything an ensemble run needs beyond the jobs
 /// themselves: the failure policy, the (normally empty) fault plan,
 /// and the ensemble master seed recorded in failure reports so a
 /// quarantined job can be reproduced in isolation.
@@ -248,12 +276,13 @@ pub struct JobFailure<E> {
     pub error: E,
 }
 
-/// The failure accounting of a resilient ensemble run, alongside the
-/// partial accumulator in [`EnsembleOutcome`]. Both lists are sorted
-/// by job index and bit-identical at every worker count.
+/// The failure accounting of an ensemble run, alongside the partial
+/// accumulator in [`EnsembleOutcome`]. Both lists are sorted by job
+/// index and bit-identical at every worker count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FailureReport<E> {
-    /// Jobs the ensemble was asked to run.
+    /// Jobs the run covered: every requested job, or the completed
+    /// prefix of a budget-truncated run ([`Completion::Truncated`]).
     pub jobs: usize,
     /// Jobs that needed the rescue ladder but succeeded.
     pub rescued: Vec<RescuedJob>,
@@ -311,8 +340,8 @@ impl<E: std::fmt::Debug> FailureReport<E> {
 /// or deadline was exhausted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Completion {
-    /// Every requested job ran (the only value the non-budgeted entry
-    /// points ever produce).
+    /// Every requested job ran (the only value a run without a
+    /// [`crate::checkpoint::RunBudget`] or deadline produces).
     #[default]
     Complete,
     /// The run stopped cleanly after `completed` jobs with `remaining`
@@ -367,8 +396,8 @@ impl std::fmt::Display for JobPanic {
     }
 }
 
-/// A resilient ensemble's result: the accumulator over the surviving
-/// jobs plus the failure accounting.
+/// An ensemble's result: the accumulator over the surviving jobs plus
+/// the failure accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleOutcome<A, E> {
     /// The merged accumulator (over all jobs under `FailFast`/`Retry`,
@@ -381,7 +410,7 @@ pub struct EnsembleOutcome<A, E> {
 }
 
 /// How one job ended, as seen by the shard fold.
-pub(crate) enum JobRun<T, E> {
+enum JobRun<T, E> {
     /// The job produced an item (possibly after rescue rungs).
     Done { item: T, rescued: Option<usize> },
     /// The job failed on every permitted attempt.
@@ -402,94 +431,79 @@ struct ShardOutcome<A, E> {
 /// abort it hit (if any).
 type WorkerOutcome<A, E> = (Vec<ShardOutcome<A, E>>, Option<(usize, E)>);
 
-/// The shared sharded engine under both public entry points.
-///
-/// `run_job` decides each job's fate (including retries — the engine
-/// never re-invokes it). With `quarantine` false, a failed job aborts
-/// the run: workers stop claiming shards and the error of the
-/// lowest-indexed failing shard among those that ran is returned.
-/// With `quarantine` true, failures are folded into the shard's
-/// quarantine list, every shard runs, and the lists are concatenated
-/// in shard order — making the quarantined set itself deterministic.
-///
-/// With `observing` true each job additionally runs under a
-/// [`JobProbe`] and a [`Stopwatch`], and the per-job [`JobRecord`]s
-/// come back concatenated in job order (telemetry is strictly
-/// job-local state, so observation cannot perturb results).
-fn run_engine<A, E, R, S>(
-    jobs: usize,
-    parallelism: Parallelism,
-    quarantine: bool,
-    observing: bool,
-    make_acc: impl Fn() -> A + Sync,
-    run_job: R,
-    seed_of: S,
-) -> Result<(A, FailureReport<E>, Vec<JobRecord>), E>
-where
-    A: EnsembleAccumulator,
-    R: Fn(usize, &mut JobProbe) -> JobRun<A::Item, E> + Sync,
-    S: Fn(usize) -> u64 + Sync,
-    E: Send,
-{
-    let shards = jobs.div_ceil(shard_size(jobs));
-    run_engine_segment(
-        jobs,
-        0,
-        shards,
-        None,
-        parallelism,
-        quarantine,
-        observing,
-        make_acc,
-        run_job,
-        seed_of,
-    )
+/// A run's state at a shard boundary: the running merged accumulator
+/// over the first `shards_done` shards, plus their failure bookkeeping
+/// and job records in job order. A fresh run starts from
+/// [`Progress::cold`]; a resumed checkpointed run starts from its
+/// snapshot, which stores exactly this.
+pub(crate) struct Progress<A, E> {
+    /// Shards already folded into `acc`.
+    pub(crate) shards_done: usize,
+    /// The running merged accumulator (`None` before the first shard).
+    pub(crate) acc: Option<A>,
+    /// Rescued jobs so far, in job order.
+    pub(crate) rescued: Vec<RescuedJob>,
+    /// Quarantined jobs so far, in job order.
+    pub(crate) quarantined: Vec<JobFailure<E>>,
+    /// Per-job telemetry records so far, in job order.
+    pub(crate) records: Vec<JobRecord>,
 }
 
-/// [`run_engine`] restricted to the shard range `[shard_lo, shard_hi)`
-/// of a `jobs`-job ensemble — the substrate of checkpointed execution.
+impl<A, E> Progress<A, E> {
+    /// The state before any shard has run.
+    pub(crate) fn cold() -> Self {
+        Self {
+            shards_done: 0,
+            acc: None,
+            rescued: Vec::new(),
+            quarantined: Vec::new(),
+            records: Vec::new(),
+        }
+    }
+}
+
+/// Folds shards `[progress.shards_done, shard_hi)` of a `jobs`-job
+/// ensemble into `progress`: the parallel engine under every run.
 ///
 /// The shard width is always computed from the **total** job count, so
 /// a run sliced into segments reproduces the exact shard structure —
-/// and therefore the exact merge tree — of an unsliced run. `init`
-/// carries the running merged accumulator between segments: with
-/// `Some(acc)`, this segment's shards are folded into it strictly in
-/// shard order (`((init ⊕ s_lo) ⊕ s_lo+1) ⊕ …`), which is precisely
-/// the shape an unsliced left fold would have produced by the time it
-/// passed `shard_hi`. With `None` the fold starts from the first
-/// shard's accumulator, exactly as the legacy single-segment path.
+/// and therefore the exact merge tree — of an unsliced run. This
+/// segment's shards merge into the running accumulator strictly in
+/// shard order (`((acc ⊕ s_lo) ⊕ s_lo+1) ⊕ …`), which is precisely the
+/// shape an unsliced left fold has by the time it passes `shard_hi`.
 ///
-/// The returned report's `rescued`/`quarantined` lists and the records
-/// cover only this segment; callers accumulate across segments.
-#[allow(clippy::too_many_arguments)] // an internal engine seam; the public wrappers bundle these
-pub(crate) fn run_engine_segment<A, E, R, S>(
+/// Without quarantine a failed job aborts the segment: workers stop
+/// claiming shards and the error of the lowest-indexed failing shard
+/// among those that ran is returned. Under quarantine failures are
+/// folded into the shard's quarantine list, every shard runs, and the
+/// lists are concatenated in shard order, which makes the quarantined
+/// set itself deterministic.
+///
+/// With `observing` true each job additionally runs under a live
+/// [`JobProbe`] and a [`Stopwatch`], and its [`JobRecord`] joins
+/// `progress.records` in job order (telemetry is strictly job-local
+/// state, so observation cannot perturb results).
+#[allow(clippy::too_many_arguments)] // an internal engine seam; the public runners bundle these
+fn run_segment<A, F, E>(
     jobs: usize,
-    shard_lo: usize,
     shard_hi: usize,
-    init: Option<A>,
     parallelism: Parallelism,
-    quarantine: bool,
+    policy: &ExecutionPolicy,
     observing: bool,
-    make_acc: impl Fn() -> A + Sync,
-    run_job: R,
-    seed_of: S,
-) -> Result<(A, FailureReport<E>, Vec<JobRecord>), E>
+    make_acc: &(impl Fn() -> A + Sync),
+    job: &F,
+    progress: &mut Progress<A, E>,
+) -> Result<(), E>
 where
     A: EnsembleAccumulator,
-    R: Fn(usize, &mut JobProbe) -> JobRun<A::Item, E> + Sync,
-    S: Fn(usize) -> u64 + Sync,
-    E: Send,
+    F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
+    E: Send + From<InjectedFault> + From<JobPanic>,
 {
-    let mut report = FailureReport {
-        jobs,
-        rescued: Vec::new(),
-        quarantined: Vec::new(),
-    };
-    if shard_lo >= shard_hi {
-        return Ok((init.unwrap_or_else(make_acc), report, Vec::new()));
-    }
+    let shard_lo = progress.shards_done;
+    debug_assert!(shard_lo < shard_hi, "a segment holds at least one shard");
     let width = shard_size(jobs);
-    let shards = shard_hi;
+    let quarantine = matches!(policy.failure, FailurePolicy::Quarantine { .. });
+    let run_job = resilient_job_runner(policy, job);
     let workers = parallelism.workers().min(shard_hi - shard_lo);
 
     // One shard's fold: jobs [shard*width, ...) in index order.
@@ -544,7 +558,7 @@ where
                     // lint: allow(HOT003): cold path, only on quarantine
                     out.quarantined.push(JobFailure {
                         job: j,
-                        seed: seed_of(j),
+                        seed: SeedStream::new(policy.seed).substream(j as u64).seed(),
                         rungs_attempted,
                         error,
                     });
@@ -557,8 +571,8 @@ where
 
     let mut completed: Vec<ShardOutcome<A, E>> = Vec::with_capacity(shard_hi - shard_lo);
     if workers <= 1 {
-        // Legacy sequential path: same shard structure and merge order
-        // as the threaded path, so the two agree bit-for-bit.
+        // Sequential path: same shard structure and merge order as the
+        // threaded path, so the two agree bit-for-bit.
         for shard in shard_lo..shard_hi {
             completed.push(fold_shard(shard)?);
         }
@@ -576,7 +590,7 @@ where
                         let mut error: Option<(usize, E)> = None;
                         while !failed.load(Ordering::Relaxed) {
                             let shard = next.fetch_add(1, Ordering::Relaxed);
-                            if shard >= shards {
+                            if shard >= shard_hi {
                                 break;
                             }
                             match fold_shard(shard) {
@@ -619,254 +633,29 @@ where
         completed.sort_by_key(|out| out.shard);
     }
 
-    // The ordered left fold. Starting from `init` (the running total
-    // of earlier segments) or, without one, from the first shard's
+    // The ordered left fold. Starting from the running total of
+    // earlier segments or, without one, from the first shard's
     // accumulator — both give the identical `((s₀ ⊕ s₁) ⊕ s₂) ⊕ …`
     // tree an unsliced run builds, because each shard merges into the
     // running total one at a time in shard order.
-    let mut total: Option<A> = init;
-    let mut records: Vec<JobRecord> = Vec::new();
     for out in completed {
-        total = Some(match total {
-            Some(mut t) => {
-                t.merge(out.acc);
-                t
+        progress.acc = Some(match progress.acc.take() {
+            Some(mut total) => {
+                total.merge(out.acc);
+                total
             }
             None => out.acc,
         });
-        report.rescued.extend(out.rescued);
-        report.quarantined.extend(out.quarantined);
-        records.extend(out.records);
+        progress.rescued.extend(out.rescued);
+        progress.quarantined.extend(out.quarantined);
+        progress.records.extend(out.records);
     }
-    let total = total.expect("a non-empty segment produced at least one shard"); // lint: allow(HYG002): shard_lo < shard_hi implies at least one shard
-    Ok((total, report, records))
+    progress.shards_done = shard_hi;
+    Ok(())
 }
 
-/// Runs `jobs` independent jobs and reduces their results.
-///
-/// `make_acc` creates one fresh accumulator per shard; `job(i)`
-/// computes the result of job `i` (deriving any randomness from `i` —
-/// see the module docs). Results are bit-identical for every
-/// [`Parallelism`] value. This is the strict fail-fast entry point;
-/// see [`run_ensemble_resilient`] for retry/quarantine policies and
-/// fault injection.
-///
-/// # Errors
-///
-/// Returns the error of the lowest-indexed failing shard among those
-/// that ran (always the overall-lowest when sequential).
-pub fn run_ensemble<A, F, E>(
-    jobs: usize,
-    parallelism: Parallelism,
-    make_acc: impl Fn() -> A + Sync,
-    job: F,
-) -> Result<A, E>
-where
-    A: EnsembleAccumulator,
-    F: Fn(usize) -> Result<A::Item, E> + Sync,
-    E: Send,
-{
-    run_ensemble_observed(
-        jobs,
-        parallelism,
-        &mut Recorder::noop(),
-        make_acc,
-        |j, _probe: &mut JobProbe| job(j),
-    )
-}
-
-/// [`run_ensemble`] with telemetry: each job closure receives a
-/// [`JobProbe`] to fill with solver/sampler counters, and the
-/// `recorder` absorbs per-job records (journal lines, sink counters,
-/// wall-clock latency samples) after the ordered merge — in job
-/// order, so journals and counters are bit-identical at every worker
-/// count. With a [`samurai_telemetry::NoopRecorder`] this is exactly
-/// [`run_ensemble`]: probes are dead, no stopwatch starts, and the
-/// accumulator result is bit-identical either way.
-///
-/// # Errors
-///
-/// As [`run_ensemble`].
-pub fn run_ensemble_observed<A, F, E, S>(
-    jobs: usize,
-    parallelism: Parallelism,
-    recorder: &mut Recorder<S>,
-    make_acc: impl Fn() -> A + Sync,
-    job: F,
-) -> Result<A, E>
-where
-    A: EnsembleAccumulator,
-    F: Fn(usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
-    E: Send,
-    S: MetricsSink,
-{
-    let run_job = |j: usize, probe: &mut JobProbe| match job(j, probe) {
-        Ok(item) => JobRun::Done {
-            item,
-            rescued: None,
-        },
-        Err(error) => JobRun::Failed {
-            rungs_attempted: 1,
-            error,
-        },
-    };
-    let (acc, _report, records) = run_engine(
-        jobs,
-        parallelism,
-        false,
-        recorder.live(),
-        make_acc,
-        run_job,
-        |_| 0,
-    )?;
-    for rec in &records {
-        recorder.absorb_job(rec);
-    }
-    Ok(acc)
-}
-
-/// Runs `jobs` independent jobs under an explicit [`ExecutionPolicy`]:
-/// fault injection, rescue-ladder retries, and quarantine with
-/// structured failure accounting.
-///
-/// `job(i, rung)` computes job `i` on rescue rung `rung` (0 = the
-/// nominal config; policies with a ladder re-invoke the job at rungs
-/// 1..=`rungs` after a failure, each expected to use a more
-/// conservative solver config). Jobs named by a
-/// [`FaultPlan::fail_job`] trigger fail irrecoverably with an
-/// [`InjectedFault`] converted via `E: From<InjectedFault>`.
-///
-/// The determinism contract extends to failure handling: the
-/// accumulator, the rescued list and the quarantined list (jobs,
-/// order, seeds, errors) are bit-identical at every worker count.
-///
-/// # Errors
-///
-/// Under `FailFast`/`Retry`, the error of a job that failed on every
-/// permitted attempt (lowest-indexed failing shard among those that
-/// ran). Under `Quarantine`, the error of the first failure past the
-/// `max_failures` budget in job order.
-pub fn run_ensemble_resilient<A, F, E>(
-    jobs: usize,
-    parallelism: Parallelism,
-    policy: &ExecutionPolicy,
-    make_acc: impl Fn() -> A + Sync,
-    job: F,
-) -> Result<EnsembleOutcome<A, E>, E>
-where
-    A: EnsembleAccumulator,
-    F: Fn(usize, usize) -> Result<A::Item, E> + Sync,
-    E: Send + From<InjectedFault> + From<JobPanic>,
-{
-    resilient_impl(
-        jobs,
-        parallelism,
-        policy,
-        false,
-        make_acc,
-        |j, rung, _probe: &mut JobProbe| job(j, rung),
-    )
-    .map(|(acc, report, _)| EnsembleOutcome {
-        acc,
-        report,
-        completion: Completion::Complete,
-    })
-}
-
-/// [`run_ensemble_resilient`] with telemetry: the job closure gains a
-/// [`JobProbe`] (filled across *all* its rescue-rung attempts), and
-/// after the ordered merge the `recorder` absorbs per-job records
-/// plus `rescued`/`quarantined` journal summary events — everything
-/// in job order, so the journal is byte-identical at every worker
-/// count. Quarantined jobs produce no job record (their work was
-/// discarded); they appear as `quarantined` events with the error
-/// rendered via `Debug`.
-///
-/// # Errors
-///
-/// As [`run_ensemble_resilient`].
-pub fn run_ensemble_resilient_observed<A, F, E, S>(
-    jobs: usize,
-    parallelism: Parallelism,
-    policy: &ExecutionPolicy,
-    recorder: &mut Recorder<S>,
-    make_acc: impl Fn() -> A + Sync,
-    job: F,
-) -> Result<EnsembleOutcome<A, E>, E>
-where
-    A: EnsembleAccumulator,
-    F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
-    E: Send + std::fmt::Debug + From<InjectedFault> + From<JobPanic>,
-    S: MetricsSink,
-{
-    let (acc, report, records) =
-        resilient_impl(jobs, parallelism, policy, recorder.live(), make_acc, job)?;
-    absorb_outcome(recorder, &report, &records);
-    Ok(EnsembleOutcome {
-        acc,
-        report,
-        completion: Completion::Complete,
-    })
-}
-
-/// Feeds a finished run's records and failure accounting into the
-/// recorder in the canonical order — all job records (job order), then
-/// rescue summaries, then quarantine summaries — which is what makes
-/// the journal byte-identical at every worker count *and* across
-/// checkpoint/resume boundaries (the checkpointed runner accumulates
-/// across segments and absorbs exactly once, here).
-pub(crate) fn absorb_outcome<E: std::fmt::Debug, S: MetricsSink>(
-    recorder: &mut Recorder<S>,
-    report: &FailureReport<E>,
-    records: &[JobRecord],
-) {
-    if !recorder.live() {
-        return;
-    }
-    for rec in records {
-        recorder.absorb_job(rec);
-    }
-    for r in &report.rescued {
-        recorder.record_rescue(r.job, r.rung);
-    }
-    for q in &report.quarantined {
-        recorder.record_quarantine(q.job, q.seed, q.rungs_attempted, &format!("{:?}", q.error));
-    }
-}
-
-/// The shared body of the resilient entry points: the rescue-rung
-/// loop around each job, quarantine bookkeeping, and the post-merge
-/// budget check.
-fn resilient_impl<A, F, E>(
-    jobs: usize,
-    parallelism: Parallelism,
-    policy: &ExecutionPolicy,
-    observing: bool,
-    make_acc: impl Fn() -> A + Sync,
-    job: F,
-) -> Result<(A, FailureReport<E>, Vec<JobRecord>), E>
-where
-    A: EnsembleAccumulator,
-    F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
-    E: Send + From<InjectedFault> + From<JobPanic>,
-{
-    let quarantine = matches!(policy.failure, FailurePolicy::Quarantine { .. });
-    let (acc, mut report, records) = run_engine(
-        jobs,
-        parallelism,
-        quarantine,
-        observing,
-        make_acc,
-        resilient_job_runner(policy, &job),
-        resilient_seed_of(policy),
-    )?;
-    check_quarantine_budget(policy, &mut report)?;
-    Ok((acc, report, records))
-}
-
-/// The per-job decision procedure shared by the resilient and
-/// checkpointed runners: job-site fault injection, the rescue-rung
-/// retry ladder, and panic containment.
+/// The per-job decision procedure: job-site fault injection, the
+/// rescue-rung retry ladder, and panic containment.
 ///
 /// Each attempt runs under [`catch_unwind`], so a panicking job — a
 /// poisoned netlist hitting an `assert!`, an out-of-bounds index deep
@@ -877,7 +666,7 @@ where
 /// [`FailureReport`] stays bit-identical at every worker count. (The
 /// process-global panic hook still prints to stderr; containment is
 /// about control flow, not log silence.)
-pub(crate) fn resilient_job_runner<'a, T, E, F>(
+fn resilient_job_runner<'a, T, E, F>(
     policy: &'a ExecutionPolicy,
     job: &'a F,
 ) -> impl Fn(usize, &mut JobProbe) -> JobRun<T, E> + Sync + 'a
@@ -918,26 +707,214 @@ where
     }
 }
 
-/// The documented reproduction-seed derivation for failure reports.
-pub(crate) fn resilient_seed_of(policy: &ExecutionPolicy) -> impl Fn(usize) -> u64 + Sync + '_ {
-    move |j: usize| SeedStream::new(policy.seed).substream(j as u64).seed()
-}
-
-/// The post-merge quarantine-budget check: deterministic because it
-/// runs on the job-ordered merged list, never inside workers.
-pub(crate) fn check_quarantine_budget<E>(
+/// The one driver under both public runners: the segment loop, the
+/// quarantine-budget check and journal absorption.
+///
+/// The run proceeds from `progress` in shard-aligned segments. Before
+/// each segment it polls the [`RunControls`] ceilings (job budget,
+/// deadline, Newton effort) and the kill drill; after each one it
+/// hands the new progress to `save` when a checkpoint path is set.
+/// With passive controls and no kill drill the whole run is one
+/// segment.
+///
+/// After the loop the quarantine budget is checked on the job-ordered
+/// merged list, so the verdict and the reported error are
+/// deterministic. Then the recorder absorbs all job records, the
+/// rescue summaries and the quarantine summaries, in that order.
+/// Absorbing once, here, is what makes the journal byte-identical at
+/// every worker count and across checkpoint/resume boundaries.
+#[allow(clippy::too_many_arguments)] // private; the public runners bundle these
+pub(crate) fn drive<A, F, E, S>(
+    jobs: usize,
+    parallelism: Parallelism,
     policy: &ExecutionPolicy,
-    report: &mut FailureReport<E>,
-) -> Result<(), E> {
+    controls: &RunControls<'_>,
+    recorder: &mut Recorder<S>,
+    mut progress: Progress<A, E>,
+    make_acc: impl Fn() -> A + Sync,
+    job: F,
+    mut save: impl FnMut(&Path, &Progress<A, E>) -> std::io::Result<()>,
+) -> Result<EnsembleOutcome<A, E>, E>
+where
+    A: EnsembleAccumulator,
+    F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
+    E: Send + std::fmt::Debug + From<InjectedFault> + From<JobPanic>,
+    S: MetricsSink,
+{
+    let width = shard_size(jobs);
+    let shards = jobs.div_ceil(width);
+    // A Newton-effort ceiling needs per-job solver counters even when
+    // nothing else observes the run.
+    let observing = recorder.live() || controls.budget.max_newton_iterations.is_some();
+    let mut newton_spent: u64 = progress
+        .records
+        .iter()
+        .map(|r| r.solver.newton_iterations)
+        .sum();
+
+    // The job budget rounds *down* to whole shards: a ceiling, never
+    // exceeded. Segments are cadence-sized; a passive run is a single
+    // segment.
+    let allowed_shards = match controls.budget.max_jobs {
+        Some(max_jobs) => shards.min(max_jobs / width),
+        None => shards,
+    };
+    let segment_shards = if controls.is_passive() && policy.faults.kill_job().is_none() {
+        shards.max(1)
+    } else {
+        controls.checkpoint.every_jobs.div_ceil(width).max(1)
+    };
+
+    let mut truncated = false;
+    while progress.shards_done < shards {
+        if progress.shards_done >= allowed_shards
+            || controls.deadline.is_some_and(Deadline::expired)
+            || controls
+                .budget
+                .max_newton_iterations
+                .is_some_and(|max| newton_spent >= max)
+        {
+            truncated = true;
+            break;
+        }
+        let shard_hi = progress
+            .shards_done
+            .saturating_add(segment_shards)
+            .min(allowed_shards);
+
+        if let Some(kill) = policy.faults.kill_job() {
+            let segment_jobs = (progress.shards_done * width)..(shard_hi * width).min(jobs);
+            if segment_jobs.contains(&kill) {
+                // The crash drill: die exactly where a real crash
+                // would, with everything before this segment already
+                // snapshotted.
+                process::exit(KILL_EXIT);
+            }
+        }
+
+        let seen = progress.records.len();
+        run_segment(
+            jobs,
+            shard_hi,
+            parallelism,
+            policy,
+            observing,
+            &make_acc,
+            &job,
+            &mut progress,
+        )?;
+        newton_spent += progress.records[seen..]
+            .iter()
+            .map(|r| r.solver.newton_iterations)
+            .sum::<u64>();
+
+        if let Some(path) = &controls.checkpoint.path {
+            if save(path, &progress).is_err() {
+                // Degrade, don't abort: the run is still correct, it
+                // just lost crash protection for this stretch.
+                recorder.note("checkpoint.write_failed", 1);
+            }
+        }
+    }
+
+    let completed = (progress.shards_done * width).min(jobs);
+    let mut report = FailureReport {
+        jobs: completed,
+        rescued: progress.rescued,
+        quarantined: progress.quarantined,
+    };
     if let FailurePolicy::Quarantine { max_failures, .. } = policy.failure {
         if report.quarantined.len() > max_failures {
-            // The budget is checked after the ordered merge so the
-            // verdict (and the reported error) is deterministic.
             let over = report.quarantined.swap_remove(max_failures);
             return Err(over.error);
         }
     }
-    Ok(())
+    if recorder.live() {
+        for rec in &progress.records {
+            recorder.absorb_job(rec);
+        }
+        for r in &report.rescued {
+            recorder.record_rescue(r.job, r.rung);
+        }
+        for q in &report.quarantined {
+            recorder.record_quarantine(q.job, q.seed, q.rungs_attempted, &format!("{:?}", q.error));
+        }
+    }
+
+    let completion = if truncated {
+        Completion::Truncated {
+            completed,
+            remaining: jobs - completed,
+        }
+    } else {
+        Completion::Complete
+    };
+    Ok(EnsembleOutcome {
+        acc: progress.acc.unwrap_or_else(make_acc),
+        report,
+        completion,
+    })
+}
+
+/// Runs `jobs` independent jobs under an explicit [`ExecutionPolicy`]
+/// and reduces their results, with telemetry.
+///
+/// `job(i, rung, probe)` computes job `i` on rescue rung `rung` (0 =
+/// the nominal config; policies with a ladder re-invoke the job at
+/// rungs 1..=`rungs` after a failure, each expected to use a more
+/// conservative solver config). It derives any randomness from `i`
+/// (see the module docs) and fills `probe` with solver/sampler
+/// counters across all its attempts. `make_acc` creates one fresh
+/// accumulator per shard. Jobs named by a [`FaultPlan::fail_job`]
+/// trigger fail irrecoverably with an [`InjectedFault`] converted via
+/// `E: From<InjectedFault>`; a panicking job fails with
+/// `E: From<JobPanic>`.
+///
+/// After the ordered merge the `recorder` absorbs per-job records plus
+/// `rescued`/`quarantined` journal summary events, everything in job
+/// order. Quarantined jobs produce no job record (their work was
+/// discarded); they appear as `quarantined` events with the error
+/// rendered via `Debug`. With a noop recorder probes are dead and no
+/// stopwatch starts.
+///
+/// The determinism contract extends to failure handling and telemetry:
+/// the accumulator, the rescued list, the quarantined list (jobs,
+/// order, seeds, errors) and the journal are bit-identical at every
+/// [`Parallelism`] value.
+///
+/// # Errors
+///
+/// Under `FailFast`/`Retry`, the error of a job that failed on every
+/// permitted attempt (lowest-indexed failing shard among those that
+/// ran; always the overall-lowest when sequential). Under
+/// `Quarantine`, the error of the first failure past the
+/// `max_failures` budget in job order.
+pub fn run_ensemble_resilient_observed<A, F, E, S>(
+    jobs: usize,
+    parallelism: Parallelism,
+    policy: &ExecutionPolicy,
+    recorder: &mut Recorder<S>,
+    make_acc: impl Fn() -> A + Sync,
+    job: F,
+) -> Result<EnsembleOutcome<A, E>, E>
+where
+    A: EnsembleAccumulator,
+    F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
+    E: Send + std::fmt::Debug + From<InjectedFault> + From<JobPanic>,
+    S: MetricsSink,
+{
+    drive(
+        jobs,
+        parallelism,
+        policy,
+        &RunControls::default(),
+        recorder,
+        Progress::cold(),
+        make_acc,
+        job,
+        // Passive controls carry no checkpoint path: never called.
+        |_, _| Ok(()),
+    )
 }
 
 /// Accumulates a per-grid-point running sum — the parallel form of an
@@ -1110,21 +1087,62 @@ impl EnsembleAccumulator for CountHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultKind, FaultPlan, FaultSite, InjectedFault};
     use crate::SeedStream;
     use rand::Rng;
 
+    /// A minimal error type for policy tests.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum TestError {
+        Job(usize),
+        Injected(InjectedFault),
+        Panicked(String),
+    }
+
+    impl From<InjectedFault> for TestError {
+        fn from(f: InjectedFault) -> Self {
+            TestError::Injected(f)
+        }
+    }
+
+    impl From<JobPanic> for TestError {
+        fn from(p: JobPanic) -> Self {
+            TestError::Panicked(p.message)
+        }
+    }
+
+    /// The runner with a noop recorder, for jobs that ignore the probe.
+    fn run<A: EnsembleAccumulator>(
+        jobs: usize,
+        parallelism: Parallelism,
+        policy: &ExecutionPolicy,
+        make_acc: impl Fn() -> A + Sync,
+        job: impl Fn(usize, usize) -> Result<A::Item, TestError> + Sync,
+    ) -> Result<EnsembleOutcome<A, TestError>, TestError> {
+        run_ensemble_resilient_observed(
+            jobs,
+            parallelism,
+            policy,
+            &mut Recorder::noop(),
+            make_acc,
+            |j, rung, _probe: &mut JobProbe| job(j, rung),
+        )
+    }
+
     fn mean_of(jobs: usize, p: Parallelism, seed: u64) -> Vec<f64> {
         let seeds = SeedStream::new(seed);
-        run_ensemble::<MeanTrace, _, ()>(
+        run(
             jobs,
             p,
+            &ExecutionPolicy::default(),
             || MeanTrace::zeros(4),
-            |job| {
+            |job, _rung| {
                 let mut rng = seeds.rng(job as u64);
                 Ok((0..4).map(|_| rng.gen::<f64>()).collect())
             },
         )
         .unwrap()
+        .acc
         .mean()
     }
 
@@ -1149,25 +1167,31 @@ mod tests {
 
     #[test]
     fn zero_jobs_yield_the_empty_accumulator() {
-        let acc = run_ensemble::<CountHistogram, _, ()>(
+        let out = run(
             0,
             Parallelism::Auto,
+            &ExecutionPolicy::default(),
             || CountHistogram::with_bins(4),
-            |_| Ok(0),
+            |_, _| Ok(0),
         )
         .unwrap();
-        assert_eq!(acc.total(), 0);
+        assert_eq!(out.acc.total(), 0);
+        assert_eq!(out.report.effective_jobs(), 0);
+        assert_eq!(out.completion, Completion::Complete);
     }
 
     #[test]
     fn indexed_results_preserve_job_order() {
         for p in [Parallelism::Fixed(1), Parallelism::Fixed(4)] {
-            let acc =
-                run_ensemble::<IndexedResults<usize>, _, ()>(257, p, IndexedResults::new, |job| {
-                    Ok(job * job)
-                })
-                .unwrap();
-            let v = acc.into_vec();
+            let out = run(
+                257,
+                p,
+                &ExecutionPolicy::default(),
+                IndexedResults::new,
+                |job, _| Ok(job * job),
+            )
+            .unwrap();
+            let v = out.acc.into_vec();
             assert_eq!(v.len(), 257);
             assert!(v.iter().enumerate().all(|(i, &x)| x == i * i));
         }
@@ -1176,13 +1200,15 @@ mod tests {
     #[test]
     fn histogram_counts_every_job_once() {
         for p in [Parallelism::Fixed(1), Parallelism::Fixed(8)] {
-            let acc = run_ensemble::<CountHistogram, _, ()>(
+            let acc = run(
                 5000,
                 p,
+                &ExecutionPolicy::default(),
                 || CountHistogram::with_bins(10),
-                |job| Ok(job % 13), // some outcomes overflow the top bin
+                |job, _| Ok(job % 13), // some outcomes overflow the top bin
             )
-            .unwrap();
+            .unwrap()
+            .acc;
             assert_eq!(acc.total(), 5000);
             // Outcomes 10, 11, 12 land in the overflow bin.
             let overflow = acc.bins()[10];
@@ -1192,26 +1218,40 @@ mod tests {
 
     #[test]
     fn errors_propagate_and_name_the_lowest_failing_shard_when_sequential() {
-        let err = run_ensemble::<CountHistogram, _, usize>(
+        let err = run(
             100,
             Parallelism::Fixed(1),
+            &ExecutionPolicy::default(),
             || CountHistogram::with_bins(2),
-            |job| if job >= 40 { Err(job) } else { Ok(0) },
+            |job, _| {
+                if job >= 40 {
+                    Err(TestError::Job(job))
+                } else {
+                    Ok(0)
+                }
+            },
         )
         .unwrap_err();
-        assert_eq!(err, 40);
+        assert_eq!(err, TestError::Job(40));
     }
 
     #[test]
     fn errors_propagate_in_parallel_too() {
-        let err = run_ensemble::<CountHistogram, _, usize>(
+        let err = run(
             100,
             Parallelism::Fixed(4),
+            &ExecutionPolicy::default(),
             || CountHistogram::with_bins(2),
-            |job| if job == 63 { Err(job) } else { Ok(0) },
+            |job, _| {
+                if job == 63 {
+                    Err(TestError::Job(job))
+                } else {
+                    Ok(0)
+                }
+            },
         )
         .unwrap_err();
-        assert_eq!(err, 63);
+        assert_eq!(err, TestError::Job(63));
     }
 
     #[test]
@@ -1226,54 +1266,30 @@ mod tests {
         }
     }
 
-    use crate::faults::{FaultKind, FaultPlan, FaultSite, InjectedFault};
-
-    /// A minimal error type for policy tests.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    enum TestError {
-        Job(usize),
-        Injected(InjectedFault),
-        Panicked(String),
-    }
-
-    impl From<InjectedFault> for TestError {
-        fn from(f: InjectedFault) -> Self {
-            TestError::Injected(f)
-        }
-    }
-
-    impl From<JobPanic> for TestError {
-        fn from(p: JobPanic) -> Self {
-            TestError::Panicked(p.message)
-        }
-    }
-
     #[test]
-    fn failfast_resilient_matches_run_ensemble_bit_for_bit() {
+    fn failfast_matches_a_sequential_fold_bit_for_bit() {
+        // 500 jobs shard one per job, so the ordered merge is the plain
+        // left fold `((x₀ + x₁) + x₂) + …` over the job results.
         let seeds = SeedStream::new(11);
-        let job = |j: usize| -> Result<Vec<f64>, TestError> {
+        let item = |j: usize| -> Vec<f64> {
             let mut rng = seeds.rng(j as u64);
-            Ok((0..3).map(|_| rng.gen::<f64>()).collect())
+            (0..3).map(|_| rng.gen::<f64>()).collect()
         };
-        let legacy = run_ensemble::<MeanTrace, _, TestError>(
+        let mut folded = MeanTrace::zeros(3);
+        for j in 0..500 {
+            folded.absorb(j, item(j));
+        }
+        let outcome = run(
             500,
             Parallelism::Fixed(4),
+            &ExecutionPolicy::default(),
             || MeanTrace::zeros(3),
-            job,
-        )
-        .unwrap();
-        let policy = ExecutionPolicy::default();
-        let outcome = run_ensemble_resilient::<MeanTrace, _, TestError>(
-            500,
-            Parallelism::Fixed(4),
-            &policy,
-            || MeanTrace::zeros(3),
-            |j, _rung| job(j),
+            |j, _rung| Ok(item(j)),
         )
         .unwrap();
         assert!(outcome.report.is_clean());
         assert_eq!(outcome.report.effective_jobs(), 500);
-        for (a, b) in legacy.mean().iter().zip(outcome.acc.mean()) {
+        for (a, b) in folded.mean().iter().zip(outcome.acc.mean()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -1281,7 +1297,7 @@ mod tests {
     #[test]
     fn retry_climbs_the_ladder_and_records_the_rescue() {
         let policy = ExecutionPolicy::with_failure(FailurePolicy::Retry { rungs: 2 });
-        let outcome = run_ensemble_resilient::<CountHistogram, _, TestError>(
+        let outcome = run(
             50,
             Parallelism::Fixed(3),
             &policy,
@@ -1315,7 +1331,7 @@ mod tests {
     #[test]
     fn retry_exhaustion_aborts_like_failfast() {
         let policy = ExecutionPolicy::with_failure(FailurePolicy::Retry { rungs: 1 });
-        let err = run_ensemble_resilient::<CountHistogram, _, TestError>(
+        let err = run(
             20,
             Parallelism::Fixed(1),
             &policy,
@@ -1343,7 +1359,7 @@ mod tests {
                 faults: FaultPlan::none(),
                 seed: 99,
             };
-            run_ensemble_resilient::<MeanTrace, _, TestError>(
+            run(
                 1100, // > 1024 so shards hold several jobs
                 Parallelism::Fixed(workers),
                 &policy,
@@ -1385,7 +1401,7 @@ mod tests {
             max_failures: 2,
         });
         for workers in [1, 4] {
-            let err = run_ensemble_resilient::<CountHistogram, _, TestError>(
+            let err = run(
                 100,
                 Parallelism::Fixed(workers),
                 &policy,
@@ -1415,7 +1431,7 @@ mod tests {
             faults: FaultPlan::none().fail_job(7, FaultKind::NonConvergence),
             seed: 0,
         };
-        let outcome = run_ensemble_resilient::<CountHistogram, _, TestError>(
+        let outcome = run(
             20,
             Parallelism::Fixed(2),
             &policy,
@@ -1449,7 +1465,7 @@ mod tests {
             seed: 5,
         };
         for workers in [1, 4] {
-            let outcome = run_ensemble_resilient::<CountHistogram, _, TestError>(
+            let outcome = run(
                 30,
                 Parallelism::Fixed(workers),
                 &policy,
@@ -1471,7 +1487,7 @@ mod tests {
     #[test]
     fn a_panicking_job_aborts_cleanly_under_failfast() {
         let policy = ExecutionPolicy::default();
-        let err = run_ensemble_resilient::<CountHistogram, _, TestError>(
+        let err = run(
             10,
             Parallelism::Fixed(1),
             &policy,

@@ -2,7 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::ensemble::{run_ensemble_observed, IndexedResults, Parallelism};
+use crate::ensemble::{
+    run_ensemble_resilient_observed, ExecutionPolicy, IndexedResults, Parallelism,
+};
 use crate::{
     gillespie, rtn_current, simulate_trap_probed, AmplitudeModel, BiasWaveforms, CoreError,
     SeedStream, UniformisationConfig,
@@ -198,12 +200,13 @@ impl RtnGenerator {
         if !(tf > t0) {
             return Err(CoreError::EmptyHorizon { t0, tf });
         }
-        let occupancies: Vec<Pwc> = run_ensemble_observed(
+        let occupancies: Vec<Pwc> = run_ensemble_resilient_observed(
             self.models.len(),
             self.parallelism,
+            &ExecutionPolicy::default(),
             recorder,
             IndexedResults::new,
-            |i, probe: &mut JobProbe| {
+            |i, _rung, probe: &mut JobProbe| {
                 let m = &self.models[i];
                 let mut rng = self.seeds.rng(i as u64);
                 match self.method {
@@ -224,6 +227,7 @@ impl RtnGenerator {
                 }
             },
         )?
+        .acc
         .into_vec();
 
         let trap_params: Vec<_> = self.models.iter().map(|m| *m.trap()).collect();

@@ -69,9 +69,8 @@ pub use checkpoint::{
     RunBudget, RunControls, Snapshot, CHECKPOINT_SCHEMA, KILL_EXIT,
 };
 pub use ensemble::{
-    run_ensemble, run_ensemble_observed, run_ensemble_resilient, run_ensemble_resilient_observed,
-    Completion, EnsembleAccumulator, EnsembleOutcome, ExecutionPolicy, FailurePolicy,
-    FailureReport, JobFailure, JobPanic, Parallelism, RescuedJob,
+    run_ensemble_resilient_observed, Completion, EnsembleAccumulator, EnsembleOutcome,
+    ExecutionPolicy, FailurePolicy, FailureReport, JobFailure, JobPanic, Parallelism, RescuedJob,
 };
 pub use error::CoreError;
 pub use faults::{FaultArm, FaultKind, FaultPlan, FaultSite, InjectedFault};

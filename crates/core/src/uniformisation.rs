@@ -13,7 +13,7 @@
 
 use rand::Rng;
 
-use crate::ensemble::{run_ensemble_observed, MeanTrace, Parallelism};
+use crate::ensemble::{run_ensemble_resilient_observed, ExecutionPolicy, MeanTrace, Parallelism};
 use crate::{exp_rand, CoreError, SeedStream};
 use samurai_telemetry::{JobProbe, MetricsSink, Recorder, TrapStats};
 use samurai_trap::{PropensityModel, TrapState};
@@ -242,17 +242,18 @@ pub fn simulate_device_observed<S: MetricsSink>(
     parallelism: Parallelism,
     recorder: &mut Recorder<S>,
 ) -> Result<Vec<Pwc>, CoreError> {
-    let acc = run_ensemble_observed(
+    let outcome = run_ensemble_resilient_observed(
         models.len(),
         parallelism,
+        &ExecutionPolicy::default(),
         recorder,
         crate::ensemble::IndexedResults::new,
-        |i, probe: &mut JobProbe| {
+        |i, _rung, probe: &mut JobProbe| {
             let mut rng = seeds.rng(i as u64);
             simulate_trap_probed(&models[i], v_gs, t0, tf, &mut rng, config, probe)
         },
     )?;
-    Ok(acc.into_vec())
+    Ok(outcome.acc.into_vec())
 }
 
 /// Ensemble-averaged occupancy of one trap over `runs` independent
@@ -330,12 +331,13 @@ pub fn ensemble_occupancy_observed<S: MetricsSink>(
 ) -> Result<Trace, CoreError> {
     assert!(runs > 0, "need at least one run");
     let tf = t0 + dt * n as f64;
-    let acc = run_ensemble_observed(
+    let outcome = run_ensemble_resilient_observed(
         runs,
         parallelism,
+        &ExecutionPolicy::default(),
         recorder,
         || MeanTrace::zeros(n),
-        |run, probe: &mut JobProbe| {
+        |run, _rung, probe: &mut JobProbe| {
             let mut rng = seeds.rng(run as u64);
             let occ = simulate_trap_probed(
                 model,
@@ -349,7 +351,7 @@ pub fn ensemble_occupancy_observed<S: MetricsSink>(
             Ok::<_, CoreError>((0..n).map(|i| occ.eval(t0 + i as f64 * dt)).collect())
         },
     )?;
-    Ok(Trace::new(t0, dt, acc.mean())?)
+    Ok(Trace::new(t0, dt, outcome.acc.mean())?)
 }
 
 #[cfg(test)]

@@ -6,7 +6,8 @@ use proptest::prelude::*;
 
 use samurai_core::checkpoint::{run_ensemble_checkpointed, RunBudget, RunControls};
 use samurai_core::ensemble::{
-    run_ensemble_resilient, Completion, ExecutionPolicy, FailurePolicy, IndexedResults, Parallelism,
+    run_ensemble_resilient_observed, Completion, ExecutionPolicy, FailurePolicy, IndexedResults,
+    Parallelism,
 };
 use samurai_core::faults::{FaultKind, FaultPlan};
 use samurai_core::telemetry::Recorder;
@@ -217,12 +218,13 @@ proptest! {
                 faults: faults.clone(),
                 seed,
             };
-            run_ensemble_resilient::<IndexedResults<u64>, _, CoreError>(
+            run_ensemble_resilient_observed::<IndexedResults<u64>, _, CoreError, _>(
                 jobs,
                 Parallelism::Fixed(workers),
                 &policy,
+                &mut Recorder::noop(),
                 IndexedResults::new,
-                |job, rung| Ok((job as u64) * 1000 + rung as u64),
+                |job, rung, _probe| Ok((job as u64) * 1000 + rung as u64),
             )
             .expect("quarantine absorbs the planned failures")
         };
@@ -271,12 +273,13 @@ proptest! {
     ) {
         let bad = bad % jobs;
         let run = |failure: FailurePolicy, fail_bad: bool| {
-            run_ensemble_resilient::<IndexedResults<(usize, usize)>, _, CoreError>(
+            run_ensemble_resilient_observed::<IndexedResults<(usize, usize)>, _, CoreError, _>(
                 jobs,
                 Parallelism::Fixed(4),
                 &ExecutionPolicy { failure, faults: FaultPlan::none(), seed },
+                &mut Recorder::noop(),
                 IndexedResults::new,
-                move |job, rung| {
+                move |job, rung, _probe| {
                     if fail_bad && job == bad && rung == 0 {
                         Err(CoreError::EmptyHorizon { t0: 0.0, tf: 0.0 })
                     } else {
@@ -377,5 +380,8 @@ proptest! {
             .map(|f| (f.job, f.seed, f.rungs_attempted))
             .collect();
         prop_assert_eq!(got_bad, want_bad);
+        // The report covers exactly the jobs whose results are in the
+        // accumulator.
+        prop_assert_eq!(truncated.report.effective_jobs(), truncated.acc.slots().len());
     }
 }

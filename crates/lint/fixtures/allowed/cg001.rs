@@ -1,6 +1,6 @@
 //! Allowed counterpart: CG001 suppressed with a justified escape.
 
-pub fn run_ensemble(jobs: usize) -> usize {
+pub fn run_ensemble_checkpointed(jobs: usize) -> usize {
     let mut done = 0;
     for job in 0..jobs {
         done += worker(job);

@@ -1,9 +1,9 @@
 //! Allowed counterpart: SVC001 suppressed with a justified escape in a
 //! non-worker serve module.
 
-use samurai_core::ensemble::{run_ensemble_resilient, IndexedResults};
+use samurai_core::ensemble::{run_ensemble_resilient_observed, IndexedResults};
 
-pub fn warmup_probe(jobs: usize) -> usize {
-    let report = run_ensemble_resilient(jobs, 1, &Default::default(), IndexedResults::new, job); // lint: allow(SVC001): one-job warmup probe at boot, before the listener opens
+pub fn warmup_probe(jobs: usize, rec: &mut Recorder) -> usize {
+    let report = run_ensemble_resilient_observed(jobs, 1, &Default::default(), rec, IndexedResults::new, job); // lint: allow(SVC001): one-job warmup probe at boot, before the listener opens
     report.len()
 }

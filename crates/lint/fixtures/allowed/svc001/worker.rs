@@ -2,9 +2,10 @@
 //! engine-call site (matched by file name), and elsewhere a justified
 //! escape silences the rule.
 
-use samurai_core::ensemble::{run_ensemble_resilient, IndexedResults};
+use samurai_core::checkpoint::{run_ensemble_checkpointed, RunControls};
+use samurai_core::ensemble::IndexedResults;
 
-pub fn execute_ticket(jobs: usize) -> usize {
-    let report = run_ensemble_resilient(jobs, 1, &Default::default(), IndexedResults::new, job);
+pub fn execute_ticket(jobs: usize, controls: &RunControls, rec: &mut Recorder) -> usize {
+    let report = run_ensemble_checkpointed(jobs, 1, &Default::default(), controls, rec, IndexedResults::new, job);
     report.len()
 }

@@ -3,7 +3,7 @@
 //! The call into `samurai_bench` is one hop below the ensemble entry
 //! point; only the reachability pass connects the two.
 
-pub fn run_ensemble(jobs: usize) -> usize {
+pub fn run_ensemble_checkpointed(jobs: usize) -> usize {
     let mut done = 0;
     for job in 0..jobs {
         done += worker(job);

@@ -1,4 +1,4 @@
-//! Seeded violation: OBS001 — unguarded telemetry sink calls in a
+//! Seeded violation: OBS001 — telemetry sink calls in a
 //! hot-loop region.
 
 pub fn accumulate<S: MetricsSink>(sink: &mut S, xs: &[f64]) -> f64 {

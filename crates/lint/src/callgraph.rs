@@ -901,7 +901,7 @@ mod tests {
         let records = [rec(
             "crates/core/src/ensemble.rs",
             NUM,
-            "pub fn run_ensemble() { worker(); }\n\
+            "pub fn run_ensemble_checkpointed() { worker(); }\n\
              fn worker() { samurai_bench::emit_summary(); }\n",
         )];
         let f = CallGraph::build(&records, None).semantic_findings();
@@ -910,7 +910,7 @@ mod tests {
         assert_eq!(f[0].line, 2);
         assert!(
             f[0].message
-                .contains("ensemble path `run_ensemble` -> `worker`"),
+                .contains("ensemble path `run_ensemble_checkpointed` -> `worker`"),
             "{}",
             f[0].message
         );

@@ -83,8 +83,7 @@ impl FileContext {
             .is_some_and(|lines| lines.contains(&line))
     }
 
-    /// The full allow map (rule id → covered lines), for serialization
-    /// into the workspace analysis cache.
+    /// The full allow map (rule id → covered lines).
     pub fn allow_map(&self) -> &BTreeMap<String, BTreeSet<usize>> {
         &self.allows
     }

@@ -10,14 +10,12 @@
 //! | units, waveform, analysis, samurai, (new crates) | library | DET, HOT, HYG, UNS, HOTPATH, DRAW |
 //! | bench, lint, any `src/bin/` file | tool   | HOT, UNS, HOTPATH        |
 //!
-//! Analysis is two-pass. Pass 1 is per-file and embarrassingly
-//! cacheable: tokenize, run the token-level rules, and parse the item
-//! index ([`crate::parser`]). Pass 2 is whole-workspace: build the
-//! call graph over all item indexes, pruned by the first-party crate
-//! dependency graph read from the `Cargo.toml`s, and run the
-//! HOTPATH/DRAW/CALLGRAPH families ([`crate::callgraph`]). The
-//! optional content-hash cache ([`crate::cache`]) lets warm runs skip
-//! pass 1 entirely for unchanged files.
+//! Analysis is two-pass. Pass 1 is per-file: tokenize, run the
+//! token-level rules, and parse the item index ([`crate::parser`]).
+//! Pass 2 is whole-workspace: build the call graph over all item
+//! indexes, pruned by the first-party crate dependency graph read from
+//! the `Cargo.toml`s, and run the HOTPATH/DRAW/CALLGRAPH families
+//! ([`crate::callgraph`]).
 //!
 //! Integration tests (`tests/`), benches and examples are not scanned:
 //! panicking and ad-hoc comparison are legitimate there, and the
@@ -30,7 +28,6 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::cache;
 use crate::callgraph::{CallGraph, DepMap};
 use crate::context::FileContext;
 use crate::parser::{parse_file, FileRecord};
@@ -52,10 +49,6 @@ pub struct WorkspaceAnalysis {
     pub records: Vec<FileRecord>,
     /// The first-party crate dependency closure used for pruning.
     pub deps: DepMap,
-    /// Files whose pass-1 output came from the cache.
-    pub cache_hits: usize,
-    /// Files analyzed cold.
-    pub cache_misses: usize,
 }
 
 /// Analyzes one source string under an explicit classification —
@@ -110,21 +103,12 @@ pub fn classify_crate(name: &str) -> FileClass {
 /// only. Kept as the stable entry point for callers that do not need
 /// the graph (`analyze_workspace_full` for the rest).
 pub fn analyze_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    Ok(analyze_workspace_full(root, None)?.findings)
+    Ok(analyze_workspace_full(root)?.findings)
 }
 
-/// The full two-pass workspace analysis. `cache_path`, when given,
-/// names the content-hash cache file (`target/lint-cache.json` by
-/// convention); it is read best-effort and rewritten after pass 1.
-pub fn analyze_workspace_full(
-    root: &Path,
-    cache_path: Option<&Path>,
-) -> io::Result<WorkspaceAnalysis> {
-    let old = cache_path.map(cache::load).unwrap_or_default();
-    let mut new_entries = cache::Entries::new();
+/// The full two-pass workspace analysis.
+pub fn analyze_workspace_full(root: &Path) -> io::Result<WorkspaceAnalysis> {
     let mut records = Vec::new();
-    let mut cache_hits = 0;
-    let mut cache_misses = 0;
 
     for (file, src_dir, crate_class) in workspace_files(root)? {
         // Binary targets are tooling even inside library crates.
@@ -143,26 +127,7 @@ pub fn analyze_workspace_full(
             .unwrap_or(&file)
             .display()
             .to_string();
-        let hash = cache::fnv1a(src.as_bytes());
-        let rec = match old.get(&label) {
-            Some((h, cached)) if *h == hash && cached.class == class => {
-                cache_hits += 1;
-                cached.clone()
-            }
-            _ => {
-                cache_misses += 1;
-                pass1(&label, &src, class)
-            }
-        };
-        if cache_path.is_some() {
-            new_entries.insert(label, (hash, rec.clone()));
-        }
-        records.push(rec);
-    }
-    if let Some(p) = cache_path {
-        // Best-effort: a read-only target/ dir costs speed, not
-        // correctness.
-        let _ = cache::store(p, &new_entries);
+        records.push(pass1(&label, &src, class));
     }
 
     let deps = crate_deps(root)?;
@@ -176,8 +141,6 @@ pub fn analyze_workspace_full(
         findings,
         records,
         deps,
-        cache_hits,
-        cache_misses,
     })
 }
 

@@ -13,9 +13,7 @@
 //! Analysis is two-pass since v2. Pass 1 runs the token-level rules
 //! and parses every file into an item index ([`parser`]); pass 2
 //! builds a name-resolution-approximate call graph over the whole
-//! workspace ([`callgraph`]) and checks the transitive contracts. A
-//! content-hash cache ([`cache`]) makes warm runs skip pass 1 for
-//! unchanged files.
+//! workspace ([`callgraph`]) and checks the transitive contracts.
 //!
 //! The rule catalog ([`rules::RULES`]) covers six families:
 //!
@@ -43,7 +41,6 @@
 //! catalog" and §"Workspace analysis" for the full policy, and
 //! `samurai-lint --explain <RULE>` for any single rule.
 
-pub mod cache;
 pub mod callgraph;
 pub mod context;
 pub mod engine;

@@ -10,9 +10,6 @@
 //!                                   # against the analyzer going blind)
 //! samurai-lint --graph FILE         # dump the workspace call graph
 //!                                   # as JSON (samurai-lint-graph-v1)
-//! samurai-lint --no-cache           # force a cold pass-1 analysis
-//! samurai-lint --cache FILE         # cache location override
-//!                                   # (default target/lint-cache.json)
 //! samurai-lint path/to/file.rs …    # lint explicit paths under the
 //!                                   # strictest (numeric-library) class
 //! samurai-lint --root DIR           # workspace root override
@@ -34,8 +31,6 @@ struct Options {
     self_check: bool,
     explain: Option<String>,
     graph: Option<PathBuf>,
-    no_cache: bool,
-    cache: Option<PathBuf>,
     root: Option<PathBuf>,
     paths: Vec<PathBuf>,
 }
@@ -47,8 +42,6 @@ fn parse_args() -> Result<Options, String> {
         self_check: false,
         explain: None,
         graph: None,
-        no_cache: false,
-        cache: None,
         root: None,
         paths: Vec::new(),
     };
@@ -58,7 +51,6 @@ fn parse_args() -> Result<Options, String> {
             "--deny" => opts.deny = true,
             "--json" => opts.json = true,
             "--self-check" => opts.self_check = true,
-            "--no-cache" => opts.no_cache = true,
             "--explain" => {
                 opts.explain = Some(args.next().ok_or("--explain requires a rule id")?);
             }
@@ -67,9 +59,6 @@ fn parse_args() -> Result<Options, String> {
                     args.next().ok_or("--graph requires an output file")?,
                 ));
             }
-            "--cache" => {
-                opts.cache = Some(PathBuf::from(args.next().ok_or("--cache requires a file")?));
-            }
             "--root" => {
                 opts.root = Some(PathBuf::from(
                     args.next().ok_or("--root requires a directory")?,
@@ -77,7 +66,7 @@ fn parse_args() -> Result<Options, String> {
             }
             "--help" | "-h" => {
                 return Err("usage: samurai-lint [--deny] [--json] [--explain RULE] \
-                            [--self-check] [--graph FILE] [--no-cache] [--cache FILE] \
+                            [--self-check] [--graph FILE] \
                             [--root DIR] [paths...]"
                     .into())
             }
@@ -220,17 +209,7 @@ fn run() -> Result<ExitCode, String> {
 
     let findings = if opts.paths.is_empty() {
         let root = workspace_root(&opts)?;
-        let cache_path = if opts.no_cache {
-            None
-        } else {
-            Some(
-                opts.cache
-                    .clone()
-                    .unwrap_or_else(|| root.join("target/lint-cache.json")),
-            )
-        };
-        let analysis =
-            analyze_workspace_full(&root, cache_path.as_deref()).map_err(|e| e.to_string())?;
+        let analysis = analyze_workspace_full(&root).map_err(|e| e.to_string())?;
         if let Some(out) = &opts.graph {
             let graph = CallGraph::build(&analysis.records, Some(&analysis.deps));
             std::fs::write(out, graph.graph_json())

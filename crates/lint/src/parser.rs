@@ -108,9 +108,8 @@ impl Item {
     }
 }
 
-/// Everything pass 2 needs to know about one analyzed file. This is
-/// the unit the incremental cache persists: it is a pure function of
-/// the file's content and classification.
+/// Everything pass 2 needs to know about one analyzed file: a pure
+/// function of the file's content and classification.
 #[derive(Debug, Clone)]
 pub struct FileRecord {
     /// Workspace-relative path as reported in findings.

@@ -58,8 +58,7 @@ pub fn render_explain(rule: &Rule) -> String {
     )
 }
 
-/// Minimal JSON string escaping (shared with the cache and graph
-/// writers).
+/// Minimal JSON string escaping (shared with the graph writer).
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -36,7 +36,7 @@ fn workspace() -> Vec<FileRecord> {
              \x20   stamp(m);\n\
              \x20   // lint: end-hot-loop\n\
              }\n\
-             pub fn run_ensemble(jobs: usize) { for j in 0..jobs { worker(j); } }\n\
+             pub fn run_ensemble_checkpointed(jobs: usize) { for j in 0..jobs { worker(j); } }\n\
              fn worker(j: usize) { samurai_bench::probe::record(j); }\n",
         ),
         rec(
@@ -64,7 +64,13 @@ fn deps() -> DepMap {
 
 fn name(g: &CallGraph<'_>, n: usize) -> String {
     // Round-trip through node_by_name to keep the helper honest.
-    for cand in ["drive", "run_ensemble", "worker", "stamp", "scratch"] {
+    for cand in [
+        "drive",
+        "run_ensemble_checkpointed",
+        "worker",
+        "stamp",
+        "scratch",
+    ] {
         if g.node_by_name(cand) == Some(n) {
             return cand.to_string();
         }
@@ -88,7 +94,11 @@ fn edge_set_is_exactly_the_dep_visible_calls() {
         edges,
         vec![
             ("drive".to_string(), "stamp".to_string(), 3),
-            ("run_ensemble".to_string(), "worker".to_string(), 6),
+            (
+                "run_ensemble_checkpointed".to_string(),
+                "worker".to_string(),
+                6
+            ),
             ("stamp".to_string(), "scratch".to_string(), 1),
         ],
         "resolved edge set drifted"
@@ -132,7 +142,7 @@ fn reachability_sets_are_pinned() {
         .collect();
     assert_eq!(
         ens,
-        ["run_ensemble", "worker"]
+        ["run_ensemble_checkpointed", "worker"]
             .iter()
             .map(|s| s.to_string())
             .collect::<BTreeSet<String>>(),
@@ -152,7 +162,7 @@ fn reachability_sets_are_pinned() {
         other => panic!("expected a hot-loop root, got {other:?}"),
     }
     assert_eq!(g.ensemble_roots.len(), 1);
-    assert_eq!(name(&g, g.ensemble_roots[0]), "run_ensemble");
+    assert_eq!(name(&g, g.ensemble_roots[0]), "run_ensemble_checkpointed");
 }
 
 #[test]
@@ -187,7 +197,7 @@ fn cg001_diagnostic_pins_the_ensemble_chain_text() {
     assert!(
         cg[0]
             .message
-            .contains("ensemble path `run_ensemble` -> `worker`"),
+            .contains("ensemble path `run_ensemble_checkpointed` -> `worker`"),
         "{}",
         cg[0].message
     );
@@ -220,7 +230,7 @@ fn graph_json_round_trips_the_pinned_shape() {
     let json = g.graph_json();
 
     assert!(json.contains("\"schema\": \"samurai-lint-graph-v1\""));
-    assert!(json.contains("\"name\": \"run_ensemble\""));
+    assert!(json.contains("\"name\": \"run_ensemble_checkpointed\""));
     assert!(json.contains("\"kind\": \"hot-loop\""));
     // Reachability flags are materialised per node.
     assert!(json.contains("\"hot_reachable\": true"));

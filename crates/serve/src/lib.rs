@@ -25,8 +25,8 @@
 //!   same byte-identity.
 //!
 //! The HTTP front end lives in [`http`]; the `serve`, `samurai-client`
-//! and `validate_store` binaries in `samurai-bench` wrap it for the
-//! command line and CI.
+//! and `validate` binaries in `samurai-bench` wrap it for the command
+//! line and CI.
 
 pub mod error;
 pub mod http;

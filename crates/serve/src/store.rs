@@ -169,7 +169,7 @@ pub fn seal(payload: JsonValue, schema: &str) -> JsonValue {
 /// tag, content hash recomputed over the canonical payload
 /// serialisation, and the payload members the service depends on.
 /// Returns the error list (empty = valid). Used by the
-/// `validate_store` CI gate and by [`ResultStore::load_result`].
+/// `validate store` CI gate and by [`ResultStore::load_result`].
 #[must_use]
 pub fn validate_store_document(doc: &JsonValue) -> Vec<String> {
     let mut errors = Vec::new();

@@ -14,7 +14,9 @@
 //! that, re-running the full two-pass methodology at each probed
 //! word-line width.
 
-use samurai_core::ensemble::{run_ensemble_observed, FailurePolicy, IndexedResults, Parallelism};
+use samurai_core::ensemble::{
+    run_ensemble_resilient_observed, ExecutionPolicy, FailurePolicy, IndexedResults, Parallelism,
+};
 use samurai_telemetry::{JobProbe, MetricsSink, Recorder};
 use samurai_waveform::BitPattern;
 
@@ -191,12 +193,13 @@ pub fn timing_margin_observed<S: MetricsSink>(
         }
         for _ in 0..rounds {
             let step = (good - bad) / shrink;
-            let ok: Vec<bool> = run_ensemble_observed(
+            let ok: Vec<bool> = run_ensemble_resilient_observed(
                 PROBES_PER_ROUND,
                 base.parallelism,
+                &ExecutionPolicy::default(),
                 recorder,
                 IndexedResults::new,
-                |i, probe: &mut JobProbe| {
+                |i, _rung, probe: &mut JobProbe| {
                     writes_ok(
                         pattern,
                         &probe_base,
@@ -207,6 +210,7 @@ pub fn timing_margin_observed<S: MetricsSink>(
                     )
                 },
             )?
+            .acc
             .into_vec();
             // The lowest passing probe bounds the minimum from above;
             // the probe just below it (or the old lower bracket) from

@@ -15,9 +15,10 @@
 //! 1. **Zero-cost when off.** The [`MetricsSink`] trait carries an
 //!    associated `const ENABLED`; the default [`NoopSink`] sets it to
 //!    `false`, so every telemetry branch guarded by
-//!    [`MetricsSink::live`] (or the [`count!`]/[`observe!`] macros)
-//!    is dead code the optimiser removes. Hot loops stay on the
-//!    PR2 allocation-free contract.
+//!    [`MetricsSink::live`] is dead code the optimiser removes. Hot
+//!    loops never call a sink: they bump plain [`stats`] counters that
+//!    the sink consumes at job boundaries, so they stay on the
+//!    allocation-free contract.
 //! 2. **Counts, not clocks, in the journal.** The [`Journal`] records
 //!    only deterministic quantities (iteration counts, rescue rungs,
 //!    accept/reject tallies). Wall-clock durations live exclusively
@@ -33,7 +34,7 @@
 //! # Layout
 //!
 //! - [`sink`]: the [`MetricsSink`] trait, [`NoopSink`], the recording
-//!   [`MemorySink`], and the guarded [`count!`]/[`observe!`] macros.
+//!   [`MemorySink`].
 //! - [`hist`]: [`FixedHistogram`] with caller-fixed bucket bounds.
 //! - [`span`]: [`Stopwatch`] and [`Span`] monotonic timing.
 //! - [`deadline`]: the injectable [`Deadline`] trait with

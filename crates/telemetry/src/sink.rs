@@ -7,10 +7,11 @@
 //! `false` and the optimiser deletes the branch — hot loops keep the
 //! PR2 allocation-free contract and bit-identical outputs for free.
 //!
-//! Inside declared `// lint: hot-loop` regions the guard is mandatory:
-//! `samurai-lint` rule OBS001 rejects direct `.counter(..)` /
-//! `.observe(..)` calls there and the [`count!`](crate::count)/[`observe!`](crate::observe) macros
-//! are the sanctioned form.
+//! Declared `// lint: hot-loop` regions never call a sink at all:
+//! `samurai-lint` rule OBS001 rejects `.counter(..)` / `.observe(..)`
+//! there. Hot loops bump plain `u64` fields on the workspace stats
+//! ([`crate::SolverStats`], [`crate::TrapStats`]) and the sink
+//! consumes those bundles at job boundaries.
 
 use std::collections::BTreeMap;
 
@@ -115,30 +116,6 @@ impl MetricsSink for MemorySink {
     }
 }
 
-/// Adds to a counter through a [`MetricsSink`], guarded on
-/// [`MetricsSink::live`] — the zero-cost form required inside
-/// `// lint: hot-loop` regions (rule OBS001).
-#[macro_export]
-macro_rules! count {
-    ($sink:expr, $key:expr, $delta:expr) => {
-        if $crate::MetricsSink::live(&$sink) {
-            $crate::MetricsSink::counter(&mut $sink, $key, $delta);
-        }
-    };
-}
-
-/// Records an observation through a [`MetricsSink`], guarded on
-/// [`MetricsSink::live`] — the zero-cost form required inside
-/// `// lint: hot-loop` regions (rule OBS001).
-#[macro_export]
-macro_rules! observe {
-    ($sink:expr, $key:expr, $value:expr) => {
-        if $crate::MetricsSink::live(&$sink) {
-            $crate::MetricsSink::observe(&mut $sink, $key, $value);
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,18 +141,5 @@ mod tests {
         assert_eq!(sink.histogram("lat").unwrap().counts(), &[1, 1, 0]);
         assert!(sink.histogram("other").is_none());
         assert_eq!(sink.counter_value("missing"), 0);
-    }
-
-    #[test]
-    fn guarded_macros_respect_liveness() {
-        let mut mem = MemorySink::new();
-        count!(mem, "hits", 1);
-        observe!(mem, "v", 3.0);
-        assert_eq!(mem.counter_value("hits"), 1);
-        assert_eq!(mem.samples("v"), &[3.0]);
-
-        let mut off = NoopSink;
-        count!(off, "hits", 1); // compiles to nothing
-        observe!(off, "v", 3.0);
     }
 }

@@ -4,9 +4,12 @@
 //! wall-clock knobs, never statistics knobs (see
 //! `samurai::core::ensemble` for the three rules that make it so).
 
-use samurai::core::ensemble::{run_ensemble, MeanTrace, Parallelism};
+use samurai::core::ensemble::{
+    run_ensemble_resilient_observed, ExecutionPolicy, MeanTrace, Parallelism,
+};
+use samurai::core::telemetry::Recorder;
 use samurai::core::{
-    ensemble_occupancy_with, simulate_trap, BiasWaveforms, RtnGenerator, SeedStream,
+    ensemble_occupancy_with, simulate_trap, BiasWaveforms, CoreError, RtnGenerator, SeedStream,
 };
 use samurai::sram::array::{run_array, ArrayConfig};
 use samurai::sram::MethodologyConfig;
@@ -212,22 +215,24 @@ fn golden_occupancy_staircase_is_pinned() {
 fn mean_trace_reduction_is_order_stable() {
     let run = |workers: usize| -> Vec<f64> {
         let seeds = SeedStream::new(9);
-        let acc = run_ensemble(
+        let outcome = run_ensemble_resilient_observed(
             500,
             Parallelism::Fixed(workers),
+            &ExecutionPolicy::default(),
+            &mut Recorder::noop(),
             || MeanTrace::zeros(16),
-            |job| {
+            |job, _rung, _probe| {
                 use rand::Rng;
                 let mut rng = seeds.rng(job as u64);
-                Ok::<_, std::convert::Infallible>(
+                Ok::<_, CoreError>(
                     (0..16)
                         .map(|_| rng.gen::<f64>().ln_1p())
                         .collect::<Vec<f64>>(),
                 )
             },
         )
-        .expect("infallible");
-        acc.mean()
+        .expect("the jobs are total");
+        outcome.acc.mean()
     };
     let reference = run(1);
     for workers in WORKER_COUNTS {

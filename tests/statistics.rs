@@ -13,7 +13,10 @@
 //!    (Kolmogorov–Smirnov). Sharding must not be a statistics knob.
 
 use samurai::analysis::{analytical, stats};
-use samurai::core::ensemble::{run_ensemble, IndexedResults, MeanTrace, Parallelism};
+use samurai::core::ensemble::{
+    run_ensemble_resilient_observed, ExecutionPolicy, IndexedResults, MeanTrace, Parallelism,
+};
+use samurai::core::telemetry::Recorder;
 use samurai::core::{simulate_trap, CoreError, SeedStream};
 use samurai::trap::{DeviceParams, PropensityModel, TrapParams};
 use samurai::units::{Energy, Length};
@@ -40,11 +43,13 @@ fn machlup_ensemble(seed: u64, parallelism: Parallelism) -> MeanTrace {
     let t_ref = 30.0 / lambda; // ~e^-30 from the Empty start: stationary
     let tf = t_ref + (LAGS + 1) as f64 * dlag;
     let seeds = SeedStream::new(seed);
-    run_ensemble(
+    run_ensemble_resilient_observed(
         TRAPS,
         parallelism,
+        &ExecutionPolicy::default(),
+        &mut Recorder::noop(),
         || MeanTrace::zeros(LAGS + 1),
-        |job| -> Result<Vec<f64>, CoreError> {
+        |job, _rung, _probe| -> Result<Vec<f64>, CoreError> {
             let occ = simulate_trap(&m, &Pwl::constant(v), 0.0, tf, &mut seeds.rng(job as u64))?;
             let x = occ.sample(t_ref, dlag, LAGS + 1);
             let x = x.values();
@@ -54,6 +59,7 @@ fn machlup_ensemble(seed: u64, parallelism: Parallelism) -> MeanTrace {
         },
     )
     .expect("horizon scaled to the trap rate")
+    .acc
 }
 
 #[test]
@@ -142,17 +148,20 @@ fn dwell_times_from_a_parallel_ensemble_stay_exponential() {
     let seeds = SeedStream::new(33);
 
     let collect = |parallelism: Parallelism| -> Vec<Vec<(f64, f64)>> {
-        run_ensemble(
+        run_ensemble_resilient_observed(
             traps,
             parallelism,
+            &ExecutionPolicy::default(),
+            &mut Recorder::noop(),
             IndexedResults::new,
-            |job| -> Result<Vec<(f64, f64)>, CoreError> {
+            |job, _rung, _probe| -> Result<Vec<(f64, f64)>, CoreError> {
                 let occ =
                     simulate_trap(&m, &Pwl::constant(v), 0.0, tf, &mut seeds.rng(job as u64))?;
                 Ok(occ.dwells())
             },
         )
         .expect("horizon scaled to the trap rate")
+        .acc
         .into_vec()
     };
 
