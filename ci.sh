@@ -27,6 +27,16 @@ cargo test -q -p samurai --test solver_equivalence
 # on and off, so a solver change that alters a workload's results
 # fails here and not only in a benchmark run.
 cargo test -q --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml
+# Bit-identity gate on the SPICE workloads: one full-size seed-1
+# repetition of each (about 10 s together). The ledger compares the
+# run's journal digest with the one pinned in metrics/ledger/digests.json
+# and reports "correct":true on its last line only when they match.
+for workload in column64_write corner_sweep; do
+    cargo run -q --release --offline \
+        --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        | tail -n 1 | grep -q '"correct":true'
+done
 cargo clippy --workspace --all-targets -- -D warnings
 # Project invariants (determinism / hot-loop purity incl. call-graph
 # reachability / draw order / layering / hygiene / unsafe audit): any

@@ -11,8 +11,8 @@ use samurai_spice::{
     TransientConfig, TransientStepper,
 };
 use samurai_sram::{
-    build_write_waveforms, run_methodology, ColumnConfig, MethodologyConfig, SramCell,
-    SramCellParams, SramColumn, WriteTiming,
+    build_write_waveforms, run_methodology, ColumnConfig, ColumnTiming, MethodologyConfig,
+    SramCell, SramCellParams, SramColumn, WriteTiming,
 };
 use samurai_waveform::BitPattern;
 
@@ -89,7 +89,17 @@ fn bench_compiled_vs_seed(c: &mut Criterion) {
 /// of a circuit resting at its DC operating point converges in exactly
 /// one iteration (asserted below), so each timed call is one. The
 /// 64-row column (275 unknowns) takes the sparse LU, the 6T cell the
-/// dense one.
+/// dense one. At rest every EKV memo lookup hits and every sparse
+/// factorization replays its recorded program, so these are the
+/// iteration's floor.
+///
+/// `column64_sparse_write` is the miss path: each timed call clones a
+/// 64-row column stepper at its pre-write operating point and steps it
+/// with a fixed backward-Euler step through precharge and the whole
+/// word-line pulse, where terminal voltages move (memo misses) and
+/// pivots change (program switches and searches). The sweep's Newton
+/// iteration count is printed once, to read a per-iteration cost off
+/// the per-sweep time.
 fn bench_newton_iteration(c: &mut Criterion) {
     const H: f64 = 1e-12;
     let column = SramColumn::build(&ColumnConfig {
@@ -103,7 +113,7 @@ fn bench_newton_iteration(c: &mut Criterion) {
     };
     let cell = SramCell::new(SramCellParams::default());
     let cases: [(&str, &Circuit, DcConfig); 2] = [
-        ("column64_sparse", &column.circuit, column_dc),
+        ("column64_sparse", &column.circuit, column_dc.clone()),
         ("cell_dense", &cell.circuit, DcConfig::default()),
     ];
     let mut group = c.benchmark_group("spice/newton_iteration");
@@ -121,6 +131,29 @@ fn bench_newton_iteration(c: &mut Criterion) {
             b.iter(|| stepper.step(H).expect("a resting step converges"))
         });
     }
+
+    const WRITE_STEP: f64 = 10e-12;
+    let timing = ColumnTiming::default();
+    let mut writing = column.clone();
+    writing
+        .drive_write(&timing, true)
+        .expect("the write waveforms build");
+    let start = TransientStepper::new(&writing.circuit, 0.0, &column_dc)
+        .expect("the pre-write operating point converges");
+    let wl_off = timing.precharge + 2.0 * timing.edge + timing.write;
+    let steps = ((wl_off + timing.edge) / WRITE_STEP).ceil() as usize;
+    let sweep = || {
+        let mut stepper = start.clone();
+        for _ in 0..steps {
+            stepper.step(WRITE_STEP).expect("a write step converges");
+        }
+        stepper.stats().newton_iterations - start.stats().newton_iterations
+    };
+    println!(
+        "spice/newton_iteration/column64_sparse_write: {steps} steps, {} Newton iterations per sweep",
+        sweep()
+    );
+    group.bench_function("column64_sparse_write", |b| b.iter(sweep));
     group.finish();
 }
 

@@ -234,18 +234,10 @@ pub trait CheckpointCodec: Sized {
     fn decode(v: &JsonValue) -> Option<Self>;
 }
 
-/// FNV-1a 64-bit — the snapshot content hash. Stable, dependency-free
-/// and fast; this is an integrity check against torn writes and bit
-/// rot, not a cryptographic seal.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a 64-bit — the snapshot content hash. It lives in
+/// `samurai-telemetry` next to the JSON writer; this re-export keeps
+/// the `checkpoint::fnv1a64` and crate-root paths.
+pub use samurai_telemetry::fnv1a64;
 
 /// Writes a snapshot (or any small artifact) atomically: the contents
 /// go to a `<path>.tmp` sibling first and are renamed into place, so a

@@ -23,9 +23,9 @@
 //! exclusion of the fault plan: a run killed by the drill must resume
 //! (and cache) as the plain run it prefixes.
 
-use samurai_core::checkpoint::{fnv1a64, Snapshot};
+use samurai_core::checkpoint::Snapshot;
 use samurai_core::{FailurePolicy, ScenarioConfig};
-use samurai_telemetry::JsonValue;
+use samurai_telemetry::{fnv1a64, JsonValue};
 
 use crate::error::ServeError;
 

@@ -22,8 +22,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use samurai_core::checkpoint::{fnv1a64, write_checkpoint_atomic};
-use samurai_telemetry::{json, JsonValue};
+use samurai_core::checkpoint::write_checkpoint_atomic;
+use samurai_telemetry::{fnv1a64, json, JsonValue};
 
 use crate::spec::{parse_ticket, ticket_hex, REQUEST_SCHEMA};
 

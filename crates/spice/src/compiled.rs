@@ -45,6 +45,7 @@ use samurai_core::faults::{FaultArm, FaultKind};
 use samurai_telemetry::SolverStats;
 
 use crate::linalg::DenseMatrix;
+use crate::mosfet::EkvMemo;
 use crate::netlist::{Circuit, Element, ElementId, Source};
 use crate::sparse::{CscMatrix, SparseLu, SparsityPattern};
 use crate::{MosfetParams, SpiceError};
@@ -267,7 +268,11 @@ impl SolverSystem {
 /// A workspace is tied to the dimensions of the [`CompiledCircuit`]
 /// it was created for; reusing it across solves (or across whole
 /// transient runs) is bit-identical to using a fresh one, because
-/// every analysis fully re-seeds the state it reads.
+/// every analysis fully re-seeds the state it reads. The one state a
+/// workspace carries from solve to solve on purpose is exact memo
+/// state: each MOSFET's last EKV `F(u)` arguments and values, which
+/// answer a repeated argument with the value `F` would compute, so
+/// they can change the cost of a solve but never a bit of it.
 #[derive(Debug, Clone)]
 pub struct NewtonWorkspace {
     /// The assembled Jacobian with its factorisation scratch, dense or
@@ -285,6 +290,13 @@ pub struct NewtonWorkspace {
     pub(crate) x_try: Vec<f64>,
     /// Per-capacitor companion-model history.
     pub(crate) cap_states: Vec<CapState>,
+    /// Per-capacitor companion `(g_eq, i_eq)` under the solve's
+    /// integration mode and histories, indexed like `cap_states` and
+    /// refreshed once per Newton solve.
+    pub(crate) companions: Vec<(f64, f64)>,
+    /// Per-MOSFET memo of the EKV interpolation function, kept across
+    /// iterations and solves (exact: see [`EkvMemo`]).
+    pub(crate) ekv_memo: Vec<EkvMemo>,
     /// Every source waveform of the compiled circuit evaluated at `t`,
     /// refreshed once per Newton solve (the stamps apply
     /// `source_scale`).
@@ -319,6 +331,8 @@ impl NewtonWorkspace {
             x: vec![0.0; n],
             x_try: Vec::with_capacity(n),
             cap_states: vec![CapState::default(); compiled.cap_state_count],
+            companions: vec![(0.0, 0.0); compiled.cap_state_count],
+            ekv_memo: vec![EkvMemo::default(); compiled.mosfet_count],
             source_values: vec![0.0; compiled.sources.len()],
             t: 0.0,
             mode: IntegMode::Dc,
@@ -566,7 +580,7 @@ pub(crate) struct CapacitorStamp {
 
 impl Stamp for CapacitorStamp {
     fn stamp(&self, x: &[f64], ws: &mut NewtonWorkspace) {
-        let (g, i0) = ws.mode.companion(self.c, ws.cap_states[self.state]);
+        let (g, i0) = ws.companions[self.state];
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
         if g != 0.0 || i0 != 0.0 {
             let jac = ws.sys.values_mut();
@@ -666,14 +680,19 @@ pub(crate) struct MosfetStamp {
     pub params: MosfetParams,
     /// Workspace history slots for the Cgs, Cgd, Cdb charge model.
     pub caps: [usize; 3],
+    /// Index of this device's EKV memo in the workspace.
+    pub memo: usize,
     pub slots: MosfetSlots,
 }
 
 impl Stamp for MosfetStamp {
     fn stamp(&self, x: &[f64], ws: &mut NewtonWorkspace) {
-        let (id, dd, dg, ds) = self
-            .params
-            .eval(v_at(x, self.d), v_at(x, self.g), v_at(x, self.s));
+        let (id, dd, dg, ds) = self.params.eval_memo(
+            v_at(x, self.d),
+            v_at(x, self.g),
+            v_at(x, self.s),
+            &mut ws.ekv_memo[self.memo],
+        );
         let jac = ws.sys.values_mut();
         let res = &mut ws.res;
         add_res(res, self.d, id);
@@ -686,23 +705,17 @@ impl Stamp for MosfetStamp {
         add_jac(jac, ch[4], -dg);
         add_jac(jac, ch[5], -ds);
         // Charge model: Cgs, Cgd, Cdb.
-        let (g_gs, i_gs) = ws
-            .mode
-            .companion(self.params.cgs, ws.cap_states[self.caps[0]]);
+        let (g_gs, i_gs) = ws.companions[self.caps[0]];
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
         if g_gs != 0.0 || i_gs != 0.0 {
             stamp_branch(jac, res, x, self.g, self.s, &self.slots.gs, g_gs, i_gs);
         }
-        let (g_gd, i_gd) = ws
-            .mode
-            .companion(self.params.cgd, ws.cap_states[self.caps[1]]);
+        let (g_gd, i_gd) = ws.companions[self.caps[1]];
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
         if g_gd != 0.0 || i_gd != 0.0 {
             stamp_branch(jac, res, x, self.g, self.d, &self.slots.gd, g_gd, i_gd);
         }
-        let (g_db, i_db) = ws
-            .mode
-            .companion(self.params.cdb, ws.cap_states[self.caps[2]]);
+        let (g_db, i_db) = ws.companions[self.caps[2]];
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
         if g_db != 0.0 || i_db != 0.0 {
             stamp_branch(jac, res, x, self.d, None, &self.slots.db, g_db, i_db);
@@ -806,6 +819,7 @@ impl DeviceStamp {
                 s: s.unknown_index(),
                 params: *params,
                 caps: *cap_states,
+                memo: 0,
                 slots: MosfetSlots {
                     channel: [NO_SLOT; 6],
                     gs: [NO_SLOT; 4],
@@ -921,6 +935,8 @@ pub struct CompiledCircuit {
     pub(crate) n_nodes: usize,
     pub(crate) n_unknowns: usize,
     pub(crate) cap_state_count: usize,
+    /// Number of MOSFET stamps (each owns one workspace EKV memo).
+    pub(crate) mosfet_count: usize,
     pub(crate) gmin: f64,
     pub(crate) stamps: Vec<DeviceStamp>,
     /// Source waveforms, in element order; source stamps hold indices
@@ -996,6 +1012,13 @@ impl CompiledCircuit {
             SolverKind::Sparse => pattern.min_degree_ordering(),
             SolverKind::Dense => Vec::new(),
         };
+        let mut mosfet_count = 0;
+        for stamp in &mut stamps {
+            if let DeviceStamp::Mosfet(m) = stamp {
+                m.memo = mosfet_count;
+                mosfet_count += 1;
+            }
+        }
         let mut map = SlotMap {
             fill: &fill,
             pattern: &pattern,
@@ -1013,6 +1036,7 @@ impl CompiledCircuit {
             n_nodes,
             n_unknowns,
             cap_state_count: ckt.cap_state_count,
+            mosfet_count,
             gmin: ckt.gmin,
             stamps,
             sources,
@@ -1111,18 +1135,39 @@ impl CompiledCircuit {
     // allocation-free: everything they touch is preallocated in the
     // `NewtonWorkspace`.
 
-    /// Evaluates every source waveform at the workspace time `ws.t`
-    /// into `ws.source_values` — once per Newton solve, since `t` is
-    /// fixed for the whole solve.
-    pub(crate) fn load_sources(&self, ws: &mut NewtonWorkspace) {
+    /// Evaluates what is fixed for a whole Newton solve, once per
+    /// solve: every source waveform at the workspace time `ws.t` into
+    /// `ws.source_values`, and every capacitor companion — the
+    /// discrete capacitors and each MOSFET's Cgs, Cgd and Cdb, read
+    /// from the live (possibly patched) parameters — under the
+    /// workspace's integration mode and histories into
+    /// `ws.companions`.
+    pub(crate) fn prepare_solve(&self, ws: &mut NewtonWorkspace) {
         for (value, source) in ws.source_values.iter_mut().zip(&self.sources) {
             *value = source.eval(ws.t);
+        }
+        let (mode, states) = (ws.mode, &ws.cap_states);
+        let companions = &mut ws.companions;
+        for stamp in &self.stamps {
+            match stamp {
+                DeviceStamp::Capacitor(c) => {
+                    companions[c.state] = mode.companion(c.c, states[c.state]);
+                }
+                DeviceStamp::Mosfet(m) => {
+                    let caps = [m.params.cgs, m.params.cgd, m.params.cdb];
+                    for (c, idx) in caps.into_iter().zip(m.caps) {
+                        companions[idx] = mode.companion(c, states[idx]);
+                    }
+                }
+                _ => {}
+            }
         }
     }
 
     /// Assembles the residual and Jacobian at solution `x`, under the
     /// workspace's stamp context (mode, homotopy scales, and the source
-    /// values [`load_sources`](Self::load_sources) left for `t`).
+    /// values and capacitor companions
+    /// [`prepare_solve`](Self::prepare_solve) left for the solve).
     pub(crate) fn assemble(&self, x: &[f64], ws: &mut NewtonWorkspace) {
         ws.sys.clear_fill(&self.fill);
         ws.res.iter_mut().for_each(|r| *r = 0.0);
@@ -1167,7 +1212,7 @@ impl CompiledCircuit {
             injected,
             Some(FaultKind::NonConvergence | FaultKind::TimestepFloor)
         );
-        self.load_sources(ws);
+        self.prepare_solve(ws);
 
         let mut last_max_dv = f64::NAN;
         for iter in 0..config.max_iterations {
@@ -1526,7 +1571,7 @@ mod tests {
             let x: Vec<f64> = (0..n).map(|i| 0.7 - 0.05 * i as f64).collect();
             for mode in modes {
                 ws.mode = mode;
-                compiled.load_sources(&mut ws);
+                compiled.prepare_solve(&mut ws);
                 compiled.assemble(&x, &mut ws);
                 let (jac, res) = assemble_by_coordinates(&compiled, &x, &ws);
                 let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
@@ -1618,6 +1663,52 @@ mod tests {
                 again,
                 run_bits(&fresh, &mut fresh_ws, &fresh_ckt),
                 "{choice:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn patch_and_undo_between_runs_match_a_fresh_workspace() {
+        use crate::{MosfetAdjust, ParamPatch, PatchUndo};
+        let ckt = every_stamp_circuit();
+        // Elements 3 and 5 are the two MOSFETs: geometry moves their
+        // Cgs/Cgd/Cdb, so a companion table built from stale
+        // capacitances would show.
+        let adjust = MosfetAdjust {
+            vth_delta: 0.04,
+            beta_scale: 1.0,
+            geom_scale: 1.3,
+        };
+        let patch = ParamPatch {
+            devices: vec![(ElementId(3), adjust), (ElementId(5), adjust)],
+            ..ParamPatch::nominal()
+        };
+        let mut patched_ckt = ckt.clone();
+        patch.apply_to_circuit(&mut patched_ckt).unwrap();
+        for choice in [SolverChoice::Dense, SolverChoice::Sparse] {
+            let fresh_run = |c: &Circuit| {
+                let compiled = CompiledCircuit::compile_with_solver(c, choice);
+                run_bits(&compiled, &mut NewtonWorkspace::new(&compiled), c)
+            };
+            let nominal = fresh_run(&ckt);
+            let shifted = fresh_run(&patched_ckt);
+            assert_ne!(nominal, shifted, "{choice:?}: the patch must matter");
+
+            let mut compiled = CompiledCircuit::compile_with_solver(&ckt, choice);
+            let mut ws = NewtonWorkspace::new(&compiled);
+            assert_eq!(run_bits(&compiled, &mut ws, &ckt), nominal, "{choice:?}");
+            let mut undo = PatchUndo::new();
+            compiled.apply_patch(&patch, &mut undo).unwrap();
+            assert_eq!(
+                run_bits(&compiled, &mut ws, &ckt),
+                shifted,
+                "{choice:?} patched"
+            );
+            compiled.revert_patch(&mut undo);
+            assert_eq!(
+                run_bits(&compiled, &mut ws, &ckt),
+                nominal,
+                "{choice:?} undone"
             );
         }
     }

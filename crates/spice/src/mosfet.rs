@@ -106,37 +106,79 @@ impl MosfetParams {
     /// *inside* the device (standard NMOS convention; a conducting PMOS
     /// therefore reports negative `i_d`).
     pub fn eval(&self, vd: f64, vg: f64, vs: f64) -> (f64, f64, f64, f64) {
+        self.eval_with(vd, vg, vs, &mut |_, u| big_f(u))
+    }
+
+    /// [`eval`](Self::eval) with each `F` call answered from `memo`
+    /// when its argument's bits equal that call site's previous
+    /// argument. `F` is a pure function of its argument, so the result
+    /// is `eval`'s, bit for bit.
+    // lint: hot-fn
+    pub(crate) fn eval_memo(
+        &self,
+        vd: f64,
+        vg: f64,
+        vs: f64,
+        memo: &mut EkvMemo,
+    ) -> (f64, f64, f64, f64) {
+        self.eval_with(vd, vg, vs, &mut |site, u| memo.big_f(site, u))
+    }
+
+    /// `eval` over an `F` provider called as `f(site, u)`, with site 0
+    /// for `u_f` and 1 for `u_r`.
+    #[inline(always)]
+    fn eval_with(
+        &self,
+        vd: f64,
+        vg: f64,
+        vs: f64,
+        f: &mut impl FnMut(usize, f64) -> (f64, f64),
+    ) -> (f64, f64, f64, f64) {
         match self.mos_type {
-            MosType::Nmos => self.eval_nmos(vd, vg, vs),
+            MosType::Nmos => self.eval_nmos(vd, vg, vs, f),
             MosType::Pmos => {
                 // PMOS = NMOS with negated terminal voltages; the
                 // partials keep their sign (chain rule through two
                 // negations).
-                let (i, dd, dg, ds) = self.eval_nmos(-vd, -vg, -vs);
+                let (i, dd, dg, ds) = self.eval_nmos(-vd, -vg, -vs, f);
                 (-i, dd, dg, ds)
             }
         }
     }
 
-    fn eval_nmos(&self, vd: f64, vg: f64, vs: f64) -> (f64, f64, f64, f64) {
+    #[inline(always)]
+    fn eval_nmos(
+        &self,
+        vd: f64,
+        vg: f64,
+        vs: f64,
+        f: &mut impl FnMut(usize, f64) -> (f64, f64),
+    ) -> (f64, f64, f64, f64) {
         if vd >= vs {
-            self.eval_nmos_forward(vd, vg, vs)
+            self.eval_nmos_forward(vd, vg, vs, f)
         } else {
             // Source/drain symmetry: swap the roles, negate current.
-            let (i, dd, dg, ds) = self.eval_nmos_forward(vs, vg, vd);
+            let (i, dd, dg, ds) = self.eval_nmos_forward(vs, vg, vd, f);
             // Here dd is d(i)/d(new drain) = d(i)/d(vs) etc.
             (-i, -ds, -dg, -dd)
         }
     }
 
-    fn eval_nmos_forward(&self, vd: f64, vg: f64, vs: f64) -> (f64, f64, f64, f64) {
+    #[inline(always)]
+    fn eval_nmos_forward(
+        &self,
+        vd: f64,
+        vg: f64,
+        vs: f64,
+        f: &mut impl FnMut(usize, f64) -> (f64, f64),
+    ) -> (f64, f64, f64, f64) {
         let vgs = vg - vs;
         let vds = vd - vs;
         let nphi = self.n * self.phi_t;
         let u_f = (vgs - self.vth) / nphi;
         let u_r = (vgs - self.vth - self.n * vds) / nphi;
-        let (ff, dff) = big_f(u_f);
-        let (fr, dfr) = big_f(u_r);
+        let (ff, dff) = f(0, u_f);
+        let (fr, dfr) = f(1, u_r);
         let clm = 1.0 + self.lambda * vds;
         let i0 = self.i0();
 
@@ -151,6 +193,46 @@ impl MosfetParams {
         let dg = di_dvgs;
         let ds = -(di_dvgs + di_dvds);
         (id, dd, dg, ds)
+    }
+}
+
+/// One device's last `F` argument and value at each of its two call
+/// sites (`u_f` and `u_r`), kept across Newton iterations and solves.
+///
+/// A resting device sees bit-identical terminal voltages from one
+/// assembly to the next, so about half of all `F` calls repeat their
+/// site's previous argument. `F` depends on nothing but its argument —
+/// no parameter patch or source rewrite can change it — so the memo
+/// never needs invalidating; it starts from the real pair at `u = 0`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EkvMemo {
+    /// Bits of each site's last argument.
+    u: [u64; 2],
+    /// `(F(u), F'(u))` for those arguments.
+    f: [(f64, f64); 2],
+}
+
+impl Default for EkvMemo {
+    fn default() -> Self {
+        Self {
+            u: [0.0f64.to_bits(); 2],
+            f: [big_f(0.0); 2],
+        }
+    }
+}
+
+impl EkvMemo {
+    /// `F(u)` at call site `site`, recomputed only when `u`'s bits
+    /// differ from that site's last argument.
+    // lint: hot-fn
+    #[inline(always)]
+    fn big_f(&mut self, site: usize, u: f64) -> (f64, f64) {
+        let bits = u.to_bits();
+        if self.u[site] != bits {
+            self.u[site] = bits;
+            self.f[site] = big_f(u);
+        }
+        self.f[site]
     }
 }
 
@@ -261,7 +343,68 @@ mod tests {
         assert!(i_off.abs() < 1e-9, "off PMOS current {i_off}");
     }
 
+    /// The next terminal-voltage triple of a memo test sequence,
+    /// decoded from `w`: a fresh triple spanning ±5 V (so `|u/2| > 30`
+    /// is reached on both sides), the previous one repeated, one
+    /// terminal moved by one ulp, drain and source swapped, or one
+    /// terminal set to `+0.0` or `-0.0`.
+    fn next_bias(prev: [f64; 3], w: u64) -> [f64; 3] {
+        let volt = |bits: u64| ((bits % 20_001) as f64 - 10_000.0) * 5e-4;
+        let t = ((w >> 8) % 3) as usize;
+        let mut v = prev;
+        match w % 6 {
+            0 | 1 => v = [volt(w >> 10), volt(w >> 25), volt(w >> 40)],
+            2 => {}
+            3 => v[t] = f64::from_bits(v[t].to_bits() ^ 1),
+            4 => v.swap(0, 2),
+            _ => v[t] = if (w >> 12) & 1 == 0 { 0.0 } else { -0.0 },
+        }
+        v
+    }
+
+    #[test]
+    fn memo_answers_signed_zeros_and_both_tails_exactly() {
+        let mut memo = EkvMemo::default();
+        let args = [
+            0.0, -0.0, -0.0, 0.0, 61.0, 61.0, -61.0, 60.0, -60.0, 1e-300, -1e-300, 0.0,
+        ];
+        for (site, &u) in args.iter().enumerate() {
+            let site = site % 2;
+            let (f, df) = memo.big_f(site, u);
+            let (f_ref, df_ref) = big_f(u);
+            assert_eq!(
+                (f.to_bits(), df.to_bits()),
+                (f_ref.to_bits(), df_ref.to_bits()),
+                "u = {u:e}"
+            );
+        }
+    }
+
     proptest! {
+        /// Evaluation through one memo equals `eval` bit for bit over
+        /// random bias sequences with repeated and near-repeated
+        /// voltages, both orientations (`vd < vs`), both tails of `F`
+        /// and signed zeros. One memo serves both polarities, which is
+        /// harsher than the engine's one memo per device.
+        #[test]
+        fn memoised_eval_matches_eval_bit_for_bit(
+            words in proptest::collection::vec(any::<u64>(), 1..200),
+        ) {
+            let devices = [nmos(), pmos()];
+            let mut memo = EkvMemo::default();
+            let mut v = [0.0; 3];
+            for &w in &words {
+                v = next_bias(v, w);
+                let m = &devices[((w >> 7) & 1) as usize];
+                let got = m.eval_memo(v[0], v[1], v[2], &mut memo);
+                let want = m.eval(v[0], v[1], v[2]);
+                let bits = |r: (f64, f64, f64, f64)| {
+                    [r.0.to_bits(), r.1.to_bits(), r.2.to_bits(), r.3.to_bits()]
+                };
+                prop_assert_eq!(bits(got), bits(want), "bias {:?}", v);
+            }
+        }
+
         #[test]
         fn derivatives_match_finite_differences(
             vd in -1.2f64..1.2,

@@ -22,9 +22,10 @@
 //!   not-yet-pivotal row as pivot. Pivoting is mandatory here —
 //!   voltage-source branch rows have structurally zero diagonals.
 //!   The reach of a column depends only on the pattern and the
-//!   earlier pivots, so refactoring the same pattern replays the
-//!   recorded reach lists for as long as the pivots agree (see
-//!   [`SparseLu::factor`]).
+//!   earlier pivots, so every index of a factorization is fixed by its
+//!   pivot sequence: refactoring the same pattern runs one of the last
+//!   two recorded factorizations as a flat numeric kernel for as long
+//!   as the pivots agree with it (see [`SparseLu::factor`]).
 //!
 //! All factor storage is owned by the [`SparseLu`] workspace and
 //! reused across factorizations. Because the Newton loop factors the
@@ -232,6 +233,13 @@ impl CscMatrix {
     }
     // lint: end-hot-loop
 
+    /// Row indices and values of column `c`.
+    #[inline]
+    fn column(&self, c: usize) -> (&[usize], &[f64]) {
+        let (lo, hi) = (self.pattern.col_ptr[c], self.pattern.col_ptr[c + 1]);
+        (&self.pattern.row_idx[lo..hi], &self.values[lo..hi])
+    }
+
     /// Reads entry `(r, c)` (zero outside the pattern).
     pub fn get(&self, r: usize, c: usize) -> f64 {
         self.pattern.position(r, c).map_or(0.0, |k| self.values[k])
@@ -266,31 +274,162 @@ impl CscMatrix {
     }
 }
 
-/// A reusable Gilbert–Peierls LU workspace: numeric L/U factors, the
-/// dense accumulator and DFS stacks, and the pivoting permutation.
-///
-/// One `SparseLu` serves one system size for its whole life; calling
-/// [`factor`](Self::factor) repeatedly on matrices with the same
-/// pattern performs no heap allocation after the first call (the L/U
-/// arrays are cleared and refilled to identical lengths, so their
-/// capacity never grows again).
-///
-/// Each factorization also records, per factor position, the reach
-/// list the DFS produced and the pivot the rule chose. The next
-/// factorization of the *same* [`CscMatrix`] pattern replays those
-/// reach lists instead of searching, up to and including the first
-/// position whose pivot differs (see [`factor`](Self::factor)).
+/// One recorded factorization of a pattern: every index a
+/// factorization produces, all of which are fixed once its pivot
+/// sequence is. [`SparseLu`] keeps the last two and replays them with
+/// a numeric kernel that writes the values in place.
 #[derive(Debug, Clone)]
-pub struct SparseLu {
-    n: usize,
+struct LuProgram {
+    /// Pivot row of each factor position.
+    piv: Vec<usize>,
+    /// `pinv[row]` is the factor position `row` pivots ([`NONE`] while
+    /// the row is still available during recording).
+    pinv: Vec<usize>,
+    /// `L` column `kk` is `l_colptr[kk]..l_colptr[kk + 1]`, with the
+    /// unit diagonal (the pivot row) first.
     l_colptr: Vec<usize>,
+    /// `L`'s rows in original numbering: the rows an elimination
+    /// updates.
+    l_orig: Vec<usize>,
+    /// `L`'s rows in pivotal numbering: what [`SparseLu::solve`] sweeps.
     l_rowidx: Vec<usize>,
-    l_values: Vec<f64>,
+    /// `U` column `kk` is `u_colptr[kk]..u_colptr[kk + 1]`, with the
+    /// pivot last.
     u_colptr: Vec<usize>,
+    /// `U`'s rows in pivotal numbering. Off the diagonal these are the
+    /// earlier positions whose `L` columns update column `kk`, in
+    /// topological order.
     u_rowidx: Vec<usize>,
-    u_values: Vec<f64>,
-    /// Dense accumulator for the current column.
-    x: Vec<f64>,
+    /// Each position's pivot candidates — the rows of its reach not yet
+    /// pivotal — in reach order: `cand[cand_ptr[kk]..cand_ptr[kk + 1]]`.
+    cand_ptr: Vec<usize>,
+    cand: Vec<usize>,
+}
+
+impl LuProgram {
+    fn new(n: usize) -> Self {
+        Self {
+            piv: vec![NONE; n],
+            pinv: vec![NONE; n],
+            l_colptr: vec![0; n + 1],
+            l_orig: Vec::new(),
+            l_rowidx: Vec::new(),
+            u_colptr: vec![0; n + 1],
+            u_rowidx: Vec::new(),
+            cand_ptr: vec![0; n + 1],
+            cand: Vec::new(),
+        }
+    }
+
+    /// Empties the program for a recording from position 0.
+    fn reset(&mut self) {
+        self.pinv.iter_mut().for_each(|p| *p = NONE);
+        self.l_orig.clear();
+        self.u_rowidx.clear();
+        self.cand.clear();
+    }
+
+    /// Makes this program `src`'s first `kk` positions plus the reach
+    /// of position `kk` (its `U` column and candidates), which depend
+    /// only on the pivots before it.
+    fn copy_prefix(&mut self, src: &Self, kk: usize) {
+        fn copy_into(dst: &mut Vec<usize>, src: &[usize]) {
+            dst.clear();
+            dst.extend_from_slice(src);
+        }
+        self.piv[..kk].copy_from_slice(&src.piv[..kk]);
+        self.pinv.iter_mut().for_each(|p| *p = NONE);
+        for (pos, &row) in src.piv[..kk].iter().enumerate() {
+            self.pinv[row] = pos;
+        }
+        self.l_colptr[..=kk].copy_from_slice(&src.l_colptr[..=kk]);
+        self.u_colptr[..=kk + 1].copy_from_slice(&src.u_colptr[..=kk + 1]);
+        self.cand_ptr[..=kk + 1].copy_from_slice(&src.cand_ptr[..=kk + 1]);
+        copy_into(&mut self.l_orig, &src.l_orig[..src.l_colptr[kk]]);
+        copy_into(&mut self.u_rowidx, &src.u_rowidx[..src.u_colptr[kk + 1]]);
+        copy_into(&mut self.cand, &src.cand[..src.cand_ptr[kk + 1]]);
+    }
+
+    // lint: hot-loop
+    //
+    // Every factorization path eliminates its columns here.
+
+    /// Eliminates factor position `kk` with this program's recorded
+    /// `U` entries and candidates: scatters the position's column of
+    /// `A` (`rows`, `values`) into the all-zero `x`, applies the `L`
+    /// columns of the `U` entries in topological order — a row's value
+    /// is final when its turn comes, so it is also its `U` value, and
+    /// no later update reads it — and chooses the pivot among the
+    /// candidates, storing it as `U`'s diagonal. Returns the pivot row
+    /// with the candidates still live in `x`, or, with `x` all zero
+    /// again, `None` if no candidate is an acceptable pivot.
+    #[inline(always)]
+    fn eliminate(
+        &self,
+        kk: usize,
+        (rows, values): (&[usize], &[f64]),
+        x: &mut [f64],
+        l_values: &[f64],
+        u_values: &mut [f64],
+    ) -> Option<usize> {
+        for (&i, &v) in rows.iter().zip(values) {
+            x[i] = v;
+        }
+        let (u_lo, u_diag) = (self.u_colptr[kk], self.u_colptr[kk + 1] - 1);
+        for (&jcol, u) in self.u_rowidx[u_lo..u_diag]
+            .iter()
+            .zip(&mut u_values[u_lo..u_diag])
+        {
+            let j = self.piv[jcol];
+            let xj = x[j];
+            x[j] = 0.0;
+            *u = xj;
+            // L's unit diagonal is stored first in each column, so
+            // the division by it is a no-op; apply the strictly
+            // sub-diagonal entries.
+            let (l_lo, l_hi) = (self.l_colptr[jcol] + 1, self.l_colptr[jcol + 1]);
+            for (&i, &l) in self.l_orig[l_lo..l_hi].iter().zip(&l_values[l_lo..l_hi]) {
+                x[i] -= l * xj;
+            }
+        }
+        let cands = &self.cand[self.cand_ptr[kk]..self.cand_ptr[kk + 1]];
+        let ipiv = choose_pivot(x, cands);
+        match ipiv {
+            Some(i) => u_values[u_diag] = x[i],
+            None => cands.iter().for_each(|&i| x[i] = 0.0),
+        }
+        ipiv
+    }
+
+    /// Records pivot `ipiv` for eliminated position `kk` and appends
+    /// its `L` column — the pivot's unit diagonal, then the other
+    /// candidates divided by the pivot, in reach order — leaving `x`
+    /// all zero. `l_orig` and `l_values` must end where `L` column
+    /// `kk` starts.
+    fn push_l_column(&mut self, kk: usize, ipiv: usize, x: &mut [f64], l_values: &mut Vec<f64>) {
+        let pivot = x[ipiv];
+        self.piv[kk] = ipiv;
+        self.pinv[ipiv] = kk;
+        // lint: allow(HOT003): one unit-diagonal entry per column; capacity persists across factorizations
+        self.l_orig.push(ipiv);
+        l_values.push(1.0); // lint: allow(HOT003): one unit-diagonal entry per column
+        for &i in &self.cand[self.cand_ptr[kk]..self.cand_ptr[kk + 1]] {
+            if i != ipiv {
+                // lint: allow(HOT003): bounded by the column's L fill; capacity persists across factorizations
+                self.l_orig.push(i);
+                l_values.push(x[i] / pivot); // lint: allow(HOT003): same bound as the index push above
+            }
+            x[i] = 0.0;
+        }
+        self.l_colptr[kk + 1] = self.l_orig.len();
+    }
+    // lint: end-hot-loop
+}
+
+/// Depth-first search scratch: the DFS and topological-output stack
+/// and visit marks.
+#[derive(Debug, Clone)]
+struct Dfs {
     /// Shared stack: DFS recursion grows from the front, the
     /// topological output grows from the back (they never collide —
     /// their combined size is bounded by the number of reached nodes).
@@ -299,22 +438,53 @@ pub struct SparseLu {
     pstack: Vec<usize>,
     /// Visit marks, keyed by a per-column generation counter.
     flag: Vec<usize>,
-    /// `pinv[row] = kk` once `row` was chosen as the pivot of factor
-    /// position `kk`; [`NONE`] while the row is still available.
-    pinv: Vec<usize>,
+}
+
+/// A reusable Gilbert–Peierls LU workspace: numeric L/U factors, the
+/// dense accumulator and DFS stacks, and the recorded factorizations
+/// it replays.
+///
+/// One `SparseLu` serves one system size for its whole life; calling
+/// [`factor`](Self::factor) repeatedly on matrices with the same
+/// pattern performs no heap allocation once both recorded programs
+/// have reached their size.
+///
+/// Each factorization that searches also *records* a program: per
+/// factor position, the pivot row, the `U` entries to apply, the `L`
+/// rows and the pivot candidates. The next factorization of the
+/// *same* [`CscMatrix`] pattern runs the recorded program as a flat
+/// numeric kernel instead of searching, for as long as the pivots the
+/// rule picks agree with a program (see [`factor`](Self::factor)).
+#[derive(Debug, Clone)]
+pub struct SparseLu {
+    n: usize,
+    /// Values of `L` and `U`, laid out by the active program.
+    l_values: Vec<f64>,
+    u_values: Vec<f64>,
+    /// Dense accumulator for the current column; all zero between
+    /// columns.
+    x: Vec<f64>,
+    dfs: Dfs,
     /// Column elimination order: `q[kk]` is the original column
     /// factored at position `kk`. Identity unless the workspace was
     /// built with [`with_column_order`](Self::with_column_order).
     q: Vec<usize>,
-    /// The pattern the records below belong to; `None` before the
-    /// first factorization and after a failed one.
+    /// The last two recorded factorizations of `recorded`.
+    programs: [LuProgram; 2],
+    /// Which of `programs` are complete recordings.
+    complete: [bool; 2],
+    /// The program whose layout the values hold, and which the next
+    /// factorization replays first.
+    active: usize,
+    /// Leading factor positions on which both programs have the same
+    /// pivots (meaningful while both are complete).
+    shared: usize,
+    /// The pattern the programs belong to; `None` before the first
+    /// factorization and after a failed one.
     recorded: Option<Arc<SparsityPattern>>,
-    /// Recorded reach lists, in topological order: position `kk`'s is
-    /// `reach[reach_ptr[kk]..reach_ptr[kk + 1]]`.
-    reach: Vec<usize>,
-    reach_ptr: Vec<usize>,
-    /// Recorded pivot row of each factor position.
-    piv: Vec<usize>,
+    /// Factorizations that searched (in-crate tests only).
+    #[cfg(test)]
+    searches: usize,
 }
 
 /// A read-only view of the factors [`SparseLu::factor`] computed:
@@ -349,22 +519,22 @@ impl SparseLu {
         assert!(n > 0, "system dimension must be positive");
         Self {
             n,
-            l_colptr: vec![0; n + 1],
-            l_rowidx: Vec::new(),
             l_values: Vec::new(),
-            u_colptr: vec![0; n + 1],
-            u_rowidx: Vec::new(),
             u_values: Vec::new(),
             x: vec![0.0; n],
-            xi: vec![0; n],
-            pstack: vec![0; n],
-            flag: vec![0; n],
-            pinv: vec![NONE; n],
+            dfs: Dfs {
+                xi: vec![0; n],
+                pstack: vec![0; n],
+                flag: vec![0; n],
+            },
             q: (0..n).collect(),
+            programs: [LuProgram::new(n), LuProgram::new(n)],
+            complete: [false; 2],
+            active: 0,
+            shared: 0,
             recorded: None,
-            reach: Vec::new(),
-            reach_ptr: vec![0; n + 1],
-            piv: vec![NONE; n],
+            #[cfg(test)]
+            searches: 0,
         }
     }
 
@@ -398,47 +568,308 @@ impl SparseLu {
     /// The factors the last [`factor`](Self::factor) computed (partial
     /// after a failed one).
     pub fn factors(&self) -> LuFactors<'_> {
+        let prog = &self.programs[self.active];
         LuFactors {
-            l_colptr: &self.l_colptr,
-            l_rowidx: &self.l_rowidx,
+            l_colptr: &prog.l_colptr,
+            l_rowidx: &prog.l_rowidx,
             l_values: &self.l_values,
-            u_colptr: &self.u_colptr,
-            u_rowidx: &self.u_rowidx,
+            u_colptr: &prog.u_colptr,
+            u_rowidx: &prog.u_rowidx,
             u_values: &self.u_values,
-            pinv: &self.pinv,
+            pinv: &prog.pinv,
         }
     }
 
     // lint: hot-loop
     //
-    // `factor` and `solve` run once per Newton iteration per timestep
-    // on the sparse path — the innermost engine loop for generated
-    // column arrays. After the first factorization of a pattern every
-    // push lands in reserved capacity, so the loop is allocation-free.
+    // `factor` (its replay, branch and search) and `solve` run once per
+    // Newton iteration per timestep on the sparse path — the innermost
+    // engine loop for generated column arrays. Once both programs have
+    // reached their size every push lands in reserved capacity, so the
+    // loop is allocation-free.
 
+    /// Factors `a` in place of the previous factors.
+    ///
+    /// Left-looking Gilbert–Peierls with partial pivoting: per column,
+    /// the reach of `A(:,k)` over `L` gives the nonzero pattern of
+    /// `x = L \ A(:,k)` in topological order; the sparse triangular
+    /// update fills in the values; the largest-magnitude row not yet
+    /// chosen as a pivot becomes this column's pivot (ties break to
+    /// the smallest row index, keeping the factorization fully
+    /// deterministic). Columns are eliminated in the workspace's
+    /// column order (`P·A·Q = L·U`); [`solve`](Self::solve) undoes
+    /// both permutations.
+    ///
+    /// **Replayed programs.** The reach of position `kk`, and with it
+    /// every index the factorization writes there, is a function of
+    /// the pattern and the pivots of positions `0..kk` alone. When `a`
+    /// shares the pattern of the last successful factorization (the
+    /// same [`CscMatrix`] or a clone of it), the active recorded
+    /// program runs as a flat kernel: scatter `A(:,k)`, apply the
+    /// recorded `U` rows, choose the pivot by the full rule above
+    /// among the recorded candidates, and write `L` and `U` in place.
+    /// At the first position whose pivot differs from the program's,
+    /// the kernel switches to the other recorded program if it has
+    /// the same pivots up to there and this pivot at that position.
+    /// Otherwise the position is finished in general form into a new
+    /// program that replaces the other one, and the rest of the
+    /// factorization searches and records. Searching only adds the
+    /// symbolic step: every path eliminates a column with the same
+    /// numeric code, so every arithmetic operation is the one a fresh
+    /// workspace performs, in the same order — replay changes the
+    /// cost, never a bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns the failing column index (= the MNA unknown index) if
+    /// no acceptable pivot exists — the sparse analogue of the dense
+    /// solver's singular-matrix report. A failure drops both programs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not `n × n`.
+    pub fn factor(&mut self, a: &CscMatrix) -> Result<(), usize> {
+        assert_eq!(a.n(), self.n, "dimension mismatch");
+        self.x.iter_mut().for_each(|v| *v = 0.0);
+        let same = matches!(&self.recorded, Some(p) if Arc::ptr_eq(p, &a.pattern));
+        let outcome = if same {
+            match self.replay(a) {
+                Ok(None) => Ok(()),
+                Ok(Some((kk, ipiv))) => {
+                    self.branch(kk, ipiv);
+                    self.shared = kk;
+                    self.search(a, kk + 1)
+                }
+                Err(k) => Err(k),
+            }
+        } else {
+            self.complete = [false; 2];
+            self.programs[self.active].reset();
+            self.l_values.clear();
+            self.u_values.clear();
+            self.search(a, 0)
+        };
+        match outcome {
+            Ok(()) => {
+                self.complete[self.active] = true;
+                if !same {
+                    self.recorded = Some(Arc::clone(&a.pattern));
+                }
+            }
+            Err(_) => {
+                // A later factor call must search: the record may be
+                // incomplete.
+                self.complete = [false; 2];
+                self.recorded = None;
+            }
+        }
+        outcome
+    }
+
+    /// Starts a new program in the other slot for a factorization that
+    /// left the active program at position `kk` with pivot `ipiv`: the
+    /// positions before `kk` and the reach of `kk` are the active
+    /// program's, and `kk` is finished in general form from its
+    /// candidates, still live in `x`. The other slot's old program is
+    /// dropped.
+    fn branch(&mut self, kk: usize, ipiv: usize) {
+        let from = self.active;
+        let [p0, p1] = &mut self.programs;
+        let (src, dst) = if from == 0 { (&*p0, p1) } else { (&*p1, p0) };
+        dst.copy_prefix(src, kk);
+        self.active = 1 - from;
+        self.complete[self.active] = false;
+        self.l_values.truncate(dst.l_colptr[kk]);
+        dst.push_l_column(kk, ipiv, &mut self.x, &mut self.l_values);
+    }
+
+    /// Runs the active program (and, at a pivot change, the other one)
+    /// over `a`, writing `L` and `U` in place. Returns `None` when a
+    /// program ran to the end, or the position and pivot at which the
+    /// pivots left both programs: that position's `U` column is
+    /// written and its candidates are still live in `x`.
+    fn replay(&mut self, a: &CscMatrix) -> Result<Option<(usize, usize)>, usize> {
+        let n = self.n;
+        let switchable = self.complete[1 - self.active];
+        let Self {
+            programs,
+            active,
+            shared,
+            x,
+            l_values,
+            u_values,
+            q,
+            ..
+        } = self;
+        let mut prog = &programs[*active];
+        l_values.resize(prog.l_colptr[n], 0.0);
+        u_values.resize(prog.u_colptr[n], 0.0);
+        for (kk, &k) in q.iter().enumerate() {
+            let ipiv = prog
+                .eliminate(kk, a.column(k), x, l_values, u_values)
+                .ok_or(k)?;
+            if ipiv != prog.piv[kk] {
+                let other = &programs[1 - *active];
+                if switchable && *shared == kk && other.piv[kk] == ipiv {
+                    // The other program shares every column's layout
+                    // so far, this one's included.
+                    *active = 1 - *active;
+                    prog = other;
+                    l_values.resize(prog.l_colptr[n], 0.0);
+                    u_values.resize(prog.u_colptr[n], 0.0);
+                } else {
+                    return Ok(Some((kk, ipiv)));
+                }
+            }
+            let pivot = x[ipiv];
+            let (l_lo, l_hi) = (prog.l_colptr[kk], prog.l_colptr[kk + 1]);
+            l_values[l_lo] = 1.0;
+            let below = prog.l_orig[l_lo + 1..l_hi].iter();
+            for (l, &i) in l_values[l_lo + 1..l_hi].iter_mut().zip(below) {
+                *l = x[i] / pivot;
+            }
+            for &i in &prog.cand[prog.cand_ptr[kk]..prog.cand_ptr[kk + 1]] {
+                x[i] = 0.0;
+            }
+        }
+        Ok(None)
+    }
+
+    /// Factors positions `start..n` of `a` into the active program,
+    /// recording as it goes: per position, a depth-first search gives
+    /// the reach, whose pivotal rows become the `U` entries to apply
+    /// and whose other rows the pivot candidates; then the position is
+    /// eliminated and finished like a replayed one. Positions before
+    /// `start` are already factored and recorded.
+    fn search(&mut self, a: &CscMatrix, start: usize) -> Result<(), usize> {
+        let n = self.n;
+        let pattern = &*a.pattern;
+        #[cfg(test)]
+        {
+            self.searches += 1;
+        }
+        let Self {
+            programs,
+            active,
+            x,
+            dfs,
+            l_values,
+            u_values,
+            q,
+            ..
+        } = self;
+        let prog = &mut programs[*active];
+        dfs.flag.iter_mut().for_each(|f| *f = 0);
+        for (kk, &k) in q.iter().enumerate().skip(start) {
+            // Symbolic: reach of A(:,k) over L, in topological order.
+            let mark = kk + 1;
+            let mut top = n;
+            for p in pattern.col_ptr[k]..pattern.col_ptr[k + 1] {
+                let i = pattern.row_idx[p];
+                if dfs.flag[i] != mark {
+                    top = dfs.reach(prog, i, mark, top);
+                }
+            }
+            // Rows already pivotal are U(:,k)'s entries, the rest are
+            // the pivot candidates; the pivot itself closes U(:,k).
+            prog.u_colptr[kk] = prog.u_rowidx.len();
+            prog.cand_ptr[kk] = prog.cand.len();
+            for &i in &dfs.xi[top..] {
+                let pos = prog.pinv[i];
+                if pos == NONE {
+                    prog.cand.push(i); // lint: allow(HOT003): bounded by the column's L fill; capacity persists across factorizations
+                } else {
+                    prog.u_rowidx.push(pos); // lint: allow(HOT003): bounded by the column's U fill; capacity persists across factorizations
+                }
+            }
+            prog.u_rowidx.push(kk); // lint: allow(HOT003): one pivot entry per column; capacity persists across factorizations
+            prog.u_colptr[kk + 1] = prog.u_rowidx.len();
+            prog.cand_ptr[kk + 1] = prog.cand.len();
+            u_values.resize(prog.u_rowidx.len(), 0.0);
+
+            let ipiv = prog
+                .eliminate(kk, a.column(k), x, l_values, u_values)
+                .ok_or(k)?;
+            prog.push_l_column(kk, ipiv, x, l_values);
+        }
+        // L's row indices in pivotal numbering, so the solve is a
+        // straight unit-lower / upper sweep.
+        let LuProgram {
+            l_rowidx,
+            l_orig,
+            pinv,
+            ..
+        } = prog;
+        l_rowidx.clear();
+        l_rowidx.extend(l_orig.iter().map(|&i| pinv[i]));
+        Ok(())
+    }
+
+    /// Solves `A·x = b` using the factors of the last successful
+    /// [`factor`](Self::factor), overwriting `b` with `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != n`.
+    pub fn solve(&mut self, b: &mut [f64]) {
+        let n = self.n;
+        assert_eq!(b.len(), n);
+        let prog = &self.programs[self.active];
+        let x = &mut self.x;
+        // Apply the row permutation: x[pinv[i]] = b[i].
+        for (i, &bi) in b.iter().enumerate() {
+            x[prog.pinv[i]] = bi;
+        }
+        // Unit-lower sweep (diagonal first in each column).
+        for j in 0..n {
+            let xj = x[j];
+            for p in prog.l_colptr[j] + 1..prog.l_colptr[j + 1] {
+                x[prog.l_rowidx[p]] -= self.l_values[p] * xj;
+            }
+        }
+        // Upper sweep (diagonal last in each column).
+        for j in (0..n).rev() {
+            let lo = prog.u_colptr[j];
+            let hi = prog.u_colptr[j + 1];
+            x[j] /= self.u_values[hi - 1];
+            let xj = x[j];
+            for p in lo..hi - 1 {
+                x[prog.u_rowidx[p]] -= self.u_values[p] * xj;
+            }
+        }
+        // Undo the column permutation: x[q[kk]] = y[kk].
+        for (kk, &col) in self.q.iter().enumerate() {
+            b[col] = x[kk];
+        }
+        // Leave the accumulator clean for the next factorization.
+        x.iter_mut().for_each(|v| *v = 0.0);
+    }
+}
+
+impl Dfs {
     /// Depth-first search from row `start` over the graph of the
-    /// partially built `L`, appending finished nodes to the
+    /// partially built `L` of `prog`, appending finished nodes to the
     /// topological output stack growing down from `top`. Returns the
     /// new `top`.
-    fn dfs(&mut self, start: usize, mark: usize, mut top: usize) -> usize {
+    fn reach(&mut self, prog: &LuProgram, start: usize, mark: usize, mut top: usize) -> usize {
         let mut head: usize = 0;
         self.xi[0] = start;
         loop {
             let j = self.xi[head];
-            let jcol = self.pinv[j];
+            let jcol = prog.pinv[j];
             if self.flag[j] != mark {
                 self.flag[j] = mark;
-                self.pstack[head] = if jcol == NONE { 0 } else { self.l_colptr[jcol] };
+                self.pstack[head] = if jcol == NONE { 0 } else { prog.l_colptr[jcol] };
             }
             let p_end = if jcol == NONE {
                 0
             } else {
-                self.l_colptr[jcol + 1]
+                prog.l_colptr[jcol + 1]
             };
             let mut done = true;
             let mut p = self.pstack[head];
             while p < p_end {
-                let child = self.l_rowidx[p];
+                let child = prog.l_orig[p];
                 if self.flag[child] != mark {
                     // Pause this frame, descend into the child.
                     self.pstack[head] = p;
@@ -460,216 +891,27 @@ impl SparseLu {
         }
         top
     }
-
-    /// Factors `a` in place of the previous factors.
-    ///
-    /// Left-looking Gilbert–Peierls with partial pivoting: per column,
-    /// the reach of `A(:,k)` over `L` gives the nonzero pattern of
-    /// `x = L \ A(:,k)` in topological order; the sparse triangular
-    /// update fills in the values; the largest-magnitude row not yet
-    /// chosen as a pivot becomes this column's pivot (ties break to
-    /// the smallest row index, keeping the factorization fully
-    /// deterministic). Columns are eliminated in the workspace's
-    /// column order (`P·A·Q = L·U`); [`solve`](Self::solve) undoes
-    /// both permutations.
-    ///
-    /// **Pivot replay.** The reach of position `kk` is a function of
-    /// the pattern and the pivots of positions `0..kk` alone. When `a`
-    /// shares the pattern of the last successful factorization (the
-    /// same [`CscMatrix`] or a clone of it), each position reuses its
-    /// recorded reach list for as long as every earlier pivot matched
-    /// the recording; the pivot itself is still chosen by the full
-    /// rule above and compared with the recorded one. From the first
-    /// position where they differ, the rest of the factorization runs
-    /// the DFS and records afresh. Every arithmetic operation is
-    /// therefore the one a fresh workspace performs, in the same
-    /// order: replay changes the cost, never a bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns the failing column index (= the MNA unknown index) if
-    /// no acceptable pivot exists — the sparse analogue of the dense
-    /// solver's singular-matrix report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not `n × n`.
-    pub fn factor(&mut self, a: &CscMatrix) -> Result<(), usize> {
-        assert_eq!(a.n(), self.n, "dimension mismatch");
-        let n = self.n;
-        self.l_rowidx.clear();
-        self.l_values.clear();
-        self.u_rowidx.clear();
-        self.u_values.clear();
-        self.pinv.iter_mut().for_each(|p| *p = NONE);
-        self.flag.iter_mut().for_each(|f| *f = 0);
-        self.x.iter_mut().for_each(|v| *v = 0.0);
-        let pattern = &*a.pattern;
-        let mut replay = matches!(&self.recorded, Some(p) if Arc::ptr_eq(p, &a.pattern));
-        if !replay {
-            self.recorded = None;
-            self.reach.clear();
-        }
-
-        for kk in 0..n {
-            let k = self.q[kk];
-            self.l_colptr[kk] = self.l_values.len();
-            self.u_colptr[kk] = self.u_values.len();
-
-            // Symbolic: reach of A(:,k) over L, in topological order —
-            // replayed from the record, or searched and recorded.
-            let top = if replay {
-                let recorded = &self.reach[self.reach_ptr[kk]..self.reach_ptr[kk + 1]];
-                let top = n - recorded.len();
-                self.xi[top..].copy_from_slice(recorded);
-                top
-            } else {
-                let mark = kk + 1;
-                let mut top = n;
-                for p in pattern.col_ptr[k]..pattern.col_ptr[k + 1] {
-                    let i = pattern.row_idx[p];
-                    if self.flag[i] != mark {
-                        top = self.dfs(i, mark, top);
-                    }
-                }
-                self.reach_ptr[kk] = self.reach.len();
-                // lint: allow(HOT003): bounded by the column's L and U fill; capacity persists across factorizations
-                self.reach.extend_from_slice(&self.xi[top..]);
-                self.reach_ptr[kk + 1] = self.reach.len();
-                top
-            };
-
-            // Numeric: clear the pattern, scatter A(:,k), then apply
-            // the pending L columns in topological order.
-            for p in top..n {
-                let i = self.xi[p];
-                self.x[i] = 0.0;
-            }
-            for p in pattern.col_ptr[k]..pattern.col_ptr[k + 1] {
-                self.x[pattern.row_idx[p]] = a.values[p];
-            }
-            for p in top..n {
-                let j = self.xi[p];
-                let jcol = self.pinv[j];
-                if jcol == NONE {
-                    continue;
-                }
-                // L's unit diagonal is stored first in each column, so
-                // the division by it is a no-op; apply the strictly
-                // sub-diagonal entries.
-                let xj = self.x[j];
-                for q in self.l_colptr[jcol] + 1..self.l_colptr[jcol + 1] {
-                    self.x[self.l_rowidx[q]] -= self.l_values[q] * xj;
-                }
-            }
-
-            // Pivot: strict max |x| over not-yet-pivotal rows, ties to
-            // the smallest row index. Rows already pivotal are entries
-            // of U(:,k).
-            let mut ipiv = NONE;
-            let mut best = -1.0f64;
-            for p in top..n {
-                let i = self.xi[p];
-                if self.pinv[i] == NONE {
-                    let t = self.x[i].abs();
-                    // lint: allow(HYG004): exact tie-break keeps the pivot order deterministic
-                    if t > best || (t == best && i < ipiv) {
-                        best = t;
-                        ipiv = i;
-                    }
-                } else {
-                    // lint: allow(HOT003): bounded by the column's U fill; capacity persists across factorizations
-                    self.u_rowidx.push(self.pinv[i]);
-                    self.u_values.push(self.x[i]); // lint: allow(HOT003): same bound as the index push above
-                }
-            }
-            if ipiv == NONE || best < PIVOT_FLOOR {
-                // Reset the pattern before reporting: a later factor
-                // call must start from a clean accumulator, and must
-                // search, since the record is incomplete.
-                for p in top..n {
-                    self.x[self.xi[p]] = 0.0;
-                }
-                self.recorded = None;
-                return Err(k);
-            }
-            if replay && ipiv != self.piv[kk] {
-                // The pivot moved: this position's reach was still
-                // right, every later one may not be.
-                replay = false;
-                self.reach.truncate(self.reach_ptr[kk + 1]);
-            }
-            self.piv[kk] = ipiv;
-            let pivot = self.x[ipiv];
-            // lint: allow(HOT003): one pivot entry per column; capacity persists across factorizations
-            self.u_rowidx.push(kk);
-            self.u_values.push(pivot); // lint: allow(HOT003): one pivot entry per column
-            self.pinv[ipiv] = kk;
-            // lint: allow(HOT003): one unit-diagonal entry per column; capacity persists across factorizations
-            self.l_rowidx.push(ipiv);
-            self.l_values.push(1.0); // lint: allow(HOT003): one unit-diagonal entry per column
-            for p in top..n {
-                let i = self.xi[p];
-                if self.pinv[i] == NONE {
-                    // lint: allow(HOT003): bounded by the column's L fill; capacity persists across factorizations
-                    self.l_rowidx.push(i);
-                    self.l_values.push(self.x[i] / pivot); // lint: allow(HOT003): same bound as the index push above
-                }
-                self.x[i] = 0.0;
-            }
-        }
-        self.l_colptr[n] = self.l_values.len();
-        self.u_colptr[n] = self.u_values.len();
-        // Rewrite L's row indices into pivotal numbering so the solve
-        // is a straight unit-lower / upper sweep.
-        for idx in self.l_rowidx.iter_mut() {
-            *idx = self.pinv[*idx];
-        }
-        if self.recorded.is_none() {
-            self.recorded = Some(Arc::clone(&a.pattern));
-        }
-        Ok(())
-    }
-
-    /// Solves `A·x = b` using the factors of the last successful
-    /// [`factor`](Self::factor), overwriting `b` with `x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n`.
-    pub fn solve(&mut self, b: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(b.len(), n);
-        // Apply the row permutation: x[pinv[i]] = b[i].
-        for (i, &bi) in b.iter().enumerate() {
-            self.x[self.pinv[i]] = bi;
-        }
-        // Unit-lower sweep (diagonal first in each column).
-        for j in 0..n {
-            let xj = self.x[j];
-            for p in self.l_colptr[j] + 1..self.l_colptr[j + 1] {
-                self.x[self.l_rowidx[p]] -= self.l_values[p] * xj;
-            }
-        }
-        // Upper sweep (diagonal last in each column).
-        for j in (0..n).rev() {
-            let lo = self.u_colptr[j];
-            let hi = self.u_colptr[j + 1];
-            self.x[j] /= self.u_values[hi - 1];
-            let xj = self.x[j];
-            for p in lo..hi - 1 {
-                self.x[self.u_rowidx[p]] -= self.u_values[p] * xj;
-            }
-        }
-        // Undo the column permutation: x[q[kk]] = y[kk].
-        for kk in 0..n {
-            b[self.q[kk]] = self.x[kk];
-        }
-        // Leave the accumulator clean for the next factorization.
-        self.x.iter_mut().for_each(|v| *v = 0.0);
-    }
-    // lint: end-hot-loop
 }
+
+/// The partial-pivoting rule: the candidate of largest `|x|`, ties to
+/// the smallest row index; `None` if no candidate reaches
+/// [`PIVOT_FLOOR`] (a NaN is never chosen).
+// lint: hot-fn
+#[inline]
+fn choose_pivot(x: &[f64], cands: &[usize]) -> Option<usize> {
+    let mut ipiv = NONE;
+    let mut best = -1.0f64;
+    for &i in cands {
+        let t = x[i].abs();
+        // lint: allow(HYG004): exact tie-break keeps the pivot order deterministic
+        if t > best || (t == best && i < ipiv) {
+            best = t;
+            ipiv = i;
+        }
+    }
+    (ipiv != NONE && best >= PIVOT_FLOOR).then_some(ipiv)
+}
+// lint: end-hot-loop
 
 #[cfg(test)]
 mod tests {
@@ -965,6 +1207,52 @@ mod tests {
         a.add(0, 2, 1.0);
         lu.factor(&a).unwrap();
         assert_matches_fresh(&lu, &a);
+    }
+
+    #[test]
+    fn alternating_pivot_sequences_replay_without_searching() {
+        // Column 0's pivot is row 0 in `a` and row 1 in `b`: two pivot
+        // sequences that share no prefix.
+        let p = dense_pattern(3);
+        let a = filled(
+            &p,
+            &[
+                ((0, 0), 4.0),
+                ((1, 0), 1.0),
+                ((1, 1), 3.0),
+                ((2, 1), 1.0),
+                ((2, 2), 2.0),
+                ((0, 2), 0.5),
+            ],
+        );
+        // A clone shares the pattern object, as the Newton loop's one
+        // matrix does.
+        let mut b = a.clone();
+        b.clear();
+        for ((r, c), v) in [
+            ((0, 0), 1.0),
+            ((1, 0), 4.0),
+            ((0, 1), 2.0),
+            ((1, 1), 1.0),
+            ((2, 2), 5.0),
+            ((2, 0), 0.5),
+        ] {
+            b.add(r, c, v);
+        }
+        let mut lu = SparseLu::new(3);
+        lu.factor(&a).unwrap();
+        lu.factor(&b).unwrap();
+        assert_eq!(lu.searches, 2, "each sequence is recorded once");
+        assert_eq!(lu.complete, [true, true]);
+        assert_eq!(lu.shared, 0);
+        for m in [&a, &b, &a, &b, &a] {
+            lu.factor(m).unwrap();
+            assert_matches_fresh(&lu, m);
+        }
+        assert_eq!(
+            lu.searches, 2,
+            "both programs replay, switching at column 0"
+        );
     }
 
     #[test]

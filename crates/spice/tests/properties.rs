@@ -395,30 +395,51 @@ fn pivot_rows(lu: &SparseLu) -> Vec<usize> {
     rows
 }
 
-/// Loads `values` into the reused matrix, factors and solves it with
-/// the reused workspace and with a fresh one, and requires identical
-/// factors and solutions, bit for bit. Returns the pivot rows.
+/// Loads `values` into the reused matrix, factors it with the reused
+/// workspace and with a fresh one, and requires the same outcome: on
+/// success identical factors and solutions, bit for bit, and the pivot
+/// rows are returned; on failure the same failing column, returned as
+/// the error.
 fn factor_reused_and_fresh(
     csc: &mut CscMatrix,
     entries: &[(usize, usize)],
     values: &[f64],
     b: &[f64],
     reused: &mut SparseLu,
-) -> Result<Vec<usize>, TestCaseError> {
+) -> Result<Result<Vec<usize>, usize>, TestCaseError> {
     csc.clear();
     for (&(r, c), &v) in entries.iter().zip(values) {
         csc.add(r, c, v);
     }
     let mut fresh = SparseLu::new(csc.n());
-    reused.factor(csc).expect("regular system factors");
-    fresh.factor(csc).expect("regular system factors");
+    let outcome = reused.factor(csc);
+    prop_assert_eq!(outcome, fresh.factor(csc));
+    if let Err(col) = outcome {
+        return Ok(Err(col));
+    }
     prop_assert_eq!(factor_bits(reused.factors()), factor_bits(fresh.factors()));
     let (mut x_reused, mut x_fresh) = (b.to_vec(), b.to_vec());
     reused.solve(&mut x_reused);
     fresh.solve(&mut x_fresh);
     let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     prop_assert_eq!(bits(&x_reused), bits(&x_fresh));
-    Ok(pivot_rows(reused))
+    Ok(Ok(pivot_rows(reused)))
+}
+
+/// [`factor_reused_and_fresh`] for a matrix that must factor.
+fn factor_regular(
+    csc: &mut CscMatrix,
+    entries: &[(usize, usize)],
+    values: &[f64],
+    b: &[f64],
+    reused: &mut SparseLu,
+) -> Result<Vec<usize>, TestCaseError> {
+    match factor_reused_and_fresh(csc, entries, values, b, reused)? {
+        Ok(rows) => Ok(rows),
+        Err(col) => Err(TestCaseError::fail(format!(
+            "a regular system failed at column {col}"
+        ))),
+    }
 }
 
 proptest! {
@@ -426,10 +447,14 @@ proptest! {
 
     /// One `SparseLu` reused over a sequence of matrices on one MNA
     /// pattern — the Newton loop's use — matches a fresh workspace bit
-    /// for bit, while the values move the pivot away from the recorded
-    /// one at the first, a middle and the last flippable factor
-    /// position, and back again. (The last position's pivot is
-    /// forced: one row remains, so the latest flip sits before it.)
+    /// for bit. The values move the pivot away from the recorded one
+    /// at the first, a middle and the last flippable factor position
+    /// (the last position's pivot is forced: one row remains, so the
+    /// latest flip sits before it), then alternate between the two
+    /// pivot sequences A, B, A, B — what the two recorded programs
+    /// serve without searching. A singular matrix then arrives in the
+    /// middle of a replay and must fail at the same column as a fresh
+    /// factorization, and the regular matrix after it must again match.
     #[test]
     fn pivot_replay_matches_a_fresh_factorization(
         m in 6usize..24,
@@ -447,7 +472,7 @@ proptest! {
         let mut flipped_at = Vec::new();
         for target in ["first", "middle", "last"] {
             let base = mna_values(&entries, m, &mut state);
-            let base_rows = factor_reused_and_fresh(&mut csc, &entries, &base, &b, &mut reused)?;
+            let base_rows = factor_regular(&mut csc, &entries, &base, &b, &mut reused)?;
             let pinv = reused.factors().pinv.to_vec();
             // Flippable positions: column kk holds a row the base
             // factorization pivots later, which a dominant value at
@@ -469,12 +494,38 @@ proptest! {
             let mut flip = base.clone();
             let at = entries.binary_search(&(row, kk)).expect("structural entry");
             flip[at] = 1e6;
-            let flip_rows = factor_reused_and_fresh(&mut csc, &entries, &flip, &b, &mut reused)?;
+            let flip_rows = factor_regular(&mut csc, &entries, &flip, &b, &mut reused)?;
             let first_diff = base_rows.iter().zip(&flip_rows).position(|(a, b)| a != b);
             prop_assert_eq!(first_diff, Some(kk), "{} flip", target);
             flipped_at.push(kk);
+
+            // A, B, A, B, both programs recorded now. Each round
+            // scales its sequence's matrix by a new power of two:
+            // every value changes, no pivot comparison does.
+            for round in 0..4 {
+                let scale = f64::powi(2.0, round + 1);
+                let source = if round % 2 == 0 { &base } else { &flip };
+                let values: Vec<f64> = source.iter().map(|v| v * scale).collect();
+                let rows = factor_regular(&mut csc, &entries, &values, &b, &mut reused)?;
+                let want = if round % 2 == 0 { &base_rows } else { &flip_rows };
+                prop_assert_eq!(&rows, want, "{} round {}", target, round);
+            }
         }
         prop_assert_eq!(flipped_at[0], 0);
         prop_assert!(flipped_at[0] < flipped_at[1] && flipped_at[1] < flipped_at[2]);
+
+        // A singular matrix mid-replay: an empty column leaves no
+        // acceptable pivot at its position.
+        let good = mna_values(&entries, m, &mut state);
+        factor_regular(&mut csc, &entries, &good, &b, &mut reused)?;
+        let dead = m / 2;
+        let singular: Vec<f64> = entries
+            .iter()
+            .zip(&good)
+            .map(|(&(_, c), &v)| if c == dead { 0.0 } else { v })
+            .collect();
+        let failed = factor_reused_and_fresh(&mut csc, &entries, &singular, &b, &mut reused)?;
+        prop_assert_eq!(failed, Err(dead));
+        factor_regular(&mut csc, &entries, &good, &b, &mut reused)?;
     }
 }

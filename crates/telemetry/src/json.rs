@@ -15,6 +15,21 @@
 
 use std::fmt::{self, Write as _};
 
+/// FNV-1a 64-bit over `bytes` — the content hash of every canonical
+/// JSON payload the stack persists (checkpoint snapshots, serve
+/// tickets and store documents). Stable, dependency-free and fast;
+/// this is an integrity check against torn writes and bit rot, not a
+/// cryptographic seal.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// A JSON document tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -346,6 +361,13 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_the_reference_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn roundtrips_a_summary_like_document() {

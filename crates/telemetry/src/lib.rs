@@ -46,7 +46,8 @@
 //!   with JSON-Lines serialisation.
 //! - [`json`]: a hand-rolled JSON value type, writer and minimal
 //!   parser (the vendored `serde` is an API stub and serialises
-//!   nothing).
+//!   nothing), and [`fnv1a64`], the content hash of the canonical
+//!   payloads it writes.
 //! - [`recorder`]: [`Recorder`], the single handle the ensemble
 //!   engine and bench bins thread through a run.
 
@@ -62,7 +63,7 @@ pub mod stats;
 pub use deadline::{Deadline, NoDeadline, WallClockDeadline};
 pub use hist::{percentile, FixedHistogram};
 pub use journal::{Journal, JournalEvent};
-pub use json::JsonValue;
+pub use json::{fnv1a64, JsonValue};
 pub use recorder::{JobProbe, JobRecord, MemoryRecorder, NoopRecorder, Recorder};
 pub use sink::{MemorySink, MetricsSink, NoopSink};
 pub use span::{Span, Stopwatch};
