@@ -21,6 +21,11 @@ cargo test -q -p samurai --test telemetry
 # bit-exact dense path (pinned here so it can never silently drop
 # out of the gate).
 cargo test -q -p samurai --test solver_equivalence
+# Two-pass bit-identity suite: the cell, ring, array and column flows
+# share one SPICE → SAMURAI → SPICE step; these fingerprints were
+# captured before they shared it (pinned for the same reason as the
+# suites above).
+cargo test -q -p samurai --test two_pass_golden
 # Performance-ledger package tests (the ledger is its own workspace
 # with its own lock file, so `--workspace` above never reaches it): a
 # smoke pass over all four workloads and digest equality with tracing

@@ -4,23 +4,23 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin fig2_margins`.
 
-use samurai_bench::{banner, parallelism_from_args, write_tagged_csv, BenchSession};
+use samurai_bench::{banner, write_tagged_csv, BenchSession};
 use samurai_core::ensemble::{run_ensemble_resilient_observed, ExecutionPolicy, IndexedResults};
 use samurai_core::CoreError;
 use samurai_sram::margin::{MarginModel, MarginRow};
 use samurai_trap::Technology;
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "fig2_margins",
         "regenerates Fig. 2: design-margin impact of variation, NBTI and RTN across nodes",
         &[],
-    ) {
+    ) else {
         return;
-    }
+    };
     let model = MarginModel::default();
-    let parallelism = parallelism_from_args();
-    let mut session = BenchSession::from_args("fig2");
+    let parallelism = args.parallelism();
+    let mut session = BenchSession::from_args("fig2", &args);
     let nodes = Technology::all_nodes();
     println!(
         "evaluating {} nodes on {} workers (--threads N / SAMURAI_THREADS)",

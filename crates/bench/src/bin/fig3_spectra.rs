@@ -99,15 +99,15 @@ fn analytic_one_over_f(tech: &Technology, f: f64) -> f64 {
 }
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "fig3_spectra",
         "regenerates Fig. 3: RTN power spectral densities of sampled devices",
         &[],
-    ) {
+    ) else {
         return;
-    }
+    };
     let seeds = SeedStream::new(33);
-    let mut session = BenchSession::from_args("fig3");
+    let mut session = BenchSession::from_args("fig3", &args);
     let mut jobs = 0usize;
     let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
     let mut summaries = Vec::new();

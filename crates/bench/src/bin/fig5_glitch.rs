@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin fig5_glitch`.
 
-use samurai_bench::{banner, parallelism_from_args, write_tagged_csv, BenchSession};
+use samurai_bench::{banner, write_tagged_csv, BenchSession};
 use samurai_core::ensemble::{run_ensemble_resilient_observed, ExecutionPolicy, IndexedResults};
 use samurai_core::CoreError;
 use samurai_spice::{run_transient, Source, TransientConfig};
@@ -27,13 +27,13 @@ struct Scenario {
 }
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "fig5_glitch",
         "regenerates Fig. 5: effect of I_RTN glitch timing on a write",
         &[],
-    ) {
+    ) else {
         return;
-    }
+    };
     let timing = WriteTiming::default();
     // Cycle 0 writes a 0 (establishing the state), cycle 1 writes the 1
     // that the glitch attacks.
@@ -65,8 +65,8 @@ fn main() {
 
     let mut rows: Vec<(String, Vec<f64>)> = Vec::new();
     let mut all_match = true;
-    let parallelism = parallelism_from_args();
-    let mut session = BenchSession::from_args("fig5");
+    let parallelism = args.parallelism();
+    let mut session = BenchSession::from_args("fig5", &args);
 
     banner("Fig 5: glitch-timing taxonomy");
     println!(

@@ -12,10 +12,7 @@
 //! Run with `cargo run --release -p samurai-bench --bin fig7_validation`.
 
 use samurai_analysis::{analytical, autocorr, psd, stats};
-use samurai_bench::{
-    banner, failure_policy_from_args, parallelism_from_args, run_controls_from_args,
-    smoke_from_args, write_tagged_csv, BenchSession,
-};
+use samurai_bench::{banner, write_tagged_csv, BenchSession};
 use samurai_core::checkpoint::{run_ensemble_checkpointed, RunControls, Snapshot};
 use samurai_core::ensemble::{Completion, ExecutionPolicy, IndexedResults};
 use samurai_core::faults::FaultPlan;
@@ -121,13 +118,13 @@ impl Snapshot for PanelResult {
 }
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "fig7_validation",
         "regenerates Fig. 7: stationary validation against the Machlup expressions",
         &[],
-    ) {
+    ) else {
         return;
-    }
+    };
     let device = DeviceParams::nominal_90nm();
     let i_d = 10e-6;
 
@@ -165,10 +162,10 @@ fn main() {
     // Each configuration seeds its own RNG stream by index, so this
     // sweep shards over the ensemble engine with bit-identical output
     // at every worker count.
-    let parallelism = parallelism_from_args();
-    let smoke = smoke_from_args();
-    let control_args = run_controls_from_args();
-    let mut session = BenchSession::from_args("fig7");
+    let parallelism = args.parallelism();
+    let smoke = args.smoke();
+    let control_args = args.run_controls();
+    let mut session = BenchSession::from_args("fig7", &args);
     let faults = match control_args.kill_at_job {
         // The crash drill: exit hard just before job N, leaving the
         // latest snapshot on disk for a `--resume` run to pick up.
@@ -176,7 +173,7 @@ fn main() {
         None => FaultPlan::none(),
     };
     let policy = ExecutionPolicy {
-        failure: failure_policy_from_args(),
+        failure: args.failure_policy(),
         faults,
         seed: 1000,
     };

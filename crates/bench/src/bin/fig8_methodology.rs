@@ -11,7 +11,7 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin fig8_methodology`.
 
-use samurai_bench::{banner, parallelism_from_args, write_tagged_csv, BenchSession};
+use samurai_bench::{banner, write_tagged_csv, BenchSession};
 use samurai_core::telemetry::{JobRecord, SolverStats, Stopwatch, TrapStats};
 use samurai_sram::{run_methodology, MethodologyConfig, Transistor};
 use samurai_waveform::BitPattern;
@@ -30,17 +30,17 @@ fn absorb(session: &mut BenchSession, job: usize, seconds: f64, solver: SolverSt
 }
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "fig8_methodology",
         "regenerates Fig. 8: the full SAMURAI+SPICE methodology on the paper's bit pattern",
         &[],
-    ) {
+    ) else {
         return;
-    }
+    };
     let pattern = BitPattern::paper_fig8();
     println!("bit pattern: {pattern}");
-    let parallelism = parallelism_from_args();
-    let mut session = BenchSession::from_args("fig8");
+    let parallelism = args.parallelism();
+    let mut session = BenchSession::from_args("fig8", &args);
     let mut jobs = 0usize;
     println!(
         "RTN generation on {} workers (--threads N / SAMURAI_THREADS)",

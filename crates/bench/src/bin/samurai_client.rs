@@ -192,7 +192,7 @@ fn ticket_path(args: &BenchArgs, template: &str) -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
-    if handle_help(
+    let Some(args) = handle_help(
         "samurai-client",
         "command-line client of the serve daemon",
         &[
@@ -212,10 +212,9 @@ fn main() -> ExitCode {
                 "submit a crash-drill job (server exits 86)",
             ),
         ],
-    ) {
+    ) else {
         return ExitCode::SUCCESS;
-    }
-    let args = BenchArgs::from_env();
+    };
     let Some(command) = args.rest().first().map(String::as_str) else {
         return fail("missing command (submit/status/journal/result/metrics/drain); see --help");
     };

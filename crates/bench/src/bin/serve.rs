@@ -13,11 +13,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use samurai_bench::{handle_help, BenchArgs};
+use samurai_bench::handle_help;
 use samurai_serve::{ResultStore, Server, ServerConfig, DEFAULT_CHUNK};
 
 fn main() -> ExitCode {
-    if handle_help(
+    let Some(args) = handle_help(
         "serve",
         "deterministic simulation-as-a-service over a content-addressed store",
         &[
@@ -33,10 +33,9 @@ fn main() -> ExitCode {
             ),
             ("--capacity N", "queue capacity before 429 (default 64)"),
         ],
-    ) {
+    ) else {
         return ExitCode::SUCCESS;
-    }
-    let args = BenchArgs::from_env();
+    };
     let store_dir = args
         .value_of("--store")
         .map(PathBuf::from)

@@ -11,7 +11,7 @@
 //! Run with `cargo run --release -p samurai-bench --bin x1_nonstationary`.
 
 use samurai_analysis::stats;
-use samurai_bench::{banner, parallelism_from_args, write_tagged_csv, BenchSession};
+use samurai_bench::{banner, write_tagged_csv, BenchSession};
 use samurai_core::{ensemble_occupancy_observed, SeedStream};
 use samurai_trap::{master, DeviceParams, PropensityModel, TrapParams, TrapState};
 use samurai_units::{Energy, Length};
@@ -31,13 +31,13 @@ fn balanced_bias(model: &PropensityModel) -> f64 {
 }
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "x1_nonstationary",
         "X1: ensemble-averaged occupancy vs the exact master equation",
         &[],
-    ) {
+    ) else {
         return;
-    }
+    };
     let device = DeviceParams::nominal_90nm();
     let trap = TrapParams::new(Length::from_nanometres(1.8), Energy::from_ev(0.4));
     let model = PropensityModel::new(device, trap);
@@ -49,8 +49,8 @@ fn main() {
     let n = 120;
     let horizon = 30.0 / lambda;
     let dt = horizon / n as f64;
-    let parallelism = parallelism_from_args();
-    let mut session = BenchSession::from_args("x1");
+    let parallelism = args.parallelism();
+    let mut session = BenchSession::from_args("x1", &args);
     println!(
         "{runs} runs per scenario on {} workers (--threads N / SAMURAI_THREADS)",
         parallelism.workers()

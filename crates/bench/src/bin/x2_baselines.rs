@@ -12,9 +12,7 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin x2_baselines`.
 
-use samurai_bench::{
-    banner, failure_policy_from_args, parallelism_from_args, write_tagged_csv, BenchSession,
-};
+use samurai_bench::{banner, write_tagged_csv, BenchSession};
 use samurai_core::ensemble::{
     run_ensemble_resilient_observed, ExecutionPolicy, MeanTrace, Parallelism,
 };
@@ -68,13 +66,13 @@ fn balanced_bias(model: &PropensityModel) -> f64 {
 }
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "x2_baselines",
         "X2: uniformisation vs frozen-rate SSA, Bernoulli and two-stage baselines",
         &[],
-    ) {
+    ) else {
         return;
-    }
+    };
     let device = DeviceParams::nominal_90nm();
     let trap = TrapParams::new(Length::from_nanometres(1.8), Energy::from_ev(0.4));
     let model = PropensityModel::new(device, trap);
@@ -93,10 +91,10 @@ fn main() {
             .value_at(probe);
 
     let runs = 30_000u64;
-    let parallelism = parallelism_from_args();
-    let mut session = BenchSession::from_args("x2");
+    let parallelism = args.parallelism();
+    let mut session = BenchSession::from_args("x2", &args);
     let policy = ExecutionPolicy {
-        failure: failure_policy_from_args(),
+        failure: args.failure_policy(),
         ..ExecutionPolicy::default()
     };
     banner("X2: occupancy shortly after a bias step (exact = master equation)");

@@ -4,28 +4,26 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin x3_array_ber`.
 
-use samurai_bench::{
-    banner, failure_policy_from_args, parallelism_from_args, timed, write_csv, BenchSession,
-};
+use samurai_bench::{banner, timed, write_csv, BenchSession};
 use samurai_core::Parallelism;
 use samurai_sram::array::{run_array, run_array_observed, ArrayConfig};
 use samurai_sram::MethodologyConfig;
 use samurai_waveform::BitPattern;
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "x3_array_ber",
         "X3: array-level Monte-Carlo bit-error analysis",
         &[],
-    ) {
+    ) else {
         return;
-    }
+    };
     let pattern = BitPattern::parse("1010").expect("static pattern");
     let cells = 24;
     let vth_sigma = 0.04;
-    let parallelism = parallelism_from_args();
-    let failure = failure_policy_from_args();
-    let mut session = BenchSession::from_args("x3");
+    let parallelism = args.parallelism();
+    let failure = args.failure_policy();
+    let mut session = BenchSession::from_args("x3", &args);
 
     banner("X3: write-BER vs RTN acceleration (24 cells, sigma_VT = 40 mV)");
     println!(

@@ -9,22 +9,22 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin x4_coupled`.
 
-use samurai_bench::{banner, parallelism_from_args, write_tagged_csv, BenchSession};
+use samurai_bench::{banner, write_tagged_csv, BenchSession};
 use samurai_core::telemetry::{JobRecord, SolverStats, Stopwatch, TrapStats};
 use samurai_sram::coupled::{run_coupled, CoupledConfig};
 use samurai_sram::{run_methodology, MethodologyConfig, Transistor};
 use samurai_waveform::BitPattern;
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "x4_coupled",
         "X4: bi-directionally coupled RTN+circuit simulation",
         &[],
-    ) {
+    ) else {
         return;
-    }
+    };
     let pattern = BitPattern::paper_fig8();
-    let parallelism = parallelism_from_args();
+    let parallelism = args.parallelism();
     println!(
         "RTN generation on {} workers (--threads N / SAMURAI_THREADS)",
         parallelism.workers()
@@ -37,7 +37,7 @@ fn main() {
         ..MethodologyConfig::default()
     };
 
-    let mut session = BenchSession::from_args("x4");
+    let mut session = BenchSession::from_args("x4", &args);
     banner("X4: two-pass methodology vs bi-directionally coupled simulation");
     let watch = Stopwatch::start();
     let two_pass = run_methodology(&pattern, &base).expect("two-pass runs");

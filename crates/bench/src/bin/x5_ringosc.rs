@@ -19,15 +19,15 @@ fn pooled_jitter(periods: &[f64]) -> f64 {
 }
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "x5_ringosc",
         "X5: ring-oscillator period and cycle-to-cycle jitter under RTN",
         &[],
-    ) {
+    ) else {
         return;
-    }
+    };
     banner("X5: 5-stage ring oscillator under RTN (pooled over 3 seeds)");
-    let mut session = BenchSession::from_args("x5");
+    let mut session = BenchSession::from_args("x5", &args);
     let mut jobs = 0usize;
     let mut rows = Vec::new();
     let mut jitter_by_scale = Vec::new();

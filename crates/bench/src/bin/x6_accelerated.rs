@@ -11,16 +11,16 @@ use samurai_sram::MethodologyConfig;
 use samurai_waveform::BitPattern;
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "x6_accelerated",
         "X6: word-line timing margin vs acceleration factor",
         &[],
-    ) {
+    ) else {
         return;
-    }
+    };
     let pattern = BitPattern::parse("10").expect("static pattern");
     banner("X6: minimum word-line window (fraction of cycle) vs RTN scale");
-    let mut session = BenchSession::from_args("x6");
+    let mut session = BenchSession::from_args("x6", &args);
 
     let mut rows = Vec::new();
     let mut penalties = Vec::new();

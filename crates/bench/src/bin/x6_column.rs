@@ -13,10 +13,7 @@
 //! `--smoke` shortens the timed horizon and the ensemble;
 //! `--metrics DIR` writes `BENCH_x6_column.json` + journal.
 
-use samurai_bench::{
-    banner, failure_policy_from_args, parallelism_from_args, run_controls_from_args,
-    smoke_from_args, timed, write_csv, BenchSession,
-};
+use samurai_bench::{banner, timed, write_csv, BenchSession};
 use samurai_core::ensemble::Completion;
 use samurai_core::faults::FaultPlan;
 use samurai_core::telemetry::JsonValue;
@@ -73,17 +70,17 @@ fn per_step_seconds(rows: usize, choice: SolverChoice, steps: usize) -> (f64, us
 }
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "x6_column",
         "X6-column: dense-vs-sparse solver scaling on generated SRAM columns",
         &[],
-    ) {
+    ) else {
         return;
-    }
-    let smoke = smoke_from_args();
-    let parallelism = parallelism_from_args();
-    let failure = failure_policy_from_args();
-    let mut session = BenchSession::from_args("x6_column");
+    };
+    let smoke = args.smoke();
+    let parallelism = args.parallelism();
+    let failure = args.failure_policy();
+    let mut session = BenchSession::from_args("x6_column", &args);
     let steps = if smoke { 12 } else { 60 };
 
     banner("X6-column part A: dense vs sparse per-step cost on generated columns");
@@ -126,7 +123,7 @@ fn main() {
 
     banner("X6-column part B: column RTN ensemble (8 rows, auto backend)");
     let members = if smoke { 2 } else { 6 };
-    let controls = run_controls_from_args();
+    let controls = args.run_controls();
     if let Some(path) = &controls.checkpoint.path {
         println!(
             "checkpoint: {} every {} jobs{}",

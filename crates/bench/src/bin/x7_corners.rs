@@ -15,10 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use samurai_bench::{
-    banner, failure_policy_from_args, parallelism_from_args, run_controls_from_args,
-    smoke_from_args, timed, write_csv, BenchSession,
-};
+use samurai_bench::{banner, timed, write_csv, BenchSession};
 use samurai_core::faults::FaultPlan;
 use samurai_core::scenario::{ScenarioConfig, NOMINAL_TEMPERATURE};
 use samurai_core::telemetry::{JournalEvent, JsonValue};
@@ -43,18 +40,18 @@ fn scenario_at(vdd_scale: f64, stress_time: f64) -> ScenarioConfig {
 }
 
 fn main() {
-    if samurai_bench::handle_help(
+    let Some(args) = samurai_bench::handle_help(
         "x7_corners",
         "X7-corners: the scenario layer swept over a supply-corner x aging grid",
         &[],
-    ) {
+    ) else {
         return;
-    }
-    let smoke = smoke_from_args();
-    let parallelism = parallelism_from_args();
-    let failure = failure_policy_from_args();
-    let controls = run_controls_from_args();
-    let mut session = BenchSession::from_args("x7_corners");
+    };
+    let smoke = args.smoke();
+    let parallelism = args.parallelism();
+    let failure = args.failure_policy();
+    let controls = args.run_controls();
+    let mut session = BenchSession::from_args("x7_corners", &args);
     if let Some(path) = &controls.checkpoint.path {
         println!(
             "checkpoint: {}.<corner> every {} jobs{} (one snapshot per grid point)",

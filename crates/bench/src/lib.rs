@@ -16,14 +16,9 @@ use samurai_core::telemetry::{JsonValue, MemoryRecorder};
 use samurai_core::{fnv1a64, FailurePolicy, Parallelism, CHECKPOINT_SCHEMA};
 
 /// Every command-line flag the bench binaries share, parsed in one
-/// pass.
-///
-/// Historically each knob rescanned `std::env::args()` on its own
-/// (`parallelism_from_args`, `smoke_from_args`, ...). Those entry
-/// points survive as thin wrappers over a single
-/// [`BenchArgs::from_env`] parse, so existing callers and scripts keep
-/// working; new binaries parse once and ask the struct for everything,
-/// including bin-specific flags via [`BenchArgs::value_of`].
+/// pass: each binary calls [`BenchArgs::from_env`] once and asks the
+/// struct for everything, including bin-specific flags via
+/// [`BenchArgs::value_of`].
 ///
 /// Environment-variable fallbacks (`SAMURAI_THREADS`,
 /// `SAMURAI_FAILURE_POLICY`, `SAMURAI_CHECKPOINT*`, `SAMURAI_MAX_JOBS`,
@@ -124,9 +119,21 @@ impl BenchArgs {
         }
     }
 
-    /// The `--failure-policy SPEC` knob (see [`parse_failure_policy`]
-    /// for the accepted specs), falling back to
+    /// The `--failure-policy SPEC` knob, falling back to
     /// `SAMURAI_FAILURE_POLICY`, then to `fail-fast`.
+    ///
+    /// `SPEC` is one of:
+    ///
+    /// * `fail-fast` — abort on the first failed job (the default);
+    /// * `retry` or `retry:RUNGS` — climb the rescue ladder per failing
+    ///   job (`RUNGS` defaults to 2);
+    /// * `quarantine`, `quarantine:MAX` or `quarantine:MAX:RUNGS` —
+    ///   retry, then drop up to `MAX` irrecoverable jobs (default 1)
+    ///   from the statistics.
+    ///
+    /// Results under every policy are bit-identical at every worker
+    /// count; unparsable specs fall back to `fail-fast` rather than
+    /// aborting a long run over a typo'd diagnostic knob.
     #[must_use]
     pub fn failure_policy(&self) -> FailurePolicy {
         let spec = self
@@ -136,9 +143,21 @@ impl BenchArgs {
         parse_failure_policy(spec.as_deref().unwrap_or("fail-fast"))
     }
 
-    /// The crash-safety knobs (`--checkpoint`, `--checkpoint-every`,
-    /// `--resume`, `--max-jobs`, `--kill-at-job`), assembled exactly as
-    /// [`run_controls_from_args`] documents.
+    /// The crash-safety knobs shared by the ensemble binaries:
+    ///
+    /// * `--checkpoint PATH` — snapshot ensemble progress into `PATH`
+    ///   (atomically, after every completed segment);
+    /// * `--checkpoint-every N` — snapshot cadence in jobs (default 64);
+    /// * `--resume` — restore a matching snapshot at `PATH` before
+    ///   running; an invalid or foreign snapshot degrades to a cold
+    ///   start with a journaled note;
+    /// * `--max-jobs N` — stop cleanly after at most `N` jobs and
+    ///   report a `Truncated` completion;
+    /// * `--kill-at-job N` — the crash drill used by `ci.sh`.
+    ///
+    /// Environment fallbacks: `SAMURAI_CHECKPOINT`,
+    /// `SAMURAI_CHECKPOINT_EVERY`, `SAMURAI_RESUME`, `SAMURAI_MAX_JOBS`,
+    /// `SAMURAI_KILL_AT_JOB`.
     #[must_use]
     pub fn run_controls(&self) -> RunControlArgs {
         let path = self
@@ -193,7 +212,8 @@ impl BenchArgs {
     }
 
     /// `true` when `--smoke` was given or `SAMURAI_SMOKE` is set:
-    /// binaries shrink their workloads to a seconds-scale sanity pass.
+    /// binaries shrink their workloads to a seconds-scale sanity pass
+    /// (used by `ci.sh` to validate the telemetry pipeline end to end).
     #[must_use]
     pub fn smoke(&self) -> bool {
         self.smoke || std::env::var_os("SAMURAI_SMOKE").is_some()
@@ -228,12 +248,16 @@ impl BenchArgs {
     }
 }
 
-/// Handles `--help`/`-h` for a bench binary: when requested, prints
-/// the shared usage text (plus `extra` bin-specific flag lines) and
-/// returns `true`, in which case the binary should exit immediately.
-pub fn handle_help(bin: &str, about: &str, extra: &[(&str, &str)]) -> bool {
-    if !BenchArgs::from_env().wants_help() {
-        return false;
+/// Parses a bench binary's command line, once, with
+/// [`BenchArgs::from_env`], and handles `--help`/`-h`: when asked for,
+/// prints the shared usage text (plus `extra` bin-specific flag lines)
+/// and returns `None`, in which case the binary should exit
+/// immediately.
+#[must_use]
+pub fn handle_help(bin: &str, about: &str, extra: &[(&str, &str)]) -> Option<BenchArgs> {
+    let args = BenchArgs::from_env();
+    if !args.wants_help() {
+        return Some(args);
     }
     println!("{bin} — {about}");
     println!("\nusage: {bin} [flags]\n");
@@ -267,37 +291,10 @@ pub fn handle_help(bin: &str, about: &str, extra: &[(&str, &str)]) -> bool {
         println!("  {flag:<28} {what}");
     }
     println!("\nEvery flag has a SAMURAI_* environment fallback; see DESIGN.md.");
-    true
+    None
 }
 
-/// Parses `--threads N` from the binary's command line — a thin
-/// wrapper over [`BenchArgs::parallelism`]; see it for semantics.
-#[must_use]
-pub fn parallelism_from_args() -> Parallelism {
-    BenchArgs::from_env().parallelism()
-}
-
-/// Parses `--failure-policy SPEC` from the binary's command line, with
-/// the `SAMURAI_FAILURE_POLICY` environment variable as fallback.
-///
-/// `SPEC` is one of:
-///
-/// * `fail-fast` — abort on the first failed job (the default);
-/// * `retry` or `retry:RUNGS` — climb the rescue ladder per failing
-///   job (`RUNGS` defaults to 2);
-/// * `quarantine`, `quarantine:MAX` or `quarantine:MAX:RUNGS` — retry,
-///   then drop up to `MAX` irrecoverable jobs (default 1) from the
-///   statistics.
-///
-/// Results under every policy are bit-identical at every worker count;
-/// unparsable specs fall back to `fail-fast` rather than aborting a
-/// long run over a typo'd diagnostic knob.
-#[must_use]
-pub fn failure_policy_from_args() -> FailurePolicy {
-    BenchArgs::from_env().failure_policy()
-}
-
-/// The parser behind [`failure_policy_from_args`], split out for
+/// The parser behind [`BenchArgs::failure_policy`], split out for
 /// testing.
 pub fn parse_failure_policy(spec: &str) -> FailurePolicy {
     let mut parts = spec.split(':');
@@ -317,7 +314,7 @@ pub fn parse_failure_policy(spec: &str) -> FailurePolicy {
 }
 
 /// Crash-safety knobs parsed from a binary's command line by
-/// [`run_controls_from_args`].
+/// [`BenchArgs::run_controls`].
 #[derive(Debug, Clone, Default)]
 pub struct RunControlArgs {
     /// Snapshot configuration assembled from `--checkpoint PATH`,
@@ -330,27 +327,6 @@ pub struct RunControlArgs {
     /// the latest checkpoint is on disk. Route it into the fault plan
     /// with [`samurai_core::FaultPlan::kill_at_job`].
     pub kill_at_job: Option<usize>,
-}
-
-/// Parses the crash-safety flags shared by the ensemble binaries:
-///
-/// * `--checkpoint PATH` — snapshot ensemble progress into `PATH`
-///   (atomically, after every completed segment);
-/// * `--checkpoint-every N` — snapshot cadence in jobs (default 64);
-/// * `--resume` — restore a matching snapshot at `PATH` before
-///   running; an invalid or foreign snapshot degrades to a cold start
-///   with a journaled note;
-/// * `--max-jobs N` — stop cleanly after at most `N` jobs and report a
-///   `Truncated` completion;
-/// * `--kill-at-job N` — the crash drill used by `ci.sh`.
-///
-/// Environment fallbacks mirror the other parsers: `SAMURAI_CHECKPOINT`,
-/// `SAMURAI_CHECKPOINT_EVERY`, `SAMURAI_RESUME`, `SAMURAI_MAX_JOBS`,
-/// `SAMURAI_KILL_AT_JOB`. A thin wrapper over
-/// [`BenchArgs::run_controls`].
-#[must_use]
-pub fn run_controls_from_args() -> RunControlArgs {
-    BenchArgs::from_env().run_controls()
 }
 
 /// Times `f` and returns `(result, seconds)`.
@@ -416,24 +392,6 @@ pub fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Parses `--metrics DIR` from the binary's command line, with the
-/// `SAMURAI_METRICS` environment variable as fallback. `None` means
-/// telemetry artifacts are not written. A thin wrapper over
-/// [`BenchArgs::metrics_dir`].
-#[must_use]
-pub fn metrics_dir_from_args() -> Option<PathBuf> {
-    BenchArgs::from_env().metrics_dir()
-}
-
-/// `true` when `--smoke` is on the command line or `SAMURAI_SMOKE` is
-/// set: binaries shrink their workloads to a seconds-scale sanity pass
-/// (used by `ci.sh` to validate the telemetry pipeline end to end).
-/// A thin wrapper over [`BenchArgs::smoke`].
-#[must_use]
-pub fn smoke_from_args() -> bool {
-    BenchArgs::from_env().smoke()
-}
-
 /// One binary's telemetry session: a [`MemoryRecorder`] to thread
 /// through the `*_observed` entry points, plus the wall clock and the
 /// output directory resolved from `--metrics`/`SAMURAI_METRICS`.
@@ -452,12 +410,13 @@ pub struct BenchSession {
 
 impl BenchSession {
     /// Starts a session for the binary `name` (the artifact stem:
-    /// `BENCH_<name>.json` / `JOURNAL_<name>.jsonl`).
+    /// `BENCH_<name>.json` / `JOURNAL_<name>.jsonl`), writing into
+    /// `args`' metrics directory, if any.
     #[must_use]
-    pub fn from_args(name: &str) -> Self {
+    pub fn from_args(name: &str, args: &BenchArgs) -> Self {
         Self {
             name: name.to_owned(),
-            dir: metrics_dir_from_args(),
+            dir: args.metrics_dir(),
             recorder: MemoryRecorder::recording(),
             watch: Instant::now(),
         }
@@ -935,7 +894,7 @@ mod tests {
         ] {
             std::env::remove_var(var);
         }
-        let controls = run_controls_from_args();
+        let controls = BenchArgs::default().run_controls();
         assert_eq!(controls.checkpoint, CheckpointConfig::default());
         assert!(controls.budget.is_unlimited());
         assert_eq!(controls.kill_at_job, None);
@@ -1017,7 +976,7 @@ mod tests {
     fn disabled_session_writes_nothing() {
         // No --metrics flag and no SAMURAI_METRICS in the test env.
         std::env::remove_var("SAMURAI_METRICS");
-        let session = BenchSession::from_args("unit");
+        let session = BenchSession::from_args("unit", &BenchArgs::default());
         assert!(!session.enabled());
         assert!(session.finish(3).is_none());
     }

@@ -28,7 +28,7 @@
 //!   completed prefix is bit-identical to the same prefix of an
 //!   unbudgeted run.
 //! * [`run_ensemble_checkpointed`] — the runner for accumulators and
-//!   errors that implement [`Snapshot`] and [`CheckpointCodec`]: it
+//!   errors that implement [`Snapshot`]: it
 //!   resumes from and writes snapshots, on top of the budgets and the
 //!   crash drill every run honours. A
 //!   [`FaultPlan::kill_at_job`](crate::FaultPlan::kill_at_job)
@@ -203,35 +203,23 @@ impl RunControls<'_> {
     }
 }
 
-/// Lossless JSON serialisation for accumulator state.
+/// Lossless JSON serialisation for checkpointed state: accumulators
+/// and quarantined-job errors.
 ///
 /// Implementations must round-trip **bit patterns**: floats are
 /// carried as `u64` IEEE-754 bits, never as decimal text, so a
-/// restored accumulator continues the merge fold bit-identically.
+/// restored accumulator continues the merge fold bit-identically. A
+/// snapshot carries the full [`FailureReport`](crate::FailureReport),
+/// including each quarantined job's error, and the resumed run
+/// re-renders those errors into the journal via `Debug`, so errors
+/// must round-trip `Debug`-exactly too.
 pub trait Snapshot: Sized {
-    /// The accumulator's state as a canonical JSON tree (all numbers
-    /// `u64`).
+    /// The state as a canonical JSON tree (all numbers `u64`).
     fn to_snapshot(&self) -> JsonValue;
 
     /// Rebuilds the state; `None` on any structural mismatch (the
     /// loader treats that as corruption and cold-starts).
     fn from_snapshot(v: &JsonValue) -> Option<Self>;
-}
-
-/// Lossless JSON serialisation for quarantined-job errors.
-///
-/// Checkpoint snapshots must carry the full
-/// [`FailureReport`](crate::FailureReport), including each quarantined
-/// job's error, bit-exactly: the resumed run re-renders those errors
-/// into the journal via `Debug`, and byte identity with an
-/// uninterrupted run demands an exact round-trip.
-pub trait CheckpointCodec: Sized {
-    /// The error as a canonical JSON tree (numbers as `u64`, floats as
-    /// bit patterns).
-    fn encode(&self) -> JsonValue;
-
-    /// Rebuilds the error; `None` on any structural mismatch.
-    fn decode(v: &JsonValue) -> Option<Self>;
 }
 
 /// FNV-1a 64-bit — the snapshot content hash. It lives in
@@ -458,8 +446,8 @@ fn fault_site_from_name(name: &str) -> Option<FaultSite> {
     })
 }
 
-impl CheckpointCodec for InjectedFault {
-    fn encode(&self) -> JsonValue {
+impl Snapshot for InjectedFault {
+    fn to_snapshot(&self) -> JsonValue {
         JsonValue::obj(vec![
             (
                 "kind",
@@ -472,7 +460,7 @@ impl CheckpointCodec for InjectedFault {
         ])
     }
 
-    fn decode(v: &JsonValue) -> Option<Self> {
+    fn from_snapshot(v: &JsonValue) -> Option<Self> {
         Some(Self {
             kind: fault_kind_from_name(v.get("kind")?.as_str()?)?,
             site: fault_site_from_name(v.get("site")?.as_str()?)?,
@@ -480,8 +468,8 @@ impl CheckpointCodec for InjectedFault {
     }
 }
 
-impl CheckpointCodec for WaveformError {
-    fn encode(&self) -> JsonValue {
+impl Snapshot for WaveformError {
+    fn to_snapshot(&self) -> JsonValue {
         match self {
             Self::NonMonotonicTime {
                 index,
@@ -513,7 +501,7 @@ impl CheckpointCodec for WaveformError {
         }
     }
 
-    fn decode(v: &JsonValue) -> Option<Self> {
+    fn from_snapshot(v: &JsonValue) -> Option<Self> {
         let f64_field = |key: &str| Some(f64::from_bits(v.get(key)?.as_u64()?));
         let usize_field =
             |key: &str| usize::try_from(v.get(key)?.as_u64().unwrap_or(u64::MAX)).ok();
@@ -539,8 +527,8 @@ impl CheckpointCodec for WaveformError {
     }
 }
 
-impl CheckpointCodec for CoreError {
-    fn encode(&self) -> JsonValue {
+impl Snapshot for CoreError {
+    fn to_snapshot(&self) -> JsonValue {
         match self {
             Self::EmptyHorizon { t0, tf } => JsonValue::obj(vec![
                 ("v", JsonValue::Str("empty_horizon".to_owned())),
@@ -558,11 +546,11 @@ impl CheckpointCodec for CoreError {
             ]),
             Self::Waveform(e) => JsonValue::obj(vec![
                 ("v", JsonValue::Str("waveform".to_owned())),
-                ("e", e.encode()),
+                ("e", e.to_snapshot()),
             ]),
             Self::Injected(fault) => JsonValue::obj(vec![
                 ("v", JsonValue::Str("injected".to_owned())),
-                ("e", fault.encode()),
+                ("e", fault.to_snapshot()),
             ]),
             Self::Panicked { message } => JsonValue::obj(vec![
                 ("v", JsonValue::Str("panicked".to_owned())),
@@ -571,7 +559,7 @@ impl CheckpointCodec for CoreError {
         }
     }
 
-    fn decode(v: &JsonValue) -> Option<Self> {
+    fn from_snapshot(v: &JsonValue) -> Option<Self> {
         let f64_field = |key: &str| Some(f64::from_bits(v.get(key)?.as_u64()?));
         Some(match v.get("v")?.as_str()? {
             "empty_horizon" => Self::EmptyHorizon {
@@ -585,8 +573,8 @@ impl CheckpointCodec for CoreError {
             "non_finite_propensity" => Self::NonFinitePropensity {
                 time: f64_field("time")?,
             },
-            "waveform" => Self::Waveform(WaveformError::decode(v.get("e")?)?),
-            "injected" => Self::Injected(InjectedFault::decode(v.get("e")?)?),
+            "waveform" => Self::Waveform(WaveformError::from_snapshot(v.get("e")?)?),
+            "injected" => Self::Injected(InjectedFault::from_snapshot(v.get("e")?)?),
             "panicked" => Self::Panicked {
                 message: v.get("message")?.as_str()?.to_owned(),
             },
@@ -617,7 +605,7 @@ fn failure_policy_json(policy: FailurePolicy) -> JsonValue {
     }
 }
 
-fn snapshot_payload<A: Snapshot, E: CheckpointCodec>(
+fn snapshot_payload<A: Snapshot, E: Snapshot>(
     jobs: usize,
     policy: &ExecutionPolicy,
     progress: &Progress<A, E>,
@@ -662,7 +650,7 @@ fn snapshot_payload<A: Snapshot, E: CheckpointCodec>(
                             ("job", JsonValue::U64(q.job as u64)),
                             ("seed", JsonValue::U64(q.seed)),
                             ("rungs_attempted", JsonValue::U64(q.rungs_attempted as u64)),
-                            ("error", q.error.encode()),
+                            ("error", q.error.to_snapshot()),
                         ])
                     })
                     .collect(),
@@ -694,7 +682,7 @@ fn checkpoint_document(payload: JsonValue) -> String {
 
 /// Validates and decodes a snapshot. The `Err` is the one-word cold
 /// start reason journaled as `checkpoint.cold_start.<reason>`.
-fn load_checkpoint<A: Snapshot, E: CheckpointCodec>(
+fn load_checkpoint<A: Snapshot, E: Snapshot>(
     path: &Path,
     jobs: usize,
     policy: &ExecutionPolicy,
@@ -771,7 +759,7 @@ fn load_checkpoint<A: Snapshot, E: CheckpointCodec>(
                 job: usize::try_from(q.get("job")?.as_u64()?).ok()?,
                 seed: q.get("seed")?.as_u64()?,
                 rungs_attempted: usize::try_from(q.get("rungs_attempted")?.as_u64()?).ok()?,
-                error: E::decode(q.get("error")?)?,
+                error: E::from_snapshot(q.get("error")?)?,
             })
         })
         .collect::<Option<Vec<_>>>()
@@ -837,7 +825,7 @@ pub fn run_ensemble_checkpointed<A, F, E, S>(
 where
     A: EnsembleAccumulator + Snapshot,
     F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
-    E: Send + std::fmt::Debug + From<InjectedFault> + From<JobPanic> + CheckpointCodec,
+    E: Send + std::fmt::Debug + From<InjectedFault> + From<JobPanic> + Snapshot,
     S: MetricsSink,
 {
     let mut progress = Progress::cold();
@@ -910,8 +898,8 @@ mod tests {
         }
     }
 
-    impl CheckpointCodec for TestError {
-        fn encode(&self) -> JsonValue {
+    impl Snapshot for TestError {
+        fn to_snapshot(&self) -> JsonValue {
             match self {
                 Self::Job(j) => JsonValue::obj(vec![
                     ("v", JsonValue::Str("job".to_owned())),
@@ -919,7 +907,7 @@ mod tests {
                 ]),
                 Self::Fault(f) => JsonValue::obj(vec![
                     ("v", JsonValue::Str("fault".to_owned())),
-                    ("e", f.encode()),
+                    ("e", f.to_snapshot()),
                 ]),
                 Self::Panicked(m) => JsonValue::obj(vec![
                     ("v", JsonValue::Str("panicked".to_owned())),
@@ -928,10 +916,10 @@ mod tests {
             }
         }
 
-        fn decode(v: &JsonValue) -> Option<Self> {
+        fn from_snapshot(v: &JsonValue) -> Option<Self> {
             Some(match v.get("v")?.as_str()? {
                 "job" => Self::Job(usize::try_from(v.get("job")?.as_u64()?).ok()?),
-                "fault" => Self::Fault(InjectedFault::decode(v.get("e")?)?),
+                "fault" => Self::Fault(InjectedFault::from_snapshot(v.get("e")?)?),
                 "panicked" => Self::Panicked(v.get("message")?.as_str()?.to_owned()),
                 _ => return None,
             })
@@ -1323,7 +1311,7 @@ mod tests {
             },
         ];
         for e in errors {
-            let decoded = CoreError::decode(&e.encode()).expect("decodes");
+            let decoded = CoreError::from_snapshot(&e.to_snapshot()).expect("decodes");
             assert_eq!(format!("{decoded:?}"), format!("{e:?}"), "debug-exact");
         }
     }

@@ -42,8 +42,7 @@
 //!   error type that can absorb an [`InjectedFault`] and a [`JobPanic`].
 //! * [`crate::checkpoint::run_ensemble_checkpointed`] additionally
 //!   snapshots, resumes and budgets the run; its accumulator and error
-//!   types implement [`crate::checkpoint::Snapshot`] and
-//!   [`crate::checkpoint::CheckpointCodec`].
+//!   types implement [`crate::checkpoint::Snapshot`].
 //!
 //! The driver holds the segment loop, the quarantine-budget check and
 //! journal absorption, so a resilient run and a checkpointed run with

@@ -65,8 +65,8 @@ pub mod ye;
 
 pub use bias::BiasWaveforms;
 pub use checkpoint::{
-    fnv1a64, run_ensemble_checkpointed, write_checkpoint_atomic, CheckpointCodec, CheckpointConfig,
-    RunBudget, RunControls, Snapshot, CHECKPOINT_SCHEMA, KILL_EXIT,
+    fnv1a64, run_ensemble_checkpointed, write_checkpoint_atomic, CheckpointConfig, RunBudget,
+    RunControls, Snapshot, CHECKPOINT_SCHEMA, KILL_EXIT,
 };
 pub use ensemble::{
     run_ensemble_resilient_observed, Completion, EnsembleAccumulator, EnsembleOutcome,

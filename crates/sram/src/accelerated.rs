@@ -106,10 +106,18 @@ pub fn timing_margin(
     base: &MethodologyConfig,
     iterations: usize,
 ) -> Result<TimingMargin, SramError> {
-    timing_margin_with_policy(pattern, base, iterations, FailurePolicy::FailFast)
+    timing_margin_observed(
+        pattern,
+        base,
+        iterations,
+        FailurePolicy::FailFast,
+        &mut Recorder::noop(),
+    )
 }
 
-/// [`timing_margin`] with an explicit [`FailurePolicy`].
+/// [`timing_margin`] with an explicit [`FailurePolicy`], reporting
+/// each probe's two-pass SPICE solver effort and timing into a
+/// telemetry [`Recorder`].
 ///
 /// `Retry { rungs }` makes each probe climb the rescue ladder before
 /// its failure aborts the search; probes whose nominal run succeeds
@@ -117,21 +125,6 @@ pub fn timing_margin(
 /// would have succeeded. A bisection cannot tolerate a missing probe
 /// verdict, so `Quarantine` degrades to `Retry` with the same rung
 /// count here.
-///
-/// # Errors
-///
-/// As [`timing_margin`], once the rescue ladder is exhausted.
-pub fn timing_margin_with_policy(
-    pattern: &BitPattern,
-    base: &MethodologyConfig,
-    iterations: usize,
-    policy: FailurePolicy,
-) -> Result<TimingMargin, SramError> {
-    timing_margin_observed(pattern, base, iterations, policy, &mut Recorder::noop())
-}
-
-/// [`timing_margin_with_policy`] reporting each probe's two-pass SPICE
-/// solver effort and timing into a telemetry [`Recorder`].
 ///
 /// The bracket-endpoint sanity probes run outside the ensemble and are
 /// not journalled; every multisection probe is. The returned margins

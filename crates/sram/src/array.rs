@@ -20,11 +20,11 @@ use samurai_core::telemetry::JsonValue;
 use samurai_core::SeedStream;
 use samurai_spice::MosfetAdjust;
 use samurai_telemetry::{JobProbe, MetricsSink, Recorder};
-use samurai_trap::{aging_vth_shift, TrapParams, TrapProfiler};
+use samurai_trap::{aging_vth_shift, TrapParams};
 use samurai_waveform::BitPattern;
 
 use crate::cell::cell_mosfet_params;
-use crate::harness::trap_device_from_params;
+use crate::harness::{profile_traps, trap_device_from_params};
 use crate::{run_methodology, MethodologyConfig, SramError};
 
 /// Configuration of the Monte-Carlo sweep.
@@ -298,11 +298,12 @@ pub fn run_array_observed<S: MetricsSink>(
                         params.width *= d.geom_scale;
                     }
                     let device = trap_device_from_params(&params, &technology);
-                    let mut tech = technology.clone();
-                    tech.device = device;
-                    tech.trap_density *= density_scale;
-                    *profile =
-                        TrapProfiler::new(tech).sample(&mut inner_seeds.substream(t as u64).rng(0));
+                    *profile = profile_traps(
+                        &technology,
+                        device,
+                        density_scale,
+                        &inner_seeds.substream(t as u64),
+                    );
                     if matches!(t, 2 | 3) {
                         cell_params.vth_shift[t] +=
                             aging_vth_shift(&device, profile, cell_params.vdd, sample.stress_time);

@@ -264,13 +264,6 @@ impl SramCell {
             .set_source(self.rtn_sources[t.index()], source)
             .expect("rtn source id is valid by construction"); // lint: allow(HYG002): source id minted by the constructor
     }
-
-    /// Clears every RTN injection (back to the RTN-free first pass).
-    pub fn clear_rtn_sources(&mut self) {
-        for t in Transistor::ALL {
-            self.set_rtn_source(t, Source::Dc(0.0));
-        }
-    }
 }
 
 #[cfg(test)]

@@ -24,30 +24,26 @@
 //! honours an explicit [`SolverChoice`] override for equivalence
 //! testing).
 
-use rand::Rng;
-
 use samurai_core::checkpoint::{
     run_ensemble_checkpointed, CheckpointConfig, RunBudget, RunControls, Snapshot,
 };
 use samurai_core::ensemble::{
     Completion, ExecutionPolicy, FailurePolicy, FailureReport, IndexedResults, Parallelism,
 };
-use samurai_core::faults::{FaultPlan, FaultSite};
+use samurai_core::faults::FaultPlan;
 use samurai_core::scenario::{DeviceGeometry, ScenarioConfig, NOMINAL_TEMPERATURE};
 use samurai_core::telemetry::JsonValue;
-use samurai_core::{BiasWaveforms, RtnGenerator, SeedStream};
+use samurai_core::SeedStream;
 use samurai_spice::{
-    Circuit, CompiledCircuit, DcConfig, ElementId, MosfetAdjust, MosfetParams, NewtonWorkspace,
-    NodeId, ParamPatch, PatchUndo, SolverChoice, Source, TransientConfig,
+    Circuit, CompiledCircuit, DcConfig, ElementId, MosfetAdjust, MosfetParams, NodeId, ParamPatch,
+    PatchUndo, SolverChoice, Source, TransientConfig,
 };
 use samurai_telemetry::{JobProbe, MetricsSink, Recorder};
-use samurai_trap::{
-    aging_vth_shift, DeviceParams, PropensityModel, Technology, TrapParams, TrapProfiler, TrapState,
-};
+use samurai_trap::{aging_vth_shift, Technology, TrapParams};
 use samurai_waveform::Pwl;
 
 use crate::cell::cell_mosfet_params;
-use crate::harness::{pwc_to_source, trap_device_from_params};
+use crate::harness::{profile_traps, run_two_pass, trap_device_from_params, RtnSite, TwoPassSpec};
 use crate::{SramCellParams, SramError};
 
 /// Width of the precharge/equalise PMOS devices (µm-normalised, like
@@ -822,16 +818,6 @@ impl ColumnStats {
     }
 }
 
-/// Builds the trap-physics device description for one column
-/// transistor (the column-generator counterpart of the cell-level
-/// helper in the harness).
-fn column_trap_device(ckt: &Circuit, id: ElementId, tech: &Technology) -> DeviceParams {
-    let params = ckt
-        .mosfet_params(id)
-        .expect("row transistor ids are minted by the builder"); // lint: allow(HYG002): transistor ids minted by the builder
-    trap_device_from_params(params, tech)
-}
-
 /// Geometry of every row transistor, in scenario device order
 /// (`r * 6 + t`) — the Pelgrom-area input of the scenario sampler.
 fn column_geometries(config: &ColumnConfig) -> Vec<DeviceGeometry> {
@@ -937,10 +923,8 @@ pub fn run_column_ensemble_observed<S: MetricsSink>(
                         params.width *= adj.geom_scale;
                     }
                     let device = trap_device_from_params(&params, &base_tech);
-                    let mut tech = base_tech.clone();
-                    tech.device = device;
                     let profile_seeds = member_seeds.substream(1 + (r * 6 + t) as u64);
-                    let traps = TrapProfiler::new(tech).sample(&mut profile_seeds.rng(0));
+                    let traps = profile_traps(&base_tech, device, 1.0, &profile_seeds);
                     if matches!(t, 2 | 3) {
                         *slot += aging_vth_shift(
                             &device,
@@ -973,7 +957,6 @@ pub fn run_column_ensemble_observed<S: MetricsSink>(
             variation.apply_to_circuit(&mut column.circuit)?;
             column.drive_write(&config.timing, config.bit)?;
 
-            let t0 = 0.0;
             let tf = config.timing.duration();
             let spice = if rung == 0 {
                 config.spice.clone()
@@ -1001,53 +984,35 @@ pub fn run_column_ensemble_observed<S: MetricsSink>(
                 let mut undo = PatchUndo::new();
                 compiled.apply_patch(&thermal, &mut undo)?;
             }
-            let mut ws = NewtonWorkspace::new(&compiled);
-            let plan = config.faults.for_job(member, rung);
-            ws.arm_faults(plan.arm(FaultSite::Solve), plan.arm(FaultSite::Step));
 
-            // Pass 1: RTN-free.
-            let pass1 = compiled.run_transient(&mut ws, t0, tf, &spice)?;
-
-            // SAMURAI per transistor of every row, biased by pass 1.
-            let mut rtn_events = 0;
-            for r in 0..column.rows() {
-                for t in 0..6 {
-                    let element = column.transistor(r, t);
-                    let v_gs = pass1.mosfet_gate_drive(&column.circuit, element)?;
-                    let i_d = pass1.mosfet_current(&column.circuit, element)?;
-                    let bias = BiasWaveforms::new(v_gs, i_d);
-
-                    let device = column_trap_device(&column.circuit, element, &base_tech);
-                    let profile_seeds = member_seeds.substream(1 + (r * 6 + t) as u64);
-                    let mut traps = std::mem::take(&mut trap_profiles[r * 6 + t]);
-
-                    // Equilibrate initial occupancies at the t0 bias.
-                    let mut eq_rng = profile_seeds.rng(1);
-                    let v0 = bias.v_gs.eval(t0);
-                    for trap in traps.iter_mut() {
-                        let model = PropensityModel::new(device, *trap);
-                        if eq_rng.gen::<f64>() < model.stationary_occupancy(v0) {
-                            trap.initial_state = TrapState::Filled;
-                        }
-                    }
-
-                    let generator = RtnGenerator::new(device, traps)
-                        .with_seed(profile_seeds.substream(7).seed())
-                        .with_current_oversample(config.current_oversample)
-                        .with_parallelism(Parallelism::Fixed(1));
-                    let rtn = generator.generate(&bias, t0, tf)?;
-                    rtn_events += rtn.event_count();
-                    compiled
-                        .set_source(
-                            column.rtn_source(r, t),
-                            pwc_to_source(&rtn.i_rtn, config.rtn_scale),
-                        )
-                        .expect("rtn source id minted by the builder"); // lint: allow(HYG002): source id minted by the builder
-                }
+            // SAMURAI per transistor of every row, biased by pass 1;
+            // row r's transistor t draws from substream 1 + 6r + t.
+            let mut sites = Vec::with_capacity(trap_profiles.len());
+            for (i, traps) in trap_profiles.into_iter().enumerate() {
+                let mosfet = column.transistor(i / 6, i % 6);
+                let params = column.circuit.mosfet_params(mosfet)?;
+                sites.push(RtnSite {
+                    mosfet,
+                    source: column.rtn_source(i / 6, i % 6),
+                    device: trap_device_from_params(params, &base_tech),
+                    traps,
+                    seeds: member_seeds.substream(1 + i as u64),
+                });
             }
-
-            // Pass 2: RTN-injected, same compiled circuit + workspace.
-            let pass2 = compiled.run_transient(&mut ws, t0, tf, &spice)?;
+            let spec = TwoPassSpec {
+                tf,
+                spice: &spice,
+                faults: &config.faults.for_job(member, rung),
+                equilibrate: true,
+                current_oversample: config.current_oversample,
+                parallelism: Parallelism::Fixed(1),
+                rtn_scale: config.rtn_scale,
+            };
+            let mut rtn_events = 0;
+            let (pass1, pass2, solver) =
+                run_two_pass(&mut compiled, &column.circuit, &spec, sites, |_, _, rtn| {
+                    rtn_events += rtn.event_count();
+                })?;
 
             let vdd = column_config.cell.vdd;
             let half = 0.5 * vdd;
@@ -1075,7 +1040,7 @@ pub fn run_column_ensemble_observed<S: MetricsSink>(
             }
             let q_sel_clean = q_final(&pass1, selected)?;
             let q_sel = q_final(&pass2, selected)?;
-            probe.record_solver(ws.stats());
+            probe.record_solver(solver);
             // Stamp the job's scenario only when one was configured:
             // the legacy journal schema stays byte-identical.
             if config.scenario.is_some() {
@@ -1103,7 +1068,7 @@ pub fn run_column_ensemble_observed<S: MetricsSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use samurai_spice::SolverKind;
+    use samurai_spice::{NewtonWorkspace, SolverKind};
 
     fn configs_under_test() -> Vec<ColumnConfig> {
         let base = ColumnConfig {
@@ -1351,7 +1316,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use samurai_spice::SolverKind;
+    use samurai_spice::{NewtonWorkspace, SolverKind};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]

@@ -4,7 +4,7 @@ use core::fmt;
 
 use samurai_core::faults::InjectedFault;
 use samurai_core::telemetry::JsonValue;
-use samurai_core::{CheckpointCodec, CoreError, JobPanic};
+use samurai_core::{CoreError, JobPanic, Snapshot};
 use samurai_spice::SpiceError;
 use samurai_waveform::WaveformError;
 
@@ -78,7 +78,7 @@ impl From<JobPanic> for SramError {
 }
 
 /// Serialises a [`SpiceError`] for a checkpoint snapshot. A free
-/// function (not a [`CheckpointCodec`] impl) because both the trait
+/// function (not a [`Snapshot`] impl) because both the trait
 /// and the type are foreign here; [`SramError`]'s own codec is the
 /// only caller. Floats travel as IEEE-754 bit patterns so the
 /// round-trip is `Debug`-exact.
@@ -130,7 +130,7 @@ fn encode_spice_error(e: &SpiceError) -> JsonValue {
         ]),
         SpiceError::Waveform(e) => JsonValue::obj(vec![
             ("v", JsonValue::Str("waveform".to_owned())),
-            ("e", e.encode()),
+            ("e", e.to_snapshot()),
         ]),
         // `SpiceError` is non-exhaustive; an unknown future variant
         // decodes to `None` and the checkpoint loader cold-starts.
@@ -179,13 +179,13 @@ fn decode_spice_error(v: &JsonValue) -> Option<SpiceError> {
             name: leaked("name")?,
             value: f64_field("value")?,
         },
-        "waveform" => SpiceError::Waveform(WaveformError::decode(v.get("e")?)?),
+        "waveform" => SpiceError::Waveform(WaveformError::from_snapshot(v.get("e")?)?),
         _ => return None,
     })
 }
 
-impl CheckpointCodec for SramError {
-    fn encode(&self) -> JsonValue {
+impl Snapshot for SramError {
+    fn to_snapshot(&self) -> JsonValue {
         match self {
             Self::Spice(e) => JsonValue::obj(vec![
                 ("v", JsonValue::Str("spice".to_owned())),
@@ -193,11 +193,11 @@ impl CheckpointCodec for SramError {
             ]),
             Self::Rtn(e) => JsonValue::obj(vec![
                 ("v", JsonValue::Str("rtn".to_owned())),
-                ("e", e.encode()),
+                ("e", e.to_snapshot()),
             ]),
             Self::Waveform(e) => JsonValue::obj(vec![
                 ("v", JsonValue::Str("waveform".to_owned())),
-                ("e", e.encode()),
+                ("e", e.to_snapshot()),
             ]),
             Self::InvalidConfig { reason } => JsonValue::obj(vec![
                 ("v", JsonValue::Str("invalid_config".to_owned())),
@@ -206,11 +206,11 @@ impl CheckpointCodec for SramError {
         }
     }
 
-    fn decode(v: &JsonValue) -> Option<Self> {
+    fn from_snapshot(v: &JsonValue) -> Option<Self> {
         Some(match v.get("v")?.as_str()? {
             "spice" => Self::Spice(decode_spice_error(v.get("e")?)?),
-            "rtn" => Self::Rtn(CoreError::decode(v.get("e")?)?),
-            "waveform" => Self::Waveform(WaveformError::decode(v.get("e")?)?),
+            "rtn" => Self::Rtn(CoreError::from_snapshot(v.get("e")?)?),
+            "waveform" => Self::Waveform(WaveformError::from_snapshot(v.get("e")?)?),
             "invalid_config" => Self::InvalidConfig {
                 reason: Box::leak(v.get("reason")?.as_str()?.to_owned().into_boxed_str()),
             },
@@ -274,7 +274,7 @@ mod tests {
             SramError::InvalidConfig { reason: "bad" },
         ];
         for e in errors {
-            let decoded = SramError::decode(&e.encode()).expect("decodes");
+            let decoded = SramError::from_snapshot(&e.to_snapshot()).expect("decodes");
             // Debug-exact round-trip is what checkpoint/resume journal
             // byte-identity rests on (NaN prints as NaN either way).
             assert_eq!(format!("{decoded:?}"), format!("{e:?}"));

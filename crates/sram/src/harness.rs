@@ -4,13 +4,15 @@
 use rand::Rng;
 
 use samurai_core::faults::{FaultPlan, FaultSite};
-use samurai_core::{BiasWaveforms, Parallelism, RtnGenerator, SeedStream};
-use samurai_trap::{DeviceParams, Technology, TrapParams, TrapProfiler, TrapState};
+use samurai_core::{BiasWaveforms, DeviceRtn, Parallelism, RtnGenerator, SeedStream};
+use samurai_trap::{
+    DeviceParams, PropensityModel, Technology, TrapParams, TrapProfiler, TrapState,
+};
 use samurai_waveform::{BitPattern, Pwc, Pwl};
 
 use samurai_spice::{
-    CompiledCircuit, MosfetAdjust, MosfetParams, NewtonWorkspace, ParamPatch, PatchUndo, Source,
-    TransientConfig,
+    Circuit, CompiledCircuit, ElementId, MosfetAdjust, MosfetParams, NewtonWorkspace, ParamPatch,
+    PatchUndo, Source, TransientConfig, TransientResult,
 };
 use samurai_telemetry::SolverStats;
 
@@ -159,8 +161,8 @@ pub(crate) fn trap_device(cell: &SramCell, t: Transistor, tech: &Technology) -> 
 /// Builds the trap-physics device description from explicit MOSFET
 /// parameters: electrical sizing and threshold from the netlist
 /// device, oxide/doping/temperature from the technology. Shared by
-/// the cell harness, the column generator and the scenario layer's
-/// trap pre-sampling.
+/// the cell harness, the ring, the column generator and the scenario
+/// layer's trap pre-sampling.
 pub(crate) fn trap_device_from_params(params: &MosfetParams, tech: &Technology) -> DeviceParams {
     DeviceParams {
         width: samurai_units::Length::from_metres(params.width),
@@ -171,6 +173,21 @@ pub(crate) fn trap_device_from_params(params: &MosfetParams, tech: &Technology) 
         doping: tech.device.doping,
         temperature: tech.device.temperature,
     }
+}
+
+/// Samples the trap profile of `device` from `tech`'s statistics, with
+/// the trap density scaled by `density_scale`, drawing from
+/// `seeds.rng(0)`.
+pub(crate) fn profile_traps(
+    tech: &Technology,
+    device: DeviceParams,
+    density_scale: f64,
+    seeds: &SeedStream,
+) -> Vec<TrapParams> {
+    let mut tech = tech.clone();
+    tech.device = device;
+    tech.trap_density *= density_scale;
+    TrapProfiler::new(tech).sample(&mut seeds.rng(0))
 }
 
 /// Thins staircase steps closer than `min_gap` to their predecessor so
@@ -195,30 +212,106 @@ pub(crate) fn pwc_to_source(pwc: &Pwc, scale: f64) -> Source {
     Source::Pwl(clean.to_pwl(0.9e-16))
 }
 
-/// Runs the full Fig 8 methodology for one cell and one bit pattern.
-///
-/// # Errors
-///
-/// Propagates simulation failures from either SPICE pass or from the
-/// RTN generator.
-pub fn run_methodology(
-    pattern: &BitPattern,
+/// One transistor that receives RTN in the two-pass step.
+pub(crate) struct RtnSite {
+    /// The MOSFET whose pass-1 bias drives the traps.
+    pub mosfet: ElementId,
+    /// The current source that carries the device's `I_RTN` in pass 2.
+    pub source: ElementId,
+    /// Trap-physics description of the device.
+    pub device: DeviceParams,
+    /// The device's trap profile.
+    pub traps: Vec<TrapParams>,
+    /// The site's seeds: `rng(1)` equilibrates the trap states,
+    /// `substream(7)` seeds the RTN generator.
+    pub seeds: SeedStream,
+}
+
+/// The settings every site of one two-pass run shares.
+pub(crate) struct TwoPassSpec<'a> {
+    /// End of the simulated horizon `[0, tf]`, seconds.
+    pub tf: f64,
+    /// Solver configuration of both passes.
+    pub spice: &'a TransientConfig,
+    /// Fault plan armed on the shared workspace before pass 1.
+    pub faults: &'a FaultPlan,
+    /// Draw each trap's initial state from its stationary distribution
+    /// at the pass-1 bias at `t = 0` (otherwise the profile's states).
+    pub equilibrate: bool,
+    /// Uniform refinement of the Eq (3) current between trap events.
+    pub current_oversample: usize,
+    /// Worker pool of each site's per-trap simulations.
+    pub parallelism: Parallelism,
+    /// Scale of the injected `I_RTN`.
+    pub rtn_scale: f64,
+}
+
+/// The paper's two-pass step (Fig 8, left) on an already compiled and
+/// patched circuit: pass 1, then SAMURAI per site on the bias extracted
+/// from pass 1, then pass 2 with every site's `I_RTN` injected. Both
+/// passes run on one workspace, so the fault arms and the solver
+/// counters carry from pass 1 into pass 2. Each site's bias, trap
+/// profile (with its initial states) and RTN go to `on_site`, in site
+/// order, and are not kept. Returns pass 1, pass 2 and the solver
+/// effort across both.
+pub(crate) fn run_two_pass(
+    compiled: &mut CompiledCircuit,
+    circuit: &Circuit,
+    spec: &TwoPassSpec<'_>,
+    sites: impl IntoIterator<Item = RtnSite>,
+    mut on_site: impl FnMut(BiasWaveforms, Vec<TrapParams>, DeviceRtn),
+) -> Result<(TransientResult, TransientResult, SolverStats), SramError> {
+    let mut ws = NewtonWorkspace::new(compiled);
+    ws.arm_faults(
+        spec.faults.arm(FaultSite::Solve),
+        spec.faults.arm(FaultSite::Step),
+    );
+    let pass1 = compiled.run_transient(&mut ws, 0.0, spec.tf, spec.spice)?;
+
+    for site in sites {
+        // Bias extraction: effective gate drive (relative to the
+        // terminal currently acting as the source — pass transistors
+        // conduct both ways) for the trap physics, signed drain
+        // current for Eq (3).
+        let bias = BiasWaveforms::new(
+            pass1.mosfet_gate_drive(circuit, site.mosfet)?,
+            pass1.mosfet_current(circuit, site.mosfet)?,
+        );
+        let mut traps = site.traps;
+        if spec.equilibrate {
+            let mut rng = site.seeds.rng(1);
+            let v0 = bias.v_gs.eval(0.0);
+            for trap in &mut traps {
+                let model = PropensityModel::new(site.device, *trap);
+                if rng.gen::<f64>() < model.stationary_occupancy(v0) {
+                    trap.initial_state = TrapState::Filled;
+                }
+            }
+        }
+        let rtn = RtnGenerator::new(site.device, traps.clone())
+            .with_seed(site.seeds.substream(7).seed())
+            .with_current_oversample(spec.current_oversample)
+            .with_parallelism(spec.parallelism)
+            .generate(&bias, 0.0, spec.tf)?;
+        compiled.set_source(site.source, pwc_to_source(&rtn.i_rtn, spec.rtn_scale))?;
+        on_site(bias, traps, rtn);
+    }
+
+    let pass2 = compiled.run_transient(&mut ws, 0.0, spec.tf, spec.spice)?;
+    Ok((pass1, pass2, ws.stats()))
+}
+
+/// The two-pass step for one 6T cell under `config` over `[0, tf]`:
+/// the config's beta/geometry spread and thermal corner are patched
+/// onto the compiled cell, and transistor `t`'s site draws from
+/// `substream(t)` of the master seed. Shared by the write and
+/// read-disturb flows.
+pub(crate) fn run_cell_two_pass(
+    cell: &SramCell,
+    tf: f64,
     config: &MethodologyConfig,
-) -> Result<MethodologyReport, SramError> {
-    let mut cell = SramCell::new(config.cell);
-    let waves = build_write_waveforms(pattern, &config.timing)?;
-    cell.set_wl(Source::Pwl(waves.wl.clone()));
-    cell.set_bl(Source::Pwl(waves.bl.clone()));
-    cell.set_blb(Source::Pwl(waves.blb.clone()));
-
-    let t0 = 0.0;
-    let tf = config.timing.duration(pattern.len());
-    let spice_config = &config.spice;
-
-    // One compiled circuit and workspace serve both SPICE passes; only
-    // the RTN sources are rewritten in between. The fault arms cover
-    // the whole two-pass run: solve/step counters carry from pass 1
-    // into pass 2.
+    on_site: impl FnMut(BiasWaveforms, Vec<TrapParams>, DeviceRtn),
+) -> Result<(TransientResult, TransientResult, SolverStats), SramError> {
     let mut compiled = CompiledCircuit::compile(&cell.circuit);
     // Scenario overlay: beta/geometry spread and the thermal corner
     // ride on the compiled workspace as a ParamPatch, so per-job
@@ -236,83 +329,68 @@ pub fn run_methodology(
         let mut undo = PatchUndo::new();
         compiled.apply_patch(&patch, &mut undo)?;
     }
-    let mut ws = NewtonWorkspace::new(&compiled);
-    ws.arm_faults(
-        config.faults.arm(FaultSite::Solve),
-        config.faults.arm(FaultSite::Step),
-    );
 
-    // Pass 1: RTN-free.
-    let pass1 = compiled.run_transient(&mut ws, t0, tf, spice_config)?;
-    let q_clean = pass1.voltage(&cell.circuit, "q")?;
-    let qb_clean = pass1.voltage(&cell.circuit, "qb")?;
-    let outcomes_clean = analyze_writes(&q_clean, pattern, &config.timing);
-
-    // SAMURAI per transistor.
     let seeds = SeedStream::new(config.seed);
-    let mut rtn_data = Vec::with_capacity(6);
-    for t in Transistor::ALL {
-        let element = cell.transistor(t);
-
-        // Bias extraction: effective gate drive (relative to the
-        // terminal currently acting as the source — pass transistors
-        // conduct both ways) for the trap physics, signed drain
-        // current for Eq (3).
-        let v_gs = pass1.mosfet_gate_drive(&cell.circuit, element)?;
-        let i_d = pass1.mosfet_current(&cell.circuit, element)?;
-        let bias = BiasWaveforms::new(v_gs, i_d);
-
-        // Trap profile.
-        let device = trap_device(&cell, t, &config.technology);
-        let mut tech = config.technology.clone();
-        tech.device = device;
-        tech.trap_density *= config.density_scale;
-        let profile_seeds = seeds.substream(t.index() as u64);
-        let mut traps = match &config.traps {
+    let sites = Transistor::ALL.into_iter().map(|t| {
+        let device = trap_device(cell, t, &config.technology);
+        let seeds = seeds.substream(t.index() as u64);
+        let traps = match &config.traps {
             Some(explicit) => explicit[t.index()].clone(),
-            None => TrapProfiler::new(tech).sample(&mut profile_seeds.rng(0)),
+            None => profile_traps(&config.technology, device, config.density_scale, &seeds),
         };
-
-        // Optionally equilibrate initial occupancies at the t0 bias.
-        if config.equilibrate_initial_state {
-            let mut rng = profile_seeds.rng(1);
-            let v0 = bias.v_gs.eval(t0);
-            for trap in traps.iter_mut() {
-                let model = samurai_trap::PropensityModel::new(device, *trap);
-                if rng.gen::<f64>() < model.stationary_occupancy(v0) {
-                    trap.initial_state = TrapState::Filled;
-                }
-            }
+        RtnSite {
+            mosfet: cell.transistor(t),
+            source: cell.rtn_source(t),
+            device,
+            traps,
+            seeds,
         }
+    });
+    let spec = TwoPassSpec {
+        tf,
+        spice: &config.spice,
+        faults: &config.faults,
+        equilibrate: config.equilibrate_initial_state,
+        current_oversample: config.current_oversample,
+        parallelism: config.parallelism,
+        rtn_scale: config.rtn_scale,
+    };
+    run_two_pass(&mut compiled, &cell.circuit, &spec, sites, on_site)
+}
 
-        let generator = RtnGenerator::new(device, traps.clone())
-            .with_seed(profile_seeds.substream(7).seed())
-            .with_current_oversample(config.current_oversample)
-            .with_parallelism(config.parallelism);
-        let rtn = generator.generate(&bias, t0, tf)?;
+/// Runs the full Fig 8 methodology for one cell and one bit pattern.
+///
+/// # Errors
+///
+/// Propagates simulation failures from either SPICE pass or from the
+/// RTN generator.
+pub fn run_methodology(
+    pattern: &BitPattern,
+    config: &MethodologyConfig,
+) -> Result<MethodologyReport, SramError> {
+    let mut cell = SramCell::new(config.cell);
+    let waves = build_write_waveforms(pattern, &config.timing)?;
+    cell.set_wl(Source::Pwl(waves.wl.clone()));
+    cell.set_bl(Source::Pwl(waves.bl.clone()));
+    cell.set_blb(Source::Pwl(waves.blb.clone()));
 
-        rtn_data.push(TransistorRtn {
-            transistor: t,
+    let tf = config.timing.duration(pattern.len());
+    let mut rtn = Vec::with_capacity(6);
+    let (pass1, pass2, solver) = run_cell_two_pass(&cell, tf, config, |bias, traps, device| {
+        rtn.push(TransistorRtn {
+            transistor: Transistor::ALL[rtn.len()],
             bias,
             traps,
-            occupancies: rtn.occupancies,
-            n_filled: rtn.n_filled,
-            i_rtn: rtn.i_rtn,
+            occupancies: device.occupancies,
+            n_filled: device.n_filled,
+            i_rtn: device.i_rtn,
         });
-    }
-
-    // Pass 2: inject the (scaled) RTN currents and re-simulate.
-    for data in &rtn_data {
-        compiled
-            .set_source(
-                cell.rtn_source(data.transistor),
-                pwc_to_source(&data.i_rtn, config.rtn_scale),
-            )
-            .expect("rtn source id is valid by construction"); // lint: allow(HYG002): source id minted by the cell constructor
-    }
-    let pass2 = compiled.run_transient(&mut ws, t0, tf, spice_config)?;
+    })?;
+    let q_clean = pass1.voltage(&cell.circuit, "q")?;
+    let qb_clean = pass1.voltage(&cell.circuit, "qb")?;
     let q_rtn = pass2.voltage(&cell.circuit, "q")?;
     let qb_rtn = pass2.voltage(&cell.circuit, "qb")?;
+    let outcomes_clean = analyze_writes(&q_clean, pattern, &config.timing);
     let outcomes = analyze_writes(&q_rtn, pattern, &config.timing);
 
     Ok(MethodologyReport {
@@ -320,10 +398,10 @@ pub fn run_methodology(
         qb_clean,
         q_rtn,
         qb_rtn,
-        rtn: rtn_data,
+        rtn,
         outcomes_clean,
         outcomes,
-        solver: ws.stats(),
+        solver,
     })
 }
 

@@ -13,7 +13,11 @@
 //! * [`analyze_writes`] — write-error / write-slowdown classification
 //!   of a simulated `Q` waveform (the distinction of Fig 5);
 //! * [`run_methodology`] — the full two-pass SPICE → SAMURAI → SPICE
-//!   flow of Fig 8, with the paper's ×30 RTN scaling knob;
+//!   flow of Fig 8, with the paper's ×30 RTN scaling knob. The
+//!   read-disturb, ring-oscillator and column flows run the same
+//!   crate-private two-pass step on their own circuits: pass 1, RTN
+//!   per transistor from its pass-1 bias, pass 2 with the RTN
+//!   injected;
 //! * extensions from the paper's future-work list: bi-directionally
 //!   [`coupled`] RTN+circuit simulation (item 1), Monte-Carlo
 //!   [`array`](mod@array)-level bit-error analysis with `V_T` variation (items 2

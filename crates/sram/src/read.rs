@@ -8,13 +8,12 @@
 //! SAMURAI predicts these failures too; this module implements the
 //! scenario.
 
-use samurai_core::{BiasWaveforms, RtnGenerator, SeedStream};
 use samurai_waveform::{Pwc, Pwl};
 
-use samurai_spice::{CompiledCircuit, NewtonWorkspace, Source, TransientConfig};
+use samurai_spice::Source;
 
-use crate::harness::{pwc_to_source, trap_device, MethodologyConfig};
-use crate::{SramCell, SramError, Transistor, WriteTiming};
+use crate::harness::{run_cell_two_pass, MethodologyConfig};
+use crate::{SramCell, SramError, WriteTiming};
 
 /// Result of a read-disturb experiment.
 #[derive(Debug, Clone)]
@@ -28,14 +27,15 @@ pub struct ReadDisturbReport {
     /// `Q` at the end of the run, volts.
     pub final_q: f64,
     /// Per-transistor RTN currents injected (unscaled), indexed by
-    /// [`Transistor::index`].
+    /// [`Transistor::index`](crate::Transistor::index).
     pub i_rtn: Vec<Pwc>,
 }
 
 /// Runs a store-then-read experiment: the cell is initialised holding
 /// `bit`, then `reads` consecutive read cycles hammer it with both bit
-/// lines at `V_dd`. RTN is generated with the two-pass methodology and
-/// injected at `config.rtn_scale`.
+/// lines at `V_dd`. The two SPICE passes and the RTN generated between
+/// them run as in [`run_methodology`](crate::run_methodology), under
+/// every field of `config`.
 ///
 /// # Errors
 ///
@@ -61,46 +61,8 @@ pub fn run_read_disturb(
     cell.set_bl(Source::Pwl(bl));
     cell.set_blb(Source::Pwl(blb));
 
-    let spice_config = TransientConfig::default();
-
-    // Compile once; both passes share the workspace.
-    let mut compiled = CompiledCircuit::compile(&cell.circuit);
-    let mut ws = NewtonWorkspace::new(&compiled);
-
-    // Pass 1: RTN-free (bias extraction).
-    let pass1 = compiled.run_transient(&mut ws, 0.0, tf, &spice_config)?;
-
-    // SAMURAI per transistor, as in the write methodology.
-    let seeds = SeedStream::new(config.seed);
-    let mut injected = Vec::with_capacity(6);
-    for t in Transistor::ALL {
-        let element = cell.transistor(t);
-        let v_gs = pass1.mosfet_gate_drive(&cell.circuit, element)?;
-        let i_d = pass1.mosfet_current(&cell.circuit, element)?;
-        let bias = BiasWaveforms::new(v_gs, i_d);
-
-        let device = trap_device(&cell, t, &config.technology);
-        let mut tech = config.technology.clone();
-        tech.device = device;
-        tech.trap_density *= config.density_scale;
-        let profile_seeds = seeds.substream(t.index() as u64);
-        let traps = match &config.traps {
-            Some(explicit) => explicit[t.index()].clone(),
-            None => samurai_trap::TrapProfiler::new(tech).sample(&mut profile_seeds.rng(0)),
-        };
-        let generator = RtnGenerator::new(device, traps)
-            .with_seed(profile_seeds.substream(7).seed())
-            .with_current_oversample(config.current_oversample);
-        let rtn = generator.generate(&bias, 0.0, tf)?;
-        compiled.set_source(
-            cell.rtn_source(t),
-            pwc_to_source(&rtn.i_rtn, config.rtn_scale),
-        )?;
-        injected.push(rtn.i_rtn);
-    }
-
-    // Pass 2: with RTN.
-    let pass2 = compiled.run_transient(&mut ws, 0.0, tf, &spice_config)?;
+    let mut i_rtn = Vec::with_capacity(6);
+    let (_, pass2, _) = run_cell_two_pass(&cell, tf, config, |_, _, rtn| i_rtn.push(rtn.i_rtn))?;
     let q = pass2.voltage(&cell.circuit, "q")?;
     let qb = pass2.voltage(&cell.circuit, "qb")?;
     let final_q = q.eval(tf * (1.0 - 1e-6));
@@ -115,7 +77,7 @@ pub fn run_read_disturb(
         qb,
         disturbed: !held,
         final_q,
-        i_rtn: injected,
+        i_rtn,
     })
 }
 

@@ -6,14 +6,12 @@
 //! the usual two-pass flow, and the cycle-by-cycle period sequence is
 //! compared with and without RTN.
 
-use samurai_core::{BiasWaveforms, RtnGenerator, SeedStream};
+use samurai_core::{FaultPlan, Parallelism, SeedStream};
 use samurai_waveform::Pwl;
 
-use samurai_spice::{
-    Circuit, CompiledCircuit, ElementId, MosfetParams, NewtonWorkspace, Source, TransientConfig,
-};
+use samurai_spice::{Circuit, CompiledCircuit, ElementId, MosfetParams, Source, TransientConfig};
 
-use crate::harness::pwc_to_source;
+use crate::harness::{profile_traps, run_two_pass, trap_device_from_params, RtnSite, TwoPassSpec};
 use crate::SramError;
 
 /// Configuration of the ring experiment.
@@ -173,48 +171,44 @@ pub fn run_ring(config: &RingConfig) -> Result<RingReport, SramError> {
         ..TransientConfig::default()
     };
 
-    // Compile once; both passes share the workspace and only the RTN
-    // sources change in between.
+    // RTN per transistor, from the stream of its position in the ring.
+    let seeds = SeedStream::new(config.seed);
+    let mut sites = Vec::with_capacity(ring.transistors.len());
+    for (idx, (&mosfet, &source)) in ring.transistors.iter().zip(&ring.rtn_sources).enumerate() {
+        let device =
+            trap_device_from_params(ring.circuit.mosfet_params(mosfet)?, &config.technology);
+        let seeds = seeds.substream(idx as u64);
+        let traps = profile_traps(&config.technology, device, config.density_scale, &seeds);
+        sites.push(RtnSite {
+            mosfet,
+            source,
+            device,
+            traps,
+            seeds,
+        });
+    }
+    let spec = TwoPassSpec {
+        tf: config.horizon,
+        spice: &spice_config,
+        faults: &FaultPlan::none(),
+        equilibrate: false,
+        current_oversample: 64,
+        parallelism: Parallelism::Fixed(1),
+        rtn_scale: config.rtn_scale,
+    };
     let mut compiled = CompiledCircuit::compile(&ring.circuit);
-    let mut ws = NewtonWorkspace::new(&compiled);
+    let (pass1, pass2, _) = run_two_pass(&mut compiled, &ring.circuit, &spec, sites, |_, _, _| {})?;
 
-    // Pass 1: clean ring.
-    let pass1 = compiled.run_transient(&mut ws, 0.0, config.horizon, &spice_config)?;
-    let v0_clean = pass1.voltage(&ring.circuit, "n0")?;
     let level = config.vdd / 2.0;
     let scan_dt = config.horizon / 20_000.0;
     let settle = config.horizon * 0.2;
-    let crossings_clean = rising_crossings(&v0_clean, level, 0.0, config.horizon, scan_dt, settle);
-    let periods_clean = periods_from_crossings(&crossings_clean);
-
-    // RTN per transistor from the extracted biases.
-    let seeds = SeedStream::new(config.seed);
-    for (idx, (&element, &source_id)) in ring.transistors.iter().zip(&ring.rtn_sources).enumerate()
-    {
-        let params = *ring.circuit.mosfet_params(element)?;
-        let v_gs = pass1.mosfet_gate_drive(&ring.circuit, element)?;
-        let i_d = pass1.mosfet_current(&ring.circuit, element)?;
-        let bias = BiasWaveforms::new(v_gs, i_d);
-
-        let mut tech = config.technology.clone();
-        tech.device.width = samurai_units::Length::from_metres(params.width);
-        tech.device.length = samurai_units::Length::from_metres(params.length);
-        tech.device.v_th = samurai_units::Voltage::from_volts(params.vth);
-        tech.trap_density *= config.density_scale;
-        let stream = seeds.substream(idx as u64);
-        let traps = samurai_trap::TrapProfiler::new(tech.clone()).sample(&mut stream.rng(0));
-        let generator = RtnGenerator::new(tech.device, traps)
-            .with_seed(stream.substream(7).seed())
-            .with_current_oversample(64);
-        let rtn = generator.generate(&bias, 0.0, config.horizon)?;
-        compiled.set_source(source_id, pwc_to_source(&rtn.i_rtn, config.rtn_scale))?;
-    }
-
-    // Pass 2: ring with RTN.
-    let pass2 = compiled.run_transient(&mut ws, 0.0, config.horizon, &spice_config)?;
+    let periods = |v: &Pwl| {
+        let crossings = rising_crossings(v, level, 0.0, config.horizon, scan_dt, settle);
+        periods_from_crossings(&crossings)
+    };
+    let periods_clean = periods(&pass1.voltage(&ring.circuit, "n0")?);
     let v0 = pass2.voltage(&ring.circuit, "n0")?;
-    let crossings_rtn = rising_crossings(&v0, level, 0.0, config.horizon, scan_dt, settle);
-    let periods_rtn = periods_from_crossings(&crossings_rtn);
+    let periods_rtn = periods(&v0);
 
     Ok(RingReport {
         periods_clean,

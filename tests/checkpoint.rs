@@ -88,17 +88,23 @@ fn baseline(solver: SolverChoice) -> (ColumnStats, String) {
 
 fn spawn_kill_child(path: &Path, workers: usize, solver: &str) {
     let exe = std::env::current_exe().expect("test binary path");
-    let status = Command::new(exe)
+    // The child's output is captured, not inherited: a victim killed
+    // mid-line would otherwise splice its half-printed `test kill_child
+    // ...` header into the parent's own test report.
+    let output = Command::new(exe)
         .args(["--exact", "kill_child", "--test-threads=1", "--nocapture"])
         .env(ENV_PATH, path)
         .env(ENV_WORKERS, workers.to_string())
         .env(ENV_SOLVER, solver)
-        .status()
+        .output()
         .expect("kill-drill child spawns");
     assert_eq!(
-        status.code(),
+        output.status.code(),
         Some(KILL_EXIT),
-        "the drill dies with the kill exit code, not a crash or a clean exit"
+        "the drill dies with the kill exit code, not a crash or a clean exit\n\
+         child stdout:\n{}\nchild stderr:\n{}",
+        String::from_utf8_lossy(&output.stdout),
+        String::from_utf8_lossy(&output.stderr)
     );
 }
 

@@ -12,7 +12,8 @@ use samurai::spice::{
     SpiceError, TransientConfig, TransientStepper,
 };
 use samurai::sram::array::{run_array, ArrayConfig};
-use samurai::sram::MethodologyConfig;
+use samurai::sram::read::run_read_disturb;
+use samurai::sram::{run_methodology, MethodologyConfig};
 use samurai::waveform::{BitPattern, Pwl};
 
 /// A linear divider: one plain Newton solve suffices unassisted.
@@ -505,4 +506,31 @@ fn sparse_column_quarantine_is_bit_identical_at_any_worker_count() {
         let stats = run(workers);
         assert_eq!(stats.members, reference.members, "{workers} workers");
     }
+}
+
+/// The read-disturb flow runs the same two passes as the write flow
+/// under the same `MethodologyConfig`: a fault plan that breaks the
+/// write flow's pass 1 breaks the read flow's too, and the thermal
+/// corner reaches its solver.
+#[test]
+fn read_disturb_honours_the_methodology_config() {
+    let faulted = MethodologyConfig {
+        faults: FaultPlan::none().fail_nth_step(2, FaultKind::SingularMatrix),
+        ..MethodologyConfig::default()
+    };
+    let pattern = BitPattern::parse("10").expect("static pattern");
+    assert!(run_methodology(&pattern, &faulted).is_err());
+    assert!(run_read_disturb(false, 2, &faulted).is_err());
+
+    let quiet = MethodologyConfig {
+        traps: Some(Default::default()),
+        ..MethodologyConfig::default()
+    };
+    let hot = MethodologyConfig {
+        phi_t_scale: 1.2,
+        ..quiet.clone()
+    };
+    let nominal = run_read_disturb(false, 2, &quiet).expect("nominal corner runs");
+    let heated = run_read_disturb(false, 2, &hot).expect("hot corner runs");
+    assert_ne!(nominal.q.points(), heated.q.points());
 }
