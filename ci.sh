@@ -26,6 +26,11 @@ cargo test -q -p samurai --test solver_equivalence
 # captured before they shared it (pinned for the same reason as the
 # suites above).
 cargo test -q -p samurai --test two_pass_golden
+# Hostile-file suite: a checkpoint, a request and a result document,
+# each damaged at every byte and cut at every length, must load whole
+# or not at all through the one envelope codec and the runtime
+# decoders (pinned for the same reason as the suites above).
+cargo test -q -p samurai-serve --test hostile_files
 # Performance-ledger package tests (the ledger is its own workspace
 # with its own lock file, so `--workspace` above never reaches it): a
 # smoke pass over all four workloads and digest equality with tracing
@@ -67,7 +72,8 @@ cargo run -q --release -p samurai-bench --bin validate -- metrics \
 # deterministic crash drill (exit 86, snapshot left behind),
 # schema-validate the snapshot, resume from it, and require the
 # resumed journal to be byte-identical to the uninterrupted run's
-# journal written by the fig7 gate above.
+# journal written by the fig7 gate above. `validate checkpoint` runs
+# the resume path's own decoder over the snapshot.
 rm -f target/metrics/fig7.ckpt
 set +e
 cargo run -q --release -p samurai-bench --bin fig7_validation -- \
@@ -174,8 +180,9 @@ target/release/samurai-client journal --addr "$addr" --ticket "$ticket" \
 cmp target/serve-journal-resumed.jsonl target/serve-journal-plain.jsonl
 target/release/samurai-client drain --addr "$addr"
 wait $resume_pid
-# Store audit: every document both gates left behind must carry a
-# valid schema tag and content hash.
+# Store audit: every document both gates left behind must open under
+# the decoders the store itself loads it with (schema tag, content
+# hash, canonical request, result at its request's ticket).
 cargo run -q --release -p samurai-bench --bin validate -- store \
     target/serve-store/*.json target/serve-store-drill/*.json
 # Doc lint wall over the first-party crates (vendored stubs excluded).

@@ -206,7 +206,6 @@ fn main() {
     let controls = RunControls {
         checkpoint: control_args.checkpoint,
         budget: control_args.budget,
-        deadline: None,
     };
     let outcome = run_ensemble_checkpointed(
         configs.len(),

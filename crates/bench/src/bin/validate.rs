@@ -13,7 +13,8 @@
 //! prints `<path>: ok` per valid file and exits non-zero if any file
 //! fails, or if the kind is unknown.
 
-use samurai_bench::{validate_bench_summary, validate_call_graph, validate_checkpoint_snapshot};
+use samurai_bench::{validate_bench_summary, validate_call_graph};
+use samurai_core::checkpoint::validate_checkpoint;
 use samurai_core::telemetry::json::{self, JsonValue};
 use samurai_serve::validate_store_document;
 use std::process::ExitCode;
@@ -39,7 +40,13 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let validator: fn(&JsonValue) -> Vec<String> = match args.first().map(String::as_str) {
-        Some("checkpoint") => validate_checkpoint_snapshot,
+        Some("checkpoint") => |doc| {
+            validate_checkpoint(doc)
+                .err()
+                .into_iter()
+                .map(str::to_owned)
+                .collect()
+        },
         Some("graph") => validate_call_graph,
         Some("metrics") => validate_bench_summary,
         Some("store") => validate_store_document,

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use samurai_core::checkpoint::{CheckpointConfig, RunBudget};
 use samurai_core::telemetry::{JsonValue, MemoryRecorder};
-use samurai_core::{fnv1a64, FailurePolicy, Parallelism, CHECKPOINT_SCHEMA};
+use samurai_core::{FailurePolicy, Parallelism};
 
 /// Every command-line flag the bench binaries share, parsed in one
 /// pass: each binary calls [`BenchArgs::from_env`] once and asks the
@@ -545,102 +545,6 @@ pub fn validate_bench_summary(doc: &JsonValue) -> Vec<String> {
     errors
 }
 
-/// Validates a `samurai-checkpoint-v1` snapshot document: schema tag,
-/// content hash recomputed over the canonical payload serialisation,
-/// and the payload fields the resume path depends on. Returns the
-/// error list (empty = valid). Used by `ci.sh` via
-/// `validate checkpoint`.
-pub fn validate_checkpoint_snapshot(doc: &JsonValue) -> Vec<String> {
-    fn check_u64(errors: &mut Vec<String>, v: Option<&JsonValue>, path: &str) {
-        if v.and_then(JsonValue::as_u64).is_none() {
-            errors.push(format!("missing integer: {path}"));
-        }
-    }
-    let mut errors = Vec::new();
-    if doc.get("schema").and_then(JsonValue::as_str) != Some(CHECKPOINT_SCHEMA) {
-        errors.push(format!("schema is not {CHECKPOINT_SCHEMA}"));
-    }
-    let hash = doc.get("hash").and_then(JsonValue::as_u64);
-    if hash.is_none() {
-        errors.push("missing integer: hash".to_owned());
-    }
-    let Some(payload) = doc.get("payload") else {
-        errors.push("missing object: payload".to_owned());
-        return errors;
-    };
-    if let Some(expected) = hash {
-        // The writer hashes the payload's canonical serialisation, and
-        // every payload number is an integer (floats travel as IEEE-754
-        // bit patterns), so parse → re-serialise is the identity and
-        // the hash is recomputable from the parsed tree.
-        let actual = fnv1a64(payload.to_json().as_bytes());
-        if actual != expected {
-            errors.push(format!(
-                "content hash mismatch: document says {expected}, payload hashes to {actual}"
-            ));
-        }
-    }
-    for key in ["jobs", "seed", "shards_done"] {
-        check_u64(&mut errors, payload.get(key), key);
-    }
-    match payload.get("failure") {
-        Some(failure) => {
-            if failure.get("kind").and_then(JsonValue::as_str).is_none() {
-                errors.push("missing string: failure.kind".to_owned());
-            }
-        }
-        None => errors.push("missing object: failure".to_owned()),
-    }
-    if payload.get("acc").is_none() {
-        errors.push("missing member: acc".to_owned());
-    }
-    match payload.get("rescued") {
-        Some(JsonValue::Arr(rescued)) => {
-            for (i, entry) in rescued.iter().enumerate() {
-                match entry {
-                    JsonValue::Arr(pair) if pair.len() == 2 => {
-                        for (j, v) in pair.iter().enumerate() {
-                            if v.as_u64().is_none() {
-                                errors.push(format!("missing integer: rescued[{i}][{j}]"));
-                            }
-                        }
-                    }
-                    _ => errors.push(format!("rescued[{i}] is not a [job, rung] pair")),
-                }
-            }
-        }
-        _ => errors.push("missing array: rescued".to_owned()),
-    }
-    match payload.get("quarantined") {
-        Some(JsonValue::Arr(quarantined)) => {
-            for (i, entry) in quarantined.iter().enumerate() {
-                for key in ["job", "seed", "rungs_attempted"] {
-                    check_u64(
-                        &mut errors,
-                        entry.get(key),
-                        &format!("quarantined[{i}].{key}"),
-                    );
-                }
-                if entry.get("error").is_none() {
-                    errors.push(format!("missing member: quarantined[{i}].error"));
-                }
-            }
-        }
-        _ => errors.push("missing array: quarantined".to_owned()),
-    }
-    match payload.get("records") {
-        Some(JsonValue::Arr(records)) => {
-            for (i, record) in records.iter().enumerate() {
-                for key in ["job", "seconds_bits"] {
-                    check_u64(&mut errors, record.get(key), &format!("records[{i}].{key}"));
-                }
-            }
-        }
-        _ => errors.push("missing array: records".to_owned()),
-    }
-    errors
-}
-
 /// Validates a `samurai-lint --graph` dump: schema tag, node records
 /// with dense sequential ids and boolean reachability flags, edges and
 /// roots whose targets stay in range. Returns the error list (empty =
@@ -902,74 +806,48 @@ mod tests {
 
     #[test]
     fn checkpoint_snapshots_validate_and_reject_gaps() {
-        let payload = JsonValue::obj(vec![
-            ("jobs", JsonValue::U64(8)),
-            ("seed", JsonValue::U64(17)),
-            (
-                "failure",
-                JsonValue::obj(vec![("kind", JsonValue::Str("fail_fast".into()))]),
-            ),
-            ("shards_done", JsonValue::U64(3)),
-            (
-                "acc",
-                JsonValue::obj(vec![("slots", JsonValue::Arr(vec![]))]),
-            ),
-            (
-                "rescued",
-                JsonValue::Arr(vec![JsonValue::Arr(vec![
-                    JsonValue::U64(2),
-                    JsonValue::U64(1),
-                ])]),
-            ),
-            (
-                "quarantined",
-                JsonValue::Arr(vec![JsonValue::obj(vec![
-                    ("job", JsonValue::U64(5)),
-                    ("seed", JsonValue::U64(9)),
-                    ("rungs_attempted", JsonValue::U64(2)),
-                    ("error", JsonValue::obj(vec![])),
-                ])]),
-            ),
-            (
-                "records",
-                JsonValue::Arr(vec![JsonValue::obj(vec![
-                    ("job", JsonValue::U64(0)),
-                    ("seconds_bits", JsonValue::U64(0)),
-                ])]),
-            ),
-        ]);
-        let hash = fnv1a64(payload.to_json().as_bytes());
-        let good = JsonValue::obj(vec![
-            ("schema", JsonValue::Str(CHECKPOINT_SCHEMA.into())),
-            ("hash", JsonValue::U64(hash)),
-            ("payload", payload.clone()),
-        ]);
-        assert!(validate_checkpoint_snapshot(&good).is_empty());
+        use samurai_core::checkpoint::{validate_checkpoint, RunControls};
+        use samurai_core::ensemble::{ExecutionPolicy, MeanTrace};
+        use samurai_core::telemetry::{json, Recorder};
+        use samurai_core::{run_ensemble_checkpointed, CoreError, CHECKPOINT_SCHEMA};
 
-        // A flipped hash must be called out as corruption.
-        let torn = JsonValue::obj(vec![
-            ("schema", JsonValue::Str(CHECKPOINT_SCHEMA.into())),
-            ("hash", JsonValue::U64(hash ^ 1)),
-            ("payload", payload),
-        ]);
-        let errors = validate_checkpoint_snapshot(&torn);
-        assert!(errors.iter().any(|e| e.contains("hash mismatch")));
+        let path = std::env::temp_dir().join(format!("samurai-bench-{}.snap", std::process::id()));
+        let controls = RunControls {
+            checkpoint: CheckpointConfig::to_file(&path).every(2),
+            budget: RunBudget::unlimited().jobs(4),
+        };
+        run_ensemble_checkpointed(
+            8,
+            Parallelism::Fixed(1),
+            &ExecutionPolicy::default(),
+            &controls,
+            &mut Recorder::recording(),
+            || MeanTrace::zeros(1),
+            |job, _rung, _probe| Ok::<_, CoreError>(vec![job as f64]),
+        )
+        .expect("a clean run");
+        let text = fs::read_to_string(&path).expect("a snapshot was written");
+        let _ = fs::remove_file(&path);
+        let doc = json::parse(&text).unwrap();
+        assert_eq!(validate_checkpoint(&doc), Ok(()));
 
-        let bad = JsonValue::obj(vec![
-            ("schema", JsonValue::Str("wrong".into())),
-            (
-                "payload",
-                JsonValue::obj(vec![("rescued", JsonValue::Arr(vec![JsonValue::U64(3)]))]),
-            ),
-        ]);
-        let errors = validate_checkpoint_snapshot(&bad);
-        assert!(errors.iter().any(|e| e.contains("schema")));
-        assert!(errors.iter().any(|e| e.contains("missing integer: hash")));
-        assert!(errors.iter().any(|e| e.contains("jobs")));
-        assert!(errors.iter().any(|e| e.contains("failure")));
-        assert!(errors.iter().any(|e| e.contains("rescued[0]")));
-        assert!(errors.iter().any(|e| e.contains("quarantined")));
-        assert!(errors.iter().any(|e| e.contains("records")));
+        // Resealed without its job records: the envelope is sound, the
+        // payload is not.
+        let Ok(JsonValue::Obj(mut members)) = json::open(&doc, CHECKPOINT_SCHEMA).cloned() else {
+            panic!("a sealed object payload");
+        };
+        members.retain(|(key, _)| key != "records");
+        let gap = json::seal(CHECKPOINT_SCHEMA, JsonValue::Obj(members));
+        assert_eq!(validate_checkpoint(&gap), Err("decode"));
+
+        // A torn write: the document cut short of its closing braces.
+        assert!(json::parse(&text[..text.len() - 2]).is_err());
+        // A flipped payload digit: the content hash calls it out.
+        let at = text.find("\"shards_done\":").unwrap() + "\"shards_done\":".len();
+        let mut flipped = text.into_bytes();
+        flipped[at] ^= 0x01;
+        let flipped = json::parse(std::str::from_utf8(&flipped).unwrap()).unwrap();
+        assert_eq!(validate_checkpoint(&flipped), Err("hash"));
     }
 
     #[test]

@@ -109,7 +109,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 
 use samurai_telemetry::{
-    Deadline, JobProbe, JobRecord, Journal, JournalEvent, MetricsSink, Recorder, Stopwatch,
+    JobProbe, JobRecord, Journal, JournalEvent, MetricsSink, Recorder, Stopwatch,
 };
 
 use crate::checkpoint::{RunControls, KILL_EXIT};
@@ -336,11 +336,11 @@ impl<E: std::fmt::Debug> FailureReport<E> {
 
 /// Whether an ensemble ran every job it was asked to, or stopped
 /// early at a job boundary because a [`crate::checkpoint::RunBudget`]
-/// or deadline was exhausted.
+/// was exhausted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Completion {
     /// Every requested job ran (the only value a run without a
-    /// [`crate::checkpoint::RunBudget`] or deadline produces).
+    /// [`crate::checkpoint::RunBudget`] produces).
     #[default]
     Complete,
     /// The run stopped cleanly after `completed` jobs with `remaining`
@@ -710,9 +710,9 @@ where
 /// quarantine-budget check and journal absorption.
 ///
 /// The run proceeds from `progress` in shard-aligned segments. Before
-/// each segment it polls the [`RunControls`] ceilings (job budget,
-/// deadline, Newton effort) and the kill drill; after each one it
-/// hands the new progress to `save` when a checkpoint path is set.
+/// each segment it checks the [`RunControls`] job budget and the kill
+/// drill; after each one it hands the new progress to `save` when a
+/// checkpoint path is set.
 /// With passive controls and no kill drill the whole run is one
 /// segment.
 ///
@@ -727,7 +727,7 @@ pub(crate) fn drive<A, F, E, S>(
     jobs: usize,
     parallelism: Parallelism,
     policy: &ExecutionPolicy,
-    controls: &RunControls<'_>,
+    controls: &RunControls,
     recorder: &mut Recorder<S>,
     mut progress: Progress<A, E>,
     make_acc: impl Fn() -> A + Sync,
@@ -742,14 +742,6 @@ where
 {
     let width = shard_size(jobs);
     let shards = jobs.div_ceil(width);
-    // A Newton-effort ceiling needs per-job solver counters even when
-    // nothing else observes the run.
-    let observing = recorder.live() || controls.budget.max_newton_iterations.is_some();
-    let mut newton_spent: u64 = progress
-        .records
-        .iter()
-        .map(|r| r.solver.newton_iterations)
-        .sum();
 
     // The job budget rounds *down* to whole shards: a ceiling, never
     // exceeded. Segments are cadence-sized; a passive run is a single
@@ -766,13 +758,7 @@ where
 
     let mut truncated = false;
     while progress.shards_done < shards {
-        if progress.shards_done >= allowed_shards
-            || controls.deadline.is_some_and(Deadline::expired)
-            || controls
-                .budget
-                .max_newton_iterations
-                .is_some_and(|max| newton_spent >= max)
-        {
+        if progress.shards_done >= allowed_shards {
             truncated = true;
             break;
         }
@@ -791,21 +777,16 @@ where
             }
         }
 
-        let seen = progress.records.len();
         run_segment(
             jobs,
             shard_hi,
             parallelism,
             policy,
-            observing,
+            recorder.live(),
             &make_acc,
             &job,
             &mut progress,
         )?;
-        newton_spent += progress.records[seen..]
-            .iter()
-            .map(|r| r.solver.newton_iterations)
-            .sum::<u64>();
 
         if let Some(path) = &controls.checkpoint.path {
             if save(path, &progress).is_err() {

@@ -25,7 +25,7 @@
 
 use samurai_core::checkpoint::Snapshot;
 use samurai_core::{FailurePolicy, ScenarioConfig};
-use samurai_telemetry::{fnv1a64, JsonValue};
+use samurai_telemetry::{fnv1a64, json, JsonValue};
 
 use crate::error::ServeError;
 
@@ -278,6 +278,21 @@ impl JobSpec {
         })
     }
 
+    /// Decodes a persisted request payload: valid only when it parses
+    /// as a spec whose [`JobSpec::canonical_payload`] reproduces it
+    /// exactly, so it hashes to that spec's ticket.
+    ///
+    /// # Errors
+    ///
+    /// The parse error, or a note that the payload is not canonical.
+    pub fn from_canonical_payload(payload: &JsonValue) -> Result<Self, String> {
+        let spec = Self::from_json(payload).map_err(|e| e.to_string())?;
+        if spec.canonical_payload() != *payload {
+            return Err("request payload is not canonical".to_owned());
+        }
+        Ok(spec)
+    }
+
     /// The canonical payload: fixed key order, floats as bit
     /// patterns, the drill excluded. This is the byte stream the
     /// ticket hashes.
@@ -308,13 +323,7 @@ impl JobSpec {
     /// queue.
     #[must_use]
     pub fn document(&self) -> JsonValue {
-        let payload = self.canonical_payload();
-        let hash = fnv1a64(payload.to_json().as_bytes());
-        JsonValue::obj(vec![
-            ("schema", JsonValue::Str(REQUEST_SCHEMA.into())),
-            ("hash", JsonValue::U64(hash)),
-            ("payload", payload),
-        ])
+        json::seal(REQUEST_SCHEMA, self.canonical_payload())
     }
 
     /// Total ensemble jobs this spec runs.

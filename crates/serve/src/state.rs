@@ -110,10 +110,7 @@ impl ServiceState {
     /// Propagates store-scan failures.
     pub fn open(store: ResultStore, capacity: usize) -> io::Result<Self> {
         let mut inner = Inner::default();
-        for (ticket, payload) in store.pending_requests()? {
-            let Ok(spec) = JobSpec::from_json(&payload) else {
-                continue;
-            };
+        for (ticket, spec) in store.pending_requests()? {
             inner.metrics.counter("serve.jobs_recovered", 1);
             let jobs_total = spec.jobs();
             inner.jobs.insert(

@@ -9,12 +9,15 @@
 //! | `<ticket>.ckpt`     | `samurai-checkpoint-v1` | while running    |
 //! | `<ticket>.json`     | `samurai-store-v1`   | written on success  |
 //!
-//! Every document travels in the checkpoint envelope discipline —
-//! `{"schema", "hash", "payload"}` with the FNV-1a-64 hash over the
-//! payload's compact canonical serialisation — and every write goes
-//! through [`write_checkpoint_atomic`], so a crash can never leave a
-//! torn document behind. A request file without a matching result
-//! file is an in-flight job: on restart the server re-enqueues
+//! Every document is sealed and opened by the one envelope codec,
+//! [`json::seal`] and [`json::open`] — `{"schema", "hash", "payload"}`
+//! with the FNV-1a-64 hash over the payload's compact canonical
+//! serialisation — and every write goes through
+//! [`write_checkpoint_atomic`], so a crash can never leave a torn
+//! document behind. A document also has to sit at its own ticket: a
+//! request or result counts only when its request payload hashes to
+//! the ticket in its file name. A request file without a matching
+//! result file is an in-flight job: on restart the server re-enqueues
 //! exactly those, and the `.ckpt` segment file makes the resumed run
 //! byte-identical to an uninterrupted one.
 
@@ -23,9 +26,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use samurai_core::checkpoint::write_checkpoint_atomic;
-use samurai_telemetry::{fnv1a64, json, JsonValue};
+use samurai_telemetry::{json, JsonValue};
 
-use crate::spec::{parse_ticket, ticket_hex, REQUEST_SCHEMA};
+use crate::spec::{parse_ticket, ticket_hex, JobSpec, REQUEST_SCHEMA};
 
 /// Schema tag of a sealed result document.
 pub const RESULT_SCHEMA: &str = "samurai-store-v1";
@@ -73,16 +76,15 @@ impl ResultStore {
     }
 
     /// Loads and verifies the result document for `ticket`: `None`
-    /// when absent, torn, mis-schemed or hash-mismatched — a corrupt
-    /// cache entry reads as a miss and is re-simulated, never served.
+    /// when absent, torn, mis-schemed, hash-mismatched or the answer
+    /// to another ticket — a bad cache entry reads as a miss and is
+    /// re-simulated, never served.
     #[must_use]
     pub fn load_result(&self, ticket: u64) -> Option<JsonValue> {
         let text = fs::read_to_string(self.result_path(ticket)).ok()?;
         let doc = json::parse(&text).ok()?;
-        if !validate_store_document(&doc).is_empty() {
-            return None;
-        }
-        Some(doc)
+        let spec = open_result(&doc).ok()?;
+        (spec.ticket() == ticket).then_some(doc)
     }
 
     /// Seals `payload` in a `samurai-store-v1` envelope and writes it
@@ -92,7 +94,7 @@ impl ResultStore {
     ///
     /// Propagates filesystem errors.
     pub fn put_result(&self, ticket: u64, payload: JsonValue) -> io::Result<()> {
-        let doc = seal(payload, RESULT_SCHEMA);
+        let doc = json::seal(RESULT_SCHEMA, payload);
         write_checkpoint_atomic(&self.result_path(ticket), &(doc.to_json() + "\n"))
     }
 
@@ -112,14 +114,14 @@ impl ResultStore {
         let _ = fs::remove_file(self.checkpoint_path(ticket));
     }
 
-    /// Tickets with a request document but no (valid) result — the
-    /// jobs a killed server left in flight, sorted by ticket so
-    /// recovery order is deterministic.
+    /// Tickets with a valid request document but no valid result —
+    /// the jobs a killed server left in flight — with their specs,
+    /// sorted by ticket so recovery order is deterministic.
     ///
     /// # Errors
     ///
     /// Propagates directory-walk failures.
-    pub fn pending_requests(&self) -> io::Result<Vec<(u64, JsonValue)>> {
+    pub fn pending_requests(&self) -> io::Result<Vec<(u64, JobSpec)>> {
         let mut out = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
             let path = entry?.path();
@@ -141,11 +143,9 @@ impl ResultStore {
             let Ok(doc) = json::parse(&text) else {
                 continue;
             };
-            if !validate_store_document(&doc).is_empty() {
-                continue;
-            }
-            if let Some(payload) = doc.get("payload") {
-                out.push((ticket, payload.clone()));
+            match open_request(&doc) {
+                Ok(spec) if spec.ticket() == ticket => out.push((ticket, spec)),
+                _ => {}
             }
         }
         out.sort_by_key(|(t, _)| *t);
@@ -153,107 +153,56 @@ impl ResultStore {
     }
 }
 
-/// Wraps `payload` in the store envelope: schema tag plus the FNV-1a
-/// content hash over the canonical serialisation.
-#[must_use]
-pub fn seal(payload: JsonValue, schema: &str) -> JsonValue {
-    let hash = fnv1a64(payload.to_json().as_bytes());
-    JsonValue::obj(vec![
-        ("schema", JsonValue::Str(schema.into())),
-        ("hash", JsonValue::U64(hash)),
-        ("payload", payload),
-    ])
+/// Opens a sealed request document and decodes its spec.
+fn open_request(doc: &JsonValue) -> Result<JobSpec, String> {
+    JobSpec::from_canonical_payload(json::open(doc, REQUEST_SCHEMA)?)
 }
 
-/// Validates one store document (request or result envelope): schema
-/// tag, content hash recomputed over the canonical payload
-/// serialisation, and the payload members the service depends on.
-/// Returns the error list (empty = valid). Used by the
-/// `validate store` CI gate and by [`ResultStore::load_result`].
+/// Opens a sealed result document and decodes the spec it answers;
+/// the payload's `ticket` must be that spec's ticket.
+fn open_result(doc: &JsonValue) -> Result<JobSpec, String> {
+    let payload = json::open(doc, RESULT_SCHEMA)?;
+    let spec =
+        JobSpec::from_canonical_payload(payload.get("request").ok_or("missing object: request")?)?;
+    if payload.get("ticket").and_then(JsonValue::as_str) != Some(&ticket_hex(spec.ticket())) {
+        return Err("ticket is not the request's ticket".to_owned());
+    }
+    if payload.get("jobs").and_then(JsonValue::as_u64) != Some(spec.jobs() as u64) {
+        return Err("jobs is not the request's job count".to_owned());
+    }
+    if !matches!(
+        payload.get("completion").and_then(JsonValue::as_str),
+        Some("complete" | "truncated")
+    ) {
+        return Err("completion is not complete/truncated".to_owned());
+    }
+    if payload.get("results").is_none() {
+        return Err("missing member: results".to_owned());
+    }
+    if payload.get("journal").and_then(JsonValue::as_str).is_none() {
+        return Err("missing string: journal".to_owned());
+    }
+    Ok(spec)
+}
+
+/// Validates one store document, request or result, with the decoders
+/// the store itself loads them with. Returns the error list (empty =
+/// valid): `schema` or `hash` for a bad envelope, else what the
+/// payload lacks. Used by the `validate store` CI gate.
 #[must_use]
 pub fn validate_store_document(doc: &JsonValue) -> Vec<String> {
-    let mut errors = Vec::new();
-    let schema = doc.get("schema").and_then(JsonValue::as_str);
-    let kind = match schema {
-        Some(REQUEST_SCHEMA) => "request",
-        Some(RESULT_SCHEMA) => "result",
-        _ => {
-            errors.push(format!(
-                "schema is neither {REQUEST_SCHEMA} nor {RESULT_SCHEMA}"
-            ));
-            return errors;
-        }
+    let checked = match open_request(doc) {
+        Err(reason) if reason == "schema" => open_result(doc).map(drop),
+        other => other.map(drop),
     };
-    let hash = doc.get("hash").and_then(JsonValue::as_u64);
-    if hash.is_none() {
-        errors.push("missing integer: hash".to_owned());
-    }
-    let Some(payload) = doc.get("payload") else {
-        errors.push("missing object: payload".to_owned());
-        return errors;
-    };
-    if let Some(expected) = hash {
-        let actual = fnv1a64(payload.to_json().as_bytes());
-        if actual != expected {
-            errors.push(format!(
-                "content hash mismatch: document says {expected}, payload hashes to {actual}"
-            ));
-        }
-    }
-    match kind {
-        "request" => {
-            if payload
-                .get("workload")
-                .and_then(|w| w.get("kind"))
-                .and_then(JsonValue::as_str)
-                .is_none()
-            {
-                errors.push("missing string: workload.kind".to_owned());
-            }
-            if payload.get("seed").and_then(JsonValue::as_u64).is_none() {
-                errors.push("missing integer: seed".to_owned());
-            }
-            if payload
-                .get("policy")
-                .and_then(|p| p.get("kind"))
-                .and_then(JsonValue::as_str)
-                .is_none()
-            {
-                errors.push("missing string: policy.kind".to_owned());
-            }
-            if payload.get("scenario").is_none() {
-                errors.push("missing member: scenario".to_owned());
-            }
-        }
-        _ => {
-            if payload.get("ticket").and_then(JsonValue::as_str).is_none() {
-                errors.push("missing string: ticket".to_owned());
-            }
-            if payload.get("request").is_none() {
-                errors.push("missing object: request".to_owned());
-            }
-            if payload.get("jobs").and_then(JsonValue::as_u64).is_none() {
-                errors.push("missing integer: jobs".to_owned());
-            }
-            match payload.get("completion").and_then(JsonValue::as_str) {
-                Some("complete" | "truncated") => {}
-                _ => errors.push("completion is not complete/truncated".to_owned()),
-            }
-            if payload.get("results").is_none() {
-                errors.push("missing member: results".to_owned());
-            }
-            if payload.get("journal").and_then(JsonValue::as_str).is_none() {
-                errors.push("missing string: journal".to_owned());
-            }
-        }
-    }
-    errors
+    checked.err().into_iter().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{JobSpec, Workload};
+    use crate::spec::Workload;
+    use crate::state::{ServiceState, SubmitOutcome};
     use samurai_core::FailurePolicy;
 
     fn spec() -> JobSpec {
@@ -284,7 +233,7 @@ mod tests {
     fn request_and_result_documents_validate() {
         let s = spec();
         assert!(validate_store_document(&s.document()).is_empty());
-        let sealed = seal(result_payload(&s), RESULT_SCHEMA);
+        let sealed = json::seal(RESULT_SCHEMA, result_payload(&s));
         assert!(validate_store_document(&sealed).is_empty());
     }
 
@@ -299,11 +248,56 @@ mod tests {
                 }
             }
         }
-        let errors = validate_store_document(&doc);
-        assert!(errors.iter().any(|e| e.contains("hash mismatch")));
+        assert_eq!(validate_store_document(&doc), ["hash"]);
 
         let wrong = JsonValue::obj(vec![("schema", JsonValue::Str("nope".into()))]);
-        assert!(!validate_store_document(&wrong).is_empty());
+        assert_eq!(validate_store_document(&wrong), ["schema"]);
+
+        let mut misplaced = result_payload(&s);
+        if let JsonValue::Obj(members) = &mut misplaced {
+            members[0].1 = JsonValue::Str(ticket_hex(s.ticket() ^ 1));
+        }
+        let errors = validate_store_document(&json::seal(RESULT_SCHEMA, misplaced));
+        assert!(errors.iter().any(|e| e.contains("ticket")), "{errors:?}");
+    }
+
+    fn scratch_store(name: &str) -> ResultStore {
+        let dir = std::env::temp_dir().join(name);
+        let _ = fs::remove_dir_all(&dir);
+        ResultStore::open(dir).unwrap()
+    }
+
+    #[test]
+    fn a_result_at_another_tickets_path_is_not_a_cache_hit() {
+        let store = scratch_store("samurai-serve-store-misplaced-result");
+        let (a, b) = (spec(), JobSpec { seed: 8, ..spec() });
+        store.put_result(a.ticket(), result_payload(&a)).unwrap();
+        fs::copy(store.result_path(a.ticket()), store.result_path(b.ticket())).unwrap();
+        let state = ServiceState::open(store.clone(), 4).unwrap();
+        assert_eq!(
+            state.submit(a.clone()).unwrap(),
+            SubmitOutcome::Cached(a.ticket())
+        );
+        assert_eq!(
+            state.submit(b.clone()).unwrap(),
+            SubmitOutcome::Accepted(b.ticket())
+        );
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn a_request_at_another_tickets_path_is_not_recovered() {
+        let store = scratch_store("samurai-serve-store-misplaced-request");
+        let (a, b) = (spec(), JobSpec { seed: 8, ..spec() });
+        fs::write(
+            store.request_path(b.ticket()),
+            a.document().to_json() + "\n",
+        )
+        .unwrap();
+        let state = ServiceState::open(store.clone(), 4).unwrap();
+        assert!(state.status_json(b.ticket()).is_none());
+        assert!(state.status_json(a.ticket()).is_none());
+        let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]
@@ -318,9 +312,7 @@ mod tests {
         assert!(store.load_result(t).is_none());
         let pending = store.pending_requests().unwrap();
         assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].0, t);
-        let recovered = JobSpec::from_json(&pending[0].1).unwrap();
-        assert_eq!(recovered, s);
+        assert_eq!(pending[0], (t, s.clone()));
 
         store.put_result(t, result_payload(&s)).unwrap();
         assert!(store.load_result(t).is_some());

@@ -190,11 +190,7 @@ pub fn run_chunk(
     budget: RunBudget,
 ) -> Result<ChunkOutcome, String> {
     let policy = execution_policy(spec);
-    let controls = RunControls {
-        checkpoint,
-        budget,
-        deadline: None,
-    };
+    let controls = RunControls { checkpoint, budget };
     let mut rec: Recorder<MemorySink> = Recorder::recording();
     match spec.workload {
         Workload::Trap { panels, samples } => {

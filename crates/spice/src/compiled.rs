@@ -1669,7 +1669,7 @@ mod tests {
 
     #[test]
     fn patch_and_undo_between_runs_match_a_fresh_workspace() {
-        use crate::{MosfetAdjust, ParamPatch, PatchUndo};
+        use crate::{MosfetAdjust, ParamPatch};
         let ckt = every_stamp_circuit();
         // Elements 3 and 5 are the two MOSFETs: geometry moves their
         // Cgs/Cgd/Cdb, so a companion table built from stale
@@ -1697,14 +1697,15 @@ mod tests {
             let mut compiled = CompiledCircuit::compile_with_solver(&ckt, choice);
             let mut ws = NewtonWorkspace::new(&compiled);
             assert_eq!(run_bits(&compiled, &mut ws, &ckt), nominal, "{choice:?}");
-            let mut undo = PatchUndo::new();
-            compiled.apply_patch(&patch, &mut undo).unwrap();
+            compiled.apply_patch(&patch).unwrap();
             assert_eq!(
                 run_bits(&compiled, &mut ws, &ckt),
                 shifted,
                 "{choice:?} patched"
             );
-            compiled.revert_patch(&mut undo);
+            // Back to nominal: the workspace that ran the patched
+            // stamps drives a fresh nominal compile like a new one.
+            let compiled = CompiledCircuit::compile_with_solver(&ckt, choice);
             assert_eq!(
                 run_bits(&compiled, &mut ws, &ckt),
                 nominal,

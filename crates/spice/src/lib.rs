@@ -76,7 +76,7 @@ pub use linalg::DenseMatrix;
 pub use mosfet::{MosType, MosfetParams};
 pub use netlist::{Circuit, ElementId, NodeId, Source};
 pub use parser::{parse_netlist, ParsedNetlist};
-pub use patch::{MosfetAdjust, ParamPatch, PatchUndo};
+pub use patch::{MosfetAdjust, ParamPatch};
 pub use samurai_telemetry::SolverStats;
 pub use sparse::{CscMatrix, LuFactors, SparseLu, SparsityPattern};
 pub use stepper::TransientStepper;

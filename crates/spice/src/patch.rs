@@ -12,10 +12,8 @@
 //!   description before compilation (the path the column builder's
 //!   `build_with_shifts` wrapper uses);
 //! * [`CompiledCircuit::apply_patch`] patches the compiled stamps in
-//!   place, recording every overwritten value in a reusable
-//!   [`PatchUndo`] so [`CompiledCircuit::revert_patch`] restores the
-//!   nominal circuit exactly — the persistent workspace, fill pattern
-//!   and solver symbolic analysis are untouched either way.
+//!   place — the persistent workspace, fill pattern and solver
+//!   symbolic analysis are untouched.
 //!
 //! # Patch semantics (the bit-identity contract)
 //!
@@ -179,34 +177,6 @@ impl ParamPatch {
     }
 }
 
-/// The reusable undo log of one [`CompiledCircuit::apply_patch`]:
-/// every overwritten stamp value, in application order. Reverting
-/// replays it backwards, so apply → revert restores the nominal
-/// compiled circuit bit-for-bit. Reusing one `PatchUndo` across jobs
-/// keeps the per-job patch path allocation-free once the vectors have
-/// grown to the patch size.
-#[derive(Debug, Clone, Default)]
-pub struct PatchUndo {
-    /// `(stamp index, pre-patch parameters)` of every touched MOSFET.
-    mosfets: Vec<(usize, MosfetParams)>,
-    /// `(source index, pre-patch DC value)` of every scaled supply.
-    sources: Vec<(usize, f64)>,
-}
-
-impl PatchUndo {
-    /// An empty undo log.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the log records no overwritten state.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.mosfets.is_empty() && self.sources.is_empty()
-    }
-}
-
 impl CompiledCircuit {
     /// The (possibly patched) MOSFET parameters of stamp `id`.
     ///
@@ -217,22 +187,15 @@ impl CompiledCircuit {
         self.mosfet(id).map(|m| &m.params)
     }
 
-    /// Applies a parameter patch to the compiled stamps in place,
-    /// recording every overwritten value in `undo` (which is cleared
-    /// first). The fill pattern, sparse ordering and workspace are
-    /// untouched: patching never recompiles.
+    /// Applies a parameter patch to the compiled stamps in place. The
+    /// fill pattern, sparse ordering and workspace are untouched:
+    /// patching never recompiles.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::InvalidElement`] — without mutating
     /// anything — if any patched id is not a MOSFET.
-    pub fn apply_patch(
-        &mut self,
-        patch: &ParamPatch,
-        undo: &mut PatchUndo,
-    ) -> Result<(), SpiceError> {
-        undo.mosfets.clear();
-        undo.sources.clear();
+    pub fn apply_patch(&mut self, patch: &ParamPatch) -> Result<(), SpiceError> {
         for (id, _) in &patch.devices {
             if !matches!(self.stamps.get(id.0), Some(DeviceStamp::Mosfet(_))) {
                 return Err(SpiceError::InvalidElement {
@@ -242,7 +205,6 @@ impl CompiledCircuit {
         }
         for (id, adjust) in &patch.devices {
             if let Some(DeviceStamp::Mosfet(m)) = self.stamps.get_mut(id.0) {
-                undo.mosfets.push((id.0, m.params));
                 adjust.apply(&mut m.params);
             }
         }
@@ -251,7 +213,6 @@ impl CompiledCircuit {
             for stamp in &self.stamps {
                 if let DeviceStamp::Vsource(vs) = stamp {
                     if let Source::Dc(v) = &mut self.sources[vs.src] {
-                        undo.sources.push((vs.src, *v));
                         *v *= patch.vdd_scale;
                     }
                 }
@@ -259,30 +220,13 @@ impl CompiledCircuit {
         }
         // lint: allow(HYG004): exact-unit sentinel keeps nominal devices bit-identical
         if patch.phi_t_scale != 1.0 {
-            for (k, stamp) in self.stamps.iter_mut().enumerate() {
+            for stamp in &mut self.stamps {
                 if let DeviceStamp::Mosfet(m) = stamp {
-                    undo.mosfets.push((k, m.params));
                     m.params.phi_t *= patch.phi_t_scale;
                 }
             }
         }
         Ok(())
-    }
-
-    /// Reverts a patch by replaying its undo log backwards, restoring
-    /// the pre-patch stamps bit-for-bit. The log is drained: a second
-    /// revert is a no-op.
-    pub fn revert_patch(&mut self, undo: &mut PatchUndo) {
-        while let Some((k, v)) = undo.sources.pop() {
-            if let Some(source) = self.sources.get_mut(k) {
-                *source = Source::Dc(v);
-            }
-        }
-        while let Some((k, params)) = undo.mosfets.pop() {
-            if let Some(DeviceStamp::Mosfet(m)) = self.stamps.get_mut(k) {
-                m.params = params;
-            }
-        }
     }
 }
 
@@ -313,8 +257,7 @@ mod tests {
             ..ParamPatch::nominal()
         };
         assert!(patch.is_nominal());
-        let mut undo = PatchUndo::new();
-        compiled.apply_patch(&patch, &mut undo).unwrap();
+        compiled.apply_patch(&patch).unwrap();
         assert_eq!(
             compiled.mosfet_params(mn).unwrap(),
             reference.mosfet_params(mn).unwrap()
@@ -326,7 +269,6 @@ mod tests {
         let (ckt, _, mn, mp) = build();
         let mut compiled = CompiledCircuit::compile(&ckt);
         let before_n = *compiled.mosfet_params(mn).unwrap();
-        let before_p = *compiled.mosfet_params(mp).unwrap();
         let patch = ParamPatch {
             devices: vec![
                 (
@@ -342,18 +284,12 @@ mod tests {
             vdd_scale: 0.9,
             phi_t_scale: 350.0 / 300.0,
         };
-        let mut undo = PatchUndo::new();
-        compiled.apply_patch(&patch, &mut undo).unwrap();
-        assert!(!undo.is_empty());
+        compiled.apply_patch(&patch).unwrap();
         let patched = *compiled.mosfet_params(mn).unwrap();
         assert_eq!(patched.vth, before_n.vth + 0.03);
         assert_eq!(patched.mu_cox, before_n.mu_cox * 0.9);
         assert_eq!(patched.width, before_n.width * 1.05);
         assert_eq!(patched.phi_t, before_n.phi_t * (350.0 / 300.0));
-        compiled.revert_patch(&mut undo);
-        assert!(undo.is_empty());
-        assert_eq!(*compiled.mosfet_params(mn).unwrap(), before_n);
-        assert_eq!(*compiled.mosfet_params(mp).unwrap(), before_p);
     }
 
     #[test]
@@ -380,8 +316,7 @@ mod tests {
             ],
             ..ParamPatch::nominal()
         };
-        let mut undo = PatchUndo::new();
-        assert!(compiled.apply_patch(&patch, &mut undo).is_err());
+        assert!(compiled.apply_patch(&patch).is_err());
         assert_eq!(*compiled.mosfet_params(mn).unwrap(), before);
 
         let (mut ckt2, v2, _, _) = build();
@@ -404,8 +339,7 @@ mod tests {
             ..ParamPatch::nominal()
         };
         let mut compiled = CompiledCircuit::compile(&ckt);
-        let mut undo = PatchUndo::new();
-        compiled.apply_patch(&patch, &mut undo).unwrap();
+        compiled.apply_patch(&patch).unwrap();
         // The supply scaled; the current source did not.
         let mut ckt_scaled = ckt.clone();
         patch.apply_to_circuit(&mut ckt_scaled).unwrap();

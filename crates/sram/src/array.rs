@@ -231,7 +231,6 @@ pub fn run_array_observed<S: MetricsSink>(
     let controls = RunControls {
         checkpoint: config.checkpoint.clone(),
         budget: config.budget,
-        deadline: None,
     };
     let outcome = run_ensemble_checkpointed(
         config.cells,

@@ -36,7 +36,7 @@ use samurai_core::telemetry::JsonValue;
 use samurai_core::SeedStream;
 use samurai_spice::{
     Circuit, CompiledCircuit, DcConfig, ElementId, MosfetAdjust, MosfetParams, NodeId, ParamPatch,
-    PatchUndo, SolverChoice, Source, TransientConfig,
+    SolverChoice, Source, TransientConfig,
 };
 use samurai_telemetry::{JobProbe, MetricsSink, Recorder};
 use samurai_trap::{aging_vth_shift, Technology, TrapParams};
@@ -790,7 +790,7 @@ pub struct ColumnStats {
     pub rows: usize,
     /// Rescue/quarantine accounting; clean runs carry an empty report.
     pub report: FailureReport<SramError>,
-    /// Whether the ensemble ran to completion or a budget/deadline
+    /// Whether the ensemble ran to completion or a job budget
     /// truncated it at a job boundary.
     pub completion: Completion,
 }
@@ -865,7 +865,6 @@ pub fn run_column_ensemble_observed<S: MetricsSink>(
     let controls = RunControls {
         checkpoint: config.checkpoint.clone(),
         budget: config.budget,
-        deadline: None,
     };
     let outcome = run_ensemble_checkpointed(
         config.members,
@@ -981,8 +980,7 @@ pub fn run_column_ensemble_observed<S: MetricsSink>(
                 ..ParamPatch::nominal()
             };
             if !thermal.is_nominal() {
-                let mut undo = PatchUndo::new();
-                compiled.apply_patch(&thermal, &mut undo)?;
+                compiled.apply_patch(&thermal)?;
             }
 
             // SAMURAI per transistor of every row, biased by pass 1;

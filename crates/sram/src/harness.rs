@@ -12,7 +12,7 @@ use samurai_waveform::{BitPattern, Pwc, Pwl};
 
 use samurai_spice::{
     Circuit, CompiledCircuit, ElementId, MosfetAdjust, MosfetParams, NewtonWorkspace, ParamPatch,
-    PatchUndo, Source, TransientConfig, TransientResult,
+    Source, TransientConfig, TransientResult,
 };
 use samurai_telemetry::SolverStats;
 
@@ -326,8 +326,7 @@ pub(crate) fn run_cell_two_pass(
         phi_t_scale: config.phi_t_scale,
     };
     if !patch.is_nominal() {
-        let mut undo = PatchUndo::new();
-        compiled.apply_patch(&patch, &mut undo)?;
+        compiled.apply_patch(&patch)?;
     }
 
     let seeds = SeedStream::new(config.seed);

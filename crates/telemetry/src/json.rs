@@ -30,6 +30,43 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Wraps `payload` in the sealed envelope every persisted document
+/// uses: `{"schema":schema,"hash":H,"payload":payload}`, where `H` is
+/// [`fnv1a64`] over the payload's compact serialisation.
+#[must_use]
+pub fn seal(schema: &str, payload: JsonValue) -> JsonValue {
+    let hash = fnv1a64(payload.to_json().as_bytes());
+    JsonValue::obj(vec![
+        ("schema", JsonValue::Str(schema.to_owned())),
+        ("hash", JsonValue::U64(hash)),
+        ("payload", payload),
+    ])
+}
+
+/// Checks a [`seal`]ed envelope and returns its payload. Payloads
+/// whose numbers are all integers re-serialise to the bytes they were
+/// hashed from, so the hash is recomputable from the parsed tree.
+///
+/// # Errors
+///
+/// A one-word reason: `schema` when the schema tag differs from
+/// `schema` or the `schema`, `hash` or `payload` member is missing,
+/// `hash` when the payload does not hash to `hash`.
+pub fn open<'a>(doc: &'a JsonValue, schema: &str) -> Result<&'a JsonValue, &'static str> {
+    if doc.get("schema").and_then(JsonValue::as_str) != Some(schema) {
+        return Err("schema");
+    }
+    let hash = doc
+        .get("hash")
+        .and_then(JsonValue::as_u64)
+        .ok_or("schema")?;
+    let payload = doc.get("payload").ok_or("schema")?;
+    if fnv1a64(payload.to_json().as_bytes()) != hash {
+        return Err("hash");
+    }
+    Ok(payload)
+}
+
 /// A JSON document tree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -367,6 +404,26 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn sealed_documents_open_and_name_their_defect() {
+        let payload = JsonValue::obj(vec![("n", JsonValue::U64(7))]);
+        let doc = seal("demo-v1", payload.clone());
+        assert_eq!(
+            doc.to_json(),
+            format!(
+                "{{\"schema\":\"demo-v1\",\"hash\":{},\"payload\":{{\"n\":7}}}}",
+                fnv1a64(b"{\"n\":7}")
+            )
+        );
+        let reopened = parse(&doc.to_json()).unwrap();
+        assert_eq!(open(&reopened, "demo-v1"), Ok(&payload));
+        assert_eq!(open(&reopened, "demo-v2"), Err("schema"));
+        let tampered = parse(&doc.to_json().replace(":7}", ":8}")).unwrap();
+        assert_eq!(open(&tampered, "demo-v1"), Err("hash"));
+        let bare = JsonValue::obj(vec![("schema", JsonValue::Str("demo-v1".into()))]);
+        assert_eq!(open(&bare, "demo-v1"), Err("schema"));
     }
 
     #[test]

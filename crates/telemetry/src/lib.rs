@@ -37,21 +37,19 @@
 //!   [`MemorySink`].
 //! - [`hist`]: [`FixedHistogram`] with caller-fixed bucket bounds.
 //! - [`span`]: [`Stopwatch`] and [`Span`] monotonic timing.
-//! - [`deadline`]: the injectable [`Deadline`] trait with
-//!   [`NoDeadline`] and the wall-clock [`WallClockDeadline`] — the
-//!   only clock the checkpointed ensemble runner may observe.
 //! - [`stats`]: plain-counter bundles ([`SolverStats`], [`TrapStats`])
 //!   incremented as bare `u64` fields in hot loops.
 //! - [`journal`]: the job-ordered [`Journal`] of [`JournalEvent`]s
 //!   with JSON-Lines serialisation.
 //! - [`json`]: a hand-rolled JSON value type, writer and minimal
 //!   parser (the vendored `serde` is an API stub and serialises
-//!   nothing), and [`fnv1a64`], the content hash of the canonical
-//!   payloads it writes.
+//!   nothing), [`fnv1a64`], the content hash of the canonical
+//!   payloads it writes, and the one codec of the sealed
+//!   `{schema, hash, payload}` envelope every persisted document
+//!   uses ([`json::seal`], [`json::open`]).
 //! - [`recorder`]: [`Recorder`], the single handle the ensemble
 //!   engine and bench bins thread through a run.
 
-pub mod deadline;
 pub mod hist;
 pub mod journal;
 pub mod json;
@@ -60,7 +58,6 @@ pub mod sink;
 pub mod span;
 pub mod stats;
 
-pub use deadline::{Deadline, NoDeadline, WallClockDeadline};
 pub use hist::{percentile, FixedHistogram};
 pub use journal::{Journal, JournalEvent};
 pub use json::{fnv1a64, JsonValue};

@@ -10,7 +10,7 @@ use samurai::core::faults::{FaultKind, FaultPlan};
 use samurai::core::scenario::{DeviceGeometry, ScenarioConfig, NOMINAL_TEMPERATURE};
 use samurai::core::SeedStream;
 use samurai::spice::{
-    CompiledCircuit, DcConfig, MosfetAdjust, NewtonWorkspace, ParamPatch, PatchUndo, SolverChoice,
+    CompiledCircuit, DcConfig, MosfetAdjust, NewtonWorkspace, ParamPatch, SolverChoice,
 };
 use samurai::sram::{ColumnConfig, ColumnEnsembleConfig, SramCell, SramCellParams};
 
@@ -140,10 +140,7 @@ fn patched_workspace_matches_a_freshly_compiled_shifted_netlist() {
     // Path A: compile once, patch the compiled stamps in place.
     let mut compiled = CompiledCircuit::compile(&cell.circuit);
     let nominal = dcop(&compiled, &cell, params.vdd);
-    let mut undo = PatchUndo::new();
-    compiled
-        .apply_patch(&patch, &mut undo)
-        .expect("patch applies");
+    compiled.apply_patch(&patch).expect("patch applies");
     let patched = dcop(&compiled, &cell, params.vdd * patch.vdd_scale);
 
     // Path B: bake the same deltas into the netlist and recompile.
@@ -168,13 +165,6 @@ fn patched_workspace_matches_a_freshly_compiled_shifted_netlist() {
             .any(|(p, n)| (p - n).abs() > 1e-6),
         "the patch must actually move the operating point"
     );
-
-    // Reverting the patch restores the compiled circuit bit-for-bit.
-    compiled.revert_patch(&mut undo);
-    let reverted = dcop(&compiled, &cell, params.vdd);
-    for (r, n) in reverted.iter().zip(&nominal) {
-        assert_eq!(r.to_bits(), n.to_bits(), "revert must be bit-exact");
-    }
 }
 
 /// The sampled threshold mismatch follows the configured sigma with
