@@ -98,11 +98,15 @@ cargo run -q --release -p samurai-bench --bin validate -- metrics \
     target/metrics/BENCH_x6_column.json metrics/BENCH_x6_column.json
 # Scenario-layer artifact gate: the x7_corners bin sweeps a supply ×
 # aging grid through ScenarioConfig and journals a scenario hash per
-# job; validate the fresh smoke artifact and the committed golden.
+# job; validate the fresh smoke artifact and the committed golden, and
+# require the fresh journal to be byte-identical to the committed one
+# (the only committed artifact that runs the column scenario path end
+# to end).
 cargo run -q --release -p samurai-bench --bin x7_corners -- \
     --smoke --metrics target/metrics
 cargo run -q --release -p samurai-bench --bin validate -- metrics \
     target/metrics/BENCH_x7_corners.json metrics/BENCH_x7_corners.json
+cmp target/metrics/JOURNAL_x7_corners.jsonl metrics/JOURNAL_x7_corners.jsonl
 # Simulation-as-a-service gate (DESIGN.md §15): start the serve daemon
 # on an ephemeral port over a fresh store, run a fig7-smoke-sized spec
 # through the HTTP API, and prove the three service contracts:

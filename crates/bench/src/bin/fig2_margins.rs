@@ -23,7 +23,7 @@ fn main() {
     let mut session = BenchSession::from_args("fig2", &args);
     let nodes = Technology::all_nodes();
     println!(
-        "evaluating {} nodes on {} workers (--threads N / SAMURAI_THREADS)",
+        "evaluating {} nodes on {} workers (--threads N)",
         nodes.len(),
         parallelism.workers()
     );

@@ -70,7 +70,7 @@ fn main() {
 
     banner("Fig 5: glitch-timing taxonomy");
     println!(
-        "{} scenarios on {} workers (--threads N / SAMURAI_THREADS)",
+        "{} scenarios on {} workers (--threads N)",
         scenarios.len(),
         parallelism.workers()
     );

@@ -177,10 +177,7 @@ fn main() {
         faults,
         seed: 1000,
     };
-    println!(
-        "workers: {} (--threads N / SAMURAI_THREADS to change)",
-        parallelism.workers()
-    );
+    println!("workers: {} (--threads N to change)", parallelism.workers());
     println!(
         "failure policy: {:?} (--failure-policy fail-fast|retry[:R]|quarantine[:M[:R]])",
         policy.failure

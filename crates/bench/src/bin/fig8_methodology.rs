@@ -43,7 +43,7 @@ fn main() {
     let mut session = BenchSession::from_args("fig8", &args);
     let mut jobs = 0usize;
     println!(
-        "RTN generation on {} workers (--threads N / SAMURAI_THREADS)",
+        "RTN generation on {} workers (--threads N)",
         parallelism.workers()
     );
 

@@ -52,7 +52,7 @@ fn main() {
     let parallelism = args.parallelism();
     let mut session = BenchSession::from_args("x1", &args);
     println!(
-        "{runs} runs per scenario on {} workers (--threads N / SAMURAI_THREADS)",
+        "{runs} runs per scenario on {} workers (--threads N)",
         parallelism.workers()
     );
 

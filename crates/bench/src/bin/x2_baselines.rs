@@ -100,7 +100,7 @@ fn main() {
     banner("X2: occupancy shortly after a bias step (exact = master equation)");
     println!("exact p(probe) = {exact:.4}");
     println!(
-        "{runs} runs per kernel on {} workers (--threads N / SAMURAI_THREADS)",
+        "{runs} runs per kernel on {} workers (--threads N)",
         parallelism.workers()
     );
     println!(

@@ -5,6 +5,7 @@
 //! Run with `cargo run --release -p samurai-bench --bin x3_array_ber`.
 
 use samurai_bench::{banner, timed, write_csv, BenchSession};
+use samurai_core::scenario::ScenarioConfig;
 use samurai_core::Parallelism;
 use samurai_sram::array::{run_array, run_array_observed, ArrayConfig};
 use samurai_sram::MethodologyConfig;
@@ -20,16 +21,13 @@ fn main() {
     };
     let pattern = BitPattern::parse("1010").expect("static pattern");
     let cells = 24;
-    let vth_sigma = 0.04;
+    let scenario = Some(ScenarioConfig::fixed_vth_sigma(0.04));
     let parallelism = args.parallelism();
     let failure = args.failure_policy();
     let mut session = BenchSession::from_args("x3", &args);
 
     banner("X3: write-BER vs RTN acceleration (24 cells, sigma_VT = 40 mV)");
-    println!(
-        "workers: {} (--threads N / SAMURAI_THREADS to change)",
-        parallelism.workers()
-    );
+    println!("workers: {} (--threads N to change)", parallelism.workers());
     println!(
         "failure policy: {failure:?} (--failure-policy fail-fast|retry[:R]|quarantine[:M[:R]])"
     );
@@ -39,7 +37,7 @@ fn main() {
     for scale in [1.0, 100.0, 1000.0, 3000.0] {
         let config = ArrayConfig {
             cells,
-            vth_sigma,
+            scenario,
             seed: 17,
             failure,
             base: MethodologyConfig {
@@ -108,7 +106,7 @@ fn main() {
     banner("Parallel ensemble speedup (same seeds, same answers)");
     let speedup_config = |parallelism: Parallelism| ArrayConfig {
         cells: 8,
-        vth_sigma,
+        scenario,
         seed: 17,
         failure,
         base: MethodologyConfig {

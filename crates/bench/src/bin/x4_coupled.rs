@@ -26,7 +26,7 @@ fn main() {
     let pattern = BitPattern::paper_fig8();
     let parallelism = args.parallelism();
     println!(
-        "RTN generation on {} workers (--threads N / SAMURAI_THREADS)",
+        "RTN generation on {} workers (--threads N)",
         parallelism.workers()
     );
     let base = MethodologyConfig {

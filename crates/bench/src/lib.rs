@@ -19,12 +19,6 @@ use samurai_core::{FailurePolicy, Parallelism};
 /// pass: each binary calls [`BenchArgs::from_env`] once and asks the
 /// struct for everything, including bin-specific flags via
 /// [`BenchArgs::value_of`].
-///
-/// Environment-variable fallbacks (`SAMURAI_THREADS`,
-/// `SAMURAI_FAILURE_POLICY`, `SAMURAI_CHECKPOINT*`, `SAMURAI_MAX_JOBS`,
-/// `SAMURAI_KILL_AT_JOB`, `SAMURAI_METRICS`, `SAMURAI_SMOKE`) are
-/// resolved in the accessors, not at parse time, so a flag always wins
-/// over its variable.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     threads: Option<usize>,
@@ -101,26 +95,19 @@ impl BenchArgs {
         out
     }
 
-    /// The `--threads N` knob: `N = 0` (or an absent flag with
-    /// `SAMURAI_THREADS` unset) means all available cores, `N = 1` the
-    /// legacy sequential path. Results are bit-identical at every
-    /// setting — the ensemble engine guarantees it — so this knob
-    /// trades wall-clock only.
+    /// The `--threads N` knob: `N = 0` (or an absent flag) means all
+    /// available cores, `N = 1` the legacy sequential path. Results are
+    /// bit-identical at every setting — the ensemble engine guarantees
+    /// it — so this knob trades wall-clock only.
     #[must_use]
     pub fn parallelism(&self) -> Parallelism {
-        let requested = self.threads.or_else(|| {
-            std::env::var("SAMURAI_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        });
-        match requested {
+        match self.threads {
             None | Some(0) => Parallelism::Auto,
             Some(n) => Parallelism::Fixed(n),
         }
     }
 
-    /// The `--failure-policy SPEC` knob, falling back to
-    /// `SAMURAI_FAILURE_POLICY`, then to `fail-fast`.
+    /// The `--failure-policy SPEC` knob, `fail-fast` when absent.
     ///
     /// `SPEC` is one of:
     ///
@@ -136,11 +123,7 @@ impl BenchArgs {
     /// aborting a long run over a typo'd diagnostic knob.
     #[must_use]
     pub fn failure_policy(&self) -> FailurePolicy {
-        let spec = self
-            .failure_policy
-            .clone()
-            .or_else(|| std::env::var("SAMURAI_FAILURE_POLICY").ok());
-        parse_failure_policy(spec.as_deref().unwrap_or("fail-fast"))
+        parse_failure_policy(self.failure_policy.as_deref().unwrap_or("fail-fast"))
     }
 
     /// The crash-safety knobs shared by the ensemble binaries:
@@ -154,69 +137,42 @@ impl BenchArgs {
     /// * `--max-jobs N` — stop cleanly after at most `N` jobs and
     ///   report a `Truncated` completion;
     /// * `--kill-at-job N` — the crash drill used by `ci.sh`.
-    ///
-    /// Environment fallbacks: `SAMURAI_CHECKPOINT`,
-    /// `SAMURAI_CHECKPOINT_EVERY`, `SAMURAI_RESUME`, `SAMURAI_MAX_JOBS`,
-    /// `SAMURAI_KILL_AT_JOB`.
     #[must_use]
     pub fn run_controls(&self) -> RunControlArgs {
-        let path = self
-            .checkpoint
-            .clone()
-            .or_else(|| std::env::var_os("SAMURAI_CHECKPOINT").map(PathBuf::from));
-        let every = self.checkpoint_every.or_else(|| {
-            std::env::var("SAMURAI_CHECKPOINT_EVERY")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        });
-        let resume = self.resume || std::env::var_os("SAMURAI_RESUME").is_some();
-        let max_jobs = self.max_jobs.or_else(|| {
-            std::env::var("SAMURAI_MAX_JOBS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        });
-        let kill_at_job = self.kill_at_job.or_else(|| {
-            std::env::var("SAMURAI_KILL_AT_JOB")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        });
-
-        let mut checkpoint = match path {
+        let mut checkpoint = match &self.checkpoint {
             Some(p) => CheckpointConfig::to_file(p),
             None => CheckpointConfig::default(),
         };
-        if let Some(n) = every {
+        if let Some(n) = self.checkpoint_every {
             checkpoint = checkpoint.every(n);
         }
-        if resume {
+        if self.resume {
             checkpoint = checkpoint.resuming();
         }
         let mut budget = RunBudget::unlimited();
-        if let Some(n) = max_jobs {
+        if let Some(n) = self.max_jobs {
             budget = budget.jobs(n);
         }
         RunControlArgs {
             checkpoint,
             budget,
-            kill_at_job,
+            kill_at_job: self.kill_at_job,
         }
     }
 
-    /// The `--metrics DIR` knob with the `SAMURAI_METRICS` fallback.
-    /// `None` means telemetry artifacts are not written.
+    /// The `--metrics DIR` knob. `None` means telemetry artifacts are
+    /// not written.
     #[must_use]
     pub fn metrics_dir(&self) -> Option<PathBuf> {
-        self.metrics
-            .clone()
-            .or_else(|| std::env::var_os("SAMURAI_METRICS").map(PathBuf::from))
+        self.metrics.clone()
     }
 
-    /// `true` when `--smoke` was given or `SAMURAI_SMOKE` is set:
-    /// binaries shrink their workloads to a seconds-scale sanity pass
-    /// (used by `ci.sh` to validate the telemetry pipeline end to end).
+    /// `true` when `--smoke` was given: binaries shrink their workloads
+    /// to a seconds-scale sanity pass (used by `ci.sh` to validate the
+    /// telemetry pipeline end to end).
     #[must_use]
     pub fn smoke(&self) -> bool {
-        self.smoke || std::env::var_os("SAMURAI_SMOKE").is_some()
+        self.smoke
     }
 
     /// `true` when `--help` or `-h` was given.
@@ -290,7 +246,7 @@ pub fn handle_help(bin: &str, about: &str, extra: &[(&str, &str)]) -> Option<Ben
     ] {
         println!("  {flag:<28} {what}");
     }
-    println!("\nEvery flag has a SAMURAI_* environment fallback; see DESIGN.md.");
+    println!("\nSAMURAI_FIGURES_DIR overrides where the figure CSVs go.");
     None
 }
 
@@ -394,7 +350,7 @@ pub fn banner(title: &str) {
 
 /// One binary's telemetry session: a [`MemoryRecorder`] to thread
 /// through the `*_observed` entry points, plus the wall clock and the
-/// output directory resolved from `--metrics`/`SAMURAI_METRICS`.
+/// output directory given by `--metrics`.
 ///
 /// The recorder is always live (these are tool binaries; the zero-cost
 /// [`samurai_core::telemetry::NoopSink`] path is for library defaults),
@@ -787,17 +743,8 @@ mod tests {
 
     #[test]
     fn default_run_controls_are_passive() {
-        // No crash-safety flags and a clean environment: the parsed
-        // controls must leave the legacy single-segment path intact.
-        for var in [
-            "SAMURAI_CHECKPOINT",
-            "SAMURAI_CHECKPOINT_EVERY",
-            "SAMURAI_RESUME",
-            "SAMURAI_MAX_JOBS",
-            "SAMURAI_KILL_AT_JOB",
-        ] {
-            std::env::remove_var(var);
-        }
+        // No crash-safety flags: the parsed controls must leave the
+        // single-segment path intact.
         let controls = BenchArgs::default().run_controls();
         assert_eq!(controls.checkpoint, CheckpointConfig::default());
         assert!(controls.budget.is_unlimited());
@@ -852,8 +799,7 @@ mod tests {
 
     #[test]
     fn disabled_session_writes_nothing() {
-        // No --metrics flag and no SAMURAI_METRICS in the test env.
-        std::env::remove_var("SAMURAI_METRICS");
+        // No --metrics flag.
         let session = BenchSession::from_args("unit", &BenchArgs::default());
         assert!(!session.enabled());
         assert!(session.finish(3).is_none());

@@ -28,10 +28,10 @@
 //! 4. trap-count dispersion (one standard normal, iff
 //!    `sigma_density > 0`).
 //!
-//! The legacy fixed-sigma paths (`ColumnEnsembleConfig::vth_sigma`,
-//! `ArrayConfig::vth_sigma`) route through
-//! [`ScenarioConfig::fixed_vth_sigma`], which reproduces their
-//! historical draw sequence bit-for-bit.
+//! [`ScenarioConfig::fixed_vth_sigma`] reproduces the historical
+//! flat-sigma draw sequence bit-for-bit. The SRAM array and column
+//! ensembles have no separate mismatch knob: their `scenario: None`
+//! samples `fixed_vth_sigma(0.02)` and journals no scenario stamp.
 
 use rand_chacha::ChaCha8Rng;
 
@@ -69,8 +69,7 @@ impl DeviceGeometry {
 /// and every consumer's legacy golden is reproduced exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioConfig {
-    /// Area-independent threshold-mismatch sigma, volts. The legacy
-    /// `vth_sigma` knobs map here.
+    /// Area-independent threshold-mismatch sigma, volts.
     pub sigma_vth: f64,
     /// Pelgrom mismatch coefficient `A_VT`, volt·metres: contributes
     /// `A_VT / sqrt(W·L)` to the per-device threshold sigma.
@@ -116,10 +115,9 @@ impl ScenarioConfig {
         }
     }
 
-    /// The legacy fixed-sigma mismatch scenario: one area-independent
-    /// threshold sigma, nothing else. Reproduces the historical
-    /// `vth_sigma` draw sequence (one standard normal per device, in
-    /// device order) bit-for-bit.
+    /// The fixed-sigma mismatch scenario: one area-independent
+    /// threshold sigma, nothing else — one standard normal per device,
+    /// in device order, the historical flat-sigma draw sequence.
     #[must_use]
     pub fn fixed_vth_sigma(sigma: f64) -> Self {
         Self {

@@ -211,3 +211,39 @@ fn journal_stream_matches_direct_runs_and_cache_hits_run_nothing() {
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A body nested past the JSON parser's depth limit is a `400`, not a
+/// stack overflow that takes the whole server down: the next request
+/// on a new connection is still answered.
+#[test]
+fn a_deeply_nested_body_is_rejected_and_the_server_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("samurai-serve-deep-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ResultStore::open(&dir).unwrap(),
+        ServerConfig {
+            workers: 1,
+            parallelism: Parallelism::Fixed(1),
+            chunk: 2,
+            capacity: 2,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = thread::spawn(move || server.run().unwrap());
+
+    const MIB: usize = 1 << 20;
+    for body in ["[".repeat(MIB), "{\"a\":".repeat(MIB / 5)] {
+        let (status, text) = request(&addr, "POST", "/jobs", Some(&body));
+        assert_eq!(status, 400, "{text}");
+        assert!(text.contains("nesting deeper than"), "{text}");
+        let (status, _) = request(&addr, "GET", "/metrics", None);
+        assert_eq!(status, 200, "the server must survive the hostile body");
+    }
+
+    let (status, _) = request(&addr, "POST", "/admin/drain", None);
+    assert_eq!(status, 200);
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}

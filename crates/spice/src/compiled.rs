@@ -1668,7 +1668,7 @@ mod tests {
     }
 
     #[test]
-    fn patch_and_undo_between_runs_match_a_fresh_workspace() {
+    fn a_workspace_drives_a_fresh_compile_like_a_new_one() {
         use crate::{MosfetAdjust, ParamPatch};
         let ckt = every_stamp_circuit();
         // Elements 3 and 5 are the two MOSFETs: geometry moves their
@@ -1694,22 +1694,22 @@ mod tests {
             let shifted = fresh_run(&patched_ckt);
             assert_ne!(nominal, shifted, "{choice:?}: the patch must matter");
 
-            let mut compiled = CompiledCircuit::compile_with_solver(&ckt, choice);
+            // One workspace across three compiles: nominal, patched,
+            // nominal again. Each run matches a brand-new workspace.
+            let compiled = CompiledCircuit::compile_with_solver(&ckt, choice);
             let mut ws = NewtonWorkspace::new(&compiled);
             assert_eq!(run_bits(&compiled, &mut ws, &ckt), nominal, "{choice:?}");
-            compiled.apply_patch(&patch).unwrap();
+            let compiled = CompiledCircuit::compile_with_solver(&patched_ckt, choice);
             assert_eq!(
-                run_bits(&compiled, &mut ws, &ckt),
+                run_bits(&compiled, &mut ws, &patched_ckt),
                 shifted,
                 "{choice:?} patched"
             );
-            // Back to nominal: the workspace that ran the patched
-            // stamps drives a fresh nominal compile like a new one.
             let compiled = CompiledCircuit::compile_with_solver(&ckt, choice);
             assert_eq!(
                 run_bits(&compiled, &mut ws, &ckt),
                 nominal,
-                "{choice:?} undone"
+                "{choice:?} nominal again"
             );
         }
     }

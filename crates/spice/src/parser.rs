@@ -77,7 +77,9 @@ impl From<ParseNetlistError> for SpiceError {
 ///
 /// # Errors
 ///
-/// Returns a description of the malformed token.
+/// Returns a description of the malformed token, or of a value that is
+/// not finite (`nan`, `infinity`, or a magnitude past `f64::MAX` such
+/// as `1e400`).
 pub fn parse_value(token: &str) -> Result<f64, String> {
     let t = token.trim();
     if t.is_empty() {
@@ -105,10 +107,15 @@ pub fn parse_value(token: &str) -> Result<f64, String> {
             None => (lower.as_str(), 1.0),
         }
     };
-    digits
+    let value = digits
         .parse::<f64>()
         .map(|v| v * scale)
-        .map_err(|_| format!("malformed value `{token}`"))
+        .map_err(|_| format!("malformed value `{token}`"))?;
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(format!("non-finite value `{token}`"))
+    }
 }
 
 /// Splits a source specification into either DC or a waveform.
@@ -342,6 +349,24 @@ mod tests {
         assert!(close(parse_value("100").unwrap(), 100.0));
         assert!(parse_value("abc").is_err());
         assert!(parse_value("").is_err());
+        for bad in ["nan", "nanf", "inf", "-infinity", "1e400", "1e306meg"] {
+            assert!(parse_value(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_with_their_line() {
+        for (deck, line) in [
+            ("R1 a b nanf\n", 1),
+            ("V1 a 0 DC 1\nR1 a b 1e400\n", 2),
+            ("Vdd a 0 DC infinity\n", 1),
+            ("R1 d 0 1k\nM1 d g 0 NMOS W=nanu\n", 2),
+            ("C1 a 0 infn\n", 1),
+        ] {
+            let e = parse_netlist(deck).unwrap_err();
+            assert_eq!(e.line, line, "{deck:?}");
+            assert!(e.message.contains("non-finite"), "{deck:?}: {e}");
+        }
     }
 
     #[test]

@@ -1,19 +1,16 @@
-//! Per-job parameter patching: applying a scenario's device and
-//! supply variation to an already-compiled circuit.
+//! Per-job parameter patching: applying a scenario's device variation
+//! and thermal corner to a circuit description before it is compiled.
 //!
 //! The scenario layer (`samurai-core::scenario`) expands a job index
-//! into per-device Vt/beta/geometry deltas plus a global supply and
-//! temperature corner. Re-building and re-compiling a netlist per job
-//! would repeat the symbolic analysis (fill pattern, sparse ordering)
-//! for a circuit whose *structure* never changes — so a [`ParamPatch`]
-//! instead overlays the variation onto the existing lowered stamps:
-//!
-//! * [`ParamPatch::apply_to_circuit`] patches a [`Circuit`]
-//!   description before compilation (the path the column builder's
-//!   `build_with_shifts` wrapper uses);
-//! * [`CompiledCircuit::apply_patch`] patches the compiled stamps in
-//!   place — the persistent workspace, fill pattern and solver
-//!   symbolic analysis are untouched.
+//! into per-device Vt/beta/geometry deltas plus a supply and
+//! temperature corner. A [`ParamPatch`] carries the device deltas and
+//! the thermal corner; [`ParamPatch::apply_to_circuit`] writes them
+//! into a [`Circuit`], which the job then compiles. Every job compiles
+//! its own circuit anyway, and compiling is cheap next to the transient
+//! it precedes, so there is one place a patch applies. (The supply
+//! corner is not part of the patch: the SRAM layer scales its supply
+//! before it builds the netlist and the drive waveforms, so both move
+//! together.)
 //!
 //! # Patch semantics (the bit-identity contract)
 //!
@@ -24,11 +21,6 @@
 //! * `beta_scale` multiplies `mu_cox`; `geom_scale` multiplies the
 //!   width and the width-proportional capacitances (length is left
 //!   alone so the scale acts on drive strength, not on the channel).
-//! * `vdd_scale` multiplies every **DC** voltage-source value (PWL
-//!   drive waveforms are the caller's responsibility — the SRAM layer
-//!   scales its supply before building drive waveforms, so both move
-//!   together). Current sources are never scaled: RTN injections are
-//!   absolute currents.
 //! * `phi_t_scale` multiplies every MOSFET's thermal voltage — the
 //!   first-order electrical effect of a temperature corner
 //!   (`φ_t ∝ T`).
@@ -36,8 +28,7 @@
 //!   multiplication/addition is skipped, so a nominal patch leaves
 //!   every bit of the circuit unchanged.
 
-use crate::compiled::{CompiledCircuit, DeviceStamp};
-use crate::netlist::{Circuit, Element, ElementId, Source};
+use crate::netlist::{Circuit, Element, ElementId};
 use crate::{MosfetParams, SpiceError};
 
 /// One device's parameter adjustment.
@@ -96,15 +87,13 @@ impl MosfetAdjust {
     }
 }
 
-/// A per-job parameter overlay: device adjustments plus the global
-/// supply/temperature corner.
+/// A per-job parameter overlay: device adjustments plus the thermal
+/// corner.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamPatch {
     /// Per-device adjustments, addressed by the [`ElementId`]s of the
-    /// source circuit.
+    /// circuit.
     pub devices: Vec<(ElementId, MosfetAdjust)>,
-    /// Multiplier on every DC voltage-source value.
-    pub vdd_scale: f64,
     /// Multiplier on every MOSFET thermal voltage.
     pub phi_t_scale: f64,
 }
@@ -121,17 +110,8 @@ impl ParamPatch {
     pub fn nominal() -> Self {
         Self {
             devices: Vec::new(),
-            vdd_scale: 1.0,
             phi_t_scale: 1.0,
         }
-    }
-
-    /// Whether applying this patch is a guaranteed no-op.
-    #[must_use]
-    pub fn is_nominal(&self) -> bool {
-        self.devices.iter().all(|(_, a)| *a == MosfetAdjust::nominal())
-            && self.vdd_scale == 1.0 // lint: allow(HYG004): exact-unit sentinel defines the no-op patch
-            && self.phi_t_scale == 1.0 // lint: allow(HYG004): exact-unit sentinel defines the no-op patch
     }
 
     /// Applies the patch to a circuit description (before compilation).
@@ -153,18 +133,6 @@ impl ParamPatch {
                 adjust.apply(params);
             }
         }
-        // lint: allow(HYG004): exact-unit sentinel keeps nominal supplies bit-identical
-        if self.vdd_scale != 1.0 {
-            for element in &mut ckt.elements {
-                if let Element::Vsource {
-                    source: Source::Dc(v),
-                    ..
-                } = element
-                {
-                    *v *= self.vdd_scale;
-                }
-            }
-        }
         // lint: allow(HYG004): exact-unit sentinel keeps nominal devices bit-identical
         if self.phi_t_scale != 1.0 {
             for element in &mut ckt.elements {
@@ -177,62 +145,10 @@ impl ParamPatch {
     }
 }
 
-impl CompiledCircuit {
-    /// The (possibly patched) MOSFET parameters of stamp `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::InvalidElement`] if `id` is not a MOSFET.
-    pub fn mosfet_params(&self, id: ElementId) -> Result<&MosfetParams, SpiceError> {
-        self.mosfet(id).map(|m| &m.params)
-    }
-
-    /// Applies a parameter patch to the compiled stamps in place. The
-    /// fill pattern, sparse ordering and workspace are untouched:
-    /// patching never recompiles.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::InvalidElement`] — without mutating
-    /// anything — if any patched id is not a MOSFET.
-    pub fn apply_patch(&mut self, patch: &ParamPatch) -> Result<(), SpiceError> {
-        for (id, _) in &patch.devices {
-            if !matches!(self.stamps.get(id.0), Some(DeviceStamp::Mosfet(_))) {
-                return Err(SpiceError::InvalidElement {
-                    reason: "ParamPatch device ids must name MOSFETs",
-                });
-            }
-        }
-        for (id, adjust) in &patch.devices {
-            if let Some(DeviceStamp::Mosfet(m)) = self.stamps.get_mut(id.0) {
-                adjust.apply(&mut m.params);
-            }
-        }
-        // lint: allow(HYG004): exact-unit sentinel keeps nominal supplies bit-identical
-        if patch.vdd_scale != 1.0 {
-            for stamp in &self.stamps {
-                if let DeviceStamp::Vsource(vs) = stamp {
-                    if let Source::Dc(v) = &mut self.sources[vs.src] {
-                        *v *= patch.vdd_scale;
-                    }
-                }
-            }
-        }
-        // lint: allow(HYG004): exact-unit sentinel keeps nominal devices bit-identical
-        if patch.phi_t_scale != 1.0 {
-            for stamp in &mut self.stamps {
-                if let DeviceStamp::Mosfet(m) = stamp {
-                    m.params.phi_t *= patch.phi_t_scale;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Source;
 
     /// An inverter-ish test circuit: one supply, one NMOS, one PMOS.
     fn build() -> (Circuit, ElementId, ElementId, ElementId) {
@@ -249,47 +165,44 @@ mod tests {
 
     #[test]
     fn nominal_patch_is_a_bitwise_noop() {
-        let (ckt, _, mn, _) = build();
-        let mut compiled = CompiledCircuit::compile(&ckt);
-        let reference = CompiledCircuit::compile(&ckt);
+        let (mut ckt, _, mn, mp) = build();
+        let (reference, ..) = build();
         let patch = ParamPatch {
-            devices: vec![(mn, MosfetAdjust::nominal())],
+            devices: vec![(mn, MosfetAdjust::nominal()), (mp, MosfetAdjust::nominal())],
             ..ParamPatch::nominal()
         };
-        assert!(patch.is_nominal());
-        compiled.apply_patch(&patch).unwrap();
-        assert_eq!(
-            compiled.mosfet_params(mn).unwrap(),
-            reference.mosfet_params(mn).unwrap()
-        );
+        patch.apply_to_circuit(&mut ckt).unwrap();
+        assert_eq!(ckt.elements, reference.elements);
     }
 
     #[test]
-    fn apply_then_revert_restores_exactly() {
-        let (ckt, _, mn, mp) = build();
-        let mut compiled = CompiledCircuit::compile(&ckt);
-        let before_n = *compiled.mosfet_params(mn).unwrap();
+    fn apply_to_circuit_scales_each_field_once() {
+        let (mut ckt, _, mn, mp) = build();
+        let before_n = *ckt.mosfet_params(mn).unwrap();
+        let before_p = *ckt.mosfet_params(mp).unwrap();
         let patch = ParamPatch {
-            devices: vec![
-                (
-                    mn,
-                    MosfetAdjust {
-                        vth_delta: 0.03,
-                        beta_scale: 0.9,
-                        geom_scale: 1.05,
-                    },
-                ),
-                (mp, MosfetAdjust::vth_shift(-0.02)),
-            ],
-            vdd_scale: 0.9,
+            devices: vec![(
+                mn,
+                MosfetAdjust {
+                    vth_delta: 0.03,
+                    beta_scale: 0.9,
+                    geom_scale: 1.05,
+                },
+            )],
             phi_t_scale: 350.0 / 300.0,
         };
-        compiled.apply_patch(&patch).unwrap();
-        let patched = *compiled.mosfet_params(mn).unwrap();
+        patch.apply_to_circuit(&mut ckt).unwrap();
+        let patched = *ckt.mosfet_params(mn).unwrap();
         assert_eq!(patched.vth, before_n.vth + 0.03);
         assert_eq!(patched.mu_cox, before_n.mu_cox * 0.9);
         assert_eq!(patched.width, before_n.width * 1.05);
+        assert_eq!(patched.cgs, before_n.cgs * 1.05);
+        assert_eq!(patched.length, before_n.length);
         assert_eq!(patched.phi_t, before_n.phi_t * (350.0 / 300.0));
+        // The thermal corner reaches every MOSFET, listed or not.
+        let other = *ckt.mosfet_params(mp).unwrap();
+        assert_eq!(other.phi_t, before_p.phi_t * (350.0 / 300.0));
+        assert_eq!(other.vth, before_p.vth);
     }
 
     #[test]
@@ -306,52 +219,16 @@ mod tests {
 
     #[test]
     fn non_mosfet_id_is_rejected_without_mutation() {
-        let (ckt, v, mn, _) = build();
-        let mut compiled = CompiledCircuit::compile(&ckt);
-        let before = *compiled.mosfet_params(mn).unwrap();
+        let (mut ckt, v, mn, _) = build();
+        let (reference, ..) = build();
         let patch = ParamPatch {
             devices: vec![
                 (mn, MosfetAdjust::vth_shift(0.5)),
                 (v, MosfetAdjust::vth_shift(0.5)),
             ],
-            ..ParamPatch::nominal()
+            phi_t_scale: 1.2,
         };
-        assert!(compiled.apply_patch(&patch).is_err());
-        assert_eq!(*compiled.mosfet_params(mn).unwrap(), before);
-
-        let (mut ckt2, v2, _, _) = build();
-        let bad = ParamPatch {
-            devices: vec![(v2, MosfetAdjust::vth_shift(0.5))],
-            ..ParamPatch::nominal()
-        };
-        assert!(bad.apply_to_circuit(&mut ckt2).is_err());
-    }
-
-    #[test]
-    fn vdd_scale_touches_dc_sources_only() {
-        let (mut ckt, v, _, _) = build();
-        let rtn = {
-            let a = ckt.node("out");
-            ckt.isource(a, Circuit::GROUND, Source::Dc(1e-6))
-        };
-        let patch = ParamPatch {
-            vdd_scale: 0.8,
-            ..ParamPatch::nominal()
-        };
-        let mut compiled = CompiledCircuit::compile(&ckt);
-        compiled.apply_patch(&patch).unwrap();
-        // The supply scaled; the current source did not.
-        let mut ckt_scaled = ckt.clone();
-        patch.apply_to_circuit(&mut ckt_scaled).unwrap();
-        let scaled = CompiledCircuit::compile(&ckt_scaled);
-        let t = 0.0;
-        let read = |c: &CompiledCircuit, id: ElementId| match &c.stamps[id.0] {
-            DeviceStamp::Vsource(s) => c.sources[s.src].eval(t),
-            DeviceStamp::Isource(s) => c.sources[s.src].eval(t),
-            _ => unreachable!(),
-        };
-        assert_eq!(read(&compiled, v), 1.1 * 0.8);
-        assert_eq!(read(&scaled, v), 1.1 * 0.8);
-        assert_eq!(read(&compiled, rtn), 1e-6);
+        assert!(patch.apply_to_circuit(&mut ckt).is_err());
+        assert_eq!(ckt.elements, reference.elements);
     }
 }

@@ -15,36 +15,31 @@ use samurai_core::ensemble::{
     Completion, ExecutionPolicy, FailurePolicy, FailureReport, IndexedResults, Parallelism,
 };
 use samurai_core::faults::FaultPlan;
-use samurai_core::scenario::{DeviceGeometry, ScenarioConfig, NOMINAL_TEMPERATURE};
+use samurai_core::scenario::ScenarioConfig;
 use samurai_core::telemetry::JsonValue;
 use samurai_core::SeedStream;
-use samurai_spice::MosfetAdjust;
 use samurai_telemetry::{JobProbe, MetricsSink, Recorder};
-use samurai_trap::{aging_vth_shift, TrapParams};
+use samurai_trap::TrapParams;
 use samurai_waveform::BitPattern;
 
-use crate::cell::cell_mosfet_params;
-use crate::harness::{profile_traps, trap_device_from_params};
-use crate::{run_methodology, MethodologyConfig, SramError};
+use crate::scenario::{lower, scenario_or_default};
+use crate::{cell_geometries, run_methodology, MethodologyConfig, SramCellParams, SramError};
 
 /// Configuration of the Monte-Carlo sweep.
 #[derive(Debug, Clone)]
 pub struct ArrayConfig {
-    /// Base per-cell methodology settings (the per-cell seed,
-    /// `vth_shift`, `spice` rescue rung and `faults` fields are
+    /// Base per-cell methodology settings (the per-cell seed, supply,
+    /// `vth_shift`, technology, trap profiles, `adjust`,
+    /// `phi_t_scale`, `spice` rescue rung and `faults` fields are
     /// overwritten per sample).
     pub base: MethodologyConfig,
     /// Number of cells to simulate.
     pub cells: usize,
-    /// Standard deviation of the per-transistor threshold shift, volts.
-    /// Ignored when `scenario` is set.
-    pub vth_sigma: f64,
     /// Unified per-cell scenario distribution (mismatch with Pelgrom
     /// scaling, beta/geometry spread, supply/temperature corners,
-    /// NBTI stress and trap-density dispersion). `None` routes the
-    /// legacy `vth_sigma` knob through
-    /// [`ScenarioConfig::fixed_vth_sigma`], reproducing the historical
-    /// draw sequence bit-for-bit.
+    /// NBTI stress and trap-density dispersion), journalled per cell.
+    /// `None` samples `ScenarioConfig::fixed_vth_sigma(0.02)` and
+    /// journals no scenario stamp.
     pub scenario: Option<ScenarioConfig>,
     /// Master seed for the sweep.
     pub seed: u64,
@@ -70,7 +65,6 @@ impl Default for ArrayConfig {
         Self {
             base: MethodologyConfig::default(),
             cells: 16,
-            vth_sigma: 0.02,
             scenario: None,
             seed: 0,
             failure: FailurePolicy::FailFast,
@@ -223,6 +217,7 @@ pub fn run_array_observed<S: MetricsSink>(
     recorder: &mut Recorder<S>,
 ) -> Result<ArrayStats, SramError> {
     let seeds = SeedStream::new(config.seed);
+    let scenario = scenario_or_default(config.scenario);
     let policy = ExecutionPolicy {
         failure: config.failure,
         faults: config.faults.clone(),
@@ -241,97 +236,47 @@ pub fn run_array_observed<S: MetricsSink>(
         IndexedResults::new,
         |cell_idx, rung, probe: &mut JobProbe| -> Result<CellResult, SramError> {
             let cell_seeds = seeds.substream(cell_idx as u64);
-            // One deterministic sampling surface for every variation
-            // axis: the legacy fixed-sigma knob routes through the
-            // same layer and reproduces its historical draw sequence
-            // bit-for-bit.
-            let scenario = config
-                .scenario
-                .unwrap_or_else(|| ScenarioConfig::fixed_vth_sigma(config.vth_sigma));
-            let geometries: Vec<DeviceGeometry> = (0..6)
-                .map(|t| {
-                    let p = cell_mosfet_params(&config.base.cell, t);
-                    DeviceGeometry {
-                        width: p.width,
-                        length: p.length,
-                    }
-                })
-                .collect();
-            let sample = scenario.sample(&mut cell_seeds.rng(0), &geometries);
-
-            let mut cell_params = config.base.cell;
-            cell_params.vdd *= sample.vdd_scale;
-            for (t, slot) in cell_params.vth_shift.iter_mut().enumerate() {
-                *slot += sample.device(t).vth_delta;
+            let sample =
+                scenario.sample(&mut cell_seeds.rng(0), &cell_geometries(&config.base.cell));
+            // The traps are pre-sampled from the exact substreams the
+            // methodology's sites draw from (DESIGN §19).
+            let methodology_seed = cell_seeds.rng(1).seed_u64();
+            let site_seeds = SeedStream::new(methodology_seed);
+            let lowered = lower(
+                &sample,
+                &config.base.cell,
+                &config.base.technology,
+                config.base.density_scale,
+                |t| site_seeds.substream(t as u64),
+            );
+            let mut traps: [Vec<TrapParams>; 6] = Default::default();
+            for (slot, profile) in traps.iter_mut().zip(lowered.traps) {
+                *slot = profile;
             }
             let mut timing = config.base.timing;
             timing.vdd *= sample.vdd_scale;
-            let mut technology = config.base.technology.clone();
-            technology.device.temperature =
-                samurai_units::Temperature::from_kelvin(sample.temperature);
-            let density_scale = config.base.density_scale * sample.density_scale;
-            let methodology_seed = cell_seeds.rng(1).seed_u64();
-
-            // Scenario path: pre-sample each transistor's trap
-            // profile from the exact substream the methodology would
-            // use (trap sampling reads only the device geometry), age
-            // the pull-up PMOS pair from those same traps — the
-            // common-root-cause correlation of paper §I-B — and hand
-            // both to the methodology.
-            let mut traps = None;
-            let mut adjust = [MosfetAdjust::nominal(); 6];
-            if config.scenario.is_some() {
-                let inner_seeds = SeedStream::new(methodology_seed);
-                let mut profiles: [Vec<TrapParams>; 6] = Default::default();
-                for (t, profile) in profiles.iter_mut().enumerate() {
-                    let d = sample.device(t);
-                    adjust[t] = MosfetAdjust {
-                        vth_delta: 0.0,
-                        beta_scale: d.beta_scale,
-                        geom_scale: d.geom_scale,
-                    };
-                    let mut params = cell_mosfet_params(&cell_params, t)
-                        .with_vth_shift(cell_params.vth_shift[t]);
-                    // lint: allow(HYG004): exact-unit sentinel keeps nominal devices bit-identical
-                    if d.geom_scale != 1.0 {
-                        params.width *= d.geom_scale;
-                    }
-                    let device = trap_device_from_params(&params, &technology);
-                    *profile = profile_traps(
-                        &technology,
-                        device,
-                        density_scale,
-                        &inner_seeds.substream(t as u64),
-                    );
-                    if matches!(t, 2 | 3) {
-                        cell_params.vth_shift[t] +=
-                            aging_vth_shift(&device, profile, cell_params.vdd, sample.stress_time);
-                    }
-                }
-                traps = Some(profiles);
-            }
-
             let spice = if rung == 0 {
                 config.base.spice.clone()
             } else {
                 config.base.spice.rescue_rung(rung)
             };
-            let mut cell_config = MethodologyConfig {
-                cell: cell_params,
+            let cell_config = MethodologyConfig {
+                cell: SramCellParams {
+                    vdd: lowered.vdd,
+                    vth_shift: std::array::from_fn(|t| lowered.vth_shift[t]),
+                    ..config.base.cell
+                },
                 timing,
-                technology,
-                density_scale,
+                technology: lowered.technology,
                 seed: methodology_seed,
-                traps,
+                traps: Some(traps),
                 parallelism: Parallelism::Fixed(1),
                 spice,
                 faults: config.faults.for_job(cell_idx, rung),
+                adjust: std::array::from_fn(|t| lowered.adjust[t]),
+                phi_t_scale: lowered.phi_t_scale,
                 ..config.base.clone()
             };
-            if config.scenario.is_some() {
-                cell_config.adjust = adjust;
-                cell_config.phi_t_scale = sample.temperature / NOMINAL_TEMPERATURE;
-            }
             let report = run_methodology(pattern, &cell_config)?;
             probe.record_solver(report.solver);
             if config.scenario.is_some() {
@@ -374,7 +319,7 @@ mod tests {
     fn small_array_sweep_runs_and_aggregates() {
         let config = ArrayConfig {
             cells: 4,
-            vth_sigma: 0.01,
+            scenario: Some(ScenarioConfig::fixed_vth_sigma(0.01)),
             seed: 2,
             base: MethodologyConfig {
                 rtn_scale: 1.0,
@@ -409,7 +354,7 @@ mod tests {
     fn heavy_scaling_and_variation_break_some_cells() {
         let config = ArrayConfig {
             cells: 6,
-            vth_sigma: 0.05,
+            scenario: Some(ScenarioConfig::fixed_vth_sigma(0.05)),
             seed: 11,
             base: MethodologyConfig {
                 rtn_scale: 2000.0,

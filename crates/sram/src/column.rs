@@ -31,7 +31,7 @@ use samurai_core::ensemble::{
     Completion, ExecutionPolicy, FailurePolicy, FailureReport, IndexedResults, Parallelism,
 };
 use samurai_core::faults::FaultPlan;
-use samurai_core::scenario::{DeviceGeometry, ScenarioConfig, NOMINAL_TEMPERATURE};
+use samurai_core::scenario::{DeviceGeometry, ScenarioConfig};
 use samurai_core::telemetry::JsonValue;
 use samurai_core::SeedStream;
 use samurai_spice::{
@@ -39,11 +39,12 @@ use samurai_spice::{
     SolverChoice, Source, TransientConfig,
 };
 use samurai_telemetry::{JobProbe, MetricsSink, Recorder};
-use samurai_trap::{aging_vth_shift, Technology, TrapParams};
+use samurai_trap::Technology;
 use samurai_waveform::Pwl;
 
 use crate::cell::cell_mosfet_params;
-use crate::harness::{profile_traps, run_two_pass, trap_device_from_params, RtnSite, TwoPassSpec};
+use crate::harness::{patched, run_two_pass, trap_device, RtnSite, TwoPassSpec};
+use crate::scenario::{lower, scenario_or_default};
 use crate::{SramCellParams, SramError};
 
 /// Width of the precharge/equalise PMOS devices (µm-normalised, like
@@ -659,17 +660,13 @@ pub struct ColumnEnsembleConfig {
     pub bit: bool,
     /// Number of column instances to simulate.
     pub members: usize,
-    /// Standard deviation of the per-transistor threshold shift,
-    /// volts, applied independently to every transistor of every row.
-    /// Ignored when `scenario` is set.
-    pub vth_sigma: f64,
     /// Unified per-member scenario distribution: mismatch (with
     /// Pelgrom area scaling), beta/geometry spread, supply and
     /// temperature corners, NBTI stress time and trap-density
-    /// dispersion, expanded deterministically from the master seed.
-    /// `None` routes the legacy `vth_sigma` knob through
-    /// [`ScenarioConfig::fixed_vth_sigma`], reproducing the historical
-    /// draw sequence bit-for-bit.
+    /// dispersion, expanded deterministically from the master seed and
+    /// journalled per member. `None` samples
+    /// `ScenarioConfig::fixed_vth_sigma(0.02)` and journals no scenario
+    /// stamp.
     pub scenario: Option<ScenarioConfig>,
     /// Technology whose trap statistics profile each cell transistor.
     pub technology: Technology,
@@ -706,7 +703,6 @@ impl Default for ColumnEnsembleConfig {
             timing: ColumnTiming::default(),
             bit: true,
             members: 4,
-            vth_sigma: 0.02,
             scenario: None,
             technology: Technology::node_90nm(),
             density_scale: 1.0,
@@ -857,6 +853,8 @@ pub fn run_column_ensemble_observed<S: MetricsSink>(
     recorder: &mut Recorder<S>,
 ) -> Result<ColumnStats, SramError> {
     let seeds = SeedStream::new(config.seed);
+    let scenario = scenario_or_default(config.scenario);
+    let geometries = column_geometries(&config.column);
     let policy = ExecutionPolicy {
         failure: config.failure,
         faults: config.faults.clone(),
@@ -875,86 +873,45 @@ pub fn run_column_ensemble_observed<S: MetricsSink>(
         IndexedResults::new,
         |member, rung, probe: &mut JobProbe| -> Result<ColumnMemberResult, SramError> {
             let member_seeds = seeds.substream(member as u64);
-            // One deterministic sampling surface for every variation
-            // axis: the legacy fixed-sigma knob routes through the
-            // same layer and reproduces its historical draw sequence
-            // bit-for-bit.
-            let scenario = config
-                .scenario
-                .unwrap_or_else(|| ScenarioConfig::fixed_vth_sigma(config.vth_sigma));
-            let geometries = column_geometries(&config.column);
             let sample = scenario.sample(&mut member_seeds.rng(0), &geometries);
+            // Row r's transistor t draws its traps from substream
+            // 1 + 6r + t, the stream its RTN site draws from.
+            let lowered = lower(
+                &sample,
+                &config.column.cell,
+                &config.technology,
+                config.density_scale,
+                |i| member_seeds.substream(1 + i as u64),
+            );
 
-            // Corner-scaled supply goes into the config *before* the
-            // drive waveforms are built, so the PWL drives track it.
+            // The corner supply goes into the config before the drive
+            // waveforms are built, so the PWL drives track it.
             let mut column_config = config.column.clone();
-            column_config.cell.vdd *= sample.vdd_scale;
-
-            // Base technology under this scenario: corner temperature
-            // plus dispersed trap density.
-            let mut base_tech = config.technology.clone();
-            base_tech.device.temperature =
-                samurai_units::Temperature::from_kelvin(sample.temperature);
-            base_tech.trap_density *= config.density_scale;
-            base_tech.trap_density *= sample.density_scale;
-
-            // Mismatch shifts, then trap profiles. Profiles are
-            // pre-sampled from the same per-transistor substreams the
-            // RTN loop always used — trap sampling reads only the
-            // device geometry, never its threshold — so NBTI aging
-            // and RTN generation share one trap population per
-            // device: the common-root-cause correlation of paper
-            // §I-B. Aging deepens the pull-up PMOS |Vt| before the
-            // column is built.
-            let mut shifts = vec![config.column.cell.vth_shift; config.column.rows];
-            for (idx, slot) in shifts.iter_mut().flatten().enumerate() {
-                *slot += sample.device(idx).vth_delta;
-            }
-            let mut trap_profiles: Vec<Vec<TrapParams>> =
-                Vec::with_capacity(6 * config.column.rows);
-            for (r, row_shifts) in shifts.iter_mut().enumerate() {
-                for (t, slot) in row_shifts.iter_mut().enumerate() {
-                    let adj = sample.device(r * 6 + t);
-                    let mut params =
-                        cell_mosfet_params(&column_config.cell, t).with_vth_shift(*slot);
-                    // lint: allow(HYG004): exact-unit sentinel keeps nominal devices bit-identical
-                    if adj.geom_scale != 1.0 {
-                        params.width *= adj.geom_scale;
-                    }
-                    let device = trap_device_from_params(&params, &base_tech);
-                    let profile_seeds = member_seeds.substream(1 + (r * 6 + t) as u64);
-                    let traps = profile_traps(&base_tech, device, 1.0, &profile_seeds);
-                    if matches!(t, 2 | 3) {
-                        *slot += aging_vth_shift(
-                            &device,
-                            &traps,
-                            column_config.cell.vdd,
-                            sample.stress_time,
-                        );
-                    }
-                    trap_profiles.push(traps);
-                }
-            }
-
-            let mut column = SramColumn::build_with_shifts(&column_config, &shifts)?;
-            // Beta/geometry spread rides on the same patch layer the
-            // threshold shifts went through (identity at nominal).
-            let mut variation = ParamPatch::nominal();
-            for r in 0..column.rows() {
-                for t in 0..6 {
-                    let adj = sample.device(r * 6 + t);
-                    variation.devices.push((
-                        column.transistor(r, t),
-                        MosfetAdjust {
-                            vth_delta: 0.0,
-                            beta_scale: adj.beta_scale,
-                            geom_scale: adj.geom_scale,
-                        },
-                    ));
-                }
-            }
-            variation.apply_to_circuit(&mut column.circuit)?;
+            column_config.cell.vdd = lowered.vdd;
+            // The member's devices (V_T, beta, geometry) go into its
+            // netlist, which pass-1 bias extraction reads; the compiled
+            // copy adds the thermal corner.
+            let mut column = SramColumn::build_nominal(&column_config)?;
+            let patch = ParamPatch {
+                devices: (0..lowered.adjust.len())
+                    .map(|i| {
+                        let adjust = MosfetAdjust {
+                            vth_delta: lowered.vth_shift[i],
+                            ..lowered.adjust[i]
+                        };
+                        (column.transistor(i / 6, i % 6), adjust)
+                    })
+                    .collect(),
+                phi_t_scale: 1.0,
+            };
+            patch.apply_to_circuit(&mut column.circuit)?;
             column.drive_write(&config.timing, config.bit)?;
+            let thermal = ParamPatch {
+                devices: Vec::new(),
+                phi_t_scale: lowered.phi_t_scale,
+            };
+            let netlist = patched(&column.circuit, &thermal)?;
+            let mut compiled = CompiledCircuit::compile_with_solver(&netlist, config.column.solver);
 
             let tf = config.timing.duration();
             let spice = if rung == 0 {
@@ -969,34 +926,16 @@ pub fn run_column_ensemble_observed<S: MetricsSink>(
                 },
                 ..spice
             };
-
-            let mut compiled = column.compile();
-            // Thermal corner: the temperature enters the electrical
-            // model through the thermal voltage, patched on the
-            // compiled workspace (identity at the nominal corner, so
-            // the guard keeps the legacy path untouched).
-            let thermal = ParamPatch {
-                phi_t_scale: sample.temperature / NOMINAL_TEMPERATURE,
-                ..ParamPatch::nominal()
-            };
-            if !thermal.is_nominal() {
-                compiled.apply_patch(&thermal)?;
-            }
-
-            // SAMURAI per transistor of every row, biased by pass 1;
-            // row r's transistor t draws from substream 1 + 6r + t.
-            let mut sites = Vec::with_capacity(trap_profiles.len());
-            for (i, traps) in trap_profiles.into_iter().enumerate() {
+            let sites = lowered.traps.into_iter().enumerate().map(|(i, traps)| {
                 let mosfet = column.transistor(i / 6, i % 6);
-                let params = column.circuit.mosfet_params(mosfet)?;
-                sites.push(RtnSite {
+                RtnSite {
                     mosfet,
                     source: column.rtn_source(i / 6, i % 6),
-                    device: trap_device_from_params(params, &base_tech),
+                    device: trap_device(&netlist, mosfet, &lowered.technology),
                     traps,
                     seeds: member_seeds.substream(1 + i as u64),
-                });
-            }
+                }
+            });
             let spec = TwoPassSpec {
                 tf,
                 spice: &spice,
@@ -1206,7 +1145,7 @@ mod tests {
                 ..ColumnConfig::default()
             },
             members: 1,
-            vth_sigma: 0.0,
+            scenario: Some(ScenarioConfig::nominal()),
             density_scale: 0.0, // RTN off: both passes identical.
             seed: 5,
             ..ColumnEnsembleConfig::default()
@@ -1249,6 +1188,8 @@ mod tests {
 
     #[test]
     fn scenario_routing_is_bit_identical_to_the_legacy_knobs() {
+        // `None` samples `fixed_vth_sigma(0.02)` and only leaves the
+        // scenario stamp out of the journal.
         let base = ColumnEnsembleConfig {
             column: ColumnConfig {
                 rows: 2,
@@ -1259,28 +1200,23 @@ mod tests {
             seed: 9,
             ..ColumnEnsembleConfig::default()
         };
-        // `Some(fixed_vth_sigma)` is the explicit form of the legacy
-        // `vth_sigma` knob.
-        let legacy = run_column_ensemble(&base).unwrap();
-        let routed = run_column_ensemble(&ColumnEnsembleConfig {
-            scenario: Some(ScenarioConfig::fixed_vth_sigma(base.vth_sigma)),
-            ..base.clone()
-        })
+        let mut unset = Recorder::recording();
+        let default = run_column_ensemble_observed(&base, &mut unset).unwrap();
+        let mut set = Recorder::recording();
+        let explicit = run_column_ensemble_observed(
+            &ColumnEnsembleConfig {
+                scenario: Some(ScenarioConfig::fixed_vth_sigma(0.02)),
+                ..base
+            },
+            &mut set,
+        )
         .unwrap();
-        assert_eq!(legacy.members, routed.members);
-        // `Some(nominal)` equals no variation at all.
-        let plain = run_column_ensemble(&ColumnEnsembleConfig {
-            vth_sigma: 0.0,
-            ..base.clone()
-        })
-        .unwrap();
-        let nominal = run_column_ensemble(&ColumnEnsembleConfig {
-            vth_sigma: 0.0,
-            scenario: Some(ScenarioConfig::nominal()),
-            ..base
-        })
-        .unwrap();
-        assert_eq!(plain.members, nominal.members);
+        assert_eq!(default.members, explicit.members);
+        let unset = unset.journal().to_jsonl();
+        let set = set.journal().to_jsonl();
+        assert!(!unset.contains("scenario_hash"), "{unset}");
+        assert_eq!(set.matches("scenario_hash").count(), 2, "{set}");
+        assert_ne!(unset, set);
     }
 
     #[test]

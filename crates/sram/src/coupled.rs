@@ -19,7 +19,7 @@ use samurai_waveform::{BitPattern, Pwc, Pwl};
 
 use samurai_spice::{DcConfig, MosType, Source, TransientStepper};
 
-use crate::harness::MethodologyConfig;
+use crate::harness::{trap_device, MethodologyConfig};
 use crate::{
     analyze_writes, build_write_waveforms, SramCell, SramError, Transistor, WriteAnalysis,
 };
@@ -106,7 +106,7 @@ pub fn run_coupled(
     let mut runtimes: Vec<Vec<TrapRuntime>> = Vec::with_capacity(6);
     let mut rngs: Vec<ChaCha8Rng> = Vec::with_capacity(6);
     for t in Transistor::ALL {
-        let device = crate::harness::trap_device(&cell, t, &base.technology);
+        let device = trap_device(&cell.circuit, cell.transistor(t), &base.technology);
         let mut tech = base.technology.clone();
         tech.device = device;
         tech.trap_density *= base.density_scale;
@@ -188,7 +188,9 @@ pub fn run_coupled(
             let device = runtimes[tr.index()]
                 .first()
                 .map(|r| *r.model.device())
-                .unwrap_or_else(|| crate::harness::trap_device(&cell, tr, &base.technology));
+                .unwrap_or_else(|| {
+                    trap_device(&cell.circuit, cell.transistor(tr), &base.technology)
+                });
             let n_tot = device.carrier_count(v_gs).max(1.0);
             let fraction = (filled / n_tot).min(1.0);
             let i_rtn = i_d * fraction * base.rtn_scale;

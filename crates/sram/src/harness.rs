@@ -57,9 +57,8 @@ pub struct MethodologyConfig {
     /// (solve- and step-site triggers). Empty in production.
     pub faults: FaultPlan,
     /// Per-transistor scenario adjustments (beta/geometry spread),
-    /// indexed by [`Transistor::index`] and applied to the compiled
-    /// cell as a [`ParamPatch`] before either pass. Identity by
-    /// default.
+    /// indexed by [`Transistor::index`] and applied as a [`ParamPatch`]
+    /// to the cell netlist before it is compiled. Identity by default.
     pub adjust: [MosfetAdjust; 6],
     /// Thermal-corner scale on every device's thermal voltage
     /// (`φ_t ∝ T / T_room`), applied with the same patch. `1.0` is the
@@ -147,14 +146,11 @@ impl MethodologyReport {
     }
 }
 
-/// Builds the trap-physics device description for one transistor of
-/// the cell, combining the cell's electrical sizing with the
-/// technology's oxide/trap parameters.
-pub(crate) fn trap_device(cell: &SramCell, t: Transistor, tech: &Technology) -> DeviceParams {
-    let params = cell
-        .circuit
-        .mosfet_params(cell.transistor(t))
-        .expect("cell transistor ids are valid"); // lint: allow(HYG002): transistor ids come from the same cell
+/// Builds the trap-physics device description of MOSFET `id` of
+/// `circuit`, combining its electrical sizing with the technology's
+/// oxide/trap parameters.
+pub(crate) fn trap_device(circuit: &Circuit, id: ElementId, tech: &Technology) -> DeviceParams {
+    let params = circuit.mosfet_params(id).expect("transistor ids are valid"); // lint: allow(HYG002): callers pass ids of MOSFETs built into the same circuit
     trap_device_from_params(params, tech)
 }
 
@@ -301,37 +297,40 @@ pub(crate) fn run_two_pass(
     Ok((pass1, pass2, ws.stats()))
 }
 
+/// `circuit` with `patch` applied: the netlist a two-pass job compiles
+/// and its RTN sites read. `circuit` itself stays the netlist pass-1
+/// bias extraction reconstructs drain currents with (DESIGN §12).
+pub(crate) fn patched(circuit: &Circuit, patch: &ParamPatch) -> Result<Circuit, SramError> {
+    let mut patched = circuit.clone();
+    patch.apply_to_circuit(&mut patched)?;
+    Ok(patched)
+}
+
 /// The two-pass step for one 6T cell under `config` over `[0, tf]`:
-/// the config's beta/geometry spread and thermal corner are patched
-/// onto the compiled cell, and transistor `t`'s site draws from
-/// `substream(t)` of the master seed. Shared by the write and
-/// read-disturb flows.
+/// the config's beta/geometry spread and thermal corner are applied as
+/// one [`ParamPatch`] to a copy of the cell netlist, which is compiled
+/// and which the RTN sites read, and transistor `t`'s site draws from
+/// `substream(t)` of the master seed. Pass-1 bias extraction reads the
+/// cell netlist as built. Shared by the write and read-disturb flows.
 pub(crate) fn run_cell_two_pass(
     cell: &SramCell,
     tf: f64,
     config: &MethodologyConfig,
     on_site: impl FnMut(BiasWaveforms, Vec<TrapParams>, DeviceRtn),
 ) -> Result<(TransientResult, TransientResult, SolverStats), SramError> {
-    let mut compiled = CompiledCircuit::compile(&cell.circuit);
-    // Scenario overlay: beta/geometry spread and the thermal corner
-    // ride on the compiled workspace as a ParamPatch, so per-job
-    // variation never recompiles. The nominal guard keeps the legacy
-    // path bit-identical (nothing is touched at identity).
     let patch = ParamPatch {
         devices: Transistor::ALL
             .iter()
             .map(|&t| (cell.transistor(t), config.adjust[t.index()]))
             .collect(),
-        vdd_scale: 1.0,
         phi_t_scale: config.phi_t_scale,
     };
-    if !patch.is_nominal() {
-        compiled.apply_patch(&patch)?;
-    }
+    let netlist = patched(&cell.circuit, &patch)?;
+    let mut compiled = CompiledCircuit::compile(&netlist);
 
     let seeds = SeedStream::new(config.seed);
     let sites = Transistor::ALL.into_iter().map(|t| {
-        let device = trap_device(cell, t, &config.technology);
+        let device = trap_device(&netlist, cell.transistor(t), &config.technology);
         let seeds = seeds.substream(t.index() as u64);
         let traps = match &config.traps {
             Some(explicit) => explicit[t.index()].clone(),

@@ -32,9 +32,10 @@
 //! surface: a [`samurai_core::scenario::ScenarioConfig`] attached to
 //! the ensemble configurations ([`ColumnEnsembleConfig::scenario`],
 //! [`array::ArrayConfig::scenario`], [`vrt::VrtConfig::scenario`]),
-//! expanded per job from the master seed and applied to the compiled
-//! circuits as allocation-free
-//! [`ParamPatch`](samurai_spice::ParamPatch)es.
+//! expanded per job from the master seed, lowered onto the
+//! transistors by one crate-private function shared by the array and
+//! the column, and applied to each job's netlist before it is compiled
+//! as a [`ParamPatch`](samurai_spice::ParamPatch).
 //!
 //! # Example: is this cell compromised by RTN?
 //!
@@ -65,6 +66,7 @@ pub mod margin;
 mod pattern;
 pub mod read;
 pub mod ringosc;
+mod scenario;
 pub mod sensitivity;
 pub mod snm;
 pub mod vrt;

@@ -200,9 +200,17 @@ fn write_escaped(out: &mut String, s: &str) -> fmt::Result {
     out.write_char('"')
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// deepest document the workspace writes nests 9 levels (a fig7
+/// checkpoint: envelope, payload, job slots, a job's PSD rows); the
+/// limit stands well above that and keeps a hostile document (say
+/// 1 MiB of `[` sent to the job service) from overflowing the parsing
+/// thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses a JSON document. Minimal but strict enough for schema
 /// validation: the full value grammar with string escapes, no
-/// trailing garbage.
+/// trailing garbage, at most [`MAX_DEPTH`] levels of nesting.
 ///
 /// # Errors
 ///
@@ -212,6 +220,7 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -225,6 +234,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -262,8 +273,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -470,6 +495,25 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "1 2", "nul", "\"x"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        // A megabyte of openers, on a thread with the default stack:
+        // without the limit the recursion overflows it and aborts the
+        // process.
+        let hostile = std::thread::spawn(|| {
+            const MIB: usize = 1 << 20;
+            [parse(&"[".repeat(MIB)), parse(&"{\"a\":".repeat(MIB / 5))]
+        })
+        .join()
+        .expect("the parser thread survives");
+        for result in hostile {
+            assert!(result.unwrap_err().contains("nesting deeper than"));
+        }
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

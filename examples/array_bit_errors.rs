@@ -5,15 +5,17 @@
 //! Run with `cargo run --release -p samurai --example array_bit_errors`.
 
 #![allow(clippy::print_stdout, clippy::print_stderr)] // terminal output is the deliverable
+use samurai::core::scenario::ScenarioConfig;
 use samurai::sram::array::{run_array, ArrayConfig};
 use samurai::sram::MethodologyConfig;
 use samurai::waveform::BitPattern;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pattern = BitPattern::parse("1010")?;
+    let vth_sigma = 0.04;
     let config = ArrayConfig {
         cells: 12,
-        vth_sigma: 0.04,
+        scenario: Some(ScenarioConfig::fixed_vth_sigma(vth_sigma)),
         seed: 99,
         base: MethodologyConfig {
             rtn_scale: 3000.0, // accelerated testing, as in the paper
@@ -27,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "simulating {} cells x {} writes (sigma_VT = {} mV, RTN x{})\n",
         config.cells,
         pattern.len(),
-        config.vth_sigma * 1e3,
+        vth_sigma * 1e3,
         config.base.rtn_scale,
     );
     let stats = run_array(&pattern, &config)?;

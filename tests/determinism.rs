@@ -7,6 +7,7 @@
 use samurai::core::ensemble::{
     run_ensemble_resilient_observed, ExecutionPolicy, MeanTrace, Parallelism,
 };
+use samurai::core::scenario::ScenarioConfig;
 use samurai::core::telemetry::Recorder;
 use samurai::core::{
     ensemble_occupancy_with, simulate_trap, BiasWaveforms, CoreError, RtnGenerator, SeedStream,
@@ -117,7 +118,7 @@ fn array_sweep_is_bit_identical_across_worker_counts() {
     let sweep = |workers: usize| {
         let config = ArrayConfig {
             cells: 3,
-            vth_sigma: 0.03,
+            scenario: Some(ScenarioConfig::fixed_vth_sigma(0.03)),
             seed: 5,
             base: MethodologyConfig {
                 rtn_scale: 500.0,

@@ -7,6 +7,7 @@
 
 use samurai::core::ensemble::{FailurePolicy, Parallelism};
 use samurai::core::faults::{FaultKind, FaultPlan, FaultSite};
+use samurai::core::scenario::ScenarioConfig;
 use samurai::spice::{
     run_transient, Circuit, CompiledCircuit, DcConfig, NewtonWorkspace, RescueConfig, Source,
     SpiceError, TransientConfig, TransientStepper,
@@ -284,7 +285,7 @@ fn quarantined_array_sweeps_are_bit_identical_at_any_worker_count() {
     let run = |workers: usize| {
         let config = ArrayConfig {
             cells: 4,
-            vth_sigma: 0.01,
+            scenario: Some(ScenarioConfig::fixed_vth_sigma(0.01)),
             seed: 9,
             failure: FailurePolicy::Quarantine {
                 rungs: 1,
@@ -323,7 +324,7 @@ fn retry_rescues_a_scoped_fault_and_leaves_other_cells_untouched() {
     let sweep = |failure: FailurePolicy, faults: FaultPlan| {
         let config = ArrayConfig {
             cells: 3,
-            vth_sigma: 0.01,
+            scenario: Some(ScenarioConfig::fixed_vth_sigma(0.01)),
             seed: 9,
             failure,
             faults,
@@ -484,7 +485,7 @@ fn sparse_column_quarantine_is_bit_identical_at_any_worker_count() {
                 ..ColumnConfig::default()
             },
             members: 4,
-            vth_sigma: 0.01,
+            scenario: Some(ScenarioConfig::fixed_vth_sigma(0.01)),
             density_scale: 0.0,
             seed: 13,
             parallelism: Parallelism::Fixed(workers),

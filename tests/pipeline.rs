@@ -99,7 +99,6 @@ fn read_disturb_holds_both_values_at_unit_scale() {
 fn array_sweep_is_deterministic_and_healthy_unaccelerated() {
     let config = ArrayConfig {
         cells: 3,
-        vth_sigma: 0.02,
         seed: 5,
         ..ArrayConfig::default()
     };

@@ -1,18 +1,15 @@
 //! Scenario-layer suite: the unified per-job sampling surface must
 //! keep the determinism contract (bit-identical ensembles at every
 //! worker count, on both solver backends, including the quarantined
-//! set), the parameter-patching shortcut must agree with a freshly
-//! compiled shifted netlist, and the sampled mismatch must follow the
-//! configured sigma with Pelgrom area scaling.
+//! set), and the sampled mismatch must follow the configured sigma
+//! with Pelgrom area scaling.
 
 use samurai::core::ensemble::{FailurePolicy, Parallelism};
 use samurai::core::faults::{FaultKind, FaultPlan};
 use samurai::core::scenario::{DeviceGeometry, ScenarioConfig, NOMINAL_TEMPERATURE};
 use samurai::core::SeedStream;
-use samurai::spice::{
-    CompiledCircuit, DcConfig, MosfetAdjust, NewtonWorkspace, ParamPatch, SolverChoice,
-};
-use samurai::sram::{ColumnConfig, ColumnEnsembleConfig, SramCell, SramCellParams};
+use samurai::spice::SolverChoice;
+use samurai::sram::{ColumnConfig, ColumnEnsembleConfig};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -80,91 +77,6 @@ fn scenario_ensembles_are_bit_identical_at_any_worker_count() {
             assert_eq!(stats, reference, "{choice:?} at {workers} workers");
         }
     }
-}
-
-/// Solves the DC operating point of `cell`'s circuit with a fresh
-/// workspace and returns the solution vector.
-fn dcop(compiled: &CompiledCircuit, cell: &SramCell, vdd: f64) -> Vec<f64> {
-    let mut guess = vec![0.0; cell.circuit.node_count()];
-    guess[cell.vdd_node.unknown_index().expect("vdd is not ground")] = vdd;
-    guess[cell.q.unknown_index().expect("q is not ground")] = vdd;
-    let dc = DcConfig {
-        initial_guess: Some(guess),
-        ..DcConfig::default()
-    };
-    let mut ws = NewtonWorkspace::new(compiled);
-    compiled
-        .dc_operating_point(&mut ws, 0.0, &dc)
-        .expect("dcop solves");
-    ws.solution().to_vec()
-}
-
-/// The test patch: per-device threshold/beta/geometry adjustments plus
-/// global supply and thermal-voltage scales.
-fn test_patch(cell: &SramCell) -> ParamPatch {
-    let adjusts = [
-        MosfetAdjust::vth_shift(0.02),
-        MosfetAdjust::nominal(),
-        MosfetAdjust {
-            vth_delta: -0.015,
-            beta_scale: 1.05,
-            geom_scale: 1.0,
-        },
-        MosfetAdjust::nominal(),
-        MosfetAdjust {
-            vth_delta: 0.0,
-            beta_scale: 1.0,
-            geom_scale: 0.95,
-        },
-        MosfetAdjust::vth_shift(-0.01),
-    ];
-    ParamPatch {
-        devices: samurai::sram::Transistor::ALL
-            .iter()
-            .map(|&t| (cell.transistor(t), adjusts[t.index()]))
-            .collect(),
-        vdd_scale: 0.97,
-        phi_t_scale: 1.1,
-    }
-}
-
-/// Patching a persistent compiled workspace produces the same
-/// operating point, to 1e-12, as compiling a freshly shifted netlist —
-/// the guarantee that lets per-job variation skip recompilation.
-#[test]
-fn patched_workspace_matches_a_freshly_compiled_shifted_netlist() {
-    let params = SramCellParams::default();
-    let cell = SramCell::new(params);
-    let patch = test_patch(&cell);
-
-    // Path A: compile once, patch the compiled stamps in place.
-    let mut compiled = CompiledCircuit::compile(&cell.circuit);
-    let nominal = dcop(&compiled, &cell, params.vdd);
-    compiled.apply_patch(&patch).expect("patch applies");
-    let patched = dcop(&compiled, &cell, params.vdd * patch.vdd_scale);
-
-    // Path B: bake the same deltas into the netlist and recompile.
-    let mut shifted_cell = SramCell::new(params);
-    patch
-        .apply_to_circuit(&mut shifted_cell.circuit)
-        .expect("patch applies to the netlist");
-    let recompiled = CompiledCircuit::compile(&shifted_cell.circuit);
-    let fresh = dcop(&recompiled, &shifted_cell, params.vdd * patch.vdd_scale);
-
-    assert_eq!(patched.len(), fresh.len());
-    for (i, (p, f)) in patched.iter().zip(&fresh).enumerate() {
-        assert!(
-            (p - f).abs() <= 1e-12 * (1.0 + p.abs()),
-            "unknown {i} diverged: patched {p} vs recompiled {f}"
-        );
-    }
-    assert!(
-        patched
-            .iter()
-            .zip(&nominal)
-            .any(|(p, n)| (p - n).abs() > 1e-6),
-        "the patch must actually move the operating point"
-    );
 }
 
 /// The sampled threshold mismatch follows the configured sigma with

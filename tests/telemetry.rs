@@ -7,6 +7,7 @@
 
 use samurai::core::ensemble::{FailurePolicy, Parallelism};
 use samurai::core::faults::{FaultKind, FaultPlan};
+use samurai::core::scenario::ScenarioConfig;
 use samurai::core::telemetry::{JournalEvent, MemorySink, MetricsSink, Recorder};
 use samurai::core::{ensemble_occupancy, ensemble_occupancy_observed, SeedStream};
 use samurai::sram::array::{run_array, run_array_observed, ArrayConfig};
@@ -30,7 +31,7 @@ fn trap_model() -> PropensityModel {
 fn faulted_config(workers: usize) -> ArrayConfig {
     ArrayConfig {
         cells: 4,
-        vth_sigma: 0.01,
+        scenario: Some(ScenarioConfig::fixed_vth_sigma(0.01)),
         seed: 9,
         failure: FailurePolicy::Quarantine {
             rungs: 1,

@@ -1,9 +1,11 @@
 //! Bit-identity suite for the two-pass SPICE → SAMURAI → SPICE flows
 //! (cell write, ring oscillator, cell array and column ensemble). The
-//! reference fingerprints below were captured at commit 5ad3c67, while
-//! each flow still ran its own copy of the bias-extraction, trap and
-//! RTN-injection loop, so a single-bit drift in any flow's seed layout,
-//! equilibration or injection fails these tests.
+//! first four reference fingerprints below were captured at commit
+//! 5ad3c67, while each flow still ran its own copy of the
+//! bias-extraction, trap and RTN-injection loop, so a single-bit drift
+//! in any flow's seed layout, equilibration or injection fails these
+//! tests. The two full-scenario array fingerprints pin the scenario
+//! lowering the array shares with the column ensemble.
 
 use samurai::core::ensemble::Parallelism;
 use samurai::core::fnv1a64;
@@ -99,12 +101,24 @@ fn ring_matches_the_pinned_fingerprint() {
     assert_pinned(&got, &[0x1288296884f2063f, 0x90281ad11f71cd35]);
 }
 
-/// A two-cell array sweep: per-cell counts and the journal bytes.
+/// Per-cell counts and the journal bytes of an array sweep over the
+/// pattern `1010`.
+fn array_fingerprint(config: &ArrayConfig) -> [u64; 2] {
+    let pattern = BitPattern::parse("1010").expect("static pattern");
+    let mut recorder = Recorder::recording();
+    let stats = run_array_observed(&pattern, config, &mut recorder).expect("array sweep runs");
+    assert!(stats.cells.iter().all(|c| c.rtn_events > 0), "idle cell");
+    let cells = stats.cells.iter().flat_map(|c| {
+        [c.cell, c.errors, c.slow, c.baseline_errors, c.rtn_events].map(|n| n as u64)
+    });
+    [fnv1a(cells), hash_text(&recorder.journal().to_jsonl())]
+}
+
+/// A two-cell array sweep with the default scenario.
 #[test]
 fn array_matches_the_pinned_fingerprint() {
     let config = ArrayConfig {
         cells: 2,
-        vth_sigma: 0.02,
         seed: 7,
         base: MethodologyConfig {
             rtn_scale: 30.0,
@@ -114,14 +128,7 @@ fn array_matches_the_pinned_fingerprint() {
         },
         ..ArrayConfig::default()
     };
-    let pattern = BitPattern::parse("1010").expect("static pattern");
-    let mut recorder = Recorder::recording();
-    let stats = run_array_observed(&pattern, &config, &mut recorder).expect("array sweep runs");
-    let cells = stats.cells.iter().flat_map(|c| {
-        [c.cell, c.errors, c.slow, c.baseline_errors, c.rtn_events].map(|n| n as u64)
-    });
-    let got = [fnv1a(cells), hash_text(&recorder.journal().to_jsonl())];
-    assert!(stats.cells.iter().all(|c| c.rtn_events > 0), "idle cell");
+    let got = array_fingerprint(&config);
     assert_pinned(&got, &[0x9ff546cebd4b40cc, 0x54af01a90da90e87]);
 }
 
@@ -156,4 +163,49 @@ fn column_ensemble_matches_the_pinned_fingerprint() {
     let got = [hash_f64s(&q), hash_text(&recorder.journal().to_jsonl())];
     assert!(stats.total_rtn_events() > 0, "the traps must switch");
     assert_pinned(&got, &[0x223b84efbee5a4b9, 0x3171e2d0a94536e1]);
+}
+
+/// A two-cell sweep under a full per-cell scenario: mismatch (flat and
+/// Pelgrom), beta spread, supply and temperature corners, NBTI aging
+/// and trap-density dispersion, plus `sigma_geometry`.
+fn full_array_scenario(sigma_geometry: f64) -> ArrayConfig {
+    ArrayConfig {
+        cells: 2,
+        scenario: Some(ScenarioConfig {
+            sigma_vth: 0.01,
+            a_vt: 1.8e-9,
+            sigma_beta: 0.02,
+            sigma_geometry,
+            vdd_range: (0.95, 1.05),
+            temperature_range: (NOMINAL_TEMPERATURE, NOMINAL_TEMPERATURE + 60.0),
+            stress_time: 1e7,
+            sigma_density: 0.1,
+        }),
+        seed: 7,
+        base: MethodologyConfig {
+            rtn_scale: 30.0,
+            density_scale: 1.0,
+            parallelism: Parallelism::Fixed(1),
+            ..MethodologyConfig::default()
+        },
+        ..ArrayConfig::default()
+    }
+}
+
+/// The array under every scenario axis but geometry spread. Pinned
+/// while the array still lowered its scenario through its own copy of
+/// the column's code; the shared lowering reproduces it.
+#[test]
+fn array_under_a_full_scenario_matches_the_pinned_fingerprint() {
+    let got = array_fingerprint(&full_array_scenario(0.0));
+    assert_pinned(&got, &[0xaced388c0e09e943, 0xb414868645785de4]);
+}
+
+/// The array with geometry spread on top: each site's Eq (3) reads the
+/// varied width of the patched netlist, the width its traps were
+/// sampled at.
+#[test]
+fn array_under_geometry_spread_matches_the_pinned_fingerprint() {
+    let got = array_fingerprint(&full_array_scenario(0.05));
+    assert_pinned(&got, &[0xa51d5dcfc8a9b8bd, 0x2ec459cbb9db89b7]);
 }
