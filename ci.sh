@@ -31,6 +31,16 @@ cargo test -q -p samurai --test two_pass_golden
 # or not at all through the one envelope codec and the runtime
 # decoders (pinned for the same reason as the suites above).
 cargo test -q -p samurai-serve --test hostile_files
+# Hostile-JSON suite: a sealed document, the committed fig7 summary
+# and an x7 journal line, each damaged at every byte and cut at every
+# length, must parse to a tree that round-trips or fail without a
+# panic (pinned for the same reason as the suites above).
+cargo test -q -p samurai-telemetry --test hostile_json
+# Hostile-deck suite: the parser's documented deck, damaged at every
+# byte and cut at every length, must fail naming a line of the deck or
+# compile without a panic (pinned for the same reason as the suites
+# above).
+cargo test -q -p samurai-spice --test hostile_decks
 # Performance-ledger package tests (the ledger is its own workspace
 # with its own lock file, so `--workspace` above never reaches it): a
 # smoke pass over all four workloads and digest equality with tracing

@@ -6,9 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use samurai_core::{
-    gillespie, simulate_device, simulate_trap, ye, SeedStream, UniformisationConfig,
-};
+use samurai_core::{gillespie, simulate_trap, ye, SeedStream};
 use samurai_trap::{DeviceParams, PropensityModel, TrapParams};
 use samurai_units::{Energy, Length};
 use samurai_waveform::Pwl;
@@ -91,17 +89,15 @@ fn bench_trap_count(c: &mut Criterion) {
         let tf = 200.0 / slowest;
         group.bench_with_input(BenchmarkId::from_parameter(count), &count, |b, _| {
             b.iter(|| {
-                black_box(
-                    simulate_device(
-                        &models,
-                        &bias,
-                        0.0,
-                        tf,
-                        &SeedStream::new(2),
-                        &UniformisationConfig::default(),
-                    )
-                    .expect("runs"),
-                )
+                let seeds = SeedStream::new(2);
+                let occupancies: Vec<_> = models
+                    .iter()
+                    .enumerate()
+                    .map(|(i, m)| {
+                        simulate_trap(m, &bias, 0.0, tf, &mut seeds.rng(i as u64)).expect("runs")
+                    })
+                    .collect();
+                black_box(occupancies)
             })
         });
     }

@@ -137,11 +137,6 @@ impl Parallelism {
             Self::Fixed(n) => n.max(1),
         }
     }
-
-    /// `true` if this policy runs on the calling thread only.
-    pub fn is_sequential(self) -> bool {
-        self.workers() == 1
-    }
 }
 
 /// A mergeable reduction state for ensemble results.
@@ -353,14 +348,6 @@ pub enum Completion {
         /// Jobs never attempted (`completed + remaining == jobs`).
         remaining: usize,
     },
-}
-
-impl Completion {
-    /// `true` when every requested job ran.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        matches!(self, Self::Complete)
-    }
 }
 
 /// A captured per-job panic, converted into the consumer's error type

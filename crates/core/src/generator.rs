@@ -1,39 +1,23 @@
-//! High-level per-device RTN trace generation.
-
-use serde::{Deserialize, Serialize};
+//! High-level per-device RTN trace generation: Algorithm 1 for every
+//! trap of a device, then Eq (3) on their summed occupancy.
 
 use crate::ensemble::{
     run_ensemble_resilient_observed, ExecutionPolicy, IndexedResults, Parallelism,
 };
 use crate::{
-    gillespie, rtn_current, simulate_trap_probed, AmplitudeModel, BiasWaveforms, CoreError,
-    SeedStream, UniformisationConfig,
+    rtn_current, simulate_trap_probed, BiasWaveforms, CoreError, SeedStream, UniformisationConfig,
 };
 use samurai_telemetry::{JobProbe, MetricsSink, Recorder};
 use samurai_trap::{DeviceParams, PropensityModel, TrapParams};
-use samurai_waveform::{Pwc, Trace};
-
-/// Which stochastic kernel generates the per-trap occupancy functions.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum TraceMethod {
-    /// The paper's Algorithm 1 — exact for arbitrary bias waveforms.
-    #[default]
-    Uniformisation,
-    /// Frozen-rate Gillespie SSA — exact only for constant bias
-    /// (baseline, experiment X2).
-    FrozenRateSsa,
-    /// Ye-et-al.-style white-noise two-stage generator, calibrated at
-    /// the bias of the horizon's start (baseline, experiment X2).
-    YeTwoStage,
-}
+use samurai_waveform::Pwc;
 
 /// The full RTN output for one device over one simulation horizon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceRtn {
     /// Per-trap occupancy staircases (0/1), in trap order.
     pub occupancies: Vec<Pwc>,
-    /// The filled-trap count `N_filled(t)` (sum of the occupancies).
+    /// The filled-trap count `N_filled(t)`: the sum of the occupancies,
+    /// every trap weighted the same as in Eq (3).
     pub n_filled: Pwc,
     /// The Eq (3) RTN current `I_RTN(t)`, in amperes.
     pub i_rtn: Pwc,
@@ -43,18 +27,6 @@ impl DeviceRtn {
     /// Total number of capture/emission events across all traps.
     pub fn event_count(&self) -> usize {
         self.occupancies.iter().map(Pwc::transition_count).sum()
-    }
-
-    /// The RTN current scaled by `k` — the paper scales by 30 in Fig 8e
-    /// to make the (rare) write error visible at 90 nm.
-    #[must_use]
-    pub fn scaled_current(&self, k: f64) -> Pwc {
-        self.i_rtn.scaled(k)
-    }
-
-    /// Samples the RTN current on a uniform grid for spectral analysis.
-    pub fn sample_current(&self, t0: f64, dt: f64, n: usize) -> Trace {
-        self.i_rtn.sample(t0, dt, n)
     }
 }
 
@@ -86,10 +58,7 @@ pub struct RtnGenerator {
     device: DeviceParams,
     models: Vec<PropensityModel>,
     seeds: SeedStream,
-    method: TraceMethod,
-    config: UniformisationConfig,
     current_oversample: usize,
-    amplitude: AmplitudeModel,
     parallelism: Parallelism,
 }
 
@@ -104,10 +73,7 @@ impl RtnGenerator {
             device,
             models,
             seeds: SeedStream::new(0),
-            method: TraceMethod::Uniformisation,
-            config: UniformisationConfig::default(),
             current_oversample: 256,
-            amplitude: AmplitudeModel::Uniform,
             parallelism: Parallelism::Fixed(1),
         }
     }
@@ -119,33 +85,11 @@ impl RtnGenerator {
         self
     }
 
-    /// Selects the stochastic kernel (builder style).
-    #[must_use]
-    pub fn with_method(mut self, method: TraceMethod) -> Self {
-        self.method = method;
-        self
-    }
-
-    /// Overrides the uniformisation configuration (builder style).
-    #[must_use]
-    pub fn with_config(mut self, config: UniformisationConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Sets how many uniform extra sample points refine the Eq (3)
     /// current between trap events (builder style, default 256).
     #[must_use]
     pub fn with_current_oversample(mut self, n: usize) -> Self {
         self.current_oversample = n;
-        self
-    }
-
-    /// Selects how per-trap amplitudes combine (builder style; default
-    /// the paper's uniform Eq (3) weighting).
-    #[must_use]
-    pub fn with_amplitude_model(mut self, amplitude: AmplitudeModel) -> Self {
-        self.amplitude = amplitude;
         self
     }
 
@@ -162,11 +106,6 @@ impl RtnGenerator {
     /// The device parameters.
     pub fn device(&self) -> &DeviceParams {
         &self.device
-    }
-
-    /// Number of traps.
-    pub fn trap_count(&self) -> usize {
-        self.models.len()
     }
 
     /// The per-trap propensity models.
@@ -200,6 +139,7 @@ impl RtnGenerator {
         if !(tf > t0) {
             return Err(CoreError::EmptyHorizon { t0, tf });
         }
+        let config = UniformisationConfig::default();
         let occupancies: Vec<Pwc> = run_ensemble_resilient_observed(
             self.models.len(),
             self.parallelism,
@@ -207,31 +147,22 @@ impl RtnGenerator {
             recorder,
             IndexedResults::new,
             |i, _rung, probe: &mut JobProbe| {
-                let m = &self.models[i];
                 let mut rng = self.seeds.rng(i as u64);
-                match self.method {
-                    TraceMethod::Uniformisation => {
-                        simulate_trap_probed(m, &bias.v_gs, t0, tf, &mut rng, &self.config, probe)
-                    }
-                    TraceMethod::FrozenRateSsa => {
-                        gillespie::frozen_rate_ssa(m, &bias.v_gs, t0, tf, &mut rng)
-                    }
-                    TraceMethod::YeTwoStage => crate::ye::generate(
-                        m,
-                        bias.v_gs.eval(t0),
-                        t0,
-                        tf,
-                        &mut rng,
-                        &crate::ye::YeConfig::default(),
-                    ),
-                }
+                simulate_trap_probed(
+                    &self.models[i],
+                    &bias.v_gs,
+                    t0,
+                    tf,
+                    &mut rng,
+                    &config,
+                    probe,
+                )
             },
         )?
         .acc
         .into_vec();
 
-        let trap_params: Vec<_> = self.models.iter().map(|m| *m.trap()).collect();
-        let n_filled = self.amplitude.effective_filled(&trap_params, &occupancies);
+        let n_filled = Pwc::sum(&occupancies).unwrap_or_else(|| Pwc::constant(0.0));
         let i_rtn = rtn_current(
             &self.device,
             &n_filled,
@@ -251,8 +182,8 @@ impl RtnGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use samurai_trap::TrapState;
     use samurai_units::{Energy, Length};
-    use samurai_waveform::Pwl;
 
     fn slow_traps() -> Vec<TrapParams> {
         vec![
@@ -301,17 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn scaling_matches_the_paper_factor() {
-        let gen = RtnGenerator::new(DeviceParams::nominal_90nm(), slow_traps()).with_seed(4);
-        let tf = horizon(&gen);
-        let rtn = gen
-            .generate(&BiasWaveforms::constant(0.9, 10e-6), 0.0, tf)
-            .unwrap();
-        let scaled = rtn.scaled_current(30.0);
-        assert!((scaled.max_value() - 30.0 * rtn.i_rtn.max_value()).abs() < 1e-18);
-    }
-
-    #[test]
     fn deterministic_per_seed_and_divergent_across_seeds() {
         let bias = BiasWaveforms::constant(0.9, 10e-6);
         let mk = |seed| {
@@ -335,52 +255,24 @@ mod tests {
     }
 
     #[test]
-    fn depth_weighted_amplitudes_shrink_the_current() {
-        let traps = slow_traps(); // depths 1.7, 1.8, 1.9 nm
-        let bias = BiasWaveforms::constant(0.9, 10e-6);
-        let uniform = RtnGenerator::new(DeviceParams::nominal_90nm(), traps.clone()).with_seed(6);
-        let tf = horizon(&uniform);
-        let base = uniform.generate(&bias, 0.0, tf).unwrap();
-        let weighted = RtnGenerator::new(DeviceParams::nominal_90nm(), traps)
-            .with_seed(6)
-            .with_amplitude_model(AmplitudeModel::DepthWeighted { attenuation: 1e-9 })
-            .generate(&bias, 0.0, tf)
+    fn uniform_weighting_recovers_the_plain_count() {
+        // Eq (3) weights every filled trap the same, so N_filled is the
+        // number of filled traps, exactly, at every instant.
+        let traps: Vec<TrapParams> = slow_traps()
+            .into_iter()
+            .zip([TrapState::Filled, TrapState::Filled, TrapState::Empty])
+            .map(|(t, s)| t.with_initial_state(s))
+            .collect();
+        let gen = RtnGenerator::new(DeviceParams::nominal_90nm(), traps).with_seed(6);
+        let tf = horizon(&gen);
+        let rtn = gen
+            .generate(&BiasWaveforms::constant(0.9, 10e-6), 0.0, tf)
             .unwrap();
-        // Same trajectories (same seed), weaker weighted current.
-        assert_eq!(base.occupancies, weighted.occupancies);
-        assert!(weighted.n_filled.max_value() < base.n_filled.max_value());
-        assert!(weighted.i_rtn.max_value() <= base.i_rtn.max_value());
-    }
-
-    #[test]
-    fn method_selection_changes_the_kernel() {
-        let base = RtnGenerator::new(DeviceParams::nominal_90nm(), slow_traps()).with_seed(5);
-        // Bisect for a bias where the first trap is half-filled, so all
-        // kernels produce genuinely busy (and hence distinct) traces.
-        let m0 = base.models()[0];
-        let (mut lo, mut hi) = (-2.0, 3.0);
-        for _ in 0..100 {
-            let mid = 0.5 * (lo + hi);
-            if m0.stationary_occupancy(mid) < 0.5 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
+        assert_eq!(rtn.n_filled.eval(0.0), 2.0);
+        for k in 0..200 {
+            let t = tf * k as f64 / 200.0;
+            let filled = rtn.occupancies.iter().filter(|o| o.eval(t) == 1.0).count();
+            assert_eq!(rtn.n_filled.eval(t), filled as f64, "t = {t}");
         }
-        let bias = BiasWaveforms::new(Pwl::constant(0.5 * (lo + hi)), Pwl::constant(10e-6));
-        let tf = horizon(&base);
-        let unif = base.clone().generate(&bias, 0.0, tf).unwrap();
-        let ssa = base
-            .clone()
-            .with_method(TraceMethod::FrozenRateSsa)
-            .generate(&bias, 0.0, tf)
-            .unwrap();
-        let ye = base
-            .with_method(TraceMethod::YeTwoStage)
-            .generate(&bias, 0.0, tf)
-            .unwrap();
-        // Different kernels, same seed: different trajectories.
-        assert_ne!(unif.n_filled, ssa.n_filled);
-        assert_ne!(unif.n_filled, ye.n_filled);
     }
 }

@@ -13,10 +13,12 @@
 //! probability `λ_next(t)/λ*`, which provably restores the original
 //! chain's non-stationary statistics.
 //!
-//! On top of the single-trap simulator sit:
+//! On top of the single-trap simulator ([`simulate_trap`], and
+//! [`simulate_trap_probed`] with an explicit event budget and a
+//! telemetry probe) sit:
 //!
-//! * [`simulate_device`] / [`RtnGenerator`] — multi-trap devices, the
-//!   `N_filled(t)` staircase and the Eq (3) RTN current;
+//! * [`RtnGenerator`] — multi-trap devices, the `N_filled(t)`
+//!   staircase and the Eq (3) RTN current;
 //! * validation utilities ([`ensemble_occupancy`]) comparing ensemble
 //!   statistics against the exact master equation;
 //! * the deterministic parallel Monte-Carlo engine
@@ -74,13 +76,12 @@ pub use ensemble::{
 };
 pub use error::CoreError;
 pub use faults::{FaultArm, FaultKind, FaultPlan, FaultSite, InjectedFault};
-pub use generator::{DeviceRtn, RtnGenerator, TraceMethod};
+pub use generator::{DeviceRtn, RtnGenerator};
 pub use rng::{exp_rand, trap_rng, SeedStream};
-pub use rtn_current::{rtn_current, single_trap_amplitude, AmplitudeModel};
+pub use rtn_current::{rtn_current, single_trap_amplitude};
 pub use samurai_telemetry as telemetry;
 pub use scenario::{DeviceGeometry, DeviceVariation, ScenarioConfig, ScenarioSample};
 pub use uniformisation::{
-    ensemble_occupancy, ensemble_occupancy_observed, ensemble_occupancy_with, simulate_device,
-    simulate_device_observed, simulate_device_with, simulate_trap, simulate_trap_probed,
-    simulate_trap_with, UniformisationConfig,
+    ensemble_occupancy, ensemble_occupancy_observed, simulate_trap, simulate_trap_probed,
+    UniformisationConfig,
 };

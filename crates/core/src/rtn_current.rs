@@ -13,55 +13,8 @@
 //! [`DeviceParams::carrier_count`] from the instantaneous gate bias.
 
 use crate::BiasWaveforms;
-use samurai_trap::{DeviceParams, TrapParams};
+use samurai_trap::DeviceParams;
 use samurai_waveform::Pwc;
-
-/// How individual traps are weighted when their occupancies combine
-/// into the device current.
-///
-/// The paper uses the uniform van-der-Ziel weighting of Eq (3) and
-/// notes that "more complex models (e.g. \[20\]) can be incorporated
-/// just as easily" — this enum is that extension point.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[non_exhaustive]
-pub enum AmplitudeModel {
-    /// Eq (3) exactly: every filled trap blocks one carrier's share.
-    #[default]
-    Uniform,
-    /// Mobility-fluctuation-style weighting (Hung et al. \[20\]): traps
-    /// closer to the channel scatter carriers more strongly, so a
-    /// trap's weight decays with its depth, `w = e^{−y_tr/λ_a}` with
-    /// `λ_a` the given attenuation length in metres.
-    DepthWeighted {
-        /// Amplitude attenuation length into the oxide, metres.
-        attenuation: f64,
-    },
-}
-
-impl AmplitudeModel {
-    /// The relative weight of one trap (1.0 under [`Self::Uniform`]).
-    pub fn weight(&self, trap: &TrapParams) -> f64 {
-        match self {
-            Self::Uniform => 1.0,
-            Self::DepthWeighted { attenuation } => {
-                assert!(*attenuation > 0.0, "attenuation length must be positive");
-                (-trap.depth.metres() / attenuation).exp()
-            }
-        }
-    }
-
-    /// Combines per-trap occupancy staircases into the *effective*
-    /// filled count `Σ w_i·occ_i(t)` used in place of `N_filled`.
-    pub fn effective_filled(&self, traps: &[TrapParams], occupancies: &[Pwc]) -> Pwc {
-        assert_eq!(traps.len(), occupancies.len(), "one occupancy per trap");
-        let weighted: Vec<Pwc> = traps
-            .iter()
-            .zip(occupancies)
-            .map(|(t, occ)| occ.scaled(self.weight(t)))
-            .collect();
-        Pwc::sum(weighted.iter()).unwrap_or_else(|| Pwc::constant(0.0))
-    }
-}
 
 /// RTN amplitude of a *single filled trap* at one bias point:
 /// `ΔI = I_d / (W·L·N)`.
@@ -170,39 +123,6 @@ mod tests {
             "i = {}, expected = {expected}",
             i.eval(t)
         );
-    }
-
-    #[test]
-    fn amplitude_models_weight_traps_as_documented() {
-        use samurai_units::{Energy, Length};
-        let shallow =
-            samurai_trap::TrapParams::new(Length::from_nanometres(0.5), Energy::from_ev(0.3));
-        let deep =
-            samurai_trap::TrapParams::new(Length::from_nanometres(1.5), Energy::from_ev(0.3));
-
-        let uniform = AmplitudeModel::Uniform;
-        assert_eq!(uniform.weight(&shallow), 1.0);
-        assert_eq!(uniform.weight(&deep), 1.0);
-
-        let weighted = AmplitudeModel::DepthWeighted {
-            attenuation: 1.0e-9,
-        };
-        let ws = weighted.weight(&shallow);
-        let wd = weighted.weight(&deep);
-        assert!(ws > wd, "shallow traps must dominate: {ws} vs {wd}");
-        assert!(
-            (ws / wd - (1.0f64).exp()).abs() < 1e-9,
-            "1 nm apart = one e-fold"
-        );
-
-        // Effective filled count under full occupancy equals the
-        // weight sum.
-        let occ = vec![Pwc::constant(1.0), Pwc::constant(1.0)];
-        let eff = weighted.effective_filled(&[shallow, deep], &occ);
-        assert!((eff.eval(0.0) - (ws + wd)).abs() < 1e-12);
-        // And the uniform model recovers the plain count.
-        let eff_u = uniform.effective_filled(&[shallow, deep], &occ);
-        assert_eq!(eff_u.eval(0.0), 2.0);
     }
 
     #[test]

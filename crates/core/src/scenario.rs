@@ -137,12 +137,6 @@ impl ScenarioConfig {
         sigma
     }
 
-    /// Whether any axis of the configuration deviates from nominal.
-    #[must_use]
-    pub fn is_nominal(&self) -> bool {
-        *self == Self::nominal()
-    }
-
     /// Expands the configuration into one job's concrete scenario,
     /// drawing from `rng` in the documented order (one device entry
     /// per element of `geometries`).

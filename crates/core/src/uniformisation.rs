@@ -10,6 +10,13 @@
 //! where `λ_next` is the propensity of leaving the current state. The
 //! thinned process is distributed exactly as the original chain
 //! (Heidelberger & Nicol \[11\], van Dijk \[12\], Shanthikumar \[13\]).
+//!
+//! [`simulate_trap`] runs Algorithm 1 for one trap with the default
+//! event budget and [`simulate_trap_probed`] with an explicit budget and
+//! a telemetry probe. [`ensemble_occupancy`] and
+//! [`ensemble_occupancy_observed`] average many runs of one trap for
+//! validation. The per-device `foreach` over traps, with Eq (3) on top,
+//! is [`RtnGenerator`](crate::RtnGenerator).
 
 use rand::Rng;
 
@@ -40,8 +47,8 @@ impl Default for UniformisationConfig {
 /// `v_gs`, returning its occupancy staircase (values `0.0`/`1.0`).
 ///
 /// This is a line-by-line implementation of the paper's Algorithm 1
-/// with the default event budget; see [`simulate_trap_with`] to tune
-/// it.
+/// with the default event budget; [`simulate_trap_probed`] takes an
+/// explicit budget and a telemetry probe.
 ///
 /// # Errors
 ///
@@ -55,27 +62,20 @@ pub fn simulate_trap<R: Rng + ?Sized>(
     tf: f64,
     rng: &mut R,
 ) -> Result<Pwc, CoreError> {
-    simulate_trap_with(model, v_gs, t0, tf, rng, &UniformisationConfig::default())
+    simulate_trap_probed(
+        model,
+        v_gs,
+        t0,
+        tf,
+        rng,
+        &UniformisationConfig::default(),
+        &mut JobProbe::disabled(),
+    )
 }
 
-/// [`simulate_trap`] with an explicit configuration.
-///
-/// # Errors
-///
-/// As [`simulate_trap`].
-pub fn simulate_trap_with<R: Rng + ?Sized>(
-    model: &PropensityModel,
-    v_gs: &Pwl,
-    t0: f64,
-    tf: f64,
-    rng: &mut R,
-    config: &UniformisationConfig,
-) -> Result<Pwc, CoreError> {
-    simulate_trap_probed(model, v_gs, t0, tf, rng, config, &mut JobProbe::disabled())
-}
-
-/// [`simulate_trap_with`] that additionally reports candidate/accepted
-/// event counts into a telemetry [`JobProbe`].
+/// [`simulate_trap`] with an explicit configuration, additionally
+/// reporting candidate/accepted event counts into a telemetry
+/// [`JobProbe`].
 ///
 /// The probe is consulted strictly *outside* the candidate loop: the
 /// accepted count is recovered from the staircase length and the
@@ -174,94 +174,12 @@ pub fn simulate_trap_probed<R: Rng + ?Sized>(
     Ok(Pwc::new(steps)?)
 }
 
-/// Simulates every trap of a device independently (Algorithm 1's outer
-/// `foreach`), deriving one RNG stream per trap from `seeds` so the
-/// result is reproducible and insensitive to trap ordering.
-///
-/// Returns one occupancy staircase per trap, in input order.
-///
-/// # Errors
-///
-/// Propagates the first per-trap error (see [`simulate_trap`]).
-pub fn simulate_device(
-    models: &[PropensityModel],
-    v_gs: &Pwl,
-    t0: f64,
-    tf: f64,
-    seeds: &SeedStream,
-    config: &UniformisationConfig,
-) -> Result<Vec<Pwc>, CoreError> {
-    simulate_device_with(models, v_gs, t0, tf, seeds, config, Parallelism::Fixed(1))
-}
-
-/// [`simulate_device`] sharded over a worker pool: trap `i` always
-/// draws from `seeds.rng(i)`, so the staircases are bit-identical for
-/// every worker count.
-///
-/// # Errors
-///
-/// As [`simulate_device`].
-pub fn simulate_device_with(
-    models: &[PropensityModel],
-    v_gs: &Pwl,
-    t0: f64,
-    tf: f64,
-    seeds: &SeedStream,
-    config: &UniformisationConfig,
-    parallelism: Parallelism,
-) -> Result<Vec<Pwc>, CoreError> {
-    simulate_device_observed(
-        models,
-        v_gs,
-        t0,
-        tf,
-        seeds,
-        config,
-        parallelism,
-        &mut Recorder::noop(),
-    )
-}
-
-/// [`simulate_device_with`] reporting per-trap candidate/accepted event
-/// counts and job timings into a telemetry [`Recorder`].
-///
-/// The staircases are bit-identical to the unobserved path for every
-/// worker count and every sink.
-///
-/// # Errors
-///
-/// As [`simulate_device`].
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_device_observed<S: MetricsSink>(
-    models: &[PropensityModel],
-    v_gs: &Pwl,
-    t0: f64,
-    tf: f64,
-    seeds: &SeedStream,
-    config: &UniformisationConfig,
-    parallelism: Parallelism,
-    recorder: &mut Recorder<S>,
-) -> Result<Vec<Pwc>, CoreError> {
-    let outcome = run_ensemble_resilient_observed(
-        models.len(),
-        parallelism,
-        &ExecutionPolicy::default(),
-        recorder,
-        crate::ensemble::IndexedResults::new,
-        |i, _rung, probe: &mut JobProbe| {
-            let mut rng = seeds.rng(i as u64);
-            simulate_trap_probed(&models[i], v_gs, t0, tf, &mut rng, config, probe)
-        },
-    )?;
-    Ok(outcome.acc.into_vec())
-}
-
 /// Ensemble-averaged occupancy of one trap over `runs` independent
 /// simulations, sampled on a uniform grid — the stochastic estimate
 /// whose exact counterpart is `samurai_trap::master::integrate_occupancy`.
 ///
-/// Runs on all available cores; see [`ensemble_occupancy_with`] for an
-/// explicit [`Parallelism`]. Run `r` draws its trajectory from
+/// Runs on all available cores; see [`ensemble_occupancy_observed`]
+/// for an explicit [`Parallelism`]. Run `r` draws its trajectory from
 /// `seeds.rng(r)`, so the result is bit-identical for every worker
 /// count.
 ///
@@ -277,26 +195,6 @@ pub fn ensemble_occupancy(
     runs: usize,
     seeds: &SeedStream,
 ) -> Result<Trace, CoreError> {
-    ensemble_occupancy_with(model, v_gs, t0, dt, n, runs, seeds, Parallelism::Auto)
-}
-
-/// [`ensemble_occupancy`] with an explicit worker policy
-/// (`Parallelism::Fixed(1)` is the legacy sequential path).
-///
-/// # Errors
-///
-/// As [`ensemble_occupancy`].
-#[allow(clippy::too_many_arguments)]
-pub fn ensemble_occupancy_with(
-    model: &PropensityModel,
-    v_gs: &Pwl,
-    t0: f64,
-    dt: f64,
-    n: usize,
-    runs: usize,
-    seeds: &SeedStream,
-    parallelism: Parallelism,
-) -> Result<Trace, CoreError> {
     ensemble_occupancy_observed(
         model,
         v_gs,
@@ -305,14 +203,14 @@ pub fn ensemble_occupancy_with(
         n,
         runs,
         seeds,
-        parallelism,
+        Parallelism::Auto,
         &mut Recorder::noop(),
     )
 }
 
-/// [`ensemble_occupancy_with`] reporting per-run event counts and
-/// timings into a telemetry [`Recorder`]; the trace is bit-identical to
-/// the unobserved path.
+/// [`ensemble_occupancy`] with an explicit worker policy, reporting
+/// per-run event counts and timings into a telemetry [`Recorder`]; the
+/// trace is bit-identical at every worker count and for every sink.
 ///
 /// # Errors
 ///
@@ -542,48 +440,19 @@ mod tests {
             max_candidate_events: 10,
         };
         let mut rng = SeedStream::new(1).rng(0);
-        let err = simulate_trap_with(
+        let err = simulate_trap_probed(
             &m,
             &Pwl::constant(0.5),
             0.0,
             1e6 / m.rate_sum(),
             &mut rng,
             &cfg,
+            &mut JobProbe::disabled(),
         )
         .unwrap_err();
         assert!(matches!(
             err,
             CoreError::EventBudgetExceeded { budget: 10, .. }
         ));
-    }
-
-    #[test]
-    fn simulate_device_returns_one_staircase_per_trap() {
-        let device = DeviceParams::nominal_90nm();
-        let models: Vec<PropensityModel> = [1.4, 1.6, 1.8]
-            .iter()
-            .map(|&d| {
-                PropensityModel::new(
-                    device,
-                    TrapParams::new(Length::from_nanometres(d), Energy::from_ev(0.4)),
-                )
-            })
-            .collect();
-        let slowest = models
-            .iter()
-            .map(|m| m.rate_sum())
-            .fold(f64::INFINITY, f64::min);
-        let occs = simulate_device(
-            &models,
-            &Pwl::constant(0.6),
-            0.0,
-            200.0 / slowest,
-            &SeedStream::new(4),
-            &UniformisationConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(occs.len(), 3);
-        // Faster traps toggle more.
-        assert!(occs[0].transition_count() >= occs[2].transition_count());
     }
 }

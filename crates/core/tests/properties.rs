@@ -10,9 +10,9 @@ use samurai_core::ensemble::{
     Parallelism,
 };
 use samurai_core::faults::{FaultKind, FaultPlan};
-use samurai_core::telemetry::Recorder;
+use samurai_core::telemetry::{JobProbe, Recorder};
 use samurai_core::{
-    simulate_trap, simulate_trap_with, CoreError, SeedStream, UniformisationConfig,
+    simulate_trap, simulate_trap_probed, CoreError, SeedStream, UniformisationConfig,
 };
 use samurai_trap::{DeviceParams, PropensityModel, TrapParams, TrapState};
 use samurai_units::{Energy, Length};
@@ -176,7 +176,8 @@ proptest! {
         let bias = Pwl::constant(0.8);
 
         let tight = UniformisationConfig { max_candidate_events: budget };
-        let err = simulate_trap_with(&m, &bias, 0.0, tf, &mut SeedStream::new(seed).rng(0), &tight)
+        let mut rng = SeedStream::new(seed).rng(0);
+        let err = simulate_trap_probed(&m, &bias, 0.0, tf, &mut rng, &tight, &mut JobProbe::disabled())
             .expect_err("budget far below the candidate count must trip");
         match err {
             CoreError::EventBudgetExceeded { budget: b, rate } => {
@@ -192,7 +193,8 @@ proptest! {
         }
 
         let roomy = UniformisationConfig { max_candidate_events: 100_000 };
-        let occ = simulate_trap_with(&m, &bias, 0.0, tf, &mut SeedStream::new(seed).rng(0), &roomy);
+        let mut rng = SeedStream::new(seed).rng(0);
+        let occ = simulate_trap_probed(&m, &bias, 0.0, tf, &mut rng, &roomy, &mut JobProbe::disabled());
         prop_assert!(occ.is_ok(), "roomy budget must succeed: {:?}", occ);
     }
 

@@ -72,13 +72,6 @@ pub fn analyze_source_full(path: &str, src: &str, class: FileClass) -> Vec<Findi
     findings
 }
 
-/// Analyzes one file on disk under an explicit classification
-/// (token rules only).
-pub fn analyze_file(path: &Path, class: FileClass) -> io::Result<Vec<Finding>> {
-    let src = fs::read_to_string(path)?;
-    Ok(analyze_source(&path.display().to_string(), &src, class))
-}
-
 /// Pass 1 for one file: token findings plus the parsed item index.
 fn pass1(path: &str, src: &str, class: FileClass) -> FileRecord {
     let (toks, comments) = tokenize(src);

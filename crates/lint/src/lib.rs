@@ -50,7 +50,7 @@ pub mod rules;
 pub mod tokenizer;
 
 pub use engine::{
-    analyze_file, analyze_source, analyze_source_full, analyze_workspace, analyze_workspace_full,
-    classify_crate, WorkspaceAnalysis,
+    analyze_source, analyze_source_full, analyze_workspace, analyze_workspace_full, classify_crate,
+    WorkspaceAnalysis,
 };
 pub use rules::{FileClass, Finding, Rule, RULES};

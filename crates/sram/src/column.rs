@@ -69,8 +69,7 @@ const DATALINE_CAP_RATIO: f64 = 0.25;
 pub struct ColumnConfig {
     /// Number of 6T cells sharing the bit-line pair.
     pub rows: usize,
-    /// Sizing and supply of every cell (per-row threshold shifts are
-    /// applied on top via [`SramColumn::build_with_shifts`]).
+    /// Sizing, supply and threshold shifts of every cell.
     pub cell: SramCellParams,
     /// Capacitance of each shared bit line to ground, farads.
     pub bitline_cap: f64,
@@ -170,7 +169,6 @@ pub struct ColumnRow {
 struct MuxHandles {
     dl: NodeId,
     dlb: NodeId,
-    csel_source: ElementId,
 }
 
 #[derive(Debug, Clone)]
@@ -211,41 +209,20 @@ impl SramColumn {
     /// Generates the column with every row at the configuration's base
     /// threshold shifts.
     ///
+    /// The nominal netlist is generated once and `config.cell.vth_shift`
+    /// is applied to every row as one circuit-level [`ParamPatch`],
+    /// which is bit-identical to baking the shifts into the builder (a
+    /// threshold shift is one `+=` on the device either way).
+    ///
     /// # Errors
     ///
     /// Returns [`SramError::InvalidConfig`] for a zero-row column, an
     /// out-of-range `selected_row` or a non-positive `bitline_cap`.
     pub fn build(config: &ColumnConfig) -> Result<Self, SramError> {
-        let shifts = vec![config.cell.vth_shift; config.rows];
-        Self::build_with_shifts(config, &shifts)
-    }
-
-    /// Generates the column with explicit per-row threshold-shift
-    /// sextets (local-variation Monte-Carlo uses this).
-    ///
-    /// Since the scenario layer landed this is a thin wrapper: the
-    /// nominal netlist is generated once and the shifts are applied as
-    /// a circuit-level [`ParamPatch`], which is bit-identical to
-    /// baking them into the builder (a threshold shift is one `+=` on
-    /// the device either way).
-    ///
-    /// # Errors
-    ///
-    /// As [`SramColumn::build`], plus [`SramError::InvalidConfig`] if
-    /// `shifts` does not provide exactly one sextet per row.
-    pub fn build_with_shifts(
-        config: &ColumnConfig,
-        shifts: &[[f64; 6]],
-    ) -> Result<Self, SramError> {
-        if shifts.len() != config.rows {
-            return Err(SramError::InvalidConfig {
-                reason: "one vth-shift sextet per row is required",
-            });
-        }
         let mut column = Self::build_nominal(config)?;
         let mut patch = ParamPatch::nominal();
-        for (r, sextet) in shifts.iter().enumerate() {
-            for (t, &dv) in sextet.iter().enumerate() {
+        for r in 0..config.rows {
+            for (t, &dv) in config.cell.vth_shift.iter().enumerate() {
                 patch
                     .devices
                     .push((column.transistor(r, t), MosfetAdjust::vth_shift(dv)));
@@ -336,17 +313,13 @@ impl SramColumn {
             let csel = ckt.node("csel");
             let dl = ckt.node("dl");
             let dlb = ckt.node("dlb");
-            let csel_source = ckt.vsource(csel, Circuit::GROUND, Source::Dc(p.vdd));
+            ckt.vsource(csel, Circuit::GROUND, Source::Dc(p.vdd));
             ckt.mosfet(dl, csel, bl, nmos(MUX_W));
             ckt.mosfet(dlb, csel, blb, nmos(MUX_W));
             let dl_cap = DATALINE_CAP_RATIO * config.bitline_cap;
             ckt.capacitor(dl, Circuit::GROUND, dl_cap);
             ckt.capacitor(dlb, Circuit::GROUND, dl_cap);
-            MuxHandles {
-                dl,
-                dlb,
-                csel_source,
-            }
+            MuxHandles { dl, dlb }
         });
 
         // Latch-type sense amplifier on the data lines (bit lines when
@@ -470,26 +443,6 @@ impl SramColumn {
         self.circuit
             .set_source(id, source)
             .expect("precharge source id minted by the builder"); // lint: allow(HYG002): source id minted by the builder
-        Ok(())
-    }
-
-    /// Drives the column-select gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SramError::InvalidConfig`] if the column mux was not
-    /// generated.
-    pub fn set_mux_select(&mut self, source: Source) -> Result<(), SramError> {
-        let id = self
-            .mux
-            .as_ref()
-            .map(|m| m.csel_source)
-            .ok_or(SramError::InvalidConfig {
-                reason: "column mux not generated",
-            })?;
-        self.circuit
-            .set_source(id, source)
-            .expect("mux source id minted by the builder"); // lint: allow(HYG002): source id minted by the builder
         Ok(())
     }
 
@@ -1091,11 +1044,6 @@ mod tests {
             SramColumn::build(&out_of_range),
             Err(SramError::InvalidConfig { .. })
         ));
-        let config = ColumnConfig::default();
-        assert!(matches!(
-            SramColumn::build_with_shifts(&config, &[[0.0; 6]]),
-            Err(SramError::InvalidConfig { .. })
-        ));
     }
 
     #[test]
@@ -1161,25 +1109,26 @@ mod tests {
 
     #[test]
     fn shifted_build_is_bitwise_identical_to_inline_shifts() {
-        // The ParamPatch-backed wrapper must reproduce the devices the
+        // The ParamPatch-backed build must reproduce the devices the
         // retired inline builder produced: nominal params plus one
-        // unconditional `vth +=` per transistor.
+        // unconditional `vth +=` per transistor, in every row.
+        let dv = [0.011, -0.007, 0.003, 0.0, -0.021, 0.014];
         let config = ColumnConfig {
-            rows: 2,
+            rows: 3,
+            cell: SramCellParams {
+                vth_shift: dv,
+                ..SramCellParams::default()
+            },
             ..ColumnConfig::default()
         };
-        let shifts = [
-            [0.011, -0.007, 0.003, 0.0, -0.021, 0.014],
-            [-0.002, 0.009, -0.013, 0.024, 0.0, -0.006],
-        ];
-        let column = SramColumn::build_with_shifts(&config, &shifts).unwrap();
-        for (r, sextet) in shifts.iter().enumerate() {
-            for (t, &dv) in sextet.iter().enumerate() {
+        let column = SramColumn::build(&config).unwrap();
+        for r in 0..config.rows {
+            for (t, &shift) in dv.iter().enumerate() {
                 let got = column
                     .circuit
                     .mosfet_params(column.transistor(r, t))
                     .unwrap();
-                let want = cell_mosfet_params(&config.cell, t).with_vth_shift(dv);
+                let want = cell_mosfet_params(&config.cell, t).with_vth_shift(shift);
                 assert_eq!(got.vth.to_bits(), want.vth.to_bits(), "row {r} t {t}");
                 assert_eq!(got.width.to_bits(), want.width.to_bits(), "row {r} t {t}");
             }

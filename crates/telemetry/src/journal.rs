@@ -11,9 +11,6 @@
 //! never wall-clock time. Durations belong to metric sinks (see the
 //! crate-level contract).
 
-use std::io::Write as _;
-use std::path::Path;
-
 use crate::json::JsonValue;
 use crate::stats::{ScenarioStamp, SolverStats, TrapStats};
 
@@ -205,16 +202,6 @@ impl Journal {
             out.push('\n');
         }
         out
-    }
-
-    /// Writes the journal as a JSON-Lines file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_jsonl(&self, path: &Path) -> std::io::Result<()> {
-        let mut file = std::fs::File::create(path)?;
-        file.write_all(self.to_jsonl().as_bytes())
     }
 }
 

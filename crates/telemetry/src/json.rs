@@ -208,9 +208,12 @@ fn write_escaped(out: &mut String, s: &str) -> fmt::Result {
 /// thread's stack.
 pub const MAX_DEPTH: usize = 64;
 
-/// Parses a JSON document. Minimal but strict enough for schema
-/// validation: the full value grammar with string escapes, no
-/// trailing garbage, at most [`MAX_DEPTH`] levels of nesting.
+/// Parses a JSON document under the RFC 8259 grammar, with three
+/// limits: at most [`MAX_DEPTH`] levels of nesting, every number must
+/// be a finite double (`1e400` is an error), and a `\u` escape must
+/// name a Unicode scalar value on its own (surrogate pairs such as
+/// `\ud83d\ude00` are rejected; the workspace's writer never emits
+/// them). No trailing garbage is accepted.
 ///
 /// # Errors
 ///
@@ -349,7 +352,7 @@ impl Parser<'_> {
         let mut out = String::new();
         loop {
             let start = self.pos;
-            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\') {
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
                 self.pos += 1;
             }
             out.push_str(
@@ -377,10 +380,14 @@ impl Parser<'_> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| format!("truncated \\u at byte {}", self.pos))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| format!("invalid \\u at byte {}", self.pos))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("invalid \\u at byte {}", self.pos))?;
+                            // `from_str_radix` alone would take a sign
+                            // (`\u+041`); JSON wants four hex digits.
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(format!("invalid \\u at byte {}", self.pos));
+                            }
+                            let code = hex.iter().fold(0, |code, &digit| {
+                                code * 16 + char::from(digit).to_digit(16).unwrap_or(0)
+                            });
                             out.push(
                                 char::from_u32(code)
                                     .ok_or_else(|| format!("invalid \\u at byte {}", self.pos))?,
@@ -391,32 +398,67 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                _ => return Err(format!("unterminated string at byte {}", self.pos)),
+                Some(_) => return Err(format!("control character in string at byte {}", self.pos)),
+                None => return Err(format!("unterminated string at byte {}", self.pos)),
             }
         }
     }
 
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let invalid = || format!("invalid number at byte {start}");
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
+        // int = "0" / digit1-9 *DIGIT: no leading zeros.
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(invalid()),
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid number at byte {start}"))?;
-        if !text.contains(['.', 'e', 'E', '-']) {
+        let mut integral = !negative;
+        // frac = "." 1*DIGIT
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if !self.digits() {
+                return Err(invalid());
+            }
+            integral = false;
+        }
+        // exp = ("e" / "E") ["-" / "+"] 1*DIGIT
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'-' | b'+')) {
+                self.pos += 1;
+            }
+            if !self.digits() {
+                return Err(invalid());
+            }
+            integral = false;
+        }
+        // The token is ASCII by construction.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| invalid())?;
+        if integral {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(JsonValue::U64(n));
             }
         }
-        text.parse::<f64>()
-            .map(JsonValue::F64)
-            .map_err(|_| format!("invalid number at byte {start}"))
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(JsonValue::F64(x)),
+            _ => Err(format!("number out of range at byte {start}")),
+        }
+    }
+
+    /// Consumes a run of ASCII digits; `false` if there was none.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos > start
     }
 }
 
@@ -520,5 +562,53 @@ mod tests {
     fn parses_negative_and_exponent_numbers() {
         assert_eq!(parse("-1.5e3").unwrap(), JsonValue::F64(-1500.0));
         assert_eq!(parse("42").unwrap(), JsonValue::U64(42));
+        assert_eq!(parse("0").unwrap(), JsonValue::U64(0));
+        assert_eq!(parse("-0").unwrap(), JsonValue::F64(-0.0));
+        assert_eq!(parse("2E+2").unwrap(), JsonValue::F64(200.0));
+        assert_eq!(parse("0.5e-1").unwrap(), JsonValue::F64(0.05));
+        assert_eq!(parse("1e-400").unwrap(), JsonValue::F64(0.0));
+        // Past u64::MAX an integer is carried as a double.
+        assert_eq!(
+            parse("18446744073709551616").unwrap(),
+            JsonValue::F64(18_446_744_073_709_551_616.0)
+        );
+    }
+
+    #[test]
+    fn numbers_outside_the_json_grammar_are_rejected() {
+        for bad in [
+            "01", "-01", "00", "1.", "-1.", ".5", "-", "+1", "1e", "1e+", "1.e3", "0x10", "1e400",
+            "-1e400", "[1e999]", "Infinity", "NaN",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse("\"\\u0041\"").unwrap(), JsonValue::Str("A".into()));
+        assert_eq!(
+            parse("\"\\u00e9\"").unwrap(),
+            JsonValue::Str("\u{e9}".into())
+        );
+        for bad in [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04G1\"",
+            "\"\\u041\"",
+            "\"\\ud800\"",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        for bad in ["\"a\nb\"", "\"\t\"", "{\"k\u{1}\":1}"] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+        // Escaped, the same characters are fine.
+        assert_eq!(parse("\"a\\nb\"").unwrap(), JsonValue::Str("a\nb".into()));
     }
 }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Pwc, Trace, WaveformError};
+use crate::{Trace, WaveformError};
 
 /// A piecewise-linear waveform defined by `(time, value)` breakpoints.
 ///
@@ -334,14 +334,6 @@ impl Pwl {
         let v_b = self.eval(b);
         acc += 0.5 * (v_prev + v_b) * (b - t_prev);
         acc
-    }
-
-    /// Converts to a piecewise-constant waveform by sampling the value
-    /// at the *left* edge of each breakpoint interval. Used to feed PWL
-    /// biases into solvers that want a staircase.
-    pub fn to_pwc(&self) -> Pwc {
-        let steps = self.points.iter().map(|&(t, v)| (t, v)).collect::<Vec<_>>();
-        Pwc::new(steps).expect("Pwl invariants imply valid Pwc") // lint: allow(HYG002): Pwl monotonicity implies a valid Pwc
     }
 }
 

@@ -81,11 +81,6 @@ impl Trace {
         self.dt
     }
 
-    /// Sampling rate `1/dt`.
-    pub fn sample_rate(&self) -> f64 {
-        1.0 / self.dt
-    }
-
     /// Total spanned duration `(len - 1) · dt`.
     pub fn duration(&self) -> f64 {
         (self.values.len().saturating_sub(1)) as f64 * self.dt

@@ -10,7 +10,7 @@ use samurai::core::ensemble::{
 use samurai::core::scenario::ScenarioConfig;
 use samurai::core::telemetry::Recorder;
 use samurai::core::{
-    ensemble_occupancy_with, simulate_trap, BiasWaveforms, CoreError, RtnGenerator, SeedStream,
+    ensemble_occupancy_observed, simulate_trap, BiasWaveforms, CoreError, RtnGenerator, SeedStream,
 };
 use samurai::sram::array::{run_array, ArrayConfig};
 use samurai::sram::MethodologyConfig;
@@ -40,7 +40,7 @@ fn ensemble_occupancy_is_bit_identical_across_worker_counts() {
     let dt = 0.5 / lambda;
     let (n, runs) = (64, 300);
 
-    let reference = ensemble_occupancy_with(
+    let reference = ensemble_occupancy_observed(
         &m,
         &bias,
         0.0,
@@ -49,10 +49,11 @@ fn ensemble_occupancy_is_bit_identical_across_worker_counts() {
         runs,
         &SeedStream::new(11),
         Parallelism::Fixed(1),
+        &mut Recorder::noop(),
     )
     .expect("bounded horizon");
     for workers in WORKER_COUNTS {
-        let trace = ensemble_occupancy_with(
+        let trace = ensemble_occupancy_observed(
             &m,
             &bias,
             0.0,
@@ -61,6 +62,7 @@ fn ensemble_occupancy_is_bit_identical_across_worker_counts() {
             runs,
             &SeedStream::new(11),
             Parallelism::Fixed(workers),
+            &mut Recorder::noop(),
         )
         .expect("bounded horizon");
         assert_eq!(
@@ -142,7 +144,7 @@ fn distinct_seeds_give_distinct_traces() {
     let m = model(1.7, 0.4);
     let lambda = m.rate_sum();
     let run = |seed: u64| {
-        ensemble_occupancy_with(
+        ensemble_occupancy_observed(
             &m,
             &Pwl::constant(0.82),
             0.0,
@@ -151,6 +153,7 @@ fn distinct_seeds_give_distinct_traces() {
             200,
             &SeedStream::new(seed),
             Parallelism::Fixed(4),
+            &mut Recorder::noop(),
         )
         .expect("bounded horizon")
     };
