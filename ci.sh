@@ -26,6 +26,13 @@ cargo test -q -p samurai --test solver_equivalence
 # captured before they shared it (pinned for the same reason as the
 # suites above).
 cargo test -q -p samurai --test two_pass_golden
+# Crash-safety suite: a column ensemble killed mid-run at 1/2/8
+# workers, on the dense and sparse solvers and with a quarantined
+# member in flight, must resume into the uninterrupted run's stats and
+# journal bytes; a corrupted snapshot cold-starts and a budget
+# truncation resumes into the full run (pinned so a test-filter change
+# can never drop it from the gate).
+cargo test -q -p samurai --test checkpoint
 # Hostile-file suite: a checkpoint, a request and a result document,
 # each damaged at every byte and cut at every length, must load whole
 # or not at all through the one envelope codec and the runtime

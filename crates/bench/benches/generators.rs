@@ -18,24 +18,11 @@ fn model(depth_nm: f64) -> PropensityModel {
     )
 }
 
-fn balanced_bias(m: &PropensityModel) -> f64 {
-    let (mut lo, mut hi) = (-2.0, 3.0);
-    for _ in 0..100 {
-        let mid = 0.5 * (lo + hi);
-        if m.stationary_occupancy(mid) < 0.5 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 /// One kernel generating ~1000 events under a switching bias.
 fn bench_kernels(c: &mut Criterion) {
     let m = model(1.8);
     let lambda = m.rate_sum();
-    let v = balanced_bias(&m);
+    let v = m.balanced_bias();
     let bias = Pwl::clock(v - 0.2, v + 0.2, 0.0, 200.0 / lambda, 0.5, 1.0 / lambda, 5)
         .expect("static clock");
     let tf = 1000.0 / lambda;
@@ -84,7 +71,7 @@ fn bench_trap_count(c: &mut Criterion) {
             .iter()
             .map(|m| m.rate_sum())
             .fold(f64::INFINITY, f64::min);
-        let v = balanced_bias(&models[0]);
+        let v = models[0].balanced_bias();
         let bias = Pwl::constant(v);
         let tf = 200.0 / slowest;
         group.bench_with_input(BenchmarkId::from_parameter(count), &count, |b, _| {

@@ -3,7 +3,7 @@
 //!
 //! | kind         | documents                                            |
 //! |--------------|------------------------------------------------------|
-//! | `checkpoint` | `samurai-checkpoint-v1` crash-safety snapshots       |
+//! | `checkpoint` | `samurai-checkpoint-v2` crash-safety snapshots       |
 //! | `graph`      | `samurai-lint --graph` call-graph dumps              |
 //! | `metrics`    | `BENCH_*.json` telemetry summaries                   |
 //! | `store`      | `samurai-request-v1` / `samurai-store-v1` documents  |

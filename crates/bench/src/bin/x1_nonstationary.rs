@@ -17,19 +17,6 @@ use samurai_trap::{master, DeviceParams, PropensityModel, TrapParams, TrapState}
 use samurai_units::{Energy, Length};
 use samurai_waveform::Pwl;
 
-fn balanced_bias(model: &PropensityModel) -> f64 {
-    let (mut lo, mut hi) = (-2.0, 3.0);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if model.stationary_occupancy(mid) < 0.5 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 fn main() {
     let Some(args) = samurai_bench::handle_help(
         "x1_nonstationary",
@@ -42,7 +29,7 @@ fn main() {
     let trap = TrapParams::new(Length::from_nanometres(1.8), Energy::from_ev(0.4));
     let model = PropensityModel::new(device, trap);
     let lambda = model.rate_sum();
-    let v_mid = balanced_bias(&model);
+    let v_mid = model.balanced_bias();
     println!("trap: lambda* = {lambda:.3e}/s, balanced bias = {v_mid:.3} V");
 
     let runs = 20_000;

@@ -52,19 +52,6 @@ fn mc_mean<F: Fn(u64) -> f64 + Sync>(
     outcome.acc.mean()[0]
 }
 
-fn balanced_bias(model: &PropensityModel) -> f64 {
-    let (mut lo, mut hi) = (-2.0, 3.0);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if model.stationary_occupancy(mid) < 0.5 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 fn main() {
     let Some(args) = samurai_bench::handle_help(
         "x2_baselines",
@@ -77,7 +64,7 @@ fn main() {
     let trap = TrapParams::new(Length::from_nanometres(1.8), Energy::from_ev(0.4));
     let model = PropensityModel::new(device, trap);
     let lambda = model.rate_sum();
-    let v_mid = balanced_bias(&model);
+    let v_mid = model.balanced_bias();
 
     // A bias step that flips the trap's preference: the pre-step state
     // is strongly empty, the post-step preference strongly filled.

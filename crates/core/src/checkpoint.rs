@@ -24,10 +24,9 @@
 //!   [`Completion::Truncated`](crate::Completion::Truncated); the
 //!   completed prefix is bit-identical to the same prefix of an
 //!   unbudgeted run.
-//! * [`run_ensemble_checkpointed`] — the runner for accumulators and
-//!   errors that implement [`Snapshot`]: it
-//!   resumes from and writes snapshots, on top of the budgets and the
-//!   crash drill every run honours. A
+//! * [`run_ensemble_checkpointed`] — the runner for accumulators that
+//!   implement [`Snapshot`]: it resumes from and writes snapshots, on
+//!   top of the budgets and the crash drill every run honours. A
 //!   [`FaultPlan::kill_at_job`](crate::FaultPlan::kill_at_job)
 //!   trigger terminates the process (exit code [`KILL_EXIT`]) right
 //!   before the segment containing that job, which is how the test
@@ -47,14 +46,19 @@
 //! # Snapshot format
 //!
 //! One JSON document sealed by [`json::seal`] under
-//! [`CHECKPOINT_SCHEMA`]: `{"schema":"samurai-checkpoint-v1","hash":H,
+//! [`CHECKPOINT_SCHEMA`]: `{"schema":"samurai-checkpoint-v2","hash":H,
 //! "payload":{…}}` where `H` is the FNV-1a-64 hash of the payload's
 //! serialised text. Every number in the payload is an exact `u64`
 //! (floats travel as IEEE-754 bit patterns), so parse → re-serialise
 //! is canonical and [`json::open`] can recompute `H` from the parsed
-//! tree. The payload fingerprint (`jobs`, `seed`, failure policy) must
-//! match the resuming run; the fault plan is deliberately *excluded*
-//! so a crash-drill run's snapshot is resumable by a plain run. The
+//! tree. The payload fingerprint (`jobs`, `seed`, and the failure
+//! policy in its [`FailurePolicy::to_json`] form) must match the
+//! resuming run; the fault plan is deliberately *excluded* so a
+//! crash-drill run's snapshot is resumable by a plain run. Each
+//! quarantined job carries its error as the `Debug` text the journal
+//! prints, so a resumed run re-journals it byte for byte, and a
+//! snapshot never holds more quarantined jobs than the policy's
+//! `max_failures` (the budget is checked before each write). The
 //! loader's payload decoder is also the offline validator
 //! ([`validate_checkpoint`]), so a file the validator passes is one a
 //! resuming run accepts.
@@ -64,14 +68,12 @@ use std::path::{Path, PathBuf};
 
 use samurai_telemetry::json::{self, JsonValue};
 use samurai_telemetry::{JobProbe, JobRecord, MetricsSink, Recorder};
-use samurai_waveform::WaveformError;
 
 use crate::ensemble::{
     drive, shard_size, EnsembleAccumulator, EnsembleOutcome, ExecutionPolicy, FailurePolicy,
     JobFailure, JobPanic, Parallelism, Progress, RescuedJob,
 };
-use crate::error::CoreError;
-use crate::faults::{FaultKind, FaultSite, InjectedFault};
+use crate::faults::InjectedFault;
 
 /// The exit code of a [`FaultPlan::kill_at_job`](crate::FaultPlan::kill_at_job)
 /// crash drill: distinctive enough that harnesses can tell a planned
@@ -79,7 +81,7 @@ use crate::faults::{FaultKind, FaultSite, InjectedFault};
 pub const KILL_EXIT: i32 = 86;
 
 /// The schema tag of the snapshot format this module reads and writes.
-pub const CHECKPOINT_SCHEMA: &str = "samurai-checkpoint-v1";
+pub const CHECKPOINT_SCHEMA: &str = "samurai-checkpoint-v2";
 
 /// Where and how often a checkpointed run snapshots its progress.
 ///
@@ -176,16 +178,11 @@ impl RunControls {
     }
 }
 
-/// Lossless JSON serialisation for checkpointed state: accumulators
-/// and quarantined-job errors.
+/// Lossless JSON serialisation for a checkpointed accumulator.
 ///
 /// Implementations must round-trip **bit patterns**: floats are
 /// carried as `u64` IEEE-754 bits, never as decimal text, so a
-/// restored accumulator continues the merge fold bit-identically. A
-/// snapshot carries the full [`FailureReport`](crate::FailureReport),
-/// including each quarantined job's error, and the resumed run
-/// re-renders those errors into the journal via `Debug`, so errors
-/// must round-trip `Debug`-exactly too.
+/// restored accumulator continues the merge fold bit-identically.
 pub trait Snapshot: Sized {
     /// The state as a canonical JSON tree (all numbers `u64`).
     fn to_snapshot(&self) -> JsonValue;
@@ -218,8 +215,8 @@ pub fn write_checkpoint_atomic(path: &Path, contents: &str) -> std::io::Result<(
 
 // --- Snapshot impls for the built-in accumulators -------------------
 
-/// The identity codec: [`validate_checkpoint`] decodes accumulators and
-/// errors of unknown type as the raw trees they were written as.
+/// The identity codec: [`validate_checkpoint`] decodes accumulators of
+/// unknown type as the raw trees they were written as.
 impl Snapshot for JsonValue {
     fn to_snapshot(&self) -> JsonValue {
         self.clone()
@@ -393,212 +390,17 @@ impl<T: Snapshot + Send> Snapshot for crate::ensemble::IndexedResults<T> {
     }
 }
 
-// --- Error codecs ---------------------------------------------------
-
-fn fault_kind_name(kind: FaultKind) -> &'static str {
-    match kind {
-        FaultKind::SingularMatrix => "singular_matrix",
-        FaultKind::NonConvergence => "non_convergence",
-        FaultKind::NanResidual => "nan_residual",
-        FaultKind::TimestepFloor => "timestep_floor",
-    }
-}
-
-fn fault_kind_from_name(name: &str) -> Option<FaultKind> {
-    Some(match name {
-        "singular_matrix" => FaultKind::SingularMatrix,
-        "non_convergence" => FaultKind::NonConvergence,
-        "nan_residual" => FaultKind::NanResidual,
-        "timestep_floor" => FaultKind::TimestepFloor,
-        _ => return None,
-    })
-}
-
-fn fault_site_name(site: FaultSite) -> &'static str {
-    match site {
-        FaultSite::Solve => "solve",
-        FaultSite::Step => "step",
-        FaultSite::Job => "job",
-    }
-}
-
-fn fault_site_from_name(name: &str) -> Option<FaultSite> {
-    Some(match name {
-        "solve" => FaultSite::Solve,
-        "step" => FaultSite::Step,
-        "job" => FaultSite::Job,
-        _ => return None,
-    })
-}
-
-impl Snapshot for InjectedFault {
-    fn to_snapshot(&self) -> JsonValue {
-        JsonValue::obj(vec![
-            (
-                "kind",
-                JsonValue::Str(fault_kind_name(self.kind).to_owned()),
-            ),
-            (
-                "site",
-                JsonValue::Str(fault_site_name(self.site).to_owned()),
-            ),
-        ])
-    }
-
-    fn from_snapshot(v: &JsonValue) -> Option<Self> {
-        Some(Self {
-            kind: fault_kind_from_name(v.get("kind")?.as_str()?)?,
-            site: fault_site_from_name(v.get("site")?.as_str()?)?,
-        })
-    }
-}
-
-impl Snapshot for WaveformError {
-    fn to_snapshot(&self) -> JsonValue {
-        match self {
-            Self::NonMonotonicTime {
-                index,
-                previous,
-                current,
-            } => JsonValue::obj(vec![
-                ("v", JsonValue::Str("non_monotonic_time".to_owned())),
-                ("index", JsonValue::U64(*index as u64)),
-                ("previous", JsonValue::U64(previous.to_bits())),
-                ("current", JsonValue::U64(current.to_bits())),
-            ]),
-            Self::Empty => JsonValue::obj(vec![("v", JsonValue::Str("empty".to_owned()))]),
-            Self::NonFinite { index } => JsonValue::obj(vec![
-                ("v", JsonValue::Str("non_finite".to_owned())),
-                ("index", JsonValue::U64(*index as u64)),
-            ]),
-            Self::InvalidDuration { name, value } => JsonValue::obj(vec![
-                ("v", JsonValue::Str("invalid_duration".to_owned())),
-                ("name", JsonValue::Str((*name).to_owned())),
-                ("value", JsonValue::U64(value.to_bits())),
-            ]),
-            // `WaveformError` is non-exhaustive; a future variant this
-            // codec does not know decodes to `None`, which the loader
-            // treats as corruption (cold start), never silent data loss.
-            other => JsonValue::obj(vec![
-                ("v", JsonValue::Str("unknown".to_owned())),
-                ("debug", JsonValue::Str(format!("{other:?}"))),
-            ]),
-        }
-    }
-
-    fn from_snapshot(v: &JsonValue) -> Option<Self> {
-        let f64_field = |key: &str| Some(f64::from_bits(v.get(key)?.as_u64()?));
-        let usize_field =
-            |key: &str| usize::try_from(v.get(key)?.as_u64().unwrap_or(u64::MAX)).ok();
-        Some(match v.get("v")?.as_str()? {
-            "non_monotonic_time" => Self::NonMonotonicTime {
-                index: usize_field("index")?,
-                previous: f64_field("previous")?,
-                current: f64_field("current")?,
-            },
-            "empty" => Self::Empty,
-            "non_finite" => Self::NonFinite {
-                index: usize_field("index")?,
-            },
-            "invalid_duration" => Self::InvalidDuration {
-                // The variant carries a `&'static str` diagnostic name;
-                // a resumed run restores it by leaking the decoded
-                // string — bounded by the (tiny) quarantine list.
-                name: Box::leak(v.get("name")?.as_str()?.to_owned().into_boxed_str()),
-                value: f64_field("value")?,
-            },
-            _ => return None,
-        })
-    }
-}
-
-impl Snapshot for CoreError {
-    fn to_snapshot(&self) -> JsonValue {
-        match self {
-            Self::EmptyHorizon { t0, tf } => JsonValue::obj(vec![
-                ("v", JsonValue::Str("empty_horizon".to_owned())),
-                ("t0", JsonValue::U64(t0.to_bits())),
-                ("tf", JsonValue::U64(tf.to_bits())),
-            ]),
-            Self::EventBudgetExceeded { budget, rate } => JsonValue::obj(vec![
-                ("v", JsonValue::Str("event_budget_exceeded".to_owned())),
-                ("budget", JsonValue::U64(*budget as u64)),
-                ("rate", JsonValue::U64(rate.to_bits())),
-            ]),
-            Self::NonFinitePropensity { time } => JsonValue::obj(vec![
-                ("v", JsonValue::Str("non_finite_propensity".to_owned())),
-                ("time", JsonValue::U64(time.to_bits())),
-            ]),
-            Self::Waveform(e) => JsonValue::obj(vec![
-                ("v", JsonValue::Str("waveform".to_owned())),
-                ("e", e.to_snapshot()),
-            ]),
-            Self::Injected(fault) => JsonValue::obj(vec![
-                ("v", JsonValue::Str("injected".to_owned())),
-                ("e", fault.to_snapshot()),
-            ]),
-            Self::Panicked { message } => JsonValue::obj(vec![
-                ("v", JsonValue::Str("panicked".to_owned())),
-                ("message", JsonValue::Str(message.clone())),
-            ]),
-        }
-    }
-
-    fn from_snapshot(v: &JsonValue) -> Option<Self> {
-        let f64_field = |key: &str| Some(f64::from_bits(v.get(key)?.as_u64()?));
-        Some(match v.get("v")?.as_str()? {
-            "empty_horizon" => Self::EmptyHorizon {
-                t0: f64_field("t0")?,
-                tf: f64_field("tf")?,
-            },
-            "event_budget_exceeded" => Self::EventBudgetExceeded {
-                budget: usize::try_from(v.get("budget")?.as_u64()?).ok()?,
-                rate: f64_field("rate")?,
-            },
-            "non_finite_propensity" => Self::NonFinitePropensity {
-                time: f64_field("time")?,
-            },
-            "waveform" => Self::Waveform(WaveformError::from_snapshot(v.get("e")?)?),
-            "injected" => Self::Injected(InjectedFault::from_snapshot(v.get("e")?)?),
-            "panicked" => Self::Panicked {
-                message: v.get("message")?.as_str()?.to_owned(),
-            },
-            _ => return None,
-        })
-    }
-}
-
 // --- Snapshot encode / decode ---------------------------------------
 
-fn failure_policy_json(policy: FailurePolicy) -> JsonValue {
-    match policy {
-        FailurePolicy::FailFast => {
-            JsonValue::obj(vec![("kind", JsonValue::Str("fail_fast".to_owned()))])
-        }
-        FailurePolicy::Retry { rungs } => JsonValue::obj(vec![
-            ("kind", JsonValue::Str("retry".to_owned())),
-            ("rungs", JsonValue::U64(rungs as u64)),
-        ]),
-        FailurePolicy::Quarantine {
-            rungs,
-            max_failures,
-        } => JsonValue::obj(vec![
-            ("kind", JsonValue::Str("quarantine".to_owned())),
-            ("rungs", JsonValue::U64(rungs as u64)),
-            ("max_failures", JsonValue::U64(max_failures as u64)),
-        ]),
-    }
-}
-
-fn snapshot_payload<A: Snapshot, E: Snapshot>(
+fn snapshot_payload<A: Snapshot>(
     jobs: usize,
     policy: &ExecutionPolicy,
-    progress: &Progress<A, E>,
+    progress: &Progress<A>,
 ) -> JsonValue {
     JsonValue::obj(vec![
         ("jobs", JsonValue::U64(jobs as u64)),
         ("seed", JsonValue::U64(policy.seed)),
-        ("failure", failure_policy_json(policy.failure)),
+        ("failure", policy.failure.to_json()),
         ("shards_done", JsonValue::U64(progress.shards_done as u64)),
         // Written after a segment, so the accumulator is always set;
         // the loader ignores `acc` when `shards_done` is 0.
@@ -635,7 +437,7 @@ fn snapshot_payload<A: Snapshot, E: Snapshot>(
                             ("job", JsonValue::U64(q.job as u64)),
                             ("seed", JsonValue::U64(q.seed)),
                             ("rungs_attempted", JsonValue::U64(q.rungs_attempted as u64)),
-                            ("error", q.error.to_snapshot()),
+                            ("error", JsonValue::Str(q.error.clone())),
                         ])
                     })
                     .collect(),
@@ -661,28 +463,19 @@ fn fingerprint(payload: &JsonValue) -> Option<(usize, u64, FailurePolicy)> {
     let jobs = usize::try_from(payload.get("jobs")?.as_u64()?).ok()?;
     let seed = payload.get("seed")?.as_u64()?;
     let failure = payload.get("failure")?;
-    let count = |key: &str| usize::try_from(failure.get(key)?.as_u64()?).ok();
-    let policy = match failure.get("kind")?.as_str()? {
-        "fail_fast" => FailurePolicy::FailFast,
-        "retry" => FailurePolicy::Retry {
-            rungs: count("rungs")?,
-        },
-        "quarantine" => FailurePolicy::Quarantine {
-            rungs: count("rungs")?,
-            max_failures: count("max_failures")?,
-        },
-        _ => return None,
-    };
-    (failure_policy_json(policy) == *failure).then_some((jobs, seed, policy))
+    let policy = FailurePolicy::from_json(failure, usize::MAX).ok()?;
+    (policy.to_json() == *failure).then_some((jobs, seed, policy))
 }
 
-/// Decodes the progress half of a `jobs`-job snapshot payload: the
-/// shard cursor, accumulator, rescue and quarantine lists and job
-/// records. The `Err` is always `decode`.
-fn decode_progress<A: Snapshot, E: Snapshot>(
+/// Decodes the progress half of a `jobs`-job snapshot payload written
+/// under `failure`: the shard cursor, accumulator, rescue and
+/// quarantine lists (at most the policy's `max_failures` quarantined
+/// jobs) and job records. The `Err` is always `decode`.
+fn decode_progress<A: Snapshot>(
     payload: &JsonValue,
     jobs: usize,
-) -> Result<Progress<A, E>, &'static str> {
+    failure: FailurePolicy,
+) -> Result<Progress<A>, &'static str> {
     let array = |key: &str| match payload.get(key) {
         Some(JsonValue::Arr(items)) => Ok(items),
         _ => Err("decode"),
@@ -719,10 +512,11 @@ fn decode_progress<A: Snapshot, E: Snapshot>(
                 job: usize::try_from(q.get("job")?.as_u64()?).ok()?,
                 seed: q.get("seed")?.as_u64()?,
                 rungs_attempted: usize::try_from(q.get("rungs_attempted")?.as_u64()?).ok()?,
-                error: E::from_snapshot(q.get("error")?)?,
+                error: q.get("error")?.as_str()?.to_owned(),
             })
         })
         .collect::<Option<Vec<_>>>()
+        .filter(|q| q.len() <= failure.max_quarantined())
         .ok_or("decode")?;
     let records = array("records")?
         .iter()
@@ -740,11 +534,11 @@ fn decode_progress<A: Snapshot, E: Snapshot>(
 
 /// Validates and decodes a snapshot. The `Err` is the one-word cold
 /// start reason journaled as `checkpoint.cold_start.<reason>`.
-fn load_checkpoint<A: Snapshot, E: Snapshot>(
+fn load_checkpoint<A: Snapshot>(
     path: &Path,
     jobs: usize,
     policy: &ExecutionPolicy,
-) -> Result<Progress<A, E>, &'static str> {
+) -> Result<Progress<A>, &'static str> {
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err("missing"),
@@ -755,12 +549,12 @@ fn load_checkpoint<A: Snapshot, E: Snapshot>(
     if fingerprint(payload) != Some((jobs, policy.seed, policy.failure)) {
         return Err("fingerprint");
     }
-    decode_progress::<A, E>(payload, jobs)
+    decode_progress(payload, jobs, policy.failure)
 }
 
 /// Checks a snapshot document offline with the loader's own decoder,
 /// against the fingerprint the snapshot records instead of a resuming
-/// run's; accumulator and errors decode as raw trees. The `Err` is the
+/// run's; the accumulator decodes as a raw tree. The `Err` is the
 /// cold-start reason a resuming run of that fingerprint would journal.
 ///
 /// # Errors
@@ -769,8 +563,8 @@ fn load_checkpoint<A: Snapshot, E: Snapshot>(
 /// `checkpoint.cold_start.<reason>` names them.
 pub fn validate_checkpoint(doc: &JsonValue) -> Result<(), &'static str> {
     let payload = json::open(doc, CHECKPOINT_SCHEMA)?;
-    let (jobs, _, _) = fingerprint(payload).ok_or("fingerprint")?;
-    decode_progress::<JsonValue, JsonValue>(payload, jobs).map(drop)
+    let (jobs, _, failure) = fingerprint(payload).ok_or("fingerprint")?;
+    decode_progress::<JsonValue>(payload, jobs, failure).map(drop)
 }
 
 // --- The checkpointed runner ----------------------------------------
@@ -811,17 +605,17 @@ pub fn run_ensemble_checkpointed<A, F, E, S>(
     recorder: &mut Recorder<S>,
     make_acc: impl Fn() -> A + Sync,
     job: F,
-) -> Result<EnsembleOutcome<A, E>, E>
+) -> Result<EnsembleOutcome<A>, E>
 where
     A: EnsembleAccumulator + Snapshot,
     F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
-    E: Send + std::fmt::Debug + From<InjectedFault> + From<JobPanic> + Snapshot,
+    E: Send + std::fmt::Debug + From<InjectedFault> + From<JobPanic>,
     S: MetricsSink,
 {
     let mut progress = Progress::cold();
     if controls.checkpoint.resume {
         if let Some(path) = &controls.checkpoint.path {
-            match load_checkpoint::<A, E>(path, jobs, policy) {
+            match load_checkpoint(path, jobs, policy) {
                 Ok(state) => progress = state,
                 Err(reason) => recorder.note(&format!("checkpoint.cold_start.{reason}"), 1),
             }
@@ -847,6 +641,7 @@ where
 mod tests {
     use super::*;
     use crate::ensemble::{run_ensemble_resilient_observed, Completion, MeanTrace};
+    use crate::faults::{FaultKind, FaultSite};
     use crate::rng::SeedStream;
     use rand::Rng;
     use samurai_telemetry::Recorder;
@@ -888,34 +683,6 @@ mod tests {
         }
     }
 
-    impl Snapshot for TestError {
-        fn to_snapshot(&self) -> JsonValue {
-            match self {
-                Self::Job(j) => JsonValue::obj(vec![
-                    ("v", JsonValue::Str("job".to_owned())),
-                    ("job", JsonValue::U64(*j as u64)),
-                ]),
-                Self::Fault(f) => JsonValue::obj(vec![
-                    ("v", JsonValue::Str("fault".to_owned())),
-                    ("e", f.to_snapshot()),
-                ]),
-                Self::Panicked(m) => JsonValue::obj(vec![
-                    ("v", JsonValue::Str("panicked".to_owned())),
-                    ("message", JsonValue::Str(m.clone())),
-                ]),
-            }
-        }
-
-        fn from_snapshot(v: &JsonValue) -> Option<Self> {
-            Some(match v.get("v")?.as_str()? {
-                "job" => Self::Job(usize::try_from(v.get("job")?.as_u64()?).ok()?),
-                "fault" => Self::Fault(InjectedFault::from_snapshot(v.get("e")?)?),
-                "panicked" => Self::Panicked(v.get("message")?.as_str()?.to_owned()),
-                _ => return None,
-            })
-        }
-    }
-
     const JOBS: usize = 400;
 
     fn policy() -> ExecutionPolicy {
@@ -942,7 +709,7 @@ mod tests {
         Ok(vec![rng.gen::<f64>(), rng.gen::<f64>() * (rung + 1) as f64])
     }
 
-    fn uninterrupted(workers: usize) -> (EnsembleOutcome<MeanTrace, TestError>, String) {
+    fn uninterrupted(workers: usize) -> (EnsembleOutcome<MeanTrace>, String) {
         let mut rec = Recorder::recording();
         let out = run_ensemble_resilient_observed(
             JOBS,
@@ -984,7 +751,7 @@ mod tests {
         // Phase 1: run with a job budget so the run truncates partway,
         // leaving a snapshot — an in-process stand-in for a crash.
         let mut rec = Recorder::recording();
-        let partial: EnsembleOutcome<MeanTrace, TestError> = run_ensemble_checkpointed(
+        let partial: EnsembleOutcome<MeanTrace> = run_ensemble_checkpointed(
             JOBS,
             Parallelism::Fixed(2),
             &policy(),
@@ -1035,7 +802,7 @@ mod tests {
             ("garbage", "not json at all"),
             (
                 "truncated",
-                "{\"schema\":\"samurai-checkpoint-v1\",\"hash\":1,\"pa",
+                "{\"schema\":\"samurai-checkpoint-v2\",\"hash\":1,\"pa",
             ),
             (
                 "wrong-schema",
@@ -1043,7 +810,14 @@ mod tests {
             ),
             (
                 "bad-hash",
-                "{\"schema\":\"samurai-checkpoint-v1\",\"hash\":1,\"payload\":{}}",
+                "{\"schema\":\"samurai-checkpoint-v2\",\"hash\":1,\"payload\":{}}",
+            ),
+            // A well-sealed file of the previous format.
+            (
+                "schema-v1",
+                json::seal("samurai-checkpoint-v1", JsonValue::obj(vec![]))
+                    .to_json()
+                    .as_str(),
             ),
         ] {
             let file = ScratchFile::new(name);
@@ -1066,6 +840,9 @@ mod tests {
             let journal = rec.journal().to_jsonl();
             let first = journal.lines().next().expect("nonempty journal");
             assert!(first.contains("checkpoint.cold_start."), "{name}: {first}");
+            if name.starts_with("schema") {
+                assert!(first.contains("checkpoint.cold_start.schema"), "{first}");
+            }
             // Everything after the note is the uninterrupted journal.
             let (_, rest) = journal.split_once('\n').expect("more than one line");
             assert_eq!(rest, base_journal, "{name}");
@@ -1079,7 +856,7 @@ mod tests {
         let mut other = policy();
         other.seed = 999;
         let mut rec = Recorder::recording();
-        let _: EnsembleOutcome<MeanTrace, TestError> = run_ensemble_checkpointed(
+        let _: EnsembleOutcome<MeanTrace> = run_ensemble_checkpointed(
             JOBS,
             Parallelism::Fixed(1),
             &other,
@@ -1125,7 +902,7 @@ mod tests {
             faults: crate::FaultPlan::none().fail_job(7, FaultKind::NonConvergence),
             seed: 3,
         };
-        let out: EnsembleOutcome<MeanTrace, TestError> = run_ensemble_checkpointed(
+        let out: EnsembleOutcome<MeanTrace> = run_ensemble_checkpointed(
             300,
             Parallelism::Fixed(2),
             &policy,
@@ -1135,7 +912,7 @@ mod tests {
             },
             &mut Recorder::noop(),
             || MeanTrace::zeros(1),
-            |j, _rung, _probe| Ok(vec![j as f64]),
+            |j, _rung, _probe| Ok::<_, TestError>(vec![j as f64]),
         )
         .expect("within quarantine budget");
         assert_eq!(
@@ -1161,7 +938,7 @@ mod tests {
                 job: 3,
                 seed: 42,
                 rungs_attempted: 2,
-                error: TestError::Job(3),
+                error: format!("{:?}", TestError::Job(3)),
             }],
             records: Vec::new(),
         };
@@ -1175,6 +952,11 @@ mod tests {
         assert_eq!(back.sums()[0].to_bits(), 1.5f64.to_bits());
         assert_eq!(back.sums()[1].to_bits(), (-0.0f64).to_bits());
         assert!(back.sums()[2].is_nan(), "NaN bit pattern survives");
+        // A quarantined job under a policy that quarantines none is
+        // more than the writer could have saved.
+        let fail_fast = snapshot_payload(7, &ExecutionPolicy::default(), &progress);
+        let doc = json::parse(&json::seal(CHECKPOINT_SCHEMA, fail_fast).to_json()).expect("json");
+        assert_eq!(validate_checkpoint(&doc), Err("decode"));
     }
 
     #[test]
@@ -1189,36 +971,54 @@ mod tests {
     }
 
     #[test]
-    fn core_error_codec_round_trips_every_variant() {
-        let errors = [
-            CoreError::EmptyHorizon { t0: 1.0, tf: -0.0 },
-            CoreError::EventBudgetExceeded {
-                budget: 1000,
-                rate: 1e10,
+    fn the_quarantine_budget_trips_before_the_snapshot_that_would_break_it() {
+        let file = ScratchFile::new("over-budget");
+        // Cadence 2 over 10 one-job shards: the two faults land in
+        // segments [2, 4) and [6, 8).
+        let policy = ExecutionPolicy {
+            failure: FailurePolicy::Quarantine {
+                rungs: 0,
+                max_failures: 1,
             },
-            CoreError::NonFinitePropensity { time: 0.25 },
-            CoreError::Waveform(WaveformError::NonMonotonicTime {
-                index: 3,
-                previous: 2.0,
-                current: 1.0,
-            }),
-            CoreError::Waveform(WaveformError::Empty),
-            CoreError::Waveform(WaveformError::NonFinite { index: 9 }),
-            CoreError::Waveform(WaveformError::InvalidDuration {
-                name: "t_rise",
-                value: -1.0,
-            }),
-            CoreError::Injected(InjectedFault {
-                kind: FaultKind::NanResidual,
-                site: FaultSite::Job,
-            }),
-            CoreError::Panicked {
-                message: "poisoned sample".to_owned(),
-            },
-        ];
-        for e in errors {
-            let decoded = CoreError::from_snapshot(&e.to_snapshot()).expect("decodes");
-            assert_eq!(format!("{decoded:?}"), format!("{e:?}"), "debug-exact");
+            faults: crate::FaultPlan::none()
+                .fail_job(3, FaultKind::NonConvergence)
+                .fail_job(6, FaultKind::SingularMatrix),
+            seed: 5,
+        };
+        let over = TestError::Fault(InjectedFault {
+            kind: FaultKind::SingularMatrix,
+            site: FaultSite::Job,
+        });
+        for resume in [false, true] {
+            let mut checkpoint = CheckpointConfig::to_file(&file.0).every(2);
+            checkpoint.resume = resume;
+            let mut rec = Recorder::recording();
+            let err = run_ensemble_checkpointed(
+                10,
+                Parallelism::Fixed(2),
+                &policy,
+                &RunControls {
+                    checkpoint,
+                    budget: RunBudget::unlimited(),
+                },
+                &mut rec,
+                || MeanTrace::zeros(1),
+                |j, _rung, _probe| Ok::<_, TestError>(vec![j as f64]),
+            )
+            .expect_err("job 6 is past the budget");
+            assert_eq!(err, over, "resume = {resume}");
+            assert!(!rec.journal().to_jsonl().contains("cold_start"));
+            let text = fs::read_to_string(&file.0).expect("a snapshot is on disk");
+            let doc = json::parse(&text).expect("valid json");
+            let payload = json::open(&doc, CHECKPOINT_SCHEMA).expect("sealed");
+            let Some(JsonValue::Arr(quarantined)) = payload.get("quarantined") else {
+                panic!("no quarantined list");
+            };
+            assert_eq!(quarantined.len(), 1, "only job 3 fits the budget");
+            assert_eq!(
+                payload.get("shards_done").and_then(JsonValue::as_u64),
+                Some(6)
+            );
         }
     }
 }

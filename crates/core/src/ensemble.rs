@@ -41,15 +41,16 @@
 //! * [`run_ensemble_resilient_observed`] runs any accumulator and any
 //!   error type that can absorb an [`InjectedFault`] and a [`JobPanic`].
 //! * [`crate::checkpoint::run_ensemble_checkpointed`] additionally
-//!   snapshots, resumes and budgets the run; its accumulator and error
-//!   types implement [`crate::checkpoint::Snapshot`].
+//!   snapshots, resumes and budgets the run; its accumulator
+//!   implements [`crate::checkpoint::Snapshot`].
 //!
-//! The driver holds the segment loop, the quarantine-budget check and
-//! journal absorption, so a resilient run and a checkpointed run with
-//! passive controls execute the same code. Every job closure receives
-//! `(job, rung, probe)`: the job index, the rescue rung (0 for the
-//! nominal attempt) and a [`JobProbe`] for telemetry counters. A job
-//! that ignores the last two is an ordinary Monte-Carlo sample.
+//! The driver holds the segment loop and journal absorption, and its
+//! segment merge holds the quarantine-budget check, so a resilient run
+//! and a checkpointed run with passive controls execute the same code.
+//! Every job closure receives `(job, rung, probe)`: the job index, the
+//! rescue rung (0 for the nominal attempt) and a [`JobProbe`] for
+//! telemetry counters. A job that ignores the last two is an ordinary
+//! Monte-Carlo sample.
 //!
 //! # Failure policies
 //!
@@ -63,7 +64,8 @@
 //! closure receives the rung index and is expected to use a
 //! progressively more conservative solver config). `Quarantine`
 //! additionally drops jobs that fail on every rung and returns the
-//! partial accumulator plus a structured [`FailureReport`]. Under
+//! partial accumulator plus a structured [`FailureReport`], which
+//! holds each dropped job's error as its `Debug` text. Under
 //! `Quarantine` no early abort happens, as every shard runs, so the
 //! quarantined-job set is itself bit-identical at any worker count.
 //! Every attempt runs under `catch_unwind`: a panicking job becomes
@@ -109,7 +111,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 
 use samurai_telemetry::{
-    JobProbe, JobRecord, Journal, JournalEvent, MetricsSink, Recorder, Stopwatch,
+    JobProbe, JobRecord, Journal, JournalEvent, JsonValue, MetricsSink, Recorder, Stopwatch,
 };
 
 use crate::checkpoint::{RunControls, KILL_EXIT};
@@ -192,12 +194,11 @@ pub enum FailurePolicy {
     },
     /// Retry like [`FailurePolicy::Retry`], then *quarantine* jobs
     /// that fail on every rung: drop them from the accumulator, record
-    /// them in the [`FailureReport`], and keep going. All shards
-    /// always run to completion (no early abort), so the quarantined
-    /// set is worker-count independent. If more than `max_failures`
-    /// jobs end up quarantined the ensemble fails after the ordered
-    /// merge with the error of the first failure past the budget in
-    /// job order.
+    /// them in the [`FailureReport`], and keep going. All shards of a
+    /// segment run to completion (no early abort), so the quarantined
+    /// set is worker-count independent. The ordered merge of each
+    /// segment checks the budget: the first failure past
+    /// `max_failures` in job order fails the ensemble with its error.
     Quarantine {
         /// Rescue rungs after the nominal attempt (rung 0).
         rungs: usize,
@@ -213,6 +214,75 @@ impl FailurePolicy {
         match self {
             Self::FailFast => 0,
             Self::Retry { rungs } | Self::Quarantine { rungs, .. } => *rungs,
+        }
+    }
+
+    /// The most jobs a run may quarantine: `max_failures` under
+    /// `Quarantine`, none otherwise.
+    pub(crate) fn max_quarantined(&self) -> usize {
+        match self {
+            Self::Quarantine { max_failures, .. } => *max_failures,
+            Self::FailFast | Self::Retry { .. } => 0,
+        }
+    }
+
+    /// The canonical JSON form: `kind` (`fail-fast`, `retry` or
+    /// `quarantine`) first, then the counts in sorted key order, all
+    /// exact `u64`. Request payloads hash these bytes into their
+    /// ticket and checkpoint payloads carry them as their fingerprint,
+    /// so the spelling is frozen.
+    #[must_use]
+    pub fn to_json(&self) -> JsonValue {
+        let count = |n: usize| JsonValue::U64(n as u64);
+        match *self {
+            Self::FailFast => JsonValue::obj(vec![("kind", JsonValue::Str("fail-fast".into()))]),
+            Self::Retry { rungs } => JsonValue::obj(vec![
+                ("kind", JsonValue::Str("retry".into())),
+                ("rungs", count(rungs)),
+            ]),
+            Self::Quarantine {
+                rungs,
+                max_failures,
+            } => JsonValue::obj(vec![
+                ("kind", JsonValue::Str("quarantine".into())),
+                ("max_failures", count(max_failures)),
+                ("rungs", count(rungs)),
+            ]),
+        }
+    }
+
+    /// Decodes [`FailurePolicy::to_json`]'s form. A missing `rungs`
+    /// defaults to 2 and a missing `max_failures` to 1; a present
+    /// count must be an integer in `0..=max_count`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending `policy.<member>`.
+    pub fn from_json(v: &JsonValue, max_count: usize) -> Result<Self, String> {
+        let kind = v
+            .get("kind")
+            .and_then(JsonValue::as_str)
+            .ok_or("policy.kind must be a string")?;
+        let count = |key: &str, default: usize| match v.get(key) {
+            None => Ok(default),
+            Some(n) => n
+                .as_u64()
+                .and_then(|n| usize::try_from(n).ok())
+                .filter(|&n| n <= max_count)
+                .ok_or_else(|| format!("policy.{key} must be in 0..={max_count}")),
+        };
+        match kind {
+            "fail-fast" => Ok(Self::FailFast),
+            "retry" => Ok(Self::Retry {
+                rungs: count("rungs", 2)?,
+            }),
+            "quarantine" => Ok(Self::Quarantine {
+                rungs: count("rungs", 2)?,
+                max_failures: count("max_failures", 1)?,
+            }),
+            other => Err(format!(
+                "unknown policy kind `{other}` (fail-fast/retry/quarantine)"
+            )),
         }
     }
 }
@@ -258,7 +328,7 @@ pub struct RescuedJob {
 /// it in isolation: re-run job `job` with the RNG stream derived from
 /// `seed` under the rung-`rungs_attempted - 1` solver config.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobFailure<E> {
+pub struct JobFailure {
     /// The job index.
     pub job: usize,
     /// The job's derived seed
@@ -266,15 +336,16 @@ pub struct JobFailure<E> {
     pub seed: u64,
     /// Attempts made (1 = nominal only, 1 + rungs when a ladder ran).
     pub rungs_attempted: usize,
-    /// The error of the *last* attempt.
-    pub error: E,
+    /// The error of the *last* attempt, as its `Debug` text (what the
+    /// journal's `quarantined` event and a checkpoint carry).
+    pub error: String,
 }
 
 /// The failure accounting of an ensemble run, alongside the partial
 /// accumulator in [`EnsembleOutcome`]. Both lists are sorted by job
 /// index and bit-identical at every worker count.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FailureReport<E> {
+pub struct FailureReport {
     /// Jobs the run covered: every requested job, or the completed
     /// prefix of a budget-truncated run ([`Completion::Truncated`]).
     pub jobs: usize,
@@ -282,10 +353,10 @@ pub struct FailureReport<E> {
     pub rescued: Vec<RescuedJob>,
     /// Jobs dropped from the accumulator (always empty outside
     /// [`FailurePolicy::Quarantine`]).
-    pub quarantined: Vec<JobFailure<E>>,
+    pub quarantined: Vec<JobFailure>,
 }
 
-impl<E> FailureReport<E> {
+impl FailureReport {
     /// The effective sample count: jobs whose results are actually in
     /// the accumulator. Downstream statistics must divide by this,
     /// not by [`FailureReport::jobs`].
@@ -299,9 +370,7 @@ impl<E> FailureReport<E> {
     pub fn is_clean(&self) -> bool {
         self.rescued.is_empty() && self.quarantined.is_empty()
     }
-}
 
-impl<E: std::fmt::Debug> FailureReport<E> {
     /// The report as a standalone telemetry [`Journal`]: one
     /// `rescued` event per ladder survivor and one `quarantined`
     /// event per dropped job, in job order. Bench bins print these
@@ -322,7 +391,7 @@ impl<E: std::fmt::Debug> FailureReport<E> {
                 job: q.job,
                 seed: q.seed,
                 rungs_attempted: q.rungs_attempted,
-                error: format!("{:?}", q.error),
+                error: q.error.clone(),
             });
         }
         journal
@@ -385,12 +454,12 @@ impl std::fmt::Display for JobPanic {
 /// An ensemble's result: the accumulator over the surviving jobs plus
 /// the failure accounting.
 #[derive(Debug, Clone, PartialEq)]
-pub struct EnsembleOutcome<A, E> {
+pub struct EnsembleOutcome<A> {
     /// The merged accumulator (over all jobs under `FailFast`/`Retry`,
     /// over the survivors under `Quarantine`).
     pub acc: A,
     /// Rescue and quarantine accounting.
-    pub report: FailureReport<E>,
+    pub report: FailureReport,
     /// Whether the run covered every job or was budget-truncated.
     pub completion: Completion,
 }
@@ -404,12 +473,15 @@ enum JobRun<T, E> {
 }
 
 /// One reduced shard: its accumulator plus failure bookkeeping and
-/// (when a recorder is live) per-job telemetry records.
+/// (when a recorder is live) per-job telemetry records. Its failed
+/// jobs keep their typed errors, as `(job, rungs_attempted, error)`,
+/// until the ordered merge either quarantines them or returns the
+/// first one past the budget.
 struct ShardOutcome<A, E> {
     shard: usize,
     acc: A,
     rescued: Vec<RescuedJob>,
-    quarantined: Vec<JobFailure<E>>,
+    failed: Vec<(usize, usize, E)>,
     records: Vec<JobRecord>,
 }
 
@@ -422,7 +494,7 @@ type WorkerOutcome<A, E> = (Vec<ShardOutcome<A, E>>, Option<(usize, E)>);
 /// and job records in job order. A fresh run starts from
 /// [`Progress::cold`]; a resumed checkpointed run starts from its
 /// snapshot, which stores exactly this.
-pub(crate) struct Progress<A, E> {
+pub(crate) struct Progress<A> {
     /// Shards already folded into `acc`.
     pub(crate) shards_done: usize,
     /// The running merged accumulator (`None` before the first shard).
@@ -430,12 +502,12 @@ pub(crate) struct Progress<A, E> {
     /// Rescued jobs so far, in job order.
     pub(crate) rescued: Vec<RescuedJob>,
     /// Quarantined jobs so far, in job order.
-    pub(crate) quarantined: Vec<JobFailure<E>>,
+    pub(crate) quarantined: Vec<JobFailure>,
     /// Per-job telemetry records so far, in job order.
     pub(crate) records: Vec<JobRecord>,
 }
 
-impl<A, E> Progress<A, E> {
+impl<A> Progress<A> {
     /// The state before any shard has run.
     pub(crate) fn cold() -> Self {
         Self {
@@ -461,9 +533,12 @@ impl<A, E> Progress<A, E> {
 /// Without quarantine a failed job aborts the segment: workers stop
 /// claiming shards and the error of the lowest-indexed failing shard
 /// among those that ran is returned. Under quarantine failures are
-/// folded into the shard's quarantine list, every shard runs, and the
-/// lists are concatenated in shard order, which makes the quarantined
-/// set itself deterministic.
+/// folded into the shard's failure list and every shard runs. The
+/// ordered merge then quarantines them in job order, rendering each
+/// error as its `Debug` text, which makes the quarantined set itself
+/// deterministic; the first failure past `max_failures` is returned
+/// as the segment's error instead, so `progress` (and any snapshot of
+/// it) never holds more than `max_failures` quarantined jobs.
 ///
 /// With `observing` true each job additionally runs under a live
 /// [`JobProbe`] and a [`Stopwatch`], and its [`JobRecord`] joins
@@ -478,12 +553,12 @@ fn run_segment<A, F, E>(
     observing: bool,
     make_acc: &(impl Fn() -> A + Sync),
     job: &F,
-    progress: &mut Progress<A, E>,
+    progress: &mut Progress<A>,
 ) -> Result<(), E>
 where
     A: EnsembleAccumulator,
     F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
-    E: Send + From<InjectedFault> + From<JobPanic>,
+    E: Send + std::fmt::Debug + From<InjectedFault> + From<JobPanic>,
 {
     let shard_lo = progress.shards_done;
     debug_assert!(shard_lo < shard_hi, "a segment holds at least one shard");
@@ -505,7 +580,7 @@ where
             shard,
             acc: make_acc(),
             rescued: Vec::new(), // lint: allow(HOT001): Vec::new is allocation-free until first push
-            quarantined: Vec::new(), // lint: allow(HOT001): Vec::new is allocation-free until first push
+            failed: Vec::new(), // lint: allow(HOT001): Vec::new is allocation-free until first push
             records: Vec::new(), // lint: allow(HOT001): Vec::new is allocation-free until first push
         };
         for j in lo..hi {
@@ -541,13 +616,7 @@ where
                     if !quarantine {
                         return Err(error);
                     }
-                    // lint: allow(HOT003): cold path, only on quarantine
-                    out.quarantined.push(JobFailure {
-                        job: j,
-                        seed: SeedStream::new(policy.seed).substream(j as u64).seed(),
-                        rungs_attempted,
-                        error,
-                    });
+                    out.failed.push((j, rungs_attempted, error)); // lint: allow(HOT003): cold path, only on quarantine
                 }
             }
         }
@@ -624,7 +693,19 @@ where
     // accumulator — both give the identical `((s₀ ⊕ s₁) ⊕ s₂) ⊕ …`
     // tree an unsliced run builds, because each shard merges into the
     // running total one at a time in shard order.
+    let max_quarantined = policy.failure.max_quarantined();
     for out in completed {
+        for (job, rungs_attempted, error) in out.failed {
+            if progress.quarantined.len() >= max_quarantined {
+                return Err(error);
+            }
+            progress.quarantined.push(JobFailure {
+                job,
+                seed: SeedStream::new(policy.seed).substream(job as u64).seed(),
+                rungs_attempted,
+                error: format!("{error:?}"),
+            });
+        }
         progress.acc = Some(match progress.acc.take() {
             Some(mut total) => {
                 total.merge(out.acc);
@@ -633,7 +714,6 @@ where
             None => out.acc,
         });
         progress.rescued.extend(out.rescued);
-        progress.quarantined.extend(out.quarantined);
         progress.records.extend(out.records);
     }
     progress.shards_done = shard_hi;
@@ -693,20 +773,19 @@ where
     }
 }
 
-/// The one driver under both public runners: the segment loop, the
-/// quarantine-budget check and journal absorption.
+/// The one driver under both public runners: the segment loop and
+/// journal absorption.
 ///
 /// The run proceeds from `progress` in shard-aligned segments. Before
 /// each segment it checks the [`RunControls`] job budget and the kill
 /// drill; after each one it hands the new progress to `save` when a
-/// checkpoint path is set.
+/// checkpoint path is set. A segment that breaks the quarantine budget
+/// returns its error before that save (see [`run_segment`]).
 /// With passive controls and no kill drill the whole run is one
 /// segment.
 ///
-/// After the loop the quarantine budget is checked on the job-ordered
-/// merged list, so the verdict and the reported error are
-/// deterministic. Then the recorder absorbs all job records, the
-/// rescue summaries and the quarantine summaries, in that order.
+/// After the loop the recorder absorbs all job records, the rescue
+/// summaries and the quarantine summaries, in that order.
 /// Absorbing once, here, is what makes the journal byte-identical at
 /// every worker count and across checkpoint/resume boundaries.
 #[allow(clippy::too_many_arguments)] // private; the public runners bundle these
@@ -716,11 +795,11 @@ pub(crate) fn drive<A, F, E, S>(
     policy: &ExecutionPolicy,
     controls: &RunControls,
     recorder: &mut Recorder<S>,
-    mut progress: Progress<A, E>,
+    mut progress: Progress<A>,
     make_acc: impl Fn() -> A + Sync,
     job: F,
-    mut save: impl FnMut(&Path, &Progress<A, E>) -> std::io::Result<()>,
-) -> Result<EnsembleOutcome<A, E>, E>
+    mut save: impl FnMut(&Path, &Progress<A>) -> std::io::Result<()>,
+) -> Result<EnsembleOutcome<A>, E>
 where
     A: EnsembleAccumulator,
     F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
@@ -785,17 +864,11 @@ where
     }
 
     let completed = (progress.shards_done * width).min(jobs);
-    let mut report = FailureReport {
+    let report = FailureReport {
         jobs: completed,
         rescued: progress.rescued,
         quarantined: progress.quarantined,
     };
-    if let FailurePolicy::Quarantine { max_failures, .. } = policy.failure {
-        if report.quarantined.len() > max_failures {
-            let over = report.quarantined.swap_remove(max_failures);
-            return Err(over.error);
-        }
-    }
     if recorder.live() {
         for rec in &progress.records {
             recorder.absorb_job(rec);
@@ -804,7 +877,7 @@ where
             recorder.record_rescue(r.job, r.rung);
         }
         for q in &report.quarantined {
-            recorder.record_quarantine(q.job, q.seed, q.rungs_attempted, &format!("{:?}", q.error));
+            recorder.record_quarantine(q.job, q.seed, q.rungs_attempted, &q.error);
         }
     }
 
@@ -863,7 +936,7 @@ pub fn run_ensemble_resilient_observed<A, F, E, S>(
     recorder: &mut Recorder<S>,
     make_acc: impl Fn() -> A + Sync,
     job: F,
-) -> Result<EnsembleOutcome<A, E>, E>
+) -> Result<EnsembleOutcome<A>, E>
 where
     A: EnsembleAccumulator,
     F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
@@ -1085,7 +1158,7 @@ mod tests {
         policy: &ExecutionPolicy,
         make_acc: impl Fn() -> A + Sync,
         job: impl Fn(usize, usize) -> Result<A::Item, TestError> + Sync,
-    ) -> Result<EnsembleOutcome<A, TestError>, TestError> {
+    ) -> Result<EnsembleOutcome<A>, TestError> {
         run_ensemble_resilient_observed(
             jobs,
             parallelism,
@@ -1412,13 +1485,11 @@ mod tests {
         // The ladder is not climbed for job-site faults, but the
         // report still accounts for every rung being unavailable.
         assert_eq!(q.rungs_attempted, 4);
-        assert_eq!(
-            q.error,
-            TestError::Injected(InjectedFault {
-                kind: FaultKind::NonConvergence,
-                site: FaultSite::Job,
-            })
-        );
+        let fault = TestError::Injected(InjectedFault {
+            kind: FaultKind::NonConvergence,
+            site: FaultSite::Job,
+        });
+        assert_eq!(q.error, format!("{fault:?}"));
     }
 
     #[test]
@@ -1447,7 +1518,8 @@ mod tests {
             assert_eq!(outcome.report.quarantined.len(), 1);
             let q = &outcome.report.quarantined[0];
             assert_eq!(q.job, 13);
-            assert_eq!(q.error, TestError::Panicked("poisoned sample".into()));
+            let panic = TestError::Panicked("poisoned sample".into());
+            assert_eq!(q.error, format!("{panic:?}"));
         }
     }
 

@@ -176,7 +176,7 @@ impl FaultPlan {
     }
 
     /// Restricts the most recently added Solve/Step trigger to fire
-    /// only inside ensemble job `job` (see [`FaultPlan::arm_for_job`]).
+    /// only inside ensemble job `job` (see [`FaultPlan::for_job`]).
     #[must_use]
     pub fn in_job(mut self, job: usize) -> Self {
         if let Some(last) = self.triggers.last_mut() {
@@ -188,33 +188,39 @@ impl FaultPlan {
     }
 
     /// Pre-resolves the triggers for `site` into a [`FaultArm`],
-    /// ignoring job-scoped triggers (use [`FaultPlan::arm_for_job`]
-    /// inside ensembles).
+    /// ignoring job-scoped triggers (inside an ensemble, arm the job's
+    /// [`FaultPlan::for_job`] sub-plan instead).
     #[must_use]
     pub fn arm(&self, site: FaultSite) -> FaultArm {
-        self.build_arm(site, None)
-    }
-
-    /// Pre-resolves the triggers for `site` as seen by ensemble job
-    /// `job` on rescue rung `rung`. Includes both unscoped triggers
-    /// and triggers scoped to this job. Injection is confined to the
-    /// nominal attempt: on `rung > 0` the arm is disarmed, so a rescue
-    /// ladder observes the transient failure exactly once.
-    #[must_use]
-    pub fn arm_for_job(&self, site: FaultSite, job: usize, rung: usize) -> FaultArm {
-        if rung > 0 {
-            return FaultArm::disarmed();
-        }
-        self.build_arm(site, Some(job))
+        let mut queue: Vec<(u64, FaultKind)> = self
+            .triggers
+            .iter()
+            .filter(|t| t.site == site && t.job.is_none())
+            .map(|t| (t.at, t.kind))
+            .collect();
+        // `pop()` consumes from the back, so order ascending and then
+        // reverse: the next trigger is always last, and among
+        // same-count duplicates the first-declared kind wins.
+        queue.sort_by_key(|&(at, _)| at);
+        queue.reverse();
+        let mut arm = FaultArm {
+            count: 0,
+            next_at: u64::MAX,
+            next_kind: FaultKind::NonConvergence,
+            queue,
+        };
+        arm.advance();
+        arm
     }
 
     /// The sub-plan ensemble job `job` should carry into a nested
     /// runner on rescue rung `rung`: unscoped triggers plus triggers
     /// scoped to this job, with the scoping erased (the nested runner
     /// arms them as its own unscoped triggers). Job-site triggers are
-    /// excluded — the ensemble engine raises those itself. Like
-    /// [`FaultPlan::arm_for_job`], rescue rungs (`rung > 0`) get the
-    /// empty plan.
+    /// excluded — the ensemble engine raises those itself. Injection is
+    /// confined to the nominal attempt: rescue rungs (`rung > 0`) get
+    /// the empty plan, so a rescue ladder observes the transient
+    /// failure exactly once.
     #[must_use]
     pub fn for_job(&self, job: usize, rung: usize) -> FaultPlan {
         if rung > 0 {
@@ -244,28 +250,6 @@ impl FaultPlan {
                 kind: t.kind,
                 site: FaultSite::Job,
             })
-    }
-
-    fn build_arm(&self, site: FaultSite, job: Option<usize>) -> FaultArm {
-        let mut queue: Vec<(u64, FaultKind)> = self
-            .triggers
-            .iter()
-            .filter(|t| t.site == site && (t.job.is_none() || t.job == job))
-            .map(|t| (t.at, t.kind))
-            .collect();
-        // `pop()` consumes from the back, so order ascending and then
-        // reverse: the next trigger is always last, and among
-        // same-count duplicates the first-declared kind wins.
-        queue.sort_by_key(|&(at, _)| at);
-        queue.reverse();
-        let mut arm = FaultArm {
-            count: 0,
-            next_at: u64::MAX,
-            next_kind: FaultKind::NonConvergence,
-            queue,
-        };
-        arm.advance();
-        arm
     }
 }
 
@@ -438,12 +422,12 @@ mod tests {
         let mut global = plan.arm(FaultSite::Solve);
         assert_eq!(global.check(), None);
         // The scoped job sees it; other jobs do not.
-        let mut hit = plan.arm_for_job(FaultSite::Solve, 3, 0);
+        let mut hit = plan.for_job(3, 0).arm(FaultSite::Solve);
         assert_eq!(hit.check(), Some(FaultKind::NonConvergence));
-        let mut miss = plan.arm_for_job(FaultSite::Solve, 2, 0);
+        let mut miss = plan.for_job(2, 0).arm(FaultSite::Solve);
         assert_eq!(miss.check(), None);
         // Rescue rungs run clean: the fault is observed exactly once.
-        let mut rung1 = plan.arm_for_job(FaultSite::Solve, 3, 1);
+        let mut rung1 = plan.for_job(3, 1).arm(FaultSite::Solve);
         assert_eq!(rung1.check(), None);
     }
 

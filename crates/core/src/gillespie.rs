@@ -172,23 +172,10 @@ mod tests {
         )
     }
 
-    fn balanced_bias(model: &PropensityModel) -> f64 {
-        let (mut lo, mut hi) = (-2.0, 3.0);
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if model.stationary_occupancy(mid) < 0.5 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    }
-
     #[test]
     fn ssa_and_uniformisation_agree_under_constant_bias() {
         let m = slow_model();
-        let v = balanced_bias(&m);
+        let v = m.balanced_bias();
         let tf = 3000.0 / m.rate_sum();
         let p = m.stationary_occupancy(v);
 
@@ -214,7 +201,7 @@ mod tests {
     #[test]
     fn frozen_rate_ssa_reduces_to_ssa_for_constant_bias() {
         let m = slow_model();
-        let v = balanced_bias(&m);
+        let v = m.balanced_bias();
         let tf = 500.0 / m.rate_sum();
         let a = stationary_ssa(&m, v, 0.0, tf, &mut SeedStream::new(7).rng(0)).unwrap();
         let b = frozen_rate_ssa(
@@ -237,8 +224,8 @@ mod tests {
         // the mean occupancy shortly after a step that turns capture on.
         let m = slow_model();
         let lam = m.rate_sum();
-        let v_emptying = balanced_bias(&m) - 0.4; // trap strongly empty
-        let v_filling = balanced_bias(&m) + 0.4; // trap strongly filled
+        let v_emptying = m.balanced_bias() - 0.4; // trap strongly empty
+        let v_filling = m.balanced_bias() + 0.4; // trap strongly filled
         let t_step = 5.0 / lam;
         let probe = t_step + 0.5 / lam;
         let bias = Pwl::step(v_emptying, v_filling, t_step, 0.001 / lam).unwrap();
@@ -279,7 +266,7 @@ mod tests {
     #[test]
     fn bernoulli_converges_with_small_steps() {
         let m = slow_model();
-        let v = balanced_bias(&m);
+        let v = m.balanced_bias();
         let p = m.stationary_occupancy(v);
         let tf = 2000.0 / m.rate_sum();
         let dt = 0.02 / m.rate_sum();

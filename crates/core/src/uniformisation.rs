@@ -268,25 +268,10 @@ mod tests {
         )
     }
 
-    /// Finds a gate bias where the stationary occupancy is ~0.5, so
-    /// both dwell populations are well represented.
-    fn balanced_bias(model: &PropensityModel) -> f64 {
-        let (mut lo, mut hi) = (-2.0, 3.0);
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if model.stationary_occupancy(mid) < 0.5 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    }
-
     #[test]
     fn constant_bias_occupancy_fraction_matches_stationary_probability() {
         let m = slow_model(0.4);
-        let v = balanced_bias(&m);
+        let v = m.balanced_bias();
         let p = m.stationary_occupancy(v);
         assert!((p - 0.5).abs() < 1e-3);
 
@@ -303,7 +288,7 @@ mod tests {
     #[test]
     fn constant_bias_dwell_times_are_exponential_with_correct_means() {
         let m = slow_model(0.4);
-        let v = balanced_bias(&m);
+        let v = m.balanced_bias();
         let (lc, le) = m.propensities(v);
         let tf = 4000.0 / m.rate_sum();
         let mut rng = SeedStream::new(23).rng(0);
@@ -337,7 +322,7 @@ mod tests {
     #[test]
     fn occupancy_values_are_binary_and_alternate() {
         let m = slow_model(0.3);
-        let v = balanced_bias(&m);
+        let v = m.balanced_bias();
         let mut rng = SeedStream::new(3).rng(0);
         let occ =
             simulate_trap(&m, &Pwl::constant(v), 0.0, 500.0 / m.rate_sum(), &mut rng).unwrap();
@@ -352,8 +337,8 @@ mod tests {
     fn ensemble_mean_tracks_the_master_equation_through_a_bias_step() {
         let m = slow_model(0.4);
         let lam = m.rate_sum();
-        let v_lo = balanced_bias(&m) - 0.15;
-        let v_hi = balanced_bias(&m) + 0.15;
+        let v_lo = m.balanced_bias() - 0.15;
+        let v_hi = m.balanced_bias() + 0.15;
         let t_step = 10.0 / lam;
         let bias = Pwl::step(v_lo, v_hi, t_step, 0.05 / lam).unwrap();
 
@@ -379,7 +364,7 @@ mod tests {
         // Gate high -> trap mostly filled; gate low -> mostly empty.
         let m = slow_model(0.4);
         let lam = m.rate_sum();
-        let v_mid = balanced_bias(&m);
+        let v_mid = m.balanced_bias();
         let period = 400.0 / lam;
         let bias = Pwl::clock(
             v_mid - 0.3,
@@ -405,7 +390,7 @@ mod tests {
     #[test]
     fn reproducible_with_the_same_stream() {
         let m = slow_model(0.35);
-        let v = Pwl::constant(balanced_bias(&m));
+        let v = Pwl::constant(m.balanced_bias());
         let a = simulate_trap(
             &m,
             &v,

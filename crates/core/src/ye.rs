@@ -166,19 +166,6 @@ mod tests {
         )
     }
 
-    fn balanced_bias(model: &PropensityModel) -> f64 {
-        let (mut lo, mut hi) = (-2.0, 3.0);
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if model.stationary_occupancy(mid) < 0.5 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
-    }
-
     #[test]
     fn inverse_normal_cdf_matches_known_quantiles() {
         assert!(inverse_normal_cdf(0.5).abs() < 1e-9);
@@ -197,7 +184,7 @@ mod tests {
     #[test]
     fn occupancy_fraction_matches_calibration_point() {
         let m = slow_model();
-        let v = balanced_bias(&m) + 0.05;
+        let v = m.balanced_bias() + 0.05;
         let p = m.stationary_occupancy(v);
         let tf = 2000.0 / m.rate_sum();
         let occ = generate(
@@ -221,7 +208,7 @@ mod tests {
         let m = slow_model();
         let occ = generate(
             &m,
-            balanced_bias(&m),
+            m.balanced_bias(),
             0.0,
             500.0 / m.rate_sum(),
             &mut SeedStream::new(4).rng(0),
@@ -241,7 +228,7 @@ mod tests {
         // stays at the calibration value: this *is* the drawback the
         // paper cites, demonstrated.
         let m = slow_model();
-        let v_cal = balanced_bias(&m);
+        let v_cal = m.balanced_bias();
         let real_p_at_high_bias = m.stationary_occupancy(v_cal + 0.4);
         let tf = 2000.0 / m.rate_sum();
         let occ = generate(

@@ -111,12 +111,7 @@ proptest! {
         seed in 0u64..20,
     ) {
         let m = model(depth, 0.4, TrapState::Empty);
-        let (mut lo, mut hi) = (-2.0, 3.0);
-        for _ in 0..100 {
-            let mid = 0.5 * (lo + hi);
-            if m.stationary_occupancy(mid) < 0.5 { lo = mid; } else { hi = mid; }
-        }
-        let v_mid = 0.5 * (lo + hi);
+        let v_mid = m.balanced_bias();
         let tf = 2000.0 / m.rate_sum();
         let frac = |v: f64, s: u64| {
             let occ = simulate_trap(

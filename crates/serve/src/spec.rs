@@ -160,57 +160,8 @@ impl Workload {
     }
 }
 
-/// Canonical JSON form of a [`FailurePolicy`].
-#[must_use]
-pub fn policy_to_canonical_json(policy: &FailurePolicy) -> JsonValue {
-    match policy {
-        FailurePolicy::FailFast => {
-            JsonValue::obj(vec![("kind", JsonValue::Str("fail-fast".into()))])
-        }
-        FailurePolicy::Retry { rungs } => JsonValue::obj(vec![
-            ("kind", JsonValue::Str("retry".into())),
-            ("rungs", JsonValue::U64(*rungs as u64)),
-        ]),
-        FailurePolicy::Quarantine {
-            rungs,
-            max_failures,
-        } => JsonValue::obj(vec![
-            ("kind", JsonValue::Str("quarantine".into())),
-            ("max_failures", JsonValue::U64(*max_failures as u64)),
-            ("rungs", JsonValue::U64(*rungs as u64)),
-        ]),
-    }
-}
-
-fn policy_from_json(v: &JsonValue) -> Result<FailurePolicy, ServeError> {
-    let kind = v
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ServeError::Spec("policy.kind must be a string".into()))?;
-    let field = |key: &str, default: usize| -> Result<usize, ServeError> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(n) => n
-                .as_u64()
-                .and_then(|n| usize::try_from(n).ok())
-                .filter(|n| *n <= 64)
-                .ok_or_else(|| ServeError::Spec(format!("policy.{key} must be in 0..=64"))),
-        }
-    };
-    match kind {
-        "fail-fast" => Ok(FailurePolicy::FailFast),
-        "retry" => Ok(FailurePolicy::Retry {
-            rungs: field("rungs", 2)?,
-        }),
-        "quarantine" => Ok(FailurePolicy::Quarantine {
-            rungs: field("rungs", 2)?,
-            max_failures: field("max_failures", 1)?,
-        }),
-        other => Err(ServeError::Spec(format!(
-            "unknown policy kind `{other}` (fail-fast/retry/quarantine)"
-        ))),
-    }
-}
+/// Largest `rungs` or `max_failures` a request may ask for.
+const MAX_POLICY_COUNT: usize = 64;
 
 /// One submission: the full, deterministic description of an ensemble
 /// run. See the module docs for the hashing contract.
@@ -249,7 +200,7 @@ impl JobSpec {
             .ok_or_else(|| ServeError::Spec("seed must be an integer".into()))?;
         let policy = match v.get("policy") {
             None | Some(JsonValue::Null) => FailurePolicy::FailFast,
-            Some(p) => policy_from_json(p)?,
+            Some(p) => FailurePolicy::from_json(p, MAX_POLICY_COUNT).map_err(ServeError::Spec)?,
         };
         let scenario = match v.get("scenario") {
             None | Some(JsonValue::Null) => None,
@@ -301,7 +252,7 @@ impl JobSpec {
         JsonValue::obj(vec![
             ("workload", self.workload.to_canonical_json()),
             ("seed", JsonValue::U64(self.seed)),
-            ("policy", policy_to_canonical_json(&self.policy)),
+            ("policy", self.policy.to_json()),
             (
                 "scenario",
                 self.scenario

@@ -3,11 +3,11 @@
 //! One directory holds three kinds of files, all keyed by the
 //! 16-digit hex ticket:
 //!
-//! | file                | schema               | lifetime            |
-//! |---------------------|----------------------|---------------------|
-//! | `<ticket>.req.json` | `samurai-request-v1` | written on accept   |
-//! | `<ticket>.ckpt`     | `samurai-checkpoint-v1` | while running    |
-//! | `<ticket>.json`     | `samurai-store-v1`   | written on success  |
+//! | file                | schema                  | lifetime           |
+//! |---------------------|-------------------------|--------------------|
+//! | `<ticket>.req.json` | `samurai-request-v1`    | written on accept  |
+//! | `<ticket>.ckpt`     | `samurai-checkpoint-v2` | while running      |
+//! | `<ticket>.json`     | `samurai-store-v1`      | written on success |
 //!
 //! Every document is sealed and opened by the one envelope codec,
 //! [`json::seal`] and [`json::open`] — `{"schema", "hash", "payload"}`

@@ -254,10 +254,10 @@ pub fn run_chunk(
     }
 }
 
-fn slice_outcome<E: std::fmt::Debug>(
+fn slice_outcome(
     jobs: usize,
     rec: &Recorder<MemorySink>,
-    outcome: samurai_core::ensemble::EnsembleOutcome<IndexedResults<f64>, E>,
+    outcome: samurai_core::ensemble::EnsembleOutcome<IndexedResults<f64>>,
 ) -> ChunkOutcome {
     let complete = outcome.completion == Completion::Complete;
     let jobs_done = match outcome.completion {

@@ -80,7 +80,7 @@ fn job(j: usize, rung: usize, _probe: &mut JobProbe) -> Result<Vec<f64>, CoreErr
     Ok(vec![(bits >> 11) as f64 * f64::EPSILON])
 }
 
-fn run(controls: &RunControls) -> (EnsembleOutcome<MeanTrace, CoreError>, String) {
+fn run(controls: &RunControls) -> (EnsembleOutcome<MeanTrace>, String) {
     let mut recorder = Recorder::recording();
     let out = run_ensemble_checkpointed(
         JOBS,

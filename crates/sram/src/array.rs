@@ -136,7 +136,7 @@ pub struct ArrayStats {
     pub writes_per_cell: usize,
     /// Rescue/quarantine accounting for the sweep; clean runs carry an
     /// empty report.
-    pub report: FailureReport<SramError>,
+    pub report: FailureReport,
     /// Whether the sweep covered every cell or was budget-truncated at
     /// a deterministic boundary.
     pub completion: Completion,

@@ -738,7 +738,7 @@ pub struct ColumnStats {
     /// Rows per column.
     pub rows: usize,
     /// Rescue/quarantine accounting; clean runs carry an empty report.
-    pub report: FailureReport<SramError>,
+    pub report: FailureReport,
     /// Whether the ensemble ran to completion or a job budget
     /// truncated it at a job boundary.
     pub completion: Completion,

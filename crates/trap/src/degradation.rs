@@ -298,17 +298,8 @@ mod tests {
         let d = device();
         let trap = TrapParams::new(Length::from_nanometres(1.7), Energy::from_ev(0.4));
         let model = PropensityModel::new(d, trap);
-        // Find the balanced bias and compare against saturated biases.
-        let (mut lo, mut hi) = (-2.0, 3.0);
-        for _ in 0..100 {
-            let mid = 0.5 * (lo + hi);
-            if model.stationary_occupancy(mid) < 0.5 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let v_bal = 0.5 * (lo + hi);
+        // Compare the balanced bias against saturated biases.
+        let v_bal = model.balanced_bias();
         let at_balance = rtn_sigma(&d, &[trap], v_bal);
         let saturated = rtn_sigma(&d, &[trap], v_bal + 1.0);
         assert!(at_balance > 5.0 * saturated.max(1e-15));

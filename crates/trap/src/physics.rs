@@ -131,6 +131,23 @@ impl PropensityModel {
     pub fn stationary_occupancy(&self, v_gs: f64) -> f64 {
         sigmoid(-self.ln_beta(v_gs))
     }
+
+    /// The gate bias in `[-2, 3]` V where the stationary occupancy is
+    /// 1/2 (capture and emission balance), found by bisection to the
+    /// last bit. A trap there spends equal time filled and empty, so
+    /// both dwell populations are well represented.
+    pub fn balanced_bias(&self) -> f64 {
+        let (mut lo, mut hi) = (-2.0, 3.0);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if self.stationary_occupancy(mid) < 0.5 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
 }
 
 /// Numerically stable logistic function `1/(1+e^{−x})`.
@@ -158,6 +175,14 @@ mod tests {
                 Energy::from_ev(energy_ev),
             ),
         )
+    }
+
+    #[test]
+    fn balanced_bias_half_fills_the_trap() {
+        let m = model(1.8, 0.4);
+        let v = m.balanced_bias();
+        assert!((-2.0..=3.0).contains(&v));
+        assert!((m.stationary_occupancy(v) - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -260,9 +260,9 @@ fn a_budget_truncation_resumes_into_the_full_run() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A job that panics outright lands in the quarantine report as a
-/// [`CoreError::Panicked`] failure instead of aborting the ensemble;
-/// every other job still contributes.
+/// A job that panics outright lands in the quarantine report, as the
+/// `Debug` text of a [`CoreError::Panicked`] failure, instead of
+/// aborting the ensemble; every other job still contributes.
 #[test]
 fn a_panicking_job_is_quarantined_not_fatal() {
     let policy = ExecutionPolicy {
@@ -295,11 +295,10 @@ fn a_panicking_job_is_quarantined_not_fatal() {
     assert_eq!(quarantined.len(), 1);
     assert_eq!(quarantined[0].job, 5);
     assert!(
-        matches!(
-            &quarantined[0].error,
-            CoreError::Panicked { message } if message.contains("deliberate panic")
-        ),
-        "the panic payload survives into the failure report: {:?}",
+        quarantined[0]
+            .error
+            .starts_with("Panicked { message: \"deliberate panic"),
+        "the panic payload survives into the failure report: {}",
         quarantined[0].error
     );
 }
