@@ -54,14 +54,16 @@ cargo test -q -p samurai-spice --test hostile_decks
 # on and off, so a solver change that alters a workload's results
 # fails here and not only in a benchmark run.
 cargo test -q --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml
-# Bit-identity gate on the SPICE workloads: one full-size seed-1
-# repetition of each (about 10 s together). The ledger compares the
-# run's journal digest with the one pinned in metrics/ledger/digests.json
-# and reports "correct":true on its last line only when they match.
-for workload in column64_write corner_sweep; do
+# Bit-identity gate on every workload: one full-size seed-1 run of
+# each. The ledger compares the run's journal digest with the one
+# pinned in metrics/ledger/digests.json and reports "correct":true on
+# its last line only when they match. trap_validation and serve_mixed
+# pin the thinning kernel; serve_mixed compares its digest only once
+# 32 tickets have arrived, at 8 arrivals per second, hence 5 s.
+for run in column64_write:1 corner_sweep:1 trap_validation:1 serve_mixed:5; do
     cargo run -q --release --offline \
         --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        --workload "${run%:*}" --seed 1 --seconds "${run#*:}" --trace 0 \
         | tail -n 1 | grep -q '"correct":true'
 done
 cargo clippy --workspace --all-targets -- -D warnings

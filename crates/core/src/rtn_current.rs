@@ -50,16 +50,18 @@ pub fn rtn_current(
         extra.extend((1..=oversample).map(|i| t0 + i as f64 * dt));
     }
     n_filled.mul_fn(&extra, |t| {
+        let filled = n_filled.eval(t);
+        // No filled trap, no current: `mul_fn` multiplies this 0.0 by
+        // `filled`, so the bias and carrier count need no evaluation.
+        if !(filled > 0.0) {
+            return 0.0;
+        }
         let v = bias.v_gs.eval(t);
         let id = bias.i_d.eval(t);
         let n_tot = device.carrier_count(v).max(1.0);
         // The filled traps can block at most the whole channel current.
-        let fraction = (n_filled.eval(t) / n_tot).min(1.0);
-        if n_filled.eval(t) > 0.0 {
-            id * fraction / n_filled.eval(t)
-        } else {
-            0.0
-        }
+        let fraction = (filled / n_tot).min(1.0);
+        id * fraction / filled
     })
 }
 

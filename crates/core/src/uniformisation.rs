@@ -11,6 +11,14 @@
 //! thinned process is distributed exactly as the original chain
 //! (Heidelberger & Nicol \[11\], van Dijk \[12\], Shanthikumar \[13\]).
 //!
+//! Lines 10–14 evaluate `λ(t)` at every candidate, which made the
+//! propensity model the kernel's cost. Two exact reuses remove most of
+//! it (DESIGN §20): [`PropensityModel`] computes its bias-independent
+//! terms once at construction, and the candidate loop keeps a one-entry
+//! memo of `(λc, λe)` keyed on the bits of the bias, so a constant bias
+//! costs one propensity evaluation per trajectory. The RNG draw order
+//! and every output bit are those of the textbook loop.
+//!
 //! [`simulate_trap`] runs Algorithm 1 for one trap with the default
 //! event budget and [`simulate_trap_probed`] with an explicit budget and
 //! a telemetry probe. [`ensemble_occupancy`] and
@@ -102,12 +110,19 @@ pub fn simulate_trap_probed<R: Rng + ?Sized>(
     // rate sum, so it is a valid uniformisation rate for all t — the
     // debug assertion below checks the invariant the algorithm's
     // correctness rests on.
-    let (lc0, le0) = model.propensities(v_gs.eval(t0));
+    let v0 = v_gs.eval(t0);
+    let (lc0, le0) = model.propensities(v0);
     let lambda_star = lc0 + le0;
     if !lambda_star.is_finite() || lambda_star <= 0.0 {
         return Err(CoreError::NonFinitePropensity { time: t0 });
     }
     let mean_wait = 1.0 / lambda_star;
+    // One-entry memo of `(λc, λe)` keyed on the bias bits: `propensities`
+    // is a pure function of the bias, so reuse is exact. It hits on every
+    // candidate under a constant bias and on flat stretches of a
+    // piecewise-linear one (DESIGN §20).
+    let mut memo_bits = v0.to_bits();
+    let mut memo = (lc0, le0);
 
     // Lines 4–5.
     let mut curr_time = t0;
@@ -136,7 +151,12 @@ pub fn simulate_trap_probed<R: Rng + ?Sized>(
         }
 
         // Lines 10–14: the propensity of leaving the current state.
-        let (lc, le) = model.propensities(v_gs.eval(curr_time));
+        let v = v_gs.eval(curr_time);
+        if v.to_bits() != memo_bits {
+            memo_bits = v.to_bits();
+            memo = model.propensities(v);
+        }
+        let (lc, le) = memo;
         let lambda_next = match curr_state {
             TrapState::Filled => le,
             TrapState::Empty => lc,
@@ -259,6 +279,8 @@ mod tests {
     use samurai_trap::{DeviceParams, TrapParams};
     use samurai_units::{Energy, Length};
 
+    use proptest::prelude::*;
+
     /// A slow trap (λΣ ≈ 152 /s) whose dwells we can afford to observe
     /// many times over.
     fn slow_model(energy_ev: f64) -> PropensityModel {
@@ -266,6 +288,97 @@ mod tests {
             DeviceParams::nominal_90nm(),
             TrapParams::new(Length::from_nanometres(1.8), Energy::from_ev(energy_ev)),
         )
+    }
+
+    /// Algorithm 1 without the bias memo: `propensities` at every
+    /// candidate, in the kernel's RNG draw order. Returns the staircase
+    /// steps and the candidate count.
+    fn simulate_unmemoised<R: Rng + ?Sized>(
+        model: &PropensityModel,
+        v_gs: &Pwl,
+        t0: f64,
+        tf: f64,
+        rng: &mut R,
+    ) -> (Vec<(f64, f64)>, u64) {
+        let (lc0, le0) = model.propensities(v_gs.eval(t0));
+        let lambda_star = lc0 + le0;
+        let mean_wait = 1.0 / lambda_star;
+        let mut time = t0;
+        let mut state = model.trap().initial_state;
+        let mut steps = vec![(t0, state.occupancy())];
+        let mut candidates = 0;
+        loop {
+            time += exp_rand(rng, mean_wait);
+            if time > tf {
+                break;
+            }
+            candidates += 1;
+            let (lc, le) = model.propensities(v_gs.eval(time));
+            let lambda_next = match state {
+                TrapState::Filled => le,
+                TrapState::Empty => lc,
+            };
+            let keep: f64 = rng.gen();
+            if keep < lambda_next / lambda_star {
+                state = state.toggled();
+                steps.push((time, state.occupancy()));
+            }
+        }
+        (steps, candidates)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn memoised_kernel_matches_the_unmemoised_loop_bit_for_bit(
+            energy in 0.2f64..0.6,
+            moves in collection::vec(-0.3f64..0.3, 1..9),
+            flats in collection::vec(any::<bool>(), 9),
+            lifetimes in 20.0f64..300.0,
+            seed in any::<u64>(),
+        ) {
+            // A piecewise-linear bias around the balanced point whose
+            // segments are either flat (memo hits) or ramps (misses).
+            let m = slow_model(energy);
+            let tf = lifetimes / m.rate_sum();
+            let dt = tf / moves.len() as f64;
+            let mut v = m.balanced_bias();
+            let mut knots = vec![(0.0, v)];
+            for (i, (&dv, &flat)) in moves.iter().zip(&flats).enumerate() {
+                if !flat {
+                    v += dv;
+                }
+                knots.push(((i + 1) as f64 * dt, v));
+            }
+            let bias = Pwl::new(knots).unwrap();
+
+            let mut probe = JobProbe::new(true);
+            let memoised = simulate_trap_probed(
+                &m,
+                &bias,
+                0.0,
+                tf,
+                &mut SeedStream::new(seed).rng(0),
+                &UniformisationConfig::default(),
+                &mut probe,
+            )
+            .unwrap();
+            let (steps, candidates) =
+                simulate_unmemoised(&m, &bias, 0.0, tf, &mut SeedStream::new(seed).rng(0));
+
+            let bits = |s: &[(f64, f64)]| -> Vec<(u64, u64)> {
+                s.iter().map(|&(t, x)| (t.to_bits(), x.to_bits())).collect()
+            };
+            prop_assert!(
+                bits(memoised.steps()) == bits(&steps),
+                "staircases differ: {} memoised steps, {} unmemoised",
+                memoised.steps().len(),
+                steps.len()
+            );
+            prop_assert_eq!(probe.trap().candidates, candidates);
+            prop_assert_eq!(probe.trap().accepted, (steps.len() - 1) as u64);
+        }
     }
 
     #[test]

@@ -79,11 +79,16 @@ impl DeviceParams {
     /// propensity functions (and the Newton iterations in the circuit
     /// simulator) well behaved.
     pub fn surface_potential(&self, v_gs: f64) -> f64 {
-        let phi_t = self.temperature.thermal_voltage().volts();
-        let scale = 3.0 * phi_t; // smoothing width of the turn-on
-        let u = softplus(v_gs - self.v_fb.volts(), scale);
-        let psi_max = self.psi_max();
-        psi_max * (u / psi_max).tanh()
+        saturating_turn_on(
+            v_gs - self.v_fb.volts(),
+            self.surface_potential_scale(),
+            self.psi_max(),
+        )
+    }
+
+    /// Smoothing width `3·φ_t` of the surface potential's turn-on.
+    pub(crate) fn surface_potential_scale(&self) -> f64 {
+        3.0 * self.temperature.thermal_voltage().volts()
     }
 
     /// Voltage dropped across the oxide at gate bias `v_gs`,
@@ -108,6 +113,14 @@ impl DeviceParams {
     pub fn carrier_count(&self, v_gs: f64) -> f64 {
         self.area() * self.carrier_density(v_gs)
     }
+}
+
+/// The surface-potential surrogate as a function of the gate bias past
+/// flat band, `x = V_gs − V_fb`: a softplus turn-on of width `scale`
+/// saturating at `psi_max`.
+pub(crate) fn saturating_turn_on(x: f64, scale: f64, psi_max: f64) -> f64 {
+    let u = softplus(x, scale);
+    psi_max * (u / psi_max).tanh()
 }
 
 /// Numerically stable softplus `s·ln(1 + e^{x/s})`.

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::device::saturating_turn_on;
 use crate::{DeviceParams, TrapParams};
 use samurai_units::constants::ELEMENTARY_CHARGE;
 
@@ -23,6 +24,15 @@ use samurai_units::constants::ELEMENTARY_CHARGE;
 /// and the trap fills — the behaviour the paper reports for transistor
 /// M5 whose gate is `Q` (Fig 8b).
 ///
+/// Algorithm 1 evaluates the propensities at every uniformised
+/// candidate, so [`new`](Self::new) computes every bias-independent
+/// term once: the flat-band voltage, the surface potential's softplus
+/// scale and saturation level, `y_tr/t_ox`, the trap level at `V_th`,
+/// `ln g`, `kT` and the rate sum. A bias evaluation is then one
+/// surface potential, one division by `kT` and two sigmoids, with the
+/// same operations in the same order as the textbook formulas, so
+/// every result is bit-identical to them (DESIGN §20).
+///
 /// # Examples
 ///
 /// ```
@@ -37,16 +47,53 @@ use samurai_units::constants::ELEMENTARY_CHARGE;
 /// assert!(lc > 0.0 && le > 0.0);
 /// assert!((lc + le - m.rate_sum()).abs() < 1e-6 * m.rate_sum());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct PropensityModel {
     device: DeviceParams,
     trap: TrapParams,
+    /// Flat-band voltage `V_fb`, in volts.
+    v_fb: f64,
+    /// Smoothing width `3·φ_t` of the surface potential's turn-on.
+    turn_on_scale: f64,
+    /// Surface-potential saturation level `ψ_max`.
+    psi_max: f64,
+    /// Depth fraction `y_tr/t_ox` of the oxide drop the trap sees.
+    depth_frac: f64,
+    /// The trap level at the threshold bias, `level(V_th)`.
+    level_th: f64,
+    /// `ln g` of Eq (2).
+    ln_g: f64,
+    /// Thermal energy `kT`, in joules.
+    kt: f64,
+    /// The Eq (1) rate sum `λΣ`, in 1/s.
+    rate_sum: f64,
+}
+
+/// Two models are equal when their device and trap are: every other
+/// field is a function of those two.
+impl PartialEq for PropensityModel {
+    fn eq(&self, other: &Self) -> bool {
+        self.device == other.device && self.trap == other.trap
+    }
 }
 
 impl PropensityModel {
     /// Creates the model for a trap in a device.
     pub fn new(device: DeviceParams, trap: TrapParams) -> Self {
-        Self { device, trap }
+        let mut model = Self {
+            device,
+            trap,
+            v_fb: device.v_fb.volts(),
+            turn_on_scale: device.surface_potential_scale(),
+            psi_max: device.psi_max(),
+            depth_frac: trap.depth.metres() / device.t_ox.metres(),
+            level_th: 0.0,
+            ln_g: trap.degeneracy.ln(),
+            kt: device.temperature.thermal_energy().joules(),
+            rate_sum: trap.rate_sum(),
+        };
+        model.level_th = model.level(device.v_th.volts());
+        model
     }
 
     /// The device parameters.
@@ -61,7 +108,15 @@ impl PropensityModel {
 
     /// The bias-independent rate sum `λΣ = λc + λe` (Eq 1), in 1/s.
     pub fn rate_sum(&self) -> f64 {
-        self.trap.rate_sum()
+        self.rate_sum
+    }
+
+    /// The trap level's bias response `ψ_s(v) + V_ox(v)·y_tr/t_ox`, in
+    /// volts, with one surface-potential evaluation shared by both
+    /// terms (`V_ox = (v − V_fb) − ψ_s`).
+    fn level(&self, v: f64) -> f64 {
+        let sp = saturating_turn_on(v - self.v_fb, self.turn_on_scale, self.psi_max);
+        sp + ((v - self.v_fb) - sp) * self.depth_frac
     }
 
     /// Trap-level-to-Fermi-level separation `E_T − E_F` at gate bias
@@ -74,10 +129,7 @@ impl PropensityModel {
     /// matching the experimental observation that RTN is active at
     /// nominal biases.
     pub fn et_minus_ef(&self, v_gs: f64) -> f64 {
-        let depth_frac = self.trap.depth.metres() / self.device.t_ox.metres();
-        let level =
-            |v: f64| self.device.surface_potential(v) + self.device.oxide_drop(v) * depth_frac;
-        let shift = level(v_gs) - level(self.device.v_th.volts());
+        let shift = self.level(v_gs) - self.level_th;
         self.trap.energy.joules() - ELEMENTARY_CHARGE * shift
     }
 
@@ -86,8 +138,7 @@ impl PropensityModel {
     /// Working in log space avoids overflow: β itself spans hundreds of
     /// decades across an SRAM bias swing.
     pub fn ln_beta(&self, v_gs: f64) -> f64 {
-        let kt = self.device.temperature.thermal_energy().joules();
-        self.trap.degeneracy.ln() + self.et_minus_ef(v_gs) / kt
+        self.ln_g + self.et_minus_ef(v_gs) / self.kt
     }
 
     /// The rate ratio `β = λe/λc` (Eq 2). May overflow to `inf` for
@@ -107,7 +158,7 @@ impl PropensityModel {
     // lint: hot-fn
     pub fn propensities(&self, v_gs: f64) -> (f64, f64) {
         let lb = self.ln_beta(v_gs);
-        let sum = self.rate_sum();
+        let sum = self.rate_sum;
         let (lc, le) = (sum * sigmoid(-lb), sum * sigmoid(lb));
         debug_assert!(
             lc >= 0.0 && le >= 0.0,
@@ -166,6 +217,38 @@ mod tests {
     use samurai_units::{Energy, Length};
 
     use proptest::prelude::*;
+    use samurai_units::Temperature;
+
+    /// The textbook Eq (2) chain without hoisting, the oracle for the
+    /// hoisted model: every call recomputes the bias-independent terms
+    /// and evaluates the surface potential four times (directly and
+    /// inside the oxide drop, at `v_gs` and at `V_th`).
+    fn textbook_et_minus_ef(m: &PropensityModel, v_gs: f64) -> f64 {
+        let (device, trap) = (m.device(), m.trap());
+        let surface_potential = |v: f64| {
+            let phi_t = device.temperature.thermal_voltage().volts();
+            let scale = 3.0 * phi_t;
+            let u = crate::device::softplus(v - device.v_fb.volts(), scale);
+            let psi_max = device.psi_max();
+            psi_max * (u / psi_max).tanh()
+        };
+        let oxide_drop = |v: f64| (v - device.v_fb.volts()) - surface_potential(v);
+        let depth_frac = trap.depth.metres() / device.t_ox.metres();
+        let level = |v: f64| surface_potential(v) + oxide_drop(v) * depth_frac;
+        let shift = level(v_gs) - level(device.v_th.volts());
+        trap.energy.joules() - ELEMENTARY_CHARGE * shift
+    }
+
+    fn textbook_ln_beta(m: &PropensityModel, v_gs: f64) -> f64 {
+        let kt = m.device().temperature.thermal_energy().joules();
+        m.trap().degeneracy.ln() + textbook_et_minus_ef(m, v_gs) / kt
+    }
+
+    fn textbook_propensities(m: &PropensityModel, v_gs: f64) -> (f64, f64) {
+        let lb = textbook_ln_beta(m, v_gs);
+        let sum = m.trap().rate_sum();
+        (sum * sigmoid(-lb), sum * sigmoid(lb))
+    }
 
     fn model(depth_nm: f64, energy_ev: f64) -> PropensityModel {
         PropensityModel::new(
@@ -272,6 +355,35 @@ mod tests {
             prop_assert!(lc <= m.rate_sum() * (1.0 + 1e-12));
             prop_assert!(le <= m.rate_sum() * (1.0 + 1e-12));
             prop_assert!(((lc + le) - m.rate_sum()).abs() < 1e-9 * m.rate_sum());
+        }
+
+        #[test]
+        fn hoisted_model_matches_the_textbook_chain_bit_for_bit(
+            v in -2.0f64..3.0,
+            depth in 0.05f64..2.0,
+            energy in -0.3f64..0.9,
+            degeneracy in 0.25f64..4.0,
+            kelvin in 200.0f64..450.0,
+        ) {
+            let device = DeviceParams {
+                temperature: Temperature::from_kelvin(kelvin),
+                ..DeviceParams::nominal_90nm()
+            };
+            let trap = TrapParams::new(Length::from_nanometres(depth), Energy::from_ev(energy))
+                .with_degeneracy(degeneracy);
+            let m = PropensityModel::new(device, trap);
+            let bits = |(a, b): (f64, f64)| (a.to_bits(), b.to_bits());
+            prop_assert_eq!(m.rate_sum().to_bits(), trap.rate_sum().to_bits());
+            prop_assert_eq!(
+                m.et_minus_ef(v).to_bits(),
+                textbook_et_minus_ef(&m, v).to_bits()
+            );
+            prop_assert_eq!(m.ln_beta(v).to_bits(), textbook_ln_beta(&m, v).to_bits());
+            prop_assert_eq!(bits(m.propensities(v)), bits(textbook_propensities(&m, v)));
+            prop_assert_eq!(
+                m.stationary_occupancy(v).to_bits(),
+                sigmoid(-textbook_ln_beta(&m, v)).to_bits()
+            );
         }
 
         #[test]
