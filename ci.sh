@@ -33,6 +33,12 @@ cargo test -q -p samurai --test two_pass_golden
 # truncation resumes into the full run (pinned so a test-filter change
 # can never drop it from the gate).
 cargo test -q -p samurai --test checkpoint
+# Trap-result suite: the sealed per-panel means of two trap specs,
+# fingerprinted while each panel still built its sampled trace, so a
+# change to how the staircase is sampled or reduced that moves a bit
+# fails here (the serve journals carry counts, not these values;
+# pinned for the same reason as the suites above).
+cargo test -q -p samurai-serve --test trap_results
 # Hostile-file suite: a checkpoint, a request and a result document,
 # each damaged at every byte and cut at every length, must load whole
 # or not at all through the one envelope codec and the runtime

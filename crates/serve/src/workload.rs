@@ -94,7 +94,10 @@ pub fn execution_policy(spec: &JobSpec) -> ExecutionPolicy {
 
 /// The trap-panel job closure: one constant-bias RTN trace per panel,
 /// reporting its mean current step. Panels shorten geometrically on
-/// rescue rungs, like the fig7 bin.
+/// rescue rungs, like the fig7 bin. The mean is the sampled trace's
+/// mean bit for bit, summed over the staircase's runs by
+/// [`Pwc::sample_mean`](samurai_waveform::Pwc::sample_mean) without
+/// storing the samples.
 fn trap_job(
     samples: usize,
     seed: u64,
@@ -126,7 +129,7 @@ fn trap_job(
             probe,
         )?;
         let delta_i = single_trap_amplitude(&device, v_gs, TRAP_I_D);
-        Ok(occupancy.scaled(delta_i).sample(0.0, dt, n).mean())
+        Ok(occupancy.scaled(delta_i).sample_mean(0.0, dt, n))
     }
 }
 

@@ -91,12 +91,6 @@ impl DeviceParams {
         3.0 * self.temperature.thermal_voltage().volts()
     }
 
-    /// Voltage dropped across the oxide at gate bias `v_gs`,
-    /// `V_ox = (V_gs − V_fb) − ψ_s`.
-    pub fn oxide_drop(&self, v_gs: f64) -> f64 {
-        (v_gs - self.v_fb.volts()) - self.surface_potential(v_gs)
-    }
-
     /// Areal inversion-carrier density `N(V_gs)` in m⁻², Eq (3)'s `N`.
     ///
     /// Above threshold `N ≈ C_ox·(V_gs − V_th)/q`; the softplus keeps it
@@ -186,13 +180,6 @@ mod tests {
             let d = DeviceParams::nominal_90nm();
             let dv = 1e-4;
             prop_assert!(d.surface_potential(v + dv) >= d.surface_potential(v));
-        }
-
-        #[test]
-        fn oxide_drop_plus_surface_potential_is_gate_overdrive(v in -2.0f64..3.0) {
-            let d = DeviceParams::nominal_90nm();
-            let sum = d.oxide_drop(v) + d.surface_potential(v);
-            prop_assert!((sum - (v - d.v_fb.volts())).abs() < 1e-9);
         }
 
         #[test]

@@ -242,19 +242,48 @@ impl Pwc {
     }
 
     /// Samples the staircase into a uniform [`Trace`]: [`Pwc::eval`] at
-    /// every sample time, bit for bit, in O(n + steps). The times
-    /// `t0 + i·dt` never decrease, so instead of a binary search per
-    /// sample a cursor walks the steps forward.
+    /// every sample time `t0 + i·dt`, bit for bit, in O(n + steps). The
+    /// values are filled run by run: a walk over the steps finds the
+    /// first sample at or after each step, and the step's value is
+    /// copied over the samples up to the next step's first sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt <= 0` or `n == 0`, as [`Trace::from_fn`] does.
     pub fn sample(&self, t0: f64, dt: f64, n: usize) -> Trace {
-        let steps = &self.steps;
-        // `steps[..next]` start at or before the current sample time.
-        let mut next = 0;
-        Trace::from_fn(t0, dt, n, |t| {
-            while next < steps.len() && steps[next].0 <= t {
-                next += 1;
+        let mut values = Vec::with_capacity(n);
+        for (len, v) in Runs::new(&self.steps, t0, dt, n) {
+            values.resize(values.len() + len, v);
+        }
+        Trace::from_samples(t0, dt, values)
+    }
+
+    /// The mean of the sampled staircase, `self.sample(t0, dt, n).mean()`
+    /// bit for bit, without storing the samples. It sums the runs in
+    /// sample order from −0.0, the start of `f64`'s `Sum`, so every
+    /// addition is one the trace's mean makes, except that a run of
+    /// ±0.0 is added once: adding the same zero again never changes the
+    /// sum. Costs O(steps) plus one addition per nonzero sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dt <= 0` or `n == 0`, as [`Pwc::sample`] does.
+    pub fn sample_mean(&self, t0: f64, dt: f64, n: usize) -> f64 {
+        let mut sum = -0.0;
+        for (len, v) in Runs::new(&self.steps, t0, dt, n) {
+            if len == 0 {
+                continue;
             }
-            steps[next.saturating_sub(1)].1
-        })
+            // lint: allow(HYG004): an exact zero (either sign) is idempotent under addition
+            if v == 0.0 {
+                sum += v;
+            } else {
+                for _ in 0..len {
+                    sum += v;
+                }
+            }
+        }
+        sum / n as f64
     }
 
     /// Converts the staircase into a piecewise-linear waveform whose
@@ -286,6 +315,80 @@ impl Pwc {
         }
         // lint: allow(HYG002): edge < min_gap keeps times strictly increasing
         crate::Pwl::new(points).expect("edge < min_gap keeps times strictly increasing")
+    }
+}
+
+/// The runs of a staircase sampled at `t0 + i·dt`, `i < n`: one
+/// `(length, value)` per step, in sample order. Step `j` covers the
+/// samples from the first one at or after its own time up to the first
+/// one at or after step `j + 1`'s time; step 0 also covers every sample
+/// before it, since a [`Pwc`] holds its first value there. A run is
+/// empty when two steps fall between the same two samples. The walk
+/// stops once the samples are used up, so steps after the last sample
+/// yield nothing.
+struct Runs<'a> {
+    steps: &'a [(f64, f64)],
+    t0: f64,
+    dt: f64,
+    n: usize,
+    /// The step whose run comes next.
+    next: usize,
+    /// The first sample of that run.
+    start: usize,
+}
+
+impl<'a> Runs<'a> {
+    fn new(steps: &'a [(f64, f64)], t0: f64, dt: f64, n: usize) -> Self {
+        assert!(dt > 0.0 && dt.is_finite(), "dt must be positive, got {dt}");
+        assert!(n > 0, "trace must have at least one sample");
+        Self {
+            steps,
+            t0,
+            dt,
+            n,
+            next: 0,
+            start: 0,
+        }
+    }
+
+    /// Sample `i`'s time, by the expression [`Trace::from_fn`] evaluates.
+    fn time(&self, i: usize) -> f64 {
+        self.t0 + i as f64 * self.dt
+    }
+
+    /// The first sample at or after `t` (`n` if none is). The quotient
+    /// guesses it; the sample times themselves settle it, so rounding
+    /// in the guess can never move a sample to the wrong step. The
+    /// times never decrease with `i`, so the two loops stop at the
+    /// exact boundary.
+    fn first_at_or_after(&self, t: f64) -> usize {
+        // The saturating cast sends a negative quotient to 0.
+        let mut i = (((t - self.t0) / self.dt).ceil() as usize).min(self.n);
+        while i > 0 && self.time(i - 1) >= t {
+            i -= 1;
+        }
+        while i < self.n && self.time(i) < t {
+            i += 1;
+        }
+        i
+    }
+}
+
+impl Iterator for Runs<'_> {
+    type Item = (usize, f64);
+
+    fn next(&mut self) -> Option<(usize, f64)> {
+        if self.next == self.steps.len() || self.start == self.n {
+            return None;
+        }
+        let end = match self.steps.get(self.next + 1) {
+            Some(&(t, _)) => self.first_at_or_after(t),
+            None => self.n,
+        };
+        let run = (end - self.start, self.steps[self.next].1);
+        self.start = end;
+        self.next += 1;
+        Some(run)
     }
 }
 
@@ -416,36 +519,157 @@ mod tests {
             let w = Pwc::new(steps).unwrap();
             prop_assert_eq!(w.transition_count(), w.dwells().len());
         }
+    }
+
+    /// A drawn staircase and sample grid for the sampling proptests.
+    /// Step `j` sits `gaps[j]` quarter units after step `j - 1` (the
+    /// first after t = 1) and holds +0.0, −0.0 or `vals[j]` as
+    /// `kinds[j]` says, times `scales[scale]`. `grid` picks the spacing:
+    /// a quarter (every step on a sample time), 1.5 (several steps
+    /// between two samples, some on sample times) or the arbitrary
+    /// `dt`. The first sample lies up to 1.5 units before the first
+    /// step or up to 2 after it; `cut` picks one sample, half the span
+    /// (steps after the last sample) or the whole span.
+    #[allow(clippy::too_many_arguments)]
+    fn sampling_case(
+        gaps: &[u32],
+        kinds: &[u8],
+        vals: &[f64],
+        scale: usize,
+        grid: u8,
+        dt: f64,
+        lead: u32,
+        cut: u8,
+    ) -> (Pwc, f64, f64, usize) {
+        let scales = [1.0, -1.0, 0.0, -0.0, -2.5e-7];
+        let mut t = 1.0;
+        let steps: Vec<(f64, f64)> = gaps
+            .iter()
+            .zip(kinds.iter().zip(vals))
+            .map(|(&g, (&kind, &v))| {
+                t += f64::from(g) * 0.25;
+                let v = match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => v,
+                };
+                (t, v)
+            })
+            .collect();
+        let w = Pwc::new(steps).unwrap().scaled(scales[scale]);
+        let dt = match grid {
+            0 => 0.25,
+            1 => 1.5,
+            _ => dt,
+        };
+        let t0 = 3.0 - 0.5 * f64::from(lead);
+        let span = ((t + 2.0 - t0) / dt) as usize + 1;
+        let n = match cut {
+            0 => 1,
+            1 => (span / 2).max(1),
+            _ => span,
+        };
+        (w, t0, dt, n)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
         fn sample_is_eval_on_the_grid_bit_for_bit(
-            gaps in proptest::collection::vec(1u32..6, 1..12),
-            vals in proptest::collection::vec(-3.0f64..3.0, 12),
-            lead in 0u32..5,
+            gaps in proptest::collection::vec(1u32..9, 1..16),
+            kinds in proptest::collection::vec(0u8..4, 16),
+            vals in proptest::collection::vec(-3.0f64..3.0, 16),
+            scale in 0usize..5,
+            grid in 0u8..3,
             dt in 0.01f64..2.0,
-            exact in any::<bool>(),
+            lead in 0u32..8,
+            cut in 0u8..3,
         ) {
-            // With `exact`, steps sit on the dyadic grid `t0 + i/4` and
-            // many sample times land on them; otherwise `dt` is arbitrary.
-            let dt = if exact { 0.25 } else { dt };
-            let mut t = 0.0;
-            let steps: Vec<(f64, f64)> = gaps
-                .iter()
-                .zip(&vals)
-                .map(|(&g, &v)| {
-                    t += f64::from(g);
-                    (t, v)
-                })
-                .collect();
-            let w = Pwc::new(steps).unwrap();
-            // The first sample precedes the first step by `lead` units.
-            let t0 = 1.0 - f64::from(lead);
-            let n = ((t + 2.0 - t0) / dt) as usize + 1;
+            let (w, t0, dt, n) = sampling_case(&gaps, &kinds, &vals, scale, grid, dt, lead, cut);
             let trace = w.sample(t0, dt, n);
+            prop_assert_eq!(trace.len(), n);
             for (i, &got) in trace.values().iter().enumerate() {
                 let want = w.eval(t0 + i as f64 * dt);
                 prop_assert_eq!(got.to_bits(), want.to_bits());
             }
+        }
+
+        #[test]
+        fn sample_mean_is_the_sampled_mean_bit_for_bit(
+            gaps in proptest::collection::vec(1u32..9, 1..16),
+            kinds in proptest::collection::vec(0u8..4, 16),
+            vals in proptest::collection::vec(-3.0f64..3.0, 16),
+            scale in 0usize..5,
+            grid in 0u8..3,
+            dt in 0.01f64..2.0,
+            lead in 0u32..8,
+            cut in 0u8..3,
+        ) {
+            let (w, t0, dt, n) = sampling_case(&gaps, &kinds, &vals, scale, grid, dt, lead, cut);
+            let got = w.sample_mean(t0, dt, n);
+            let want = w.sample(t0, dt, n).mean();
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
+        }
+
+        #[test]
+        fn steps_on_and_beside_sample_times_fall_on_the_right_side(
+            picks in proptest::collection::vec(0usize..96, 1..12),
+            nudges in proptest::collection::vec(0u8..3, 12),
+            t0 in -3.0f64..3.0,
+            dt in 0.001f64..2.0,
+            n in 1usize..96,
+        ) {
+            // Steps at sample times as `Trace::from_fn` computes them, or
+            // one ulp either side, with an arbitrary grid: the quotient
+            // guess is off by one at some of them.
+            let mut times: Vec<f64> = picks
+                .iter()
+                .zip(&nudges)
+                .map(|(&k, &nudge)| {
+                    let t = t0 + k as f64 * dt;
+                    match nudge {
+                        0 => t.next_down(),
+                        1 => t,
+                        _ => t.next_up(),
+                    }
+                })
+                .collect();
+            times.sort_by(f64::total_cmp);
+            times.dedup();
+            let steps = times.iter().enumerate().map(|(j, &t)| (t, j as f64 + 1.0)).collect();
+            let w = Pwc::new(steps).unwrap();
+            let trace = w.sample(t0, dt, n);
+            for (i, &got) in trace.values().iter().enumerate() {
+                let want = w.eval(t0 + i as f64 * dt);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "sample {}", i);
+            }
+            let mean = w.sample_mean(t0, dt, n);
+            prop_assert_eq!(mean.to_bits(), trace.mean().to_bits());
+        }
+
+        #[test]
+        fn zero_steps_between_samples_leave_the_sign_of_zero(
+            marks in proptest::collection::vec(0usize..64, 1..8),
+            dt in 0.01f64..2.0,
+            n in 2usize..64,
+        ) {
+            // −0.0 everywhere except +0.0 on [t_m + dt/4, t_m + dt/2)
+            // after some samples m < n − 1: stretches no sample lands on,
+            // so every sample, and the mean, is −0.0.
+            let mut marks: Vec<usize> = marks.iter().map(|m| m % (n - 1)).collect();
+            marks.sort_unstable();
+            marks.dedup();
+            let mut steps = vec![(0.0, -0.0)];
+            for &m in &marks {
+                let t = m as f64 * dt;
+                steps.push((t + 0.25 * dt, 0.0));
+                steps.push((t + 0.5 * dt, -0.0));
+            }
+            let w = Pwc::new(steps).unwrap();
+            let mean = w.sample_mean(0.0, dt, n);
+            prop_assert_eq!(mean.to_bits(), (-0.0f64).to_bits());
+            prop_assert_eq!(mean.to_bits(), w.sample(0.0, dt, n).mean().to_bits());
         }
     }
 }

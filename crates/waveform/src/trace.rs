@@ -60,6 +60,13 @@ impl Trace {
         Self { t0, dt, values }
     }
 
+    /// A trace of samples the caller has already checked: `dt` positive
+    /// and finite, `values` not empty.
+    pub(crate) fn from_samples(t0: f64, dt: f64, values: Vec<f64>) -> Self {
+        debug_assert!(dt > 0.0 && dt.is_finite() && !values.is_empty());
+        Self { t0, dt, values }
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.values.len()
