@@ -44,6 +44,11 @@ cargo test -q -p samurai-serve --test trap_results
 # or not at all through the one envelope codec and the runtime
 # decoders (pinned for the same reason as the suites above).
 cargo test -q -p samurai-serve --test hostile_files
+# HTTP suite: the service's end-to-end contract plus its hostile-input
+# cases (a deeply nested body, an endless request line, ten thousand
+# headers), each answered 400 with the server still serving (pinned
+# for the same reason as the suites above).
+cargo test -q -p samurai-serve --test http_service
 # Hostile-JSON suite: a sealed document, the committed fig7 summary
 # and an x7 journal line, each damaged at every byte and cut at every
 # length, must parse to a tree that round-trips or fail without a

@@ -55,15 +55,6 @@ impl Complex {
         }
     }
 
-    /// Complex conjugate.
-    #[must_use]
-    pub fn conj(self) -> Self {
-        Self {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Squared magnitude `|z|²`.
     pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
@@ -880,7 +871,6 @@ mod tests {
         assert_eq!(a - b, Complex::new(-2.0, 3.0));
         assert_eq!(a * b, Complex::new(5.0, 5.0));
         assert_eq!(-a, Complex::new(-1.0, -2.0));
-        assert_eq!(a.conj(), Complex::new(1.0, -2.0));
         assert!((a.norm_sqr() - 5.0).abs() < 1e-15);
         assert!((a.abs() - 5.0f64.sqrt()).abs() < 1e-15);
     }

@@ -42,8 +42,6 @@ pub mod autocorr;
 pub mod fft;
 pub mod fit;
 pub mod psd;
-pub mod spectrogram;
 pub mod stats;
-pub mod tlp;
 
 pub use fft::Complex;

@@ -303,17 +303,6 @@ pub struct ExecutionPolicy {
     pub seed: u64,
 }
 
-impl ExecutionPolicy {
-    /// A policy with the given failure response and no fault plan.
-    #[must_use]
-    pub fn with_failure(failure: FailurePolicy) -> Self {
-        Self {
-            failure,
-            ..Self::default()
-        }
-    }
-}
-
 /// A job that failed at least once and then succeeded on a rescue
 /// rung.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1336,7 +1325,10 @@ mod tests {
 
     #[test]
     fn retry_climbs_the_ladder_and_records_the_rescue() {
-        let policy = ExecutionPolicy::with_failure(FailurePolicy::Retry { rungs: 2 });
+        let policy = ExecutionPolicy {
+            failure: FailurePolicy::Retry { rungs: 2 },
+            ..ExecutionPolicy::default()
+        };
         let outcome = run(
             50,
             Parallelism::Fixed(3),
@@ -1370,7 +1362,10 @@ mod tests {
 
     #[test]
     fn retry_exhaustion_aborts_like_failfast() {
-        let policy = ExecutionPolicy::with_failure(FailurePolicy::Retry { rungs: 1 });
+        let policy = ExecutionPolicy {
+            failure: FailurePolicy::Retry { rungs: 1 },
+            ..ExecutionPolicy::default()
+        };
         let err = run(
             20,
             Parallelism::Fixed(1),
@@ -1436,10 +1431,13 @@ mod tests {
 
     #[test]
     fn quarantine_budget_overflow_fails_with_the_first_excess_job() {
-        let policy = ExecutionPolicy::with_failure(FailurePolicy::Quarantine {
-            rungs: 0,
-            max_failures: 2,
-        });
+        let policy = ExecutionPolicy {
+            failure: FailurePolicy::Quarantine {
+                rungs: 0,
+                max_failures: 2,
+            },
+            ..ExecutionPolicy::default()
+        };
         for workers in [1, 4] {
             let err = run(
                 100,

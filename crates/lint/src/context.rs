@@ -114,11 +114,6 @@ impl FileContext {
         (line.saturating_sub(3)..=line).any(|l| self.safety_lines.contains(&l))
     }
 
-    /// `true` if the file declares at least one hot-loop region.
-    pub fn has_hot_regions(&self) -> bool {
-        !self.hot_ranges.is_empty()
-    }
-
     fn scan_comments(
         &mut self,
         comments: &[Comment],

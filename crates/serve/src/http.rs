@@ -19,8 +19,12 @@
 //! a fixed cadence and terminates with a zero-length chunk once the
 //! job reaches a terminal phase — so `curl` sees a well-formed body
 //! that is byte-identical to the direct engine run's journal.
+//!
+//! Reads are bounded too: a request head (request line and headers)
+//! longer than `MAX_HEAD` bytes, or a body longer than `MAX_BODY`, is
+//! answered `400` without reading the rest.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
@@ -34,6 +38,10 @@ use crate::spec::{parse_ticket, ticket_hex, JobSpec};
 use crate::state::{ServiceState, SubmitOutcome};
 use crate::store::ResultStore;
 use crate::worker::{worker_loop, DEFAULT_CHUNK};
+
+/// Largest request head (request line plus headers) the server will
+/// read, bytes.
+const MAX_HEAD: u64 = 16 << 10;
 
 /// Largest request body the server will read, bytes.
 const MAX_BODY: usize = 1 << 20;
@@ -163,8 +171,11 @@ struct Request {
 fn read_request(stream: &TcpStream) -> Result<Request, ServeError> {
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    // The request line and every header share one budget, so a client
+    // that never sends a newline, or never ends its headers, costs at
+    // most `MAX_HEAD` bytes.
+    let mut head = (&mut reader).take(MAX_HEAD);
+    let line = read_head_line(&mut head)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -177,8 +188,7 @@ fn read_request(stream: &TcpStream) -> Result<Request, ServeError> {
 
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
+        let header = read_head_line(&mut head)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -200,6 +210,20 @@ fn read_request(stream: &TcpStream) -> Result<Request, ServeError> {
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok(Request { method, path, body })
+}
+
+/// Reads one line of the request head, failing if the head budget runs
+/// out before the line ends. At end of stream it returns the partial
+/// (possibly empty) line, as `read_line` does.
+fn read_head_line<R: BufRead>(head: &mut Take<R>) -> Result<String, ServeError> {
+    let mut line = String::new();
+    head.read_line(&mut line)?;
+    if !line.ends_with('\n') && head.limit() == 0 {
+        return Err(ServeError::Http(format!(
+            "request head exceeds the {MAX_HEAD}-byte cap"
+        )));
+    }
+    Ok(line)
 }
 
 fn respond(

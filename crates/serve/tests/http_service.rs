@@ -8,7 +8,9 @@
 //!   `run_ensemble_resilient_observed` at 1, 2 and 8 workers;
 //! * a second identical submission is answered from the store without
 //!   executing any jobs (the cache-hit counter moves, the
-//!   jobs-accepted counter does not).
+//!   jobs-accepted counter does not);
+//! * a hostile body or request head is answered `400` and the server
+//!   keeps serving.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -240,6 +242,78 @@ fn a_deeply_nested_body_is_rejected_and_the_server_keeps_serving() {
         assert!(text.contains("nesting deeper than"), "{text}");
         let (status, _) = request(&addr, "GET", "/metrics", None);
         assert_eq!(status, 200, "the server must survive the hostile body");
+    }
+
+    let (status, _) = request(&addr, "POST", "/admin/drain", None);
+    assert_eq!(status, 200);
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// How long the client waits for an answer to a hostile head. Shorter
+/// than the server's 10 s read timeout, so a server that keeps reading
+/// an endless head fails the test here instead of answering late.
+const CLIENT_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Sends `head` on one fresh connection and returns the status code of
+/// the answer, or `None` if none arrives before [`CLIENT_DEADLINE`].
+/// The server may answer and close while the head is still being
+/// written, so a failed write (a reset) ends the sending, not the test.
+fn status_for_head(addr: &str, head: &[u8]) -> Option<u16> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(CLIENT_DEADLINE)).unwrap();
+    stream.set_write_timeout(Some(CLIENT_DEADLINE)).unwrap();
+    for piece in head.chunks(4096) {
+        if stream.write_all(piece).is_err() {
+            break;
+        }
+    }
+    let mut answer = Vec::new();
+    let mut buf = [0u8; 1024];
+    while !answer.contains(&b'\n') {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => answer.extend_from_slice(&buf[..n]),
+        }
+    }
+    let answer = String::from_utf8_lossy(&answer);
+    answer.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+fn an_oversized_request_head_is_rejected_and_the_server_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("samurai-serve-head-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ResultStore::open(&dir).unwrap(),
+        ServerConfig {
+            workers: 1,
+            parallelism: Parallelism::Fixed(1),
+            chunk: 2,
+            capacity: 2,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = thread::spawn(move || server.run().unwrap());
+
+    // A 64 KiB request line that never ends.
+    let endless_line = format!("GET /{}", "a".repeat(64 << 10));
+    // 10 000 short headers on a request that would otherwise be valid.
+    let mut many_headers = String::from("GET /metrics HTTP/1.1\r\n");
+    for i in 0..10_000 {
+        many_headers.push_str(&format!("X-Filler-{i:05}: x\r\n"));
+    }
+    many_headers.push_str("\r\n");
+
+    for (case, head) in [
+        ("endless line", endless_line),
+        ("10 000 headers", many_headers),
+    ] {
+        assert_eq!(status_for_head(&addr, head.as_bytes()), Some(400), "{case}");
+        let (status, _) = request(&addr, "GET", "/metrics", None);
+        assert_eq!(status, 200, "the server must survive the {case}");
     }
 
     let (status, _) = request(&addr, "POST", "/admin/drain", None);

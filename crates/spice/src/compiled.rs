@@ -1,6 +1,6 @@
 //! The compile-once circuit engine: index-resolved device stamps, a
 //! persistent Newton workspace, and the single assembly/solve path
-//! shared by DC, AC and transient analysis.
+//! shared by DC and transient analysis.
 //!
 //! A [`Circuit`] is a *description*: elements refer to nodes through
 //! [`NodeId`]s and every analysis used to re-match on the element enum
@@ -37,7 +37,7 @@
 //! ([`SolverSystem`]): the dense LU of [`DenseMatrix`] and the sparse
 //! Gilbert–Peierls LU of [`crate::SparseLu`]. The backend is fixed at
 //! compile time ([`SolverChoice`], automatic by unknown count), so the
-//! whole analysis stack — DC, AC operating points, transient, the
+//! whole analysis stack — DC operating points, transient, the
 //! stepper, the rescue ladder — gains the sparse path without
 //! changing a line.
 
@@ -361,20 +361,11 @@ impl NewtonWorkspace {
     }
 
     /// The solver telemetry accumulated on this workspace since
-    /// construction (or the last [`NewtonWorkspace::reset_stats`]):
-    /// Newton solves and iterations, accepted/rejected transient
-    /// steps, rescue-ladder rungs and triggered fault arms. This
-    /// replaces the PR4 `solve_attempts()` / `rescue_rungs_fired()`
-    /// accessors; rescue-ladder coverage tests and failure
-    /// diagnostics read it, and ensemble job probes absorb deltas of
-    /// it ([`SolverStats::delta_since`]).
+    /// construction: Newton solves and iterations, accepted/rejected
+    /// transient steps, rescue-ladder rungs and triggered fault arms.
+    /// Rescue-ladder coverage tests and failure diagnostics read it.
     pub fn stats(&self) -> SolverStats {
         self.stats
-    }
-
-    /// Zeroes the telemetry counters (the solver state is untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = SolverStats::default();
     }
 
     /// Promotes the trial solution without copying.

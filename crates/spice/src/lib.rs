@@ -30,7 +30,7 @@
 //!   node voltage as a [`samurai_waveform::Pwl`] ready to feed the RTN
 //!   generator.
 //!
-//! DC, AC and transient analysis all run through the single compiled
+//! DC and transient analysis both run through the single compiled
 //! assembly/solve path: the free functions compile on the fly, while
 //! the methods on [`CompiledCircuit`] reuse one workspace across runs
 //! (see `CompiledCircuit::run_transient` and friends).
@@ -53,7 +53,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod ac;
 mod compiled;
 mod dcop;
 mod error;

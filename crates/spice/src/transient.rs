@@ -5,7 +5,7 @@ use samurai_waveform::Pwl;
 
 use crate::compiled::{CompiledCircuit, IntegMode, NewtonConfig, NewtonWorkspace};
 use crate::dcop::DcConfig;
-use crate::netlist::{Circuit, Element, ElementId};
+use crate::netlist::{Circuit, ElementId};
 use crate::SpiceError;
 
 /// Time integration method.
@@ -168,32 +168,6 @@ impl TransientResult {
         Ok(Pwl::new(points)?)
     }
 
-    /// The current through a voltage source (positive current flows
-    /// from the + terminal through the source to the − terminal).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::InvalidElement`] if `id` is not a voltage
-    /// source.
-    pub fn vsource_current(&self, ckt: &Circuit, id: ElementId) -> Result<Pwl, SpiceError> {
-        let branch = match ckt.elements.get(id.0) {
-            Some(Element::Vsource { branch, .. }) => *branch,
-            _ => {
-                return Err(SpiceError::InvalidElement {
-                    reason: "expected a voltage source id",
-                })
-            }
-        };
-        let col = ckt.node_count() + branch;
-        let points = self
-            .times
-            .iter()
-            .zip(&self.solutions)
-            .map(|(&t, x)| (t, x[col]))
-            .collect();
-        Ok(Pwl::new(points)?)
-    }
-
     /// The drain current waveform of MOSFET `id`, reconstructed from
     /// the node voltages through the device equations.
     ///
@@ -212,24 +186,6 @@ impl TransientResult {
                 let (i, ..) = params.eval(v(x, d), v(x, g), v(x, s));
                 (t, i)
             })
-            .collect();
-        Ok(Pwl::new(points)?)
-    }
-
-    /// The gate–source voltage waveform of MOSFET `id` (relative to the
-    /// *declared* source terminal).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::InvalidElement`] if `id` is not a MOSFET.
-    pub fn mosfet_vgs(&self, ckt: &Circuit, id: ElementId) -> Result<Pwl, SpiceError> {
-        let (_, g, s) = ckt.mosfet_nodes(id)?;
-        let v = |x: &Vec<f64>, n: crate::NodeId| n.unknown_index().map_or(0.0, |i| x[i]);
-        let points = self
-            .times
-            .iter()
-            .zip(&self.solutions)
-            .map(|(&t, x)| (t, v(x, g) - v(x, s)))
             .collect();
         Ok(Pwl::new(points)?)
     }
@@ -647,19 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn vsource_current_reports_load_current() {
-        let mut ckt = Circuit::new();
-        let a = ckt.node("a");
-        let v = ckt.vsource(a, Circuit::GROUND, Source::Dc(2.0));
-        ckt.resistor(a, Circuit::GROUND, 1e3);
-        let res = run_transient(&ckt, 0.0, 1e-9, &TransientConfig::default()).unwrap();
-        let i = res.vsource_current(&ckt, v).unwrap();
-        // 2 mA delivered: branch current is -2 mA by the passive sign
-        // convention used (current from + through the source).
-        assert!((i.eval(0.5e-9) + 2e-3).abs() < 1e-8);
-    }
-
-    #[test]
     fn mosfet_current_waveform_is_reconstructed() {
         let mut ckt = Circuit::new();
         let vdd = ckt.node("vdd");
@@ -675,10 +618,8 @@ mod tests {
         let m = ckt.mosfet(d, g, Circuit::GROUND, MosfetParams::nmos_90nm(2.0));
         let res = run_transient(&ckt, 0.0, 6e-9, &TransientConfig::default()).unwrap();
         let id = res.mosfet_current(&ckt, m).unwrap();
-        let vgs = res.mosfet_vgs(&ckt, m).unwrap();
         assert!(id.eval(1e-9).abs() < 1e-9, "off before the step");
         assert!(id.eval(5e-9) > 1e-5, "conducting after the step");
-        assert!((vgs.eval(5e-9) - 1.1).abs() < 1e-6);
     }
 
     #[test]

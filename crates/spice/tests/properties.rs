@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use samurai_spice::{
-    dc_operating_point, run_transient, Circuit, DcConfig, Source, TransientConfig,
+    dc_operating_point, run_transient, Circuit, DcConfig, Integrator, Source, TransientConfig,
 };
 use samurai_waveform::Pwl;
 
@@ -159,6 +159,95 @@ fn kcl_holds_at_every_internal_node_of_a_bridge() {
     let kcl_r = (vt - vr) / 2e3 - vr / 4e3 + (vl - vr) / 5e3;
     assert!(kcl_r.abs() < 1e-9, "KCL at r: {kcl_r}");
     assert!((vt - 2.0).abs() < 1e-9);
+}
+
+/// The exact response of an RC low-pass (time constant `tau`, starting
+/// at rest) to an input that ramps linearly from 0 at `t_a` to 1 at
+/// `t_b` and then holds.
+fn rc_ramp_response(tau: f64, t_a: f64, t_b: f64, t: f64) -> f64 {
+    let slope = 1.0 / (t_b - t_a);
+    let on_ramp = |s: f64| slope * (s - tau * (1.0 - (-s / tau).exp()));
+    if t <= t_a {
+        0.0
+    } else if t <= t_b {
+        on_ramp(t - t_a)
+    } else {
+        1.0 + (on_ramp(t_b - t_a) - 1.0) * (-(t - t_b) / tau).exp()
+    }
+}
+
+/// The largest error against [`rc_ramp_response`] over the sample
+/// times, for a run of an RC low-pass (1 kΩ, time constant `tau`) at
+/// the fixed step `h`: `dt_init = dt_max = h` and a `dv_max` no step
+/// can exceed, so no step is rejected and every step lands on the grid
+/// (the input corners and the sample times are multiples of `h`).
+fn fixed_step_error(
+    integrator: Integrator,
+    tau: f64,
+    ramp: (f64, f64),
+    h: f64,
+    samples: &[f64],
+) -> f64 {
+    let horizon = samples[samples.len() - 1];
+    let mut ckt = Circuit::new();
+    let input = ckt.node("in");
+    let output = ckt.node("out");
+    let pwl = Pwl::new(vec![
+        (0.0, 0.0),
+        (ramp.0, 0.0),
+        (ramp.1, 1.0),
+        (horizon, 1.0),
+    ])
+    .unwrap();
+    ckt.vsource(input, Circuit::GROUND, Source::Pwl(pwl));
+    ckt.resistor(input, output, 1e3);
+    ckt.capacitor(output, Circuit::GROUND, tau / 1e3);
+    let config = TransientConfig {
+        integrator,
+        dt_init: Some(h),
+        dt_max: Some(h),
+        dv_max: 1e9,
+        ..TransientConfig::default()
+    };
+    let res = run_transient(&ckt, 0.0, horizon, &config).unwrap();
+    let out = res.voltage(&ckt, "out").unwrap();
+    samples
+        .iter()
+        .map(|&t| (out.eval(t) - rc_ramp_response(tau, ramp.0, ramp.1, t)).abs())
+        .fold(0.0, f64::max)
+}
+
+/// Halving the step divides the error by about 2 for backward Euler
+/// (first order) and by about 4 for the trapezoidal rule (second
+/// order, including its one backward-Euler step after each input
+/// corner), on an RC low-pass driven by a fast step and by a slow ramp.
+#[test]
+fn integrators_converge_at_their_order_on_an_rc_low_pass() {
+    // Power-of-two steps keep every step time exact in binary. With a
+    // decimal step, 70 steps of rounding leave the stepper a 1e-23 s
+    // sliver before the horizon that fails with `StepUnderflow`.
+    let h = 2f64.powi(-33);
+    let tau = 8.0 * h;
+    // Input corners and sample times on the coarsest grid, so every
+    // refinement steps on them too.
+    let inputs = [("step", (8.0 * h, 9.0 * h)), ("ramp", (8.0 * h, 40.0 * h))];
+    let samples: Vec<f64> = (1..=20).map(|k| f64::from(4 * k) * h).collect();
+    for (integrator, order) in [(Integrator::BackwardEuler, 1), (Integrator::Trapezoidal, 2)] {
+        let expected = f64::from(1 << order);
+        for (name, ramp) in inputs {
+            let errors: Vec<f64> = [h, h / 2.0, h / 4.0]
+                .iter()
+                .map(|&step| fixed_step_error(integrator, tau, ramp, step, &samples))
+                .collect();
+            for pair in errors.windows(2) {
+                let ratio = pair[0] / pair[1];
+                assert!(
+                    (ratio / expected - 1.0).abs() < 0.1,
+                    "{integrator:?} on the {name}: errors {errors:?}, ratio {ratio} (expected {expected})"
+                );
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -10,9 +10,9 @@
 //!
 //! The paper remarks that SAMURAI "should be run on the SPICE response
 //! predicted for the SRAM cell under the biasses suggested by
-//! accelerated testing techniques"; [`timing_margin`] does precisely
-//! that, re-running the full two-pass methodology at each probed
-//! word-line width.
+//! accelerated testing techniques"; [`timing_margin_observed`] does
+//! precisely that, re-running the full two-pass methodology at each
+//! probed word-line width.
 
 use samurai_core::ensemble::{
     run_ensemble_resilient_observed, ExecutionPolicy, FailurePolicy, IndexedResults, Parallelism,
@@ -97,27 +97,9 @@ fn writes_ok(
 /// multisection rounds is chosen so the final bracket is at least as
 /// tight as `iterations` classic bisection steps.
 ///
-/// # Errors
-///
-/// Returns [`SramError::InvalidConfig`] if even the widest window
-/// fails, and propagates simulation failures.
-pub fn timing_margin(
-    pattern: &BitPattern,
-    base: &MethodologyConfig,
-    iterations: usize,
-) -> Result<TimingMargin, SramError> {
-    timing_margin_observed(
-        pattern,
-        base,
-        iterations,
-        FailurePolicy::FailFast,
-        &mut Recorder::noop(),
-    )
-}
-
-/// [`timing_margin`] with an explicit [`FailurePolicy`], reporting
-/// each probe's two-pass SPICE solver effort and timing into a
-/// telemetry [`Recorder`].
+/// The search takes an explicit [`FailurePolicy`] and reports each
+/// probe's two-pass SPICE solver effort and timing into a telemetry
+/// [`Recorder`].
 ///
 /// `Retry { rungs }` makes each probe climb the rescue ladder before
 /// its failure aborts the search; probes whose nominal run succeeds
@@ -127,12 +109,14 @@ pub fn timing_margin(
 /// count here.
 ///
 /// The bracket-endpoint sanity probes run outside the ensemble and are
-/// not journalled; every multisection probe is. The returned margins
-/// are bit-identical to the unobserved search.
+/// not journalled; every multisection probe is. The recorder only
+/// observes: the margins do not depend on its sink.
 ///
 /// # Errors
 ///
-/// As [`timing_margin`], once the rescue ladder is exhausted.
+/// Returns [`SramError::InvalidConfig`] if even the widest window
+/// fails, and propagates simulation failures once the rescue ladder is
+/// exhausted.
 pub fn timing_margin_observed<S: MetricsSink>(
     pattern: &BitPattern,
     base: &MethodologyConfig,
@@ -232,6 +216,19 @@ pub fn timing_margin_observed<S: MetricsSink>(
 mod tests {
     use super::*;
 
+    fn margin_of(
+        pattern: &BitPattern,
+        base: &MethodologyConfig,
+    ) -> Result<TimingMargin, SramError> {
+        timing_margin_observed(
+            pattern,
+            base,
+            6,
+            FailurePolicy::FailFast,
+            &mut Recorder::noop(),
+        )
+    }
+
     #[test]
     fn clean_cell_has_a_positive_minimum_window() {
         let base = MethodologyConfig {
@@ -239,7 +236,7 @@ mod tests {
             ..MethodologyConfig::default()
         };
         let pattern = BitPattern::parse("10").expect("valid pattern");
-        let margin = timing_margin(&pattern, &base, 6).unwrap();
+        let margin = margin_of(&pattern, &base).unwrap();
         // Without traps both bisections see the same cell.
         assert!(
             (margin.rtn_penalty()).abs() <= margin.resolution + 1e-9,
@@ -262,7 +259,7 @@ mod tests {
                 rtn_scale: scale,
                 ..MethodologyConfig::default()
             };
-            match timing_margin(&pattern, &base, 6) {
+            match margin_of(&pattern, &base) {
                 Ok(margin) if margin.rtn_penalty() > 0.0 => {
                     found = Some((scale, margin));
                     break;

@@ -31,7 +31,7 @@
 //! trap-count dispersion all flow through one deterministic sampling
 //! surface: a [`samurai_core::scenario::ScenarioConfig`] attached to
 //! the ensemble configurations ([`ColumnEnsembleConfig::scenario`],
-//! [`array::ArrayConfig::scenario`], [`vrt::VrtConfig::scenario`]),
+//! [`array::ArrayConfig::scenario`]),
 //! expanded per job from the master seed, lowered onto the
 //! transistors by one crate-private function shared by the array and
 //! the column, and applied to each job's netlist before it is compiled
@@ -59,7 +59,6 @@ mod cell;
 pub mod column;
 pub mod coupled;
 mod detect;
-pub mod drv;
 mod error;
 mod harness;
 pub mod margin;
@@ -67,9 +66,7 @@ mod pattern;
 pub mod read;
 pub mod ringosc;
 mod scenario;
-pub mod sensitivity;
 pub mod snm;
-pub mod vrt;
 
 pub use cell::{cell_geometries, SramCell, SramCellParams, Transistor};
 pub use column::{

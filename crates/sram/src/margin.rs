@@ -20,7 +20,6 @@
 //! while variation grows only as `1/√A`, the RTN share of the margin
 //! rises with scaling — exactly the paper's point.
 
-use samurai_core::scenario::ScenarioConfig;
 use samurai_trap::Technology;
 use samurai_units::constants::ELEMENTARY_CHARGE;
 
@@ -65,19 +64,6 @@ impl MarginRow {
     pub fn rtn_share(&self) -> f64 {
         self.rtn / self.total()
     }
-
-    /// Standard error of the RTN increment when it is calibrated from
-    /// `effective_samples` Monte-Carlo cells (e.g. the survivor count
-    /// of a quarantined array sweep, [`crate::array::ArrayStats::effective_cells`]).
-    /// Uses the finite-sample standard-deviation estimator error
-    /// `σ/√(2(N−1))`; with fewer than two samples the increment is
-    /// pure prior, so the whole increment is returned as uncertainty.
-    pub fn rtn_uncertainty(&self, effective_samples: usize) -> f64 {
-        if effective_samples < 2 {
-            return self.rtn;
-        }
-        self.rtn / (2.0 * (effective_samples as f64 - 1.0)).sqrt()
-    }
 }
 
 /// Model coefficients (documented synthetic stand-ins for the Renesas
@@ -112,26 +98,6 @@ impl Default for MarginModel {
 }
 
 impl MarginModel {
-    /// Derives margin coefficients from a scenario distribution, so
-    /// the Fig 2 stack and the Monte-Carlo ensembles share one
-    /// parameter surface: the scenario's Pelgrom coefficient (when
-    /// set) replaces the default `A_VT`, and the NBTI increment is
-    /// rescaled from the default ten-year end-of-life calibration to
-    /// the scenario's stress time with the standard `t^(1/6)` power
-    /// law (zero stress zeroes the increment).
-    pub fn from_scenario(scenario: &ScenarioConfig) -> Self {
-        let mut model = Self::default();
-        if scenario.a_vt > 0.0 {
-            model.a_vt = scenario.a_vt;
-        }
-        model.nbti_180 = if scenario.stress_time > 0.0 {
-            model.nbti_180 * (scenario.stress_time / EOL_STRESS_SECONDS).powf(1.0 / 6.0)
-        } else {
-            0.0
-        };
-        model
-    }
-
     /// Evaluates the model for one technology (`step` = how many node
     /// generations past 180 nm, for the NBTI growth).
     pub fn row(&self, tech: &Technology, step: usize) -> MarginRow {
@@ -222,50 +188,6 @@ mod tests {
         assert!((last.total_with_correlation(1.0) - last.total()).abs() < 1e-12);
         // Monotone in rho.
         assert!(last.total_with_correlation(0.3) < last.total_with_correlation(0.8));
-    }
-
-    #[test]
-    fn rtn_uncertainty_shrinks_with_effective_samples() {
-        let rows = MarginModel::default().rows();
-        let row = &rows[0];
-        // Degenerate sample counts return the full increment.
-        assert_eq!(row.rtn_uncertainty(0), row.rtn);
-        assert_eq!(row.rtn_uncertainty(1), row.rtn);
-        // More surviving cells → tighter margin bars, at the 1/√N rate.
-        let coarse = row.rtn_uncertainty(17);
-        let fine = row.rtn_uncertainty(65);
-        assert!(fine < coarse);
-        assert!((coarse / fine - 2.0).abs() < 1e-12, "{coarse} vs {fine}");
-    }
-
-    #[test]
-    fn scenario_derived_margins_track_stress_and_pelgrom() {
-        // Zero stress: no NBTI increment at all.
-        let fresh = MarginModel::from_scenario(&ScenarioConfig::nominal());
-        assert_eq!(fresh.nbti_180, 0.0);
-        // End-of-life stress recovers the default calibration exactly.
-        let eol = MarginModel::from_scenario(&ScenarioConfig {
-            stress_time: EOL_STRESS_SECONDS,
-            ..ScenarioConfig::nominal()
-        });
-        assert_eq!(eol.nbti_180, MarginModel::default().nbti_180);
-        // Intermediate stress follows the t^(1/6) power law.
-        let mid = MarginModel::from_scenario(&ScenarioConfig {
-            stress_time: EOL_STRESS_SECONDS / 64.0,
-            ..ScenarioConfig::nominal()
-        });
-        let expected = MarginModel::default().nbti_180 * (1.0f64 / 64.0).powf(1.0 / 6.0);
-        assert!((mid.nbti_180 - expected).abs() < 1e-15);
-        // A configured Pelgrom coefficient replaces the default.
-        let pelgrom = MarginModel::from_scenario(&ScenarioConfig {
-            a_vt: 2.5e-9,
-            ..ScenarioConfig::nominal()
-        });
-        assert_eq!(pelgrom.a_vt, 2.5e-9);
-        assert_eq!(
-            MarginModel::from_scenario(&ScenarioConfig::nominal()).a_vt,
-            MarginModel::default().a_vt
-        );
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * **read SNM** — word line high with both bit lines precharged to
 //!   `V_dd`, the classic worst case (the pass transistor fights the
 //!   pull-down at the `0` node);
-//! * RTN enters as a threshold shift on a chosen transistor, so the
-//!   SNM degradation of a trapped charge can be read off directly.
+//! * RTN enters as a threshold shift on a chosen transistor
+//!   ([`SramCellParams::vth_shift`]), so the SNM degradation of a
+//!   trapped charge can be read off directly.
 //!
 //! SNM is computed as the side of the largest square that fits inside
 //! each butterfly lobe (the standard 45°-rotation construction), taking
@@ -250,29 +251,6 @@ pub fn compute_snm(
     })
 }
 
-/// SNM degradation caused by `n_filled` trapped charges on the given
-/// transistor, each shifting its threshold by `dvt_per_trap` — the
-/// charge-sheet link between the RTN simulation and the margin model.
-///
-/// Returns `(snm_clean, snm_with_rtn)`.
-///
-/// # Errors
-///
-/// Propagates DC convergence failures.
-pub fn snm_under_rtn(
-    params: &SramCellParams,
-    mode: SnmMode,
-    victim: Transistor,
-    n_filled: f64,
-    dvt_per_trap: f64,
-) -> Result<(f64, f64), SramError> {
-    let clean = compute_snm(params, mode, 48)?.snm();
-    let mut shifted = *params;
-    shifted.vth_shift[victim.index()] += n_filled * dvt_per_trap;
-    let with_rtn = compute_snm(&shifted, mode, 48)?.snm();
-    Ok((clean, with_rtn))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,21 +315,5 @@ mod tests {
             balanced.snm()
         );
         assert!(skewed.asymmetry() > balanced.asymmetry());
-    }
-
-    #[test]
-    fn rtn_charges_shrink_the_read_margin() {
-        let params = SramCellParams::default();
-        // Three trapped charges at 10 mV each on the critical pull-down.
-        let (clean, with_rtn) =
-            snm_under_rtn(&params, SnmMode::Read, Transistor::M5, 3.0, 0.010).unwrap();
-        assert!(
-            with_rtn < clean,
-            "RTN must cost margin: {with_rtn} vs {clean}"
-        );
-        assert!(
-            clean - with_rtn < 0.1,
-            "but a few traps cost tens of mV, not the cell"
-        );
     }
 }

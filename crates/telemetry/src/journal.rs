@@ -50,8 +50,8 @@ pub enum JournalEvent {
         /// The final attempt's error, rendered as text.
         error: String,
     },
-    /// A labelled count from outside the per-job flow (e.g. VRT
-    /// event-budget halvings).
+    /// A labelled count from outside the per-job flow (e.g. the
+    /// multisection rounds of a timing-margin search).
     Note {
         /// What was counted.
         label: String,
@@ -234,7 +234,7 @@ mod tests {
             error: "NonConvergence".into(),
         });
         j.push(JournalEvent::Note {
-            label: "vrt.budget_halvings".into(),
+            label: "margin.multisection_rounds".into(),
             value: 2,
         });
         let text = j.to_jsonl();

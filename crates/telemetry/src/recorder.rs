@@ -45,12 +45,6 @@ impl JobProbe {
         Self::new(false)
     }
 
-    /// Whether this probe records.
-    #[must_use]
-    pub fn is_live(&self) -> bool {
-        self.live
-    }
-
     /// Adds a solver-counter bundle (typically a workspace delta).
     pub fn record_solver(&mut self, stats: SolverStats) {
         if self.live {
@@ -484,7 +478,7 @@ mod tests {
         }
         r.record_rescue(1, 2);
         r.record_quarantine(5, 99, 3, "NonConvergence");
-        r.note("vrt.budget_halvings", 1);
+        r.note("margin.multisection_rounds", 1);
         assert_eq!(r.journal().len(), 6);
         assert_eq!(r.sink().counter_value("jobs.completed"), 3);
         assert_eq!(r.sink().counter_value("jobs.rescued"), 1);
@@ -518,7 +512,6 @@ mod tests {
             ..SolverStats::default()
         });
         assert!(dead.solver().is_empty());
-        assert!(!dead.is_live());
 
         let mut live = JobProbe::new(true);
         live.record_solver(SolverStats {

@@ -10,8 +10,7 @@
 ///
 /// Lives on the persistent `NewtonWorkspace`, so by default the
 /// counts span the workspace's whole lifetime (e.g. both SPICE passes
-/// of the Fig 8 methodology). Use [`SolverStats::delta_since`] for
-/// per-phase accounting.
+/// of the Fig 8 methodology).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Newton solves started (DC operating point attempts, homotopy
@@ -41,29 +40,6 @@ impl SolverStats {
         self.rescue_gmin_rungs += other.rescue_gmin_rungs;
         self.rescue_config_rungs += other.rescue_config_rungs;
         self.faults_injected += other.faults_injected;
-    }
-
-    /// The counts accumulated since an earlier snapshot of the same
-    /// workspace (field-wise saturating difference).
-    #[must_use]
-    pub fn delta_since(&self, earlier: Self) -> Self {
-        Self {
-            solve_attempts: self.solve_attempts.saturating_sub(earlier.solve_attempts),
-            newton_iterations: self
-                .newton_iterations
-                .saturating_sub(earlier.newton_iterations),
-            steps_accepted: self.steps_accepted.saturating_sub(earlier.steps_accepted),
-            timestep_rejections: self
-                .timestep_rejections
-                .saturating_sub(earlier.timestep_rejections),
-            rescue_gmin_rungs: self
-                .rescue_gmin_rungs
-                .saturating_sub(earlier.rescue_gmin_rungs),
-            rescue_config_rungs: self
-                .rescue_config_rungs
-                .saturating_sub(earlier.rescue_config_rungs),
-            faults_injected: self.faults_injected.saturating_sub(earlier.faults_injected),
-        }
     }
 
     /// `true` when every counter is zero.
@@ -126,23 +102,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn solver_stats_add_and_delta_roundtrip() {
+    fn solver_stats_add_sums_field_wise() {
         let mut a = SolverStats {
             solve_attempts: 2,
             newton_iterations: 10,
             ..SolverStats::default()
         };
-        let before = a;
         a.add(SolverStats {
             solve_attempts: 1,
             newton_iterations: 4,
             timestep_rejections: 3,
             ..SolverStats::default()
         });
-        let d = a.delta_since(before);
-        assert_eq!(d.solve_attempts, 1);
-        assert_eq!(d.newton_iterations, 4);
-        assert_eq!(d.timestep_rejections, 3);
+        assert_eq!(a.solve_attempts, 3);
+        assert_eq!(a.newton_iterations, 14);
+        assert_eq!(a.timestep_rejections, 3);
         assert!(!a.is_empty());
         assert!(SolverStats::default().is_empty());
     }

@@ -47,7 +47,7 @@ mod physics;
 mod profile;
 mod trap_params;
 
-pub use degradation::{aging_vth_shift, nbti_shift, rtn_sigma, single_charge_vth_shift};
+pub use degradation::{aging_vth_shift, nbti_shift, single_charge_vth_shift};
 pub use device::DeviceParams;
 pub use physics::PropensityModel;
 pub use profile::{poisson, standard_normal, Technology, TrapProfiler};

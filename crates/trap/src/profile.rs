@@ -48,23 +48,6 @@ impl Technology {
         self.trap_density * self.device.area()
     }
 
-    /// Builds a custom technology node from its headline parameters:
-    /// geometry of the reference NFET, supply, threshold and trap
-    /// density. Depth and energy ranges follow the preset conventions
-    /// (0.2 nm to 90 % of the oxide; −0.1 to +0.6 eV around the
-    /// at-threshold Fermi level).
-    pub fn custom(
-        name: &str,
-        vdd: f64,
-        w_nm: f64,
-        l_nm: f64,
-        tox_nm: f64,
-        vth: f64,
-        trap_density: f64,
-    ) -> Self {
-        Self::node(name, vdd, w_nm, l_nm, tox_nm, vth, trap_density)
-    }
-
     fn node(
         name: &str,
         vdd: f64,
@@ -194,12 +177,6 @@ impl TrapProfiler {
         let energy = Energy::from_joules(rng.gen_range(e0.joules()..e1.joules()));
         TrapParams::new(depth, energy)
     }
-
-    /// Samples a profile with exactly `n` traps (for controlled
-    /// experiments where the Poisson count variation is unwanted).
-    pub fn sample_exact<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<TrapParams> {
-        (0..n).map(|_| self.sample_trap(rng)).collect()
-    }
 }
 
 /// Draws a Poisson-distributed count with the given mean.
@@ -273,14 +250,6 @@ mod tests {
             assert!(trap.depth >= tech.depth_range.0 && trap.depth <= tech.depth_range.1);
             assert!(trap.energy >= tech.energy_range.0 && trap.energy <= tech.energy_range.1);
         }
-    }
-
-    #[test]
-    fn sample_exact_gives_requested_count() {
-        let profiler = TrapProfiler::new(Technology::node_45nm());
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        assert_eq!(profiler.sample_exact(&mut rng, 7).len(), 7);
-        assert!(profiler.sample_exact(&mut rng, 0).is_empty());
     }
 
     #[test]

@@ -217,31 +217,6 @@ impl Length {
     }
 }
 
-impl Time {
-    /// Creates a time from a value in nanoseconds.
-    #[inline]
-    pub fn from_nanos(ns: f64) -> Self {
-        Self::from_seconds(ns * 1e-9)
-    }
-
-    /// Returns the time in nanoseconds.
-    #[inline]
-    pub fn nanos(self) -> f64 {
-        self.seconds() * 1e9
-    }
-
-    /// Returns the reciprocal as a frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the time is zero.
-    #[inline]
-    pub fn recip(self) -> Frequency {
-        debug_assert!(self.seconds() != 0.0, "cannot invert a zero time"); // lint: allow(HYG004): guards exact division by zero
-        Frequency::from_hertz(1.0 / self.seconds())
-    }
-}
-
 impl Frequency {
     /// Returns the reciprocal period.
     #[inline]
@@ -329,8 +304,6 @@ mod tests {
     #[test]
     fn length_and_time_helpers() {
         assert!((Length::from_nanometres(2.0).metres() - 2e-9).abs() < 1e-24);
-        assert!((Time::from_nanos(5.0).seconds() - 5e-9).abs() < 1e-24);
-        assert!((Time::from_seconds(1e-3).recip().hertz() - 1e3).abs() < 1e-9);
         assert!((Frequency::from_hertz(50.0).period().seconds() - 0.02).abs() < 1e-15);
     }
 
@@ -343,7 +316,7 @@ mod tests {
     #[test]
     fn display_uses_si_prefixes() {
         assert_eq!(Current::from_amps(3.2e-6).to_string(), "3.200 uA");
-        assert_eq!(Time::from_nanos(1.0).to_string(), "1.000 ns");
+        assert_eq!(Time::from_seconds(1e-9).to_string(), "1.000 ns");
     }
 
     proptest! {

@@ -80,16 +80,6 @@ impl Pwc {
         &self.steps
     }
 
-    /// Times at which the value actually changes (consecutive duplicate
-    /// values do not count as transitions).
-    pub fn transition_times(&self) -> Vec<f64> {
-        self.steps
-            .windows(2)
-            .filter(|w| w[0].1 != w[1].1)
-            .map(|w| w[1].0)
-            .collect()
-    }
-
     /// Number of genuine value changes.
     pub fn transition_count(&self) -> usize {
         self.steps.windows(2).filter(|w| w[0].1 != w[1].1).count()
@@ -416,7 +406,6 @@ mod tests {
     fn transitions_and_dwells() {
         let w = telegraph();
         assert_eq!(w.transition_count(), 3);
-        assert_eq!(w.transition_times(), vec![1.0, 3.0, 4.0]);
         assert_eq!(w.dwells(), vec![(1.0, 0.0), (2.0, 1.0), (1.0, 0.0)]);
     }
 
@@ -424,7 +413,6 @@ mod tests {
     fn duplicate_values_are_not_transitions() {
         let w = Pwc::new(vec![(0.0, 1.0), (1.0, 1.0), (2.0, 0.0)]).unwrap();
         assert_eq!(w.transition_count(), 1);
-        assert_eq!(w.transition_times(), vec![2.0]);
     }
 
     #[test]
