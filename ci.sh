@@ -12,6 +12,12 @@ cargo test -q --workspace
 # never silently drop it from the gate).
 cargo test -q -p samurai --test fault_injection
 cargo test -q -p samurai-core --test properties
+# FFT suite: the blocked passes, the batched power sums and the stage
+# kernel at every tile width, bit for bit against the textbook loop.
+# These pin the trap_validation digest and the fig7 goldens, whose R(τ)
+# and S(f) run through that kernel (pinned for the same reason as the
+# suites around it).
+cargo test -q -p samurai-analysis
 # Telemetry suite: observed runs bit-identical to NoopSink runs,
 # journal byte-identical across worker counts (pinned for the same
 # reason as the fault-injection suite).

@@ -235,6 +235,117 @@ mod tests {
         }
     }
 
+    /// The biased autocorrelation of a two-level 0/Δ trace from its
+    /// filled runs `[start, end)` in sample order: `Σ x_n·x_{n+k}` is Δ²
+    /// times the number of pairs `(n, n+k)` both filled, an integer
+    /// counted exactly by walking each run against the runs shifted back
+    /// by `k`; only the final `·Δ²/n` rounds.
+    fn exact_two_level(
+        filled: &[(usize, usize)],
+        n: usize,
+        delta: f64,
+        max_lag: usize,
+    ) -> Vec<f64> {
+        (0..=max_lag)
+            .map(|k| {
+                let mut pairs = 0usize;
+                // The first run that ends after `s + k`: the first that
+                // can hold the partner of a sample of the run `[s, e)`.
+                let mut first = 0;
+                for &(s, e) in filled {
+                    while first < filled.len() && filled[first].1 <= s + k {
+                        first += 1;
+                    }
+                    for &(s2, e2) in &filled[first..] {
+                        if s2 >= e + k {
+                            break;
+                        }
+                        pairs += e.min(e2 - k) - s.max(s2.saturating_sub(k));
+                    }
+                }
+                pairs as f64 * (delta * delta) / n as f64
+            })
+            .collect()
+    }
+
+    /// A Fig 7 panel's shape: one trap's occupancy staircase, dwells of
+    /// a few tens of samples on average, sampled and scaled to Δ.
+    fn fig7_like(n: usize, mean_dwell: f64, delta: f64, seed: u64) -> Trace {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let dt = 1e-6;
+        let (mut t, mut level, mut steps) = (0.0, 0.0, Vec::new());
+        while t < n as f64 * dt {
+            steps.push((t, level));
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            t += -u.ln() * mean_dwell * dt;
+            level = if level == 0.0 { delta } else { 0.0 };
+        }
+        let occupancy = samurai_waveform::Pwc::new(steps).unwrap();
+        occupancy.sample(0.0, dt, n)
+    }
+
+    /// The filled runs of a sampled 0/Δ trace.
+    fn filled_runs(x: &[f64]) -> Vec<(usize, usize)> {
+        let mut runs = Vec::new();
+        let mut start = None;
+        for (i, &v) in x.iter().chain([0.0].iter()).enumerate() {
+            match (start, v != 0.0) {
+                (None, true) => start = Some(i),
+                (Some(s), false) => {
+                    runs.push((s, i));
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+        runs
+    }
+
+    /// Both estimators against the exact pair count, on Fig 7 shaped
+    /// staircases: each agrees with it to its own rounding. The worst
+    /// relative errors over these cases are recorded in DESIGN §16.
+    #[test]
+    fn both_paths_match_the_exact_pair_count_of_a_staircase() {
+        let cases = [
+            (5000, 7.0, 1),
+            (1 << 14, 30.0, 2),
+            (100_000, 40.0, 3),
+            (1 << 20, 30.0, 4),
+        ];
+        for (n, dwell, seed) in cases {
+            let delta = 3.7e-7;
+            let trace = fig7_like(n, dwell, delta, seed);
+            let x = trace.values();
+            let exact = exact_two_level(&filled_runs(x), n, delta, 80);
+            let worst = |r: &[f64]| {
+                let rel = r.iter().zip(&exact).map(|(r, e)| ((r - e) / e).abs());
+                rel.fold(0.0, f64::max)
+            };
+            let (direct, fast) = (
+                worst(&raw_autocorrelation(x, 80)),
+                worst(&raw_autocorrelation_fft(x, 80)),
+            );
+            // The rounding bound of a direct sum of n positive terms; the
+            // FFT path's error, O(ε·log n) of R(0), stays inside it too.
+            let bound = n as f64 * f64::EPSILON;
+            assert!(
+                direct < bound && fast < bound,
+                "{n} samples: {direct:e}, {fast:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn exact_pair_count_of_a_small_staircase() {
+        // Filled at 1, 2 and 4 of 6 samples: lag 0 has 3 pairs, lag 1
+        // one (1, 2), lag 2 one (2, 4), lag 3 one (1, 4).
+        let r = exact_two_level(&[(1, 3), (4, 5)], 6, 2.0, 4);
+        assert_eq!(r, vec![12.0 / 6.0, 4.0 / 6.0, 4.0 / 6.0, 4.0 / 6.0, 0.0]);
+        let x = [0.0, 2.0, 2.0, 0.0, 2.0, 0.0];
+        assert_eq!(filled_runs(&x), vec![(1, 3), (4, 5)]);
+        assert_eq!(raw_autocorrelation(&x, 4), r);
+    }
+
     #[test]
     #[should_panic(expected = "max_lag")]
     fn overlong_lag_rejected() {

@@ -17,6 +17,8 @@
 //! [`circular_autocorrelation`] builds on the same passes: it squares
 //! the spectrum's last pass while it is in cache, and runs the inverse
 //! transform only along the butterflies that reach the requested lags.
+//! [`summed_power`], Welch's periodogram sum, runs eight signals side by
+//! side as the columns of one tile.
 
 use core::ops::{Add, Mul, Neg, Sub};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -158,17 +160,19 @@ pub fn circular_autocorrelation(signal: &[f64], len: usize, lags: usize) -> Vec<
     autocorrelation(signal, len, lags, PASS_BITS)
 }
 
-/// Adds the power spectrum of a real signal to `acc`: `acc[k] +=
-/// |X[k]|²`, `X` the [`fft_real`] spectrum — bit-identical to that
-/// loop, but the spectrum's last pass is squared in cache and never
-/// stored.
+/// The summed power spectra of windowed real signals: `Σ_s |X_s[k]|²`
+/// with `X_s` the [`fft_real`] spectrum of signal `s` multiplied by
+/// `window` sample by sample, added in order of `s` from zero —
+/// bit-identical to that loop, but the signals run eight at a time as
+/// the columns of one tile, read straight from their slices, and each
+/// spectrum's last pass is squared in cache and never stored.
 ///
 /// # Panics
 ///
-/// Panics if the length is not a power of two (or is zero), or `acc`
-/// is not as long as `signal`.
-pub fn accumulate_power(signal: &[f64], acc: &mut [f64]) {
-    power(signal, acc, PASS_BITS);
+/// Panics if the window's length is not a power of two (or is zero), or
+/// a signal is not as long as the window.
+pub fn summed_power<'a>(signals: impl IntoIterator<Item = &'a [f64]>, window: &[f64]) -> Vec<f64> {
+    power(&mut signals.into_iter(), window, PASS_BITS)
 }
 
 /// Most stages in one pass: a tile of `2^12` rows of [`TILE_COLS`]
@@ -181,6 +185,10 @@ const TILE_COLS: usize = 16;
 /// Blocks a first pass gathers from a real signal at once: they read
 /// adjacent samples, so each 64-byte line of the signal feeds them all.
 const GATHER: usize = 8;
+
+/// Signals [`summed_power`] transforms at once, as the columns of one
+/// first-pass tile.
+const BATCH: usize = 8;
 
 /// `log2` of a power-of-two length.
 fn log2(n: usize) -> u32 {
@@ -208,13 +216,13 @@ fn transform(data: &mut [Complex], inverse: bool, pass_bits: u32) {
             data.swap(i, j);
         }
     }
-    stages(data, bits, None, inverse, None, pass_bits);
+    Plan::new(bits, inverse, pass_bits).run(data, None, None, None);
 }
 
 fn real_transform(signal: &[f64], pass_bits: u32) -> Vec<Complex> {
     let bits = log2(signal.len());
     let mut out = vec![Complex::ZERO; signal.len()];
-    stages(&mut out, bits, Some(signal), false, None, pass_bits);
+    Plan::new(bits, false, pass_bits).run(&mut out, Some(&[signal]), None, None);
     out
 }
 
@@ -228,42 +236,68 @@ fn autocorrelation(signal: &[f64], len: usize, lags: usize, pass_bits: u32) -> V
     // A single pass hands its one tile to the inverse: nothing to store.
     let mut spectrum = vec![Complex::ZERO; if bits > pass_bits { len } else { 0 }];
     let mut inverse = PrunedInverse::new(bits, lags, pass_bits);
-    stages(
+    Plan::new(bits, false, pass_bits).run(
         &mut spectrum,
-        bits,
-        Some(signal),
-        false,
+        Some(&[signal]),
+        None,
         Some(&mut |re, im, cols, j0| inverse.absorb(re, im, cols, j0)),
-        pass_bits,
     );
     drop(spectrum);
     let inv = 1.0 / len as f64;
     inverse.finish().iter().map(|z| z.scale(inv).re).collect()
 }
 
-fn power(signal: &[f64], acc: &mut [f64], pass_bits: u32) {
-    let bits = log2(signal.len());
-    assert_eq!(acc.len(), signal.len(), "accumulator length");
-    // Row `u` of a last-pass tile holds `X[u·2^a + j]`, `j ≥ j0`.
+fn power(signals: &mut dyn Iterator<Item = &[f64]>, window: &[f64], pass_bits: u32) -> Vec<f64> {
+    let len = window.len();
+    let bits = log2(len);
+    // Row `u` of a last-pass tile holds `X[u·2^a + j]`, `j ≥ j0`, of one
+    // signal; in a single pass (`a = 0`) it holds `X[u]` of every signal.
     let a = bits - bits.min(pass_bits);
-    let mut spectrum = vec![Complex::ZERO; if a > 0 { signal.len() } else { 0 }];
-    let mut add = |re: &[f64], im: &[f64], cols: usize, j0: usize| {
-        let rows = re.chunks_exact(cols).zip(im.chunks_exact(cols));
-        for (u, (re, im)) in rows.enumerate() {
-            let out = &mut acc[(u << a) + j0..][..cols];
-            for ((slot, &re), &im) in out.iter_mut().zip(re).zip(im) {
-                *slot += Complex::new(re, im).norm_sqr();
-            }
+    let mut acc = vec![0.0; len];
+    let mut spectrum = Vec::new();
+    let mut plan = Plan::new(bits, false, pass_bits);
+    let mut batch: [&[f64]; BATCH] = [&[]; BATCH];
+    loop {
+        let mut live = 0;
+        for (slot, x) in batch.iter_mut().zip(&mut *signals) {
+            assert_eq!(x.len(), len, "signal and window lengths differ");
+            *slot = x;
+            live += 1;
         }
-    };
-    stages(
-        &mut spectrum,
-        bits,
-        Some(signal),
-        false,
-        Some(&mut add),
-        pass_bits,
-    );
+        if live == 0 {
+            break;
+        }
+        if a > 0 {
+            spectrum.resize(len * live, Complex::ZERO);
+        }
+        let mut add = |re: &[f64], im: &[f64], cols: usize, j0: usize| {
+            let rows = re.chunks_exact(cols).zip(im.chunks_exact(cols));
+            if a == 0 {
+                for (slot, (re, im)) in acc.iter_mut().zip(rows) {
+                    for (&re, &im) in re[..live].iter().zip(&im[..live]) {
+                        *slot += Complex::new(re, im).norm_sqr();
+                    }
+                }
+                return;
+            }
+            for (u, (re, im)) in rows.enumerate() {
+                let out = &mut acc[(u << a) + j0..][..cols];
+                for ((slot, &re), &im) in out.iter_mut().zip(re).zip(im) {
+                    *slot += Complex::new(re, im).norm_sqr();
+                }
+            }
+        };
+        plan.run(
+            &mut spectrum,
+            Some(&batch[..live]),
+            Some(window),
+            Some(&mut add),
+        );
+        if live < BATCH {
+            break;
+        }
+    }
+    acc
 }
 
 /// The twiddle step of stage `s` (blocks of `2^s`): `e^{∓2πi/2^s}`.
@@ -366,7 +400,9 @@ fn sample(range: core::ops::Range<u32>, inverse: bool) -> Vec<StageTwiddles> {
 }
 
 /// Receives each tile of the last pass in place of its write-back:
-/// `(re, im, cols, j0)`, rows of `cols` values from columns `j0..`.
+/// `(re, im, cols, j0)`, rows of `cols` values from columns `j0..` of
+/// one transform — or, when the first pass is the last, rows of one
+/// value per signal, zero signals padding the count to a power of two.
 type TileSink<'a> = &'a mut dyn FnMut(&[f64], &[f64], usize, usize);
 
 /// The passes of a `2^bits` transform as `(stages below, stages)`: a
@@ -425,73 +461,184 @@ impl Tile {
     }
 }
 
-/// Every butterfly stage over `2^bits` values: bit-reversed `data`, or
-/// `real` zero-padded — then `data` is output only, and unused when a
-/// single pass feeds `sink`.
-///
-/// Pass `(a, m)` runs stages `a+1..=a+m`, which only pair indices that
-/// differ in bits `a..a+m`. Fixing the other bits leaves independent
-/// columns of `2^m` rows `2^a` apart; a tile is [`TILE_COLS`] adjacent
-/// columns. Stage `a+i` pairs rows `r` and `r + 2^(i−1)` of column `j`
-/// with twiddle `T[c·2^a + j]`, `c = r mod 2^(i−1)`: one recurrence per
-/// `c`, stepping along the columns.
-fn stages(
-    data: &mut [Complex],
+/// One size and direction of transform: its twiddles, fetched once, and
+/// the first pass's tile with its twiddles widened to the tile's
+/// columns (a one-column tile reads the table's own), kept from one run
+/// to the next.
+struct Plan {
     bits: u32,
-    real: Option<&[f64]>,
-    inverse: bool,
-    mut sink: Option<TileSink>,
     pass_bits: u32,
-) {
-    let tables = twiddles(inverse, bits);
-    let layout = passes(bits, pass_bits);
-    for (index, &(a, m)) in layout.iter().enumerate() {
-        let rows = 1usize << m;
-        let mut sink = if index + 1 == layout.len() {
-            sink.take()
-        } else {
-            None
-        };
-        if a == 0 {
-            let low = (&tables.low_re[..rows - 1], &tables.low_im[..rows - 1]);
-            match real {
-                Some(x) => gather_pass(data, bits, m, x, low, sink),
-                None => {
-                    let mut tile = Tile::with_len(rows);
-                    for block in data.chunks_exact_mut(rows) {
-                        tile.load(0, block);
-                        butterfly_split(&mut tile.re, &mut tile.im, 1, low.0, low.1);
+    tables: Arc<Twiddles>,
+    tile: Tile,
+    wide: Tile,
+}
+
+impl Plan {
+    fn new(bits: u32, inverse: bool, pass_bits: u32) -> Self {
+        Self {
+            bits,
+            pass_bits,
+            tables: twiddles(inverse, bits),
+            tile: Tile::default(),
+            wide: Tile::default(),
+        }
+    }
+
+    /// The first pass's tile, sized for `rows` rows of `width` columns,
+    /// and its twiddles: the table's own for one column, else widened.
+    fn first_tile(&mut self, rows: usize, width: usize) -> (&mut Tile, &[f64], &[f64]) {
+        let low = (
+            &self.tables.low_re[..rows - 1],
+            &self.tables.low_im[..rows - 1],
+        );
+        if self.tile.re.len() != rows * width {
+            self.wide = match width {
+                1 => Tile::default(),
+                _ => widen(low, width),
+            };
+            self.tile = Tile::with_len(rows * width);
+        }
+        match width {
+            1 => (&mut self.tile, low.0, low.1),
+            _ => (&mut self.tile, &self.wide.re, &self.wide.im),
+        }
+    }
+
+    /// Every butterfly stage over `2^bits` values: bit-reversed `data`,
+    /// or the `real` signals zero-padded and multiplied by `window` —
+    /// then `data` is output only, one transform per signal back to
+    /// back, and unused when a single pass feeds `sink`.
+    ///
+    /// Pass `(a, m)` runs stages `a+1..=a+m`, which only pair indices
+    /// that differ in bits `a..a+m`. Fixing the other bits leaves
+    /// independent columns of `2^m` rows `2^a` apart; a tile is
+    /// [`TILE_COLS`] adjacent columns. Stage `a+i` pairs rows `r` and
+    /// `r + 2^(i−1)` of column `j` with twiddle `T[c·2^a + j]`, `c = r mod
+    /// 2^(i−1)`: one recurrence per `c`, stepping along the columns.
+    fn run(
+        &mut self,
+        data: &mut [Complex],
+        real: Option<&[&[f64]]>,
+        window: Option<&[f64]>,
+        mut sink: Option<TileSink>,
+    ) {
+        let layout = passes(self.bits, self.pass_bits);
+        let len = 1usize << self.bits;
+        for (index, &(a, m)) in layout.iter().enumerate() {
+            let rows = 1usize << m;
+            let mut sink = if index + 1 == layout.len() {
+                sink.take()
+            } else {
+                None
+            };
+            if a == 0 {
+                match real {
+                    Some(signals) => self.gather_pass(data, m, signals, window, sink),
+                    None => {
+                        let (tile, wr, wi) = self.first_tile(rows, 1);
+                        for block in data.chunks_exact_mut(rows) {
+                            tile.load(0, block);
+                            butterfly_split(&mut tile.re, &mut tile.im, 1, wr, wi);
+                            match sink.as_deref_mut() {
+                                Some(sink) => sink(&tile.re, &tile.im, 1, 0),
+                                None => tile.store(0, block),
+                            }
+                        }
+                    }
+                }
+                continue;
+            }
+            // The strided passes' scratch takes the place of the first's.
+            (self.tile, self.wide) = (Tile::default(), Tile::default());
+            let cols = TILE_COLS.min(1 << a);
+            let pass = &self.tables.stages[a as usize..(a + m) as usize];
+            let mut tw = Tile::with_len((rows - 1) * cols);
+            let mut tile = Tile::with_len(rows * cols);
+            let signals = real.map_or(1, <[_]>::len);
+            for signal in data.chunks_exact_mut(len).take(signals) {
+                // Stage after stage, each recurrence at column 0: T[c·2^a].
+                let mut state: Vec<Complex> = pass
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, t)| {
+                        (0..1usize << i).map(move |c| t.values[c << (a - t.spacing)])
+                    })
+                    .collect();
+                for j0 in (0..1usize << a).step_by(cols) {
+                    fill_twiddles(&mut tw, pass, &mut state, cols);
+                    for base in (j0..len).step_by(rows << a) {
+                        for r in 0..rows {
+                            tile.load(r * cols, &signal[base + (r << a)..][..cols]);
+                        }
+                        butterfly_split(&mut tile.re, &mut tile.im, cols, &tw.re, &tw.im);
                         match sink.as_deref_mut() {
-                            Some(sink) => sink(&tile.re, &tile.im, 1, 0),
-                            None => tile.store(0, block),
+                            Some(sink) => sink(&tile.re, &tile.im, cols, j0),
+                            None => {
+                                for r in 0..rows {
+                                    let out = &mut signal[base + (r << a)..][..cols];
+                                    tile.store(r * cols, out);
+                                }
+                            }
                         }
                     }
                 }
             }
-            continue;
         }
-        let cols = TILE_COLS.min(1 << a);
-        let pass = &tables.stages[a as usize..(a + m) as usize];
-        // Stage after stage, each recurrence at column 0: T[c·2^a].
-        let mut state: Vec<Complex> = pass
-            .iter()
-            .enumerate()
-            .flat_map(|(i, t)| (0..1usize << i).map(move |c| t.values[c << (a - t.spacing)]))
-            .collect();
-        let mut tw = Tile::with_len((rows - 1) * cols);
-        let mut tile = Tile::with_len(rows * cols);
-        for j0 in (0..1usize << a).step_by(cols) {
-            fill_twiddles(&mut tw, pass, &mut state, cols);
-            for base in (j0..data.len()).step_by(rows << a) {
-                for r in 0..rows {
-                    tile.load(r * cols, &data[base + (r << a)..][..cols]);
+    }
+
+    /// The first pass straight from real signals, bit reversal included.
+    /// Block `b` of `2^m` positions holds samples `u·2^(bits−m) + rev(b)`
+    /// at positions `rev(u)`, so the [`GATHER`] blocks with adjacent
+    /// `rev(b)` are the columns of one tile whose rows are runs of
+    /// adjacent samples. Several signals share a tile side by side, their
+    /// columns padded with zero signals to a power of two; in a single
+    /// pass, each signal is one column.
+    fn gather_pass(
+        &mut self,
+        data: &mut [Complex],
+        m: u32,
+        signals: &[&[f64]],
+        window: Option<&[f64]>,
+        mut sink: Option<TileSink>,
+    ) {
+        let rows = 1usize << m;
+        let high = self.bits - m;
+        let batch = signals.len().next_power_of_two();
+        let group = (GATHER / batch).clamp(1, 1 << high);
+        let width = batch * group;
+        let (tile, wr, wi) = self.first_tile(rows, width);
+        for r0 in (0..1usize << high).step_by(group) {
+            for u in 0..rows {
+                let src = (u << high) + r0;
+                let row = &mut tile.re[reverse(u, m) * width..][..width];
+                let (runs, absent) = row.split_at_mut(signals.len() * group);
+                for (run, x) in runs.chunks_exact_mut(group).zip(signals) {
+                    for (i, v) in (src..).zip(run) {
+                        *v = match (x.get(i), window) {
+                            (Some(&x), Some(w)) => x * w[i],
+                            (Some(&x), None) => x,
+                            (None, _) => 0.0,
+                        };
+                    }
                 }
-                butterfly_split(&mut tile.re, &mut tile.im, cols, &tw.re, &tw.im);
-                match sink.as_deref_mut() {
-                    Some(sink) => sink(&tile.re, &tile.im, cols, j0),
-                    None => {
-                        for r in 0..rows {
-                            tile.store(r * cols, &mut data[base + (r << a)..][..cols]);
+                absent.fill(0.0);
+            }
+            tile.im.fill(0.0);
+            butterfly_split(&mut tile.re, &mut tile.im, width, wr, wi);
+            match sink.as_deref_mut() {
+                Some(sink) => sink(&tile.re, &tile.im, width, 0),
+                None => {
+                    let outputs = data.chunks_exact_mut(rows << high);
+                    for (c, out) in outputs.take(signals.len()).enumerate() {
+                        for g in 0..group {
+                            let col = c * group + g;
+                            let block = &mut out[reverse(r0 + g, high) * rows..][..rows];
+                            for (t, z) in block.iter_mut().enumerate() {
+                                *z = Complex::new(
+                                    tile.re[t * width + col],
+                                    tile.im[t * width + col],
+                                );
+                            }
                         }
                     }
                 }
@@ -517,60 +664,6 @@ fn fill_twiddles(tw: &mut Tile, pass: &[Arc<StageTwiddles>], state: &mut [Comple
     }
 }
 
-/// The first pass straight from a real signal, bit reversal included.
-/// Block `b` of `2^m` positions holds samples `u·2^(bits−m) + rev(b)` at
-/// positions `rev(u)`, so the [`GATHER`] blocks with adjacent `rev(b)`
-/// are the columns of one tile whose rows are runs of adjacent samples.
-fn gather_pass(
-    data: &mut [Complex],
-    bits: u32,
-    m: u32,
-    x: &[f64],
-    low: (&[f64], &[f64]),
-    mut sink: Option<TileSink>,
-) {
-    let rows = 1usize << m;
-    let high = bits - m;
-    let group = GATHER.min(1 << high);
-    let wide;
-    let (wr, wi) = match group {
-        1 => low,
-        _ => {
-            wide = widen(low, group);
-            (&wide.re[..], &wide.im[..])
-        }
-    };
-    let mut tile = Tile::with_len(rows * group);
-    for r0 in (0..1usize << high).step_by(group) {
-        for u in 0..rows {
-            let src = (u << high) + r0;
-            let row = &mut tile.re[reverse(u, m) * group..][..group];
-            match x.get(src..src + group) {
-                Some(run) => row.copy_from_slice(run),
-                None => {
-                    for (g, v) in row.iter_mut().enumerate() {
-                        *v = x.get(src + g).copied().unwrap_or(0.0);
-                    }
-                }
-            }
-        }
-        tile.im.fill(0.0);
-        butterfly_split(&mut tile.re, &mut tile.im, group, wr, wi);
-        match sink.as_deref_mut() {
-            // A sink here means a single pass: one block, one column.
-            Some(sink) => sink(&tile.re, &tile.im, group, 0),
-            None => {
-                for g in 0..group {
-                    let block = &mut data[reverse(r0 + g, high) * rows..][..rows];
-                    for (t, z) in block.iter_mut().enumerate() {
-                        *z = Complex::new(tile.re[t * group + g], tile.im[t * group + g]);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// One-column stacked twiddles `(re, im)`, each repeated across `cols`
 /// columns.
 fn widen(tw: (&[f64], &[f64]), cols: usize) -> Tile {
@@ -585,58 +678,56 @@ fn widen(tw: (&[f64], &[f64]), cols: usize) -> Tile {
     }
 }
 
-/// One butterfly, `(x, y) ← (x + y·w, x − y·w)`, on positions `i`, `j`.
-#[inline(always)]
-// lint: hot-fn
-fn butterfly(re: &mut [f64], im: &mut [f64], i: usize, j: usize, wr: f64, wi: f64) {
-    let (yr, yi) = (re[j], im[j]);
-    let or = yr * wr - yi * wi;
-    let oi = yr * wi + yi * wr;
-    let (xr, xi) = (re[i], im[i]);
-    re[i] = xr + or;
-    im[i] = xi + oi;
-    re[j] = xr - or;
-    im[j] = xi - oi;
-}
-
 /// All stages of one pass on a split tile of `cols`-wide rows. Stage
 /// `i`'s twiddles are `2^(i−1)` rows of `cols`, stacked after those of
 /// the stages below: the shape of the row runs each butterfly group
-/// pairs, so a stage is one flat loop per group.
+/// pairs, so a stage is one call of [`butterflies`] per group.
 // lint: hot-fn
 fn butterfly_split(re: &mut [f64], im: &mut [f64], cols: usize, wr: &[f64], wi: &[f64]) {
-    let len = re.len();
     let mut run = cols;
-    if cols == 1 && len >= 4 {
-        // Stages 1 and 2 four values at a time: their runs are too
-        // short for the loop below.
-        for (r, i) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
-            butterfly(r, i, 0, 1, wr[0], wi[0]);
-            butterfly(r, i, 2, 3, wr[0], wi[0]);
-            butterfly(r, i, 0, 2, wr[1], wi[1]);
-            butterfly(r, i, 1, 3, wr[2], wi[2]);
-        }
-        run = 4;
-    }
-    while run < len {
+    while run < re.len() {
         let (wr, wi) = (&wr[run - cols..][..run], &wi[run - cols..][..run]);
-        for (gr, gi) in re
+        let groups = re
             .chunks_exact_mut(2 * run)
-            .zip(im.chunks_exact_mut(2 * run))
-        {
+            .zip(im.chunks_exact_mut(2 * run));
+        for (gr, gi) in groups {
             let (xr, yr) = gr.split_at_mut(run);
             let (xi, yi) = gi.split_at_mut(run);
-            for k in 0..run {
-                let or = yr[k] * wr[k] - yi[k] * wi[k];
-                let oi = yr[k] * wi[k] + yi[k] * wr[k];
-                let (ar, ai) = (xr[k], xi[k]);
-                xr[k] = ar + or;
-                xi[k] = ai + oi;
-                yr[k] = ar - or;
-                yi[k] = ai - oi;
-            }
+            butterflies(xr, xi, yr, yi, wr, wi);
         }
         run <<= 1;
+    }
+}
+
+/// The butterflies of one group, `(x, y) ← (x + y·w, x − y·w)` position
+/// by position: `x` from the first half, `y` from the second, `w` from
+/// the stage's twiddles.
+///
+/// Its shape is what makes it fast, so it is fixed here rather than
+/// left to whatever surrounds it: the operands are distinct `&mut`
+/// arguments, which tells the compiler they cannot overlap, so it packs
+/// the loop into SSE2 pairs with no runtime overlap test; and kept out
+/// of line, it compiles to the same code whatever calls it.
+#[inline(never)]
+// lint: hot-fn
+fn butterflies(
+    xr: &mut [f64],
+    xi: &mut [f64],
+    yr: &mut [f64],
+    yi: &mut [f64],
+    wr: &[f64],
+    wi: &[f64],
+) {
+    let x = xr.iter_mut().zip(xi.iter_mut());
+    let y = yr.iter_mut().zip(yi.iter_mut());
+    for (((xr, xi), (yr, yi)), (&wr, &wi)) in x.zip(y).zip(wr.iter().zip(wi)) {
+        let or = *yr * wr - *yi * wi;
+        let oi = *yr * wi + *yi * wr;
+        let (ar, ai) = (*xr, *xi);
+        *xr = ar + or;
+        *xi = ai + oi;
+        *yr = ar - or;
+        *yi = ai - oi;
     }
 }
 
@@ -1064,25 +1155,102 @@ mod tests {
         }
     }
 
+    /// Signal `s` of a batch: mixed values, with `+0.0` and `−0.0` among them.
+    fn batch_signal(len: usize, s: usize) -> Vec<f64> {
+        let mut x = values(len, 300 + s as u64);
+        for (i, v) in x.iter_mut().enumerate() {
+            match (i + s) % 6 {
+                1 => *v = 0.0,
+                4 => *v = -0.0,
+                _ => {}
+            }
+        }
+        x
+    }
+
+    /// Batches full and partial, on one-pass and forced multi-pass
+    /// layouts and on the default two-pass one, against adding each
+    /// windowed signal's [`fft_real`] `|X[k]|²` in turn.
     #[test]
     fn accumulated_power_is_bit_identical_to_squaring_the_spectrum() {
         for bits in 0..=14u32 {
             let len = 1usize << bits;
-            let signal = values(len, u64::from(bits) + 11);
-            let start = values(len, u64::from(bits) + 12);
-            let mut want = start.clone();
-            for (slot, z) in want.iter_mut().zip(&fft_real(&signal)) {
-                *slot += z.norm_sqr();
+            let signals: Vec<Vec<f64>> = (0..17).map(|s| batch_signal(len, s)).collect();
+            let window = values(len, 299);
+            let mut want = vec![vec![0.0; len]];
+            for x in &signals {
+                let windowed: Vec<f64> = x.iter().zip(&window).map(|(x, w)| x * w).collect();
+                let mut next = want[want.len() - 1].clone();
+                for (slot, z) in next.iter_mut().zip(&fft_real(&windowed)) {
+                    *slot += z.norm_sqr();
+                }
+                want.push(next);
             }
             for pass_bits in [2, 3, 5, PASS_BITS] {
-                let mut got = start.clone();
-                power(&signal, &mut got, pass_bits);
-                assert!(
-                    want.iter()
-                        .zip(&got)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{bits} bits by {pass_bits}"
-                );
+                for (count, want) in want.iter().enumerate().skip(1) {
+                    if bits > 10 && ![1, 7, 8, 9, 17].contains(&count) {
+                        continue;
+                    }
+                    let batch = &mut signals[..count].iter().map(Vec::as_slice);
+                    let got = power(batch, &window, pass_bits);
+                    assert!(
+                        want.iter()
+                            .zip(&got)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{bits} bits by {pass_bits}, {count} signals"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The stage kernel at every tile width its callers use, each column
+    /// against the textbook loop: a first-pass tile of `width` columns,
+    /// rows in bit-reversed order, twiddles walked afresh and widened.
+    #[test]
+    fn butterfly_kernel_is_bit_identical_to_the_textbook_loop_at_every_width() {
+        for inverse in [false, true] {
+            for m in 0..=9u32 {
+                let rows = 1usize << m;
+                let low: Vec<Complex> = (1..=m)
+                    .flat_map(|s| recurrence(step(s, inverse), 1 << (s - 1)))
+                    .collect();
+                let (low_re, low_im): (Vec<f64>, Vec<f64>) =
+                    low.iter().map(|w| (w.re, w.im)).unzip();
+                for width in [1, 2, 4, 8, 16] {
+                    let columns: Vec<Vec<Complex>> = (0..width)
+                        .map(|c| {
+                            let salt = u64::from(m) * 64 + c as u64;
+                            let re = batch_signal(rows, c);
+                            let im = values(rows, salt);
+                            re.iter()
+                                .zip(&im)
+                                .map(|(&r, &i)| Complex::new(r, i))
+                                .collect()
+                        })
+                        .collect();
+                    let mut tile = Tile::with_len(rows * width);
+                    for (c, column) in columns.iter().enumerate() {
+                        for (t, z) in column.iter().enumerate() {
+                            let at = reverse(t, m) * width + c;
+                            tile.re[at] = z.re;
+                            tile.im[at] = z.im;
+                        }
+                    }
+                    let wide = widen((&low_re, &low_im), width);
+                    butterfly_split(&mut tile.re, &mut tile.im, width, &wide.re, &wide.im);
+                    for (c, column) in columns.iter().enumerate() {
+                        let mut want = column.clone();
+                        textbook(&mut want, inverse);
+                        let got: Vec<Complex> = (0..rows)
+                            .map(|t| Complex::new(tile.re[t * width + c], tile.im[t * width + c]))
+                            .collect();
+                        assert!(
+                            same_bits(&want, &got),
+                            "{rows} rows, width {width}, column {c}, inverse {inverse}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -8,7 +8,7 @@
 //! sequence.
 
 use crate::autocorr::raw_autocorrelation;
-use crate::fft::{accumulate_power, fft_real};
+use crate::fft::{fft_real, summed_power};
 use samurai_waveform::Trace;
 
 /// A one-sided spectrum: frequencies in Hz and density values in
@@ -95,20 +95,8 @@ pub fn welch(trace: &Trace, segment_len: usize) -> Spectrum {
         .collect();
     let window_power: f64 = window.iter().map(|w| w * w).sum::<f64>() / segment_len as f64;
 
-    let mut acc = vec![0.0f64; segment_len];
-    let mut seg = vec![0.0f64; segment_len];
-    let mut segments = 0usize;
-    let mut start = 0usize;
-    while start + segment_len <= x.len() {
-        let windowed = x[start..start + segment_len].iter().zip(&window);
-        for (slot, (v, w)) in seg.iter_mut().zip(windowed) {
-            *slot = v * w;
-        }
-        accumulate_power(&seg, &mut acc);
-        segments += 1;
-        start += hop;
-    }
-    debug_assert!(segments > 0);
+    let segments = (x.len() - segment_len) / hop + 1;
+    let acc = summed_power((0..segments).map(|s| &x[s * hop..][..segment_len]), &window);
     let norm = 1.0 / (segments as f64 * window_power);
     let avg: Vec<crate::fft::Complex> = acc
         .iter()
@@ -282,6 +270,87 @@ mod tests {
                 ratio > 0.5 && ratio < 2.0,
                 "f = {f}: WK {v} vs Welch {ref_v}"
             );
+        }
+    }
+
+    /// Welch as it was before the segments were batched: one windowed
+    /// segment at a time, and each spectrum's `|X[k]|²` added in turn.
+    fn per_segment_welch(trace: &Trace, segment_len: usize) -> Spectrum {
+        let detrended = trace.detrended();
+        let x = detrended.values();
+        let window: Vec<f64> = (0..segment_len)
+            .map(|i| {
+                let w = core::f64::consts::TAU * i as f64 / segment_len as f64;
+                0.5 * (1.0 - w.cos())
+            })
+            .collect();
+        let window_power: f64 = window.iter().map(|w| w * w).sum::<f64>() / segment_len as f64;
+        let mut acc = vec![0.0f64; segment_len];
+        let mut segments = 0usize;
+        let mut start = 0usize;
+        while start + segment_len <= x.len() {
+            let seg: Vec<f64> = x[start..start + segment_len]
+                .iter()
+                .zip(&window)
+                .map(|(v, w)| v * w)
+                .collect();
+            for (slot, z) in acc.iter_mut().zip(&fft_real(&seg)) {
+                *slot += z.norm_sqr();
+            }
+            segments += 1;
+            start += segment_len / 2;
+        }
+        let norm = 1.0 / (segments as f64 * window_power);
+        let avg: Vec<crate::fft::Complex> = acc
+            .iter()
+            .map(|&p| crate::fft::Complex::from_real((p * norm).sqrt()))
+            .collect();
+        spectrum_from_fft(&avg, segment_len, trace.dt(), 1.0)
+    }
+
+    /// Batched Welch against the per-segment loop, bit for bit: segment
+    /// lengths from 8 to 4096 and one that takes two passes, 1 to 17
+    /// segments (so the last batch of eight is partial), on noise, on a
+    /// 0/Δ staircase, and on a trace of `+0.0` and `−0.0` only.
+    #[test]
+    fn batched_welch_is_bit_identical_to_the_per_segment_loop() {
+        let mut rng = ChaCha8Rng::seed_from_u64(8);
+        for bits in 3..=13u32 {
+            let len = 1usize << bits;
+            for segments in 1..=17usize {
+                if bits > 9 && ![1, 7, 8, 9, 17].contains(&segments) {
+                    continue;
+                }
+                // A tail shorter than a hop, which no segment reaches.
+                let n = len + (segments - 1) * len / 2 + len / 4;
+                let noise = Trace::from_fn(0.0, 1e-3, n, |_| rng.gen_range(-1.0f64..1.0));
+                let mut level = 0.0;
+                let staircase = Trace::from_fn(0.0, 1e-3, n, |_| {
+                    if rng.gen_range(0..16) == 0 {
+                        level = if level == 0.0 { 3.7e-7 } else { 0.0 };
+                    }
+                    level
+                });
+                let zeros = Trace::from_fn(0.0, 1e-3, n, |_| {
+                    if rng.gen_range(0..2) == 0 {
+                        0.0
+                    } else {
+                        -0.0
+                    }
+                });
+                for trace in [&noise, &staircase, &zeros] {
+                    let want = per_segment_welch(trace, len);
+                    let got = welch(trace, len);
+                    let same = |a: &[f64], b: &[f64]| {
+                        a.len() == b.len()
+                            && a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits())
+                    };
+                    assert!(
+                        same(&want.freqs, &got.freqs) && same(&want.values, &got.values),
+                        "segment {len}, {segments} segments"
+                    );
+                }
+            }
         }
     }
 

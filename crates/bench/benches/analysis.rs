@@ -1,7 +1,8 @@
 //! Criterion benches for the analysis substrate: FFT sizes in cache and
 //! out of it (2^20 takes two blocked passes), Welch PSD estimation,
-//! direct-vs-FFT autocorrelation, and the Fig 7 shape — a few lags of a
-//! long trace, where the pruned inverse pays off.
+//! `trace_autocorrelation` as Fig 7 calls it, direct-vs-FFT
+//! autocorrelation, and the Fig 7 shape — a few lags of a long trace,
+//! where the pruned inverse pays off.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -35,6 +36,15 @@ fn bench_welch(c: &mut Criterion) {
     });
 }
 
+fn bench_trace_autocorrelation(c: &mut Criterion) {
+    // The call Fig 7 makes per panel: 81 lags of a trace past the
+    // direct-sum threshold, through the pruned FFT.
+    let trace = noisy_trace(1 << 20);
+    c.bench_function("trace_autocorrelation_1M_lag80", |b| {
+        b.iter(|| black_box(autocorr::trace_autocorrelation(&trace, 80)))
+    });
+}
+
 fn bench_autocorr(c: &mut Criterion) {
     let trace = noisy_trace(1 << 13);
     let mut group = c.benchmark_group("autocorrelation_8k_lag256");
@@ -58,6 +68,7 @@ fn bench_fig7_autocorr(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_fft, bench_welch, bench_autocorr, bench_fig7_autocorr
+    targets = bench_fft, bench_welch, bench_trace_autocorrelation, bench_autocorr,
+        bench_fig7_autocorr
 }
 criterion_main!(benches);
