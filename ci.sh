@@ -12,12 +12,16 @@ cargo test -q --workspace
 # never silently drop it from the gate).
 cargo test -q -p samurai --test fault_injection
 cargo test -q -p samurai-core --test properties
-# FFT suite: the blocked passes, the batched power sums and the stage
-# kernel at every tile width, bit for bit against the textbook loop.
-# These pin the trap_validation digest and the fig7 goldens, whose R(τ)
-# and S(f) run through that kernel (pinned for the same reason as the
-# suites around it).
+# FFT suite: the blocked passes, the batched power sums, the stage
+# kernel at every tile width, the pooled spectrum buffers and Welch's
+# on-the-fly centring, bit for bit against the textbook loop. These pin
+# the trap_validation digest and the fig7 goldens, whose R(τ) and S(f)
+# run through that kernel (pinned for the same reason as the suites
+# around it). It runs again optimised, as the ledger and the figure
+# bins are built, so the bit identity is checked where the optimiser
+# could break it.
 cargo test -q -p samurai-analysis
+cargo test -q --release -p samurai-analysis
 # Telemetry suite: observed runs bit-identical to NoopSink runs,
 # journal byte-identical across worker counts (pinned for the same
 # reason as the fault-injection suite).

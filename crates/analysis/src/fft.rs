@@ -16,9 +16,10 @@
 //!
 //! [`circular_autocorrelation`] builds on the same passes: it squares
 //! the spectrum's last pass while it is in cache, and runs the inverse
-//! transform only along the butterflies that reach the requested lags.
-//! [`summed_power`], Welch's periodogram sum, runs eight signals side by
-//! side as the columns of one tile.
+//! transform only along the butterflies that reach the requested lags;
+//! the spectrum buffer between its passes comes from a pool kept across
+//! calls. [`summed_power`], Welch's periodogram sum, runs eight signals
+//! side by side as the columns of one tile.
 
 use core::ops::{Add, Mul, Neg, Sub};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -157,22 +158,27 @@ pub fn fft_real(signal: &[f64]) -> Vec<Complex> {
 /// Panics if `len` is not a power of two, `signal` is longer than `len`,
 /// or `lags` is zero or exceeds `len`.
 pub fn circular_autocorrelation(signal: &[f64], len: usize, lags: usize) -> Vec<f64> {
-    autocorrelation(signal, len, lags, PASS_BITS)
+    autocorrelation(&SPECTRA, signal, len, lags, PASS_BITS)
 }
 
-/// The summed power spectra of windowed real signals: `Σ_s |X_s[k]|²`
-/// with `X_s` the [`fft_real`] spectrum of signal `s` multiplied by
-/// `window` sample by sample, added in order of `s` from zero —
+/// The summed power spectra of centred, windowed real signals:
+/// `Σ_s |X_s[k]|²` with `X_s` the [`fft_real`] spectrum of
+/// `(x_s[i] − mean)·window[i]`, added in order of `s` from zero —
 /// bit-identical to that loop, but the signals run eight at a time as
-/// the columns of one tile, read straight from their slices, and each
-/// spectrum's last pass is squared in cache and never stored.
+/// the columns of one tile, read straight from their slices and centred
+/// as they are read, and each spectrum's last pass is squared in cache
+/// and never stored.
 ///
 /// # Panics
 ///
 /// Panics if the window's length is not a power of two (or is zero), or
 /// a signal is not as long as the window.
-pub fn summed_power<'a>(signals: impl IntoIterator<Item = &'a [f64]>, window: &[f64]) -> Vec<f64> {
-    power(&mut signals.into_iter(), window, PASS_BITS)
+pub fn summed_power<'a>(
+    signals: impl IntoIterator<Item = &'a [f64]>,
+    mean: f64,
+    window: &[f64],
+) -> Vec<f64> {
+    power(&mut signals.into_iter(), mean, window, PASS_BITS)
 }
 
 /// Most stages in one pass: a tile of `2^12` rows of [`TILE_COLS`]
@@ -226,28 +232,42 @@ fn real_transform(signal: &[f64], pass_bits: u32) -> Vec<Complex> {
     out
 }
 
-fn autocorrelation(signal: &[f64], len: usize, lags: usize, pass_bits: u32) -> Vec<f64> {
+fn autocorrelation(
+    pool: &Pool,
+    signal: &[f64],
+    len: usize,
+    lags: usize,
+    pass_bits: u32,
+) -> Vec<f64> {
     let bits = log2(len);
     assert!(signal.len() <= len, "signal longer than the transform");
     assert!(
         (1..=len).contains(&lags),
         "lag count must lie in 1..=len, got {lags}"
     );
-    // A single pass hands its one tile to the inverse: nothing to store.
-    let mut spectrum = vec![Complex::ZERO; if bits > pass_bits { len } else { 0 }];
     let mut inverse = PrunedInverse::new(bits, lags, pass_bits);
-    Plan::new(bits, false, pass_bits).run(
-        &mut spectrum,
-        Some(&[signal]),
-        None,
-        Some(&mut |re, im, cols, j0| inverse.absorb(re, im, cols, j0)),
-    );
-    drop(spectrum);
+    let mut plan = Plan::new(bits, false, pass_bits);
+    let mut sink = |re: &[f64], im: &[f64], cols, j0| inverse.absorb(re, im, cols, j0);
+    if bits > pass_bits {
+        let mut spectrum = take_spectrum(pool, len);
+        plan.run(&mut spectrum[..len], Some(&[signal]), None, Some(&mut sink));
+        pool.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(spectrum);
+    } else {
+        // A single pass hands its one tile to the inverse: nothing to store.
+        plan.run(&mut [], Some(&[signal]), None, Some(&mut sink));
+    }
     let inv = 1.0 / len as f64;
     inverse.finish().iter().map(|z| z.scale(inv).re).collect()
 }
 
-fn power(signals: &mut dyn Iterator<Item = &[f64]>, window: &[f64], pass_bits: u32) -> Vec<f64> {
+fn power(
+    signals: &mut dyn Iterator<Item = &[f64]>,
+    mean: f64,
+    window: &[f64],
+    pass_bits: u32,
+) -> Vec<f64> {
     let len = window.len();
     let bits = log2(len);
     // Row `u` of a last-pass tile holds `X[u·2^a + j]`, `j ≥ j0`, of one
@@ -290,7 +310,7 @@ fn power(signals: &mut dyn Iterator<Item = &[f64]>, window: &[f64], pass_bits: u
         plan.run(
             &mut spectrum,
             Some(&batch[..live]),
-            Some(window),
+            Some((mean, window)),
             Some(&mut add),
         );
         if live < BATCH {
@@ -337,6 +357,35 @@ struct Twiddles {
     /// stages uses the first `2^m − 1`.
     low_re: Vec<f64>,
     low_im: Vec<f64>,
+}
+
+/// Spectrum buffers no two-pass autocorrelation is using. A call takes
+/// the smallest that holds its transform or, when none does, drops the
+/// largest and allocates its own, and it gives the buffer back once the
+/// forward transform has handed its last tile on. The pool grows only
+/// when every buffer in it is in use, so it never holds more buffers
+/// than calls that ran at once, and none outgrows the largest transform
+/// its slot served. Kept because a fresh buffer's first-touch faults and
+/// unmapping cost about 0.13 s at 2^24 points.
+static SPECTRA: Pool = Mutex::new(Vec::new());
+
+/// Free spectrum buffers.
+type Pool = Mutex<Vec<Vec<Complex>>>;
+
+/// A buffer of at least `len` values from `pool`. A reused one holds
+/// stale values; the forward transform writes each before it reads it.
+fn take_spectrum(pool: &Pool, len: usize) -> Vec<Complex> {
+    let mut free = pool.lock().unwrap_or_else(PoisonError::into_inner);
+    let fits = (0..free.len()).filter(|&i| free[i].len() >= len);
+    if let Some(i) = fits.min_by_key(|&i| free[i].len()) {
+        return free.swap_remove(i);
+    }
+    let largest = (0..free.len()).max_by_key(|&i| free[i].len());
+    let evicted = largest.map(|i| free.swap_remove(i));
+    // Unmap and fault in with the pool unlocked.
+    drop(free);
+    drop(evicted);
+    vec![Complex::ZERO; len]
 }
 
 /// Per direction, the twiddles sampled so far, grown on demand.
@@ -505,9 +554,10 @@ impl Plan {
     }
 
     /// Every butterfly stage over `2^bits` values: bit-reversed `data`,
-    /// or the `real` signals zero-padded and multiplied by `window` —
-    /// then `data` is output only, one transform per signal back to
-    /// back, and unused when a single pass feeds `sink`.
+    /// or the `real` signals zero-padded and, given `window` as
+    /// `(mean, w)`, read as `(x[i] − mean)·w[i]` — then `data` is output
+    /// only, one transform per signal back to back, and empty when a
+    /// single pass feeds `sink`.
     ///
     /// Pass `(a, m)` runs stages `a+1..=a+m`, which only pair indices
     /// that differ in bits `a..a+m`. Fixing the other bits leaves
@@ -519,11 +569,17 @@ impl Plan {
         &mut self,
         data: &mut [Complex],
         real: Option<&[&[f64]]>,
-        window: Option<&[f64]>,
+        window: Option<(f64, &[f64])>,
         mut sink: Option<TileSink>,
     ) {
         let layout = passes(self.bits, self.pass_bits);
         let len = 1usize << self.bits;
+        let signals = real.map_or(1, <[_]>::len);
+        let stored = match layout.len() == 1 && sink.is_some() {
+            true => 0,
+            false => len * signals,
+        };
+        assert_eq!(data.len(), stored, "transform buffer length");
         for (index, &(a, m)) in layout.iter().enumerate() {
             let rows = 1usize << m;
             let mut sink = if index + 1 == layout.len() {
@@ -554,7 +610,6 @@ impl Plan {
             let pass = &self.tables.stages[a as usize..(a + m) as usize];
             let mut tw = Tile::with_len((rows - 1) * cols);
             let mut tile = Tile::with_len(rows * cols);
-            let signals = real.map_or(1, <[_]>::len);
             for signal in data.chunks_exact_mut(len).take(signals) {
                 // Stage after stage, each recurrence at column 0: T[c·2^a].
                 let mut state: Vec<Complex> = pass
@@ -598,7 +653,7 @@ impl Plan {
         data: &mut [Complex],
         m: u32,
         signals: &[&[f64]],
-        window: Option<&[f64]>,
+        window: Option<(f64, &[f64])>,
         mut sink: Option<TileSink>,
     ) {
         let rows = 1usize << m;
@@ -615,7 +670,7 @@ impl Plan {
                 for (run, x) in runs.chunks_exact_mut(group).zip(signals) {
                     for (i, v) in (src..).zip(run) {
                         *v = match (x.get(i), window) {
-                            (Some(&x), Some(w)) => x * w[i],
+                            (Some(&x), Some((mean, w))) => (x - mean) * w[i],
                             (Some(&x), None) => x,
                             (None, _) => 0.0,
                         };
@@ -1141,7 +1196,7 @@ mod tests {
                         continue;
                     }
                     for pass_bits in [2, 3, 5, PASS_BITS] {
-                        let got = autocorrelation(&signal[..used], len, lags, pass_bits);
+                        let got = autocorrelation(&SPECTRA, &signal[..used], len, lags, pass_bits);
                         assert_eq!(got.len(), lags);
                         assert!(
                             all.iter()
@@ -1153,6 +1208,99 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `got` is the first 81 lags of the textbook path, bit for bit.
+    fn assert_textbook_lags(got: &[f64], signal: &[f64], len: usize) {
+        let want = textbook_autocorrelation(signal, len);
+        assert_eq!(got.len(), 81);
+        assert!(
+            want.iter()
+                .zip(got)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "{len} points, {} samples",
+            signal.len()
+        );
+    }
+
+    /// The lengths of the buffers free in `pool`.
+    fn free_lengths(pool: &Pool) -> Vec<usize> {
+        pool.lock().unwrap().iter().map(Vec::len).collect()
+    }
+
+    // The pool tests run on pools of their own: `cargo test` runs tests
+    // on parallel threads, and others use `SPECTRA`.
+
+    /// A pooled buffer four times too long, filled with NaN: the
+    /// transform runs on its first `len` values and writes each before
+    /// it reads it, and the buffer goes back to the pool.
+    #[test]
+    fn a_larger_stale_pooled_buffer_gives_the_textbook_lags() {
+        let pool: Pool = Mutex::new(vec![vec![Complex::new(f64::NAN, f64::NAN); 1 << 16]]);
+        let len = 1 << 14;
+        let signal = telegraph(len / 2 + 3, 41);
+        let got = autocorrelation(&pool, &signal, len, 81, PASS_BITS);
+        assert_textbook_lags(&got, &signal, len);
+        assert_eq!(free_lengths(&pool), [1 << 16]);
+    }
+
+    /// Calls one after another, each on the values the one before left:
+    /// one pass (no buffer), then two passes on one buffer that grows,
+    /// is shrunk into and is reused at full length. The pool holds just
+    /// that buffer, as long as the longest transform so far.
+    #[test]
+    fn one_pooled_buffer_shrinks_and_grows_across_the_one_pass_boundary() {
+        let pool = Pool::default();
+        let steps = [(12, vec![]), (13, vec![1 << 13]), (16, vec![1 << 16])];
+        let steps = steps
+            .into_iter()
+            .chain([(13, vec![1 << 16]), (16, vec![1 << 16])]);
+        for (i, (bits, free)) in steps.enumerate() {
+            let len = 1usize << bits;
+            let signal = values(len / 2, 50 + i as u64);
+            let got = autocorrelation(&pool, &signal, len, 81, PASS_BITS);
+            assert_textbook_lags(&got, &signal, len);
+            assert_eq!(free_lengths(&pool), free, "after {len} points");
+        }
+    }
+
+    /// Four threads that start together, four lengths, three rounds,
+    /// each thread moving to the next length every round: every result
+    /// is its serial one, and the pool ends with at most four buffers.
+    /// One barrier at the start, so a failing thread leaves none waiting.
+    #[test]
+    fn concurrent_calls_give_their_serial_results() {
+        let signals: Vec<(Vec<f64>, usize)> = (13..=16u32)
+            .map(|bits| (telegraph((1 << bits) / 2 + 5, u64::from(bits)), 1 << bits))
+            .collect();
+        let serial: Vec<Vec<f64>> = signals
+            .iter()
+            .map(|(x, len)| autocorrelation(&Pool::default(), x, *len, 81, PASS_BITS))
+            .collect();
+        let pool = Pool::default();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (pool, start, signals, serial) = (&pool, &start, &signals, &serial);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..3 {
+                        let k = (t + round) % 4;
+                        let (x, len) = &signals[k];
+                        let got = autocorrelation(pool, x, *len, 81, PASS_BITS);
+                        assert!(
+                            got.iter()
+                                .zip(&serial[k])
+                                .all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "thread {t}, round {round}, {len} points"
+                        );
+                    }
+                });
+            }
+        });
+        let free = free_lengths(&pool);
+        assert!((1..=4).contains(&free.len()), "{free:?}");
+        assert!(free.iter().all(|&n| n <= 1 << 16), "{free:?}");
     }
 
     /// Signal `s` of a batch: mixed values, with `+0.0` and `−0.0` among them.
@@ -1192,7 +1340,7 @@ mod tests {
                         continue;
                     }
                     let batch = &mut signals[..count].iter().map(Vec::as_slice);
-                    let got = power(batch, &window, pass_bits);
+                    let got = power(batch, 0.0, &window, pass_bits);
                     assert!(
                         want.iter()
                             .zip(&got)

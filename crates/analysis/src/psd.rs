@@ -84,8 +84,8 @@ pub fn welch(trace: &Trace, segment_len: usize) -> Spectrum {
         "segment_len {segment_len} exceeds trace length {}",
         trace.len()
     );
-    let detrended = trace.detrended();
-    let x = detrended.values();
+    let mean = trace.mean();
+    let x = trace.values();
     let hop = segment_len / 2;
     let window: Vec<f64> = (0..segment_len)
         .map(|i| {
@@ -96,7 +96,13 @@ pub fn welch(trace: &Trace, segment_len: usize) -> Spectrum {
     let window_power: f64 = window.iter().map(|w| w * w).sum::<f64>() / segment_len as f64;
 
     let segments = (x.len() - segment_len) / hop + 1;
-    let acc = summed_power((0..segments).map(|s| &x[s * hop..][..segment_len]), &window);
+    // Segments are centred as they are read (the `v − mean` of
+    // `Trace::detrended`), so the trace is never copied.
+    let acc = summed_power(
+        (0..segments).map(|s| &x[s * hop..][..segment_len]),
+        mean,
+        &window,
+    );
     let norm = 1.0 / (segments as f64 * window_power);
     let avg: Vec<crate::fft::Complex> = acc
         .iter()
@@ -273,8 +279,9 @@ mod tests {
         }
     }
 
-    /// Welch as it was before the segments were batched: one windowed
-    /// segment at a time, and each spectrum's `|X[k]|²` added in turn.
+    /// Welch as it was before the segments were batched and centred as
+    /// they are read: one windowed segment of a detrended copy of the
+    /// trace at a time, and each spectrum's `|X[k]|²` added in turn.
     fn per_segment_welch(trace: &Trace, segment_len: usize) -> Spectrum {
         let detrended = trace.detrended();
         let x = detrended.values();
@@ -308,10 +315,12 @@ mod tests {
         spectrum_from_fft(&avg, segment_len, trace.dt(), 1.0)
     }
 
-    /// Batched Welch against the per-segment loop, bit for bit: segment
-    /// lengths from 8 to 4096 and one that takes two passes, 1 to 17
-    /// segments (so the last batch of eight is partial), on noise, on a
-    /// 0/Δ staircase, and on a trace of `+0.0` and `−0.0` only.
+    /// Batched, centred Welch against the per-segment loop on the
+    /// detrended copy, bit for bit: segment lengths from 8 to 4096 and
+    /// one that takes two passes, 1 to 17 segments (so the last batch of
+    /// eight is partial), on noise, on a 0/Δ staircase, on a trace of
+    /// `+0.0` and `−0.0` only, and on a constant trace, which centres to
+    /// `+0.0` everywhere.
     #[test]
     fn batched_welch_is_bit_identical_to_the_per_segment_loop() {
         let mut rng = ChaCha8Rng::seed_from_u64(8);
@@ -338,7 +347,8 @@ mod tests {
                         -0.0
                     }
                 });
-                for trace in [&noise, &staircase, &zeros] {
+                let constant = Trace::from_fn(0.0, 1e-3, n, |_| 1.5);
+                for trace in [&noise, &staircase, &zeros, &constant] {
                     let want = per_segment_welch(trace, len);
                     let got = welch(trace, len);
                     let same = |a: &[f64], b: &[f64]| {
