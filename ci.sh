@@ -22,7 +22,7 @@ cargo test -q -p samurai-core --test properties
 # could break it.
 cargo test -q -p samurai-analysis
 cargo test -q --release -p samurai-analysis
-# Telemetry suite: observed runs bit-identical to NoopSink runs,
+# Telemetry suite: recording runs bit-identical to noop-recorder runs,
 # journal byte-identical across worker counts (pinned for the same
 # reason as the fault-injection suite).
 cargo test -q -p samurai --test telemetry
@@ -43,6 +43,11 @@ cargo test -q -p samurai --test two_pass_golden
 # truncation resumes into the full run (pinned so a test-filter change
 # can never drop it from the gate).
 cargo test -q -p samurai --test checkpoint
+# Serve unit suite: the exact `/metrics` document after a fixed mix of
+# accepted, cached, in-flight, busy, completed and failed submissions,
+# and chunked runs whose journals match the direct run's bytes
+# (pinned for the same reason as the suites above).
+cargo test -q -p samurai-serve --lib
 # Trap-result suite: the sealed per-panel means of two trap specs,
 # fingerprinted while each panel still built its sampled trace, so a
 # change to how the staircase is sampled or reduced that moves a bit

@@ -28,7 +28,7 @@ fn main() {
         parallelism.workers()
     );
     let rows: Vec<MarginRow> =
-        run_ensemble_resilient_observed::<IndexedResults<MarginRow>, _, CoreError, _>(
+        run_ensemble_resilient_observed::<IndexedResults<MarginRow>, _, CoreError>(
             nodes.len(),
             parallelism,
             &ExecutionPolicy::default(),

@@ -79,7 +79,7 @@ fn main() {
     // deterministic ensemble (bit-identical at any worker count).
     type ScenarioRun = (CycleOutcome, Option<f64>, Vec<(String, Vec<f64>)>);
     let runs: Vec<ScenarioRun> =
-        run_ensemble_resilient_observed::<IndexedResults<ScenarioRun>, _, CoreError, _>(
+        run_ensemble_resilient_observed::<IndexedResults<ScenarioRun>, _, CoreError>(
             scenarios.len(),
             parallelism,
             &ExecutionPolicy::default(),

@@ -16,7 +16,7 @@ use samurai_bench::{banner, write_tagged_csv, BenchSession};
 use samurai_core::ensemble::{
     run_ensemble_resilient_observed, ExecutionPolicy, MeanTrace, Parallelism,
 };
-use samurai_core::telemetry::MemoryRecorder;
+use samurai_core::telemetry::Recorder;
 use samurai_core::{gillespie, simulate_trap, ye, CoreError, SeedStream};
 use samurai_trap::{master, DeviceParams, PropensityModel, TrapParams, TrapState};
 use samurai_units::{Energy, Length};
@@ -34,10 +34,10 @@ fn mc_mean<F: Fn(u64) -> f64 + Sync>(
     jobs: u64,
     parallelism: Parallelism,
     policy: &ExecutionPolicy,
-    recorder: &mut MemoryRecorder,
+    recorder: &mut Recorder,
     f: F,
 ) -> f64 {
-    let outcome = run_ensemble_resilient_observed::<MeanTrace, _, CoreError, _>(
+    let outcome = run_ensemble_resilient_observed::<MeanTrace, _, CoreError>(
         jobs as usize,
         parallelism,
         policy,
@@ -189,6 +189,6 @@ fn main() {
         }
     );
     println!("csv: {}", path.display());
-    let jobs = session.recorder().sink().counter_value("jobs.completed") as usize;
+    let jobs = session.recorder().job_seconds().len();
     session.finish(jobs);
 }

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use samurai_core::checkpoint::{CheckpointConfig, RunBudget};
-use samurai_core::telemetry::{JsonValue, MemoryRecorder};
+use samurai_core::telemetry::{JsonValue, Recorder};
 use samurai_core::{FailurePolicy, Parallelism};
 
 /// Every command-line flag the bench binaries share, parsed in one
@@ -348,19 +348,19 @@ pub fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// One binary's telemetry session: a [`MemoryRecorder`] to thread
+/// One binary's telemetry session: a [`Recorder`] to thread
 /// through the `*_observed` entry points, plus the wall clock and the
 /// output directory given by `--metrics`.
 ///
-/// The recorder is always live (these are tool binaries; the zero-cost
-/// [`samurai_core::telemetry::NoopSink`] path is for library defaults),
-/// but [`BenchSession::finish`] only writes artifacts when a metrics
+/// The recorder is always live (these are tool binaries;
+/// [`Recorder::noop`] is for library defaults), but
+/// [`BenchSession::finish`] only writes artifacts when a metrics
 /// directory was requested.
 #[derive(Debug)]
 pub struct BenchSession {
     name: String,
     dir: Option<PathBuf>,
-    recorder: MemoryRecorder,
+    recorder: Recorder,
     watch: Instant,
 }
 
@@ -373,7 +373,7 @@ impl BenchSession {
         Self {
             name: name.to_owned(),
             dir: args.metrics_dir(),
-            recorder: MemoryRecorder::recording(),
+            recorder: Recorder::recording(),
             watch: Instant::now(),
         }
     }
@@ -385,13 +385,13 @@ impl BenchSession {
     }
 
     /// The recorder, to pass into `*_observed` entry points.
-    pub fn recorder_mut(&mut self) -> &mut MemoryRecorder {
+    pub fn recorder_mut(&mut self) -> &mut Recorder {
         &mut self.recorder
     }
 
     /// The recorder, for reads.
     #[must_use]
-    pub fn recorder(&self) -> &MemoryRecorder {
+    pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }
 
@@ -697,7 +697,7 @@ mod tests {
 
     #[test]
     fn bench_summaries_validate_and_reject_gaps() {
-        let recorder = MemoryRecorder::recording();
+        let recorder = Recorder::recording();
         let good = recorder.summary("unit", 0, 0.5);
         assert!(validate_bench_summary(&good).is_empty());
 

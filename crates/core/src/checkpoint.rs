@@ -67,7 +67,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use samurai_telemetry::json::{self, JsonValue};
-use samurai_telemetry::{JobProbe, JobRecord, MetricsSink, Recorder};
+use samurai_telemetry::{JobProbe, JobRecord, Recorder};
 
 use crate::ensemble::{
     drive, shard_size, EnsembleAccumulator, EnsembleOutcome, ExecutionPolicy, FailurePolicy,
@@ -275,26 +275,6 @@ impl Snapshot for crate::ensemble::MeanTrace {
             .collect::<Option<Vec<f64>>>()?;
         let count = usize::try_from(v.get("count")?.as_u64()?).ok()?;
         Some(Self::from_parts(sums, count))
-    }
-}
-
-impl Snapshot for crate::ensemble::CountHistogram {
-    fn to_snapshot(&self) -> JsonValue {
-        JsonValue::obj(vec![(
-            "bins",
-            JsonValue::Arr(self.bins().iter().map(|&n| JsonValue::U64(n)).collect()),
-        )])
-    }
-
-    fn from_snapshot(v: &JsonValue) -> Option<Self> {
-        let JsonValue::Arr(bins) = v.get("bins")? else {
-            return None;
-        };
-        let bins = bins
-            .iter()
-            .map(JsonValue::as_u64)
-            .collect::<Option<Vec<u64>>>()?;
-        Some(Self::from_bins(bins))
     }
 }
 
@@ -597,12 +577,12 @@ pub fn validate_checkpoint(doc: &JsonValue) -> Result<(), &'static str> {
 ///
 /// As [`crate::run_ensemble_resilient_observed`]; crash-safety
 /// machinery never raises errors of its own.
-pub fn run_ensemble_checkpointed<A, F, E, S>(
+pub fn run_ensemble_checkpointed<A, F, E>(
     jobs: usize,
     parallelism: Parallelism,
     policy: &ExecutionPolicy,
     controls: &RunControls,
-    recorder: &mut Recorder<S>,
+    recorder: &mut Recorder,
     make_acc: impl Fn() -> A + Sync,
     job: F,
 ) -> Result<EnsembleOutcome<A>, E>
@@ -610,7 +590,6 @@ where
     A: EnsembleAccumulator + Snapshot,
     F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
     E: Send + std::fmt::Debug + From<InjectedFault> + From<JobPanic>,
-    S: MetricsSink,
 {
     let mut progress = Progress::cold();
     if controls.checkpoint.resume {

@@ -111,7 +111,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 
 use samurai_telemetry::{
-    JobProbe, JobRecord, Journal, JournalEvent, JsonValue, MetricsSink, Recorder, Stopwatch,
+    JobProbe, JobRecord, Journal, JournalEvent, JsonValue, Recorder, Stopwatch,
 };
 
 use crate::checkpoint::{RunControls, KILL_EXIT};
@@ -778,12 +778,12 @@ where
 /// Absorbing once, here, is what makes the journal byte-identical at
 /// every worker count and across checkpoint/resume boundaries.
 #[allow(clippy::too_many_arguments)] // private; the public runners bundle these
-pub(crate) fn drive<A, F, E, S>(
+pub(crate) fn drive<A, F, E>(
     jobs: usize,
     parallelism: Parallelism,
     policy: &ExecutionPolicy,
     controls: &RunControls,
-    recorder: &mut Recorder<S>,
+    recorder: &mut Recorder,
     mut progress: Progress<A>,
     make_acc: impl Fn() -> A + Sync,
     job: F,
@@ -793,7 +793,6 @@ where
     A: EnsembleAccumulator,
     F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
     E: Send + std::fmt::Debug + From<InjectedFault> + From<JobPanic>,
-    S: MetricsSink,
 {
     let width = shard_size(jobs);
     let shards = jobs.div_ceil(width);
@@ -918,11 +917,11 @@ where
 /// ran; always the overall-lowest when sequential). Under
 /// `Quarantine`, the error of the first failure past the
 /// `max_failures` budget in job order.
-pub fn run_ensemble_resilient_observed<A, F, E, S>(
+pub fn run_ensemble_resilient_observed<A, F, E>(
     jobs: usize,
     parallelism: Parallelism,
     policy: &ExecutionPolicy,
-    recorder: &mut Recorder<S>,
+    recorder: &mut Recorder,
     make_acc: impl Fn() -> A + Sync,
     job: F,
 ) -> Result<EnsembleOutcome<A>, E>
@@ -930,7 +929,6 @@ where
     A: EnsembleAccumulator,
     F: Fn(usize, usize, &mut JobProbe) -> Result<A::Item, E> + Sync,
     E: Send + std::fmt::Debug + From<InjectedFault> + From<JobPanic>,
-    S: MetricsSink,
 {
     drive(
         jobs,
@@ -1064,55 +1062,6 @@ impl<T: Send> EnsembleAccumulator for IndexedResults<T> {
     }
 }
 
-/// A mergeable histogram of small non-negative integer outcomes
-/// (events per trap, errors per cell, …): bin `i` counts jobs whose
-/// outcome was `i`, with one overflow bin at the top.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountHistogram {
-    bins: Vec<u64>,
-}
-
-impl CountHistogram {
-    /// A histogram with `bins` regular bins plus an overflow bin.
-    pub fn with_bins(bins: usize) -> Self {
-        Self {
-            bins: vec![0; bins + 1],
-        }
-    }
-
-    /// The counts, overflow bin last.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Rebuilds a histogram from checkpointed counts (overflow bin
-    /// last, as returned by [`CountHistogram::bins`]).
-    pub fn from_bins(bins: Vec<u64>) -> Self {
-        Self { bins }
-    }
-
-    /// Total absorbed outcomes.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum()
-    }
-}
-
-impl EnsembleAccumulator for CountHistogram {
-    type Item = usize;
-
-    fn absorb(&mut self, _job: usize, outcome: usize) {
-        let idx = outcome.min(self.bins.len() - 1);
-        self.bins[idx] += 1;
-    }
-
-    fn merge(&mut self, other: Self) {
-        assert_eq!(other.bins.len(), self.bins.len(), "bin count mismatch");
-        for (slot, v) in self.bins.iter_mut().zip(other.bins) {
-            *slot += v;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1200,20 +1149,25 @@ mod tests {
             0,
             Parallelism::Auto,
             &ExecutionPolicy::default(),
-            || CountHistogram::with_bins(4),
+            IndexedResults::<usize>::new,
             |_, _| Ok(0),
         )
         .unwrap();
-        assert_eq!(out.acc.total(), 0);
+        assert_eq!(out.acc.into_vec().len(), 0);
         assert_eq!(out.report.effective_jobs(), 0);
         assert_eq!(out.completion, Completion::Complete);
     }
 
     #[test]
     fn indexed_results_preserve_job_order() {
-        for p in [Parallelism::Fixed(1), Parallelism::Fixed(4)] {
+        // 5 000 jobs shard five to a shard over eight workers.
+        for (jobs, p) in [
+            (257, Parallelism::Fixed(1)),
+            (257, Parallelism::Fixed(4)),
+            (5000, Parallelism::Fixed(8)),
+        ] {
             let out = run(
-                257,
+                jobs,
                 p,
                 &ExecutionPolicy::default(),
                 IndexedResults::new,
@@ -1221,27 +1175,8 @@ mod tests {
             )
             .unwrap();
             let v = out.acc.into_vec();
-            assert_eq!(v.len(), 257);
+            assert_eq!(v.len(), jobs);
             assert!(v.iter().enumerate().all(|(i, &x)| x == i * i));
-        }
-    }
-
-    #[test]
-    fn histogram_counts_every_job_once() {
-        for p in [Parallelism::Fixed(1), Parallelism::Fixed(8)] {
-            let acc = run(
-                5000,
-                p,
-                &ExecutionPolicy::default(),
-                || CountHistogram::with_bins(10),
-                |job, _| Ok(job % 13), // some outcomes overflow the top bin
-            )
-            .unwrap()
-            .acc;
-            assert_eq!(acc.total(), 5000);
-            // Outcomes 10, 11, 12 land in the overflow bin.
-            let overflow = acc.bins()[10];
-            assert!(overflow > 1000, "overflow bin {overflow}");
         }
     }
 
@@ -1251,7 +1186,7 @@ mod tests {
             100,
             Parallelism::Fixed(1),
             &ExecutionPolicy::default(),
-            || CountHistogram::with_bins(2),
+            IndexedResults::<usize>::new,
             |job, _| {
                 if job >= 40 {
                     Err(TestError::Job(job))
@@ -1270,7 +1205,7 @@ mod tests {
             100,
             Parallelism::Fixed(4),
             &ExecutionPolicy::default(),
-            || CountHistogram::with_bins(2),
+            IndexedResults::<usize>::new,
             |job, _| {
                 if job == 63 {
                     Err(TestError::Job(job))
@@ -1333,7 +1268,7 @@ mod tests {
             50,
             Parallelism::Fixed(3),
             &policy,
-            || CountHistogram::with_bins(4),
+            IndexedResults::<usize>::new,
             |j, rung| {
                 // Job 17 needs rung 2; job 30 needs rung 1.
                 let needed = match j {
@@ -1349,7 +1284,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(outcome.acc.total(), 50);
+        assert_eq!(outcome.acc.into_vec().len(), 50);
         assert_eq!(
             outcome.report.rescued,
             vec![
@@ -1370,7 +1305,7 @@ mod tests {
             20,
             Parallelism::Fixed(1),
             &policy,
-            || CountHistogram::with_bins(2),
+            IndexedResults::<usize>::new,
             |j, _rung| {
                 if j == 5 {
                     Err(TestError::Job(j))
@@ -1443,7 +1378,7 @@ mod tests {
                 100,
                 Parallelism::Fixed(workers),
                 &policy,
-                || CountHistogram::with_bins(2),
+                IndexedResults::<usize>::new,
                 |j, _rung| {
                     if j % 10 == 0 {
                         Err(TestError::Job(j))
@@ -1473,11 +1408,11 @@ mod tests {
             20,
             Parallelism::Fixed(2),
             &policy,
-            || CountHistogram::with_bins(2),
+            IndexedResults::<usize>::new,
             |_j, _rung| Ok(0),
         )
         .unwrap();
-        assert_eq!(outcome.acc.total(), 19);
+        assert_eq!(outcome.acc.into_vec().len(), 19);
         let q = &outcome.report.quarantined[0];
         assert_eq!(q.job, 7);
         // The ladder is not climbed for job-site faults, but the
@@ -1505,14 +1440,14 @@ mod tests {
                 30,
                 Parallelism::Fixed(workers),
                 &policy,
-                || CountHistogram::with_bins(2),
+                IndexedResults::<usize>::new,
                 |j, _rung| {
                     assert!(j != 13, "poisoned sample");
                     Ok(0)
                 },
             )
             .unwrap();
-            assert_eq!(outcome.acc.total(), 29, "workers = {workers}");
+            assert_eq!(outcome.acc.into_vec().len(), 29, "workers = {workers}");
             assert_eq!(outcome.report.quarantined.len(), 1);
             let q = &outcome.report.quarantined[0];
             assert_eq!(q.job, 13);
@@ -1528,7 +1463,7 @@ mod tests {
             10,
             Parallelism::Fixed(1),
             &policy,
-            || CountHistogram::with_bins(2),
+            IndexedResults::<usize>::new,
             |j, _rung| {
                 if j == 4 {
                     panic!("boom at {j}");

@@ -7,7 +7,7 @@ use crate::ensemble::{
 use crate::{
     rtn_current, simulate_trap_probed, BiasWaveforms, CoreError, SeedStream, UniformisationConfig,
 };
-use samurai_telemetry::{JobProbe, MetricsSink, Recorder};
+use samurai_telemetry::{JobProbe, Recorder};
 use samurai_trap::{DeviceParams, PropensityModel, TrapParams};
 use samurai_waveform::Pwc;
 
@@ -129,12 +129,12 @@ impl RtnGenerator {
     /// # Errors
     ///
     /// As [`generate`](Self::generate).
-    pub fn generate_observed<S: MetricsSink>(
+    pub fn generate_observed(
         &self,
         bias: &BiasWaveforms,
         t0: f64,
         tf: f64,
-        recorder: &mut Recorder<S>,
+        recorder: &mut Recorder,
     ) -> Result<DeviceRtn, CoreError> {
         if !(tf > t0) {
             return Err(CoreError::EmptyHorizon { t0, tf });

@@ -30,7 +30,7 @@ use rand::Rng;
 
 use crate::ensemble::{run_ensemble_resilient_observed, ExecutionPolicy, MeanTrace, Parallelism};
 use crate::{exp_rand, CoreError, SeedStream};
-use samurai_telemetry::{JobProbe, MetricsSink, Recorder, TrapStats};
+use samurai_telemetry::{JobProbe, Recorder, TrapStats};
 use samurai_trap::{PropensityModel, TrapState};
 use samurai_waveform::{Pwc, Pwl, Trace};
 
@@ -230,13 +230,13 @@ pub fn ensemble_occupancy(
 
 /// [`ensemble_occupancy`] with an explicit worker policy, reporting
 /// per-run event counts and timings into a telemetry [`Recorder`]; the
-/// trace is bit-identical at every worker count and for every sink.
+/// trace is bit-identical at every worker count, recording or not.
 ///
 /// # Errors
 ///
 /// As [`ensemble_occupancy`].
 #[allow(clippy::too_many_arguments)]
-pub fn ensemble_occupancy_observed<S: MetricsSink>(
+pub fn ensemble_occupancy_observed(
     model: &PropensityModel,
     v_gs: &Pwl,
     t0: f64,
@@ -245,7 +245,7 @@ pub fn ensemble_occupancy_observed<S: MetricsSink>(
     runs: usize,
     seeds: &SeedStream,
     parallelism: Parallelism,
-    recorder: &mut Recorder<S>,
+    recorder: &mut Recorder,
 ) -> Result<Trace, CoreError> {
     assert!(runs > 0, "need at least one run");
     let tf = t0 + dt * n as f64;

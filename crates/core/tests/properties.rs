@@ -215,7 +215,7 @@ proptest! {
                 faults: faults.clone(),
                 seed,
             };
-            run_ensemble_resilient_observed::<IndexedResults<u64>, _, CoreError, _>(
+            run_ensemble_resilient_observed::<IndexedResults<u64>, _, CoreError>(
                 jobs,
                 Parallelism::Fixed(workers),
                 &policy,
@@ -270,7 +270,7 @@ proptest! {
     ) {
         let bad = bad % jobs;
         let run = |failure: FailurePolicy, fail_bad: bool| {
-            run_ensemble_resilient_observed::<IndexedResults<(usize, usize)>, _, CoreError, _>(
+            run_ensemble_resilient_observed::<IndexedResults<(usize, usize)>, _, CoreError>(
                 jobs,
                 Parallelism::Fixed(4),
                 &ExecutionPolicy { failure, faults: FaultPlan::none(), seed },
@@ -326,7 +326,7 @@ proptest! {
             seed,
         };
         let run = |budget: RunBudget| {
-            run_ensemble_checkpointed::<IndexedResults<u64>, _, CoreError, _>(
+            run_ensemble_checkpointed::<IndexedResults<u64>, _, CoreError>(
                 jobs,
                 Parallelism::Fixed(workers),
                 &policy,

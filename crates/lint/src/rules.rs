@@ -322,11 +322,11 @@ pub const RULES: &[Rule] = &[
         id: "OBS001",
         title: "no telemetry sink calls in hot loops",
         contract: "observability",
-        explain: "MetricsSink calls (`.counter(..)`, `.observe(..)`) inside a \
+        explain: "Telemetry calls (`.counter(..)`, `.observe(..)`) inside a \
                   `// lint: hot-loop` region put map lookups and branches on the \
-                  innermost numeric path whenever a recording sink is attached. Bump a \
+                  innermost numeric path whenever telemetry is recording. Bump a \
                   plain u64 field on the persistent workspace stats (SolverStats, \
-                  TrapStats) instead and let the sink consume the bundle at the job \
+                  TrapStats) instead and let the recorder absorb the bundle at the job \
                   boundary, as the Newton and uniformisation loops do. Justify a \
                   deliberate exception with `// lint: allow(OBS001): reason`.",
     },

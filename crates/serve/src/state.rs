@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use samurai_telemetry::{JsonValue, MemorySink, MetricsSink};
+use samurai_telemetry::JsonValue;
 
 use crate::spec::{ticket_hex, JobSpec};
 use crate::store::ResultStore;
@@ -82,9 +82,15 @@ struct JobEntry {
 struct Inner {
     queue: VecDeque<u64>,
     jobs: BTreeMap<u64, JobEntry>,
-    metrics: MemorySink,
+    metrics: BTreeMap<&'static str, u64>,
     draining: bool,
     active: usize,
+}
+
+impl Inner {
+    fn bump(&mut self, key: &'static str, delta: u64) {
+        *self.metrics.entry(key).or_insert(0) += delta;
+    }
 }
 
 /// The shared heart of the service. See the module docs.
@@ -111,7 +117,7 @@ impl ServiceState {
     pub fn open(store: ResultStore, capacity: usize) -> io::Result<Self> {
         let mut inner = Inner::default();
         for (ticket, spec) in store.pending_requests()? {
-            inner.metrics.counter("serve.jobs_recovered", 1);
+            inner.bump("serve.jobs_recovered", 1);
             let jobs_total = spec.jobs();
             inner.jobs.insert(
                 ticket,
@@ -158,13 +164,13 @@ impl ServiceState {
         let document = spec.document();
         let mut inner = self.lock();
         if self.store.load_result(ticket).is_some() {
-            inner.metrics.counter("serve.cache_hit", 1);
+            inner.bump("serve.cache_hit", 1);
             return Ok(SubmitOutcome::Cached(ticket));
         }
-        inner.metrics.counter("serve.cache_miss", 1);
+        inner.bump("serve.cache_miss", 1);
         if let Some(entry) = inner.jobs.get(&ticket) {
             if matches!(entry.phase, JobPhase::Queued | JobPhase::Running) {
-                inner.metrics.counter("serve.inflight_hit", 1);
+                inner.bump("serve.inflight_hit", 1);
                 return Ok(SubmitOutcome::InFlight(ticket));
             }
         }
@@ -172,7 +178,7 @@ impl ServiceState {
             return Ok(SubmitOutcome::Draining);
         }
         if inner.queue.len() >= self.capacity {
-            inner.metrics.counter("serve.rejected_busy", 1);
+            inner.bump("serve.rejected_busy", 1);
             return Ok(SubmitOutcome::Busy { retry_after: 1 });
         }
         self.store.put_request(ticket, &document)?;
@@ -189,9 +195,7 @@ impl ServiceState {
             },
         );
         inner.queue.push_back(ticket);
-        inner.metrics.counter("serve.jobs_accepted", 1);
-        let depth = inner.queue.len();
-        inner.metrics.observe("serve.queue_depth", depth as f64);
+        inner.bump("serve.jobs_accepted", 1);
         drop(inner);
         self.work.notify_one();
         Ok(SubmitOutcome::Accepted(ticket))
@@ -244,12 +248,12 @@ impl ServiceState {
             match error {
                 None => {
                     entry.phase = JobPhase::Done;
-                    inner.metrics.counter("serve.jobs_completed", 1);
+                    inner.bump("serve.jobs_completed", 1);
                 }
                 Some(msg) => {
                     entry.phase = JobPhase::Failed;
                     entry.error = Some(msg);
-                    inner.metrics.counter("serve.jobs_failed", 1);
+                    inner.bump("serve.jobs_failed", 1);
                 }
             }
         }
@@ -317,7 +321,6 @@ impl ServiceState {
         let inner = self.lock();
         let mut members: Vec<(String, JsonValue)> = inner
             .metrics
-            .counters()
             .iter()
             .map(|(k, v)| ((*k).to_owned(), JsonValue::U64(*v)))
             .collect();
@@ -331,7 +334,7 @@ impl ServiceState {
     /// Adds to a named service counter (used by the HTTP layer for
     /// request accounting).
     pub fn bump(&self, key: &'static str, delta: u64) {
-        self.lock().metrics.counter(key, delta);
+        self.lock().bump(key, delta);
     }
 
     /// Whether the service has begun draining.
@@ -418,6 +421,45 @@ mod tests {
         let metrics = st.metrics_json().to_json();
         assert!(metrics.contains("\"serve.jobs_accepted\":2"));
         assert!(metrics.contains("\"serve.rejected_busy\":1"));
+    }
+
+    #[test]
+    fn metrics_document_counts_each_submission_outcome() {
+        let st = state("samurai-serve-state-metrics", 2);
+        let SubmitOutcome::Accepted(done) = st.submit(spec(1)).unwrap() else {
+            panic!("expected accept");
+        };
+        assert_eq!(st.submit(spec(1)).unwrap(), SubmitOutcome::InFlight(done));
+        let SubmitOutcome::Accepted(failed) = st.submit(spec(2)).unwrap() else {
+            panic!("expected accept");
+        };
+        assert_eq!(
+            st.submit(spec(3)).unwrap(),
+            SubmitOutcome::Busy { retry_after: 1 }
+        );
+
+        let (ticket, job) = st.next_job().unwrap();
+        assert_eq!(ticket, done);
+        let payload = JsonValue::obj(vec![
+            ("ticket", JsonValue::Str(ticket_hex(ticket))),
+            ("request", job.canonical_payload()),
+            ("jobs", JsonValue::U64(job.jobs() as u64)),
+            ("completion", JsonValue::Str("complete".into())),
+            ("results", JsonValue::Arr(vec![])),
+            ("journal", JsonValue::Str(String::new())),
+        ]);
+        st.store().put_result(ticket, payload).unwrap();
+        st.finish(ticket, None);
+        assert_eq!(st.submit(spec(1)).unwrap(), SubmitOutcome::Cached(done));
+        assert_eq!(st.next_job().unwrap().0, failed);
+        st.finish(failed, Some("boom".to_owned()));
+
+        assert_eq!(
+            st.metrics_json().to_json(),
+            "{\"serve.cache_hit\":1,\"serve.cache_miss\":4,\"serve.inflight_hit\":1,\
+             \"serve.jobs_accepted\":2,\"serve.jobs_completed\":1,\"serve.jobs_failed\":1,\
+             \"serve.rejected_busy\":1,\"serve.queue_depth.now\":0}"
+        );
     }
 
     #[test]

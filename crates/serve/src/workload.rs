@@ -25,7 +25,6 @@ use samurai_sram::{
     cell_geometries, run_column_ensemble_observed, ColumnConfig, ColumnEnsembleConfig,
     SramCellParams, SramError,
 };
-use samurai_telemetry::MemorySink;
 use samurai_trap::{DeviceParams, PropensityModel, TrapParams};
 use samurai_units::{Energy, Length};
 use samurai_waveform::Pwl;
@@ -194,7 +193,7 @@ pub fn run_chunk(
 ) -> Result<ChunkOutcome, String> {
     let policy = execution_policy(spec);
     let controls = RunControls { checkpoint, budget };
-    let mut rec: Recorder<MemorySink> = Recorder::recording();
+    let mut rec = Recorder::recording();
     match spec.workload {
         Workload::Trap { panels, samples } => {
             let outcome = run_ensemble_checkpointed(
@@ -259,7 +258,7 @@ pub fn run_chunk(
 
 fn slice_outcome(
     jobs: usize,
-    rec: &Recorder<MemorySink>,
+    rec: &Recorder,
     outcome: samurai_core::ensemble::EnsembleOutcome<IndexedResults<f64>>,
 ) -> ChunkOutcome {
     let complete = outcome.completion == Completion::Complete;
@@ -293,7 +292,7 @@ fn slice_outcome(
 pub fn run_direct(
     spec: &JobSpec,
     parallelism: Parallelism,
-    recorder: &mut Recorder<MemorySink>,
+    recorder: &mut Recorder,
 ) -> Result<(), String> {
     let policy = execution_policy(spec);
     match spec.workload {

@@ -17,7 +17,7 @@
 use samurai_core::ensemble::{
     run_ensemble_resilient_observed, ExecutionPolicy, FailurePolicy, IndexedResults, Parallelism,
 };
-use samurai_telemetry::{JobProbe, MetricsSink, Recorder};
+use samurai_telemetry::{JobProbe, Recorder};
 use samurai_waveform::BitPattern;
 
 use crate::{run_methodology, MethodologyConfig, SramError};
@@ -110,19 +110,19 @@ fn writes_ok(
 ///
 /// The bracket-endpoint sanity probes run outside the ensemble and are
 /// not journalled; every multisection probe is. The recorder only
-/// observes: the margins do not depend on its sink.
+/// observes: the margins do not depend on whether it records.
 ///
 /// # Errors
 ///
 /// Returns [`SramError::InvalidConfig`] if even the widest window
 /// fails, and propagates simulation failures once the rescue ladder is
 /// exhausted.
-pub fn timing_margin_observed<S: MetricsSink>(
+pub fn timing_margin_observed(
     pattern: &BitPattern,
     base: &MethodologyConfig,
     iterations: usize,
     policy: FailurePolicy,
-    recorder: &mut Recorder<S>,
+    recorder: &mut Recorder,
 ) -> Result<TimingMargin, SramError> {
     let rungs = policy.rungs();
     let window_max = 0.97 - base.timing.wl_on_frac;
@@ -142,7 +142,7 @@ pub fn timing_margin_observed<S: MetricsSink>(
         ..base.clone()
     };
 
-    let search = |with_rtn: bool, recorder: &mut Recorder<S>| -> Result<f64, SramError> {
+    let search = |with_rtn: bool, recorder: &mut Recorder| -> Result<f64, SramError> {
         if !writes_ok(
             pattern,
             &probe_base,

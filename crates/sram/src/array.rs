@@ -18,7 +18,7 @@ use samurai_core::faults::FaultPlan;
 use samurai_core::scenario::ScenarioConfig;
 use samurai_core::telemetry::JsonValue;
 use samurai_core::SeedStream;
-use samurai_telemetry::{JobProbe, MetricsSink, Recorder};
+use samurai_telemetry::{JobProbe, Recorder};
 use samurai_trap::TrapParams;
 use samurai_waveform::BitPattern;
 
@@ -205,16 +205,17 @@ pub fn run_array(pattern: &BitPattern, config: &ArrayConfig) -> Result<ArrayStat
 ///
 /// Each finished cell contributes its two-pass SPICE solver counters
 /// (from [`MethodologyReport::solver`](crate::MethodologyReport)) to the
-/// journal and metric sinks; the array statistics themselves are
-/// bit-identical to [`run_array`] for every worker count and sink.
+/// journal and totals; the array statistics themselves are
+/// bit-identical to [`run_array`] for every worker count, recording or
+/// not.
 ///
 /// # Errors
 ///
 /// As [`run_array`].
-pub fn run_array_observed<S: MetricsSink>(
+pub fn run_array_observed(
     pattern: &BitPattern,
     config: &ArrayConfig,
-    recorder: &mut Recorder<S>,
+    recorder: &mut Recorder,
 ) -> Result<ArrayStats, SramError> {
     let seeds = SeedStream::new(config.seed);
     let scenario = scenario_or_default(config.scenario);

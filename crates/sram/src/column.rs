@@ -38,7 +38,7 @@ use samurai_spice::{
     Circuit, CompiledCircuit, DcConfig, ElementId, MosfetAdjust, MosfetParams, NodeId, ParamPatch,
     SolverChoice, Source, TransientConfig,
 };
-use samurai_telemetry::{JobProbe, MetricsSink, Recorder};
+use samurai_telemetry::{JobProbe, Recorder};
 use samurai_trap::Technology;
 use samurai_waveform::Pwl;
 
@@ -796,14 +796,14 @@ pub fn run_column_ensemble(config: &ColumnEnsembleConfig) -> Result<ColumnStats,
 
 /// [`run_column_ensemble`] reporting per-member solver effort into a
 /// telemetry [`Recorder`]. The statistics are bit-identical to
-/// [`run_column_ensemble`] for every worker count and sink.
+/// [`run_column_ensemble`] for every worker count, recording or not.
 ///
 /// # Errors
 ///
 /// As [`run_column_ensemble`].
-pub fn run_column_ensemble_observed<S: MetricsSink>(
+pub fn run_column_ensemble_observed(
     config: &ColumnEnsembleConfig,
-    recorder: &mut Recorder<S>,
+    recorder: &mut Recorder,
 ) -> Result<ColumnStats, SramError> {
     let seeds = SeedStream::new(config.seed);
     let scenario = scenario_or_default(config.scenario);

@@ -1,92 +1,4 @@
-//! Fixed-bucket histograms and percentile helpers.
-//!
-//! Bucket bounds are fixed by the caller at construction, never
-//! adapted to the data — so two runs that observe the same values
-//! produce the same counts regardless of observation order, and
-//! bucket counts can be pinned as golden values in tests.
-
-/// A histogram over caller-fixed bucket boundaries.
-///
-/// With bounds `[b0, b1, …, bn]` (strictly increasing), bucket `i`
-/// counts observations `x` with `b(i-1) <= x < b(i)`; the first
-/// bucket is `x < b0` and a final overflow bucket holds `x >= bn`,
-/// for `n + 2` buckets in total.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FixedHistogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    total: u64,
-    sum: f64,
-}
-
-impl FixedHistogram {
-    /// A histogram with the given strictly-increasing bucket bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly increasing.
-    #[must_use]
-    pub fn new(bounds: Vec<f64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        let buckets = bounds.len() + 1;
-        Self {
-            bounds,
-            counts: vec![0; buckets],
-            total: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        let idx = self.bounds.partition_point(|&b| b <= x);
-        self.counts[idx] += 1;
-        self.total += 1;
-        self.sum += x;
-    }
-
-    /// The bucket bounds.
-    #[must_use]
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts, overflow bucket last.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations recorded.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Sum of all recorded observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Merges another histogram with identical bounds into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds differ.
-    pub fn merge(&mut self, other: &Self) {
-        assert_eq!(self.bounds, other.bounds, "histogram bounds mismatch");
-        for (slot, v) in self.counts.iter_mut().zip(&other.counts) {
-            *slot += v;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-    }
-}
+//! The nearest-rank percentile of a sorted sample.
 
 /// The nearest-rank percentile of an ascending-sorted sample.
 ///
@@ -105,34 +17,6 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_partition_the_line() {
-        let mut h = FixedHistogram::new(vec![1.0, 10.0, 100.0]);
-        for x in [0.5, 1.0, 5.0, 10.0, 99.0, 100.0, 1e6] {
-            h.record(x);
-        }
-        // x < 1 | 1 <= x < 10 | 10 <= x < 100 | x >= 100
-        assert_eq!(h.counts(), &[1, 2, 2, 2]);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = FixedHistogram::new(vec![1.0]);
-        let mut b = a.clone();
-        a.record(0.0);
-        b.record(2.0);
-        a.merge(&b);
-        assert_eq!(a.counts(), &[1, 1]);
-        assert_eq!(a.total(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn rejects_unsorted_bounds() {
-        let _ = FixedHistogram::new(vec![2.0, 1.0]);
-    }
 
     #[test]
     fn nearest_rank_percentiles() {

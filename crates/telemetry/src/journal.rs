@@ -8,8 +8,8 @@
 //! worker count.
 //!
 //! Determinism rule: events carry counts, indices and seeds only —
-//! never wall-clock time. Durations belong to metric sinks (see the
-//! crate-level contract).
+//! never wall-clock time. Durations belong to the recorder's latency
+//! samples (see the crate-level contract).
 
 use crate::json::JsonValue;
 use crate::stats::{ScenarioStamp, SolverStats, TrapStats};

@@ -3,28 +3,26 @@
 //! The paper's practicality claim (§V: SAMURAI-driven Monte-Carlo over
 //! large SRAM arrays) is a *throughput* claim, and every future
 //! performance PR needs a measured baseline to argue against. This
-//! crate is that baseline's substrate: counters, fixed-bucket
-//! histograms, lightweight spans and a job-ordered event journal —
-//! all dependency-free and, crucially, **deterministic by
-//! construction**.
+//! crate is that baseline's substrate: plain counter bundles, a
+//! monotonic stopwatch and a job-ordered event journal — all
+//! dependency-free and, crucially, **deterministic by construction**.
 //!
 //! # The determinism contract
 //!
 //! Observability must never perturb what it observes:
 //!
-//! 1. **Zero-cost when off.** The [`MetricsSink`] trait carries an
-//!    associated `const ENABLED`; the default [`NoopSink`] sets it to
-//!    `false`, so every telemetry branch guarded by
-//!    [`MetricsSink::live`] is dead code the optimiser removes. Hot
-//!    loops never call a sink: they bump plain [`stats`] counters that
-//!    the sink consumes at job boundaries, so they stay on the
-//!    allocation-free contract.
+//! 1. **Nothing in the hot loops.** Liveness is a runtime flag on the
+//!    [`Recorder`], checked only at job boundaries: a
+//!    [`Recorder::noop`] run skips the probes, the stopwatches and the
+//!    record pass. Hot loops never touch the recorder: they bump plain
+//!    [`stats`] counters that it absorbs once per job, so they stay on
+//!    the allocation-free contract.
 //! 2. **Counts, not clocks, in the journal.** The [`Journal`] records
 //!    only deterministic quantities (iteration counts, rescue rungs,
 //!    accept/reject tallies). Wall-clock durations live exclusively
-//!    in metric sinks and bench summaries, which are never
-//!    byte-compared. The journal is therefore byte-identical at every
-//!    worker count.
+//!    in the recorder's latency samples and bench summaries, which
+//!    are never byte-compared. The journal is therefore
+//!    byte-identical at every worker count.
 //! 3. **Wall-clock containment.** [`std::time::Instant`] is touched
 //!    only inside this crate ([`Stopwatch`]), behind an explicit
 //!    `samurai-lint` allowance. Simulation crates consume the
@@ -33,10 +31,8 @@
 //!
 //! # Layout
 //!
-//! - [`sink`]: the [`MetricsSink`] trait, [`NoopSink`], the recording
-//!   [`MemorySink`].
-//! - [`hist`]: [`FixedHistogram`] with caller-fixed bucket bounds.
-//! - [`span`]: [`Stopwatch`] and [`Span`] monotonic timing.
+//! - [`hist`]: the nearest-rank [`percentile`].
+//! - [`span`]: [`Stopwatch`] monotonic timing.
 //! - [`stats`]: plain-counter bundles ([`SolverStats`], [`TrapStats`])
 //!   incremented as bare `u64` fields in hot loops.
 //! - [`journal`]: the job-ordered [`Journal`] of [`JournalEvent`]s
@@ -54,14 +50,12 @@ pub mod hist;
 pub mod journal;
 pub mod json;
 pub mod recorder;
-pub mod sink;
 pub mod span;
 pub mod stats;
 
-pub use hist::{percentile, FixedHistogram};
+pub use hist::percentile;
 pub use journal::{Journal, JournalEvent};
 pub use json::{fnv1a64, JsonValue};
-pub use recorder::{JobProbe, JobRecord, MemoryRecorder, NoopRecorder, Recorder};
-pub use sink::{MemorySink, MetricsSink, NoopSink};
-pub use span::{Span, Stopwatch};
+pub use recorder::{JobProbe, JobRecord, MemoryRecorder, Recorder};
+pub use span::Stopwatch;
 pub use stats::{ScenarioStamp, SolverStats, TrapStats};

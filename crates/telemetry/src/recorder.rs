@@ -7,18 +7,17 @@
 //! each finished job into a [`JobRecord`] inside its shard outcome;
 //! after the deterministic shard merge the single-threaded
 //! [`Recorder`] absorbs the records **in job order** — journal lines,
-//! sink counters and the latency sample all come from that ordered
-//! pass, which is why they are worker-count independent.
+//! solver and trap totals and the latency sample all come from that
+//! ordered pass, which is why they are worker-count independent.
 
 use crate::hist::percentile;
 use crate::journal::{Journal, JournalEvent};
 use crate::json::JsonValue;
-use crate::sink::{MemorySink, MetricsSink, NoopSink};
 use crate::stats::{ScenarioStamp, SolverStats, TrapStats};
 
 /// Per-job statistics collection point handed to job closures.
 ///
-/// A dead probe (from a [`NoopRecorder`] run) ignores everything, so
+/// A dead probe (from a [`Recorder::noop`] run) ignores everything, so
 /// instrumented closures cost two predictable branches when telemetry
 /// is off.
 #[derive(Debug, Clone, Copy, Default)]
@@ -214,63 +213,50 @@ impl JobRecord {
 
 /// The single-threaded collection handle for one observed run.
 ///
-/// Generic over the sink so a [`NoopRecorder`] is compile-time dead:
-/// [`Recorder::live`] is `Sink::ENABLED`, and the ensemble engine
-/// skips probe/record work entirely when it is `false`.
+/// Liveness is a runtime flag fixed at construction: a
+/// [`Recorder::noop`] ignores every call, and the ensemble engine
+/// skips probe and record work entirely when [`Recorder::live`] is
+/// `false`. The default recorder is the noop one.
 #[derive(Debug, Clone, Default)]
-pub struct Recorder<S: MetricsSink> {
-    sink: S,
+pub struct Recorder {
+    live: bool,
     journal: Journal,
     job_seconds: Vec<f64>,
     solver_totals: SolverStats,
     trap_totals: TrapStats,
 }
 
-/// A recorder that observes nothing, at zero cost.
-pub type NoopRecorder = Recorder<NoopSink>;
+/// Another name for [`Recorder`], kept for callers written when the
+/// recording recorder was a type of its own.
+pub type MemoryRecorder = Recorder;
 
-/// A recorder over an in-memory sink.
-pub type MemoryRecorder = Recorder<MemorySink>;
-
-impl Recorder<NoopSink> {
+impl Recorder {
     /// The do-nothing recorder.
     #[must_use]
     pub fn noop() -> Self {
         Self::default()
     }
-}
 
-impl Recorder<MemorySink> {
-    /// A recording recorder over a fresh [`MemorySink`].
+    /// A recorder that journals and totals every absorbed job.
     #[must_use]
     pub fn recording() -> Self {
-        Self::default()
-    }
-}
-
-impl<S: MetricsSink> Recorder<S> {
-    /// A recorder over an explicit sink.
-    #[must_use]
-    pub fn with_sink(sink: S) -> Self {
         Self {
-            sink,
-            journal: Journal::new(),
-            job_seconds: Vec::new(),
-            solver_totals: SolverStats::default(),
-            trap_totals: TrapStats::default(),
+            live: true,
+            ..Self::default()
         }
     }
 
     /// Whether anything is recorded at all.
     #[must_use]
     pub fn live(&self) -> bool {
-        self.sink.live()
+        self.live
     }
 
-    /// Absorbs one finished job: a journal line (counts only), sink
-    /// counters, and the latency sample. Call in job order.
+    /// Absorbs one finished job: a journal line (counts only), the
+    /// solver and trap totals, and the latency sample. Call in job
+    /// order.
     pub fn absorb_job(&mut self, rec: &JobRecord) {
-        if !self.live() {
+        if !self.live {
             return;
         }
         self.journal.push(JournalEvent::Job {
@@ -283,32 +269,11 @@ impl<S: MetricsSink> Recorder<S> {
         self.solver_totals.add(rec.solver);
         self.trap_totals.add(rec.trap);
         self.job_seconds.push(rec.seconds);
-        self.sink.counter("jobs.completed", 1);
-        if rec.rescued.is_some() {
-            self.sink.counter("jobs.rescued", 1);
-        }
-        self.sink
-            .counter("solver.solve_attempts", rec.solver.solve_attempts);
-        self.sink
-            .counter("solver.newton_iterations", rec.solver.newton_iterations);
-        self.sink
-            .counter("solver.steps_accepted", rec.solver.steps_accepted);
-        self.sink
-            .counter("solver.timestep_rejections", rec.solver.timestep_rejections);
-        self.sink
-            .counter("solver.rescue_gmin_rungs", rec.solver.rescue_gmin_rungs);
-        self.sink
-            .counter("solver.rescue_config_rungs", rec.solver.rescue_config_rungs);
-        self.sink
-            .counter("solver.faults_injected", rec.solver.faults_injected);
-        self.sink.counter("trap.candidates", rec.trap.candidates);
-        self.sink.counter("trap.accepted", rec.trap.accepted);
-        self.sink.observe("job.seconds", rec.seconds);
     }
 
     /// Journals a rescue outcome (summary line, after the job lines).
     pub fn record_rescue(&mut self, job: usize, rung: usize) {
-        if self.live() {
+        if self.live {
             self.journal.push(JournalEvent::Rescued { job, rung });
         }
     }
@@ -321,20 +286,19 @@ impl<S: MetricsSink> Recorder<S> {
         rungs_attempted: usize,
         error: &str,
     ) {
-        if self.live() {
+        if self.live {
             self.journal.push(JournalEvent::Quarantined {
                 job,
                 seed,
                 rungs_attempted,
                 error: error.to_owned(),
             });
-            self.sink.counter("jobs.quarantined", 1);
         }
     }
 
     /// Journals a labelled count from outside the per-job flow.
     pub fn note(&mut self, label: &str, value: u64) {
-        if self.live() {
+        if self.live {
             self.journal.push(JournalEvent::Note {
                 label: label.to_owned(),
                 value,
@@ -346,17 +310,6 @@ impl<S: MetricsSink> Recorder<S> {
     #[must_use]
     pub fn journal(&self) -> &Journal {
         &self.journal
-    }
-
-    /// The sink, for direct reads.
-    #[must_use]
-    pub fn sink(&self) -> &S {
-        &self.sink
-    }
-
-    /// The sink, for direct instrumentation.
-    pub fn sink_mut(&mut self) -> &mut S {
-        &mut self.sink
     }
 
     /// Per-job wall-clock samples, in job order.
@@ -480,10 +433,6 @@ mod tests {
         r.record_quarantine(5, 99, 3, "NonConvergence");
         r.note("margin.multisection_rounds", 1);
         assert_eq!(r.journal().len(), 6);
-        assert_eq!(r.sink().counter_value("jobs.completed"), 3);
-        assert_eq!(r.sink().counter_value("jobs.rescued"), 1);
-        assert_eq!(r.sink().counter_value("jobs.quarantined"), 1);
-        assert_eq!(r.sink().counter_value("solver.newton_iterations"), 15);
         assert_eq!(r.solver_totals().newton_iterations, 15);
         assert_eq!(r.trap_totals().candidates, 30);
         assert_eq!(r.job_seconds(), &[0.25, 0.5, 0.75]);

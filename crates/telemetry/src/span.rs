@@ -4,9 +4,9 @@
 //! reads in simulation crates: time must never influence numeric
 //! state. Telemetry legitimately needs durations, so the clock lives
 //! here — behind an explicit lint allowance — and the rest of the
-//! workspace consumes only this API. Durations flow into metric
-//! sinks and bench summaries; the event journal carries none (see the
-//! crate-level determinism contract).
+//! workspace consumes only this API. Durations flow into the
+//! recorder's latency samples and bench summaries; the event journal
+//! carries none (see the crate-level determinism contract).
 
 // lint: allow(DET001): wall-clock is deliberately confined to the telemetry crate
 use std::time::Instant;
@@ -35,49 +35,9 @@ impl Stopwatch {
     }
 }
 
-/// A labelled timing span: start it around a region, then
-/// [`Span::finish`] it into a sink as `span.<label>.seconds`.
-#[derive(Debug, Clone, Copy)]
-pub struct Span {
-    label: &'static str,
-    watch: Stopwatch,
-}
-
-impl Span {
-    /// Opens a span.
-    #[must_use]
-    pub fn enter(label: &'static str) -> Self {
-        Self {
-            label,
-            watch: Stopwatch::start(),
-        }
-    }
-
-    /// The span's label.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        self.label
-    }
-
-    /// Seconds elapsed so far.
-    #[must_use]
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.watch.elapsed_seconds()
-    }
-
-    /// Closes the span, recording its duration into `sink` under the
-    /// key `label` (callers pass a `span.`-prefixed static label).
-    pub fn finish(self, sink: &mut impl crate::MetricsSink) {
-        if sink.live() {
-            sink.observe(self.label, self.watch.elapsed_seconds());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{MemorySink, NoopSink};
 
     #[test]
     fn stopwatch_monotonically_accumulates() {
@@ -86,18 +46,5 @@ mod tests {
         let b = w.elapsed_seconds();
         assert!(a >= 0.0);
         assert!(b >= a);
-    }
-
-    #[test]
-    fn span_records_into_a_live_sink_only() {
-        let mut mem = MemorySink::new();
-        Span::enter("span.test.seconds").finish(&mut mem);
-        assert_eq!(mem.samples("span.test.seconds").len(), 1);
-
-        let mut off = NoopSink;
-        let span = Span::enter("span.test.seconds");
-        assert_eq!(span.label(), "span.test.seconds");
-        assert!(span.elapsed_seconds() >= 0.0);
-        span.finish(&mut off);
     }
 }

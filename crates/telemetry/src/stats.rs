@@ -1,10 +1,10 @@
 //! Plain-counter statistic bundles incremented in hot loops.
 //!
-//! These are deliberately bare `u64` fields, not sink calls: a field
+//! These are deliberately bare `u64` fields, not recorder calls: a field
 //! increment is branch-free, allocation-free and deterministic, so the
 //! solver and sampler hot loops can maintain them unconditionally
 //! (they already did, as the PR4 `rescue_rungs_fired()` counters).
-//! Sinks and journals consume the bundles at *job boundaries* only.
+//! The recorder absorbs the bundles at *job boundaries* only.
 
 /// Counters a compiled-circuit solver accumulates across a run.
 ///

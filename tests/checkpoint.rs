@@ -14,7 +14,7 @@ use std::process::Command;
 
 use samurai::core::checkpoint::{CheckpointConfig, RunBudget, RunControls, KILL_EXIT};
 use samurai::core::ensemble::{
-    Completion, CountHistogram, ExecutionPolicy, FailurePolicy, Parallelism,
+    Completion, ExecutionPolicy, FailurePolicy, IndexedResults, Parallelism,
 };
 use samurai::core::faults::{FaultKind, FaultPlan};
 use samurai::core::telemetry::Recorder;
@@ -281,16 +281,20 @@ fn a_panicking_job_is_quarantined_not_fatal() {
         &policy,
         &controls,
         &mut recorder,
-        || CountHistogram::with_bins(4),
-        |job, _rung, _probe| -> Result<usize, CoreError> {
+        IndexedResults::new,
+        |job, _rung, _probe| -> Result<u64, CoreError> {
             assert!(job != 5, "deliberate panic in job 5");
-            Ok(job % 3)
+            Ok(job as u64 % 3)
         },
     )
     .expect("the panic is contained, not propagated");
 
     assert_eq!(outcome.completion, Completion::Complete);
-    assert_eq!(outcome.acc.total(), 11, "the other eleven jobs all landed");
+    assert_eq!(
+        outcome.acc.into_vec().len(),
+        11,
+        "the other eleven jobs all landed"
+    );
     let quarantined = &outcome.report.quarantined;
     assert_eq!(quarantined.len(), 1);
     assert_eq!(quarantined[0].job, 5);

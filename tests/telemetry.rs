@@ -1,14 +1,14 @@
 //! Telemetry subsystem integration: observation must never change
-//! results. A metrics-enabled run is bit-identical to the NoopSink
-//! run at every worker count, the event journal is byte-identical
-//! across worker counts (it is built after the ordered shard merge),
-//! and registered histograms reproduce golden bucket counts under
+//! results. A recording run is bit-identical to the noop-recorder run
+//! at every worker count, the event journal is byte-identical across
+//! worker counts (it is built after the ordered shard merge), and the
+//! journal's per-job Newton counts land in golden buckets under
 //! seeded fault injection.
 
 use samurai::core::ensemble::{FailurePolicy, Parallelism};
 use samurai::core::faults::{FaultKind, FaultPlan};
 use samurai::core::scenario::ScenarioConfig;
-use samurai::core::telemetry::{JournalEvent, MemorySink, MetricsSink, Recorder};
+use samurai::core::telemetry::{JournalEvent, Recorder};
 use samurai::core::{ensemble_occupancy, ensemble_occupancy_observed, SeedStream};
 use samurai::sram::array::{run_array, run_array_observed, ArrayConfig};
 use samurai::sram::MethodologyConfig;
@@ -73,21 +73,17 @@ fn observed_ensemble_occupancy_is_bit_identical_to_unobserved() {
         )
         .expect("runs");
         assert_eq!(observed, reference, "{workers} workers");
-        assert_eq!(
-            recorder.sink().counter_value("jobs.completed"),
-            runs as u64,
-            "{workers} workers"
-        );
+        assert_eq!(recorder.job_seconds().len(), runs, "{workers} workers");
         assert!(
-            recorder.sink().counter_value("trap.candidates") > 0,
-            "uniformisation candidates must be visible to the sink"
+            recorder.trap_totals().candidates > 0,
+            "uniformisation candidates must be visible to the recorder"
         );
         assert_eq!(recorder.journal().len(), runs, "one event per job");
     }
 }
 
-/// The observed array sweep (recording sink, fault injected) produces
-/// the same cell statistics as the plain NoopSink path.
+/// The observed array sweep (recording recorder, fault injected)
+/// produces the same cell statistics as the plain noop-recorder path.
 #[test]
 fn observed_array_sweep_is_bit_identical_to_noop() {
     let pattern = BitPattern::parse("1").expect("static pattern");
@@ -99,10 +95,16 @@ fn observed_array_sweep_is_bit_identical_to_noop() {
         let observed = run_array_observed(&pattern, &faulted_config(workers), &mut recorder)
             .expect("observed sweep");
         assert_eq!(observed.cells, reference.cells, "{workers} workers");
-        assert_eq!(recorder.sink().counter_value("jobs.completed"), 3);
-        assert_eq!(recorder.sink().counter_value("jobs.quarantined"), 1);
+        assert_eq!(recorder.job_seconds().len(), 3);
+        let quarantined = recorder
+            .journal()
+            .events()
+            .iter()
+            .filter(|event| matches!(event, JournalEvent::Quarantined { .. }))
+            .count();
+        assert_eq!(quarantined, 1);
         assert!(
-            recorder.sink().counter_value("solver.newton_iterations") > 0,
+            recorder.solver_totals().newton_iterations > 0,
             "the SPICE passes must report Newton effort"
         );
     }
@@ -136,42 +138,32 @@ fn journal_is_byte_identical_across_worker_counts() {
     }
 }
 
-/// Per-job solver effort, bucketed through a registered histogram,
-/// reproduces golden counts under seeded fault injection: the journal
-/// carries deterministic per-job counters, so the bucketing is exact.
+/// Per-job solver effort reproduces golden bucket counts under seeded
+/// fault injection: the journal carries deterministic per-job
+/// counters, so the bucketing is exact.
 #[test]
 fn histogram_buckets_match_golden_values_under_fault_injection() {
     let pattern = BitPattern::parse("1").expect("static pattern");
-    let sink = MemorySink::new().with_histogram(
-        "solver.newton_iterations.per_job",
-        vec![100.0, 1000.0, 10_000.0],
-    );
-    let mut recorder = Recorder::with_sink(sink);
+    let mut recorder = Recorder::recording();
     run_array_observed(&pattern, &faulted_config(2), &mut recorder).expect("observed sweep");
 
-    let per_job: Vec<f64> = recorder
+    let per_job: Vec<u64> = recorder
         .journal()
         .events()
         .iter()
         .filter_map(|event| match event {
-            JournalEvent::Job { solver, .. } => Some(solver.newton_iterations as f64),
+            JournalEvent::Job { solver, .. } => Some(solver.newton_iterations),
             _ => None,
         })
         .collect();
+    // Golden bucket counts over the bounds 100, 1000 and 10 000 for
+    // seed 9 / 4 cells / job-2 quarantined are [0, 3, 0, 0]: all three
+    // surviving cells' two-pass flows take 100..1000 Newton
+    // iterations. A drift here means the solver or the counter
+    // plumbing changed behaviour.
     assert_eq!(per_job.len(), 3, "three surviving cells");
-    for v in &per_job {
-        recorder
-            .sink_mut()
-            .observe("solver.newton_iterations.per_job", *v);
-    }
-
-    let hist = recorder
-        .sink()
-        .histogram("solver.newton_iterations.per_job")
-        .expect("registered above");
-    // Golden bucket counts for seed 9 / 4 cells / job-2 quarantined:
-    // every surviving cell's two-pass flow lands in the 100..1000
-    // Newton-iteration bucket. A drift here means the solver or the
-    // counter plumbing changed behaviour.
-    assert_eq!(hist.counts(), &[0, 3, 0, 0], "golden bucket counts");
+    assert!(
+        per_job.iter().all(|n| (100..1000).contains(n)),
+        "golden bucket counts: {per_job:?}"
+    );
 }
