@@ -36,6 +36,11 @@ cargo test -q -p samurai --test solver_equivalence
 # captured before they shared it (pinned for the same reason as the
 # suites above).
 cargo test -q -p samurai --test two_pass_golden
+# SPICE fingerprint suite: the 6T cell's dcop and write transient,
+# bit for bit on the dense and forced-sparse paths; the single cell and
+# every column row share one 6T builder, which must keep these bits
+# (pinned for the same reason as the suites above).
+cargo test -q -p samurai --test spice_golden
 # Crash-safety suite: a column ensemble killed mid-run at 1/2/8
 # workers, on the dense and sparse solvers and with a quarantined
 # member in flight, must resume into the uninterrupted run's stats and

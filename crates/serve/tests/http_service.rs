@@ -10,7 +10,8 @@
 //!   executing any jobs (the cache-hit counter moves, the
 //!   jobs-accepted counter does not);
 //! * a hostile body or request head is answered `400` and the server
-//!   keeps serving.
+//!   keeps serving;
+//! * a client stalled mid-request does not hold up the next one.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -256,13 +257,13 @@ fn a_deeply_nested_body_is_rejected_and_the_server_keeps_serving() {
 const CLIENT_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Sends `head` on one fresh connection and returns the status code of
-/// the answer, or `None` if none arrives before [`CLIENT_DEADLINE`].
-/// The server may answer and close while the head is still being
-/// written, so a failed write (a reset) ends the sending, not the test.
-fn status_for_head(addr: &str, head: &[u8]) -> Option<u16> {
+/// the answer, or `None` if none arrives before `deadline`. The server
+/// may answer and close while the head is still being written, so a
+/// failed write (a reset) ends the sending, not the test.
+fn status_for_head(addr: &str, head: &[u8], deadline: Duration) -> Option<u16> {
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(CLIENT_DEADLINE)).unwrap();
-    stream.set_write_timeout(Some(CLIENT_DEADLINE)).unwrap();
+    stream.set_read_timeout(Some(deadline)).unwrap();
+    stream.set_write_timeout(Some(deadline)).unwrap();
     for piece in head.chunks(4096) {
         if stream.write_all(piece).is_err() {
             break;
@@ -311,10 +312,52 @@ fn an_oversized_request_head_is_rejected_and_the_server_keeps_serving() {
         ("endless line", endless_line),
         ("10 000 headers", many_headers),
     ] {
-        assert_eq!(status_for_head(&addr, head.as_bytes()), Some(400), "{case}");
+        assert_eq!(
+            status_for_head(&addr, head.as_bytes(), CLIENT_DEADLINE),
+            Some(400),
+            "{case}"
+        );
         let (status, _) = request(&addr, "GET", "/metrics", None);
         assert_eq!(status, 200, "the server must survive the {case}");
     }
+
+    let (status, _) = request(&addr, "POST", "/admin/drain", None);
+    assert_eq!(status, 200);
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// How long a second client waits for `/metrics` while another client
+/// stalls mid-request line: well inside the server's 10 s read
+/// timeout, so a server that reads one connection at a time fails.
+const STALL_DEADLINE: Duration = Duration::from_secs(2);
+
+/// A client that sends half a request line and then stalls must not
+/// hold up the accept loop: while it stays connected, a second
+/// client's `GET /metrics` is answered.
+#[test]
+fn a_stalled_client_does_not_hold_up_the_next_one() {
+    let dir = std::env::temp_dir().join(format!("samurai-serve-stall-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ResultStore::open(&dir).unwrap(),
+        ServerConfig {
+            workers: 1,
+            parallelism: Parallelism::Fixed(1),
+            chunk: 2,
+            capacity: 2,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = thread::spawn(move || server.run().unwrap());
+
+    let mut stalled = TcpStream::connect(&addr).unwrap();
+    stalled.write_all(b"GET /metr").unwrap();
+    let head = b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n";
+    assert_eq!(status_for_head(&addr, head, STALL_DEADLINE), Some(200));
+    drop(stalled);
 
     let (status, _) = request(&addr, "POST", "/admin/drain", None);
     assert_eq!(status, 200);

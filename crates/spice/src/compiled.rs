@@ -87,15 +87,16 @@ impl IntegMode {
     }
 }
 
+/// Newton convergence threshold on the largest voltage update (volts).
+const V_TOL: f64 = 1e-9;
+/// Newton convergence threshold on the largest KCL residual (amperes).
+const I_TOL: f64 = 1e-9;
+
 /// Numerical controls for the Newton iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NewtonConfig {
     /// Iteration budget before `NonConvergence` is reported.
     pub max_iterations: usize,
-    /// Convergence threshold on the largest voltage update.
-    pub v_tol: f64,
-    /// Convergence threshold on the largest KCL residual (amperes).
-    pub i_tol: f64,
     /// Per-iteration clamp on voltage updates (damping).
     pub v_step_clamp: f64,
 }
@@ -104,8 +105,6 @@ impl Default for NewtonConfig {
     fn default() -> Self {
         Self {
             max_iterations: 200,
-            v_tol: 1e-9,
-            i_tol: 1e-9,
             v_step_clamp: 0.5,
         }
     }
@@ -1252,11 +1251,11 @@ impl CompiledCircuit {
             }
 
             // lint: allow(HYG004): exact 1.0 means "no scaling requested"
-            if scale == 1.0 && max_dv < config.v_tol && !force_nonconvergence {
+            if scale == 1.0 && max_dv < V_TOL && !force_nonconvergence {
                 // Check the residual at the updated point.
                 self.assemble(x, ws);
                 let max_res = ws.res[..n_nodes].iter().fold(0.0f64, |m, r| m.max(r.abs()));
-                if max_res < config.i_tol {
+                if max_res < I_TOL {
                     return Ok(());
                 }
             }

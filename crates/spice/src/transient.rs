@@ -8,6 +8,10 @@ use crate::dcop::DcConfig;
 use crate::netlist::{Circuit, ElementId};
 use crate::SpiceError;
 
+/// Step-size floor: a step halved below it climbs the rescue ladder,
+/// and then fails with [`SpiceError::StepUnderflow`].
+const DT_MIN: f64 = 1e-18;
+
 /// Time integration method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Integrator {
@@ -28,8 +32,6 @@ pub struct TransientConfig {
     pub dt_init: Option<f64>,
     /// Maximum step size; `None` picks `(tf − t0)/50`.
     pub dt_max: Option<f64>,
-    /// Step-size floor before giving up.
-    pub dt_min: f64,
     /// Largest accepted per-step node-voltage change; bigger steps are
     /// rejected and retried with half the step.
     pub dv_max: f64,
@@ -47,7 +49,6 @@ impl Default for TransientConfig {
             integrator: Integrator::Trapezoidal,
             dt_init: None,
             dt_max: None,
-            dt_min: 1e-18,
             dv_max: 0.12,
             dc: DcConfig::default(),
             newton: NewtonConfig::default(),
@@ -86,8 +87,9 @@ impl TransientConfig {
 }
 
 /// The step-level rescue ladder: what [`run_transient`] tries, on the
-/// failing step only, after timestep halving has bottomed out at
-/// `dt_min` — mirroring the dcop gmin/source-stepping homotopy.
+/// failing step only, after timestep halving has bottomed out at the
+/// 1e-18 s step floor — mirroring the dcop gmin/source-stepping
+/// homotopy.
 ///
 /// Stage 1 ramps an extra gmin down `gmin_ramp` (warm-starting each
 /// rung from the previous one) and finishes with a gmin-free solve;
@@ -258,8 +260,8 @@ impl CompiledCircuit {
     /// # Errors
     ///
     /// Propagates DC/Newton failures; returns
-    /// [`SpiceError::StepUnderflow`] if the step collapses below
-    /// `dt_min`.
+    /// [`SpiceError::StepUnderflow`] if the step collapses below the
+    /// 1e-18 s floor.
     ///
     /// # Panics
     ///
@@ -356,7 +358,7 @@ impl CompiledCircuit {
                         .iter()
                         .zip(&ws.x[..self.n_nodes])
                         .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-                    max_dv <= config.dv_max || h <= config.dt_min * 4.0
+                    max_dv <= config.dv_max || h <= DT_MIN * 4.0
                 }
                 Err(e @ SpiceError::SingularMatrix { .. }) => return Err(e),
                 Err(_) => false,
@@ -373,7 +375,7 @@ impl CompiledCircuit {
                     true
                 } else {
                     dt = h / 2.0;
-                    dt < config.dt_min
+                    dt < DT_MIN
                 };
                 if bottomed {
                     self.rescue_step(ws, t, t_new, mode, dt.min(h), config)?;
@@ -447,7 +449,6 @@ impl CompiledCircuit {
             let cfg = NewtonConfig {
                 max_iterations: config.newton.max_iterations.saturating_mul(1 << k.min(16)),
                 v_step_clamp: config.newton.v_step_clamp / 2f64.powi(k.min(32) as i32),
-                ..config.newton
             };
             if self
                 .solve_trial_with(ws, t_new, mode, 0.0, false, &cfg)
@@ -475,7 +476,7 @@ impl CompiledCircuit {
 /// # Errors
 ///
 /// Propagates DC/Newton failures; returns [`SpiceError::StepUnderflow`]
-/// if the step collapses below `dt_min`.
+/// if the step collapses below the 1e-18 s floor.
 pub fn run_transient(
     ckt: &Circuit,
     t0: f64,

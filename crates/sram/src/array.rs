@@ -8,6 +8,7 @@
 //! aggregates write-error statistics — the "bit-error impact of RTN on
 //! entire SRAM arrays" the authors name as the next step.
 
+use rand::Rng;
 use samurai_core::checkpoint::{
     run_ensemble_checkpointed, CheckpointConfig, RunBudget, RunControls, Snapshot,
 };
@@ -241,7 +242,7 @@ pub fn run_array_observed(
                 scenario.sample(&mut cell_seeds.rng(0), &cell_geometries(&config.base.cell));
             // The traps are pre-sampled from the exact substreams the
             // methodology's sites draw from (DESIGN §19).
-            let methodology_seed = cell_seeds.rng(1).seed_u64();
+            let methodology_seed: u64 = cell_seeds.rng(1).gen();
             let site_seeds = SeedStream::new(methodology_seed);
             let lowered = lower(
                 &sample,
@@ -298,18 +299,6 @@ pub fn run_array_observed(
         report: outcome.report,
         completion: outcome.completion,
     })
-}
-
-/// Helper extension: derive a `u64` seed from an RNG stream.
-trait SeedU64 {
-    fn seed_u64(&mut self) -> u64;
-}
-
-impl SeedU64 for rand_chacha::ChaCha8Rng {
-    fn seed_u64(&mut self) -> u64 {
-        use rand::Rng;
-        self.gen()
-    }
 }
 
 #[cfg(test)]

@@ -129,6 +129,61 @@ pub fn cell_geometries(params: &SramCellParams) -> Vec<DeviceGeometry> {
         .collect()
 }
 
+/// The nodes one 6T cell is wired between.
+pub(crate) struct CellNodes {
+    pub(crate) vdd: NodeId,
+    pub(crate) q: NodeId,
+    pub(crate) qb: NodeId,
+    pub(crate) bl: NodeId,
+    pub(crate) blb: NodeId,
+    pub(crate) wl: NodeId,
+}
+
+/// Adds one 6T cell to `ckt`: transistors `M1`–`M6` with `params` (in
+/// [`Transistor::index`] order), a `node_cap` capacitor on each storage
+/// node, and one silent RTN injection source per transistor, in that
+/// element order. Returns the transistor and RTN-source ids, both in
+/// [`Transistor::index`] order.
+///
+/// This is the one place the cell topology is written down: the single
+/// cell and every row of a generated column are built through it.
+pub(crate) fn add_6t(
+    ckt: &mut Circuit,
+    n: &CellNodes,
+    params: [MosfetParams; 6],
+    node_cap: f64,
+) -> ([ElementId; 6], [ElementId; 6]) {
+    let [p1, p2, p3, p4, p5, p6] = params;
+    // Pass transistors: drain on the bit line, source on the cell
+    // node (the device is symmetric; current direction varies).
+    let m1 = ckt.mosfet(n.bl, n.wl, n.q, p1);
+    let m2 = ckt.mosfet(n.blb, n.wl, n.qb, p2);
+    // Cross-coupled pair. M3/M6 drive Q (gates on Q̄), M4/M5 drive
+    // Q̄ (gates on Q).
+    let m3 = ckt.mosfet(n.q, n.qb, n.vdd, p3);
+    let m4 = ckt.mosfet(n.qb, n.q, n.vdd, p4);
+    let m5 = ckt.mosfet(n.qb, n.q, Circuit::GROUND, p5);
+    let m6 = ckt.mosfet(n.q, n.qb, Circuit::GROUND, p6);
+
+    ckt.capacitor(n.q, Circuit::GROUND, node_cap);
+    ckt.capacitor(n.qb, Circuit::GROUND, node_cap);
+
+    // One RTN injection source per transistor, initially silent.
+    // Injecting from source-terminal to drain-terminal *opposes* the
+    // nominal channel current when fed the (signed) Eq (3) trace — the
+    // glitch model of Fig 4.
+    let terminal_pairs = [
+        (n.q, n.bl),             // M1: source=q (cell side), drain=bl
+        (n.qb, n.blb),           // M2
+        (n.vdd, n.q),            // M3: PMOS source=vdd, drain=q
+        (n.vdd, n.qb),           // M4
+        (Circuit::GROUND, n.qb), // M5: NMOS source=gnd, drain=qb
+        (Circuit::GROUND, n.q),  // M6
+    ];
+    let rtn_sources = terminal_pairs.map(|(s, d)| ckt.isource(s, d, Source::Dc(0.0)));
+    ([m1, m2, m3, m4, m5, m6], rtn_sources)
+}
+
 /// A built 6T cell: the circuit plus handles to every node and element
 /// the methodology needs.
 #[derive(Debug, Clone)]
@@ -174,41 +229,22 @@ impl SramCell {
         let bl_source = ckt.vsource(bl, Circuit::GROUND, Source::Dc(0.0));
         let blb_source = ckt.vsource(blb, Circuit::GROUND, Source::Dc(0.0));
 
-        let nmos = |w: f64, dv: f64| MosfetParams::nmos_90nm(w).with_vth_shift(dv);
-        let pmos = |w: f64, dv: f64| MosfetParams::pmos_90nm(w).with_vth_shift(dv);
-        let shift = params.vth_shift;
-
-        // Pass transistors: drain on the bit line, source on the cell
-        // node (the device is symmetric; current direction varies).
-        let m1 = ckt.mosfet(bl, wl, q, nmos(params.pass_w, shift[0]));
-        let m2 = ckt.mosfet(blb, wl, qb, nmos(params.pass_w, shift[1]));
-        // Cross-coupled pair. M3/M6 drive Q (gates on Q̄), M4/M5 drive
-        // Q̄ (gates on Q).
-        let m3 = ckt.mosfet(q, qb, vdd_node, pmos(params.pullup_w, shift[2]));
-        let m4 = ckt.mosfet(qb, q, vdd_node, pmos(params.pullup_w, shift[3]));
-        let m5 = ckt.mosfet(qb, q, Circuit::GROUND, nmos(params.pulldown_w, shift[4]));
-        let m6 = ckt.mosfet(q, qb, Circuit::GROUND, nmos(params.pulldown_w, shift[5]));
-
-        ckt.capacitor(q, Circuit::GROUND, params.node_cap);
-        ckt.capacitor(qb, Circuit::GROUND, params.node_cap);
-
-        // One RTN injection source per transistor, initially silent.
-        // Injecting from source-terminal to drain-terminal *opposes*
-        // the nominal channel current when fed the (signed) Eq (3)
-        // trace — the glitch model of Fig 4.
-        let transistors = [m1, m2, m3, m4, m5, m6];
-        let terminal_pairs = [
-            (q, bl),               // M1: source=q (cell side), drain=bl
-            (qb, blb),             // M2
-            (vdd_node, q),         // M3: PMOS source=vdd, drain=q
-            (vdd_node, qb),        // M4
-            (Circuit::GROUND, qb), // M5: NMOS source=gnd, drain=qb
-            (Circuit::GROUND, q),  // M6
-        ];
-        let mut rtn_sources = [m1; 6];
-        for (i, (s_node, d_node)) in terminal_pairs.into_iter().enumerate() {
-            rtn_sources[i] = ckt.isource(s_node, d_node, Source::Dc(0.0));
-        }
+        let shifted = std::array::from_fn(|t| {
+            cell_mosfet_params(&params, t).with_vth_shift(params.vth_shift[t])
+        });
+        let (transistors, rtn_sources) = add_6t(
+            &mut ckt,
+            &CellNodes {
+                vdd: vdd_node,
+                q,
+                qb,
+                bl,
+                blb,
+                wl,
+            },
+            shifted,
+            params.node_cap,
+        );
 
         Self {
             circuit: ckt,

@@ -5,11 +5,10 @@
 //! share one bit-line pair, loaded by the periphery that a real array
 //! hangs off the column — precharge/equalise devices, a column mux, a
 //! latch-type sense amplifier and a write driver. This module
-//! generates that netlist from a [`ColumnConfig`], with every stage
-//! individually optional, and exposes closed-form node/element counts
-//! so tests can pin the generator's structure.
+//! generates that netlist from a [`ColumnConfig`]; the periphery is
+//! fixed, only the row count varies.
 //!
-//! The generated circuit reuses the exact per-cell topology of
+//! Every row is built by the same 6T builder as
 //! [`SramCell`](crate::SramCell) — transistor order, node capacitors
 //! and the six per-transistor RTN current-source hooks — so the
 //! two-pass SAMURAI methodology applies unchanged: pass 1 simulates
@@ -18,7 +17,7 @@
 //! the RTN injected ([`run_column_ensemble`]).
 //!
 //! Columns are where the sparse MNA path earns its keep: a 64-row
-//! column with full periphery is ~275 unknowns, far past
+//! column is 275 unknowns, far past
 //! [`SPARSE_AUTO_THRESHOLD`](samurai_spice::SPARSE_AUTO_THRESHOLD), so
 //! [`SramColumn::compile`] picks the sparse LU automatically (or
 //! honours an explicit [`SolverChoice`] override for equivalence
@@ -42,11 +41,13 @@ use samurai_telemetry::{JobProbe, Recorder};
 use samurai_trap::Technology;
 use samurai_waveform::Pwl;
 
-use crate::cell::cell_mosfet_params;
+use crate::cell::{add_6t, cell_mosfet_params, CellNodes};
 use crate::harness::{patched, run_two_pass, trap_device, RtnSite, TwoPassSpec};
 use crate::scenario::{lower, scenario_or_default};
 use crate::{SramCellParams, SramError};
 
+/// Capacitance of each shared bit line to ground, farads.
+const BITLINE_CAP: f64 = 4e-15;
 /// Width of the precharge/equalise PMOS devices (µm-normalised, like
 /// the cell widths).
 const PRECHARGE_W: f64 = 2.0;
@@ -71,23 +72,6 @@ pub struct ColumnConfig {
     pub rows: usize,
     /// Sizing, supply and threshold shifts of every cell.
     pub cell: SramCellParams,
-    /// Capacitance of each shared bit line to ground, farads.
-    pub bitline_cap: f64,
-    /// Generate the precharge/equalise stage (one gate node, three
-    /// PMOS devices).
-    pub precharge: bool,
-    /// Generate the column mux (select node, data-line pair, two pass
-    /// NMOS devices).
-    pub column_mux: bool,
-    /// Generate the latch-type sense amplifier (enable node, tail
-    /// node, five transistors). Senses the data lines when the mux is
-    /// present, the bit lines otherwise.
-    pub sense_amp: bool,
-    /// Generate the write driver (enable and data nodes, two pass
-    /// NMOS devices).
-    pub write_driver: bool,
-    /// The row targeted by [`SramColumn::drive_write`].
-    pub selected_row: usize,
     /// Linear-solver backend for [`SramColumn::compile`].
     pub solver: SolverChoice,
 }
@@ -97,56 +81,8 @@ impl Default for ColumnConfig {
         Self {
             rows: 8,
             cell: SramCellParams::default(),
-            bitline_cap: 4e-15,
-            precharge: true,
-            column_mux: true,
-            sense_amp: true,
-            write_driver: true,
-            selected_row: 0,
             solver: SolverChoice::Auto,
         }
-    }
-}
-
-impl ColumnConfig {
-    /// Closed-form count of non-ground nodes the generator creates:
-    /// `vdd`/`bl`/`blb` plus three per row (`wl`, `q`, `qb`) plus the
-    /// enabled periphery stages.
-    pub fn expected_nodes(&self) -> usize {
-        3 + 3 * self.rows
-            + usize::from(self.precharge)
-            + 3 * usize::from(self.column_mux)
-            + 2 * usize::from(self.sense_amp)
-            + 3 * usize::from(self.write_driver)
-    }
-
-    /// Closed-form count of voltage sources (each adds one MNA branch
-    /// unknown): supply, one word line per row, and one gate/control
-    /// source per periphery stage (three for the write driver).
-    pub fn expected_vsources(&self) -> usize {
-        1 + self.rows
-            + usize::from(self.precharge)
-            + usize::from(self.column_mux)
-            + usize::from(self.sense_amp)
-            + 3 * usize::from(self.write_driver)
-    }
-
-    /// Closed-form count of circuit elements: the supply source and
-    /// two bit-line capacitors, 15 per row (word-line source, six
-    /// transistors, two node capacitors, six RTN hooks), plus the
-    /// enabled periphery stages.
-    pub fn expected_elements(&self) -> usize {
-        3 + 15 * self.rows
-            + 4 * usize::from(self.precharge)
-            + 5 * usize::from(self.column_mux)
-            + 6 * usize::from(self.sense_amp)
-            + 5 * usize::from(self.write_driver)
-    }
-
-    /// Closed-form count of MNA unknowns: node voltages plus voltage-
-    /// source branch currents.
-    pub fn expected_unknowns(&self) -> usize {
-        self.expected_nodes() + self.expected_vsources()
     }
 }
 
@@ -165,27 +101,8 @@ pub struct ColumnRow {
     rtn_sources: [ElementId; 6],
 }
 
-#[derive(Debug, Clone)]
-struct MuxHandles {
-    dl: NodeId,
-    dlb: NodeId,
-}
-
-#[derive(Debug, Clone)]
-struct SenseHandles {
-    sae_source: ElementId,
-}
-
-#[derive(Debug, Clone)]
-struct WriteHandles {
-    we_source: ElementId,
-    d_source: ElementId,
-    db_source: ElementId,
-}
-
 /// A generated SRAM column: `rows` 6T cells on a shared bit-line pair
-/// with optional precharge, column-mux, sense-amp and write-driver
-/// periphery.
+/// with precharge, column-mux, sense-amp and write-driver periphery.
 #[derive(Debug, Clone)]
 pub struct SramColumn {
     /// The generated netlist.
@@ -199,10 +116,13 @@ pub struct SramColumn {
     /// Shared complementary bit line.
     pub blb: NodeId,
     rows: Vec<ColumnRow>,
-    precharge_source: Option<ElementId>,
-    mux: Option<MuxHandles>,
-    sense: Option<SenseHandles>,
-    write: Option<WriteHandles>,
+    dl: NodeId,
+    dlb: NodeId,
+    precharge_source: ElementId,
+    sae_source: ElementId,
+    we_source: ElementId,
+    d_source: ElementId,
+    db_source: ElementId,
 }
 
 impl SramColumn {
@@ -216,8 +136,7 @@ impl SramColumn {
     ///
     /// # Errors
     ///
-    /// Returns [`SramError::InvalidConfig`] for a zero-row column, an
-    /// out-of-range `selected_row` or a non-positive `bitline_cap`.
+    /// Returns [`SramError::InvalidConfig`] for a zero-row column.
     pub fn build(config: &ColumnConfig) -> Result<Self, SramError> {
         let mut column = Self::build_nominal(config)?;
         let mut patch = ParamPatch::nominal();
@@ -241,16 +160,6 @@ impl SramColumn {
                 reason: "column needs at least one row",
             });
         }
-        if config.selected_row >= config.rows {
-            return Err(SramError::InvalidConfig {
-                reason: "selected_row must index an existing row",
-            });
-        }
-        if !config.bitline_cap.is_finite() || config.bitline_cap <= 0.0 {
-            return Err(SramError::InvalidConfig {
-                reason: "bitline_cap must be positive",
-            });
-        }
 
         let p = config.cell;
         let nmos = |w: f64| MosfetParams::nmos_90nm(w);
@@ -261,106 +170,74 @@ impl SramColumn {
         let bl = ckt.node("bl");
         let blb = ckt.node("blb");
         ckt.vsource(vdd, Circuit::GROUND, Source::Dc(p.vdd));
-        ckt.capacitor(bl, Circuit::GROUND, config.bitline_cap);
-        ckt.capacitor(blb, Circuit::GROUND, config.bitline_cap);
+        ckt.capacitor(bl, Circuit::GROUND, BITLINE_CAP);
+        ckt.capacitor(blb, Circuit::GROUND, BITLINE_CAP);
 
-        // Rows: the exact SramCell topology, with bl/blb shared.
+        // Rows: the 6T cell, with bl/blb shared.
+        let nominal = std::array::from_fn(|t| cell_mosfet_params(&p, t));
         let mut rows = Vec::with_capacity(config.rows);
         for r in 0..config.rows {
             let wl = ckt.node(&format!("wl{r}"));
             let q = ckt.node(&format!("q{r}"));
             let qb = ckt.node(&format!("qb{r}"));
             let wl_source = ckt.vsource(wl, Circuit::GROUND, Source::Dc(0.0));
-            let m1 = ckt.mosfet(bl, wl, q, cell_mosfet_params(&p, 0));
-            let m2 = ckt.mosfet(blb, wl, qb, cell_mosfet_params(&p, 1));
-            let m3 = ckt.mosfet(q, qb, vdd, cell_mosfet_params(&p, 2));
-            let m4 = ckt.mosfet(qb, q, vdd, cell_mosfet_params(&p, 3));
-            let m5 = ckt.mosfet(qb, q, Circuit::GROUND, cell_mosfet_params(&p, 4));
-            let m6 = ckt.mosfet(q, qb, Circuit::GROUND, cell_mosfet_params(&p, 5));
-            ckt.capacitor(q, Circuit::GROUND, p.node_cap);
-            ckt.capacitor(qb, Circuit::GROUND, p.node_cap);
-            let terminal_pairs = [
-                (q, bl),
-                (qb, blb),
-                (vdd, q),
-                (vdd, qb),
-                (Circuit::GROUND, qb),
-                (Circuit::GROUND, q),
-            ];
-            let rtn_sources = terminal_pairs.map(|(s, d)| ckt.isource(s, d, Source::Dc(0.0)));
+            let nodes = CellNodes {
+                vdd,
+                q,
+                qb,
+                bl,
+                blb,
+                wl,
+            };
+            let (transistors, rtn_sources) = add_6t(&mut ckt, &nodes, nominal, p.node_cap);
             rows.push(ColumnRow {
                 wl,
                 q,
                 qb,
                 wl_source,
-                transistors: [m1, m2, m3, m4, m5, m6],
+                transistors,
                 rtn_sources,
             });
         }
 
         // Precharge/equalise: active-low gate, three PMOS devices.
-        let precharge_source = config.precharge.then(|| {
-            let pc = ckt.node("pc");
-            let src = ckt.vsource(pc, Circuit::GROUND, Source::Dc(0.0));
-            ckt.mosfet(bl, pc, vdd, pmos(PRECHARGE_W));
-            ckt.mosfet(blb, pc, vdd, pmos(PRECHARGE_W));
-            ckt.mosfet(bl, pc, blb, pmos(PRECHARGE_W));
-            src
-        });
+        let pc = ckt.node("pc");
+        let precharge_source = ckt.vsource(pc, Circuit::GROUND, Source::Dc(0.0));
+        ckt.mosfet(bl, pc, vdd, pmos(PRECHARGE_W));
+        ckt.mosfet(blb, pc, vdd, pmos(PRECHARGE_W));
+        ckt.mosfet(bl, pc, blb, pmos(PRECHARGE_W));
 
         // Column mux: NMOS pass pair onto a capacitive data-line pair.
-        let mux = config.column_mux.then(|| {
-            let csel = ckt.node("csel");
-            let dl = ckt.node("dl");
-            let dlb = ckt.node("dlb");
-            ckt.vsource(csel, Circuit::GROUND, Source::Dc(p.vdd));
-            ckt.mosfet(dl, csel, bl, nmos(MUX_W));
-            ckt.mosfet(dlb, csel, blb, nmos(MUX_W));
-            let dl_cap = DATALINE_CAP_RATIO * config.bitline_cap;
-            ckt.capacitor(dl, Circuit::GROUND, dl_cap);
-            ckt.capacitor(dlb, Circuit::GROUND, dl_cap);
-            MuxHandles { dl, dlb }
-        });
+        let csel = ckt.node("csel");
+        let dl = ckt.node("dl");
+        let dlb = ckt.node("dlb");
+        ckt.vsource(csel, Circuit::GROUND, Source::Dc(p.vdd));
+        ckt.mosfet(dl, csel, bl, nmos(MUX_W));
+        ckt.mosfet(dlb, csel, blb, nmos(MUX_W));
+        ckt.capacitor(dl, Circuit::GROUND, DATALINE_CAP_RATIO * BITLINE_CAP);
+        ckt.capacitor(dlb, Circuit::GROUND, DATALINE_CAP_RATIO * BITLINE_CAP);
 
-        // Latch-type sense amplifier on the data lines (bit lines when
-        // no mux is generated), footed by an enable NMOS.
-        let sense = config.sense_amp.then(|| {
-            let (sl, sr) = match &mux {
-                Some(m) => (m.dl, m.dlb),
-                None => (bl, blb),
-            };
-            let sae = ckt.node("sae");
-            let satail = ckt.node("satail");
-            let sae_source = ckt.vsource(sae, Circuit::GROUND, Source::Dc(0.0));
-            ckt.mosfet(sl, sr, vdd, pmos(SENSE_PMOS_W));
-            ckt.mosfet(sr, sl, vdd, pmos(SENSE_PMOS_W));
-            ckt.mosfet(sl, sr, satail, nmos(SENSE_NMOS_W));
-            ckt.mosfet(sr, sl, satail, nmos(SENSE_NMOS_W));
-            ckt.mosfet(satail, sae, Circuit::GROUND, nmos(SENSE_FOOT_W));
-            SenseHandles { sae_source }
-        });
+        // Latch-type sense amplifier on the data lines, footed by an
+        // enable NMOS.
+        let sae = ckt.node("sae");
+        let satail = ckt.node("satail");
+        let sae_source = ckt.vsource(sae, Circuit::GROUND, Source::Dc(0.0));
+        ckt.mosfet(dl, dlb, vdd, pmos(SENSE_PMOS_W));
+        ckt.mosfet(dlb, dl, vdd, pmos(SENSE_PMOS_W));
+        ckt.mosfet(dl, dlb, satail, nmos(SENSE_NMOS_W));
+        ckt.mosfet(dlb, dl, satail, nmos(SENSE_NMOS_W));
+        ckt.mosfet(satail, sae, Circuit::GROUND, nmos(SENSE_FOOT_W));
 
         // Write driver: data sources passed onto the bit lines through
         // enable NMOS devices (the low side does the writing).
-        let write = config.write_driver.then(|| {
-            let we = ckt.node("we");
-            let d = ckt.node("d");
-            let db = ckt.node("db");
-            let we_source = ckt.vsource(we, Circuit::GROUND, Source::Dc(0.0));
-            let d_source = ckt.vsource(d, Circuit::GROUND, Source::Dc(0.0));
-            let db_source = ckt.vsource(db, Circuit::GROUND, Source::Dc(0.0));
-            ckt.mosfet(bl, we, d, nmos(WRITE_W));
-            ckt.mosfet(blb, we, db, nmos(WRITE_W));
-            WriteHandles {
-                we_source,
-                d_source,
-                db_source,
-            }
-        });
-
-        debug_assert_eq!(ckt.node_count(), config.expected_nodes());
-        debug_assert_eq!(ckt.element_count(), config.expected_elements());
-        debug_assert_eq!(ckt.unknown_count(), config.expected_unknowns());
+        let we = ckt.node("we");
+        let d = ckt.node("d");
+        let db = ckt.node("db");
+        let we_source = ckt.vsource(we, Circuit::GROUND, Source::Dc(0.0));
+        let d_source = ckt.vsource(d, Circuit::GROUND, Source::Dc(0.0));
+        let db_source = ckt.vsource(db, Circuit::GROUND, Source::Dc(0.0));
+        ckt.mosfet(bl, we, d, nmos(WRITE_W));
+        ckt.mosfet(blb, we, db, nmos(WRITE_W));
 
         Ok(Self {
             circuit: ckt,
@@ -369,10 +246,13 @@ impl SramColumn {
             bl,
             blb,
             rows,
+            dl,
+            dlb,
             precharge_source,
-            mux,
-            sense,
-            write,
+            sae_source,
+            we_source,
+            d_source,
+            db_source,
         })
     }
 
@@ -424,114 +304,50 @@ impl SramColumn {
         let row = self.rows.get(r).ok_or(SramError::InvalidConfig {
             reason: "word-line row index out of range",
         })?;
-        self.circuit
-            .set_source(row.wl_source, source)
-            .expect("word-line source id minted by the builder"); // lint: allow(HYG002): source id minted by the builder
+        self.drive(row.wl_source, source);
         Ok(())
     }
 
-    /// Drives the (active-low) precharge gate.
+    /// Programs a full precharge-then-write cycle of `bit` into row 0:
+    /// the precharge gate releases at the end of the precharge phase,
+    /// the write driver and row 0's word line strobe during the write
+    /// phase, every other word line stays low and the sense amplifier
+    /// is held disabled.
     ///
     /// # Errors
     ///
-    /// Returns [`SramError::InvalidConfig`] if the precharge stage was
-    /// not generated.
-    pub fn set_precharge(&mut self, source: Source) -> Result<(), SramError> {
-        let id = self.precharge_source.ok_or(SramError::InvalidConfig {
-            reason: "precharge stage not generated",
-        })?;
-        self.circuit
-            .set_source(id, source)
-            .expect("precharge source id minted by the builder"); // lint: allow(HYG002): source id minted by the builder
-        Ok(())
-    }
-
-    /// Drives the sense-amplifier enable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SramError::InvalidConfig`] if the sense amplifier was
-    /// not generated.
-    pub fn set_sense_enable(&mut self, source: Source) -> Result<(), SramError> {
-        let id = self
-            .sense
-            .as_ref()
-            .map(|s| s.sae_source)
-            .ok_or(SramError::InvalidConfig {
-                reason: "sense amplifier not generated",
-            })?;
-        self.circuit
-            .set_source(id, source)
-            .expect("sense source id minted by the builder"); // lint: allow(HYG002): source id minted by the builder
-        Ok(())
-    }
-
-    /// Drives the write-driver enable and data inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SramError::InvalidConfig`] if the write driver was
-    /// not generated.
-    pub fn set_write_data(&mut self, we: Source, d: Source, db: Source) -> Result<(), SramError> {
-        let w = self.write.as_ref().ok_or(SramError::InvalidConfig {
-            reason: "write driver not generated",
-        })?;
-        let (we_id, d_id, db_id) = (w.we_source, w.d_source, w.db_source);
-        for (id, src) in [(we_id, we), (d_id, d), (db_id, db)] {
-            self.circuit
-                .set_source(id, src)
-                .expect("write-driver source id minted by the builder"); // lint: allow(HYG002): source id minted by the builder
-        }
-        Ok(())
-    }
-
-    /// Programs a full precharge-then-write cycle of `bit` into the
-    /// configured `selected_row`: the precharge gate releases at the
-    /// end of the precharge phase, the write driver and the selected
-    /// word line strobe during the write phase, every other word line
-    /// stays low.
-    ///
-    /// Requires the write driver; the precharge stage is driven when
-    /// present and the sense amplifier (if any) is held disabled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SramError::InvalidConfig`] if the write driver was
-    /// not generated, or a waveform error for degenerate timings.
+    /// Returns a waveform error for degenerate timings.
     pub fn drive_write(&mut self, timing: &ColumnTiming, bit: bool) -> Result<(), SramError> {
-        if self.write.is_none() {
-            return Err(SramError::InvalidConfig {
-                reason: "drive_write needs the write driver stage",
-            });
-        }
         let vdd = self.config.cell.vdd;
         let e = timing.edge;
         let t_pc = timing.precharge;
         let wl_on = t_pc + 2.0 * e;
         let wl_off = wl_on + timing.write;
-
-        if self.config.precharge {
-            self.set_precharge(Source::Pwl(Pwl::step(0.0, vdd, t_pc, e)?))?;
-        }
-        if self.config.sense_amp {
-            self.set_sense_enable(Source::Dc(0.0))?;
-        }
         let (d_level, db_level) = if bit { (vdd, 0.0) } else { (0.0, vdd) };
-        self.set_write_data(
-            Source::Pwl(Pwl::pulse(0.0, vdd, t_pc + e, wl_off + e, e, e)?),
-            Source::Dc(d_level),
-            Source::Dc(db_level),
-        )?;
-        let selected = self.config.selected_row;
+
+        let pc = Pwl::step(0.0, vdd, t_pc, e)?;
+        let we = Pwl::pulse(0.0, vdd, t_pc + e, wl_off + e, e, e)?;
+        self.drive(self.precharge_source, Source::Pwl(pc));
+        self.drive(self.sae_source, Source::Dc(0.0));
+        self.drive(self.we_source, Source::Pwl(we));
+        self.drive(self.d_source, Source::Dc(d_level));
+        self.drive(self.db_source, Source::Dc(db_level));
         for r in 0..self.rows.len() {
-            let src = if r == selected {
+            let wl = if r == 0 {
                 Source::Pwl(Pwl::pulse(0.0, vdd, wl_on, wl_off, e, e)?)
             } else {
                 Source::Dc(0.0)
             };
-            self.set_wl(r, src)?;
+            self.drive(self.rows[r].wl_source, wl);
         }
         Ok(())
+    }
+
+    /// Sets the waveform of one of the builder's sources.
+    fn drive(&mut self, id: ElementId, source: Source) {
+        self.circuit
+            .set_source(id, source)
+            .expect("drive source id minted by the builder"); // lint: allow(HYG002): source id minted by the builder
     }
 
     /// A DC initial guess for the pre-write state: supply, precharged
@@ -551,18 +367,14 @@ impl SramColumn {
         for row in &self.rows {
             set(row.qb, vdd);
         }
-        if let Some(m) = &self.mux {
-            set(m.dl, vdd);
-            set(m.dlb, vdd);
-        }
-        if self.write.is_some() {
-            // The `d`/`db` nodes sit right after `we` in creation
-            // order; their sources pin them, the guess just matches.
-            let d_level = if bit { vdd } else { 0.0 };
-            let n = self.circuit.node_count();
-            guess[n - 2] = d_level;
-            guess[n - 1] = vdd - d_level;
-        }
+        set(self.dl, vdd);
+        set(self.dlb, vdd);
+        // The `d`/`db` nodes are the last two created; their sources
+        // pin them, the guess just matches.
+        let d_level = if bit { vdd } else { 0.0 };
+        let n = self.circuit.node_count();
+        guess[n - 2] = d_level;
+        guess[n - 1] = vdd - d_level;
         guess
     }
 }
@@ -603,12 +415,12 @@ impl ColumnTiming {
 /// two-pass (clean → RTN-injected) methodology.
 #[derive(Debug, Clone)]
 pub struct ColumnEnsembleConfig {
-    /// Column topology and sizing (its `solver` choice carries through
+    /// Column size and cell sizing (its `solver` choice carries through
     /// to every member's compile).
     pub column: ColumnConfig,
     /// Write-cycle timing.
     pub timing: ColumnTiming,
-    /// The bit written into the selected row (cells start storing 0,
+    /// The bit written into row 0 (cells start storing 0,
     /// so `true` exercises a real flip).
     pub bit: bool,
     /// Number of column instances to simulate.
@@ -677,9 +489,9 @@ impl Default for ColumnEnsembleConfig {
 pub struct ColumnMemberResult {
     /// Member index.
     pub member: usize,
-    /// Did the clean (RTN-free) pass write the selected row correctly?
+    /// Did the clean (RTN-free) pass write row 0 correctly?
     pub write_ok_clean: bool,
-    /// Did the RTN-injected pass write the selected row correctly?
+    /// Did the RTN-injected pass write row 0 correctly?
     pub write_ok: bool,
     /// Half-selected rows flipped in the clean pass (variation alone).
     pub disturbed_clean: usize,
@@ -687,7 +499,7 @@ pub struct ColumnMemberResult {
     pub disturbed: usize,
     /// Total capture/emission events across all row transistors.
     pub rtn_events: usize,
-    /// Final `Q` voltage of the selected row in the RTN pass.
+    /// Final `Q` voltage of row 0 (the written row) in the RTN pass.
     pub q_selected: f64,
 }
 
@@ -906,7 +718,6 @@ pub fn run_column_ensemble_observed(
 
             let vdd = column_config.cell.vdd;
             let half = 0.5 * vdd;
-            let selected = config.column.selected_row;
             let q_final =
                 |pass: &samurai_spice::TransientResult, r: usize| -> Result<f64, SramError> {
                     let q = pass.voltage(&column.circuit, &format!("q{r}"))?;
@@ -916,10 +727,7 @@ pub fn run_column_ensemble_observed(
             let written = |q: f64| (q > half) == target_high;
             let mut disturbed_clean = 0;
             let mut disturbed = 0;
-            for r in 0..column.rows() {
-                if r == selected {
-                    continue;
-                }
+            for r in 1..column.rows() {
                 // All cells start storing 0: a high Q is a disturb.
                 if q_final(&pass1, r)? > half {
                     disturbed_clean += 1;
@@ -928,8 +736,8 @@ pub fn run_column_ensemble_observed(
                     disturbed += 1;
                 }
             }
-            let q_sel_clean = q_final(&pass1, selected)?;
-            let q_sel = q_final(&pass2, selected)?;
+            let q_sel_clean = q_final(&pass1, 0)?;
+            let q_sel = q_final(&pass2, 0)?;
             probe.record_solver(solver);
             // Stamp the job's scenario only when one was configured:
             // the legacy journal schema stays byte-identical.
@@ -960,67 +768,43 @@ mod tests {
     use super::*;
     use samurai_spice::{NewtonWorkspace, SolverKind};
 
-    fn configs_under_test() -> Vec<ColumnConfig> {
-        let base = ColumnConfig {
-            rows: 3,
-            precharge: false,
-            column_mux: false,
-            sense_amp: false,
-            write_driver: false,
-            ..ColumnConfig::default()
-        };
-        vec![
-            ColumnConfig {
-                rows: 1,
-                ..base.clone()
-            },
-            base.clone(),
-            ColumnConfig {
-                precharge: true,
-                ..base.clone()
-            },
-            ColumnConfig {
-                column_mux: true,
-                ..base.clone()
-            },
-            ColumnConfig {
-                sense_amp: true,
-                ..base.clone()
-            },
-            ColumnConfig {
-                write_driver: true,
-                ..base.clone()
-            },
-            ColumnConfig {
-                sense_amp: true,
-                column_mux: true,
-                ..base
-            },
-            ColumnConfig {
-                rows: 4,
-                ..ColumnConfig::default()
-            },
-        ]
+    /// The closed-form structure of a generated column: `(nodes,
+    /// voltage sources, elements, unknowns)`.
+    ///
+    /// Nodes: `vdd`/`bl`/`blb`, `wl`/`q`/`qb` per row, and nine in the
+    /// periphery (`pc`; `csel`, `dl`, `dlb`; `sae`, `satail`; `we`,
+    /// `d`, `db`). Voltage sources: the supply, one word line per row,
+    /// and seven periphery drives (precharge, column select, sense
+    /// enable, and the write driver's enable and data pair). Elements:
+    /// the supply and two bit-line capacitors, 15 per row (word-line
+    /// source, six transistors, two node capacitors, six RTN hooks),
+    /// and 20 in the periphery (4 precharge, 5 mux, 6 sense, 5 write).
+    /// Unknowns: node voltages plus voltage-source branch currents.
+    pub(super) fn closed_form(rows: usize) -> (usize, usize, usize, usize) {
+        (12 + 3 * rows, 7 + rows, 23 + 15 * rows, 19 + 4 * rows)
+    }
+
+    /// The `(nodes, voltage sources, elements, unknowns)` of a built
+    /// column.
+    pub(super) fn structure(column: &SramColumn) -> (usize, usize, usize, usize) {
+        let c = &column.circuit;
+        let nodes = c.node_count();
+        let unknowns = c.unknown_count();
+        (nodes, unknowns - nodes, c.element_count(), unknowns)
     }
 
     #[test]
     fn generated_structure_matches_the_closed_form() {
-        for config in configs_under_test() {
+        for rows in [1, 2, 3, 4, 16] {
+            let config = ColumnConfig {
+                rows,
+                ..ColumnConfig::default()
+            };
             let column = SramColumn::build(&config).unwrap();
             assert_eq!(
-                column.circuit.node_count(),
-                config.expected_nodes(),
-                "node count drifted for {config:?}"
-            );
-            assert_eq!(
-                column.circuit.element_count(),
-                config.expected_elements(),
-                "element count drifted for {config:?}"
-            );
-            assert_eq!(
-                column.circuit.unknown_count(),
-                config.expected_unknowns(),
-                "unknown count drifted for {config:?}"
+                structure(&column),
+                closed_form(rows),
+                "structure drifted at {rows} rows"
             );
         }
     }
@@ -1033,15 +817,6 @@ mod tests {
         };
         assert!(matches!(
             SramColumn::build(&zero),
-            Err(SramError::InvalidConfig { .. })
-        ));
-        let out_of_range = ColumnConfig {
-            rows: 2,
-            selected_row: 2,
-            ..ColumnConfig::default()
-        };
-        assert!(matches!(
-            SramColumn::build(&out_of_range),
             Err(SramError::InvalidConfig { .. })
         ));
     }
@@ -1078,8 +853,8 @@ mod tests {
             rows: 16,
             ..ColumnConfig::default()
         };
-        assert!(config.expected_unknowns() >= samurai_spice::SPARSE_AUTO_THRESHOLD);
         let column = SramColumn::build(&config).unwrap();
+        assert!(column.circuit.unknown_count() >= samurai_spice::SPARSE_AUTO_THRESHOLD);
         let compiled = column.compile();
         assert_eq!(compiled.solver_kind(), SolverKind::Sparse);
         assert!(compiled.nnz() > 0);
@@ -1209,24 +984,13 @@ mod proptests {
         /// has a solvable DC operating point (a structurally sound,
         /// connected netlist).
         #[test]
-        fn generated_columns_are_well_formed(
-            rows in 1usize..5,
-            stages in 0usize..16,
-            selected in any::<usize>(),
-        ) {
+        fn generated_columns_are_well_formed(rows in 1usize..5) {
             let config = ColumnConfig {
                 rows,
-                precharge: stages & 1 != 0,
-                column_mux: stages & 2 != 0,
-                sense_amp: stages & 4 != 0,
-                write_driver: stages & 8 != 0,
-                selected_row: selected % rows,
                 ..ColumnConfig::default()
             };
             let column = SramColumn::build(&config).unwrap();
-            prop_assert_eq!(column.circuit.node_count(), config.expected_nodes());
-            prop_assert_eq!(column.circuit.element_count(), config.expected_elements());
-            prop_assert_eq!(column.circuit.unknown_count(), config.expected_unknowns());
+            prop_assert_eq!(tests::structure(&column), tests::closed_form(rows));
 
             let dc = DcConfig {
                 initial_guess: Some(column.initial_guess(true)),

@@ -132,21 +132,19 @@ pub fn run_coupled(
 
     // Draw initial trap states from the stationary distribution at the
     // DC operating point (mirrors the two-pass harness).
-    if base.equilibrate_initial_state {
-        for tr in Transistor::ALL {
-            let element = cell.transistor(tr);
-            let (d, g, s) = cell.circuit.mosfet_nodes(element)?;
-            let params = *cell.circuit.mosfet_params(element)?;
-            let (vd, vg, vs) = (stepper.voltage(d), stepper.voltage(g), stepper.voltage(s));
-            let v0 = match params.mos_type {
-                MosType::Nmos => vg - vd.min(vs),
-                MosType::Pmos => vd.max(vs) - vg,
-            };
-            let rng = &mut rngs[tr.index()];
-            for trap in runtimes[tr.index()].iter_mut() {
-                if rng.gen::<f64>() < trap.model.stationary_occupancy(v0) {
-                    trap.state = TrapState::Filled;
-                }
+    for tr in Transistor::ALL {
+        let element = cell.transistor(tr);
+        let (d, g, s) = cell.circuit.mosfet_nodes(element)?;
+        let params = *cell.circuit.mosfet_params(element)?;
+        let (vd, vg, vs) = (stepper.voltage(d), stepper.voltage(g), stepper.voltage(s));
+        let v0 = match params.mos_type {
+            MosType::Nmos => vg - vd.min(vs),
+            MosType::Pmos => vd.max(vs) - vg,
+        };
+        let rng = &mut rngs[tr.index()];
+        for trap in runtimes[tr.index()].iter_mut() {
+            if rng.gen::<f64>() < trap.model.stationary_occupancy(v0) {
+                trap.state = TrapState::Filled;
             }
         }
     }

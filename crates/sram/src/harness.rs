@@ -41,9 +41,6 @@ pub struct MethodologyConfig {
     /// Explicit per-transistor trap profiles; when `None` the profiles
     /// are sampled from the technology.
     pub traps: Option<[Vec<TrapParams>; 6]>,
-    /// Draw each trap's initial state from its stationary distribution
-    /// at the pass-1 initial bias (otherwise all traps start empty).
-    pub equilibrate_initial_state: bool,
     /// Uniform refinement of the Eq (3) current between trap events.
     pub current_oversample: usize,
     /// Worker pool for the per-trap RTN simulations. Results are
@@ -51,7 +48,7 @@ pub struct MethodologyConfig {
     /// `Parallelism::Fixed(1)` is the legacy sequential path.
     pub parallelism: Parallelism,
     /// SPICE solver configuration for both transient passes (step
-    /// control, Newton tolerances and the step-level rescue ladder).
+    /// control, Newton controls and the step-level rescue ladder).
     pub spice: TransientConfig,
     /// Deterministic fault plan armed on the shared SPICE workspace
     /// (solve- and step-site triggers). Empty in production.
@@ -76,7 +73,6 @@ impl Default for MethodologyConfig {
             rtn_scale: 1.0,
             seed: 0,
             traps: None,
-            equilibrate_initial_state: true,
             current_oversample: 64,
             parallelism: Parallelism::Auto,
             spice: TransientConfig::default(),
@@ -348,7 +344,7 @@ pub(crate) fn run_cell_two_pass(
         tf,
         spice: &config.spice,
         faults: &config.faults,
-        equilibrate: config.equilibrate_initial_state,
+        equilibrate: true,
         current_oversample: config.current_oversample,
         parallelism: config.parallelism,
         rtn_scale: config.rtn_scale,
@@ -533,7 +529,6 @@ mod tests {
         )];
         let config = MethodologyConfig {
             traps: Some(traps),
-            equilibrate_initial_state: false,
             ..MethodologyConfig::default()
         };
         let report = run_methodology(&BitPattern::parse("1010").unwrap(), &config).unwrap();

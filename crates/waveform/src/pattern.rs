@@ -60,35 +60,6 @@ impl BitPattern {
         ])
     }
 
-    /// A reproducible pseudo-random pattern of `len` bits derived from
-    /// `seed` (SplitMix64 bit stream) — the workload generator for
-    /// array sweeps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len == 0`.
-    pub fn random(len: usize, seed: u64) -> Self {
-        assert!(len > 0, "pattern must be non-empty");
-        let mut z = seed;
-        let mut next = move || {
-            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut x = z;
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^ (x >> 31)
-        };
-        let mut bits = Vec::with_capacity(len);
-        let mut word = 0u64;
-        for i in 0..len {
-            if i % 64 == 0 {
-                word = next();
-            }
-            bits.push(word & 1 == 1);
-            word >>= 1;
-        }
-        Self::new(bits)
-    }
-
     /// Number of bits (cycles).
     pub fn len(&self) -> usize {
         self.bits.len()
@@ -255,18 +226,6 @@ mod tests {
 
     fn timing() -> DigitalTiming {
         DigitalTiming::new(10e-9, 0.2e-9, 0.0, 1.0).unwrap()
-    }
-
-    #[test]
-    fn random_patterns_are_reproducible_and_balanced() {
-        let a = BitPattern::random(128, 42);
-        let b = BitPattern::random(128, 42);
-        assert_eq!(a, b);
-        assert_ne!(a, BitPattern::random(128, 43));
-        let ones = a.iter().filter(|&b| b).count();
-        assert!(ones > 40 && ones < 88, "roughly balanced: {ones}/128");
-        // Longer than one word exercises the refill path.
-        assert_eq!(BitPattern::random(100, 7).len(), 100);
     }
 
     #[test]

@@ -50,18 +50,14 @@ fn solver_named(name: &str) -> SolverChoice {
     }
 }
 
-/// A stripped one-row column (write driver only) keeps each member cheap
-/// while still exercising both transient passes. Member 1 carries a
+/// A one-row column keeps each member cheap while still exercising
+/// both transient passes. Member 1 carries a
 /// deterministic fatal fault so every snapshot and journal in the
 /// suite holds quarantine state.
 fn drill_config(workers: usize, solver: SolverChoice) -> ColumnEnsembleConfig {
     ColumnEnsembleConfig {
         column: ColumnConfig {
             rows: 1,
-            precharge: false,
-            column_mux: false,
-            sense_amp: false,
-            write_driver: true,
             solver,
             ..ColumnConfig::default()
         },
