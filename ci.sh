@@ -5,6 +5,13 @@
 set -eux
 
 cargo build --workspace --release
+# Figure-flow gate: the flows that run the two-pass step (cell, array,
+# margin search, ring) and the coupled loop must finish and print
+# their verdict; together they take about 2 s.
+for bin in fig5_glitch fig8_methodology x3_array_ber x4_coupled x5_ringosc x6_accelerated; do
+    "target/release/$bin" > "target/$bin.out"
+    grep -q '^verdict: ' "target/$bin.out"
+done
 cargo test -q --workspace
 # Fault-injection suite: rescue ladders, failure policies, and the
 # deterministic FaultPlan machinery (also runs as part of the

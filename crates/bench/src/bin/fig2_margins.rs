@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin fig2_margins`.
 
-use samurai_bench::{banner, write_tagged_csv, BenchSession};
+use samurai_bench::{banner, write_tagged_csv, BenchSession, Flag};
 use samurai_core::ensemble::{run_ensemble_resilient_observed, ExecutionPolicy, IndexedResults};
 use samurai_core::CoreError;
 use samurai_sram::margin::{MarginModel, MarginRow};
@@ -14,6 +14,7 @@ fn main() {
     let Some(args) = samurai_bench::handle_help(
         "fig2_margins",
         "regenerates Fig. 2: design-margin impact of variation, NBTI and RTN across nodes",
+        &[Flag::Threads, Flag::Metrics],
         &[],
     ) else {
         return;

@@ -16,7 +16,7 @@
 //! Run with `cargo run --release -p samurai-bench --bin fig3_spectra`.
 
 use samurai_analysis::{analytical, fit, psd};
-use samurai_bench::{banner, write_tagged_csv, BenchSession};
+use samurai_bench::{banner, write_tagged_csv, BenchSession, Flag};
 use samurai_core::telemetry::{JobProbe, JobRecord, Stopwatch};
 use samurai_core::{simulate_trap_probed, single_trap_amplitude, SeedStream, UniformisationConfig};
 use samurai_trap::{PropensityModel, Technology, TrapProfiler};
@@ -102,6 +102,7 @@ fn main() {
     let Some(args) = samurai_bench::handle_help(
         "fig3_spectra",
         "regenerates Fig. 3: RTN power spectral densities of sampled devices",
+        &[Flag::Metrics],
         &[],
     ) else {
         return;

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin fig5_glitch`.
 
-use samurai_bench::{banner, write_tagged_csv, BenchSession};
+use samurai_bench::{banner, write_tagged_csv, BenchSession, Flag};
 use samurai_core::ensemble::{run_ensemble_resilient_observed, ExecutionPolicy, IndexedResults};
 use samurai_core::CoreError;
 use samurai_spice::{run_transient, Source, TransientConfig};
@@ -30,6 +30,7 @@ fn main() {
     let Some(args) = samurai_bench::handle_help(
         "fig5_glitch",
         "regenerates Fig. 5: effect of I_RTN glitch timing on a write",
+        &[Flag::Threads, Flag::Metrics],
         &[],
     ) else {
         return;

@@ -12,10 +12,9 @@
 //! Run with `cargo run --release -p samurai-bench --bin fig7_validation`.
 
 use samurai_analysis::{analytical, autocorr, psd, stats};
-use samurai_bench::{banner, write_tagged_csv, BenchSession};
+use samurai_bench::{banner, write_tagged_csv, BenchSession, Flag};
 use samurai_core::checkpoint::{run_ensemble_checkpointed, RunControls, Snapshot};
 use samurai_core::ensemble::{Completion, ExecutionPolicy, IndexedResults};
-use samurai_core::faults::FaultPlan;
 use samurai_core::telemetry::{JobProbe, JsonValue};
 use samurai_core::{
     simulate_trap_probed, single_trap_amplitude, CoreError, SeedStream, UniformisationConfig,
@@ -121,6 +120,7 @@ fn main() {
     let Some(args) = samurai_bench::handle_help(
         "fig7_validation",
         "regenerates Fig. 7: stationary validation against the Machlup expressions",
+        &Flag::ALL,
         &[],
     ) else {
         return;
@@ -166,15 +166,9 @@ fn main() {
     let smoke = args.smoke();
     let control_args = args.run_controls();
     let mut session = BenchSession::from_args("fig7", &args);
-    let faults = match control_args.kill_at_job {
-        // The crash drill: exit hard just before job N, leaving the
-        // latest snapshot on disk for a `--resume` run to pick up.
-        Some(n) => FaultPlan::none().kill_at_job(n),
-        None => FaultPlan::none(),
-    };
     let policy = ExecutionPolicy {
         failure: args.failure_policy(),
-        faults,
+        faults: control_args.faults(),
         seed: 1000,
     };
     println!("workers: {} (--threads N to change)", parallelism.workers());
@@ -182,17 +176,8 @@ fn main() {
         "failure policy: {:?} (--failure-policy fail-fast|retry[:R]|quarantine[:M[:R]])",
         policy.failure
     );
-    if let Some(path) = &control_args.checkpoint.path {
-        println!(
-            "checkpoint: {} every {} jobs{} (--checkpoint PATH / --checkpoint-every N / --resume)",
-            path.display(),
-            control_args.checkpoint.every_jobs,
-            if control_args.checkpoint.resume {
-                ", resuming"
-            } else {
-                ""
-            },
-        );
+    if let Some(summary) = control_args.checkpoint_summary() {
+        println!("checkpoint: {summary} (--checkpoint PATH / --checkpoint-every N / --resume)");
     }
     if let Some(max) = control_args.budget.max_jobs {
         println!("budget: at most {max} jobs (--max-jobs N)");

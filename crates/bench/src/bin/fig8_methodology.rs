@@ -11,53 +11,35 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin fig8_methodology`.
 
-use samurai_bench::{banner, write_tagged_csv, BenchSession};
-use samurai_core::telemetry::{JobRecord, SolverStats, Stopwatch, TrapStats};
+use samurai_bench::{banner, write_tagged_csv, BenchSession, Flag};
+use samurai_core::telemetry::Stopwatch;
 use samurai_sram::{run_methodology, MethodologyConfig, Transistor};
 use samurai_waveform::BitPattern;
-
-/// Record one two-pass methodology run as a telemetry job: its
-/// wall-clock and the Newton effort read off the shared workspace.
-fn absorb(session: &mut BenchSession, job: usize, seconds: f64, solver: SolverStats) {
-    session.recorder_mut().absorb_job(&JobRecord {
-        job,
-        seconds,
-        rescued: None,
-        solver,
-        trap: TrapStats::default(),
-        scenario: None,
-    });
-}
 
 fn main() {
     let Some(args) = samurai_bench::handle_help(
         "fig8_methodology",
         "regenerates Fig. 8: the full SAMURAI+SPICE methodology on the paper's bit pattern",
+        &[Flag::Metrics],
         &[],
     ) else {
         return;
     };
     let pattern = BitPattern::paper_fig8();
     println!("bit pattern: {pattern}");
-    let parallelism = args.parallelism();
     let mut session = BenchSession::from_args("fig8", &args);
     let mut jobs = 0usize;
-    println!(
-        "RTN generation on {} workers (--threads N)",
-        parallelism.workers()
-    );
 
     // Panels a-d at unit scale.
     let base_config = MethodologyConfig {
         seed: 12,
         density_scale: 2.0,
         rtn_scale: 1.0,
-        parallelism,
         ..MethodologyConfig::default()
     };
     let watch = Stopwatch::start();
     let report = run_methodology(&pattern, &base_config).expect("methodology runs");
-    absorb(&mut session, jobs, watch.elapsed_seconds(), report.solver);
+    session.absorb_run(jobs, watch.elapsed_seconds(), report.solver);
     jobs += 1;
 
     banner("Fig 8a: clean write pass");
@@ -139,7 +121,7 @@ fn main() {
             };
             let watch = Stopwatch::start();
             let r = run_methodology(&pattern, &config).expect("methodology runs");
-            absorb(&mut session, jobs, watch.elapsed_seconds(), r.solver);
+            session.absorb_run(jobs, watch.elapsed_seconds(), r.solver);
             jobs += 1;
             let errors = r.outcomes.error_count();
             let slow = r.outcomes.slow_count();

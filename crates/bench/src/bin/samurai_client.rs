@@ -22,7 +22,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
-use samurai_bench::{handle_help, BenchArgs};
+use samurai_bench::{handle_help, BenchArgs, Flag};
 use samurai_core::telemetry::{json, JsonValue};
 use samurai_serve::{parse_ticket, JobSpec, Workload};
 
@@ -195,6 +195,7 @@ fn main() -> ExitCode {
     let Some(args) = handle_help(
         "samurai-client",
         "command-line client of the serve daemon",
+        &[Flag::FailurePolicy, Flag::KillAtJob],
         &[
             (
                 "submit|status|journal|result|metrics|drain",
@@ -207,10 +208,6 @@ fn main() -> ExitCode {
             ),
             ("--seed N", "ensemble master seed (default 1)"),
             ("--ticket HEX", "job ticket, for status/journal/result"),
-            (
-                "--kill-at-job N",
-                "submit a crash-drill job (server exits 86)",
-            ),
         ],
     ) else {
         return ExitCode::SUCCESS;

@@ -13,13 +13,14 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use samurai_bench::handle_help;
+use samurai_bench::{handle_help, Flag};
 use samurai_serve::{ResultStore, Server, ServerConfig, DEFAULT_CHUNK};
 
 fn main() -> ExitCode {
     let Some(args) = handle_help(
         "serve",
         "deterministic simulation-as-a-service over a content-addressed store",
+        &[Flag::Threads],
         &[
             (
                 "--store DIR",

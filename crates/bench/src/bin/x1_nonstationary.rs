@@ -11,7 +11,7 @@
 //! Run with `cargo run --release -p samurai-bench --bin x1_nonstationary`.
 
 use samurai_analysis::stats;
-use samurai_bench::{banner, write_tagged_csv, BenchSession};
+use samurai_bench::{banner, write_tagged_csv, BenchSession, Flag};
 use samurai_core::{ensemble_occupancy_observed, SeedStream};
 use samurai_trap::{master, DeviceParams, PropensityModel, TrapParams, TrapState};
 use samurai_units::{Energy, Length};
@@ -21,6 +21,7 @@ fn main() {
     let Some(args) = samurai_bench::handle_help(
         "x1_nonstationary",
         "X1: ensemble-averaged occupancy vs the exact master equation",
+        &[Flag::Threads, Flag::Metrics],
         &[],
     ) else {
         return;

@@ -12,7 +12,7 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin x2_baselines`.
 
-use samurai_bench::{banner, write_tagged_csv, BenchSession};
+use samurai_bench::{banner, write_tagged_csv, BenchSession, Flag};
 use samurai_core::ensemble::{
     run_ensemble_resilient_observed, ExecutionPolicy, MeanTrace, Parallelism,
 };
@@ -56,6 +56,7 @@ fn main() {
     let Some(args) = samurai_bench::handle_help(
         "x2_baselines",
         "X2: uniformisation vs frozen-rate SSA, Bernoulli and two-stage baselines",
+        &[Flag::Threads, Flag::FailurePolicy, Flag::Metrics],
         &[],
     ) else {
         return;

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin x3_array_ber`.
 
-use samurai_bench::{banner, timed, write_csv, BenchSession};
+use samurai_bench::{banner, timed, write_csv, BenchSession, Flag};
 use samurai_core::scenario::ScenarioConfig;
 use samurai_core::Parallelism;
 use samurai_sram::array::{run_array, run_array_observed, ArrayConfig};
@@ -15,6 +15,7 @@ fn main() {
     let Some(args) = samurai_bench::handle_help(
         "x3_array_ber",
         "X3: array-level Monte-Carlo bit-error analysis",
+        &[Flag::Threads, Flag::FailurePolicy, Flag::Metrics],
         &[],
     ) else {
         return;
@@ -31,23 +32,25 @@ fn main() {
     println!(
         "failure policy: {failure:?} (--failure-policy fail-fast|retry[:R]|quarantine[:M[:R]])"
     );
+    // The sweep at one RTN scale, on `cells` cells and `parallelism`.
+    let config = |scale: f64, cells: usize, parallelism: Parallelism| ArrayConfig {
+        cells,
+        scenario,
+        seed: 17,
+        failure,
+        parallelism,
+        base: MethodologyConfig {
+            rtn_scale: scale,
+            density_scale: 1.5,
+            ..MethodologyConfig::default()
+        },
+        ..ArrayConfig::default()
+    };
     let mut rows = Vec::new();
     let mut prev_rate = 0.0;
     let mut monotone = true;
     for scale in [1.0, 100.0, 1000.0, 3000.0] {
-        let config = ArrayConfig {
-            cells,
-            scenario,
-            seed: 17,
-            failure,
-            base: MethodologyConfig {
-                rtn_scale: scale,
-                density_scale: 1.5,
-                parallelism,
-                ..MethodologyConfig::default()
-            },
-            ..ArrayConfig::default()
-        };
+        let config = config(scale, cells, parallelism);
         let stats = run_array_observed(&pattern, &config, session.recorder_mut())
             .expect("array sweep runs");
         let rate = stats.error_rate();
@@ -104,19 +107,7 @@ fn main() {
     // The ensemble engine guarantees bit-identical statistics, so the
     // only thing allowed to differ is the wall-clock.
     banner("Parallel ensemble speedup (same seeds, same answers)");
-    let speedup_config = |parallelism: Parallelism| ArrayConfig {
-        cells: 8,
-        scenario,
-        seed: 17,
-        failure,
-        base: MethodologyConfig {
-            rtn_scale: 1000.0,
-            density_scale: 1.5,
-            parallelism,
-            ..MethodologyConfig::default()
-        },
-        ..ArrayConfig::default()
-    };
+    let speedup_config = |parallelism| config(1000.0, 8, parallelism);
     let (seq, t_seq) = timed(|| {
         run_array(&pattern, &speedup_config(Parallelism::Fixed(1))).expect("sequential sweep")
     });

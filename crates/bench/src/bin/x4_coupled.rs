@@ -9,8 +9,8 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin x4_coupled`.
 
-use samurai_bench::{banner, write_tagged_csv, BenchSession};
-use samurai_core::telemetry::{JobRecord, SolverStats, Stopwatch, TrapStats};
+use samurai_bench::{banner, write_tagged_csv, BenchSession, Flag};
+use samurai_core::telemetry::{SolverStats, Stopwatch};
 use samurai_sram::coupled::{run_coupled, CoupledConfig};
 use samurai_sram::{run_methodology, MethodologyConfig, Transistor};
 use samurai_waveform::BitPattern;
@@ -19,21 +19,16 @@ fn main() {
     let Some(args) = samurai_bench::handle_help(
         "x4_coupled",
         "X4: bi-directionally coupled RTN+circuit simulation",
+        &[Flag::Metrics],
         &[],
     ) else {
         return;
     };
     let pattern = BitPattern::paper_fig8();
-    let parallelism = args.parallelism();
-    println!(
-        "RTN generation on {} workers (--threads N)",
-        parallelism.workers()
-    );
     let base = MethodologyConfig {
         seed: 21,
         density_scale: 1.5,
         rtn_scale: 1.0,
-        parallelism,
         ..MethodologyConfig::default()
     };
 
@@ -41,14 +36,7 @@ fn main() {
     banner("X4: two-pass methodology vs bi-directionally coupled simulation");
     let watch = Stopwatch::start();
     let two_pass = run_methodology(&pattern, &base).expect("two-pass runs");
-    session.recorder_mut().absorb_job(&JobRecord {
-        job: 0,
-        seconds: watch.elapsed_seconds(),
-        rescued: None,
-        solver: two_pass.solver,
-        trap: TrapStats::default(),
-        scenario: None,
-    });
+    session.absorb_run(0, watch.elapsed_seconds(), two_pass.solver);
     let watch = Stopwatch::start();
     let coupled = run_coupled(
         &pattern,
@@ -60,14 +48,7 @@ fn main() {
     .expect("coupled run completes");
     // The coupled integrator runs its own fixed-step loop outside the
     // shared Newton workspace, so only its wall-clock is journalled.
-    session.recorder_mut().absorb_job(&JobRecord {
-        job: 1,
-        seconds: watch.elapsed_seconds(),
-        rescued: None,
-        solver: SolverStats::default(),
-        trap: TrapStats::default(),
-        scenario: None,
-    });
+    session.absorb_run(1, watch.elapsed_seconds(), SolverStats::default());
 
     println!("two-pass outcomes: {:?}", two_pass.outcomes.outcomes);
     println!("coupled  outcomes: {:?}", coupled.outcomes.outcomes);

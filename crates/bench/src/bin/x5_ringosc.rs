@@ -8,8 +8,8 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin x5_ringosc`.
 
-use samurai_bench::{banner, write_csv, BenchSession};
-use samurai_core::telemetry::{JobRecord, SolverStats, Stopwatch, TrapStats};
+use samurai_bench::{banner, write_csv, BenchSession, Flag};
+use samurai_core::telemetry::{SolverStats, Stopwatch};
 use samurai_sram::ringosc::{run_ring, RingConfig};
 
 fn pooled_jitter(periods: &[f64]) -> f64 {
@@ -22,6 +22,7 @@ fn main() {
     let Some(args) = samurai_bench::handle_help(
         "x5_ringosc",
         "X5: ring-oscillator period and cycle-to-cycle jitter under RTN",
+        &[Flag::Metrics],
         &[],
     ) else {
         return;
@@ -45,14 +46,7 @@ fn main() {
             let report = run_ring(&config).expect("ring simulates");
             // The ring integrator owns its own solver state; each
             // (scale, seed) run is journalled as a wall-clock-only job.
-            session.recorder_mut().absorb_job(&JobRecord {
-                job: jobs,
-                seconds: watch.elapsed_seconds(),
-                rescued: None,
-                solver: SolverStats::default(),
-                trap: TrapStats::default(),
-                scenario: None,
-            });
+            session.absorb_run(jobs, watch.elapsed_seconds(), SolverStats::default());
             jobs += 1;
             clean_mean = report.mean_period_clean();
             all_periods.extend(report.periods_rtn.iter().copied());

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release -p samurai-bench --bin x6_accelerated`.
 
-use samurai_bench::{banner, write_csv, BenchSession};
+use samurai_bench::{banner, write_csv, BenchSession, Flag};
 use samurai_core::FailurePolicy;
 use samurai_sram::accelerated::timing_margin_observed;
 use samurai_sram::MethodologyConfig;
@@ -14,6 +14,7 @@ fn main() {
     let Some(args) = samurai_bench::handle_help(
         "x6_accelerated",
         "X6: word-line timing margin vs acceleration factor",
+        &[Flag::Metrics],
         &[],
     ) else {
         return;

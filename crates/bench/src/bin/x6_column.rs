@@ -13,9 +13,8 @@
 //! `--smoke` shortens the timed horizon and the ensemble;
 //! `--metrics DIR` writes `BENCH_x6_column.json` + journal.
 
-use samurai_bench::{banner, timed, write_csv, BenchSession};
+use samurai_bench::{banner, timed, write_csv, BenchSession, Flag};
 use samurai_core::ensemble::Completion;
-use samurai_core::faults::FaultPlan;
 use samurai_core::telemetry::JsonValue;
 use samurai_spice::{DcConfig, NewtonWorkspace, SolverChoice, SolverKind, TransientConfig};
 use samurai_sram::{
@@ -73,6 +72,7 @@ fn main() {
     let Some(args) = samurai_bench::handle_help(
         "x6_column",
         "X6-column: dense-vs-sparse solver scaling on generated SRAM columns",
+        &Flag::ALL,
         &[],
     ) else {
         return;
@@ -124,17 +124,8 @@ fn main() {
     banner("X6-column part B: column RTN ensemble (8 rows, auto backend)");
     let members = if smoke { 2 } else { 6 };
     let controls = args.run_controls();
-    if let Some(path) = &controls.checkpoint.path {
-        println!(
-            "checkpoint: {} every {} jobs{}",
-            path.display(),
-            controls.checkpoint.every_jobs,
-            if controls.checkpoint.resume {
-                ", resuming"
-            } else {
-                ""
-            },
-        );
+    if let Some(summary) = controls.checkpoint_summary() {
+        println!("checkpoint: {summary}");
     }
     let config = ColumnEnsembleConfig {
         column: ColumnConfig {
@@ -147,11 +138,7 @@ fn main() {
         seed: 42,
         parallelism,
         failure,
-        faults: match controls.kill_at_job {
-            // Crash drill: exit hard before member N, snapshot intact.
-            Some(n) => FaultPlan::none().kill_at_job(n),
-            None => FaultPlan::none(),
-        },
+        faults: controls.faults(),
         checkpoint: controls.checkpoint,
         budget: controls.budget,
         ..ColumnEnsembleConfig::default()

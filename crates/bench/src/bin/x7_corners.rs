@@ -15,8 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use samurai_bench::{banner, timed, write_csv, BenchSession};
-use samurai_core::faults::FaultPlan;
+use samurai_bench::{banner, timed, write_csv, BenchSession, Flag};
 use samurai_core::scenario::{ScenarioConfig, NOMINAL_TEMPERATURE};
 use samurai_core::telemetry::{JournalEvent, JsonValue};
 use samurai_sram::margin::EOL_STRESS_SECONDS;
@@ -43,6 +42,7 @@ fn main() {
     let Some(args) = samurai_bench::handle_help(
         "x7_corners",
         "X7-corners: the scenario layer swept over a supply-corner x aging grid",
+        &Flag::ALL,
         &[],
     ) else {
         return;
@@ -52,17 +52,8 @@ fn main() {
     let failure = args.failure_policy();
     let controls = args.run_controls();
     let mut session = BenchSession::from_args("x7_corners", &args);
-    if let Some(path) = &controls.checkpoint.path {
-        println!(
-            "checkpoint: {}.<corner> every {} jobs{} (one snapshot per grid point)",
-            path.display(),
-            controls.checkpoint.every_jobs,
-            if controls.checkpoint.resume {
-                ", resuming"
-            } else {
-                ""
-            },
-        );
+    if let Some(summary) = controls.checkpoint_summary() {
+        println!("checkpoint: {summary} (one snapshot per grid point, at PATH.<corner>)");
     }
 
     let vdd_corners: &[f64] = if smoke { &[0.9, 1.1] } else { &[0.9, 1.0, 1.1] };
@@ -111,10 +102,7 @@ fn main() {
                 seed: 100 + (i * stress_times.len() + j) as u64,
                 parallelism,
                 failure,
-                faults: match controls.kill_at_job {
-                    Some(n) => FaultPlan::none().kill_at_job(n),
-                    None => FaultPlan::none(),
-                },
+                faults: controls.faults(),
                 checkpoint,
                 budget: controls.budget,
                 ..ColumnEnsembleConfig::default()

@@ -12,8 +12,76 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use samurai_core::checkpoint::{CheckpointConfig, RunBudget};
-use samurai_core::telemetry::{JsonValue, Recorder};
-use samurai_core::{FailurePolicy, Parallelism};
+use samurai_core::telemetry::{JobRecord, JsonValue, Recorder, SolverStats, TrapStats};
+use samurai_core::{FailurePolicy, FaultPlan, Parallelism};
+
+/// One of the command-line flags the bench binaries share, named after
+/// its spelling (`CheckpointEvery` is `--checkpoint-every`). Each
+/// binary names the ones it honours when it calls [`handle_help`];
+/// `--help` lists only those, and any other shared flag is refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    Threads,
+    FailurePolicy,
+    Checkpoint,
+    CheckpointEvery,
+    Resume,
+    MaxJobs,
+    KillAtJob,
+    Metrics,
+    Smoke,
+}
+
+impl Flag {
+    /// Every shared flag, in `--help` order.
+    pub const ALL: [Flag; 9] = [
+        Flag::Threads,
+        Flag::FailurePolicy,
+        Flag::Checkpoint,
+        Flag::CheckpointEvery,
+        Flag::Resume,
+        Flag::MaxJobs,
+        Flag::KillAtJob,
+        Flag::Metrics,
+        Flag::Smoke,
+    ];
+
+    /// The flag as spelled on the command line.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        self.help().0.split(' ').next().unwrap_or_default()
+    }
+
+    /// The flag's `--help` line: its usage and what it does.
+    fn help(self) -> (&'static str, &'static str) {
+        match self {
+            Flag::Threads => ("--threads N", "worker threads (0/absent = all cores)"),
+            Flag::FailurePolicy => (
+                "--failure-policy SPEC",
+                "fail-fast | retry[:RUNGS] | quarantine[:MAX[:RUNGS]]",
+            ),
+            Flag::Checkpoint => ("--checkpoint PATH", "snapshot ensemble progress into PATH"),
+            Flag::CheckpointEvery => (
+                "--checkpoint-every N",
+                "snapshot cadence in jobs (default 64)",
+            ),
+            Flag::Resume => ("--resume", "restore a matching snapshot before running"),
+            Flag::MaxJobs => ("--max-jobs N", "stop cleanly after at most N jobs"),
+            Flag::KillAtJob => (
+                "--kill-at-job N",
+                "crash drill: the run exits 86 just before job N",
+            ),
+            Flag::Metrics => (
+                "--metrics DIR",
+                "write BENCH_*.json / JOURNAL_*.jsonl into DIR",
+            ),
+            Flag::Smoke => (
+                "--smoke",
+                "shrink the workload to a seconds-scale sanity pass",
+            ),
+        }
+    }
+}
 
 /// Every command-line flag the bench binaries share, parsed in one
 /// pass: each binary calls [`BenchArgs::from_env`] once and asks the
@@ -21,15 +89,9 @@ use samurai_core::{FailurePolicy, Parallelism};
 /// [`BenchArgs::value_of`].
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
-    threads: Option<usize>,
-    failure_policy: Option<String>,
-    checkpoint: Option<PathBuf>,
-    checkpoint_every: Option<usize>,
-    resume: bool,
-    max_jobs: Option<usize>,
-    kill_at_job: Option<usize>,
-    metrics: Option<PathBuf>,
-    smoke: bool,
+    /// The shared flags given, in order, each with its value (`None`
+    /// for a switch or a missing value).
+    shared: Vec<(Flag, Option<String>)>,
     help: bool,
     rest: Vec<String>,
 }
@@ -49,50 +111,43 @@ impl BenchArgs {
         let mut out = Self::default();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            let mut take = |slot: &mut Option<String>| {
-                if let Some((_, v)) = arg.split_once('=') {
-                    *slot = Some(v.to_owned());
-                } else {
-                    *slot = args.next();
-                }
-            };
-            let mut text: Option<String> = None;
-            match arg.split_once('=').map_or(arg.as_str(), |(head, _)| head) {
-                "--threads" => {
-                    take(&mut text);
-                    out.threads = text.take().and_then(|v| v.parse().ok());
-                }
-                "--failure-policy" => {
-                    take(&mut text);
-                    out.failure_policy = text.take();
-                }
-                "--checkpoint" => {
-                    take(&mut text);
-                    out.checkpoint = text.take().map(PathBuf::from);
-                }
-                "--checkpoint-every" => {
-                    take(&mut text);
-                    out.checkpoint_every = text.take().and_then(|v| v.parse().ok());
-                }
-                "--max-jobs" => {
-                    take(&mut text);
-                    out.max_jobs = text.take().and_then(|v| v.parse().ok());
-                }
-                "--kill-at-job" => {
-                    take(&mut text);
-                    out.kill_at_job = text.take().and_then(|v| v.parse().ok());
-                }
-                "--metrics" => {
-                    take(&mut text);
-                    out.metrics = text.take().map(PathBuf::from);
-                }
-                "--resume" => out.resume = true,
-                "--smoke" => out.smoke = true,
-                "--help" | "-h" => out.help = true,
-                _ => out.rest.push(arg),
+            let head = arg.split_once('=').map_or(arg.as_str(), |(head, _)| head);
+            if matches!(head, "--help" | "-h") {
+                out.help = true;
+                continue;
             }
+            let Some(flag) = Flag::ALL.into_iter().find(|f| f.name() == head) else {
+                out.rest.push(arg);
+                continue;
+            };
+            let value = match arg.split_once('=') {
+                Some((_, v)) => Some(v.to_owned()),
+                None if flag.help().0.contains(' ') => args.next(),
+                None => None,
+            };
+            out.shared.push((flag, value));
         }
         out
+    }
+
+    /// The value of the last `flag` given, parsed as `T`; `None` when
+    /// the flag is absent, has no value or does not parse.
+    fn value<T: std::str::FromStr>(&self, flag: Flag) -> Option<T> {
+        let (_, value) = self.shared.iter().rev().find(|(f, _)| *f == flag)?;
+        value.as_deref()?.parse().ok()
+    }
+
+    /// Whether `flag` was given at all.
+    fn given(&self, flag: Flag) -> bool {
+        self.shared.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The first shared flag on the command line that is not among
+    /// `honoured`, if any.
+    #[must_use]
+    pub fn refused(&self, honoured: &[Flag]) -> Option<Flag> {
+        let mut given = self.shared.iter().map(|(f, _)| *f);
+        given.find(|f| !honoured.contains(f))
     }
 
     /// The `--threads N` knob: `N = 0` (or an absent flag) means all
@@ -101,7 +156,7 @@ impl BenchArgs {
     /// it — so this knob trades wall-clock only.
     #[must_use]
     pub fn parallelism(&self) -> Parallelism {
-        match self.threads {
+        match self.value(Flag::Threads) {
             None | Some(0) => Parallelism::Auto,
             Some(n) => Parallelism::Fixed(n),
         }
@@ -123,7 +178,8 @@ impl BenchArgs {
     /// aborting a long run over a typo'd diagnostic knob.
     #[must_use]
     pub fn failure_policy(&self) -> FailurePolicy {
-        parse_failure_policy(self.failure_policy.as_deref().unwrap_or("fail-fast"))
+        let spec: Option<String> = self.value(Flag::FailurePolicy);
+        parse_failure_policy(spec.as_deref().unwrap_or("fail-fast"))
     }
 
     /// The crash-safety knobs shared by the ensemble binaries:
@@ -139,24 +195,24 @@ impl BenchArgs {
     /// * `--kill-at-job N` — the crash drill used by `ci.sh`.
     #[must_use]
     pub fn run_controls(&self) -> RunControlArgs {
-        let mut checkpoint = match &self.checkpoint {
+        let mut checkpoint = match self.value::<PathBuf>(Flag::Checkpoint) {
             Some(p) => CheckpointConfig::to_file(p),
             None => CheckpointConfig::default(),
         };
-        if let Some(n) = self.checkpoint_every {
+        if let Some(n) = self.value(Flag::CheckpointEvery) {
             checkpoint = checkpoint.every(n);
         }
-        if self.resume {
+        if self.given(Flag::Resume) {
             checkpoint = checkpoint.resuming();
         }
         let mut budget = RunBudget::unlimited();
-        if let Some(n) = self.max_jobs {
+        if let Some(n) = self.value(Flag::MaxJobs) {
             budget = budget.jobs(n);
         }
         RunControlArgs {
             checkpoint,
             budget,
-            kill_at_job: self.kill_at_job,
+            kill_at_job: self.value(Flag::KillAtJob),
         }
     }
 
@@ -164,7 +220,7 @@ impl BenchArgs {
     /// not written.
     #[must_use]
     pub fn metrics_dir(&self) -> Option<PathBuf> {
-        self.metrics.clone()
+        self.value(Flag::Metrics)
     }
 
     /// `true` when `--smoke` was given: binaries shrink their workloads
@@ -172,7 +228,7 @@ impl BenchArgs {
     /// telemetry pipeline end to end).
     #[must_use]
     pub fn smoke(&self) -> bool {
-        self.smoke
+        self.given(Flag::Smoke)
     }
 
     /// `true` when `--help` or `-h` was given.
@@ -205,49 +261,46 @@ impl BenchArgs {
 }
 
 /// Parses a bench binary's command line, once, with
-/// [`BenchArgs::from_env`], and handles `--help`/`-h`: when asked for,
-/// prints the shared usage text (plus `extra` bin-specific flag lines)
-/// and returns `None`, in which case the binary should exit
-/// immediately.
+/// [`BenchArgs::from_env`], and screens it against the shared flags the
+/// binary `honours`. On `--help`/`-h` it prints [`usage`] and returns
+/// `None`, in which case the binary should exit immediately. A shared
+/// flag the binary does not honour ends the process with status 2 and
+/// a message naming the flag, so a flag is never silently ignored.
 #[must_use]
-pub fn handle_help(bin: &str, about: &str, extra: &[(&str, &str)]) -> Option<BenchArgs> {
+pub fn handle_help(
+    bin: &str,
+    about: &str,
+    honoured: &[Flag],
+    extra: &[(&str, &str)],
+) -> Option<BenchArgs> {
     let args = BenchArgs::from_env();
-    if !args.wants_help() {
-        return Some(args);
+    if args.wants_help() {
+        print!("{}", usage(bin, about, honoured, extra));
+        return None;
     }
-    println!("{bin} — {about}");
-    println!("\nusage: {bin} [flags]\n");
-    for (flag, what) in extra {
-        println!("  {flag:<28} {what}");
+    if let Some(flag) = args.refused(honoured) {
+        eprintln!(
+            "{bin}: {} is not supported by this binary (see --help)",
+            flag.name()
+        );
+        std::process::exit(2);
     }
-    for (flag, what) in [
-        ("--threads N", "worker threads (0/absent = all cores)"),
-        (
-            "--failure-policy SPEC",
-            "fail-fast | retry[:RUNGS] | quarantine[:MAX[:RUNGS]]",
-        ),
-        ("--checkpoint PATH", "snapshot ensemble progress into PATH"),
-        (
-            "--checkpoint-every N",
-            "snapshot cadence in jobs (default 64)",
-        ),
-        ("--resume", "restore a matching snapshot before running"),
-        ("--max-jobs N", "stop cleanly after at most N jobs"),
-        ("--kill-at-job N", "crash drill: exit(86) just before job N"),
-        (
-            "--metrics DIR",
-            "write BENCH_*.json / JOURNAL_*.jsonl into DIR",
-        ),
-        (
-            "--smoke",
-            "shrink the workload to a seconds-scale sanity pass",
-        ),
-        ("--help, -h", "this text"),
-    ] {
-        println!("  {flag:<28} {what}");
+    Some(args)
+}
+
+/// The `--help` text of `bin`: its `extra` bin-specific flag lines,
+/// then the shared flags it `honours`, then `--help` itself.
+#[must_use]
+pub fn usage(bin: &str, about: &str, honoured: &[Flag], extra: &[(&str, &str)]) -> String {
+    let mut text = format!("{bin} — {about}\n\nusage: {bin} [flags]\n\n");
+    let shared = Flag::ALL.into_iter().filter(|f| honoured.contains(f));
+    let shared = shared.map(|f| -> (&str, &str) { f.help() });
+    for (flag, what) in extra.iter().copied().chain(shared) {
+        text += &format!("  {flag:<28} {what}\n");
     }
-    println!("\nSAMURAI_FIGURES_DIR overrides where the figure CSVs go.");
-    None
+    text += &format!("  {:<28} this text\n", "--help, -h");
+    text += "\nSAMURAI_FIGURES_DIR overrides where the figure CSVs go.\n";
+    text
 }
 
 /// The parser behind [`BenchArgs::failure_policy`], split out for
@@ -280,9 +333,31 @@ pub struct RunControlArgs {
     pub budget: RunBudget,
     /// Crash drill: `--kill-at-job N` makes the run exit with
     /// [`samurai_core::KILL_EXIT`] just before job `N` starts, after
-    /// the latest checkpoint is on disk. Route it into the fault plan
-    /// with [`samurai_core::FaultPlan::kill_at_job`].
+    /// the latest checkpoint is on disk; [`RunControlArgs::faults`] is
+    /// its fault plan.
     pub kill_at_job: Option<usize>,
+}
+
+impl RunControlArgs {
+    /// The crash drill's fault plan: exit hard just before job
+    /// `--kill-at-job N`, leaving the latest snapshot on disk for a
+    /// `--resume` run to pick up. Empty without the flag.
+    #[must_use]
+    pub fn faults(&self) -> FaultPlan {
+        match self.kill_at_job {
+            Some(n) => FaultPlan::none().kill_at_job(n),
+            None => FaultPlan::none(),
+        }
+    }
+
+    /// `PATH every N jobs[, resuming]` when `--checkpoint PATH` is set.
+    #[must_use]
+    pub fn checkpoint_summary(&self) -> Option<String> {
+        let c = &self.checkpoint;
+        let resuming = if c.resume { ", resuming" } else { "" };
+        let path = c.path.as_ref()?.display();
+        Some(format!("{path} every {} jobs{resuming}", c.every_jobs))
+    }
 }
 
 /// Times `f` and returns `(result, seconds)`.
@@ -393,6 +468,20 @@ impl BenchSession {
     #[must_use]
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
+    }
+
+    /// Records one run the binary timed itself, outside any ensemble,
+    /// as telemetry job `job`: its wall-clock and its solver effort
+    /// (`SolverStats::default()` for a flow with its own integrator).
+    pub fn absorb_run(&mut self, job: usize, seconds: f64, solver: SolverStats) {
+        self.recorder.absorb_job(&JobRecord {
+            job,
+            seconds,
+            rescued: None,
+            solver,
+            trap: TrapStats::default(),
+            scenario: None,
+        });
     }
 
     /// Writes `BENCH_<name>.json` (throughput, latency percentiles,
@@ -668,11 +757,30 @@ mod tests {
         let controls = args.run_controls();
         assert!(!controls.budget.is_unlimited());
         assert_eq!(controls.kill_at_job, Some(5));
+        // A bin that honours fewer shared flags refuses the first other
+        // one, by name.
+        assert_eq!(args.refused(&Flag::ALL), None);
+        let honoured = [Flag::Threads, Flag::Resume];
+        assert_eq!(
+            args.refused(&honoured).map(Flag::name),
+            Some("--failure-policy")
+        );
         // Bin-specific flags pass through, in both spellings.
         assert_eq!(args.value_of("--spec"), Some("trap:6"));
         assert_eq!(args.value_of("--port"), Some("9"));
         assert_eq!(args.value_of("--absent"), None);
         assert!(BenchArgs::parse_from(["-h".to_owned()]).wants_help());
+    }
+
+    #[test]
+    fn help_lists_only_the_honoured_shared_flags() {
+        let honoured = [Flag::Threads, Flag::Metrics];
+        let text = usage("x9", "about", &honoured, &[("--port N", "bin-specific")]);
+        for flag in Flag::ALL {
+            let listed = text.contains(&format!("  {} ", flag.name()));
+            assert_eq!(listed, honoured.contains(&flag), "{}: {text}", flag.name());
+        }
+        assert!(text.contains("--port N") && text.contains("--help, -h"));
     }
 
     #[test]

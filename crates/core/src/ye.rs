@@ -17,7 +17,7 @@
 use rand::Rng;
 
 use crate::CoreError;
-use samurai_trap::PropensityModel;
+use samurai_trap::{standard_normal, PropensityModel};
 use samurai_waveform::Pwc;
 
 /// Configuration of the two-stage generator.
@@ -86,12 +86,6 @@ pub fn generate<R: Rng + ?Sized>(
         }
     }
     Ok(Pwc::new(steps)?)
-}
-
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos()
 }
 
 /// Inverse standard-normal CDF (Acklam's rational approximation,

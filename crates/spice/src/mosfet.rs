@@ -94,6 +94,17 @@ impl MosfetParams {
         self
     }
 
+    /// The *effective* gate drive at terminal voltages `vd`, `vg`, `vs`:
+    /// the gate voltage relative to whichever terminal acts as the
+    /// source (the lower of drain/source for NMOS, the higher for PMOS),
+    /// positive when on for both polarities.
+    pub fn gate_drive(&self, vd: f64, vg: f64, vs: f64) -> f64 {
+        match self.mos_type {
+            MosType::Nmos => vg - vd.min(vs),
+            MosType::Pmos => vd.max(vs) - vg,
+        }
+    }
+
     /// `I₀ = 2·n·μC_ox·(W/L)·φ_t²`, the specific current scale.
     pub fn i0(&self) -> f64 {
         2.0 * self.n * self.mu_cox * (self.width / self.length) * self.phi_t * self.phi_t

@@ -150,6 +150,20 @@ impl TransientStepper {
         let (i, ..) = m.params.eval(v(m.d), v(m.g), v(m.s));
         Ok(i)
     }
+
+    /// The effective gate drive
+    /// ([`MosfetParams::gate_drive`](crate::MosfetParams::gate_drive)) of
+    /// MOSFET `id` in the current state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::InvalidElement`] if `id` is not a MOSFET.
+    pub fn mosfet_gate_drive(&self, id: crate::ElementId) -> Result<f64, SpiceError> {
+        let m = self.compiled.mosfet(id)?;
+        let x = self.ws.solution();
+        let v = |n: Option<usize>| n.map_or(0.0, |i| x[i]);
+        Ok(m.params.gate_drive(v(m.d), v(m.g), v(m.s)))
+    }
 }
 
 #[cfg(test)]

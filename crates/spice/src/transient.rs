@@ -6,7 +6,7 @@ use samurai_waveform::Pwl;
 use crate::compiled::{CompiledCircuit, IntegMode, NewtonConfig, NewtonWorkspace};
 use crate::dcop::DcConfig;
 use crate::netlist::{Circuit, ElementId};
-use crate::SpiceError;
+use crate::{MosfetParams, SpiceError};
 
 /// Step-size floor: a step halved below it climbs the rescue ladder,
 /// and then fails with [`SpiceError::StepUnderflow`].
@@ -177,25 +177,11 @@ impl TransientResult {
     ///
     /// Returns [`SpiceError::InvalidElement`] if `id` is not a MOSFET.
     pub fn mosfet_current(&self, ckt: &Circuit, id: ElementId) -> Result<Pwl, SpiceError> {
-        let (d, g, s) = ckt.mosfet_nodes(id)?;
-        let params = *ckt.mosfet_params(id)?;
-        let v = |x: &Vec<f64>, n: crate::NodeId| n.unknown_index().map_or(0.0, |i| x[i]);
-        let points = self
-            .times
-            .iter()
-            .zip(&self.solutions)
-            .map(|(&t, x)| {
-                let (i, ..) = params.eval(v(x, d), v(x, g), v(x, s));
-                (t, i)
-            })
-            .collect();
-        Ok(Pwl::new(points)?)
+        self.mosfet_waveform(ckt, id, |p, vd, vg, vs| p.eval(vd, vg, vs).0)
     }
 
-    /// The *effective* gate drive of MOSFET `id`: the gate voltage
-    /// relative to whichever terminal currently acts as the source
-    /// (the lower of drain/source for NMOS, the higher for PMOS,
-    /// reported as a positive-when-on magnitude for both polarities).
+    /// The *effective* gate drive of MOSFET `id` over time
+    /// ([`MosfetParams::gate_drive`] at every solution point).
     ///
     /// This is the bias that controls the channel carrier density and
     /// the oxide-trap statistics — pass transistors conduct in both
@@ -206,23 +192,24 @@ impl TransientResult {
     ///
     /// Returns [`SpiceError::InvalidElement`] if `id` is not a MOSFET.
     pub fn mosfet_gate_drive(&self, ckt: &Circuit, id: ElementId) -> Result<Pwl, SpiceError> {
+        self.mosfet_waveform(ckt, id, MosfetParams::gate_drive)
+    }
+
+    /// `f(params, vd, vg, vs)` of MOSFET `id` at every solution point.
+    fn mosfet_waveform(
+        &self,
+        ckt: &Circuit,
+        id: ElementId,
+        f: impl Fn(&MosfetParams, f64, f64, f64) -> f64,
+    ) -> Result<Pwl, SpiceError> {
         let (d, g, s) = ckt.mosfet_nodes(id)?;
-        let params = *ckt.mosfet_params(id)?;
+        let params = ckt.mosfet_params(id)?;
         let v = |x: &Vec<f64>, n: crate::NodeId| n.unknown_index().map_or(0.0, |i| x[i]);
         let points = self
             .times
             .iter()
             .zip(&self.solutions)
-            .map(|(&t, x)| {
-                let vd = v(x, d);
-                let vg = v(x, g);
-                let vs = v(x, s);
-                let drive = match params.mos_type {
-                    crate::MosType::Nmos => vg - vd.min(vs),
-                    crate::MosType::Pmos => vd.max(vs) - vg,
-                };
-                (t, drive)
-            })
+            .map(|(&t, x)| (t, f(params, v(x, d), v(x, g), v(x, s))))
             .collect();
         Ok(Pwl::new(points)?)
     }
@@ -491,7 +478,7 @@ pub fn run_transient(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MosfetParams, Source};
+    use crate::Source;
 
     #[test]
     fn rc_step_response_matches_the_analytic_exponential() {

@@ -13,6 +13,10 @@
 //! accelerated testing techniques"; [`timing_margin_observed`] does
 //! precisely that, re-running the full two-pass methodology at each
 //! probed word-line width.
+//!
+//! The probes are the parallel grain: each round's probes run on
+//! [`Parallelism::Auto`], and each probe's two-pass run generates its
+//! RTN on the worker that runs it.
 
 use samurai_core::ensemble::{
     run_ensemble_resilient_observed, ExecutionPolicy, FailurePolicy, IndexedResults, Parallelism,
@@ -88,8 +92,8 @@ fn writes_ok(
 /// error-free writes, for both the clean and the RTN-injected cell.
 ///
 /// Each round places `PROBES_PER_ROUND` equispaced windows inside the
-/// current bracket and evaluates them concurrently according to
-/// `base.parallelism` — every probe is a full two-pass SPICE run, so
+/// current bracket and evaluates them concurrently on
+/// [`Parallelism::Auto`] — every probe is a full two-pass SPICE run, so
 /// this is where the wall-clock goes. The probe grid depends only on
 /// the bracket (never on the worker count), which keeps the returned
 /// margins bit-identical at any [`Parallelism`]. `iterations` is the
@@ -135,22 +139,11 @@ pub fn timing_margin_observed(
     let shrink = (PROBES_PER_ROUND + 1) as f64;
     let rounds = ((iterations as f64) * 2f64.ln() / shrink.ln()).ceil() as u32;
 
-    // The probes themselves are the parallel grain; force each probe's
-    // inner trap simulations sequential to avoid nested pools.
-    let probe_base = MethodologyConfig {
-        parallelism: Parallelism::Fixed(1),
-        ..base.clone()
-    };
-
     let search = |with_rtn: bool, recorder: &mut Recorder| -> Result<f64, SramError> {
-        if !writes_ok(
-            pattern,
-            &probe_base,
-            window_max,
-            with_rtn,
-            rungs,
-            &mut JobProbe::disabled(),
-        )? {
+        let ok_at = |window: f64, probe: &mut JobProbe| {
+            writes_ok(pattern, base, window, with_rtn, rungs, probe)
+        };
+        if !ok_at(window_max, &mut JobProbe::disabled())? {
             return Err(SramError::InvalidConfig {
                 reason: "cell fails even with the widest word-line window",
             });
@@ -158,34 +151,18 @@ pub fn timing_margin_observed(
         let (mut bad, mut good) = (window_min, window_max);
         // Ensure the lower bracket actually fails; if the cell writes
         // with a sliver of a window, report that sliver.
-        if writes_ok(
-            pattern,
-            &probe_base,
-            bad,
-            with_rtn,
-            rungs,
-            &mut JobProbe::disabled(),
-        )? {
+        if ok_at(bad, &mut JobProbe::disabled())? {
             return Ok(bad);
         }
         for _ in 0..rounds {
             let step = (good - bad) / shrink;
             let ok: Vec<bool> = run_ensemble_resilient_observed(
                 PROBES_PER_ROUND,
-                base.parallelism,
+                Parallelism::Auto,
                 &ExecutionPolicy::default(),
                 recorder,
                 IndexedResults::new,
-                |i, _rung, probe: &mut JobProbe| {
-                    writes_ok(
-                        pattern,
-                        &probe_base,
-                        bad + (i + 1) as f64 * step,
-                        with_rtn,
-                        rungs,
-                        probe,
-                    )
-                },
+                |i, _rung, probe: &mut JobProbe| ok_at(bad + (i + 1) as f64 * step, probe),
             )?
             .acc
             .into_vec();

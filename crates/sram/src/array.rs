@@ -7,6 +7,10 @@
 //! building block; this module iterates it over sampled cells and
 //! aggregates write-error statistics — the "bit-error impact of RTN on
 //! entire SRAM arrays" the authors name as the next step.
+//!
+//! The cells are the parallel grain: [`ArrayConfig::parallelism`] sizes
+//! the ensemble pool, and each cell's two-pass run generates its RTN on
+//! the worker that runs it.
 
 use rand::Rng;
 use samurai_core::checkpoint::{
@@ -48,6 +52,9 @@ pub struct ArrayConfig {
     /// [`samurai_core::ensemble::FailurePolicy`]). The default,
     /// `FailFast`, aborts the sweep on the lowest-indexed failure.
     pub failure: FailurePolicy,
+    /// Worker pool over cells; results are bit-identical at every
+    /// setting.
+    pub parallelism: Parallelism,
     /// Deterministic fault plan for the sweep: `fail_job` targets whole
     /// cells, `in_job`-scoped solve/step triggers reach into one cell's
     /// SPICE passes. Overrides `base.faults`. Empty in production.
@@ -69,6 +76,7 @@ impl Default for ArrayConfig {
             scenario: None,
             seed: 0,
             failure: FailurePolicy::FailFast,
+            parallelism: Parallelism::Auto,
             faults: FaultPlan::none(),
             checkpoint: CheckpointConfig::default(),
             budget: RunBudget::default(),
@@ -179,11 +187,9 @@ impl ArrayStats {
 /// Runs the Monte-Carlo array sweep.
 ///
 /// Cells are sharded over the ensemble engine according to
-/// `config.base.parallelism`; each cell's seeds derive from the master
-/// seed by cell index, so the statistics are bit-identical at every
-/// worker count. Inside each cell the per-trap simulations run
-/// sequentially (the cell level is the natural grain — nesting pools
-/// would only oversubscribe).
+/// `config.parallelism`; each cell's seeds derive from the master seed
+/// by cell index, so the statistics are bit-identical at every worker
+/// count.
 ///
 /// Failed cells are handled per `config.failure`: `FailFast`
 /// propagates the failure with the lowest cell index; `Retry` re-runs
@@ -231,7 +237,7 @@ pub fn run_array_observed(
     };
     let outcome = run_ensemble_checkpointed(
         config.cells,
-        config.base.parallelism,
+        config.parallelism,
         &policy,
         &controls,
         recorder,
@@ -272,7 +278,6 @@ pub fn run_array_observed(
                 technology: lowered.technology,
                 seed: methodology_seed,
                 traps: Some(traps),
-                parallelism: Parallelism::Fixed(1),
                 spice,
                 faults: config.faults.for_job(cell_idx, rung),
                 adjust: std::array::from_fn(|t| lowered.adjust[t]),

@@ -86,16 +86,11 @@ impl Default for ColumnConfig {
     }
 }
 
-/// Handles of one generated row: its word line, storage nodes and the
-/// per-transistor element ids.
+/// Handles of one generated row: its `Q̄` node, its word-line source
+/// and the per-transistor element ids.
 #[derive(Debug, Clone)]
-pub struct ColumnRow {
-    /// Word-line node of this row.
-    pub wl: NodeId,
-    /// Storage node `Q`.
-    pub q: NodeId,
-    /// Storage node `Q̄`.
-    pub qb: NodeId,
+struct ColumnRow {
+    qb: NodeId,
     wl_source: ElementId,
     transistors: [ElementId; 6],
     rtn_sources: [ElementId; 6],
@@ -191,8 +186,6 @@ impl SramColumn {
             };
             let (transistors, rtn_sources) = add_6t(&mut ckt, &nodes, nominal, p.node_cap);
             rows.push(ColumnRow {
-                wl,
-                q,
                 qb,
                 wl_source,
                 transistors,
@@ -261,15 +254,6 @@ impl SramColumn {
         CompiledCircuit::compile_with_solver(&self.circuit, self.config.solver)
     }
 
-    /// Handles of row `r` (word line, storage nodes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn row(&self, r: usize) -> &ColumnRow {
-        &self.rows[r]
-    }
-
     /// Number of generated rows.
     pub fn rows(&self) -> usize {
         self.rows.len()
@@ -293,19 +277,6 @@ impl SramColumn {
     /// Panics if `r` or `t` is out of range.
     pub fn rtn_source(&self, r: usize, t: usize) -> ElementId {
         self.rows[r].rtn_sources[t]
-    }
-
-    /// Drives the word line of row `r`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SramError::InvalidConfig`] if `r` is out of range.
-    pub fn set_wl(&mut self, r: usize, source: Source) -> Result<(), SramError> {
-        let row = self.rows.get(r).ok_or(SramError::InvalidConfig {
-            reason: "word-line row index out of range",
-        })?;
-        self.drive(row.wl_source, source);
-        Ok(())
     }
 
     /// Programs a full precharge-then-write cycle of `bit` into row 0:
@@ -707,7 +678,6 @@ pub fn run_column_ensemble_observed(
                 faults: &config.faults.for_job(member, rung),
                 equilibrate: true,
                 current_oversample: config.current_oversample,
-                parallelism: Parallelism::Fixed(1),
                 rtn_scale: config.rtn_scale,
             };
             let mut rtn_events = 0;

@@ -14,12 +14,12 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 use samurai_core::{exp_rand, SeedStream};
-use samurai_trap::{PropensityModel, TrapParams, TrapState};
+use samurai_trap::{DeviceParams, PropensityModel, TrapState};
 use samurai_waveform::{BitPattern, Pwc, Pwl};
 
-use samurai_spice::{DcConfig, MosType, Source, TransientStepper};
+use samurai_spice::{DcConfig, ElementId, Source, TransientStepper};
 
-use crate::harness::{trap_device, MethodologyConfig};
+use crate::harness::{profile_traps, trap_device, MethodologyConfig};
 use crate::{
     analyze_writes, build_write_waveforms, SramCell, SramError, Transistor, WriteAnalysis,
 };
@@ -60,6 +60,15 @@ pub struct CoupledReport {
 struct TrapRuntime {
     model: PropensityModel,
     state: TrapState,
+}
+
+/// One transistor of the coupled loop: its MOSFET, its trap-physics
+/// device and its traps' live states.
+struct Site {
+    element: ElementId,
+    device: DeviceParams,
+    traps: Vec<TrapRuntime>,
+    rng: ChaCha8Rng,
 }
 
 /// Propagates one trap over `[0, dt]` with rates frozen at the live
@@ -103,28 +112,27 @@ pub fn run_coupled(
     // Per-transistor trap populations (same sampling scheme as the
     // two-pass harness so results are comparable).
     let seeds = SeedStream::new(base.seed);
-    let mut runtimes: Vec<Vec<TrapRuntime>> = Vec::with_capacity(6);
-    let mut rngs: Vec<ChaCha8Rng> = Vec::with_capacity(6);
+    let mut sites = Vec::with_capacity(6);
     for t in Transistor::ALL {
-        let device = trap_device(&cell.circuit, cell.transistor(t), &base.technology);
-        let mut tech = base.technology.clone();
-        tech.device = device;
-        tech.trap_density *= base.density_scale;
-        let profile_seeds = seeds.substream(t.index() as u64);
-        let traps: Vec<TrapParams> = match &base.traps {
+        let element = cell.transistor(t);
+        let device = trap_device(&cell.circuit, element, &base.technology);
+        let site_seeds = seeds.substream(t.index() as u64);
+        let traps = match &base.traps {
             Some(explicit) => explicit[t.index()].clone(),
-            None => samurai_trap::TrapProfiler::new(tech).sample(&mut profile_seeds.rng(0)),
+            None => profile_traps(&base.technology, device, base.density_scale, &site_seeds),
         };
-        runtimes.push(
-            traps
+        sites.push(Site {
+            element,
+            device,
+            traps: traps
                 .into_iter()
                 .map(|p| TrapRuntime {
                     state: p.initial_state,
                     model: PropensityModel::new(device, p),
                 })
                 .collect(),
-        );
-        rngs.push(profile_seeds.substream(7).rng(0));
+            rng: site_seeds.substream(7).rng(0),
+        });
     }
 
     let tf = base.timing.duration(pattern.len());
@@ -132,18 +140,10 @@ pub fn run_coupled(
 
     // Draw initial trap states from the stationary distribution at the
     // DC operating point (mirrors the two-pass harness).
-    for tr in Transistor::ALL {
-        let element = cell.transistor(tr);
-        let (d, g, s) = cell.circuit.mosfet_nodes(element)?;
-        let params = *cell.circuit.mosfet_params(element)?;
-        let (vd, vg, vs) = (stepper.voltage(d), stepper.voltage(g), stepper.voltage(s));
-        let v0 = match params.mos_type {
-            MosType::Nmos => vg - vd.min(vs),
-            MosType::Pmos => vd.max(vs) - vg,
-        };
-        let rng = &mut rngs[tr.index()];
-        for trap in runtimes[tr.index()].iter_mut() {
-            if rng.gen::<f64>() < trap.model.stationary_occupancy(v0) {
+    for site in &mut sites {
+        let v0 = stepper.mosfet_gate_drive(site.element)?;
+        for trap in &mut site.traps {
+            if site.rng.gen::<f64>() < trap.model.stationary_occupancy(v0) {
                 trap.state = TrapState::Filled;
             }
         }
@@ -161,35 +161,21 @@ pub fn run_coupled(
         let t = step as f64 * config.dt;
         // 1. Read the live biases and update every trap + its RTN
         //    injection before the circuit moves on.
-        for tr in Transistor::ALL {
-            let element = cell.transistor(tr);
-            let (d, g, s) = cell.circuit.mosfet_nodes(element)?;
-            let params = *cell.circuit.mosfet_params(element)?;
+        for (tr, site) in Transistor::ALL.into_iter().zip(&mut sites) {
             // Effective gate drive: relative to whichever terminal is
             // acting as the source right now (pass transistors conduct
             // both ways).
-            let (vd, vg, vs) = (stepper.voltage(d), stepper.voltage(g), stepper.voltage(s));
-            let v_gs = match params.mos_type {
-                MosType::Nmos => vg - vd.min(vs),
-                MosType::Pmos => vd.max(vs) - vg,
-            };
-            let i_d = stepper.mosfet_current(element)?;
+            let v_gs = stepper.mosfet_gate_drive(site.element)?;
+            let i_d = stepper.mosfet_current(site.element)?;
 
-            let rng = &mut rngs[tr.index()];
             let mut filled = 0.0;
-            for trap in runtimes[tr.index()].iter_mut() {
-                propagate(trap, v_gs, config.dt, rng);
+            for trap in &mut site.traps {
+                propagate(trap, v_gs, config.dt, &mut site.rng);
                 filled += trap.state.occupancy();
             }
             filled_steps[tr.index()].push((t, filled));
 
-            let device = runtimes[tr.index()]
-                .first()
-                .map(|r| *r.model.device())
-                .unwrap_or_else(|| {
-                    trap_device(&cell.circuit, cell.transistor(tr), &base.technology)
-                });
-            let n_tot = device.carrier_count(v_gs).max(1.0);
+            let n_tot = site.device.carrier_count(v_gs).max(1.0);
             let fraction = (filled / n_tot).min(1.0);
             let i_rtn = i_d * fraction * base.rtn_scale;
             // Write into the stepper's compiled circuit: the stepper
@@ -263,7 +249,7 @@ mod tests {
 
     #[test]
     fn trap_propagation_reaches_stationarity() {
-        use samurai_trap::DeviceParams;
+        use samurai_trap::TrapParams;
         use samurai_units::{Energy, Length};
         let device = DeviceParams::nominal_90nm();
         let model = PropensityModel::new(

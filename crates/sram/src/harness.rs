@@ -1,10 +1,14 @@
 //! The paper's simulation-driven methodology (Fig 8, left):
 //! SPICE pass 1 → SAMURAI per transistor → SPICE pass 2 → verdict.
+//!
+//! The two-pass step generates each site's RTN on the calling thread
+//! (one trap takes microseconds); the ensembles that run whole two-pass
+//! jobs (array, margin search, column) own the worker pool.
 
 use rand::Rng;
 
 use samurai_core::faults::{FaultPlan, FaultSite};
-use samurai_core::{BiasWaveforms, DeviceRtn, Parallelism, RtnGenerator, SeedStream};
+use samurai_core::{BiasWaveforms, DeviceRtn, RtnGenerator, SeedStream};
 use samurai_trap::{
     DeviceParams, PropensityModel, Technology, TrapParams, TrapProfiler, TrapState,
 };
@@ -41,12 +45,6 @@ pub struct MethodologyConfig {
     /// Explicit per-transistor trap profiles; when `None` the profiles
     /// are sampled from the technology.
     pub traps: Option<[Vec<TrapParams>; 6]>,
-    /// Uniform refinement of the Eq (3) current between trap events.
-    pub current_oversample: usize,
-    /// Worker pool for the per-trap RTN simulations. Results are
-    /// bit-identical at every setting (see [`samurai_core::ensemble`]);
-    /// `Parallelism::Fixed(1)` is the legacy sequential path.
-    pub parallelism: Parallelism,
     /// SPICE solver configuration for both transient passes (step
     /// control, Newton controls and the step-level rescue ladder).
     pub spice: TransientConfig,
@@ -73,8 +71,6 @@ impl Default for MethodologyConfig {
             rtn_scale: 1.0,
             seed: 0,
             traps: None,
-            current_oversample: 64,
-            parallelism: Parallelism::Auto,
             spice: TransientConfig::default(),
             faults: FaultPlan::none(),
             adjust: [MosfetAdjust::nominal(); 6],
@@ -219,6 +215,10 @@ pub(crate) struct RtnSite {
     pub seeds: SeedStream,
 }
 
+/// Uniform refinement of the Eq (3) current between trap events in the
+/// cell and ring flows (the column ensemble sets its own).
+pub(crate) const CELL_CURRENT_OVERSAMPLE: usize = 64;
+
 /// The settings every site of one two-pass run shares.
 pub(crate) struct TwoPassSpec<'a> {
     /// End of the simulated horizon `[0, tf]`, seconds.
@@ -232,8 +232,6 @@ pub(crate) struct TwoPassSpec<'a> {
     pub equilibrate: bool,
     /// Uniform refinement of the Eq (3) current between trap events.
     pub current_oversample: usize,
-    /// Worker pool of each site's per-trap simulations.
-    pub parallelism: Parallelism,
     /// Scale of the injected `I_RTN`.
     pub rtn_scale: f64,
 }
@@ -283,7 +281,6 @@ pub(crate) fn run_two_pass(
         let rtn = RtnGenerator::new(site.device, traps.clone())
             .with_seed(site.seeds.substream(7).seed())
             .with_current_oversample(spec.current_oversample)
-            .with_parallelism(spec.parallelism)
             .generate(&bias, 0.0, spec.tf)?;
         compiled.set_source(site.source, pwc_to_source(&rtn.i_rtn, spec.rtn_scale))?;
         on_site(bias, traps, rtn);
@@ -345,8 +342,7 @@ pub(crate) fn run_cell_two_pass(
         spice: &config.spice,
         faults: &config.faults,
         equilibrate: true,
-        current_oversample: config.current_oversample,
-        parallelism: config.parallelism,
+        current_oversample: CELL_CURRENT_OVERSAMPLE,
         rtn_scale: config.rtn_scale,
     };
     run_two_pass(&mut compiled, &cell.circuit, &spec, sites, on_site)

@@ -6,12 +6,15 @@
 //! the usual two-pass flow, and the cycle-by-cycle period sequence is
 //! compared with and without RTN.
 
-use samurai_core::{FaultPlan, Parallelism, SeedStream};
+use samurai_core::{FaultPlan, SeedStream};
 use samurai_waveform::Pwl;
 
 use samurai_spice::{Circuit, CompiledCircuit, ElementId, MosfetParams, Source, TransientConfig};
 
-use crate::harness::{profile_traps, run_two_pass, trap_device_from_params, RtnSite, TwoPassSpec};
+use crate::harness::{
+    profile_traps, run_two_pass, trap_device_from_params, RtnSite, TwoPassSpec,
+    CELL_CURRENT_OVERSAMPLE,
+};
 use crate::SramError;
 
 /// Configuration of the ring experiment.
@@ -192,8 +195,7 @@ pub fn run_ring(config: &RingConfig) -> Result<RingReport, SramError> {
         spice: &spice_config,
         faults: &FaultPlan::none(),
         equilibrate: false,
-        current_oversample: 64,
-        parallelism: Parallelism::Fixed(1),
+        current_oversample: CELL_CURRENT_OVERSAMPLE,
         rtn_scale: config.rtn_scale,
     };
     let mut compiled = CompiledCircuit::compile(&ring.circuit);

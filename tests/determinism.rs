@@ -122,9 +122,9 @@ fn array_sweep_is_bit_identical_across_worker_counts() {
             cells: 3,
             scenario: Some(ScenarioConfig::fixed_vth_sigma(0.03)),
             seed: 5,
+            parallelism: Parallelism::Fixed(workers),
             base: MethodologyConfig {
                 rtn_scale: 500.0,
-                parallelism: Parallelism::Fixed(workers),
                 ..MethodologyConfig::default()
             },
             ..ArrayConfig::default()

@@ -292,10 +292,7 @@ fn quarantined_array_sweeps_are_bit_identical_at_any_worker_count() {
                 max_failures: 1,
             },
             faults: FaultPlan::none().fail_job(2, FaultKind::NonConvergence),
-            base: MethodologyConfig {
-                parallelism: Parallelism::Fixed(workers),
-                ..MethodologyConfig::default()
-            },
+            parallelism: Parallelism::Fixed(workers),
             ..ArrayConfig::default()
         };
         run_array(&pattern, &config).expect("quarantine absorbs the loss")

@@ -11,7 +11,6 @@ use samurai::core::scenario::ScenarioConfig;
 use samurai::core::telemetry::{JournalEvent, Recorder};
 use samurai::core::{ensemble_occupancy, ensemble_occupancy_observed, SeedStream};
 use samurai::sram::array::{run_array, run_array_observed, ArrayConfig};
-use samurai::sram::MethodologyConfig;
 use samurai::trap::{DeviceParams, PropensityModel, TrapParams};
 use samurai::units::{Energy, Length};
 use samurai::waveform::{BitPattern, Pwl};
@@ -38,10 +37,7 @@ fn faulted_config(workers: usize) -> ArrayConfig {
             max_failures: 1,
         },
         faults: FaultPlan::none().fail_job(2, FaultKind::NonConvergence),
-        base: MethodologyConfig {
-            parallelism: Parallelism::Fixed(workers),
-            ..MethodologyConfig::default()
-        },
+        parallelism: Parallelism::Fixed(workers),
         ..ArrayConfig::default()
     }
 }

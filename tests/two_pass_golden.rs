@@ -5,13 +5,15 @@
 //! bias-extraction, trap and RTN-injection loop, so a single-bit drift
 //! in any flow's seed layout, equilibration or injection fails these
 //! tests. The two full-scenario array fingerprints pin the scenario
-//! lowering the array shares with the column ensemble.
+//! lowering the array shares with the column ensemble. The coupled
+//! fingerprint was captured while the coupled flow still kept its own
+//! copies of the trap sampling and the gate-drive formula.
 
-use samurai::core::ensemble::Parallelism;
 use samurai::core::fnv1a64;
 use samurai::core::scenario::{ScenarioConfig, NOMINAL_TEMPERATURE};
 use samurai::core::telemetry::Recorder;
 use samurai::sram::array::{run_array_observed, ArrayConfig};
+use samurai::sram::coupled::{run_coupled, CoupledConfig};
 use samurai::sram::ringosc::{run_ring, RingConfig};
 use samurai::sram::{
     run_column_ensemble_observed, run_methodology, ColumnConfig, ColumnEnsembleConfig,
@@ -54,7 +56,6 @@ fn cell_methodology_matches_the_pinned_fingerprint() {
     let config = MethodologyConfig {
         rtn_scale: 30.0,
         seed: 1,
-        parallelism: Parallelism::Fixed(1),
         ..MethodologyConfig::default()
     };
     let report = run_methodology(&BitPattern::paper_fig8(), &config).expect("methodology runs");
@@ -123,7 +124,6 @@ fn array_matches_the_pinned_fingerprint() {
         base: MethodologyConfig {
             rtn_scale: 30.0,
             density_scale: 2.0,
-            parallelism: Parallelism::Fixed(1),
             ..MethodologyConfig::default()
         },
         ..ArrayConfig::default()
@@ -154,7 +154,6 @@ fn column_ensemble_matches_the_pinned_fingerprint() {
             ..ScenarioConfig::nominal()
         }),
         seed: 13,
-        parallelism: Parallelism::Fixed(1),
         ..ColumnEnsembleConfig::default()
     };
     let mut recorder = Recorder::recording();
@@ -185,7 +184,6 @@ fn full_array_scenario(sigma_geometry: f64) -> ArrayConfig {
         base: MethodologyConfig {
             rtn_scale: 30.0,
             density_scale: 1.0,
-            parallelism: Parallelism::Fixed(1),
             ..MethodologyConfig::default()
         },
         ..ArrayConfig::default()
@@ -208,4 +206,33 @@ fn array_under_a_full_scenario_matches_the_pinned_fingerprint() {
 fn array_under_geometry_spread_matches_the_pinned_fingerprint() {
     let got = array_fingerprint(&full_array_scenario(0.05));
     assert_pinned(&got, &[0xa51d5dcfc8a9b8bd, 0x2ec459cbb9db89b7]);
+}
+
+/// The bi-directionally coupled flow on the Fig 8 pattern at ×30: the
+/// `Q` and `Q̄` points and every transistor's filled-trap steps.
+#[test]
+fn coupled_matches_the_pinned_fingerprint() {
+    let config = CoupledConfig {
+        base: MethodologyConfig {
+            seed: 21,
+            density_scale: 1.5,
+            rtn_scale: 30.0,
+            ..MethodologyConfig::default()
+        },
+        ..CoupledConfig::default()
+    };
+    let report = run_coupled(&BitPattern::paper_fig8(), &config).expect("coupled run completes");
+    let got = [
+        hash_points(report.q.points()),
+        hash_points(report.qb.points()),
+        fnv1a(report.n_filled.iter().map(|n| hash_points(n.steps()))),
+    ];
+    assert!(
+        report.n_filled.iter().any(|n| n.max_value() > 0.0),
+        "the traps must fill"
+    );
+    assert_pinned(
+        &got,
+        &[0xdb3fd470801641e8, 0x8cf76d080e4f4bc3, 0x63941767308644ef],
+    );
 }
