@@ -86,6 +86,16 @@ cargo test -q -p samurai-telemetry --test hostile_json
 # compile without a panic (pinned for the same reason as the suites
 # above).
 cargo test -q -p samurai-spice --test hostile_decks
+# SPICE property suite: besides circuit theory, it pins the Newton
+# loop's shortcuts bit for bit — the residual-only convergence check
+# against the full assembly (every stamp kind, both backends, DC, BE
+# and trapezoidal) and the hinted PWL lookups against `Pwl::eval`.
+# These keep the column and corner digests, so the suite runs again
+# optimised, as the ledger and the figure bins are built, where the
+# optimiser could break the bit identity (pinned for the same reason
+# as the suites above).
+cargo test -q -p samurai-spice --test properties
+cargo test -q --release -p samurai-spice --test properties
 # Performance-ledger package tests (the ledger is its own workspace
 # with its own lock file, so `--workspace` above never reaches it): a
 # smoke pass over all four workloads and digest equality with tracing

@@ -10,7 +10,7 @@
 //! Run with `cargo run --release -p samurai-bench --bin x4_coupled`.
 
 use samurai_bench::{banner, write_tagged_csv, BenchSession, Flag};
-use samurai_core::telemetry::{SolverStats, Stopwatch};
+use samurai_core::telemetry::Stopwatch;
 use samurai_sram::coupled::{run_coupled, CoupledConfig};
 use samurai_sram::{run_methodology, MethodologyConfig, Transistor};
 use samurai_waveform::BitPattern;
@@ -46,9 +46,9 @@ fn main() {
         },
     )
     .expect("coupled run completes");
-    // The coupled integrator runs its own fixed-step loop outside the
-    // shared Newton workspace, so only its wall-clock is journalled.
-    session.absorb_run(1, watch.elapsed_seconds(), SolverStats::default());
+    // The coupled loop steps its own `TransientStepper`; its Newton
+    // effort is journalled like the two-pass run's.
+    session.absorb_run(1, watch.elapsed_seconds(), coupled.solver);
 
     println!("two-pass outcomes: {:?}", two_pass.outcomes.outcomes);
     println!("coupled  outcomes: {:?}", coupled.outcomes.outcomes);

@@ -9,7 +9,7 @@
 //! Run with `cargo run --release -p samurai-bench --bin x5_ringosc`.
 
 use samurai_bench::{banner, write_csv, BenchSession, Flag};
-use samurai_core::telemetry::{SolverStats, Stopwatch};
+use samurai_core::telemetry::Stopwatch;
 use samurai_sram::ringosc::{run_ring, RingConfig};
 
 fn pooled_jitter(periods: &[f64]) -> f64 {
@@ -44,9 +44,9 @@ fn main() {
             };
             let watch = Stopwatch::start();
             let report = run_ring(&config).expect("ring simulates");
-            // The ring integrator owns its own solver state; each
-            // (scale, seed) run is journalled as a wall-clock-only job.
-            session.absorb_run(jobs, watch.elapsed_seconds(), SolverStats::default());
+            // Each (scale, seed) run is one job, journalled with the
+            // solver effort of its two SPICE passes.
+            session.absorb_run(jobs, watch.elapsed_seconds(), report.solver);
             jobs += 1;
             clean_mean = report.mean_period_clean();
             all_periods.extend(report.periods_rtn.iter().copied());

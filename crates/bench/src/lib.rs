@@ -8,7 +8,7 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use samurai_core::checkpoint::{CheckpointConfig, RunBudget};
@@ -185,7 +185,9 @@ impl BenchArgs {
     /// The crash-safety knobs shared by the ensemble binaries:
     ///
     /// * `--checkpoint PATH` — snapshot ensemble progress into `PATH`
-    ///   (atomically, after every completed segment);
+    ///   (atomically, after every completed segment); `PATH`'s
+    ///   directory is created here, and one that cannot be created
+    ///   ends the process with status 2, naming the path;
     /// * `--checkpoint-every N` — snapshot cadence in jobs (default 64);
     /// * `--resume` — restore a matching snapshot at `PATH` before
     ///   running; an invalid or foreign snapshot degrades to a cold
@@ -196,7 +198,13 @@ impl BenchArgs {
     #[must_use]
     pub fn run_controls(&self) -> RunControlArgs {
         let mut checkpoint = match self.value::<PathBuf>(Flag::Checkpoint) {
-            Some(p) => CheckpointConfig::to_file(p),
+            Some(p) => {
+                if let Err(message) = create_checkpoint_dir(&p) {
+                    eprintln!("{message}");
+                    std::process::exit(2);
+                }
+                CheckpointConfig::to_file(p)
+            }
             None => CheckpointConfig::default(),
         };
         if let Some(n) = self.value(Flag::CheckpointEvery) {
@@ -301,6 +309,23 @@ pub fn usage(bin: &str, about: &str, honoured: &[Flag], extra: &[(&str, &str)]) 
     text += &format!("  {:<28} this text\n", "--help, -h");
     text += "\nSAMURAI_FIGURES_DIR overrides where the figure CSVs go.\n";
     text
+}
+
+/// Creates the directory a `--checkpoint PATH` snapshot is written
+/// into: a snapshot writer does not create directories, so a run into
+/// a fresh one would otherwise snapshot nothing. The error names
+/// `path`.
+fn create_checkpoint_dir(path: &Path) -> Result<(), String> {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => fs::create_dir_all(dir).map_err(|e| {
+            format!(
+                "--checkpoint {}: cannot create its directory {}: {e}",
+                path.display(),
+                dir.display()
+            )
+        }),
+        _ => Ok(()),
+    }
 }
 
 /// The parser behind [`BenchArgs::failure_policy`], split out for
@@ -903,6 +928,28 @@ mod tests {
         flipped[at] ^= 0x01;
         let flipped = json::parse(std::str::from_utf8(&flipped).unwrap()).unwrap();
         assert_eq!(validate_checkpoint(&flipped), Err("hash"));
+    }
+
+    #[test]
+    fn checkpoint_directories_are_created_or_named_in_the_error() {
+        let root = std::env::temp_dir().join(format!("samurai-bench-dir-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        // A fresh nested directory is created before the run.
+        let path = root.join("a/b/x7.ckpt");
+        assert_eq!(create_checkpoint_dir(&path), Ok(()));
+        assert!(root.join("a/b").is_dir());
+        // A bare file name needs no directory.
+        assert_eq!(create_checkpoint_dir(Path::new("x7.ckpt")), Ok(()));
+        // A regular file where a directory must go: the error names
+        // the path.
+        fs::write(root.join("file"), b"").unwrap();
+        let blocked = root.join("file/x7.ckpt");
+        let message = create_checkpoint_dir(&blocked).unwrap_err();
+        assert!(
+            message.contains(&blocked.display().to_string()),
+            "{message}"
+        );
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::linalg::DenseMatrix;
 use crate::mosfet::EkvMemo;
 use crate::netlist::{Circuit, Element, ElementId, Source};
 use crate::sparse::{CscMatrix, SparseLu, SparsityPattern};
-use crate::{MosfetParams, SpiceError};
+use crate::{Integrator, MosfetParams, SpiceError};
 
 /// Per-capacitor integration state (voltage across and current through
 /// the capacitor at the last accepted time point).
@@ -300,6 +300,11 @@ pub struct NewtonWorkspace {
     /// refreshed once per Newton solve (the stamps apply
     /// `source_scale`).
     pub(crate) source_values: Vec<f64>,
+    /// Per source, the PWL segment its last evaluation landed in: where
+    /// the next evaluation's search starts
+    /// ([`samurai_waveform::Pwl::eval_hinted`]). A hint never changes
+    /// a value, only what finding it costs.
+    pub(crate) source_hints: Vec<usize>,
     /// Stamp context: evaluation time.
     pub(crate) t: f64,
     /// Stamp context: capacitor integration mode.
@@ -333,6 +338,7 @@ impl NewtonWorkspace {
             companions: vec![(0.0, 0.0); compiled.cap_state_count],
             ekv_memo: vec![EkvMemo::default(); compiled.mosfet_count],
             source_values: vec![0.0; compiled.sources.len()],
+            source_hints: vec![0; compiled.sources.len()],
             t: 0.0,
             mode: IntegMode::Dc,
             source_scale: 1.0,
@@ -406,22 +412,29 @@ type Slot = u32;
 /// stamped there.
 const NO_SLOT: Slot = Slot::MAX;
 
-/// Adds `value` to the Jacobian entry at `slot` (no-op for
-/// [`NO_SLOT`]).
+/// The `JAC` argument of an assembly that writes the Jacobian as well
+/// as the residual (a Newton iteration's).
+const WITH_JACOBIAN: bool = true;
+/// The `JAC` argument of an assembly that writes the residual only
+/// (the convergence check's, which reads nothing else).
+const RESIDUAL_ONLY: bool = false;
+
+/// Adds `value` to the Jacobian entry at `slot` when the assembly
+/// writes the Jacobian (`JAC`); no-op for [`NO_SLOT`].
 // lint: hot-fn
 #[inline]
-fn add_jac(jac: &mut [f64], slot: Slot, value: f64) {
-    if slot != NO_SLOT {
+fn add_jac<const JAC: bool>(jac: &mut [f64], slot: Slot, value: f64) {
+    if JAC && slot != NO_SLOT {
         jac[slot as usize] += value;
     }
 }
 
 /// A two-terminal conductance + current stamp: current `i = g·(va−vb) +
 /// i0` flows from `a` to `b`. `slots` are those of `(a, a)`, `(a, b)`,
-/// `(b, a)` and `(b, b)`.
+/// `(b, a)` and `(b, b)`, written when `JAC`.
 // lint: hot-fn
 #[allow(clippy::too_many_arguments)]
-fn stamp_branch(
+fn stamp_branch<const JAC: bool>(
     jac: &mut [f64],
     res: &mut [f64],
     x: &[f64],
@@ -435,10 +448,10 @@ fn stamp_branch(
     let i = g * v + i0;
     add_res(res, a, i);
     add_res(res, b, -i);
-    add_jac(jac, slots[0], g);
-    add_jac(jac, slots[1], -g);
-    add_jac(jac, slots[2], -g);
-    add_jac(jac, slots[3], g);
+    add_jac::<JAC>(jac, slots[0], g);
+    add_jac::<JAC>(jac, slots[1], -g);
+    add_jac::<JAC>(jac, slots[2], -g);
+    add_jac::<JAC>(jac, slots[3], g);
 }
 
 /// Records the fill positions a two-terminal branch stamp can write.
@@ -514,9 +527,12 @@ impl SlotMap<'_> {
 /// evaluation; they accumulate into the workspace residual and into
 /// the Jacobian slots resolved at compile time.
 pub trait Stamp {
-    /// Accumulates this device's residual and Jacobian contributions
-    /// at the candidate solution `x`.
-    fn stamp(&self, x: &[f64], ws: &mut NewtonWorkspace);
+    /// Accumulates this device's residual contributions at the
+    /// candidate solution `x`, and its Jacobian contributions when
+    /// `JAC`. One body serves both: the residual arithmetic, its order
+    /// and every memo update are the same whether or not the Jacobian
+    /// is written.
+    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace);
 
     /// Records every Jacobian entry this device can ever write (over
     /// all integration modes), so assembly can clear exactly the
@@ -538,9 +554,9 @@ pub(crate) struct ResistorStamp {
 }
 
 impl Stamp for ResistorStamp {
-    fn stamp(&self, x: &[f64], ws: &mut NewtonWorkspace) {
+    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
         let jac = ws.sys.values_mut();
-        stamp_branch(
+        stamp_branch::<JAC>(
             jac,
             &mut ws.res,
             x,
@@ -569,12 +585,12 @@ pub(crate) struct CapacitorStamp {
 }
 
 impl Stamp for CapacitorStamp {
-    fn stamp(&self, x: &[f64], ws: &mut NewtonWorkspace) {
+    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
         let (g, i0) = ws.companions[self.state];
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
         if g != 0.0 || i0 != 0.0 {
             let jac = ws.sys.values_mut();
-            stamp_branch(jac, &mut ws.res, x, self.a, self.b, &self.slots, g, i0);
+            stamp_branch::<JAC>(jac, &mut ws.res, x, self.a, self.b, &self.slots, g, i0);
         }
     }
 
@@ -606,19 +622,19 @@ pub(crate) struct VsourceStamp {
 }
 
 impl Stamp for VsourceStamp {
-    fn stamp(&self, x: &[f64], ws: &mut NewtonWorkspace) {
+    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
         let jac = ws.sys.values_mut();
         let i_branch = x[self.row];
         // Branch current leaves the + node through the source.
         add_res(&mut ws.res, self.plus, i_branch);
         add_res(&mut ws.res, self.minus, -i_branch);
-        add_jac(jac, self.slots[0], 1.0);
-        add_jac(jac, self.slots[1], -1.0);
+        add_jac::<JAC>(jac, self.slots[0], 1.0);
+        add_jac::<JAC>(jac, self.slots[1], -1.0);
         // Branch equation.
         ws.res[self.row] =
             v_at(x, self.plus) - v_at(x, self.minus) - ws.source_scale * ws.source_values[self.src];
-        add_jac(jac, self.slots[2], 1.0);
-        add_jac(jac, self.slots[3], -1.0);
+        add_jac::<JAC>(jac, self.slots[2], 1.0);
+        add_jac::<JAC>(jac, self.slots[3], -1.0);
     }
 
     fn register_fill(&self, fill: &mut Vec<(usize, usize)>) {
@@ -638,7 +654,7 @@ pub(crate) struct IsourceStamp {
 }
 
 impl Stamp for IsourceStamp {
-    fn stamp(&self, x: &[f64], ws: &mut NewtonWorkspace) {
+    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
         let _ = x;
         let i = ws.source_scale * ws.source_values[self.src];
         add_res(&mut ws.res, self.from, i);
@@ -676,7 +692,7 @@ pub(crate) struct MosfetStamp {
 }
 
 impl Stamp for MosfetStamp {
-    fn stamp(&self, x: &[f64], ws: &mut NewtonWorkspace) {
+    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
         let (id, dd, dg, ds) = self.params.eval_memo(
             v_at(x, self.d),
             v_at(x, self.g),
@@ -688,27 +704,27 @@ impl Stamp for MosfetStamp {
         add_res(res, self.d, id);
         add_res(res, self.s, -id);
         let ch = &self.slots.channel;
-        add_jac(jac, ch[0], dd);
-        add_jac(jac, ch[1], dg);
-        add_jac(jac, ch[2], ds);
-        add_jac(jac, ch[3], -dd);
-        add_jac(jac, ch[4], -dg);
-        add_jac(jac, ch[5], -ds);
+        add_jac::<JAC>(jac, ch[0], dd);
+        add_jac::<JAC>(jac, ch[1], dg);
+        add_jac::<JAC>(jac, ch[2], ds);
+        add_jac::<JAC>(jac, ch[3], -dd);
+        add_jac::<JAC>(jac, ch[4], -dg);
+        add_jac::<JAC>(jac, ch[5], -ds);
         // Charge model: Cgs, Cgd, Cdb.
         let (g_gs, i_gs) = ws.companions[self.caps[0]];
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
         if g_gs != 0.0 || i_gs != 0.0 {
-            stamp_branch(jac, res, x, self.g, self.s, &self.slots.gs, g_gs, i_gs);
+            stamp_branch::<JAC>(jac, res, x, self.g, self.s, &self.slots.gs, g_gs, i_gs);
         }
         let (g_gd, i_gd) = ws.companions[self.caps[1]];
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
         if g_gd != 0.0 || i_gd != 0.0 {
-            stamp_branch(jac, res, x, self.g, self.d, &self.slots.gd, g_gd, i_gd);
+            stamp_branch::<JAC>(jac, res, x, self.g, self.d, &self.slots.gd, g_gd, i_gd);
         }
         let (g_db, i_db) = ws.companions[self.caps[2]];
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
         if g_db != 0.0 || i_db != 0.0 {
-            stamp_branch(jac, res, x, self.d, None, &self.slots.db, g_db, i_db);
+            stamp_branch::<JAC>(jac, res, x, self.d, None, &self.slots.db, g_db, i_db);
         }
     }
 
@@ -878,13 +894,13 @@ impl DeviceStamp {
 }
 
 impl Stamp for DeviceStamp {
-    fn stamp(&self, x: &[f64], ws: &mut NewtonWorkspace) {
+    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
         match self {
-            Self::Resistor(d) => d.stamp(x, ws),
-            Self::Capacitor(d) => d.stamp(x, ws),
-            Self::Vsource(d) => d.stamp(x, ws),
-            Self::Isource(d) => d.stamp(x, ws),
-            Self::Mosfet(d) => d.stamp(x, ws),
+            Self::Resistor(d) => d.stamp::<JAC>(x, ws),
+            Self::Capacitor(d) => d.stamp::<JAC>(x, ws),
+            Self::Vsource(d) => d.stamp::<JAC>(x, ws),
+            Self::Isource(d) => d.stamp::<JAC>(x, ws),
+            Self::Mosfet(d) => d.stamp::<JAC>(x, ws),
         }
     }
 
@@ -1094,12 +1110,22 @@ impl CompiledCircuit {
 
     /// All PWL-source breakpoint times, sorted and deduplicated
     /// (reflects any [`set_source`](Self::set_source) rewrites).
+    ///
+    /// The sort is unstable: under `total_cmp` only bit-identical
+    /// times compare equal, so their order among themselves cannot
+    /// show in the result.
     pub fn breakpoints(&self) -> Vec<f64> {
-        let mut times = Vec::new();
-        for source in &self.sources {
-            times.extend(source.breakpoints());
+        let pwls = || {
+            self.sources.iter().filter_map(|source| match source {
+                Source::Pwl(w) => Some(w),
+                Source::Dc(_) => None,
+            })
+        };
+        let mut times = Vec::with_capacity(pwls().map(|w| w.points().len()).sum());
+        for w in pwls() {
+            times.extend(w.breakpoint_times());
         }
-        times.sort_by(f64::total_cmp);
+        times.sort_unstable_by(f64::total_cmp);
         times.dedup();
         times
     }
@@ -1127,14 +1153,19 @@ impl CompiledCircuit {
 
     /// Evaluates what is fixed for a whole Newton solve, once per
     /// solve: every source waveform at the workspace time `ws.t` into
-    /// `ws.source_values`, and every capacitor companion — the
+    /// `ws.source_values` (each PWL searched from its hint in
+    /// `ws.source_hints`), and every capacitor companion — the
     /// discrete capacitors and each MOSFET's Cgs, Cgd and Cdb, read
     /// from the live (possibly patched) parameters — under the
     /// workspace's integration mode and histories into
     /// `ws.companions`.
     pub(crate) fn prepare_solve(&self, ws: &mut NewtonWorkspace) {
-        for (value, source) in ws.source_values.iter_mut().zip(&self.sources) {
-            *value = source.eval(ws.t);
+        let values = ws.source_values.iter_mut().zip(&mut ws.source_hints);
+        for ((value, hint), source) in values.zip(&self.sources) {
+            *value = match source {
+                Source::Dc(v) => *v,
+                Source::Pwl(w) => w.eval_hinted(ws.t, hint),
+            };
         }
         let (mode, states) = (ws.mode, &ws.cap_states);
         let companions = &mut ws.companions;
@@ -1154,12 +1185,17 @@ impl CompiledCircuit {
         }
     }
 
-    /// Assembles the residual and Jacobian at solution `x`, under the
-    /// workspace's stamp context (mode, homotopy scales, and the source
-    /// values and capacitor companions
-    /// [`prepare_solve`](Self::prepare_solve) left for the solve).
-    pub(crate) fn assemble(&self, x: &[f64], ws: &mut NewtonWorkspace) {
-        ws.sys.clear_fill(&self.fill);
+    /// Assembles the residual at solution `x`, and the Jacobian with it
+    /// when `JAC` ([`WITH_JACOBIAN`]), under the workspace's stamp
+    /// context (mode, homotopy scales, and the source values and
+    /// capacitor companions [`prepare_solve`](Self::prepare_solve) left
+    /// for the solve). A [`RESIDUAL_ONLY`] assembly leaves the Jacobian
+    /// as it was and computes the residual (and the EKV memo updates)
+    /// bit for bit as the full one does.
+    pub(crate) fn assemble<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
+        if JAC {
+            ws.sys.clear_fill(&self.fill);
+        }
         ws.res.iter_mut().for_each(|r| *r = 0.0);
 
         // gmin to ground from every node.
@@ -1168,12 +1204,12 @@ impl CompiledCircuit {
             let jac = ws.sys.values_mut();
             for ((r, &v), &slot) in ws.res.iter_mut().zip(x).zip(&self.gmin_slots) {
                 *r += g_leak * v;
-                jac[slot as usize] += g_leak;
+                add_jac::<JAC>(jac, slot, g_leak);
             }
         }
 
         for stamp in &self.stamps {
-            stamp.stamp(x, ws);
+            stamp.stamp::<JAC>(x, ws);
         }
     }
 
@@ -1207,7 +1243,7 @@ impl CompiledCircuit {
         let mut last_max_dv = f64::NAN;
         for iter in 0..config.max_iterations {
             ws.stats.newton_iterations += 1;
-            self.assemble(x, ws);
+            self.assemble::<WITH_JACOBIAN>(x, ws);
             if iter == 0 && injected == Some(FaultKind::NanResidual) {
                 if let Some(r) = ws.res.first_mut() {
                     *r = f64::NAN;
@@ -1252,8 +1288,10 @@ impl CompiledCircuit {
 
             // lint: allow(HYG004): exact 1.0 means "no scaling requested"
             if scale == 1.0 && max_dv < V_TOL && !force_nonconvergence {
-                // Check the residual at the updated point.
-                self.assemble(x, ws);
+                // Check the residual at the updated point. Nothing
+                // reads this Jacobian: a failed check is followed by
+                // the next iteration's full assembly at this same `x`.
+                self.assemble::<RESIDUAL_ONLY>(x, ws);
                 let max_res = ws.res[..n_nodes].iter().fold(0.0f64, |m, r| m.max(r.abs()));
                 if max_res < I_TOL {
                     return Ok(());
@@ -1262,7 +1300,7 @@ impl CompiledCircuit {
         }
         // Cold failure path: one extra assembly buys the diagnostic
         // residual for the report.
-        self.assemble(x, ws);
+        self.assemble::<RESIDUAL_ONLY>(x, ws);
         let max_res = ws.res[..n_nodes].iter().fold(0.0f64, |m, r| m.max(r.abs()));
         Err(SpiceError::NonConvergence {
             time: ws.t,
@@ -1331,6 +1369,56 @@ impl CompiledCircuit {
         let outcome = self.newton(&mut x_try, ws, config);
         ws.x_try = x_try;
         outcome
+    }
+
+    /// Bit-identity probe of the convergence check, for the property
+    /// tests: sets the stamp context (time `t`; DC when `step` is
+    /// `None`, otherwise a step of `h` under the integrator), refreshes
+    /// the capacitor histories from the solution `history`, prepares
+    /// the solve and assembles at `x`, with the Jacobian when
+    /// `jacobian` and residual-only otherwise. Returns the bits of the
+    /// node residuals `res[..node_count]`, then of every MOSFET's EKV
+    /// memo.
+    #[doc(hidden)]
+    pub fn probe_assembly(
+        &self,
+        ws: &mut NewtonWorkspace,
+        t: f64,
+        step: Option<(Integrator, f64)>,
+        history: &[f64],
+        x: &[f64],
+        jacobian: bool,
+    ) -> Vec<u64> {
+        ws.t = t;
+        ws.mode = match step {
+            None => IntegMode::Dc,
+            Some((Integrator::BackwardEuler, h)) => IntegMode::BackwardEuler { h },
+            Some((Integrator::Trapezoidal, h)) => IntegMode::Trapezoidal { h },
+        };
+        ws.source_scale = 1.0;
+        ws.gmin_extra = 0.0;
+        ws.x.clear();
+        ws.x.extend_from_slice(history);
+        self.refresh_states(ws, false);
+        self.prepare_solve(ws);
+        if jacobian {
+            self.assemble::<WITH_JACOBIAN>(x, ws);
+        } else {
+            self.assemble::<RESIDUAL_ONLY>(x, ws);
+        }
+        let res = ws.res[..self.n_nodes].iter().map(|r| r.to_bits());
+        res.chain(ws.ekv_memo.iter().flat_map(EkvMemo::bits))
+            .collect()
+    }
+
+    /// Probe of the hinted source lookups, for the property tests:
+    /// every source's value at `t` as a Newton solve evaluates it, from
+    /// (and moving) the workspace's hints.
+    #[doc(hidden)]
+    pub fn probe_sources(&self, ws: &mut NewtonWorkspace, t: f64) -> Vec<f64> {
+        ws.t = t;
+        self.prepare_solve(ws);
+        ws.source_values.clone()
     }
 
     /// After an accepted step, refreshes every capacitor's `(v_prev,
@@ -1562,7 +1650,7 @@ mod tests {
             for mode in modes {
                 ws.mode = mode;
                 compiled.prepare_solve(&mut ws);
-                compiled.assemble(&x, &mut ws);
+                compiled.assemble::<WITH_JACOBIAN>(&x, &mut ws);
                 let (jac, res) = assemble_by_coordinates(&compiled, &x, &ws);
                 let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&ws.res), bits(&res), "{choice:?} {mode:?} residual");
@@ -1702,6 +1790,39 @@ mod tests {
                 "{choice:?} nominal again"
             );
         }
+    }
+
+    #[test]
+    fn breakpoints_come_from_pwl_sources() {
+        use samurai_waveform::Pwl;
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        let w = Pwl::new(vec![(1e-9, 0.0), (2e-9, 1.0)]).unwrap();
+        let v = c.vsource(a, Circuit::GROUND, Source::Pwl(w));
+        c.isource(a, Circuit::GROUND, Source::Dc(1e-6));
+        let late = Pwl::new(vec![(-0.0, 0.0), (2e-9, 1.0), (3e-9, 0.0)]).unwrap();
+        c.isource(a, Circuit::GROUND, Source::Pwl(late));
+        let mut compiled = CompiledCircuit::compile(&c);
+        // Shared times appear once.
+        assert_eq!(
+            compiled
+                .breakpoints()
+                .iter()
+                .map(|t| t.to_bits())
+                .collect::<Vec<_>>(),
+            [-0.0, 1e-9, 2e-9, 3e-9].map(f64::to_bits)
+        );
+        let rewritten = Pwl::new(vec![(0.0, 0.0), (5e-9, 1.0)]).unwrap();
+        compiled.set_source(v, Source::Pwl(rewritten)).unwrap();
+        // `dedup` merges +0 into the −0 that `total_cmp` sorts first.
+        assert_eq!(
+            compiled
+                .breakpoints()
+                .iter()
+                .map(|t| t.to_bits())
+                .collect::<Vec<_>>(),
+            [-0.0, 2e-9, 3e-9, 5e-9].map(f64::to_bits)
+        );
     }
 
     #[test]

@@ -233,6 +233,21 @@ impl Default for EkvMemo {
 }
 
 impl EkvMemo {
+    /// The memo's state as bits: both sites' arguments, then their
+    /// `(F, F')` pairs.
+    pub(crate) fn bits(&self) -> [u64; 6] {
+        let [(f0, d0), (f1, d1)] = self.f;
+        let [u0, u1] = self.u;
+        [
+            u0,
+            u1,
+            f0.to_bits(),
+            d0.to_bits(),
+            f1.to_bits(),
+            d1.to_bits(),
+        ]
+    }
+
     /// `F(u)` at call site `site`, recomputed only when `u`'s bits
     /// differ from that site's last argument.
     // lint: hot-fn

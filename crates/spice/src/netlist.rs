@@ -48,14 +48,6 @@ impl Source {
             Self::Pwl(w) => w.eval(t),
         }
     }
-
-    /// Breakpoint times of the waveform (mandatory transient steps).
-    pub fn breakpoints(&self) -> Vec<f64> {
-        match self {
-            Self::Dc(_) => Vec::new(),
-            Self::Pwl(w) => w.breakpoint_times().collect(),
-        }
-    }
 }
 
 /// One circuit element.
@@ -332,24 +324,6 @@ impl Circuit {
         }
     }
 
-    /// All source breakpoints, sorted and deduplicated (mandatory
-    /// transient time points).
-    pub fn breakpoints(&self) -> Vec<f64> {
-        let mut times: Vec<f64> = self
-            .elements
-            .iter()
-            .flat_map(|e| match e {
-                Element::Vsource { source, .. } | Element::Isource { source, .. } => {
-                    source.breakpoints()
-                }
-                _ => Vec::new(),
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        times.dedup();
-        times
-    }
-
     fn push(&mut self, e: Element) -> ElementId {
         self.elements.push(e);
         ElementId(self.elements.len() - 1)
@@ -397,16 +371,6 @@ mod tests {
         let v = c.vsource(a, Circuit::GROUND, Source::Dc(0.0));
         assert!(c.set_source(r, Source::Dc(1.0)).is_err());
         assert!(c.set_source(v, Source::Dc(2.0)).is_ok());
-    }
-
-    #[test]
-    fn breakpoints_come_from_pwl_sources() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let w = Pwl::new(vec![(1e-9, 0.0), (2e-9, 1.0)]).unwrap();
-        c.vsource(a, Circuit::GROUND, Source::Pwl(w));
-        c.isource(a, Circuit::GROUND, Source::Dc(1e-6));
-        assert_eq!(c.breakpoints(), vec![1e-9, 2e-9]);
     }
 
     #[test]

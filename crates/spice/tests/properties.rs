@@ -618,3 +618,237 @@ proptest! {
         factor_regular(&mut csc, &entries, &good, &b, &mut reused)?;
     }
 }
+
+// ---------------------------------------------------------------------
+// The Newton loop's shortcuts: a residual-only convergence check and
+// hinted source lookups, each bit for bit against the work it skips.
+// ---------------------------------------------------------------------
+
+use samurai_spice::{CompiledCircuit, ElementId, MosfetParams, NewtonWorkspace, SolverChoice};
+
+/// A draw from `[0, n)` off the splitmix stream.
+fn below(state: &mut u64, n: usize) -> usize {
+    (splitmix(state) % n as u64) as usize
+}
+
+/// A candidate solution of `n` unknowns: mostly `[-1.5, 1.5)`, with
+/// signed zeros and values far enough out to reach the EKV tails.
+fn random_x(n: usize, state: &mut u64) -> Vec<f64> {
+    (0..n)
+        .map(|_| match below(state, 16) {
+            0 | 1 => 0.0,
+            2 | 3 => -0.0,
+            4 => 6.0 * unit(state),
+            _ => 1.5 * unit(state),
+        })
+        .collect()
+}
+
+/// A PWL waveform of `len` points over about `[0, 1 ns]`, with random
+/// gaps and values.
+fn random_pwl(len: usize, state: &mut u64) -> Pwl {
+    let mut t = 0.1e-9 * unit(state);
+    let points = (0..len)
+        .map(|_| {
+            t += 1e-12 + 0.2e-9 * (unit(state) + 1.0);
+            (t, unit(state))
+        })
+        .collect();
+    Pwl::new(points).unwrap()
+}
+
+/// A random circuit on 3–6 nodes with every stamp kind: resistors,
+/// capacitors, DC and PWL voltage and current sources, NMOS and PMOS
+/// transistors (terminals drawn with ground among them). No solve is
+/// run on it, so it need not be regular.
+fn every_stamp_circuit(state: &mut u64) -> Circuit {
+    let mut ckt = Circuit::new();
+    if below(state, 4) == 0 {
+        ckt.gmin = 0.0;
+    }
+    let nodes: Vec<_> = (0..3 + below(state, 4))
+        .map(|i| ckt.node(&format!("n{i}")))
+        .collect();
+    let any = |state: &mut u64| match below(state, nodes.len() + 1) {
+        0 => Circuit::GROUND,
+        k => nodes[k - 1],
+    };
+    for _ in 0..1 + below(state, 3) {
+        let (a, b) = (nodes[below(state, nodes.len())], any(state));
+        ckt.resistor(a, b, 1e2 + 1e5 * (unit(state) + 1.0));
+        ckt.capacitor(any(state), a, 1e-16 + 1e-13 * (unit(state) + 1.0));
+    }
+    for (k, &a) in nodes.iter().take(2).enumerate() {
+        let b = any(state);
+        let wave = random_pwl(1 + below(state, 6), state);
+        let (v, i) = if k == 0 {
+            (Source::Dc(unit(state)), Source::Pwl(wave.scaled(1e-6)))
+        } else {
+            (Source::Pwl(wave), Source::Dc(1e-6 * unit(state)))
+        };
+        ckt.vsource(a, b, v);
+        let (c, d) = (any(state), any(state));
+        ckt.isource(c, d, i);
+    }
+    for k in 0..2 + below(state, 3) {
+        let w = 0.5 + unit(state) + 1.0;
+        let params = if k % 2 == 0 {
+            MosfetParams::nmos_90nm(w)
+        } else {
+            MosfetParams::pmos_90nm(w)
+        };
+        let (d, g, s) = (any(state), any(state), any(state));
+        ckt.mosfet(d, g, s, params.with_vth_shift(0.05 * unit(state)));
+    }
+    ckt
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The convergence check assembles the residual only; the Newton
+    /// iteration's full assembly at the same point must agree with it
+    /// bit for bit on every node residual and on every MOSFET's EKV
+    /// memo afterwards — for every stamp kind, on both backends, in
+    /// DC, backward-Euler and trapezoidal modes. One workspace runs
+    /// the Newton loop's order (check at `x`, then the next
+    /// iteration's full assembly at the same `x`), the other assembles
+    /// fully every time.
+    #[test]
+    fn residual_only_check_matches_the_full_assembly(seed in any::<u64>()) {
+        let mut state = seed;
+        let ckt = every_stamp_circuit(&mut state);
+        let n = ckt.unknown_count();
+        for choice in [SolverChoice::Dense, SolverChoice::Sparse] {
+            let compiled = CompiledCircuit::compile_with_solver(&ckt, choice);
+            let h = 1e-13 + 1e-10 * (unit(&mut state) + 1.0);
+            let modes = [
+                None,
+                Some((Integrator::BackwardEuler, h)),
+                Some((Integrator::Trapezoidal, h)),
+            ];
+            for step in modes {
+                let mut full = NewtonWorkspace::new(&compiled);
+                let mut newton = NewtonWorkspace::new(&compiled);
+                let t = 0.6e-9 * (unit(&mut state) + 1.0);
+                let history = random_x(n, &mut state);
+                let mut x = random_x(n, &mut state);
+                for round in 0..8 {
+                    let check = round % 2 == 0;
+                    if check {
+                        x = random_x(n, &mut state);
+                    }
+                    let want = compiled.probe_assembly(&mut full, t, step, &history, &x, true);
+                    let got = compiled.probe_assembly(&mut newton, t, step, &history, &x, !check);
+                    prop_assert_eq!(
+                        got, want,
+                        "{:?} {:?} round {} at x = {:?}", choice, step, round, x
+                    );
+                }
+            }
+        }
+    }
+
+    /// `Pwl::eval_hinted` is `Pwl::eval` bit for bit whatever its hint:
+    /// queries that move forward, step back by one step, land exactly
+    /// on breakpoints or jump outside the span; hints that are stale,
+    /// out of range, or left by another waveform (what a `set_source`
+    /// leaves a workspace).
+    #[test]
+    fn hinted_evaluation_matches_eval(seed in any::<u64>(), len in 1usize..12) {
+        let mut state = seed;
+        let waves = [random_pwl(len, &mut state), random_pwl(1 + below(&mut state, 12), &mut state)];
+        let mut wave = &waves[0];
+        let mut hint = 0usize;
+        let (mut t, mut last_step) = (wave.t_start(), 0.0);
+        for k in 0..96 {
+            if k == 48 {
+                wave = &waves[1];
+            }
+            let span = wave.t_end() - wave.t_start();
+            match below(&mut state, 8) {
+                0..=2 => {
+                    last_step = 0.3 * span / len as f64 * (unit(&mut state) + 1.0);
+                    t += last_step;
+                }
+                3 => t -= last_step,
+                4 => {
+                    let points = wave.points();
+                    t = points[below(&mut state, points.len())].0;
+                }
+                5 => {
+                    t = if below(&mut state, 2) == 0 {
+                        wave.t_start() - span * (unit(&mut state) + 1.0)
+                    } else {
+                        wave.t_end() + span * (unit(&mut state) + 1.0)
+                    };
+                }
+                6 => {
+                    hint = match below(&mut state, 4) {
+                        0 => 0,
+                        1 => wave.points().len(),
+                        2 => usize::MAX,
+                        _ => below(&mut state, 16),
+                    };
+                }
+                _ => t = wave.t_start() + span * 0.5 * (unit(&mut state) + 1.0),
+            }
+            let before = hint;
+            prop_assert_eq!(
+                wave.eval_hinted(t, &mut hint).to_bits(),
+                wave.eval(t).to_bits(),
+                "query {} at t = {:e} from hint {}", k, t, before
+            );
+        }
+    }
+
+    /// A Newton solve evaluates each source from the workspace's hint;
+    /// across forward steps, steps back, queries outside every span
+    /// and a `set_source` in the middle of the run, each value is the
+    /// source's `eval` bit for bit.
+    #[test]
+    fn hinted_source_lookups_match_eval_across_set_source(seed in any::<u64>()) {
+        let mut state = seed;
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.resistor(a, b, 1e3);
+        let mut sources: Vec<(ElementId, Source)> = Vec::new();
+        for k in 0..4 {
+            let source = match k {
+                1 => Source::Dc(unit(&mut state)),
+                _ => Source::Pwl(random_pwl(1 + below(&mut state, 24), &mut state)),
+            };
+            let id = if k % 2 == 0 {
+                ckt.vsource(a, Circuit::GROUND, source.clone())
+            } else {
+                ckt.isource(b, Circuit::GROUND, source.clone())
+            };
+            sources.push((id, source));
+        }
+        let mut compiled = CompiledCircuit::compile(&ckt);
+        let mut ws = NewtonWorkspace::new(&compiled);
+        let (mut t, mut last_step) = (0.0, 0.0);
+        for k in 0..64 {
+            if k == 32 {
+                let (id, _) = sources[2];
+                let source = Source::Pwl(random_pwl(1 + below(&mut state, 24), &mut state));
+                compiled.set_source(id, source.clone()).unwrap();
+                sources[2].1 = source;
+            }
+            match below(&mut state, 6) {
+                0..=2 => {
+                    last_step = 0.05e-9 * (unit(&mut state) + 1.0);
+                    t += last_step;
+                }
+                3 => t -= last_step,
+                4 => t = -1e-9 + 4e-9 * (unit(&mut state) + 1.0),
+                _ => {}
+            }
+            let got: Vec<u64> =
+                compiled.probe_sources(&mut ws, t).iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = sources.iter().map(|(_, s)| s.eval(t).to_bits()).collect();
+            prop_assert_eq!(got, want, "query {} at t = {:e}", k, t);
+        }
+    }
+}

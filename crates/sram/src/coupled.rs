@@ -18,6 +18,7 @@ use samurai_trap::{DeviceParams, PropensityModel, TrapState};
 use samurai_waveform::{BitPattern, Pwc, Pwl};
 
 use samurai_spice::{DcConfig, ElementId, Source, TransientStepper};
+use samurai_telemetry::SolverStats;
 
 use crate::harness::{profile_traps, trap_device, MethodologyConfig};
 use crate::{
@@ -55,6 +56,9 @@ pub struct CoupledReport {
     pub n_filled: Vec<Pwc>,
     /// Write classification of `q`.
     pub outcomes: WriteAnalysis,
+    /// Solver effort of the fixed-step loop (its stepper's Newton
+    /// solves, iterations and accepted steps).
+    pub solver: SolverStats,
 }
 
 struct TrapRuntime {
@@ -205,6 +209,7 @@ pub fn run_coupled(
         qb,
         n_filled,
         outcomes,
+        solver: stepper.stats(),
     })
 }
 
@@ -245,6 +250,10 @@ mod tests {
         assert_eq!(report.outcomes.error_count(), 0);
         // Trap state trajectories were recorded for all 6 transistors.
         assert_eq!(report.n_filled.len(), 6);
+        // The stepper's Newton work is reported, one accepted step per
+        // outer step.
+        assert!(report.solver.newton_iterations > 0);
+        assert!(report.solver.steps_accepted > 0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! compared with and without RTN.
 
 use samurai_core::{FaultPlan, SeedStream};
+use samurai_telemetry::SolverStats;
 use samurai_waveform::Pwl;
 
 use samurai_spice::{Circuit, CompiledCircuit, ElementId, MosfetParams, Source, TransientConfig};
@@ -62,6 +63,9 @@ pub struct RingReport {
     pub periods_rtn: Vec<f64>,
     /// The observed stage-0 waveform with RTN.
     pub v0: Pwl,
+    /// Solver effort across both SPICE passes, read off the shared
+    /// Newton workspace (as [`crate::MethodologyReport::solver`]).
+    pub solver: SolverStats,
 }
 
 impl RingReport {
@@ -199,7 +203,8 @@ pub fn run_ring(config: &RingConfig) -> Result<RingReport, SramError> {
         rtn_scale: config.rtn_scale,
     };
     let mut compiled = CompiledCircuit::compile(&ring.circuit);
-    let (pass1, pass2, _) = run_two_pass(&mut compiled, &ring.circuit, &spec, sites, |_, _, _| {})?;
+    let (pass1, pass2, solver) =
+        run_two_pass(&mut compiled, &ring.circuit, &spec, sites, |_, _, _| {})?;
 
     let level = config.vdd / 2.0;
     let scan_dt = config.horizon / 20_000.0;
@@ -216,6 +221,7 @@ pub fn run_ring(config: &RingConfig) -> Result<RingReport, SramError> {
         periods_clean,
         periods_rtn,
         v0,
+        solver,
     })
 }
 
@@ -243,6 +249,18 @@ mod tests {
                 "clean ring period wobbles: {p} vs mean {mean}"
             );
         }
+    }
+
+    #[test]
+    fn a_ring_run_reports_its_solver_effort() {
+        let config = RingConfig {
+            horizon: 5e-9,
+            seed: 3,
+            ..RingConfig::default()
+        };
+        let solver = run_ring(&config).unwrap().solver;
+        assert!(solver.newton_iterations > 0, "{solver:?}");
+        assert!(solver.steps_accepted > 0, "{solver:?}");
     }
 
     #[test]

@@ -208,8 +208,51 @@ impl Pwl {
         }
         // Index of the first breakpoint with time > t.
         let hi = pts.partition_point(|&(bt, _)| bt <= t);
-        let (t0, v0) = pts[hi - 1];
-        let (t1, v1) = pts[hi];
+        self.interpolate(hi, t)
+    }
+
+    /// [`eval`](Self::eval), searching for `t`'s segment from `hint` (a
+    /// segment index a previous call left) instead of from scratch, and
+    /// leaving the segment found there. A query in the hinted segment
+    /// or the next one costs two or three comparisons; a query further
+    /// ahead binary-searches the rest, and one behind the hint (or a
+    /// stale or out-of-range hint) searches the whole waveform. The
+    /// hint only chooses where the search starts: the
+    /// segment and the interpolation are `eval`'s, so the result is
+    /// `eval(t)` bit for bit.
+    pub fn eval_hinted(&self, t: f64, hint: &mut usize) -> f64 {
+        let pts = &self.points;
+        if t <= pts[0].0 {
+            return pts[0].1;
+        }
+        let last = pts[pts.len() - 1];
+        if t >= last.0 {
+            return last.1;
+        }
+        // Here `pts[0].0 < t < last.0`, so the first breakpoint with
+        // time > t lies in `1..pts.len()`.
+        let h = *hint;
+        let hi = if h >= 1 && h < pts.len() && pts[h - 1].0 <= t {
+            // Each `pts[k].0 <= t < last.0` below puts `k + 1` in range.
+            if t < pts[h].0 {
+                h
+            } else if t < pts[h + 1].0 {
+                h + 1
+            } else {
+                h + 2 + pts[h + 2..].partition_point(|&(bt, _)| bt <= t)
+            }
+        } else {
+            pts.partition_point(|&(bt, _)| bt <= t)
+        };
+        *hint = hi;
+        self.interpolate(hi, t)
+    }
+
+    /// The value at `t` on the segment ending at breakpoint `hi`.
+    #[inline]
+    fn interpolate(&self, hi: usize, t: f64) -> f64 {
+        let (t0, v0) = self.points[hi - 1];
+        let (t1, v1) = self.points[hi];
         v0 + (v1 - v0) * (t - t0) / (t1 - t0)
     }
 
