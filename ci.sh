@@ -96,6 +96,14 @@ cargo test -q -p samurai-spice --test hostile_decks
 # as the suites above).
 cargo test -q -p samurai-spice --test properties
 cargo test -q --release -p samurai-spice --test properties
+# SPICE unit suite: the assembly and refresh oracles compare every
+# stamp's residual, Jacobian and capacitor-history update with a
+# by-coordinates computation bit for bit, and the column and corner
+# digests rest on both; like the property suite it runs again
+# optimised, where the optimiser could break the bit identity (pinned
+# for the same reason as the suites above).
+cargo test -q -p samurai-spice --lib
+cargo test -q --release -p samurai-spice --lib
 # Performance-ledger package tests (the ledger is its own workspace
 # with its own lock file, so `--workspace` above never reaches it): a
 # smoke pass over all four workloads and digest equality with tracing

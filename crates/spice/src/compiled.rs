@@ -9,8 +9,9 @@
 //!
 //! * every node reference becomes a dense `Option<usize>` unknown
 //!   index (`None` = ground),
-//! * every element becomes a concrete device stamp behind the
-//!   [`Stamp`] trait,
+//! * every element becomes a concrete device stamp (a MOSFET's charge
+//!   model becomes three capacitor stamps inside it), and every
+//!   capacitor history gets its index in the workspace,
 //! * the Jacobian fill pattern (the set of matrix entries any stamp
 //!   can ever write) is precomputed, so re-assembly clears only the
 //!   touched entries,
@@ -518,32 +519,6 @@ impl SlotMap<'_> {
     }
 }
 
-/// An index-resolved device: how one element contributes to the
-/// compiled system.
-///
-/// Implementations receive the candidate solution `x` and the
-/// workspace, whose context fields (`t`, integration mode, homotopy
-/// scales, capacitor histories, source values) parameterise the
-/// evaluation; they accumulate into the workspace residual and into
-/// the Jacobian slots resolved at compile time.
-pub trait Stamp {
-    /// Accumulates this device's residual contributions at the
-    /// candidate solution `x`, and its Jacobian contributions when
-    /// `JAC`. One body serves both: the residual arithmetic, its order
-    /// and every memo update are the same whether or not the Jacobian
-    /// is written.
-    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace);
-
-    /// Records every Jacobian entry this device can ever write (over
-    /// all integration modes), so assembly can clear exactly the
-    /// touched entries.
-    fn register_fill(&self, fill: &mut Vec<(usize, usize)>);
-
-    /// Refreshes this device's integration state from an accepted
-    /// solution (capacitor companion histories); default: stateless.
-    fn update_state(&self, _x: &[f64], _ws: &mut NewtonWorkspace) {}
-}
-
 #[derive(Debug, Clone)]
 pub(crate) struct ResistorStamp {
     pub a: Option<usize>,
@@ -553,38 +528,24 @@ pub(crate) struct ResistorStamp {
     pub slots: [Slot; 4],
 }
 
-impl Stamp for ResistorStamp {
-    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
-        let jac = ws.sys.values_mut();
-        stamp_branch::<JAC>(
-            jac,
-            &mut ws.res,
-            x,
-            self.a,
-            self.b,
-            &self.slots,
-            self.g,
-            0.0,
-        );
-    }
-
-    fn register_fill(&self, fill: &mut Vec<(usize, usize)>) {
-        fill_branch(fill, self.a, self.b);
-    }
-}
-
+/// A capacitor's companion branch: a discrete capacitor, or one of the
+/// Cgs, Cgd and Cdb of a MOSFET's charge model.
 #[derive(Debug, Clone)]
 pub(crate) struct CapacitorStamp {
     pub a: Option<usize>,
     pub b: Option<usize>,
     pub c: f64,
-    /// Index into the workspace capacitor-history table.
+    /// Index into the workspace capacitor-history table, numbered by
+    /// [`CompiledCircuit::compile_with_solver`] in element order.
     pub state: usize,
     /// Jacobian slots of the companion branch.
     pub slots: [Slot; 4],
 }
 
-impl Stamp for CapacitorStamp {
+impl CapacitorStamp {
+    /// Stamps the companion `(g_eq, i_eq)` that
+    /// [`CompiledCircuit::prepare_solve`] left for this capacitor;
+    /// nothing under DC, where the capacitor is open.
     fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
         let (g, i0) = ws.companions[self.state];
         // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
@@ -594,14 +555,13 @@ impl Stamp for CapacitorStamp {
         }
     }
 
-    fn register_fill(&self, fill: &mut Vec<(usize, usize)>) {
-        fill_branch(fill, self.a, self.b);
-    }
-
-    fn update_state(&self, x: &[f64], ws: &mut NewtonWorkspace) {
+    /// Refreshes this capacitor's history `(v_prev, i_prev)` in
+    /// `states` from the accepted solution `x` under `mode`.
+    fn update_state(&self, x: &[f64], mode: IntegMode, states: &mut [CapState]) {
         let v = v_at(x, self.a) - v_at(x, self.b);
-        let (g, i0) = ws.mode.companion(self.c, ws.cap_states[self.state]);
-        ws.cap_states[self.state] = CapState {
+        let state = &mut states[self.state];
+        let (g, i0) = mode.companion(self.c, *state);
+        *state = CapState {
             v_prev: v,
             i_prev: g * v + i0,
         };
@@ -621,30 +581,6 @@ pub(crate) struct VsourceStamp {
     pub slots: [Slot; 4],
 }
 
-impl Stamp for VsourceStamp {
-    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
-        let jac = ws.sys.values_mut();
-        let i_branch = x[self.row];
-        // Branch current leaves the + node through the source.
-        add_res(&mut ws.res, self.plus, i_branch);
-        add_res(&mut ws.res, self.minus, -i_branch);
-        add_jac::<JAC>(jac, self.slots[0], 1.0);
-        add_jac::<JAC>(jac, self.slots[1], -1.0);
-        // Branch equation.
-        ws.res[self.row] =
-            v_at(x, self.plus) - v_at(x, self.minus) - ws.source_scale * ws.source_values[self.src];
-        add_jac::<JAC>(jac, self.slots[2], 1.0);
-        add_jac::<JAC>(jac, self.slots[3], -1.0);
-    }
-
-    fn register_fill(&self, fill: &mut Vec<(usize, usize)>) {
-        for i in [self.plus, self.minus].into_iter().flatten() {
-            fill.push((i, self.row));
-            fill.push((self.row, i));
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 pub(crate) struct IsourceStamp {
     pub from: Option<usize>,
@@ -653,130 +589,75 @@ pub(crate) struct IsourceStamp {
     pub src: usize,
 }
 
-impl Stamp for IsourceStamp {
-    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
-        let _ = x;
-        let i = ws.source_scale * ws.source_values[self.src];
-        add_res(&mut ws.res, self.from, i);
-        add_res(&mut ws.res, self.to, -i);
-    }
-
-    fn register_fill(&self, _fill: &mut Vec<(usize, usize)>) {
-        // Current sources contribute to the residual only.
-    }
-}
-
-/// The Jacobian slots of one MOSFET stamp.
-#[derive(Debug, Clone)]
-pub(crate) struct MosfetSlots {
-    /// `(d, d)`, `(d, g)`, `(d, s)`, `(s, d)`, `(s, g)`, `(s, s)`: the
-    /// channel current's derivatives.
-    channel: [Slot; 6],
-    /// Companion branches of Cgs, Cgd and Cdb.
-    gs: [Slot; 4],
-    gd: [Slot; 4],
-    db: [Slot; 4],
-}
-
 #[derive(Debug, Clone)]
 pub(crate) struct MosfetStamp {
     pub d: Option<usize>,
     pub g: Option<usize>,
     pub s: Option<usize>,
     pub params: MosfetParams,
-    /// Workspace history slots for the Cgs, Cgd, Cdb charge model.
-    pub caps: [usize; 3],
     /// Index of this device's EKV memo in the workspace.
     pub memo: usize,
-    pub slots: MosfetSlots,
+    /// Jacobian slots of the channel current's derivatives: `(d, d)`,
+    /// `(d, g)`, `(d, s)`, `(s, d)`, `(s, g)`, `(s, s)`.
+    pub slots: [Slot; 6],
+    /// The charge model: Cgs, Cgd and Cdb, stamped after the channel in
+    /// that order.
+    pub caps: [CapacitorStamp; 3],
 }
 
-impl Stamp for MosfetStamp {
-    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
-        let (id, dd, dg, ds) = self.params.eval_memo(
-            v_at(x, self.d),
-            v_at(x, self.g),
-            v_at(x, self.s),
-            &mut ws.ekv_memo[self.memo],
-        );
-        let jac = ws.sys.values_mut();
-        let res = &mut ws.res;
-        add_res(res, self.d, id);
-        add_res(res, self.s, -id);
-        let ch = &self.slots.channel;
-        add_jac::<JAC>(jac, ch[0], dd);
-        add_jac::<JAC>(jac, ch[1], dg);
-        add_jac::<JAC>(jac, ch[2], ds);
-        add_jac::<JAC>(jac, ch[3], -dd);
-        add_jac::<JAC>(jac, ch[4], -dg);
-        add_jac::<JAC>(jac, ch[5], -ds);
-        // Charge model: Cgs, Cgd, Cdb.
-        let (g_gs, i_gs) = ws.companions[self.caps[0]];
-        // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
-        if g_gs != 0.0 || i_gs != 0.0 {
-            stamp_branch::<JAC>(jac, res, x, self.g, self.s, &self.slots.gs, g_gs, i_gs);
-        }
-        let (g_gd, i_gd) = ws.companions[self.caps[1]];
-        // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
-        if g_gd != 0.0 || i_gd != 0.0 {
-            stamp_branch::<JAC>(jac, res, x, self.g, self.d, &self.slots.gd, g_gd, i_gd);
-        }
-        let (g_db, i_db) = ws.companions[self.caps[2]];
-        // lint: allow(HYG004): exact-zero sentinel skips unstamped entries
-        if g_db != 0.0 || i_db != 0.0 {
-            stamp_branch::<JAC>(jac, res, x, self.d, None, &self.slots.db, g_db, i_db);
-        }
-    }
-
-    fn register_fill(&self, fill: &mut Vec<(usize, usize)>) {
-        for row in [self.d, self.s] {
-            for col in [self.d, self.g, self.s] {
-                if let (Some(r), Some(c)) = (row, col) {
-                    fill.push((r, c));
-                }
-            }
-        }
-        fill_branch(fill, self.g, self.s);
-        fill_branch(fill, self.g, self.d);
-        fill_branch(fill, self.d, None);
-    }
-
-    fn update_state(&self, x: &[f64], ws: &mut NewtonWorkspace) {
-        let mut refresh = |a: Option<usize>, b: Option<usize>, c: f64, idx: usize| {
-            let v = v_at(x, a) - v_at(x, b);
-            let (g, i0) = ws.mode.companion(c, ws.cap_states[idx]);
-            ws.cap_states[idx] = CapState {
-                v_prev: v,
-                i_prev: g * v + i0,
-            };
-        };
-        refresh(self.g, self.s, self.params.cgs, self.caps[0]);
-        refresh(self.g, self.d, self.params.cgd, self.caps[1]);
-        refresh(self.d, None, self.params.cdb, self.caps[2]);
-    }
-}
-
-/// One lowered element. Static dispatch over the concrete stamps: the
-/// assembly loop is a jump table, not a vtable walk.
+/// One lowered element: how it contributes to the compiled system.
+/// Static dispatch over the concrete stamps: the assembly loop is a
+/// jump table, not a vtable walk. A MOSFET, with its three capacitor
+/// stamps, is several times the size of any other stamp, so it is
+/// boxed rather than padding every element to its size.
 #[derive(Debug, Clone)]
 pub(crate) enum DeviceStamp {
     Resistor(ResistorStamp),
     Capacitor(CapacitorStamp),
     Vsource(VsourceStamp),
     Isource(IsourceStamp),
-    Mosfet(MosfetStamp),
+    Mosfet(Box<MosfetStamp>),
+}
+
+/// What one lowering pass has numbered so far: the source waveforms
+/// moved out of the elements, the workspace EKV memos and the
+/// capacitor histories.
+#[derive(Default)]
+struct Lowering {
+    sources: Vec<Source>,
+    mosfets: usize,
+    cap_states: usize,
+}
+
+impl Lowering {
+    /// Moves a copy of `source` into the table; returns its index.
+    fn source(&mut self, source: &Source) -> usize {
+        self.sources.push(source.clone());
+        self.sources.len() - 1
+    }
+
+    /// A capacitor stamp owning the next history, with unresolved
+    /// slots.
+    fn capacitor(&mut self, a: Option<usize>, b: Option<usize>, c: f64) -> CapacitorStamp {
+        self.cap_states += 1;
+        CapacitorStamp {
+            a,
+            b,
+            c,
+            state: self.cap_states - 1,
+            slots: [NO_SLOT; 4],
+        }
+    }
 }
 
 impl DeviceStamp {
     /// Lowers one netlist element into its index-resolved stamp, with
     /// unresolved Jacobian slots ([`DeviceStamp::resolve_slots`] fills
-    /// them once the fill pattern is known). A source's waveform is
-    /// moved to `sources`; the stamp keeps its index.
-    fn lower(element: &Element, n_nodes: usize, sources: &mut Vec<Source>) -> Self {
-        let mut add_source = |source: &Source| {
-            sources.push(source.clone());
-            sources.len() - 1
-        };
+    /// them once the fill pattern is known). A source's waveform moves
+    /// to the lowering's table, and a MOSFET's memo and every
+    /// capacitor history take the next index, so histories are
+    /// numbered in element order (Cgs, Cgd, Cdb within a MOSFET).
+    fn lower(element: &Element, n_nodes: usize, lowering: &mut Lowering) -> Self {
         match element {
             Element::Resistor { a, b, conductance } => Self::Resistor(ResistorStamp {
                 a: a.unknown_index(),
@@ -784,18 +665,11 @@ impl DeviceStamp {
                 g: *conductance,
                 slots: [NO_SLOT; 4],
             }),
-            Element::Capacitor {
-                a,
-                b,
-                capacitance,
-                state,
-            } => Self::Capacitor(CapacitorStamp {
-                a: a.unknown_index(),
-                b: b.unknown_index(),
-                c: *capacitance,
-                state: *state,
-                slots: [NO_SLOT; 4],
-            }),
+            Element::Capacitor { a, b, capacitance } => Self::Capacitor(lowering.capacitor(
+                a.unknown_index(),
+                b.unknown_index(),
+                *capacitance,
+            )),
             Element::Vsource {
                 plus,
                 minus,
@@ -805,34 +679,31 @@ impl DeviceStamp {
                 plus: plus.unknown_index(),
                 minus: minus.unknown_index(),
                 row: n_nodes + branch,
-                src: add_source(source),
+                src: lowering.source(source),
                 slots: [NO_SLOT; 4],
             }),
             Element::Isource { from, to, source } => Self::Isource(IsourceStamp {
                 from: from.unknown_index(),
                 to: to.unknown_index(),
-                src: add_source(source),
+                src: lowering.source(source),
             }),
-            Element::Mosfet {
-                d,
-                g,
-                s,
-                params,
-                cap_states,
-            } => Self::Mosfet(MosfetStamp {
-                d: d.unknown_index(),
-                g: g.unknown_index(),
-                s: s.unknown_index(),
-                params: *params,
-                caps: *cap_states,
-                memo: 0,
-                slots: MosfetSlots {
-                    channel: [NO_SLOT; 6],
-                    gs: [NO_SLOT; 4],
-                    gd: [NO_SLOT; 4],
-                    db: [NO_SLOT; 4],
-                },
-            }),
+            Element::Mosfet { d, g, s, params } => {
+                let (d, g, s) = (d.unknown_index(), g.unknown_index(), s.unknown_index());
+                lowering.mosfets += 1;
+                Self::Mosfet(Box::new(MosfetStamp {
+                    d,
+                    g,
+                    s,
+                    params: *params,
+                    memo: lowering.mosfets - 1,
+                    slots: [NO_SLOT; 6],
+                    caps: [
+                        lowering.capacitor(g, s, params.cgs),
+                        lowering.capacitor(g, d, params.cgd),
+                        lowering.capacitor(d, None, params.cdb),
+                    ],
+                }))
+            }
         }
     }
 
@@ -847,8 +718,104 @@ impl DeviceStamp {
         }
     }
 
+    /// The capacitors this device stamps: a capacitor itself, a
+    /// MOSFET's Cgs, Cgd and Cdb, none otherwise.
+    fn capacitors(&self) -> &[CapacitorStamp] {
+        match self {
+            Self::Capacitor(c) => std::slice::from_ref(c),
+            Self::Mosfet(m) => &m.caps,
+            _ => &[],
+        }
+    }
+
+    /// Accumulates this device's residual contributions at the
+    /// candidate solution `x`, and its Jacobian contributions when
+    /// `JAC`, under the workspace's stamp context (`t`, integration
+    /// mode, homotopy scales, capacitor companions, source values). One
+    /// body serves both: the residual arithmetic, its order and every
+    /// memo update are the same whether or not the Jacobian is
+    /// written.
+    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
+        match self {
+            Self::Resistor(r) => {
+                let jac = ws.sys.values_mut();
+                stamp_branch::<JAC>(jac, &mut ws.res, x, r.a, r.b, &r.slots, r.g, 0.0);
+            }
+            Self::Capacitor(c) => c.stamp::<JAC>(x, ws),
+            Self::Vsource(v) => {
+                let jac = ws.sys.values_mut();
+                let i_branch = x[v.row];
+                // Branch current leaves the + node through the source.
+                add_res(&mut ws.res, v.plus, i_branch);
+                add_res(&mut ws.res, v.minus, -i_branch);
+                add_jac::<JAC>(jac, v.slots[0], 1.0);
+                add_jac::<JAC>(jac, v.slots[1], -1.0);
+                // Branch equation.
+                ws.res[v.row] =
+                    v_at(x, v.plus) - v_at(x, v.minus) - ws.source_scale * ws.source_values[v.src];
+                add_jac::<JAC>(jac, v.slots[2], 1.0);
+                add_jac::<JAC>(jac, v.slots[3], -1.0);
+            }
+            Self::Isource(i) => {
+                let value = ws.source_scale * ws.source_values[i.src];
+                add_res(&mut ws.res, i.from, value);
+                add_res(&mut ws.res, i.to, -value);
+            }
+            Self::Mosfet(m) => {
+                let (id, dd, dg, ds) = m.params.eval_memo(
+                    v_at(x, m.d),
+                    v_at(x, m.g),
+                    v_at(x, m.s),
+                    &mut ws.ekv_memo[m.memo],
+                );
+                let jac = ws.sys.values_mut();
+                add_res(&mut ws.res, m.d, id);
+                add_res(&mut ws.res, m.s, -id);
+                add_jac::<JAC>(jac, m.slots[0], dd);
+                add_jac::<JAC>(jac, m.slots[1], dg);
+                add_jac::<JAC>(jac, m.slots[2], ds);
+                add_jac::<JAC>(jac, m.slots[3], -dd);
+                add_jac::<JAC>(jac, m.slots[4], -dg);
+                add_jac::<JAC>(jac, m.slots[5], -ds);
+                for cap in &m.caps {
+                    cap.stamp::<JAC>(x, ws);
+                }
+            }
+        }
+    }
+
+    /// Records every Jacobian entry this device can ever write (over
+    /// all integration modes), so assembly can clear exactly the
+    /// touched entries.
+    fn register_fill(&self, fill: &mut Vec<(usize, usize)>) {
+        match self {
+            Self::Resistor(r) => fill_branch(fill, r.a, r.b),
+            Self::Capacitor(c) => fill_branch(fill, c.a, c.b),
+            Self::Vsource(v) => {
+                for i in [v.plus, v.minus].into_iter().flatten() {
+                    fill.push((i, v.row));
+                    fill.push((v.row, i));
+                }
+            }
+            // Current sources contribute to the residual only.
+            Self::Isource(_) => {}
+            Self::Mosfet(m) => {
+                for row in [m.d, m.s] {
+                    for col in [m.d, m.g, m.s] {
+                        if let (Some(r), Some(c)) = (row, col) {
+                            fill.push((r, c));
+                        }
+                    }
+                }
+                for c in &m.caps {
+                    fill_branch(fill, c.a, c.b);
+                }
+            }
+        }
+    }
+
     /// Resolves every Jacobian entry this stamp writes to its slot,
-    /// in the order [`Stamp::stamp`] writes them.
+    /// in the order [`DeviceStamp::stamp`] writes them.
     fn resolve_slots(&mut self, map: &SlotMap<'_>) {
         match self {
             Self::Resistor(r) => r.slots = map.branch(r.a, r.b),
@@ -865,19 +832,17 @@ impl DeviceStamp {
             Self::Isource(_) => {}
             Self::Mosfet(m) => {
                 let (d, g, s) = (m.d, m.g, m.s);
-                m.slots = MosfetSlots {
-                    channel: [
-                        map.slot(d, d),
-                        map.slot(d, g),
-                        map.slot(d, s),
-                        map.slot(s, d),
-                        map.slot(s, g),
-                        map.slot(s, s),
-                    ],
-                    gs: map.branch(g, s),
-                    gd: map.branch(g, d),
-                    db: map.branch(d, None),
-                };
+                m.slots = [
+                    map.slot(d, d),
+                    map.slot(d, g),
+                    map.slot(d, s),
+                    map.slot(s, d),
+                    map.slot(s, g),
+                    map.slot(s, s),
+                ];
+                for c in &mut m.caps {
+                    c.slots = map.branch(c.a, c.b);
+                }
             }
         }
     }
@@ -893,40 +858,8 @@ impl DeviceStamp {
     }
 }
 
-impl Stamp for DeviceStamp {
-    fn stamp<const JAC: bool>(&self, x: &[f64], ws: &mut NewtonWorkspace) {
-        match self {
-            Self::Resistor(d) => d.stamp::<JAC>(x, ws),
-            Self::Capacitor(d) => d.stamp::<JAC>(x, ws),
-            Self::Vsource(d) => d.stamp::<JAC>(x, ws),
-            Self::Isource(d) => d.stamp::<JAC>(x, ws),
-            Self::Mosfet(d) => d.stamp::<JAC>(x, ws),
-        }
-    }
-
-    fn register_fill(&self, fill: &mut Vec<(usize, usize)>) {
-        match self {
-            Self::Resistor(d) => d.register_fill(fill),
-            Self::Capacitor(d) => d.register_fill(fill),
-            Self::Vsource(d) => d.register_fill(fill),
-            Self::Isource(d) => d.register_fill(fill),
-            Self::Mosfet(d) => d.register_fill(fill),
-        }
-    }
-
-    fn update_state(&self, x: &[f64], ws: &mut NewtonWorkspace) {
-        match self {
-            Self::Resistor(d) => d.update_state(x, ws),
-            Self::Capacitor(d) => d.update_state(x, ws),
-            Self::Vsource(d) => d.update_state(x, ws),
-            Self::Isource(d) => d.update_state(x, ws),
-            Self::Mosfet(d) => d.update_state(x, ws),
-        }
-    }
-}
-
 /// A [`Circuit`] lowered for repeated solving: node names resolved to
-/// dense indices, elements lowered to [`Stamp`]s, Jacobian fill
+/// dense indices, elements lowered to device stamps, Jacobian fill
 /// pattern precomputed and every stamped entry resolved to its slot
 /// in the chosen backend's value array.
 ///
@@ -990,11 +923,11 @@ impl CompiledCircuit {
     pub fn compile_with_solver(ckt: &Circuit, choice: SolverChoice) -> Self {
         let n_nodes = ckt.node_count();
         let n_unknowns = ckt.unknown_count();
-        let mut sources = Vec::new();
+        let mut lowering = Lowering::default();
         let mut stamps: Vec<DeviceStamp> = ckt
             .elements
             .iter()
-            .map(|e| DeviceStamp::lower(e, n_nodes, &mut sources))
+            .map(|e| DeviceStamp::lower(e, n_nodes, &mut lowering))
             .collect();
         let mut fill: Vec<(usize, usize)> = (0..n_nodes).map(|i| (i, i)).collect();
         for stamp in &stamps {
@@ -1018,13 +951,6 @@ impl CompiledCircuit {
             SolverKind::Sparse => pattern.min_degree_ordering(),
             SolverKind::Dense => Vec::new(),
         };
-        let mut mosfet_count = 0;
-        for stamp in &mut stamps {
-            if let DeviceStamp::Mosfet(m) = stamp {
-                m.memo = mosfet_count;
-                mosfet_count += 1;
-            }
-        }
         let mut map = SlotMap {
             fill: &fill,
             pattern: &pattern,
@@ -1041,11 +967,11 @@ impl CompiledCircuit {
         Self {
             n_nodes,
             n_unknowns,
-            cap_state_count: ckt.cap_state_count,
-            mosfet_count,
+            cap_state_count: lowering.cap_states,
+            mosfet_count: lowering.mosfets,
             gmin: ckt.gmin,
             stamps,
-            sources,
+            sources: lowering.sources,
             gmin_slots,
             fill,
             pattern,
@@ -1155,10 +1081,10 @@ impl CompiledCircuit {
     /// solve: every source waveform at the workspace time `ws.t` into
     /// `ws.source_values` (each PWL searched from its hint in
     /// `ws.source_hints`), and every capacitor companion — the
-    /// discrete capacitors and each MOSFET's Cgs, Cgd and Cdb, read
-    /// from the live (possibly patched) parameters — under the
-    /// workspace's integration mode and histories into
-    /// `ws.companions`.
+    /// discrete capacitors and each MOSFET's Cgs, Cgd and Cdb, whose
+    /// capacitances were lowered from the compiled (possibly patched)
+    /// parameters — under the workspace's integration mode and
+    /// histories into `ws.companions`.
     pub(crate) fn prepare_solve(&self, ws: &mut NewtonWorkspace) {
         let values = ws.source_values.iter_mut().zip(&mut ws.source_hints);
         for ((value, hint), source) in values.zip(&self.sources) {
@@ -1167,21 +1093,8 @@ impl CompiledCircuit {
                 Source::Pwl(w) => w.eval_hinted(ws.t, hint),
             };
         }
-        let (mode, states) = (ws.mode, &ws.cap_states);
-        let companions = &mut ws.companions;
-        for stamp in &self.stamps {
-            match stamp {
-                DeviceStamp::Capacitor(c) => {
-                    companions[c.state] = mode.companion(c.c, states[c.state]);
-                }
-                DeviceStamp::Mosfet(m) => {
-                    let caps = [m.params.cgs, m.params.cgd, m.params.cdb];
-                    for (c, idx) in caps.into_iter().zip(m.caps) {
-                        companions[idx] = mode.companion(c, states[idx]);
-                    }
-                }
-                _ => {}
-            }
+        for cap in self.stamps.iter().flat_map(DeviceStamp::capacitors) {
+            ws.companions[cap.state] = ws.mode.companion(cap.c, ws.cap_states[cap.state]);
         }
     }
 
@@ -1426,14 +1339,9 @@ impl CompiledCircuit {
     /// `from_trial`, the accepted one otherwise) under the workspace's
     /// current integration mode.
     pub(crate) fn refresh_states(&self, ws: &mut NewtonWorkspace, from_trial: bool) {
-        let x = std::mem::take(if from_trial { &mut ws.x_try } else { &mut ws.x });
-        for stamp in &self.stamps {
-            stamp.update_state(&x, ws);
-        }
-        if from_trial {
-            ws.x_try = x;
-        } else {
-            ws.x = x;
+        let x = if from_trial { &ws.x_try } else { &ws.x };
+        for cap in self.stamps.iter().flat_map(DeviceStamp::capacitors) {
+            cap.update_state(x, ws.mode, &mut ws.cap_states);
         }
     }
 }
@@ -1441,6 +1349,7 @@ impl CompiledCircuit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodeId;
 
     fn solve_dc(ckt: &Circuit) -> Vec<f64> {
         let compiled = CompiledCircuit::compile(ckt);
@@ -1590,8 +1499,8 @@ mod tests {
                         (m.g, m.d, m.params.cgd),
                         (m.d, None, m.params.cdb),
                     ];
-                    for ((a, b, cap), state) in caps.into_iter().zip(m.caps) {
-                        let (g, i0) = ws.mode.companion(cap, ws.cap_states[state]);
+                    for ((a, b, cap), stamp) in caps.into_iter().zip(&m.caps) {
+                        let (g, i0) = ws.mode.companion(cap, ws.cap_states[stamp.state]);
                         if g != 0.0 || i0 != 0.0 {
                             branch(&mut jac, &mut res, a, b, g, i0);
                         }
@@ -1669,6 +1578,74 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Every capacitor history after `refresh_states` from a random
+    /// solution, under backward Euler and trapezoidal, computed by
+    /// coordinates: the source circuit's elements in order, numbering
+    /// each capacitor and then each MOSFET's Cgs, Cgd and Cdb, with
+    /// each companion written out.
+    #[test]
+    fn refresh_matches_a_by_coordinates_history_update() {
+        let ckt = every_stamp_circuit();
+        let compiled = CompiledCircuit::compile(&ckt);
+        let mut ws = NewtonWorkspace::new(&compiled);
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut unit = || {
+            seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let v = |x: &[f64], n: NodeId| n.unknown_index().map_or(0.0, |i| x[i]);
+        for mode in [
+            IntegMode::BackwardEuler { h: 3e-12 },
+            IntegMode::Trapezoidal { h: 3e-12 },
+        ] {
+            for s in ws.cap_states.iter_mut() {
+                *s = CapState {
+                    v_prev: unit(),
+                    i_prev: 1e-5 * unit(),
+                };
+            }
+            let before = ws.cap_states.clone();
+            ws.x = (0..compiled.unknown_count())
+                .map(|_| 2.0 * unit())
+                .collect();
+            ws.mode = mode;
+            compiled.refresh_states(&mut ws, false);
+
+            let mut branches = Vec::new();
+            for element in &ckt.elements {
+                match *element {
+                    Element::Capacitor { a, b, capacitance } => branches.push((a, b, capacitance)),
+                    Element::Mosfet { d, g, s, params } => branches.extend([
+                        (g, s, params.cgs),
+                        (g, d, params.cgd),
+                        (d, Circuit::GROUND, params.cdb),
+                    ]),
+                    _ => {}
+                }
+            }
+            assert_eq!(branches.len(), ws.cap_states.len(), "{mode:?}");
+            for (k, (a, b, c)) in branches.into_iter().enumerate() {
+                let volts = v(&ws.x, a) - v(&ws.x, b);
+                let old = before[k];
+                let (g, i0) = match mode {
+                    IntegMode::BackwardEuler { h } => (c / h, -(c / h) * old.v_prev),
+                    IntegMode::Trapezoidal { h } => {
+                        let g = 2.0 * c / h;
+                        (g, -g * old.v_prev - old.i_prev)
+                    }
+                    IntegMode::Dc => unreachable!("only integrating modes refresh"),
+                };
+                let want = (volts.to_bits(), (g * volts + i0).to_bits());
+                let got = ws.cap_states[k];
+                assert_eq!(
+                    (got.v_prev.to_bits(), got.i_prev.to_bits()),
+                    want,
+                    "{mode:?} history {k}"
+                );
             }
         }
     }

@@ -15,9 +15,9 @@
 //!   and a simple constant-capacitance charge model;
 //! * [`CompiledCircuit`] / [`NewtonWorkspace`] — the compile-once
 //!   engine: node names resolved to dense indices, elements lowered to
-//!   [`Stamp`]s, Jacobian fill pattern precomputed, and every solver
-//!   buffer owned by a persistent workspace so the Newton/timestep
-//!   loop allocates nothing;
+//!   index-resolved device stamps, Jacobian fill pattern precomputed,
+//!   and every solver buffer owned by a persistent workspace so the
+//!   Newton/timestep loop allocates nothing;
 //! * [`SparsityPattern`] / [`CscMatrix`] / [`SparseLu`] — the sparse
 //!   linear-solve path for generated arrays: a Gilbert–Peierls LU over
 //!   a compile-time symbolic analysis, selected automatically above
@@ -66,8 +66,7 @@ mod stepper;
 mod transient;
 
 pub use compiled::{
-    CompiledCircuit, NewtonConfig, NewtonWorkspace, SolverChoice, SolverKind, Stamp,
-    SPARSE_AUTO_THRESHOLD,
+    CompiledCircuit, NewtonConfig, NewtonWorkspace, SolverChoice, SolverKind, SPARSE_AUTO_THRESHOLD,
 };
 pub use dcop::{dc_operating_point, DcConfig};
 pub use error::SpiceError;
@@ -79,4 +78,4 @@ pub use patch::{MosfetAdjust, ParamPatch};
 pub use samurai_telemetry::SolverStats;
 pub use sparse::{CscMatrix, LuFactors, SparseLu, SparsityPattern};
 pub use stepper::TransientStepper;
-pub use transient::{run_transient, Integrator, RescueConfig, TransientConfig, TransientResult};
+pub use transient::{run_transient, Integrator, TransientConfig, TransientResult};

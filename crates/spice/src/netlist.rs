@@ -62,8 +62,6 @@ pub(crate) enum Element {
         a: NodeId,
         b: NodeId,
         capacitance: f64,
-        /// Index into the transient capacitor-state array.
-        state: usize,
     },
     /// Voltage source from `plus` to `minus`; `branch` indexes its
     /// current unknown.
@@ -84,9 +82,6 @@ pub(crate) enum Element {
         g: NodeId,
         s: NodeId,
         params: MosfetParams,
-        /// Indices of the three internal capacitor states
-        /// (gate–source, gate–drain, drain–bulk).
-        cap_states: [usize; 3],
     },
 }
 
@@ -110,7 +105,6 @@ pub struct Circuit {
     node_count: usize,
     pub(crate) elements: Vec<Element>,
     pub(crate) vsource_count: usize,
-    pub(crate) cap_state_count: usize,
     /// Minimum conductance from every node to ground (numerical
     /// safety net); set to 0 to disable.
     pub gmin: f64,
@@ -232,13 +226,10 @@ impl Circuit {
             farads > 0.0 && farads.is_finite(),
             "capacitance must be positive"
         );
-        let state = self.cap_state_count;
-        self.cap_state_count += 1;
         self.push(Element::Capacitor {
             a,
             b,
             capacitance: farads,
-            state,
         })
     }
 
@@ -265,15 +256,7 @@ impl Circuit {
     /// ground for NMOS and implicitly to the source rail for PMOS in
     /// this simplified model).
     pub fn mosfet(&mut self, d: NodeId, g: NodeId, s: NodeId, params: MosfetParams) -> ElementId {
-        let base = self.cap_state_count;
-        self.cap_state_count += 3;
-        self.push(Element::Mosfet {
-            d,
-            g,
-            s,
-            params,
-            cap_states: [base, base + 1, base + 2],
-        })
+        self.push(Element::Mosfet { d, g, s, params })
     }
 
     /// Replaces the waveform of an existing voltage or current source

@@ -22,12 +22,19 @@
 //!   `MEG` for 1e6, since `m` is milli).
 //! * MOSFETs take a model name (`NMOS`/`PMOS`, mapped to the 90 nm
 //!   defaults) plus optional `W=`/`L=` overrides.
+//! * `.tran tstep tstop` needs `0 < tstep < tstop` and an output grid
+//!   of at most 10⁶ points.
 //! * `.end` and blank lines are ignored; anything else is an error
 //!   with a line number.
 
 use crate::{Circuit, ElementId, MosfetParams, Source, SpiceError};
 use samurai_waveform::Pwl;
 use std::collections::BTreeMap;
+
+/// Most points a `.tran` output grid may hold: a consumer samples the
+/// run at every `tstep` from 0 to `tstop`, `round(tstop / tstep) + 1`
+/// points in all.
+const MAX_TRAN_POINTS: f64 = 1e6;
 
 /// A parsed netlist: the circuit plus name → element-id lookup.
 #[derive(Debug, Clone)]
@@ -228,6 +235,12 @@ pub fn parse_netlist(text: &str) -> Result<ParsedNetlist, ParseNetlistError> {
                 let tstop = parse_value(tokens[2]).map_err(err)?;
                 if !(tstep > 0.0 && tstop > tstep) {
                     return Err(err("need 0 < tstep < tstop".into()));
+                }
+                if (tstop / tstep).round() + 1.0 > MAX_TRAN_POINTS {
+                    return Err(err(format!(
+                        ".tran grid exceeds {MAX_TRAN_POINTS:e} points (tstop / tstep = {:e})",
+                        tstop / tstep
+                    )));
                 }
                 tran = Some((tstep, tstop));
             }

@@ -12,11 +12,12 @@
 //! storage lives in the stepper's persistent workspace, so the
 //! step/rewrite loop is allocation-free.
 
-use samurai_core::faults::{FaultArm, FaultKind};
+use samurai_core::faults::FaultArm;
 
 use crate::compiled::{CompiledCircuit, IntegMode, NewtonConfig, NewtonWorkspace};
 use crate::dcop::DcConfig;
 use crate::netlist::{NodeId, Source};
+use crate::transient::injected_step_error;
 use crate::{Circuit, SpiceError};
 
 /// Owns the compiled circuit and the evolving transient state
@@ -95,24 +96,7 @@ impl TransientStepper {
         let t_new = self.t + h;
         if let Some(kind) = self.ws.step_arm.check() {
             self.ws.stats.faults_injected += 1;
-            return Err(match kind {
-                FaultKind::SingularMatrix => self.compiled.singular_at(0),
-                FaultKind::NanResidual => SpiceError::NumericalBreakdown {
-                    time: t_new,
-                    iteration: 0,
-                },
-                FaultKind::NonConvergence => SpiceError::NonConvergence {
-                    time: t_new,
-                    iterations: 0,
-                    max_delta: f64::INFINITY,
-                    max_residual: f64::INFINITY,
-                },
-                FaultKind::TimestepFloor => SpiceError::StepUnderflow {
-                    time: self.t,
-                    dt: h,
-                    rescue_rungs: 0,
-                },
-            });
+            return Err(injected_step_error(kind, self.t, h));
         }
         self.compiled
             .solve_trial(&mut self.ws, t_new, mode, &self.newton)?;

@@ -11,6 +11,12 @@ use crate::{MosfetParams, SpiceError};
 /// Step-size floor: a step halved below it climbs the rescue ladder,
 /// and then fails with [`SpiceError::StepUnderflow`].
 const DT_MIN: f64 = 1e-18;
+/// Stage 1 of the step-level rescue ladder: the extra-gmin homotopy
+/// values, tried in order.
+const GMIN_RAMP: [f64; 3] = [1e-3, 1e-6, 1e-9];
+/// Stage 2 of the step-level rescue ladder: the Newton-config retry
+/// rungs after the gmin ramp.
+const CONFIG_RUNGS: usize = 2;
 
 /// Time integration method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,8 +45,6 @@ pub struct TransientConfig {
     pub dc: DcConfig,
     /// Newton controls for every trial step.
     pub newton: NewtonConfig,
-    /// The step-level rescue ladder tried when halving bottoms out.
-    pub rescue: RescueConfig,
 }
 
 impl Default for TransientConfig {
@@ -52,7 +56,6 @@ impl Default for TransientConfig {
             dv_max: 0.12,
             dc: DcConfig::default(),
             newton: NewtonConfig::default(),
-            rescue: RescueConfig::default(),
         }
     }
 }
@@ -83,46 +86,6 @@ impl TransientConfig {
         steps.extend(self.dc.gmin_steps.iter().copied());
         out.dc.gmin_steps = steps;
         out
-    }
-}
-
-/// The step-level rescue ladder: what [`run_transient`] tries, on the
-/// failing step only, after timestep halving has bottomed out at the
-/// 1e-18 s step floor — mirroring the dcop gmin/source-stepping
-/// homotopy.
-///
-/// Stage 1 ramps an extra gmin down `gmin_ramp` (warm-starting each
-/// rung from the previous one) and finishes with a gmin-free solve;
-/// stage 2 retries the step under progressively patient Newton
-/// configs (doubled iteration budget, halved damping clamp per rung).
-/// Runs that never bottom out never enter the ladder, so enabling it
-/// (the default) cannot change a previously succeeding result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RescueConfig {
-    /// Extra-gmin homotopy values, tried in order (decreasing).
-    pub gmin_ramp: Vec<f64>,
-    /// Newton-config retry rungs after the gmin ramp.
-    pub config_rungs: usize,
-}
-
-impl Default for RescueConfig {
-    fn default() -> Self {
-        Self {
-            gmin_ramp: vec![1e-3, 1e-6, 1e-9],
-            config_rungs: 2,
-        }
-    }
-}
-
-impl RescueConfig {
-    /// No rescue: halving to the floor fails the run immediately
-    /// (the pre-ladder behaviour).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self {
-            gmin_ramp: Vec::new(),
-            config_rungs: 0,
-        }
     }
 }
 
@@ -324,19 +287,7 @@ impl CompiledCircuit {
             let floor_forced = step_fault == Some(FaultKind::TimestepFloor);
             let solved = match step_fault {
                 None => self.solve_trial(ws, t_new, mode, &config.newton),
-                Some(FaultKind::SingularMatrix) => Err(self.singular_at(0)),
-                Some(FaultKind::NanResidual) => Err(SpiceError::NumericalBreakdown {
-                    time: t_new,
-                    iteration: 0,
-                }),
-                Some(FaultKind::NonConvergence | FaultKind::TimestepFloor) => {
-                    Err(SpiceError::NonConvergence {
-                        time: t_new,
-                        iterations: 0,
-                        max_delta: f64::INFINITY,
-                        max_residual: f64::INFINITY,
-                    })
-                }
+                Some(kind) => Err(injected_step_error(kind, t, h)),
             };
 
             let mut accepted = match solved {
@@ -387,11 +338,17 @@ impl CompiledCircuit {
         Ok(result)
     }
 
-    /// The step-level rescue ladder (see [`RescueConfig`]): called only
-    /// after timestep halving has bottomed out on the step to `t_new`.
-    /// On success the trial buffer holds a converged solution; on
-    /// failure returns [`SpiceError::StepUnderflow`] with the number of
-    /// rungs attempted.
+    /// The step-level rescue ladder, mirroring the dcop gmin/source
+    /// homotopy: called only after timestep halving has bottomed out at
+    /// the step floor on the step to `t_new`, so runs that never bottom
+    /// out never enter it. Stage 1 ramps an extra gmin down
+    /// [`GMIN_RAMP`] (warm-starting each rung from the previous one)
+    /// and finishes with a gmin-free solve; stage 2 retries the step
+    /// under [`CONFIG_RUNGS`] progressively patient Newton configs
+    /// (doubled iteration budget, halved damping clamp per rung). On
+    /// success the trial buffer holds a converged solution; on failure
+    /// returns [`SpiceError::StepUnderflow`] with the number of rungs
+    /// attempted.
     fn rescue_step(
         &self,
         ws: &mut NewtonWorkspace,
@@ -406,9 +363,9 @@ impl CompiledCircuit {
         // Stage 1: gmin ramp on the failing step. The first rung cold-
         // starts from the last accepted solution; later rungs (and the
         // final gmin-free solve) warm-start from the previous rung.
-        let mut ramp_ok = !config.rescue.gmin_ramp.is_empty();
+        let mut ramp_ok = true;
         let mut warm = false;
-        for &gmin in &config.rescue.gmin_ramp {
+        for gmin in GMIN_RAMP {
             rungs += 1;
             ws.stats.rescue_gmin_rungs += 1;
             if self
@@ -430,7 +387,7 @@ impl CompiledCircuit {
         }
 
         // Stage 2: retry under progressively patient Newton configs.
-        for k in 1..=config.rescue.config_rungs {
+        for k in 1..=CONFIG_RUNGS {
             rungs += 1;
             ws.stats.rescue_config_rungs += 1;
             let cfg = NewtonConfig {
@@ -450,6 +407,31 @@ impl CompiledCircuit {
             dt: dt_floor,
             rescue_rungs: rungs,
         })
+    }
+}
+
+/// The error an injected step-site fault stands for on the step from
+/// `t` to `t + h`. The stepper returns it as is; the transient loop
+/// rejects the step on it, and sends a forced [`FaultKind::TimestepFloor`]
+/// to the rescue ladder.
+pub(crate) fn injected_step_error(kind: FaultKind, t: f64, h: f64) -> SpiceError {
+    match kind {
+        FaultKind::SingularMatrix => SpiceError::SingularMatrix { col: 0 },
+        FaultKind::NanResidual => SpiceError::NumericalBreakdown {
+            time: t + h,
+            iteration: 0,
+        },
+        FaultKind::NonConvergence => SpiceError::NonConvergence {
+            time: t + h,
+            iterations: 0,
+            max_delta: f64::INFINITY,
+            max_residual: f64::INFINITY,
+        },
+        FaultKind::TimestepFloor => SpiceError::StepUnderflow {
+            time: t,
+            dt: h,
+            rescue_rungs: 0,
+        },
     }
 }
 

@@ -51,6 +51,20 @@ fn the_undamaged_deck_parses_and_compiles() {
 }
 
 #[test]
+fn an_oversized_tran_grid_is_rejected_with_its_line() {
+    let with_tran = |tran: &str| DECK.replace(".tran 0.1n 20n", tran);
+    // 1e6 points is the most a grid may hold; 1e6 + 1 is one too many.
+    let largest = parse_netlist(&with_tran(".tran 1n 999.999u")).expect("1e6 points");
+    assert_eq!(largest.tran, Some((1e-9, 999.999e-6)));
+    let lines = DECK.lines().count();
+    for tran in [".tran 1n 1m", ".tran 1e-21 1e-9", ".tran 1e-300 1"] {
+        let e = parse_netlist(&with_tran(tran)).expect_err(tran);
+        assert_eq!(e.line, lines, "{tran}: {e}");
+        assert!(e.message.contains("points"), "{tran}: {e}");
+    }
+}
+
+#[test]
 fn damaged_decks_are_rejected_with_their_line_or_compile() {
     let (mut rejected, mut accepted) = (0, 0);
     for (damage, deck) in variants(DECK) {

@@ -9,8 +9,8 @@ use samurai::core::ensemble::{FailurePolicy, Parallelism};
 use samurai::core::faults::{FaultKind, FaultPlan, FaultSite};
 use samurai::core::scenario::ScenarioConfig;
 use samurai::spice::{
-    run_transient, Circuit, CompiledCircuit, DcConfig, NewtonWorkspace, RescueConfig, Source,
-    SpiceError, TransientConfig, TransientStepper,
+    run_transient, Circuit, CompiledCircuit, DcConfig, NewtonWorkspace, Source, SpiceError,
+    TransientConfig, TransientStepper,
 };
 use samurai::sram::array::{run_array, ArrayConfig};
 use samurai::sram::read::run_read_disturb;
@@ -198,17 +198,14 @@ fn transient_gmin_ramp_rescues_a_forced_timestep_floor() {
     let config = TransientConfig::default();
     let reference = run_transient(&ckt, 0.0, 4e-9, &config).expect("healthy run");
 
-    // Step 3 is told its halving has bottomed out; the default gmin
-    // ramp (3 rungs) plus the final gmin-free solve converge it.
+    // Step 3 is told its halving has bottomed out; the gmin ramp
+    // (3 rungs) plus the final gmin-free solve converge it.
     let plan = FaultPlan::none().fail_nth_step(3, FaultKind::TimestepFloor);
     let mut ws = armed_ws(&compiled, &plan);
     let rescued = compiled
         .run_transient(&mut ws, 0.0, 4e-9, &config)
         .expect("gmin ramp rescues the step");
-    assert_eq!(
-        ws.stats().rescue_rungs(),
-        (config.rescue.gmin_ramp.len() as u64, 0)
-    );
+    assert_eq!(ws.stats().rescue_rungs(), (3, 0));
 
     // The rescued trajectory still tracks the healthy one.
     let want = reference.voltage(&ckt, "out").expect("node").eval(4e-9);
@@ -218,22 +215,19 @@ fn transient_gmin_ramp_rescues_a_forced_timestep_floor() {
 
 #[test]
 fn transient_config_ladder_is_reached_when_the_ramp_is_disabled() {
+    // The dcop takes solve 1 and step 1 solve 2. The forced-floor
+    // step 2 then fails the ramp's first rung (solve 3), abandoning
+    // the ramp, and the first patient-Newton rung (solve 4) converges.
     let ckt = rc_step();
     let compiled = CompiledCircuit::compile(&ckt);
-    let config = TransientConfig {
-        rescue: RescueConfig {
-            gmin_ramp: Vec::new(),
-            config_rungs: 2,
-        },
-        ..TransientConfig::default()
-    };
-    let plan = FaultPlan::none().fail_nth_step(2, FaultKind::TimestepFloor);
+    let plan = FaultPlan::none()
+        .fail_nth_step(2, FaultKind::TimestepFloor)
+        .fail_nth_solve(3, FaultKind::NonConvergence);
     let mut ws = armed_ws(&compiled, &plan);
     compiled
-        .run_transient(&mut ws, 0.0, 4e-9, &config)
+        .run_transient(&mut ws, 0.0, 4e-9, &TransientConfig::default())
         .expect("config ladder rescues the step");
-    // No gmin rungs exist; the first patient-Newton rung converges.
-    assert_eq!(ws.stats().rescue_rungs(), (0, 1));
+    assert_eq!(ws.stats().rescue_rungs(), (1, 1));
 }
 
 #[test]
@@ -267,16 +261,15 @@ fn exhausted_rescue_reports_every_rung_attempted() {
 
 #[test]
 fn rescue_ladder_never_changes_a_healthy_run() {
-    // Runs that never bottom out never enter the ladder, so enabling
-    // it (the default) is bit-identical to the pre-ladder engine.
+    // Runs that never bottom out never enter the ladder; the golden
+    // fingerprints pin their bits.
     let ckt = rc_step();
-    let with_ladder = run_transient(&ckt, 0.0, 6e-9, &TransientConfig::default()).expect("runs");
-    let config = TransientConfig {
-        rescue: RescueConfig::disabled(),
-        ..TransientConfig::default()
-    };
-    let without = run_transient(&ckt, 0.0, 6e-9, &config).expect("runs");
-    assert_eq!(with_ladder, without);
+    let compiled = CompiledCircuit::compile(&ckt);
+    let mut ws = NewtonWorkspace::new(&compiled);
+    compiled
+        .run_transient(&mut ws, 0.0, 6e-9, &TransientConfig::default())
+        .expect("runs");
+    assert_eq!(ws.stats().rescue_rungs(), (0, 0));
 }
 
 #[test]
@@ -458,16 +451,12 @@ fn sparse_transient_step_faults_surface_as_typed_errors() {
 
     // The rescue ladder still catches a forced floor on the sparse
     // backend, with the same rung accounting as the dense one.
-    let config = TransientConfig::default();
     let plan = FaultPlan::none().fail_nth_step(3, FaultKind::TimestepFloor);
     let mut ws = armed_ws(&compiled, &plan);
     compiled
-        .run_transient(&mut ws, 0.0, 4e-9, &config)
+        .run_transient(&mut ws, 0.0, 4e-9, &TransientConfig::default())
         .expect("gmin ramp rescues the step");
-    assert_eq!(
-        ws.stats().rescue_rungs(),
-        (config.rescue.gmin_ramp.len() as u64, 0)
-    );
+    assert_eq!(ws.stats().rescue_rungs(), (3, 0));
 }
 
 #[test]
