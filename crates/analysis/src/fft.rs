@@ -20,9 +20,14 @@
 //! the spectrum buffer between its passes comes from a pool kept across
 //! calls. [`summed_power`], Welch's periodogram sum, runs eight signals
 //! side by side as the columns of one tile.
+//!
+//! Every stage runs one kernel, compiled twice: once for the build's
+//! baseline target and once for AVX2 on x86-64. The widest copy the CPU
+//! runs is chosen once per process. Each copy does the same IEEE-754
+//! operations in the same order, so the choice moves no bit.
 
 use core::ops::{Add, Mul, Neg, Sub};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// A complex number over `f64`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -117,7 +122,7 @@ impl Neg for Complex {
 ///
 /// Panics if the length is not a power of two (or is zero).
 pub fn fft_in_place(data: &mut [Complex]) {
-    transform(data, false, PASS_BITS);
+    transform(data, false, PASS_BITS, Kernel::chosen());
 }
 
 /// In-place inverse FFT (includes the `1/N` normalisation).
@@ -126,7 +131,7 @@ pub fn fft_in_place(data: &mut [Complex]) {
 ///
 /// Panics if the length is not a power of two (or is zero).
 pub fn ifft_in_place(data: &mut [Complex]) {
-    transform(data, true, PASS_BITS);
+    transform(data, true, PASS_BITS, Kernel::chosen());
     let inv = 1.0 / data.len() as f64;
     for z in data.iter_mut() {
         *z = z.scale(inv);
@@ -139,7 +144,7 @@ pub fn ifft_in_place(data: &mut [Complex]) {
 ///
 /// Panics if the length is not a power of two (or is zero).
 pub fn fft_real(signal: &[f64]) -> Vec<Complex> {
-    real_transform(signal, PASS_BITS)
+    real_transform(signal, PASS_BITS, Kernel::chosen())
 }
 
 /// The first `lags` values of the circular autocorrelation of `signal`
@@ -158,7 +163,7 @@ pub fn fft_real(signal: &[f64]) -> Vec<Complex> {
 /// Panics if `len` is not a power of two, `signal` is longer than `len`,
 /// or `lags` is zero or exceeds `len`.
 pub fn circular_autocorrelation(signal: &[f64], len: usize, lags: usize) -> Vec<f64> {
-    autocorrelation(&SPECTRA, signal, len, lags, PASS_BITS)
+    autocorrelation(&SPECTRA, signal, len, lags, PASS_BITS, Kernel::chosen())
 }
 
 /// The summed power spectra of centred, windowed real signals:
@@ -178,7 +183,13 @@ pub fn summed_power<'a>(
     mean: f64,
     window: &[f64],
 ) -> Vec<f64> {
-    power(&mut signals.into_iter(), mean, window, PASS_BITS)
+    power(
+        &mut signals.into_iter(),
+        mean,
+        window,
+        PASS_BITS,
+        Kernel::chosen(),
+    )
 }
 
 /// Most stages in one pass: a tile of `2^12` rows of [`TILE_COLS`]
@@ -214,7 +225,7 @@ fn reverse(i: usize, bits: u32) -> usize {
     }
 }
 
-fn transform(data: &mut [Complex], inverse: bool, pass_bits: u32) {
+fn transform(data: &mut [Complex], inverse: bool, pass_bits: u32, kernel: Kernel) {
     let bits = log2(data.len());
     for i in 0..data.len() {
         let j = reverse(i, bits);
@@ -222,13 +233,13 @@ fn transform(data: &mut [Complex], inverse: bool, pass_bits: u32) {
             data.swap(i, j);
         }
     }
-    Plan::new(bits, inverse, pass_bits).run(data, None, None, None);
+    Plan::new(bits, inverse, pass_bits, kernel).run(data, None, None, None);
 }
 
-fn real_transform(signal: &[f64], pass_bits: u32) -> Vec<Complex> {
+fn real_transform(signal: &[f64], pass_bits: u32, kernel: Kernel) -> Vec<Complex> {
     let bits = log2(signal.len());
     let mut out = vec![Complex::ZERO; signal.len()];
-    Plan::new(bits, false, pass_bits).run(&mut out, Some(&[signal]), None, None);
+    Plan::new(bits, false, pass_bits, kernel).run(&mut out, Some(&[signal]), None, None);
     out
 }
 
@@ -238,6 +249,7 @@ fn autocorrelation(
     len: usize,
     lags: usize,
     pass_bits: u32,
+    kernel: Kernel,
 ) -> Vec<f64> {
     let bits = log2(len);
     assert!(signal.len() <= len, "signal longer than the transform");
@@ -245,8 +257,8 @@ fn autocorrelation(
         (1..=len).contains(&lags),
         "lag count must lie in 1..=len, got {lags}"
     );
-    let mut inverse = PrunedInverse::new(bits, lags, pass_bits);
-    let mut plan = Plan::new(bits, false, pass_bits);
+    let mut inverse = PrunedInverse::new(bits, lags, pass_bits, kernel);
+    let mut plan = Plan::new(bits, false, pass_bits, kernel);
     let mut sink = |re: &[f64], im: &[f64], cols, j0| inverse.absorb(re, im, cols, j0);
     if bits > pass_bits {
         let mut spectrum = take_spectrum(pool, len);
@@ -267,6 +279,7 @@ fn power(
     mean: f64,
     window: &[f64],
     pass_bits: u32,
+    kernel: Kernel,
 ) -> Vec<f64> {
     let len = window.len();
     let bits = log2(len);
@@ -275,7 +288,7 @@ fn power(
     let a = bits - bits.min(pass_bits);
     let mut acc = vec![0.0; len];
     let mut spectrum = Vec::new();
-    let mut plan = Plan::new(bits, false, pass_bits);
+    let mut plan = Plan::new(bits, false, pass_bits, kernel);
     let mut batch: [&[f64]; BATCH] = [&[]; BATCH];
     loop {
         let mut live = 0;
@@ -510,23 +523,25 @@ impl Tile {
     }
 }
 
-/// One size and direction of transform: its twiddles, fetched once, and
-/// the first pass's tile with its twiddles widened to the tile's
-/// columns (a one-column tile reads the table's own), kept from one run
-/// to the next.
+/// One size and direction of transform: its twiddles, fetched once, the
+/// kernel its stages run, and the first pass's tile with its twiddles
+/// widened to the tile's columns (a one-column tile reads the table's
+/// own), kept from one run to the next.
 struct Plan {
     bits: u32,
     pass_bits: u32,
+    kernel: Kernel,
     tables: Arc<Twiddles>,
     tile: Tile,
     wide: Tile,
 }
 
 impl Plan {
-    fn new(bits: u32, inverse: bool, pass_bits: u32) -> Self {
+    fn new(bits: u32, inverse: bool, pass_bits: u32, kernel: Kernel) -> Self {
         Self {
             bits,
             pass_bits,
+            kernel,
             tables: twiddles(inverse, bits),
             tile: Tile::default(),
             wide: Tile::default(),
@@ -591,10 +606,11 @@ impl Plan {
                 match real {
                     Some(signals) => self.gather_pass(data, m, signals, window, sink),
                     None => {
+                        let kernel = self.kernel;
                         let (tile, wr, wi) = self.first_tile(rows, 1);
                         for block in data.chunks_exact_mut(rows) {
                             tile.load(0, block);
-                            butterfly_split(&mut tile.re, &mut tile.im, 1, wr, wi);
+                            butterfly_split(&mut tile.re, &mut tile.im, 1, wr, wi, kernel);
                             match sink.as_deref_mut() {
                                 Some(sink) => sink(&tile.re, &tile.im, 1, 0),
                                 None => tile.store(0, block),
@@ -625,7 +641,8 @@ impl Plan {
                         for r in 0..rows {
                             tile.load(r * cols, &signal[base + (r << a)..][..cols]);
                         }
-                        butterfly_split(&mut tile.re, &mut tile.im, cols, &tw.re, &tw.im);
+                        let (re, im) = (&mut tile.re, &mut tile.im);
+                        butterfly_split(re, im, cols, &tw.re, &tw.im, self.kernel);
                         match sink.as_deref_mut() {
                             Some(sink) => sink(&tile.re, &tile.im, cols, j0),
                             None => {
@@ -661,6 +678,7 @@ impl Plan {
         let batch = signals.len().next_power_of_two();
         let group = (GATHER / batch).clamp(1, 1 << high);
         let width = batch * group;
+        let kernel = self.kernel;
         let (tile, wr, wi) = self.first_tile(rows, width);
         for r0 in (0..1usize << high).step_by(group) {
             for u in 0..rows {
@@ -679,7 +697,7 @@ impl Plan {
                 absent.fill(0.0);
             }
             tile.im.fill(0.0);
-            butterfly_split(&mut tile.re, &mut tile.im, width, wr, wi);
+            butterfly_split(&mut tile.re, &mut tile.im, width, wr, wi, kernel);
             match sink.as_deref_mut() {
                 Some(sink) => sink(&tile.re, &tile.im, width, 0),
                 None => {
@@ -736,9 +754,16 @@ fn widen(tw: (&[f64], &[f64]), cols: usize) -> Tile {
 /// All stages of one pass on a split tile of `cols`-wide rows. Stage
 /// `i`'s twiddles are `2^(i−1)` rows of `cols`, stacked after those of
 /// the stages below: the shape of the row runs each butterfly group
-/// pairs, so a stage is one call of [`butterflies`] per group.
+/// pairs, so a stage is one call of `kernel` per group.
 // lint: hot-fn
-fn butterfly_split(re: &mut [f64], im: &mut [f64], cols: usize, wr: &[f64], wi: &[f64]) {
+fn butterfly_split(
+    re: &mut [f64],
+    im: &mut [f64],
+    cols: usize,
+    wr: &[f64],
+    wi: &[f64],
+    kernel: Kernel,
+) {
     let mut run = cols;
     while run < re.len() {
         let (wr, wi) = (&wr[run - cols..][..run], &wi[run - cols..][..run]);
@@ -748,9 +773,75 @@ fn butterfly_split(re: &mut [f64], im: &mut [f64], cols: usize, wr: &[f64], wi: 
         for (gr, gi) in groups {
             let (xr, yr) = gr.split_at_mut(run);
             let (xi, yi) = gi.split_at_mut(run);
-            butterflies(xr, xi, yr, yi, wr, wi);
+            kernel.apply(xr, xi, yr, yi, wr, wi);
         }
         run <<= 1;
+    }
+}
+
+/// A compiled copy of the butterfly loop. The copies do the same
+/// IEEE-754 multiplies, adds and subtracts in the same order, and Rust
+/// never fuses a multiply and an add, so each gives the same bits; they
+/// differ only in how many lanes one vector instruction holds.
+#[derive(Clone, Copy, Debug)]
+enum Kernel {
+    /// [`butterflies`], for the build's baseline target: SSE2 pairs on
+    /// x86-64. The reference, and the only copy on other targets.
+    Generic,
+    /// [`butterflies_avx2`]: four lanes, on a CPU shown to run them.
+    #[cfg(target_arch = "x86_64")]
+    Avx2(proof::Avx2),
+}
+
+#[cfg(target_arch = "x86_64")]
+mod proof {
+    /// Proof that the CPU runs AVX2. Its field is private to this
+    /// module, so no value exists unless [`Avx2::detect`] saw AVX2.
+    #[derive(Clone, Copy, Debug)]
+    pub(super) struct Avx2(());
+
+    impl Avx2 {
+        /// `Some` exactly where `is_x86_feature_detected!("avx2")` holds.
+        pub(super) fn detect() -> Option<Self> {
+            is_x86_feature_detected!("avx2").then_some(Self(()))
+        }
+    }
+}
+
+impl Kernel {
+    /// The copies this CPU runs, narrowest first.
+    fn runnable() -> Vec<Self> {
+        let mut out = vec![Self::Generic];
+        #[cfg(target_arch = "x86_64")]
+        out.extend(proof::Avx2::detect().map(Self::Avx2));
+        out
+    }
+
+    /// The widest copy this CPU runs, chosen once per process.
+    fn chosen() -> Self {
+        static CHOSEN: OnceLock<Kernel> = OnceLock::new();
+        *CHOSEN.get_or_init(|| Self::runnable().pop().unwrap_or(Self::Generic))
+    }
+
+    /// The butterflies of one group through this copy.
+    #[inline(always)]
+    fn apply(
+        self,
+        xr: &mut [f64],
+        xi: &mut [f64],
+        yr: &mut [f64],
+        yi: &mut [f64],
+        wr: &[f64],
+        wi: &[f64],
+    ) {
+        match self {
+            Self::Generic => butterflies(xr, xi, yr, yi, wr, wi),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: a `proof::Avx2` exists only where
+            // `is_x86_feature_detected!("avx2")` held, so the CPU runs
+            // every instruction of the AVX2 copy.
+            Self::Avx2(_) => unsafe { butterflies_avx2(xr, xi, yr, yi, wr, wi) },
+        }
     }
 }
 
@@ -762,10 +853,43 @@ fn butterfly_split(re: &mut [f64], im: &mut [f64], cols: usize, wr: &[f64], wi: 
 /// left to whatever surrounds it: the operands are distinct `&mut`
 /// arguments, which tells the compiler they cannot overlap, so it packs
 /// the loop into SSE2 pairs with no runtime overlap test; and kept out
-/// of line, it compiles to the same code whatever calls it.
+/// of line, this copy and [`butterflies_avx2`] each compile to the same
+/// code whatever calls them.
 #[inline(never)]
 // lint: hot-fn
 fn butterflies(
+    xr: &mut [f64],
+    xi: &mut [f64],
+    yr: &mut [f64],
+    yi: &mut [f64],
+    wr: &[f64],
+    wi: &[f64],
+) {
+    butterfly_loop(xr, xi, yr, yi, wr, wi);
+}
+
+/// [`butterflies`] compiled for AVX2, four `f64` lanes to an
+/// instruction. AVX2 does not enable FMA, and Rust would not contract
+/// into one anyway, so every lane rounds as the generic copy does.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+// lint: hot-fn
+fn butterflies_avx2(
+    xr: &mut [f64],
+    xi: &mut [f64],
+    yr: &mut [f64],
+    yi: &mut [f64],
+    wr: &[f64],
+    wi: &[f64],
+) {
+    butterfly_loop(xr, xi, yr, yi, wr, wi);
+}
+
+/// The loop both copies of the kernel compile.
+#[inline(always)]
+// lint: hot-fn
+fn butterfly_loop(
     xr: &mut [f64],
     xi: &mut [f64],
     yr: &mut [f64],
@@ -805,6 +929,7 @@ struct PrunedInverse {
     kept: Vec<Complex>,
     /// The full stages' twiddles, widened to the tiles' columns.
     wide: Tile,
+    kernel: Kernel,
     /// Scratch: a tile's blocks, and the two sides of a pruned stage.
     blocks: Tile,
     cur: Vec<Complex>,
@@ -812,7 +937,7 @@ struct PrunedInverse {
 }
 
 impl PrunedInverse {
-    fn new(bits: u32, lags: usize, pass_bits: u32) -> Self {
+    fn new(bits: u32, lags: usize, pass_bits: u32, kernel: Kernel) -> Self {
         let block_bits = bits.min(pass_bits);
         let full = lags.next_power_of_two().trailing_zeros().min(block_bits);
         let heads = (1..=bits)
@@ -829,6 +954,7 @@ impl PrunedInverse {
             heads,
             kept: vec![Complex::ZERO; lags.min(1 << block_bits) << (bits - block_bits)],
             wide: Tile::default(),
+            kernel,
             blocks: Tile::default(),
             cur: Vec::new(),
             next: Vec::new(),
@@ -858,7 +984,7 @@ impl PrunedInverse {
         self.cur.clear();
         let subs = blocks.re.chunks_exact_mut(sub * cols);
         for (r, i) in subs.zip(blocks.im.chunks_exact_mut(sub * cols)) {
-            butterfly_split(r, i, cols, &self.wide.re, &self.wide.im);
+            butterfly_split(r, i, cols, &self.wide.re, &self.wide.im, self.kernel);
             let kept = r[..keep * cols].iter().zip(&i[..keep * cols]);
             self.cur.extend(kept.map(|(&re, &im)| Complex::new(re, im)));
         }
@@ -1108,10 +1234,11 @@ mod tests {
     }
 
     /// Every pass layout — one pass, a short first pass, several full
-    /// ones — against the textbook loop, bit for bit.
+    /// ones — against the textbook loop, bit for bit, through each copy
+    /// of the kernel.
     #[test]
     fn blocked_passes_are_bit_identical_to_the_textbook_loop() {
-        for pass_bits in [1, 2, 3, 5, PASS_BITS] {
+        for (kernel, pass_bits) in kernels_by([1, 2, 3, 5, PASS_BITS]) {
             for bits in 0..=14u32 {
                 let n = 1usize << bits;
                 let re = values(n, u64::from(bits));
@@ -1125,17 +1252,17 @@ mod tests {
                     let mut want = input.clone();
                     textbook(&mut want, inverse);
                     let mut got = input.clone();
-                    transform(&mut got, inverse, pass_bits);
+                    transform(&mut got, inverse, pass_bits, kernel);
                     assert!(
                         same_bits(&want, &got),
-                        "{bits} bits by {pass_bits}, inverse {inverse}"
+                        "{bits} bits by {pass_bits}, inverse {inverse}, {kernel:?}"
                     );
                 }
                 let mut want: Vec<Complex> = re.iter().map(|&x| Complex::from_real(x)).collect();
                 textbook(&mut want, false);
                 assert!(
-                    same_bits(&want, &real_transform(&re, pass_bits)),
-                    "real {bits} bits by {pass_bits}"
+                    same_bits(&want, &real_transform(&re, pass_bits, kernel)),
+                    "real {bits} bits by {pass_bits}, {kernel:?}"
                 );
             }
         }
@@ -1173,14 +1300,22 @@ mod tests {
                 for inverse in [false, true] {
                     let mut want = input.clone();
                     textbook(&mut want, inverse);
-                    let mut got = input.clone();
-                    transform(&mut got, inverse, PASS_BITS);
-                    assert!(same_bits(&want, &got), "{bits} bits, inverse {inverse}");
+                    for kernel in Kernel::runnable() {
+                        let mut got = input.clone();
+                        transform(&mut got, inverse, PASS_BITS, kernel);
+                        assert!(
+                            same_bits(&want, &got),
+                            "{bits} bits, inverse {inverse}, {kernel:?}"
+                        );
+                    }
                 }
             }
             let mut want = real;
             textbook(&mut want, false);
-            assert!(same_bits(&want, &fft_real(&rtn)), "real {bits} bits");
+            for kernel in Kernel::runnable() {
+                let got = real_transform(&rtn, PASS_BITS, kernel);
+                assert!(same_bits(&want, &got), "real {bits} bits, {kernel:?}");
+            }
         }
     }
 
@@ -1195,14 +1330,15 @@ mod tests {
                     if lags > len {
                         continue;
                     }
-                    for pass_bits in [2, 3, 5, PASS_BITS] {
-                        let got = autocorrelation(&SPECTRA, &signal[..used], len, lags, pass_bits);
+                    for (kernel, pass_bits) in kernels_by([2, 3, 5, PASS_BITS]) {
+                        let x = &signal[..used];
+                        let got = autocorrelation(&SPECTRA, x, len, lags, pass_bits, kernel);
                         assert_eq!(got.len(), lags);
                         assert!(
                             all.iter()
                                 .zip(&got)
                                 .all(|(a, b)| a.to_bits() == b.to_bits()),
-                            "{bits} bits by {pass_bits}, {used} samples, {lags} lags"
+                            "{bits} bits by {pass_bits}, {used} samples, {lags} lags, {kernel:?}"
                         );
                     }
                 }
@@ -1239,7 +1375,7 @@ mod tests {
         let pool: Pool = Mutex::new(vec![vec![Complex::new(f64::NAN, f64::NAN); 1 << 16]]);
         let len = 1 << 14;
         let signal = telegraph(len / 2 + 3, 41);
-        let got = autocorrelation(&pool, &signal, len, 81, PASS_BITS);
+        let got = autocorrelation(&pool, &signal, len, 81, PASS_BITS, Kernel::chosen());
         assert_textbook_lags(&got, &signal, len);
         assert_eq!(free_lengths(&pool), [1 << 16]);
     }
@@ -1258,7 +1394,7 @@ mod tests {
         for (i, (bits, free)) in steps.enumerate() {
             let len = 1usize << bits;
             let signal = values(len / 2, 50 + i as u64);
-            let got = autocorrelation(&pool, &signal, len, 81, PASS_BITS);
+            let got = autocorrelation(&pool, &signal, len, 81, PASS_BITS, Kernel::chosen());
             assert_textbook_lags(&got, &signal, len);
             assert_eq!(free_lengths(&pool), free, "after {len} points");
         }
@@ -1275,7 +1411,9 @@ mod tests {
             .collect();
         let serial: Vec<Vec<f64>> = signals
             .iter()
-            .map(|(x, len)| autocorrelation(&Pool::default(), x, *len, 81, PASS_BITS))
+            .map(|(x, len)| {
+                autocorrelation(&Pool::default(), x, *len, 81, PASS_BITS, Kernel::chosen())
+            })
             .collect();
         let pool = Pool::default();
         let start = std::sync::Barrier::new(4);
@@ -1287,7 +1425,7 @@ mod tests {
                     for round in 0..3 {
                         let k = (t + round) % 4;
                         let (x, len) = &signals[k];
-                        let got = autocorrelation(pool, x, *len, 81, PASS_BITS);
+                        let got = autocorrelation(pool, x, *len, 81, PASS_BITS, Kernel::chosen());
                         assert!(
                             got.iter()
                                 .zip(&serial[k])
@@ -1334,72 +1472,208 @@ mod tests {
                 }
                 want.push(next);
             }
-            for pass_bits in [2, 3, 5, PASS_BITS] {
+            for (kernel, pass_bits) in kernels_by([2, 3, 5, PASS_BITS]) {
                 for (count, want) in want.iter().enumerate().skip(1) {
                     if bits > 10 && ![1, 7, 8, 9, 17].contains(&count) {
                         continue;
                     }
                     let batch = &mut signals[..count].iter().map(Vec::as_slice);
-                    let got = power(batch, 0.0, &window, pass_bits);
+                    let got = power(batch, 0.0, &window, pass_bits, kernel);
                     assert!(
                         want.iter()
                             .zip(&got)
                             .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{bits} bits by {pass_bits}, {count} signals"
+                        "{bits} bits by {pass_bits}, {count} signals, {kernel:?}"
                     );
                 }
             }
         }
     }
 
+    /// Each copy of the kernel this CPU runs; says so when it has to
+    /// leave the AVX2 copy out.
+    #[allow(clippy::print_stdout)] // the skip is this helper's only output
+    fn copies() -> Vec<Kernel> {
+        let copies = Kernel::runnable();
+        if copies.len() == 1 {
+            println!("skipped the AVX2 kernel: this CPU or target does not run it");
+        }
+        copies
+    }
+
+    /// Each copy paired with each pass size.
+    fn kernels_by<const N: usize>(pass_bits: [u32; N]) -> Vec<(Kernel, u32)> {
+        let pairs = copies()
+            .into_iter()
+            .map(|k| pass_bits.map(|bits| (k, bits)));
+        pairs.flatten().collect()
+    }
+
     /// The stage kernel at every tile width its callers use, each column
-    /// against the textbook loop: a first-pass tile of `width` columns,
-    /// rows in bit-reversed order, twiddles walked afresh and widened.
+    /// against the textbook loop, through each copy: a first-pass tile of
+    /// `width` columns, rows in bit-reversed order, twiddles walked afresh
+    /// and widened.
     #[test]
     fn butterfly_kernel_is_bit_identical_to_the_textbook_loop_at_every_width() {
-        for inverse in [false, true] {
-            for m in 0..=9u32 {
-                let rows = 1usize << m;
-                let low: Vec<Complex> = (1..=m)
-                    .flat_map(|s| recurrence(step(s, inverse), 1 << (s - 1)))
-                    .collect();
-                let (low_re, low_im): (Vec<f64>, Vec<f64>) =
-                    low.iter().map(|w| (w.re, w.im)).unzip();
-                for width in [1, 2, 4, 8, 16] {
-                    let columns: Vec<Vec<Complex>> = (0..width)
-                        .map(|c| {
-                            let salt = u64::from(m) * 64 + c as u64;
-                            let re = batch_signal(rows, c);
-                            let im = values(rows, salt);
-                            re.iter()
-                                .zip(&im)
-                                .map(|(&r, &i)| Complex::new(r, i))
-                                .collect()
-                        })
+        for kernel in copies() {
+            for inverse in [false, true] {
+                for m in 0..=9u32 {
+                    let rows = 1usize << m;
+                    let low: Vec<Complex> = (1..=m)
+                        .flat_map(|s| recurrence(step(s, inverse), 1 << (s - 1)))
                         .collect();
-                    let mut tile = Tile::with_len(rows * width);
-                    for (c, column) in columns.iter().enumerate() {
-                        for (t, z) in column.iter().enumerate() {
-                            let at = reverse(t, m) * width + c;
-                            tile.re[at] = z.re;
-                            tile.im[at] = z.im;
-                        }
-                    }
-                    let wide = widen((&low_re, &low_im), width);
-                    butterfly_split(&mut tile.re, &mut tile.im, width, &wide.re, &wide.im);
-                    for (c, column) in columns.iter().enumerate() {
-                        let mut want = column.clone();
-                        textbook(&mut want, inverse);
-                        let got: Vec<Complex> = (0..rows)
-                            .map(|t| Complex::new(tile.re[t * width + c], tile.im[t * width + c]))
+                    let (low_re, low_im): (Vec<f64>, Vec<f64>) =
+                        low.iter().map(|w| (w.re, w.im)).unzip();
+                    for width in [1, 2, 4, 8, 16] {
+                        let columns: Vec<Vec<Complex>> = (0..width)
+                            .map(|c| {
+                                let salt = u64::from(m) * 64 + c as u64;
+                                let re = batch_signal(rows, c);
+                                let im = values(rows, salt);
+                                re.iter()
+                                    .zip(&im)
+                                    .map(|(&r, &i)| Complex::new(r, i))
+                                    .collect()
+                            })
                             .collect();
-                        assert!(
-                            same_bits(&want, &got),
-                            "{rows} rows, width {width}, column {c}, inverse {inverse}"
-                        );
+                        let mut tile = Tile::with_len(rows * width);
+                        for (c, column) in columns.iter().enumerate() {
+                            for (t, z) in column.iter().enumerate() {
+                                let at = reverse(t, m) * width + c;
+                                tile.re[at] = z.re;
+                                tile.im[at] = z.im;
+                            }
+                        }
+                        let wide = widen((&low_re, &low_im), width);
+                        let (re, im) = (&mut tile.re, &mut tile.im);
+                        butterfly_split(re, im, width, &wide.re, &wide.im, kernel);
+                        for (c, column) in columns.iter().enumerate() {
+                            let mut want = column.clone();
+                            textbook(&mut want, inverse);
+                            let got: Vec<Complex> = (0..rows)
+                                .map(|t| {
+                                    Complex::new(tile.re[t * width + c], tile.im[t * width + c])
+                                })
+                                .collect();
+                            assert!(
+                                same_bits(&want, &got),
+                                "{rows} rows, width {width}, column {c}, inverse {inverse}, \
+                                 {kernel:?}"
+                            );
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// Operands a butterfly can meet at the edges of `f64`: both zeros,
+    /// subnormals, the largest and smallest normals, both infinities and
+    /// NaN, among ordinary values.
+    fn edge_values(n: usize, salt: u64) -> Vec<f64> {
+        const EDGES: [f64; 10] = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            -2.5e-310,
+            f64::MAX,
+            -f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut x = values(n, salt);
+        for (i, v) in x.iter_mut().enumerate() {
+            if (i as u64 + salt).is_multiple_of(3) {
+                *v = EDGES[(i + salt as usize) % EDGES.len()];
+            }
+        }
+        x
+    }
+
+    /// Equal bits, or both NaN: Rust leaves a NaN result's sign and
+    /// payload unspecified, so only "is NaN" is the kernel's to keep.
+    fn same_value(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Each compiled copy called directly on runs that leave every
+    /// remainder after two- and four-lane vectors, over edge operands,
+    /// against the butterfly written with [`Complex`] arithmetic.
+    #[test]
+    fn each_kernel_copy_matches_complex_arithmetic_on_edge_values() {
+        for kernel in copies() {
+            for n in (0..=19).chain([31, 33, 63, 255, 257]) {
+                let salt = n as u64;
+                let [xr, xi, yr, yi, wr, wi] =
+                    [0, 1, 2, 3, 4, 5].map(|k| edge_values(n, 6 * salt + k));
+                let want: Vec<(Complex, Complex)> = (0..n)
+                    .map(|k| {
+                        let (x, y) = (Complex::new(xr[k], xi[k]), Complex::new(yr[k], yi[k]));
+                        let o = y * Complex::new(wr[k], wi[k]);
+                        (x + o, x - o)
+                    })
+                    .collect();
+                let [mut gxr, mut gxi, mut gyr, mut gyi] = [&xr, &xi, &yr, &yi].map(|v| v.clone());
+                match kernel {
+                    Kernel::Generic => {
+                        butterflies(&mut gxr, &mut gxi, &mut gyr, &mut gyi, &wr, &wi)
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: the `proof::Avx2` shows that the CPU runs
+                    // AVX2.
+                    Kernel::Avx2(_) => unsafe {
+                        butterflies_avx2(&mut gxr, &mut gxi, &mut gyr, &mut gyi, &wr, &wi);
+                    },
+                }
+                for (k, (x, y)) in want.iter().enumerate() {
+                    let got = [gxr[k], gxi[k], gyr[k], gyi[k]];
+                    let same = [x.re, x.im, y.re, y.im]
+                        .iter()
+                        .zip(got)
+                        .all(|(&a, b)| same_value(a, b));
+                    assert!(
+                        same,
+                        "{kernel:?}, run {n}, position {k}: {got:?} against {x:?}, {y:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Fig 7's two estimators end to end at a two-pass size: the
+    /// autocorrelation's lags and Welch's power sums come out the same
+    /// bits through every copy, the public entry points included.
+    #[test]
+    fn autocorrelation_and_power_sums_are_the_same_bits_through_every_copy() {
+        let len = 1usize << 16;
+        let signal = telegraph(len / 2 + 17, 71);
+        let window = values(4096, 72);
+        let segments: Vec<&[f64]> = signal.chunks_exact(4096).step_by(3).collect();
+        let (mean, pool) = (1.5e-7, Pool::default());
+        let bits = |x: Vec<f64>| -> Vec<u64> { x.iter().map(|v| v.to_bits()).collect() };
+        let through = |kernel| {
+            let lags = autocorrelation(&pool, &signal, len, 81, PASS_BITS, kernel);
+            let sums = power(
+                &mut segments.iter().copied(),
+                mean,
+                &window,
+                PASS_BITS,
+                kernel,
+            );
+            bits([lags, sums].concat())
+        };
+        let public = bits(
+            [
+                circular_autocorrelation(&signal, len, 81),
+                summed_power(segments.iter().copied(), mean, &window),
+            ]
+            .concat(),
+        );
+        let want = through(Kernel::Generic);
+        for got in copies().into_iter().map(through).chain([public]) {
+            assert!(want == got, "{} values differ", want.len());
         }
     }
 
@@ -1470,7 +1744,7 @@ mod tests {
         ) {
             let mut want: Vec<Complex> = vals.iter().map(|&x| Complex::from_real(x)).collect();
             textbook(&mut want, false);
-            prop_assert!(same_bits(&want, &real_transform(&vals, 4)));
+            prop_assert!(same_bits(&want, &real_transform(&vals, 4, Kernel::chosen())));
         }
     }
 }

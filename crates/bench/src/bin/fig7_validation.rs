@@ -340,9 +340,14 @@ fn main() {
     let worst_s = summary.iter().map(|s| s.2).fold(0.0f64, f64::max);
     println!("worst R(tau) rms relative error over 9 configs: {worst_r:.3}");
     println!("worst S(f) log-rms deviation over 9 configs:    {worst_s:.3}");
+    // The bounds are set for full-length traces: a smoke trace's
+    // estimator spread alone exceeds them, so a smoke run is not judged.
     println!(
         "verdict: {}",
-        if worst_r < 0.2 && worst_s < 0.5 {
+        if smoke {
+            "NOT JUDGED — smoke traces hold 2^14 samples, too few for the full run's \
+             bounds (R 0.2, S 0.5)"
+        } else if worst_r < 0.2 && worst_s < 0.5 {
             "MATCH — generated traces follow the analytical forms"
         } else {
             "MISMATCH — investigate"
