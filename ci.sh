@@ -96,6 +96,15 @@ cargo test -q -p samurai-spice --test hostile_decks
 # as the suites above).
 cargo test -q -p samurai-spice --test properties
 cargo test -q --release -p samurai-spice --test properties
+# Closed-loop suite: the coupled flow judges every Algorithm 1
+# candidate through the open-loop kernel's own thinning step, bit for
+# bit against `simulate_trap_probed` over random PWL biases, and
+# without feedback its traps follow the master equation under an exact
+# binomial test that also rejects rates frozen over whole steps. Both
+# run optimised, as the figure bins are built (pinned for the same
+# reason as the suites above).
+cargo test -q --release -p samurai-core --lib closed_loop_sampler_matches_the_open_loop_kernel_bit_for_bit
+cargo test -q --release -p samurai --test coupled_oracle
 # SPICE unit suite: the assembly and refresh oracles compare every
 # stamp's residual, Jacobian and capacitor-history update with a
 # by-coordinates computation bit for bit, and the column and corner

@@ -8,7 +8,7 @@ use std::hint::black_box;
 
 use samurai_spice::{
     run_transient, Circuit, CompiledCircuit, DcConfig, Integrator, NewtonWorkspace, Source,
-    TransientConfig, TransientStepper,
+    TransientConfig,
 };
 use samurai_sram::{
     build_write_waveforms, run_methodology, ColumnConfig, ColumnTiming, MethodologyConfig,
@@ -87,21 +87,23 @@ fn bench_compiled_vs_seed(c: &mut Criterion) {
 /// One Newton iteration on each LU backend: assembly, factor and
 /// solve, and the convergence-check assembly. A backward-Euler step
 /// of a circuit resting at its DC operating point converges in exactly
-/// one iteration (asserted below), so each timed call is one. The
-/// 64-row column (275 unknowns) takes the sparse LU, the 6T cell the
-/// dense one. At rest every EKV memo lookup hits and every sparse
-/// factorization replays its recorded program, so these are the
-/// iteration's floor.
+/// one iteration (asserted below), so each timed call — a fixed-step
+/// (`dt_init = dt_max`) backward-Euler run of `RESTING_STEPS` steps —
+/// is its operating point plus that many iterations. The 64-row column
+/// (275 unknowns) takes the sparse LU, the 6T cell the dense one. At
+/// rest every EKV memo lookup hits and every sparse factorization
+/// replays its recorded program, so these are the iteration's floor.
 ///
-/// `column64_sparse_write` is the miss path: each timed call clones a
-/// 64-row column stepper at its pre-write operating point and steps it
-/// with a fixed backward-Euler step through precharge and the whole
-/// word-line pulse, where terminal voltages move (memo misses) and
-/// pivots change (program switches and searches). The sweep's Newton
-/// iteration count is printed once, to read a per-iteration cost off
-/// the per-sweep time.
+/// `column64_sparse_write` is the miss path: a fixed-step run of the
+/// 64-row column from its pre-write operating point through precharge
+/// and the whole word-line pulse, where terminal voltages move (memo
+/// misses) and pivots change (program switches and searches). Each
+/// case's step and Newton iteration counts are printed once, to read
+/// a per-iteration cost off the per-run time.
 fn bench_newton_iteration(c: &mut Criterion) {
     const H: f64 = 1e-12;
+    const RESTING_STEPS: f64 = 200.0;
+    const WRITE_STEP: f64 = 10e-12;
     let column = SramColumn::build(&ColumnConfig {
         rows: 64,
         ..ColumnConfig::default()
@@ -111,49 +113,68 @@ fn bench_newton_iteration(c: &mut Criterion) {
         initial_guess: Some(column.initial_guess(true)),
         ..DcConfig::default()
     };
-    let cell = SramCell::new(SramCellParams::default());
-    let cases: [(&str, &Circuit, DcConfig); 2] = [
-        ("column64_sparse", &column.circuit, column_dc.clone()),
-        ("cell_dense", &cell.circuit, DcConfig::default()),
-    ];
-    let mut group = c.benchmark_group("spice/newton_iteration");
-    for (name, circuit, dc) in cases {
-        let mut stepper =
-            TransientStepper::new(circuit, 0.0, &dc).expect("the operating point converges");
-        let before = stepper.stats().newton_iterations;
-        stepper.step(H).expect("a resting step converges");
-        assert_eq!(
-            stepper.stats().newton_iterations - before,
-            1,
-            "{name}: a resting step must be one Newton iteration"
-        );
-        group.bench_function(name, |b| {
-            b.iter(|| stepper.step(H).expect("a resting step converges"))
-        });
-    }
-
-    const WRITE_STEP: f64 = 10e-12;
     let timing = ColumnTiming::default();
     let mut writing = column.clone();
     writing
         .drive_write(&timing, true)
         .expect("the write waveforms build");
-    let start = TransientStepper::new(&writing.circuit, 0.0, &column_dc)
-        .expect("the pre-write operating point converges");
-    let wl_off = timing.precharge + 2.0 * timing.edge + timing.write;
-    let steps = ((wl_off + timing.edge) / WRITE_STEP).ceil() as usize;
-    let sweep = || {
-        let mut stepper = start.clone();
-        for _ in 0..steps {
-            stepper.step(WRITE_STEP).expect("a write step converges");
-        }
-        stepper.stats().newton_iterations - start.stats().newton_iterations
-    };
-    println!(
-        "spice/newton_iteration/column64_sparse_write: {steps} steps, {} Newton iterations per sweep",
-        sweep()
-    );
-    group.bench_function("column64_sparse_write", |b| b.iter(sweep));
+    let cell = SramCell::new(SramCellParams::default());
+    let cases: [(&str, &Circuit, DcConfig, f64, f64); 3] = [
+        (
+            "column64_sparse",
+            &column.circuit,
+            column_dc.clone(),
+            H,
+            RESTING_STEPS * H,
+        ),
+        (
+            "cell_dense",
+            &cell.circuit,
+            DcConfig::default(),
+            H,
+            RESTING_STEPS * H,
+        ),
+        (
+            "column64_sparse_write",
+            &writing.circuit,
+            column_dc,
+            WRITE_STEP,
+            timing.precharge + 3.0 * timing.edge + timing.write,
+        ),
+    ];
+    let mut group = c.benchmark_group("spice/newton_iteration");
+    for (name, circuit, dc, h, tf) in cases {
+        let config = TransientConfig {
+            integrator: Integrator::BackwardEuler,
+            dt_init: Some(h),
+            dt_max: Some(h),
+            dc,
+            ..TransientConfig::default()
+        };
+        let compiled = CompiledCircuit::compile(circuit);
+        let mut ws = NewtonWorkspace::new(&compiled);
+        let op = compiled.dc_operating_point(&mut ws, 0.0, &config.dc);
+        let op = op
+            .map(|()| ws.stats().newton_iterations)
+            .expect("a DC point");
+        let run = |ws: &mut NewtonWorkspace| {
+            let run = compiled.run_transient(ws, 0.0, tf, &config);
+            run.expect("the run converges")
+        };
+        run(&mut ws);
+        let stats = ws.stats();
+        let resting = stats.newton_iterations - 2 * op == stats.steps_accepted;
+        assert!(
+            h != H || resting,
+            "{name}: a resting step must be one iteration"
+        );
+        println!(
+            "spice/newton_iteration/{name}: {} steps, {} Newton iterations per run",
+            stats.steps_accepted,
+            stats.newton_iterations - op
+        );
+        group.bench_function(name, |b| b.iter(|| black_box(run(&mut ws))));
+    }
     group.finish();
 }
 

@@ -11,7 +11,7 @@
 
 use samurai_bench::{banner, write_tagged_csv, BenchSession, Flag};
 use samurai_core::telemetry::Stopwatch;
-use samurai_sram::coupled::{run_coupled, CoupledConfig};
+use samurai_sram::coupled::run_coupled;
 use samurai_sram::{run_methodology, MethodologyConfig, Transistor};
 use samurai_waveform::BitPattern;
 
@@ -38,18 +38,17 @@ fn main() {
     let two_pass = run_methodology(&pattern, &base).expect("two-pass runs");
     session.absorb_run(0, watch.elapsed_seconds(), two_pass.solver);
     let watch = Stopwatch::start();
-    let coupled = run_coupled(
-        &pattern,
-        &CoupledConfig {
-            base: base.clone(),
-            dt: 5e-12,
-        },
-    )
-    .expect("coupled run completes");
-    // The coupled loop steps its own `TransientStepper`; its Newton
-    // effort is journalled like the two-pass run's.
+    let coupled = run_coupled(&pattern, &base).expect("coupled run completes");
     session.absorb_run(1, watch.elapsed_seconds(), coupled.solver);
 
+    let two_pass_candidates = two_pass.rtn.iter().map(|r| r.candidates).sum::<u64>();
+    for (flow, candidates, solver) in [
+        ("two-pass", two_pass_candidates, two_pass.solver),
+        ("coupled ", coupled.candidates, coupled.solver),
+    ] {
+        let (steps, newton) = (solver.steps_accepted, solver.newton_iterations);
+        println!("{flow} effort: {candidates} trap candidates, {steps} accepted steps, {newton} Newton iterations");
+    }
     println!("two-pass outcomes: {:?}", two_pass.outcomes.outcomes);
     println!("coupled  outcomes: {:?}", coupled.outcomes.outcomes);
     let outcomes_agree = two_pass.outcomes.outcomes == coupled.outcomes.outcomes;

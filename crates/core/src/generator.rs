@@ -21,6 +21,8 @@ pub struct DeviceRtn {
     pub n_filled: Pwc,
     /// The Eq (3) RTN current `I_RTN(t)`, in amperes.
     pub i_rtn: Pwc,
+    /// Algorithm 1's candidate events across all traps.
+    pub candidates: u64,
 }
 
 impl DeviceRtn {
@@ -140,7 +142,7 @@ impl RtnGenerator {
             return Err(CoreError::EmptyHorizon { t0, tf });
         }
         let config = UniformisationConfig::default();
-        let occupancies: Vec<Pwc> = run_ensemble_resilient_observed(
+        let (occupancies, candidates): (Vec<Pwc>, Vec<u64>) = run_ensemble_resilient_observed(
             self.models.len(),
             self.parallelism,
             &ExecutionPolicy::default(),
@@ -148,19 +150,24 @@ impl RtnGenerator {
             IndexedResults::new,
             |i, _rung, probe: &mut JobProbe| {
                 let mut rng = self.seeds.rng(i as u64);
-                simulate_trap_probed(
+                let mut counted = JobProbe::new(true);
+                let occupancy = simulate_trap_probed(
                     &self.models[i],
                     &bias.v_gs,
                     t0,
                     tf,
                     &mut rng,
                     &config,
-                    probe,
-                )
+                    &mut counted,
+                )?;
+                probe.record_trap(counted.trap());
+                Ok::<_, CoreError>((occupancy, counted.trap().candidates))
             },
         )?
         .acc
-        .into_vec();
+        .into_vec()
+        .into_iter()
+        .unzip();
 
         let n_filled = Pwc::sum(&occupancies).unwrap_or_else(|| Pwc::constant(0.0));
         let i_rtn = rtn_current(
@@ -175,6 +182,7 @@ impl RtnGenerator {
             occupancies,
             n_filled,
             i_rtn,
+            candidates: candidates.iter().sum(),
         })
     }
 }

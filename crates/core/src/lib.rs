@@ -19,8 +19,8 @@
 //!
 //! * [`RtnGenerator`] — multi-trap devices, the `N_filled(t)`
 //!   staircase and the Eq (3) RTN current;
-//! * validation utilities ([`ensemble_occupancy`]) comparing ensemble
-//!   statistics against the exact master equation;
+//! * validation utilities ([`ensemble_occupancy_observed`]) comparing
+//!   ensemble statistics against the exact master equation;
 //! * the deterministic parallel Monte-Carlo engine
 //!   ([`ensemble`]) that shards trap/seed/cell sweeps
 //!   over a worker pool with bit-identical results at any
@@ -78,10 +78,10 @@ pub use error::CoreError;
 pub use faults::{FaultArm, FaultKind, FaultPlan, FaultSite, InjectedFault};
 pub use generator::{DeviceRtn, RtnGenerator};
 pub use rng::{exp_rand, trap_rng, SeedStream};
-pub use rtn_current::{rtn_current, single_trap_amplitude};
+pub use rtn_current::{blocked_fraction, rtn_current, single_trap_amplitude};
 pub use samurai_telemetry as telemetry;
 pub use scenario::{DeviceGeometry, DeviceVariation, ScenarioConfig, ScenarioSample};
 pub use uniformisation::{
-    ensemble_occupancy, ensemble_occupancy_observed, simulate_trap, simulate_trap_probed,
+    ensemble_occupancy_observed, simulate_trap, simulate_trap_probed, ClosedLoopTrap,
     UniformisationConfig,
 };

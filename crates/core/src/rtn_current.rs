@@ -28,6 +28,14 @@ pub fn single_trap_amplitude(device: &DeviceParams, v_gs: f64, i_d: f64) -> f64 
     i_d / device.carrier_count(v_gs).max(1.0)
 }
 
+/// The share of the channel current that `filled` trapped carriers
+/// block at gate bias `v_gs`: `N_filled / (W·L·N)`, with the carrier
+/// count floored at one (see [`single_trap_amplitude`]) and the share
+/// capped at the whole current. Eq (3) is `I_RTN = I_d ·` this share.
+pub fn blocked_fraction(device: &DeviceParams, v_gs: f64, filled: f64) -> f64 {
+    (filled / device.carrier_count(v_gs).max(1.0)).min(1.0)
+}
+
 /// Synthesises the Eq (3) RTN current from the filled-trap staircase.
 ///
 /// The result is piecewise constant on the union of the trap-transition
@@ -58,10 +66,7 @@ pub fn rtn_current(
         }
         let v = bias.v_gs.eval(t);
         let id = bias.i_d.eval(t);
-        let n_tot = device.carrier_count(v).max(1.0);
-        // The filled traps can block at most the whole channel current.
-        let fraction = (filled / n_tot).min(1.0);
-        id * fraction / filled
+        id * blocked_fraction(device, v, filled) / filled
     })
 }
 

@@ -21,8 +21,10 @@
 //!
 //! [`simulate_trap`] runs Algorithm 1 for one trap with the default
 //! event budget and [`simulate_trap_probed`] with an explicit budget and
-//! a telemetry probe. [`ensemble_occupancy`] and
-//! [`ensemble_occupancy_observed`] average many runs of one trap for
+//! a telemetry probe. [`ClosedLoopTrap`] runs it with the bias read as
+//! time advances, for a circuit in the loop; both judge every candidate
+//! through one step function (lines 10–22).
+//! [`ensemble_occupancy_observed`] averages many runs of one trap for
 //! validation. The per-device `foreach` over traps, with Eq (3) on top,
 //! is [`RtnGenerator`](crate::RtnGenerator).
 
@@ -105,29 +107,9 @@ pub fn simulate_trap_probed<R: Rng + ?Sized>(
     if !(tf > t0) {
         return Err(CoreError::EmptyHorizon { t0, tf });
     }
-
-    // Line 3: λ* = λc(t0) + λe(t0). By Eq (1) this equals the constant
-    // rate sum, so it is a valid uniformisation rate for all t — the
-    // debug assertion below checks the invariant the algorithm's
-    // correctness rests on.
-    let v0 = v_gs.eval(t0);
-    let (lc0, le0) = model.propensities(v0);
-    let lambda_star = lc0 + le0;
-    if !lambda_star.is_finite() || lambda_star <= 0.0 {
-        return Err(CoreError::NonFinitePropensity { time: t0 });
-    }
-    let mean_wait = 1.0 / lambda_star;
-    // One-entry memo of `(λc, λe)` keyed on the bias bits: `propensities`
-    // is a pure function of the bias, so reuse is exact. It hits on every
-    // candidate under a constant bias and on flat stretches of a
-    // piecewise-linear one (DESIGN §20).
-    let mut memo_bits = v0.to_bits();
-    let mut memo = (lc0, le0);
-
-    // Lines 4–5.
+    let mut trap = ClosedLoopTrap::start(model, v_gs.eval(t0), t0)?;
+    let mean_wait = 1.0 / trap.lambda_star;
     let mut curr_time = t0;
-    let mut curr_state = model.trap().initial_state;
-    let mut steps: Vec<(f64, f64)> = vec![(t0, curr_state.occupancy())];
     let mut candidates = 0usize;
 
     // Line 6: generate candidates until the horizon is passed.
@@ -146,95 +128,192 @@ pub fn simulate_trap_probed<R: Rng + ?Sized>(
         if candidates > config.max_candidate_events {
             return Err(CoreError::EventBudgetExceeded {
                 budget: config.max_candidate_events,
-                rate: lambda_star,
+                rate: trap.lambda_star,
             });
         }
 
-        // Lines 10–14: the propensity of leaving the current state.
-        let v = v_gs.eval(curr_time);
-        if v.to_bits() != memo_bits {
-            memo_bits = v.to_bits();
-            memo = model.propensities(v);
-        }
-        let (lc, le) = memo;
-        let lambda_next = match curr_state {
-            TrapState::Filled => le,
-            TrapState::Empty => lc,
-        };
-        if !lambda_next.is_finite() {
-            return Err(CoreError::NonFinitePropensity { time: curr_time });
-        }
-        debug_assert!(
-            lambda_next <= lambda_star * (1.0 + 1e-9),
-            "uniformisation bound violated: lambda_next = {lambda_next} > lambda* = {lambda_star}"
-        );
-
-        // Lines 15–22: keep the candidate with probability λ_next/λ*.
-        let accept_p = lambda_next / lambda_star;
-        debug_assert!(
-            (0.0..=1.0 + 1e-9).contains(&accept_p),
-            "acceptance probability left [0, 1]: {accept_p} at t = {curr_time}"
-        );
+        // Lines 10–22.
         let keep: f64 = rng.gen();
-        if keep < accept_p {
-            curr_state = curr_state.toggled();
+        if trap.thin(curr_time, v_gs.eval(curr_time), keep)? {
             // lint: allow(HOT003): the staircase IS the output; amortised O(1)
-            steps.push((curr_time, curr_state.occupancy()));
+            trap.steps.push((curr_time, trap.state.occupancy()));
         }
     }
     // lint: end-hot-loop
 
-    // `steps` starts with the initial state, so accepted events are
-    // everything after it.
+    // The staircase starts with the initial state, so accepted events
+    // are everything after it.
     probe.record_trap(TrapStats {
         candidates: candidates as u64,
-        accepted: (steps.len() - 1) as u64,
+        accepted: (trap.steps.len() - 1) as u64,
     });
+    trap.into_occupancy()
+}
 
-    Ok(Pwc::new(steps)?)
+/// Algorithm 1 for one trap whose gate bias is read as time advances,
+/// in a closed loop with the circuit that sets it. Eq (1) makes `λ*`
+/// bias-free, so [`new`](Self::new) draws the candidate stream up front
+/// in Algorithm 1's draw order — from the same RNG, the stream of
+/// [`simulate_trap_probed`], which streams its candidates through the
+/// same chain — and [`thin_until`](Self::thin_until) judges it through
+/// the same step function.
+#[derive(Debug, Clone)]
+pub struct ClosedLoopTrap {
+    model: PropensityModel,
+    lambda_star: f64,
+    /// A one-entry `(λc, λe)` memo keyed on the bias bits (exact:
+    /// DESIGN §20).
+    memo_bits: u64,
+    memo: (f64, f64),
+    state: TrapState,
+    /// The occupancy staircase so far.
+    steps: Vec<(f64, f64)>,
+    /// Each drawn candidate's time and keep uniform; `next` is the
+    /// first not yet judged.
+    candidates: Vec<(f64, f64)>,
+    next: usize,
+}
+
+impl ClosedLoopTrap {
+    /// Lines 3–5 at the gate bias `v0` of time `t0`, with no candidate
+    /// drawn. By Eq (1) `λ* = λc(t0) + λe(t0)` is the constant rate
+    /// sum, valid for all t (`thin` debug-asserts it).
+    fn start(model: &PropensityModel, v0: f64, t0: f64) -> Result<Self, CoreError> {
+        let (lc0, le0) = model.propensities(v0);
+        let lambda_star = lc0 + le0;
+        if !lambda_star.is_finite() || lambda_star <= 0.0 {
+            return Err(CoreError::NonFinitePropensity { time: t0 });
+        }
+        let state = model.trap().initial_state;
+        Ok(Self {
+            model: *model,
+            lambda_star,
+            memo_bits: v0.to_bits(),
+            memo: (lc0, le0),
+            state,
+            steps: vec![(t0, state.occupancy())],
+            candidates: Vec::new(),
+            next: 0,
+        })
+    }
+
+    /// Lines 10–22, the step function of both samplers: keeps the
+    /// candidate at `time` (toggling the state) when `keep < λ_next/λ*`
+    /// at gate bias `v`; returns whether it did.
+    #[inline]
+    fn thin(&mut self, time: f64, v: f64, keep: f64) -> Result<bool, CoreError> {
+        // Lines 10–14: the propensity of leaving the current state.
+        if v.to_bits() != self.memo_bits {
+            self.memo_bits = v.to_bits();
+            self.memo = self.model.propensities(v);
+        }
+        let (lc, le) = self.memo;
+        let lambda_next = match self.state {
+            TrapState::Filled => le,
+            TrapState::Empty => lc,
+        };
+        if !lambda_next.is_finite() {
+            return Err(CoreError::NonFinitePropensity { time });
+        }
+        debug_assert!(
+            lambda_next <= self.lambda_star * (1.0 + 1e-9),
+            "uniformisation bound violated: lambda_next = {lambda_next} > lambda* = {}",
+            self.lambda_star
+        );
+
+        // Lines 15–22: keep the candidate with probability λ_next/λ*.
+        let accept_p = lambda_next / self.lambda_star;
+        debug_assert!(
+            (0.0..=1.0 + 1e-9).contains(&accept_p),
+            "acceptance probability left [0, 1]: {accept_p} at t = {time}"
+        );
+        let kept = keep < accept_p;
+        if kept {
+            self.state = self.state.toggled();
+        }
+        Ok(kept)
+    }
+
+    /// Line 3 at the gate bias `v0` of time `t0`, and the candidate
+    /// stream over `(t0, tf]` from `rng`.
+    ///
+    /// # Errors
+    ///
+    /// As [`simulate_trap_probed`].
+    pub fn new<R: Rng + ?Sized>(
+        model: &PropensityModel,
+        v0: f64,
+        t0: f64,
+        tf: f64,
+        rng: &mut R,
+        config: &UniformisationConfig,
+    ) -> Result<Self, CoreError> {
+        if !(tf > t0) {
+            return Err(CoreError::EmptyHorizon { t0, tf });
+        }
+        let mut trap = Self::start(model, v0, t0)?;
+        let mean_wait = 1.0 / trap.lambda_star;
+        let mut time = t0 + exp_rand(rng, mean_wait);
+        while time <= tf {
+            if trap.candidates.len() == config.max_candidate_events {
+                return Err(CoreError::EventBudgetExceeded {
+                    budget: config.max_candidate_events,
+                    rate: trap.lambda_star,
+                });
+            }
+            trap.candidates.push((time, rng.gen::<f64>()));
+            time += exp_rand(rng, mean_wait);
+        }
+        Ok(trap)
+    }
+
+    /// Every candidate time, in order.
+    pub fn candidate_times(&self) -> impl Iterator<Item = f64> + '_ {
+        self.candidates.iter().map(|&(t, _)| t)
+    }
+
+    /// Judges every remaining candidate at or before `t` at the gate
+    /// bias `v`.
+    ///
+    /// # Errors
+    ///
+    /// As [`simulate_trap_probed`].
+    pub fn thin_until(&mut self, t: f64, v: f64) -> Result<(), CoreError> {
+        while let Some(&(time, keep)) = self.candidates.get(self.next).filter(|c| c.0 <= t) {
+            self.next += 1;
+            if self.thin(time, v, keep)? {
+                self.steps.push((time, self.state.occupancy()));
+            }
+        }
+        Ok(())
+    }
+
+    /// The chain's current state.
+    pub fn state(&self) -> TrapState {
+        self.state
+    }
+
+    /// The occupancy staircase (values `0.0`/`1.0`) so far.
+    ///
+    /// # Errors
+    ///
+    /// As [`simulate_trap_probed`].
+    pub fn into_occupancy(self) -> Result<Pwc, CoreError> {
+        Ok(Pwc::new(self.steps)?)
+    }
 }
 
 /// Ensemble-averaged occupancy of one trap over `runs` independent
 /// simulations, sampled on a uniform grid — the stochastic estimate
 /// whose exact counterpart is `samurai_trap::master::integrate_occupancy`.
 ///
-/// Runs on all available cores; see [`ensemble_occupancy_observed`]
-/// for an explicit [`Parallelism`]. Run `r` draws its trajectory from
-/// `seeds.rng(r)`, so the result is bit-identical for every worker
-/// count.
+/// Run `r` draws its trajectory from `seeds.rng(r)`, so the trace is
+/// bit-identical at every worker count, recording into `recorder` or
+/// not.
 ///
 /// # Errors
 ///
 /// Propagates simulation errors from [`simulate_trap`].
-pub fn ensemble_occupancy(
-    model: &PropensityModel,
-    v_gs: &Pwl,
-    t0: f64,
-    dt: f64,
-    n: usize,
-    runs: usize,
-    seeds: &SeedStream,
-) -> Result<Trace, CoreError> {
-    ensemble_occupancy_observed(
-        model,
-        v_gs,
-        t0,
-        dt,
-        n,
-        runs,
-        seeds,
-        Parallelism::Auto,
-        &mut Recorder::noop(),
-    )
-}
-
-/// [`ensemble_occupancy`] with an explicit worker policy, reporting
-/// per-run event counts and timings into a telemetry [`Recorder`]; the
-/// trace is bit-identical at every worker count, recording or not.
-///
-/// # Errors
-///
-/// As [`ensemble_occupancy`].
 #[allow(clippy::too_many_arguments)]
 pub fn ensemble_occupancy_observed(
     model: &PropensityModel,
@@ -327,6 +406,33 @@ mod tests {
         (steps, candidates)
     }
 
+    /// A piecewise-linear bias around `m`'s balanced point over
+    /// `lifetimes` relaxation times, one segment per move, each flat
+    /// (memo hits) or a ramp by its move (misses); returns it with its
+    /// horizon.
+    fn random_bias(
+        m: &PropensityModel,
+        moves: &[f64],
+        flats: &[bool],
+        lifetimes: f64,
+    ) -> (Pwl, f64) {
+        let tf = lifetimes / m.rate_sum();
+        let dt = tf / moves.len() as f64;
+        let mut v = m.balanced_bias();
+        let mut knots = vec![(0.0, v)];
+        for (i, (&dv, &flat)) in moves.iter().zip(flats).enumerate() {
+            if !flat {
+                v += dv;
+            }
+            knots.push(((i + 1) as f64 * dt, v));
+        }
+        (Pwl::new(knots).unwrap(), tf)
+    }
+
+    fn bits(s: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        s.iter().map(|&(t, x)| (t.to_bits(), x.to_bits())).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -338,20 +444,8 @@ mod tests {
             lifetimes in 20.0f64..300.0,
             seed in any::<u64>(),
         ) {
-            // A piecewise-linear bias around the balanced point whose
-            // segments are either flat (memo hits) or ramps (misses).
             let m = slow_model(energy);
-            let tf = lifetimes / m.rate_sum();
-            let dt = tf / moves.len() as f64;
-            let mut v = m.balanced_bias();
-            let mut knots = vec![(0.0, v)];
-            for (i, (&dv, &flat)) in moves.iter().zip(&flats).enumerate() {
-                if !flat {
-                    v += dv;
-                }
-                knots.push(((i + 1) as f64 * dt, v));
-            }
-            let bias = Pwl::new(knots).unwrap();
+            let (bias, tf) = random_bias(&m, &moves, &flats, lifetimes);
 
             let mut probe = JobProbe::new(true);
             let memoised = simulate_trap_probed(
@@ -367,9 +461,6 @@ mod tests {
             let (steps, candidates) =
                 simulate_unmemoised(&m, &bias, 0.0, tf, &mut SeedStream::new(seed).rng(0));
 
-            let bits = |s: &[(f64, f64)]| -> Vec<(u64, u64)> {
-                s.iter().map(|&(t, x)| (t.to_bits(), x.to_bits())).collect()
-            };
             prop_assert!(
                 bits(memoised.steps()) == bits(&steps),
                 "staircases differ: {} memoised steps, {} unmemoised",
@@ -378,6 +469,60 @@ mod tests {
             );
             prop_assert_eq!(probe.trap().candidates, candidates);
             prop_assert_eq!(probe.trap().accepted, (steps.len() - 1) as u64);
+        }
+
+        #[test]
+        fn closed_loop_sampler_matches_the_open_loop_kernel_bit_for_bit(
+            energy in 0.2f64..0.6,
+            moves in collection::vec(-0.3f64..0.3, 1..9),
+            flats in collection::vec(any::<bool>(), 9),
+            lifetimes in 20.0f64..300.0,
+            filled in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            // The closed loop reads the bias at each candidate from the
+            // same known waveform the open-loop kernel evaluates.
+            let state = if filled { TrapState::Filled } else { TrapState::Empty };
+            let m = PropensityModel::new(
+                DeviceParams::nominal_90nm(),
+                slow_model(energy).trap().with_initial_state(state),
+            );
+            let (bias, tf) = random_bias(&m, &moves, &flats, lifetimes);
+            let config = UniformisationConfig::default();
+
+            let mut probe = JobProbe::new(true);
+            let open = simulate_trap_probed(
+                &m,
+                &bias,
+                0.0,
+                tf,
+                &mut SeedStream::new(seed).rng(0),
+                &config,
+                &mut probe,
+            )
+            .unwrap();
+            let mut closed = ClosedLoopTrap::new(
+                &m,
+                bias.eval(0.0),
+                0.0,
+                tf,
+                &mut SeedStream::new(seed).rng(0),
+                &config,
+            )
+            .unwrap();
+            let times: Vec<f64> = closed.candidate_times().collect();
+            for &t in &times {
+                closed.thin_until(t, bias.eval(t)).unwrap();
+            }
+            let closed = closed.into_occupancy().unwrap();
+
+            prop_assert!(
+                bits(open.steps()) == bits(closed.steps()),
+                "staircases differ: {} open-loop steps, {} closed-loop",
+                open.steps().len(),
+                closed.steps().len()
+            );
+            prop_assert_eq!(probe.trap().candidates, times.len() as u64);
         }
     }
 
@@ -459,7 +604,18 @@ mod tests {
         let dt = 2.0 * t_step / n as f64;
         let runs = 3000;
         let seeds = SeedStream::new(77);
-        let ensemble = ensemble_occupancy(&m, &bias, 0.0, dt, n, runs, &seeds).unwrap();
+        let ensemble = ensemble_occupancy_observed(
+            &m,
+            &bias,
+            0.0,
+            dt,
+            n,
+            runs,
+            &seeds,
+            Parallelism::Auto,
+            &mut Recorder::noop(),
+        )
+        .unwrap();
         let exact = master::integrate_occupancy(&m, &bias, m.trap().initial_state, 0.0, dt, n, 8);
 
         // Monte-Carlo error of a Bernoulli mean over 3000 runs ≈ 0.009;

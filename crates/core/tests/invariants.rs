@@ -99,8 +99,18 @@ fn ensemble_occupancy_is_a_probability_under_hostile_bias() {
     let n = 64;
     let dt = tf / n as f64;
     let seeds = SeedStream::new(11);
-    let trace = samurai_core::ensemble_occupancy(&model, &v, 0.0, dt, n, 50, &seeds)
-        .expect("hostile bias must not break the ensemble");
+    let trace = samurai_core::ensemble_occupancy_observed(
+        &model,
+        &v,
+        0.0,
+        dt,
+        n,
+        50,
+        &seeds,
+        samurai_core::Parallelism::Auto,
+        &mut samurai_core::telemetry::Recorder::noop(),
+    )
+    .expect("hostile bias must not break the ensemble");
     for &p in trace.values() {
         assert!(
             (0.0..=1.0).contains(&p),

@@ -16,6 +16,10 @@
 //! SSA, which draws each dwell at the rate of the bias where the dwell
 //! starts.
 
+#[path = "support/binomial.rs"]
+mod binomial;
+
+use binomial::{binomial_p_value, ln_factorials};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use samurai_core::gillespie::frozen_rate_ssa;
@@ -123,36 +127,6 @@ fn fast_ramp() -> Case {
         bias,
         horizon: 4.0 * tau,
     }
-}
-
-/// `ln n!` for `n = 0..=max`.
-fn ln_factorials(max: usize) -> Vec<f64> {
-    let mut out = vec![0.0; max + 1];
-    for n in 1..=max {
-        out[n] = out[n - 1] + (n as f64).ln();
-    }
-    out
-}
-
-/// The exact two-sided binomial p-value of `k` successes in `n` trials
-/// at probability `p`: twice the smaller tail, at most 1.
-fn binomial_p_value(k: usize, n: usize, p: f64, ln_fact: &[f64]) -> f64 {
-    let ln_pmf = |j: usize| {
-        let head = if j == 0 { 0.0 } else { j as f64 * p.ln() };
-        let tail = if j == n {
-            0.0
-        } else {
-            (n - j) as f64 * (1.0 - p).ln()
-        };
-        ln_fact[n] - ln_fact[j] - ln_fact[n - j] + head + tail
-    };
-    let ln: Vec<f64> = (0..=n).map(ln_pmf).collect();
-    let top = ln.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let mass = |js: &[f64]| js.iter().map(|l| (l - top).exp()).sum::<f64>();
-    let total = mass(&ln);
-    let lower = mass(&ln[..=k]) / total;
-    let upper = mass(&ln[k..]) / total;
-    (2.0 * lower.min(upper)).min(1.0)
 }
 
 /// Runs `generate` over every case and tests each sample time's filled

@@ -390,8 +390,8 @@ impl<'a> CallGraph<'a> {
     }
 
     /// The witness chain from a hot root to node `n`, e.g.
-    /// `hot-loop at crates/spice/src/stepper.rs:98 ->
-    /// `CompiledCircuit::solve_trial` -> `CompiledCircuit::singular_at``.
+    /// `hot-loop at crates/core/src/uniformisation.rs:117 ->
+    /// `Thinning::thin` -> `PropensityModel::propensities``.
     pub fn hot_chain(&self, n: usize) -> String {
         let (root_idx, names) = chain_to_root(&self.hot_prev, n, |m| self.display(m));
         let spine = names.join(" -> ");

@@ -39,7 +39,7 @@
 //! Gilbert–Peierls LU of [`crate::SparseLu`]. The backend is fixed at
 //! compile time ([`SolverChoice`], automatic by unknown count), so the
 //! whole analysis stack — DC operating points, transient, the
-//! stepper, the rescue ladder — gains the sparse path without
+//! rescue ladder — gains the sparse path without
 //! changing a line.
 
 use samurai_core::faults::{FaultArm, FaultKind};
@@ -297,9 +297,10 @@ pub struct NewtonWorkspace {
     /// Per-MOSFET memo of the EKV interpolation function, kept across
     /// iterations and solves (exact: see [`EkvMemo`]).
     pub(crate) ekv_memo: Vec<EkvMemo>,
-    /// Every source waveform of the compiled circuit evaluated at `t`,
-    /// refreshed once per Newton solve (the stamps apply
-    /// `source_scale`).
+    /// Every source of the compiled circuit evaluated at `t` (the
+    /// stamps apply `source_scale`): a DC value is seeded when an
+    /// analysis starts and stays until a transient hook rewrites it; a
+    /// PWL waveform is evaluated once per Newton solve.
     pub(crate) source_values: Vec<f64>,
     /// Per source, the PWL segment its last evaluation landed in: where
     /// the next evaluation's search starts
@@ -317,7 +318,7 @@ pub struct NewtonWorkspace {
     /// Pre-resolved fault triggers counting Newton solves.
     pub(crate) solve_arm: FaultArm,
     /// Pre-resolved fault triggers counting transient step attempts
-    /// (consulted by the transient loop and the stepper, not here).
+    /// (consulted by the transient loop, not here).
     pub(crate) step_arm: FaultArm,
     /// Solver telemetry counters (see [`SolverStats`]): bare `u64`
     /// fields the hot loops bump unconditionally — deterministic,
@@ -329,7 +330,7 @@ impl NewtonWorkspace {
     /// Allocates every buffer for `compiled`'s dimensions.
     pub fn new(compiled: &CompiledCircuit) -> Self {
         let n = compiled.n_unknowns;
-        Self {
+        let mut ws = Self {
             sys: SolverSystem::for_circuit(compiled),
             res: vec![0.0; n],
             delta: Vec::with_capacity(n),
@@ -347,7 +348,9 @@ impl NewtonWorkspace {
             solve_arm: FaultArm::disarmed(),
             step_arm: FaultArm::disarmed(),
             stats: SolverStats::default(),
-        }
+        };
+        compiled.seed_dc_sources(&mut ws);
+        ws
     }
 
     /// The most recent accepted solution (node voltages, then
@@ -1023,14 +1026,28 @@ impl CompiledCircuit {
     /// Returns [`SpiceError::InvalidElement`] if `id` does not name a
     /// voltage or current source.
     pub fn set_source(&mut self, id: ElementId, new_source: Source) -> Result<(), SpiceError> {
-        match self.stamps.get(id.0).and_then(DeviceStamp::source_index) {
-            Some(k) => {
-                self.sources[k] = new_source;
-                Ok(())
-            }
-            None => Err(SpiceError::InvalidElement {
+        let k = self.source_index(id)?;
+        self.sources[k] = new_source;
+        Ok(())
+    }
+
+    /// Index of voltage/current source `id` in the source table.
+    pub(crate) fn source_index(&self, id: ElementId) -> Result<usize, SpiceError> {
+        self.stamps
+            .get(id.0)
+            .and_then(DeviceStamp::source_index)
+            .ok_or(SpiceError::InvalidElement {
                 reason: "set_source requires a voltage or current source id",
-            }),
+            })
+    }
+
+    /// Seeds every DC source value into the workspace, as an analysis
+    /// starts.
+    pub(crate) fn seed_dc_sources(&self, ws: &mut NewtonWorkspace) {
+        for (value, source) in ws.source_values.iter_mut().zip(&self.sources) {
+            if let Source::Dc(v) = source {
+                *value = *v;
+            }
         }
     }
 
@@ -1056,20 +1073,6 @@ impl CompiledCircuit {
         times
     }
 
-    /// The MOSFET stamp for `id`, for state readback.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpiceError::InvalidElement`] if `id` is not a MOSFET.
-    pub(crate) fn mosfet(&self, id: ElementId) -> Result<&MosfetStamp, SpiceError> {
-        match self.stamps.get(id.0) {
-            Some(DeviceStamp::Mosfet(m)) => Ok(m),
-            _ => Err(SpiceError::InvalidElement {
-                reason: "expected a MOSFET id",
-            }),
-        }
-    }
-
     // lint: hot-loop
     //
     // `assemble` and `newton` run once per Newton iteration per
@@ -1078,9 +1081,9 @@ impl CompiledCircuit {
     // `NewtonWorkspace`.
 
     /// Evaluates what is fixed for a whole Newton solve, once per
-    /// solve: every source waveform at the workspace time `ws.t` into
-    /// `ws.source_values` (each PWL searched from its hint in
-    /// `ws.source_hints`), and every capacitor companion — the
+    /// solve: every PWL source at the workspace time `ws.t` into
+    /// `ws.source_values` (searched from its hint in `ws.source_hints`;
+    /// DC values stay as seeded), and every capacitor companion — the
     /// discrete capacitors and each MOSFET's Cgs, Cgd and Cdb, whose
     /// capacitances were lowered from the compiled (possibly patched)
     /// parameters — under the workspace's integration mode and
@@ -1088,10 +1091,9 @@ impl CompiledCircuit {
     pub(crate) fn prepare_solve(&self, ws: &mut NewtonWorkspace) {
         let values = ws.source_values.iter_mut().zip(&mut ws.source_hints);
         for ((value, hint), source) in values.zip(&self.sources) {
-            *value = match source {
-                Source::Dc(v) => *v,
-                Source::Pwl(w) => w.eval_hinted(ws.t, hint),
-            };
+            if let Source::Pwl(w) = source {
+                *value = w.eval_hinted(ws.t, hint);
+            }
         }
         for cap in self.stamps.iter().flat_map(DeviceStamp::capacitors) {
             ws.companions[cap.state] = ws.mode.companion(cap.c, ws.cap_states[cap.state]);
@@ -1310,6 +1312,7 @@ impl CompiledCircuit {
         };
         ws.source_scale = 1.0;
         ws.gmin_extra = 0.0;
+        self.seed_dc_sources(ws);
         ws.x.clear();
         ws.x.extend_from_slice(history);
         self.refresh_states(ws, false);
@@ -1330,6 +1333,7 @@ impl CompiledCircuit {
     #[doc(hidden)]
     pub fn probe_sources(&self, ws: &mut NewtonWorkspace, t: f64) -> Vec<f64> {
         ws.t = t;
+        self.seed_dc_sources(ws);
         self.prepare_solve(ws);
         ws.source_values.clone()
     }

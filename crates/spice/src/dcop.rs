@@ -33,8 +33,9 @@ impl CompiledCircuit {
     /// `ws.solution()` holds the full unknown vector (node voltages
     /// then voltage-source branch currents).
     ///
-    /// The workspace is fully re-seeded (capacitor histories zeroed,
-    /// solution re-initialised from the guess), so a reused workspace
+    /// The workspace is fully re-seeded (DC source values from the
+    /// circuit, capacitor histories zeroed, solution re-initialised from
+    /// the guess), so a reused workspace
     /// gives bit-identical results to a fresh one.
     ///
     /// # Errors
@@ -49,6 +50,7 @@ impl CompiledCircuit {
         config: &DcConfig,
     ) -> Result<(), SpiceError> {
         let newton = NewtonConfig::default();
+        self.seed_dc_sources(ws);
         ws.reset_states();
         let seed_guess = |ws: &mut NewtonWorkspace| {
             ws.x.iter_mut().for_each(|v| *v = 0.0);

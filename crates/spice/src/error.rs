@@ -37,10 +37,7 @@ pub enum SpiceError {
         /// The rejected step size.
         dt: f64,
         /// Rescue-ladder rungs attempted on the failing step before
-        /// giving up (0 when the failure bypassed the ladder, as an
-        /// injected floor on a [`TransientStepper`] step does).
-        ///
-        /// [`TransientStepper`]: crate::TransientStepper
+        /// giving up.
         rescue_rungs: usize,
     },
     /// A non-finite value (NaN/∞) appeared in the Newton update: the

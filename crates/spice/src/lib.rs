@@ -62,7 +62,6 @@ mod netlist;
 pub mod parser;
 mod patch;
 mod sparse;
-mod stepper;
 mod transient;
 
 pub use compiled::{
@@ -77,5 +76,6 @@ pub use parser::{parse_netlist, ParsedNetlist};
 pub use patch::{MosfetAdjust, ParamPatch};
 pub use samurai_telemetry::SolverStats;
 pub use sparse::{CscMatrix, LuFactors, SparseLu, SparsityPattern};
-pub use stepper::TransientStepper;
-pub use transient::{run_transient, Integrator, TransientConfig, TransientResult};
+pub use transient::{
+    run_transient, Integrator, SourceWriter, TransientConfig, TransientResult, BREAKPOINT_SNAP,
+};

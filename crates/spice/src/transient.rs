@@ -5,7 +5,7 @@ use samurai_waveform::Pwl;
 
 use crate::compiled::{CompiledCircuit, IntegMode, NewtonConfig, NewtonWorkspace};
 use crate::dcop::DcConfig;
-use crate::netlist::{Circuit, ElementId};
+use crate::netlist::{Circuit, ElementId, Source};
 use crate::{MosfetParams, SpiceError};
 
 /// Step-size floor: a step halved below it climbs the rescue ladder,
@@ -223,8 +223,37 @@ impl CompiledCircuit {
         tf: f64,
         config: &TransientConfig,
     ) -> Result<TransientResult, SpiceError> {
+        self.run_transient_hooked(ws, t0, tf, config, &[], |_, _, _| Ok(()))
+    }
+
+    /// [`run_transient`](Self::run_transient) with a per-step hook, for
+    /// a closed loop between the circuit and a model that reads it:
+    /// the steps also land on `extra_breakpoints`, and after each
+    /// accepted step `hook` gets its time and solution and may rewrite
+    /// DC source values through its [`SourceWriter`]. A rewrite takes
+    /// effect from the next step, which restarts with backward Euler,
+    /// as after a PWL breakpoint.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_transient`](Self::run_transient), and the first error
+    /// the hook returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tf > t0`.
+    pub fn run_transient_hooked<E: From<SpiceError>>(
+        &self,
+        ws: &mut NewtonWorkspace,
+        t0: f64,
+        tf: f64,
+        config: &TransientConfig,
+        extra_breakpoints: &[f64],
+        mut hook: impl FnMut(f64, &[f64], &mut SourceWriter<'_>) -> Result<(), E>,
+    ) -> Result<TransientResult, E> {
         assert!(tf > t0, "transient horizon must be non-empty");
         let span = tf - t0;
+        let snap = BREAKPOINT_SNAP * span;
         let dt_max = config.dt_max.unwrap_or(span / 50.0);
         let mut dt = config.dt_init.unwrap_or(span / 1000.0).min(dt_max);
 
@@ -232,8 +261,13 @@ impl CompiledCircuit {
         let mut breakpoints: Vec<f64> = self
             .breakpoints()
             .into_iter()
+            .chain(extra_breakpoints.iter().copied())
             .filter(|&t| t > t0 && t < tf)
             .collect();
+        if !extra_breakpoints.is_empty() {
+            breakpoints.sort_unstable_by(f64::total_cmp);
+            breakpoints.dedup();
+        }
         breakpoints.push(tf);
         let mut next_bp = 0usize;
 
@@ -252,18 +286,18 @@ impl CompiledCircuit {
         result.solutions.push(ws.solution().to_vec());
 
         let mut t = t0;
-        // Force a BE step right after t0 and after every breakpoint
-        // when using the trapezoidal rule.
+        // Force a BE step right after t0 and after every breakpoint or
+        // source rewrite when using the trapezoidal rule.
         let mut be_restart = true;
 
-        while t < tf - 1e-15 * span {
+        while t < tf - snap {
             // Do not step over the next breakpoint.
-            while breakpoints[next_bp] <= t + 1e-15 * span {
+            while breakpoints[next_bp] <= t + snap {
                 next_bp += 1;
             }
             let target = breakpoints[next_bp];
             let mut h = dt.min(target - t).min(dt_max);
-            let hits_breakpoint = t + h >= target - 1e-15 * span;
+            let hits_breakpoint = t + h >= target - snap;
             if hits_breakpoint {
                 h = target - t;
             }
@@ -277,37 +311,39 @@ impl CompiledCircuit {
 
             let t_new = t + h;
             // Step-site fault injection: one pre-armed check per step
-            // attempt. Injected faults surface as the solver errors
-            // they model; `TimestepFloor` instead routes this step
-            // straight to the bottomed-out rescue path below.
+            // attempt. An injected singular matrix aborts the run as a
+            // real one does; `TimestepFloor` routes this step straight to
+            // the bottomed-out rescue path below; the other kinds reject
+            // the trial, as the solver errors they model do.
             let step_fault = ws.step_arm.check();
             if step_fault.is_some() {
                 ws.stats.faults_injected += 1;
             }
             let floor_forced = step_fault == Some(FaultKind::TimestepFloor);
-            let solved = match step_fault {
-                None => self.solve_trial(ws, t_new, mode, &config.newton),
-                Some(kind) => Err(injected_step_error(kind, t, h)),
-            };
-
-            let mut accepted = match solved {
-                Ok(()) => {
-                    let max_dv = ws.x_try[..self.n_nodes]
-                        .iter()
-                        .zip(&ws.x[..self.n_nodes])
-                        .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-                    max_dv <= config.dv_max || h <= DT_MIN * 4.0
+            let mut accepted = match step_fault {
+                Some(FaultKind::SingularMatrix) => {
+                    return Err(SpiceError::SingularMatrix { col: 0 }.into())
                 }
-                Err(e @ SpiceError::SingularMatrix { .. }) => return Err(e),
-                Err(_) => false,
+                Some(_) => false,
+                None => match self.solve_trial(ws, t_new, mode, &config.newton) {
+                    Ok(()) => {
+                        let max_dv = ws.x_try[..self.n_nodes]
+                            .iter()
+                            .zip(&ws.x[..self.n_nodes])
+                            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+                        max_dv <= config.dv_max || h <= DT_MIN * 4.0
+                    }
+                    Err(e @ SpiceError::SingularMatrix { .. }) => return Err(e.into()),
+                    Err(_) => false,
+                },
             };
 
             if !accepted {
                 ws.stats.timestep_rejections += 1;
-                // Reject: halve the step. When halving bottoms out at
-                // the floor (or an injected fault says it has), climb
-                // the rescue ladder on this failing step before giving
-                // up — exactly where the pre-ladder engine returned
+                // Reject: halve the step. When halving bottoms out at the
+                // floor (or an injected fault says it has), climb the
+                // rescue ladder on this failing step before giving up —
+                // exactly where the pre-ladder engine returned
                 // `StepUnderflow`, so unaffected runs are untouched.
                 let bottomed = if floor_forced {
                     true
@@ -318,8 +354,8 @@ impl CompiledCircuit {
                 if bottomed {
                     self.rescue_step(ws, t, t_new, mode, dt.min(h), config)?;
                     accepted = true;
-                    // The rescue converged under homotopy; re-enter
-                    // the adaptive ramp cautiously.
+                    // The rescue converged under homotopy; re-enter the
+                    // adaptive ramp cautiously.
                     dt = config.dt_init.unwrap_or(span / 1000.0).min(dt_max);
                 }
             }
@@ -331,7 +367,15 @@ impl CompiledCircuit {
                 t = t_new;
                 result.times.push(t);
                 result.solutions.push(ws.solution().to_vec());
-                be_restart = hits_breakpoint && config.integrator == Integrator::Trapezoidal;
+                let mut sources = SourceWriter {
+                    compiled: self,
+                    values: &mut ws.source_values,
+                    changed: false,
+                };
+                hook(t, &ws.x, &mut sources)?;
+                let rewritten = sources.changed;
+                be_restart =
+                    (hits_breakpoint || rewritten) && config.integrator == Integrator::Trapezoidal;
                 dt = (dt * 1.4).min(dt_max);
             }
         }
@@ -410,28 +454,39 @@ impl CompiledCircuit {
     }
 }
 
-/// The error an injected step-site fault stands for on the step from
-/// `t` to `t + h`. The stepper returns it as is; the transient loop
-/// rejects the step on it, and sends a forced [`FaultKind::TimestepFloor`]
-/// to the rescue ladder.
-pub(crate) fn injected_step_error(kind: FaultKind, t: f64, h: f64) -> SpiceError {
-    match kind {
-        FaultKind::SingularMatrix => SpiceError::SingularMatrix { col: 0 },
-        FaultKind::NanResidual => SpiceError::NumericalBreakdown {
-            time: t + h,
-            iteration: 0,
-        },
-        FaultKind::NonConvergence => SpiceError::NonConvergence {
-            time: t + h,
-            iterations: 0,
-            max_delta: f64::INFINITY,
-            max_residual: f64::INFINITY,
-        },
-        FaultKind::TimestepFloor => SpiceError::StepUnderflow {
-            time: t,
-            dt: h,
-            rescue_rungs: 0,
-        },
+/// A breakpoint within this fraction of the horizon above the current
+/// time counts as reached: the step control never aims at it.
+pub const BREAKPOINT_SNAP: f64 = 1e-15;
+
+/// The DC source values a hook of
+/// [`CompiledCircuit::run_transient_hooked`] may rewrite, for the rest
+/// of the run: they live in its workspace, not the compiled circuit.
+#[derive(Debug)]
+pub struct SourceWriter<'a> {
+    compiled: &'a CompiledCircuit,
+    values: &'a mut [f64],
+    changed: bool,
+}
+
+impl SourceWriter<'_> {
+    /// Sets DC source `id` to `value` from the next step on.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::InvalidElement`] if `id` does not name a
+    /// DC voltage or current source.
+    pub fn set_dc(&mut self, id: ElementId, value: f64) -> Result<(), SpiceError> {
+        let k = self.compiled.source_index(id)?;
+        if !matches!(self.compiled.sources[k], Source::Dc(_)) {
+            return Err(SpiceError::InvalidElement {
+                reason: "set_dc requires a DC source id",
+            });
+        }
+        if self.values[k].to_bits() != value.to_bits() {
+            self.values[k] = value;
+            self.changed = true;
+        }
+        Ok(())
     }
 }
 
@@ -590,6 +645,154 @@ mod tests {
         let id = res.mosfet_current(&ckt, m).unwrap();
         assert!(id.eval(1e-9).abs() < 1e-9, "off before the step");
         assert!(id.eval(5e-9) > 1e-5, "conducting after the step");
+    }
+
+    /// A current source into a resistor in parallel with a
+    /// diode-connected MOSFET and a capacitor, with the source's id.
+    fn injected_node() -> (Circuit, ElementId) {
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let d = ckt.node("d");
+        ckt.vsource(vdd, Circuit::GROUND, Source::Dc(1.1));
+        ckt.resistor(vdd, d, 1e4);
+        ckt.capacitor(d, Circuit::GROUND, 1e-13);
+        ckt.mosfet(d, d, Circuit::GROUND, MosfetParams::nmos_90nm(2.0));
+        let inj = ckt.isource(Circuit::GROUND, d, Source::Dc(0.0));
+        (ckt, inj)
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_hook_that_rewrites_nothing_leaves_the_run_bit_identical() {
+        let (ckt, _) = injected_node();
+        let config = TransientConfig::default();
+        let reference = run_transient(&ckt, 0.0, 2e-9, &config).unwrap();
+        let compiled = CompiledCircuit::compile(&ckt);
+        let mut ws = NewtonWorkspace::new(&compiled);
+        let mut calls = Vec::new();
+        let hooked = compiled
+            .run_transient_hooked(&mut ws, 0.0, 2e-9, &config, &[], |t, _, _| {
+                calls.push(t);
+                Ok::<_, SpiceError>(())
+            })
+            .unwrap();
+        assert_eq!(reference, hooked);
+        assert_eq!(calls, reference.times()[1..]);
+    }
+
+    #[test]
+    fn hook_breakpoints_are_landed_on() {
+        let (ckt, _) = injected_node();
+        let compiled = CompiledCircuit::compile(&ckt);
+        let mut ws = NewtonWorkspace::new(&compiled);
+        let extra = [0.7e-9, 0.3e-9, 1.3e-9, 5e-9];
+        let res = compiled
+            .run_transient_hooked(
+                &mut ws,
+                0.0,
+                2e-9,
+                &TransientConfig::default(),
+                &extra,
+                |_, _, _| Ok::<_, SpiceError>(()),
+            )
+            .unwrap();
+        for t in &extra[..3] {
+            assert!(
+                res.times().iter().any(|&s| (s - t).abs() < 1e-18),
+                "breakpoint {t} missed"
+            );
+        }
+        assert!((res.times().last().unwrap() - 2e-9).abs() < 1e-18);
+    }
+
+    #[test]
+    fn hook_rewrites_take_effect_on_the_next_step() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let inj = ckt.isource(Circuit::GROUND, a, Source::Dc(0.0));
+        let r = ckt.resistor(a, Circuit::GROUND, 1e3);
+        let compiled = CompiledCircuit::compile(&ckt);
+        let mut ws = NewtonWorkspace::new(&compiled);
+        let res = compiled
+            .run_transient_hooked(
+                &mut ws,
+                0.0,
+                1e-9,
+                &TransientConfig::default(),
+                &[],
+                |_, _, sources| sources.set_dc(inj, 1e-3),
+            )
+            .unwrap();
+        let v = res.voltage(&ckt, "a").unwrap();
+        assert!(
+            v.points()[1].1.abs() < 1e-9,
+            "the first step runs unrewritten"
+        );
+        assert!((v.points()[2].1 - 1.0).abs() < 1e-6);
+
+        // Only sources can be rewritten, and the run reports the misuse.
+        let err = compiled
+            .run_transient_hooked(
+                &mut ws,
+                0.0,
+                1e-9,
+                &TransientConfig::default(),
+                &[],
+                |_, _, sources| sources.set_dc(r, 0.0),
+            )
+            .unwrap_err();
+        assert!(matches!(err, SpiceError::InvalidElement { .. }));
+    }
+
+    #[test]
+    fn a_hook_rewrite_matches_a_fresh_compile_resumed_from_that_state() {
+        let (ckt, inj) = injected_node();
+        let h = 2e-12;
+        let config = TransientConfig {
+            integrator: Integrator::BackwardEuler,
+            dt_init: Some(h),
+            dt_max: Some(h),
+            ..TransientConfig::default()
+        };
+        // The live run rewrites the injection after its tenth step.
+        let live = CompiledCircuit::compile(&ckt);
+        let mut ws = NewtonWorkspace::new(&live);
+        let mut steps = 0;
+        let res = live
+            .run_transient_hooked(&mut ws, 0.0, 30.0 * h, &config, &[], |_, _, sources| {
+                steps += 1;
+                match steps {
+                    10 => sources.set_dc(inj, 20e-6),
+                    _ => Ok(()),
+                }
+            })
+            .unwrap();
+
+        // The reference compiles the rewritten circuit from scratch,
+        // takes the live run's state after its tenth step (under
+        // backward Euler the solution is the whole state) and steps on
+        // as the run does.
+        let mut rewritten = ckt.clone();
+        rewritten.set_source(inj, Source::Dc(20e-6)).unwrap();
+        let fresh = CompiledCircuit::compile(&rewritten);
+        let mut ws = NewtonWorkspace::new(&fresh);
+        let mut t = res.times()[10];
+        ws.x.copy_from_slice(&res.solutions[10]);
+        ws.mode = IntegMode::BackwardEuler { h };
+        fresh.refresh_states(&mut ws, false);
+        for k in 11..21 {
+            t += h;
+            fresh
+                .solve_trial(&mut ws, t, IntegMode::BackwardEuler { h }, &config.newton)
+                .unwrap();
+            fresh.refresh_states(&mut ws, true);
+            ws.accept_trial();
+            assert_eq!(t.to_bits(), res.times()[k].to_bits());
+            assert_eq!(bits(ws.solution()), bits(&res.solutions[k]), "at t = {t}");
+        }
     }
 
     #[test]

@@ -95,6 +95,8 @@ pub struct TransistorRtn {
     pub n_filled: Pwc,
     /// The unscaled Eq (3) RTN current (paper Fig 8 d).
     pub i_rtn: Pwc,
+    /// Algorithm 1's candidate events across the traps.
+    pub candidates: u64,
 }
 
 /// Everything the methodology produced.
@@ -215,6 +217,20 @@ pub(crate) struct RtnSite {
     pub seeds: SeedStream,
 }
 
+impl RtnSite {
+    /// Draws each trap's start state from its stationary distribution
+    /// at the gate drive `v0`, from `seeds.rng(1)`.
+    pub(crate) fn equilibrate(&mut self, v0: f64) {
+        let mut rng = self.seeds.rng(1);
+        for trap in &mut self.traps {
+            let model = PropensityModel::new(self.device, *trap);
+            if rng.gen::<f64>() < model.stationary_occupancy(v0) {
+                trap.initial_state = TrapState::Filled;
+            }
+        }
+    }
+}
+
 /// Uniform refinement of the Eq (3) current between trap events in the
 /// cell and ring flows (the column ensemble sets its own).
 pub(crate) const CELL_CURRENT_OVERSAMPLE: usize = 64;
@@ -258,7 +274,7 @@ pub(crate) fn run_two_pass(
     );
     let pass1 = compiled.run_transient(&mut ws, 0.0, spec.tf, spec.spice)?;
 
-    for site in sites {
+    for mut site in sites {
         // Bias extraction: effective gate drive (relative to the
         // terminal currently acting as the source — pass transistors
         // conduct both ways) for the trap physics, signed drain
@@ -267,23 +283,15 @@ pub(crate) fn run_two_pass(
             pass1.mosfet_gate_drive(circuit, site.mosfet)?,
             pass1.mosfet_current(circuit, site.mosfet)?,
         );
-        let mut traps = site.traps;
         if spec.equilibrate {
-            let mut rng = site.seeds.rng(1);
-            let v0 = bias.v_gs.eval(0.0);
-            for trap in &mut traps {
-                let model = PropensityModel::new(site.device, *trap);
-                if rng.gen::<f64>() < model.stationary_occupancy(v0) {
-                    trap.initial_state = TrapState::Filled;
-                }
-            }
+            site.equilibrate(bias.v_gs.eval(0.0));
         }
-        let rtn = RtnGenerator::new(site.device, traps.clone())
+        let rtn = RtnGenerator::new(site.device, site.traps.clone())
             .with_seed(site.seeds.substream(7).seed())
             .with_current_oversample(spec.current_oversample)
             .generate(&bias, 0.0, spec.tf)?;
         compiled.set_source(site.source, pwc_to_source(&rtn.i_rtn, spec.rtn_scale))?;
-        on_site(bias, traps, rtn);
+        on_site(bias, site.traps, rtn);
     }
 
     let pass2 = compiled.run_transient(&mut ws, 0.0, spec.tf, spec.spice)?;
@@ -299,18 +307,14 @@ pub(crate) fn patched(circuit: &Circuit, patch: &ParamPatch) -> Result<Circuit, 
     Ok(patched)
 }
 
-/// The two-pass step for one 6T cell under `config` over `[0, tf]`:
-/// the config's beta/geometry spread and thermal corner are applied as
-/// one [`ParamPatch`] to a copy of the cell netlist, which is compiled
-/// and which the RTN sites read, and transistor `t`'s site draws from
-/// `substream(t)` of the master seed. Pass-1 bias extraction reads the
-/// cell netlist as built. Shared by the write and read-disturb flows.
-pub(crate) fn run_cell_two_pass(
+/// The netlist a cell job compiles under `config` — the cell's, with
+/// the config's spread and thermal corner applied as one
+/// [`ParamPatch`] — and its six RTN sites, transistor `t`'s drawing
+/// from `substream(t)` of the master seed.
+pub(crate) fn cell_sites(
     cell: &SramCell,
-    tf: f64,
     config: &MethodologyConfig,
-    on_site: impl FnMut(BiasWaveforms, Vec<TrapParams>, DeviceRtn),
-) -> Result<(TransientResult, TransientResult, SolverStats), SramError> {
+) -> Result<(Circuit, Vec<RtnSite>), SramError> {
     let patch = ParamPatch {
         devices: Transistor::ALL
             .iter()
@@ -319,24 +323,39 @@ pub(crate) fn run_cell_two_pass(
         phi_t_scale: config.phi_t_scale,
     };
     let netlist = patched(&cell.circuit, &patch)?;
-    let mut compiled = CompiledCircuit::compile(&netlist);
-
     let seeds = SeedStream::new(config.seed);
-    let sites = Transistor::ALL.into_iter().map(|t| {
-        let device = trap_device(&netlist, cell.transistor(t), &config.technology);
-        let seeds = seeds.substream(t.index() as u64);
-        let traps = match &config.traps {
-            Some(explicit) => explicit[t.index()].clone(),
-            None => profile_traps(&config.technology, device, config.density_scale, &seeds),
-        };
-        RtnSite {
-            mosfet: cell.transistor(t),
-            source: cell.rtn_source(t),
-            device,
-            traps,
-            seeds,
-        }
-    });
+    let sites = Transistor::ALL
+        .into_iter()
+        .map(|t| {
+            let device = trap_device(&netlist, cell.transistor(t), &config.technology);
+            let seeds = seeds.substream(t.index() as u64);
+            let traps = match &config.traps {
+                Some(explicit) => explicit[t.index()].clone(),
+                None => profile_traps(&config.technology, device, config.density_scale, &seeds),
+            };
+            RtnSite {
+                mosfet: cell.transistor(t),
+                source: cell.rtn_source(t),
+                device,
+                traps,
+                seeds,
+            }
+        })
+        .collect();
+    Ok((netlist, sites))
+}
+
+/// The two-pass step for one 6T cell under `config` over `[0, tf]`, on
+/// [`cell_sites`]; pass-1 bias extraction reads the cell netlist as
+/// built. Shared by the write and read-disturb flows.
+pub(crate) fn run_cell_two_pass(
+    cell: &SramCell,
+    tf: f64,
+    config: &MethodologyConfig,
+    on_site: impl FnMut(BiasWaveforms, Vec<TrapParams>, DeviceRtn),
+) -> Result<(TransientResult, TransientResult, SolverStats), SramError> {
+    let (netlist, sites) = cell_sites(cell, config)?;
+    let mut compiled = CompiledCircuit::compile(&netlist);
     let spec = TwoPassSpec {
         tf,
         spice: &config.spice,
@@ -374,6 +393,7 @@ pub fn run_methodology(
             occupancies: device.occupancies,
             n_filled: device.n_filled,
             i_rtn: device.i_rtn,
+            candidates: device.candidates,
         });
     })?;
     let q_clean = pass1.voltage(&cell.circuit, "q")?;

@@ -10,7 +10,7 @@ use samurai::core::faults::{FaultKind, FaultPlan, FaultSite};
 use samurai::core::scenario::ScenarioConfig;
 use samurai::spice::{
     run_transient, Circuit, CompiledCircuit, DcConfig, NewtonWorkspace, Source, SpiceError,
-    TransientConfig, TransientStepper,
+    TransientConfig, TransientResult,
 };
 use samurai::sram::array::{run_array, ArrayConfig};
 use samurai::sram::read::run_read_disturb;
@@ -137,58 +137,66 @@ fn injected_singular_matrix_drives_the_real_lu_error_path() {
 fn injected_nan_residual_aborts_the_solve_on_its_first_iteration() {
     // A poisoned residual must surface as NumericalBreakdown from the
     // iteration it appears in — not stall to the iteration cap and
-    // come back as NonConvergence.
+    // come back as NonConvergence. Poisoning the operating point's
+    // plain solve, its first gmin rung and its first source step makes
+    // the last one the run's error.
     let ckt = divider();
-    let mut stepper = TransientStepper::new(&ckt, 0.0, &DcConfig::default()).expect("dc solves");
-    let plan = FaultPlan::none().fail_nth_solve(1, FaultKind::NanResidual);
-    stepper.arm_faults(plan.arm(FaultSite::Solve), plan.arm(FaultSite::Step));
-    let err = stepper.step(1e-12).expect_err("poisoned residual");
+    let compiled = CompiledCircuit::compile(&ckt);
+    let plan = FaultPlan::none()
+        .fail_nth_solve(1, FaultKind::NanResidual)
+        .fail_nth_solve(2, FaultKind::NanResidual)
+        .fail_nth_solve(3, FaultKind::NanResidual);
+    let mut ws = armed_ws(&compiled, &plan);
+    let err = compiled
+        .run_transient(&mut ws, 0.0, 1e-9, &TransientConfig::default())
+        .expect_err("poisoned residual");
     assert!(
         matches!(err, SpiceError::NumericalBreakdown { iteration: 0, .. }),
         "expected an immediate NumericalBreakdown, got {err:?}"
     );
+    assert_eq!(ws.stats().solve_attempts, 3);
+    assert_eq!(ws.stats().newton_iterations, 3, "one iteration per solve");
 }
 
 #[test]
 fn step_site_faults_surface_as_the_errors_they_model() {
     let ckt = divider();
-    let mut stepper = TransientStepper::new(&ckt, 0.0, &DcConfig::default()).expect("dc solves");
-    let plan = FaultPlan::none()
-        .fail_nth_step(1, FaultKind::SingularMatrix)
-        .fail_nth_step(2, FaultKind::NanResidual)
-        .fail_nth_step(3, FaultKind::NonConvergence)
-        .fail_nth_step(4, FaultKind::TimestepFloor);
-    stepper.arm_faults(plan.arm(FaultSite::Solve), plan.arm(FaultSite::Step));
+    let compiled = CompiledCircuit::compile(&ckt);
+    let config = TransientConfig::default();
+    let mut ws = NewtonWorkspace::new(&compiled);
+    let reference = compiled
+        .run_transient(&mut ws, 0.0, 1e-9, &config)
+        .expect("healthy run");
 
-    assert!(matches!(
-        stepper.step(1e-12),
-        Err(SpiceError::SingularMatrix { .. })
-    ));
-    assert!(matches!(
-        stepper.step(1e-12),
-        Err(SpiceError::NumericalBreakdown { .. })
-    ));
-    match stepper.step(1e-12) {
-        Err(SpiceError::NonConvergence {
-            max_delta,
-            max_residual,
-            ..
-        }) => {
-            assert!(max_delta.is_infinite() && max_residual.is_infinite());
-        }
-        other => panic!("expected NonConvergence, got {other:?}"),
+    // A singular matrix is fatal, wherever the step fault lands.
+    for n in [1, 4] {
+        let plan = FaultPlan::none().fail_nth_step(n, FaultKind::SingularMatrix);
+        let mut ws = armed_ws(&compiled, &plan);
+        let err = compiled
+            .run_transient(&mut ws, 0.0, 1e-9, &config)
+            .expect_err("step-site singular matrix is fatal");
+        assert!(matches!(err, SpiceError::SingularMatrix { col: 0 }));
+        assert_eq!(ws.stats().faults_injected, 1);
     }
-    match stepper.step(1e-12) {
-        Err(SpiceError::StepUnderflow {
-            dt, rescue_rungs, ..
-        }) => {
-            assert_eq!(rescue_rungs, 0);
-            assert!(dt > 0.0);
-        }
-        other => panic!("expected StepUnderflow, got {other:?}"),
-    }
-    // The plan is exhausted: the fifth step runs clean.
-    stepper.step(1e-12).expect("plan exhausted");
+
+    // A NaN residual and a non-convergence each reject their trial,
+    // which is retried at half the step; a forced floor goes straight
+    // to the rescue ladder, whose gmin ramp rescues it. The plan is
+    // then exhausted and the run ends where the healthy one does.
+    let plan = FaultPlan::none()
+        .fail_nth_step(1, FaultKind::NanResidual)
+        .fail_nth_step(2, FaultKind::NonConvergence)
+        .fail_nth_step(3, FaultKind::TimestepFloor);
+    let mut ws = armed_ws(&compiled, &plan);
+    let faulted = compiled
+        .run_transient(&mut ws, 0.0, 1e-9, &config)
+        .expect("every step-site fault but a singular matrix is rescued");
+    let stats = ws.stats();
+    assert_eq!(stats.faults_injected, 3);
+    assert_eq!(stats.timestep_rejections, 3);
+    assert_eq!(stats.rescue_rungs(), (3, 0));
+    let end = |r: &TransientResult| r.voltage(&ckt, "b").expect("node b").eval(1e-9);
+    assert!((end(&faulted) - end(&reference)).abs() < 1e-12);
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! write-outcome classification.
 
 use samurai::sram::array::{run_array, ArrayConfig};
-use samurai::sram::coupled::{run_coupled, CoupledConfig};
+use samurai::sram::coupled::run_coupled;
 use samurai::sram::read::run_read_disturb;
 use samurai::sram::{run_methodology, MethodologyConfig, Transistor};
 use samurai::waveform::BitPattern;
@@ -79,7 +79,7 @@ fn coupled_and_two_pass_agree_on_outcomes_at_unit_scale() {
     };
     let pattern = BitPattern::parse("1011").expect("valid pattern");
     let two_pass = run_methodology(&pattern, &base).expect("two-pass runs");
-    let coupled = run_coupled(&pattern, &CoupledConfig { base, dt: 10e-12 }).expect("coupled runs");
+    let coupled = run_coupled(&pattern, &base).expect("coupled runs");
     assert_eq!(two_pass.outcomes.outcomes, coupled.outcomes.outcomes);
 }
 

@@ -9,7 +9,7 @@ use samurai::core::ensemble::{FailurePolicy, Parallelism};
 use samurai::core::faults::{FaultKind, FaultPlan};
 use samurai::core::scenario::ScenarioConfig;
 use samurai::core::telemetry::{JournalEvent, Recorder};
-use samurai::core::{ensemble_occupancy, ensemble_occupancy_observed, SeedStream};
+use samurai::core::{ensemble_occupancy_observed, SeedStream};
 use samurai::sram::array::{run_array, run_array_observed, ArrayConfig};
 use samurai::trap::{DeviceParams, PropensityModel, TrapParams};
 use samurai::units::{Energy, Length};
@@ -52,7 +52,18 @@ fn observed_ensemble_occupancy_is_bit_identical_to_unobserved() {
     let dt = 0.5 / lambda;
     let (n, runs) = (40, 64);
     let seeds = SeedStream::new(7);
-    let reference = ensemble_occupancy(&model, &bias, 0.0, dt, n, runs, &seeds).expect("runs");
+    let reference = ensemble_occupancy_observed(
+        &model,
+        &bias,
+        0.0,
+        dt,
+        n,
+        runs,
+        &seeds,
+        Parallelism::Auto,
+        &mut Recorder::noop(),
+    )
+    .expect("runs");
 
     for workers in WORKER_COUNTS {
         let mut recorder = Recorder::recording();

@@ -13,7 +13,7 @@ use samurai::core::fnv1a64;
 use samurai::core::scenario::{ScenarioConfig, NOMINAL_TEMPERATURE};
 use samurai::core::telemetry::Recorder;
 use samurai::sram::array::{run_array_observed, ArrayConfig};
-use samurai::sram::coupled::{run_coupled, CoupledConfig};
+use samurai::sram::coupled::run_coupled;
 use samurai::sram::ringosc::{run_ring, RingConfig};
 use samurai::sram::{
     run_column_ensemble_observed, run_methodology, ColumnConfig, ColumnEnsembleConfig,
@@ -210,16 +210,15 @@ fn array_under_geometry_spread_matches_the_pinned_fingerprint() {
 
 /// The bi-directionally coupled flow on the Fig 8 pattern at ×30: the
 /// `Q` and `Q̄` points and every transistor's filled-trap steps.
+/// Pinned when the flow moved onto the adaptive engine with
+/// Algorithm 1 as its trap kernel.
 #[test]
 fn coupled_matches_the_pinned_fingerprint() {
-    let config = CoupledConfig {
-        base: MethodologyConfig {
-            seed: 21,
-            density_scale: 1.5,
-            rtn_scale: 30.0,
-            ..MethodologyConfig::default()
-        },
-        ..CoupledConfig::default()
+    let config = MethodologyConfig {
+        seed: 21,
+        density_scale: 1.5,
+        rtn_scale: 30.0,
+        ..MethodologyConfig::default()
     };
     let report = run_coupled(&BitPattern::paper_fig8(), &config).expect("coupled run completes");
     let got = [
@@ -233,6 +232,6 @@ fn coupled_matches_the_pinned_fingerprint() {
     );
     assert_pinned(
         &got,
-        &[0xdb3fd470801641e8, 0x8cf76d080e4f4bc3, 0x63941767308644ef],
+        &[0x603b0d99a9abb9fb, 0x45bffaa965c1da73, 0xe52e63ccffd4450d],
     );
 }

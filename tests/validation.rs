@@ -3,7 +3,10 @@
 //! the stronger non-stationary X1 check.
 
 use samurai::analysis::{analytical, autocorr, psd, stats};
-use samurai::core::{ensemble_occupancy, simulate_trap, single_trap_amplitude, SeedStream};
+use samurai::core::telemetry::Recorder;
+use samurai::core::{
+    ensemble_occupancy_observed, simulate_trap, single_trap_amplitude, Parallelism, SeedStream,
+};
 use samurai::trap::{master, DeviceParams, PropensityModel, TrapParams, TrapState};
 use samurai::units::{Energy, Length};
 use samurai::waveform::Pwl;
@@ -117,8 +120,18 @@ fn nonstationary_ensemble_tracks_the_master_equation() {
     let n = 40;
     let dt = 2.0 * t_step / n as f64;
     let runs = 4000;
-    let ensemble = ensemble_occupancy(&m, &bias, 0.0, dt, n, runs, &SeedStream::new(9))
-        .expect("bounded horizon");
+    let ensemble = ensemble_occupancy_observed(
+        &m,
+        &bias,
+        0.0,
+        dt,
+        n,
+        runs,
+        &SeedStream::new(9),
+        Parallelism::Auto,
+        &mut Recorder::noop(),
+    )
+    .expect("bounded horizon");
     let exact = master::integrate_occupancy(&m, &bias, TrapState::Empty, 0.0, dt, n, 8);
     for ((_, est), (_, ex)) in ensemble.iter().zip(exact.iter()) {
         assert!((est - ex).abs() < 0.04, "ensemble {est} vs exact {ex}");
